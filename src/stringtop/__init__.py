@@ -9,6 +9,6 @@ Poisson brackets on finite phase models, and chord diagram relations.
 
 __version__ = "0.1.0"
 
-from stringtop.grassmann import GradedCoefficient, gc_body, gc_mul
+from stringtop.grassmann import GradedCoefficient, gc_mul
 
-__all__ = ["GradedCoefficient", "gc_mul", "gc_body", "__version__"]
+__all__ = ["GradedCoefficient", "gc_mul", "__version__"]

@@ -29,7 +29,7 @@ from .holonomy import (
     wilson,
 )
 from .lierep import LieBasis
-from .strings import StringCycle, intersections, string_bracket
+from .strings import StringCycle, degree_zero_prefactor, intersections, string_bracket
 
 __all__ = [
     "fundamental_identity_check",
@@ -39,7 +39,6 @@ __all__ = [
     "loop_form_pairing_sign",
     "main_theorem_check",
     "main_theorem_sides",
-    "main_theorem_sign",
     "wilson_field_bracket",
     "wilson_intersection_weight",
 ]
@@ -60,11 +59,6 @@ def wilson_intersection_weight(sign: int, d: int = 2) -> int:
     return sign
 
 
-def main_theorem_sign(bar_degree: int, degree: int, d: int) -> int:
-    """Pairing sign (-1)^{bar_degree (d + degree)}; +1 for degree-0 cycles."""
-    return -1 if (bar_degree * (d + degree)) % 2 else 1
-
-
 def loop_form_pairing_sign(d: int = 2) -> int:
     """Relative sign between the deformation derivative of a Wilson loop
     and the insertion integral of the obstruction 2-form; -1 for d = 2.
@@ -81,7 +75,13 @@ def loop_form_pairing_sign(d: int = 2) -> int:
 
 
 def _kappa_path(basis: LieBasis, x, y, xb, yb) -> complex:
-    """Explicit basis sum tr[x T_a y] kappa^{ab} tr[xb T_b yb]."""
+    """Explicit basis sum tr[x T_a y] kappa^{ab} tr[xb T_b yb].
+
+    This is an oracle for the fused trace: it enumerates every basis pair
+    instead of using the swap identity, so the two routes share nothing
+    beyond the matrix units. kappa is its own inverse, so it stands in for
+    kappa^{ab}.
+    """
     dim = basis.n * basis.n
     total = 0j
     for a in range(dim):
@@ -89,7 +89,7 @@ def _kappa_path(basis: LieBasis, x, y, xb, yb) -> complex:
         if tra == 0:
             continue
         for b in range(dim):
-            k = basis.kappa_inv(a, b)
+            k = basis.kappa(a, b)
             if k:
                 total += tra * k * complex(np.trace(xb @ basis.matrix(b) @ yb))
     return total
@@ -99,16 +99,14 @@ def wilson_field_bracket(
     loop: PLLoop,
     loopbar: PLLoop,
     conn,
-    plan: TransportPlan | None = None,
     path_tol: float = 1e-10,
 ) -> complex:
     """Bracket of two holonomy traces, localized on transversal crossings.
 
     Each crossing splits both holonomies at the crossing parameter and
     pairs the halves; the basis-summed and fused-trace contractions are
-    both computed and must agree to path_tol (relative). The plan argument
-    is accepted for interface parity but unused: plain transports are
-    exact per piece, stepping only matters once insertion fields appear.
+    both computed and must agree to path_tol (relative). Plain transports
+    are exact per piece, so no discretization plan is involved.
     """
     if conn.flatness_residual() > 1e-12:
         raise ValueError("connection is not flat")
@@ -134,28 +132,24 @@ def wilson_field_bracket(
 # -- main comparison ----------------------------------------------------------
 
 
-def main_theorem_sides(
-    a: StringCycle, abar: StringCycle, conn, plan: TransportPlan | None = None
-) -> tuple[complex, complex]:
+def main_theorem_sides(a: StringCycle, abar: StringCycle, conn) -> tuple[complex, complex]:
     """(observable-bracket side, geometric-bracket side) for degree-0 cycles."""
     if a.space != abar.space:
         raise ValueError("cycles live on different spaces")
-    sign = main_theorem_sign(0, 0, a.space.d)
+    sign = degree_zero_prefactor(0, 0, a.space.d)
     lhs = 0j
     for m, gamma in a.terms:
         for mbar, gammabar in abar.terms:
-            lhs += m * mbar * sign * wilson_field_bracket(gamma, gammabar, conn, plan)
+            lhs += m * mbar * sign * wilson_field_bracket(gamma, gammabar, conn)
     rhs = 0j
     for coeff, gamma in string_bracket(a, abar).terms:
         rhs += coeff * complex(np.trace(transport(conn, gamma)))
     return lhs, rhs
 
 
-def main_theorem_check(
-    a: StringCycle, abar: StringCycle, conn, plan: TransportPlan | None = None
-) -> float:
+def main_theorem_check(a: StringCycle, abar: StringCycle, conn) -> float:
     """|LHS - RHS| of the bracket comparison; callers scale for tolerance."""
-    lhs, rhs = main_theorem_sides(a, abar, conn, plan)
+    lhs, rhs = main_theorem_sides(a, abar, conn)
     return abs(lhs - rhs)
 
 

@@ -16,18 +16,16 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import PLLoop, Torus, rat_to_json
+from .geometry import PLLoop, Torus
 from .lierep import LieBasis
 from .holonomy import transport
-from .strings import TransversalityError, intersections
+from .strings import TransversalityError, _cross, degree_zero_prefactor, intersections
 
 __all__ = [
     "ChordDiagram",
     "Circle",
     "DiagramRealization",
     "chord_bracket_degree0",
-    "chord_bracket_prefactor",
-    "evaluate_combination",
     "evaluate_diagram",
     "four_t_combination",
     "gln_ideal_element",
@@ -127,25 +125,6 @@ class ChordDiagram:
         cs = "; ".join(f"{c.rep}({','.join(c.endpoints)})" for c in self.circles)
         return f"ChordDiagram[{cs} | {len(self.arcs)} arcs]"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "circles": [
-                {"rep": c.rep, "endpoints": list(c.endpoints)} for c in self.circles
-            ],
-            "arcs": [list(a) for a in self.arcs],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ChordDiagram":
-        return cls(
-            [(c["rep"], tuple(c["endpoints"])) for c in obj["circles"]],
-            [tuple(a) for a in obj["arcs"]],
-        )
-
-
-def _cross2(u, v) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
 
 class DiagramRealization:
     """A diagram with one loop per circle and a parameter per endpoint.
@@ -218,7 +197,7 @@ class DiagramRealization:
             i2 = self.diagram.circle_of(arc[1])
             v1 = self.loops[i1].velocity_at(self.params[arc[0]])
             v2 = self.loops[i2].velocity_at(self.params[arc[1]])
-            if _cross2(v1, v2) == 0:
+            if _cross(v1, v2) == 0:
                 raise TransversalityError(f"arc {arc} meets tangentially")
 
     def ordered_endpoints(self, idx: int) -> tuple[str, ...]:
@@ -227,32 +206,16 @@ class DiagramRealization:
         start = self._starts[idx]
         return labels[start:] + labels[:start]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "diagram": self.diagram.to_json_obj(),
-            "loops": [lp.to_json_obj() for lp in self.loops],
-            "params": {l: rat_to_json(s) for l, s in self.params.items()},
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "DiagramRealization":
-        return cls(
-            ChordDiagram.from_json_obj(obj["diagram"]),
-            [PLLoop.from_json_obj(lp) for lp in obj["loops"]],
-            {l: Fraction(s) for l, s in obj["params"].items()},
-        )
-
-
 # -- evaluation ----------------------------------------------------------------
 
 
-def evaluate_diagram(realization: DiagramRealization, conn, plan=None) -> complex:
+def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
     """Product over circles of traces of transports and arc insertions.
 
     Each arc contributes a basis pair fully contracted with the inverse
     trace form; insertions follow the circles' traversal order, with a
-    plain transport between consecutive endpoint parameters. The plan
-    argument is accepted for interface parity; plain transports are exact.
+    plain transport between consecutive endpoint parameters. Plain
+    transports are exact per piece, so no discretization plan is involved.
     """
     diag = realization.diagram
     reps = [parse_rep(c.rep) for c in diag.circles]
@@ -260,13 +223,8 @@ def evaluate_diagram(realization: DiagramRealization, conn, plan=None) -> comple
         if size != conn.n:
             raise ValueError("representation size differs from the connection")
     basis = LieBasis(conn.n)
-    dim = conn.n * conn.n
-    pairs = [
-        (a, b, basis.kappa_inv(a, b))
-        for a in range(dim)
-        for b in range(dim)
-        if basis.kappa_inv(a, b)
-    ]
+    # kappa is its own inverse with one nonzero (= 1) entry per row
+    pairs = [(a, basis.dual(a), 1) for a in range(basis.dim)]
 
     # transports between consecutive insertion parameters, one pass per circle
     hops: list[list[np.ndarray]] = []
@@ -305,14 +263,6 @@ def evaluate_diagram(realization: DiagramRealization, conn, plan=None) -> comple
             val *= complex(np.trace(prod))
         total += val
     return total
-
-
-def evaluate_combination(
-    terms: Sequence[tuple[int, DiagramRealization]], conn, plan=None
-) -> complex:
-    return sum(
-        (coeff * evaluate_diagram(r, conn, plan) for coeff, r in terms), start=0j
-    )
 
 
 # -- relations -------------------------------------------------------------------
@@ -400,11 +350,6 @@ def gln_ideal_element(
 # -- degree-0 bracket -------------------------------------------------------------
 
 
-def chord_bracket_prefactor(bar_degree: int, degree: int, d: int) -> int:
-    """Bracket prefactor (-1)^{bar_degree (degree + d)}; +1 at degree 0."""
-    return -1 if (bar_degree * (degree + d)) % 2 else 1
-
-
 def _insert_endpoint(
     rep: str,
     ordered: Sequence[str],
@@ -439,7 +384,7 @@ def chord_bracket_degree0(
             common = set(ra.diagram._circle_of) & set(rb.diagram._circle_of)
             if common:
                 raise ValueError(f"endpoint labels {sorted(common)} appear on both sides")
-            pref = chord_bracket_prefactor(0, 0, ra.loops[0].space.d)
+            pref = degree_zero_prefactor(0, 0, ra.loops[0].space.d)
             for i, loop_i in enumerate(ra.loops):
                 for j, loop_j in enumerate(rb.loops):
                     for pt in intersections(loop_i, loop_j):

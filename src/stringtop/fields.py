@@ -31,11 +31,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from stringtop.geometry import Chart, Space, Torus
+from stringtop.geometry import Space, Torus
 from stringtop.grassmann import merge_sign
-from stringtop.lierep import SuperMatrix
-
-_ZERO_TOL = 0.0  # coefficient fields drop exact zeros only
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +132,6 @@ class PolyField:
     def key(self) -> tuple:
         return ("poly", self.d, self.terms)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "poly",
-            "terms": [
-                {"exps": list(e), "re": v.real, "im": v.imag} for e, v in self.terms
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class FourierField:
@@ -220,29 +209,8 @@ class FourierField:
     def key(self) -> tuple:
         return ("fourier", self.d, self.terms)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "fourier",
-            "terms": [
-                {"freqs": list(f), "re": v.real, "im": v.imag} for f, v in self.terms
-            ],
-        }
-
 
 CoeffField = PolyField | FourierField
-
-
-def coeff_field_from_json(obj: dict, d: int) -> CoeffField:
-    kind = obj["kind"]
-    if kind == "poly":
-        return PolyField.from_dict(
-            d, {tuple(t["exps"]): complex(t["re"], t.get("im", 0.0)) for t in obj["terms"]}
-        )
-    if kind == "fourier":
-        return FourierField.from_dict(
-            d, {tuple(t["freqs"]): complex(t["re"], t.get("im", 0.0)) for t in obj["terms"]}
-        )
-    raise ValueError(f"unknown coefficient field kind {kind!r}")
 
 
 def constant_field(space: Space, value: complex) -> CoeffField:
@@ -250,12 +218,6 @@ def constant_field(space: Space, value: complex) -> CoeffField:
     if isinstance(space, Torus):
         return FourierField.constant(space.d, value)
     return PolyField.constant(space.d, value)
-
-
-def natural_field(space: Space, terms: Mapping[tuple[int, ...], complex]) -> CoeffField:
-    if isinstance(space, Torus):
-        return FourierField.from_dict(space.d, terms)
-    return PolyField.from_dict(space.d, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -488,93 +450,11 @@ class FieldConfig:
             default=0.0,
         )
 
-    def max_form_degree(self) -> int:
-        return max((len(self.form_degree_bits(m)) for m, _, _ in self.terms), default=0)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        from stringtop.geometry import space_to_json
-
-        out_terms = []
-        for mask, field, mat in self.terms:
-            out_terms.append(
-                {
-                    "indices": [b + 1 for b in self.form_degree_bits(mask)],
-                    "eps": [
-                        a + 1 for a in range(self.n_theta) if self.theta_mask(mask) >> a & 1
-                    ],
-                    "field": field.to_json_obj(),
-                    "lie": [
-                        [[v.real, v.imag] for v in row] for row in np.asarray(mat)
-                    ],
-                }
-            )
-        return {
-            "space": space_to_json(self.space),
-            "n": self.n,
-            "n_theta": self.n_theta,
-            "terms": out_terms,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "FieldConfig":
-        from stringtop.geometry import space_from_json
-
-        space = space_from_json(obj["space"])
-        n = int(obj["n"])
-        specs = []
-        for t in obj["terms"]:
-            mat = np.array(
-                [[complex(re, im) for re, im in row] for row in t["lie"]], dtype=complex
-            )
-            specs.append(
-                {
-                    "indices": tuple(t["indices"]),
-                    "eps": tuple(t["eps"]),
-                    "field": coeff_field_from_json(t["field"], space.d),
-                    "lie": mat,
-                }
-            )
-        return cls.build(space, n, int(obj["n_theta"]), specs)
-
     def __repr__(self) -> str:
         return (
             f"FieldConfig({self.space.kind} d={self.space.d}, n={self.n}, "
             f"n_theta={self.n_theta}, terms={len(self.terms)})"
         )
-
-
-def eval_field(
-    config: FieldConfig, point: Sequence, vectors: Sequence[Sequence]
-) -> SuperMatrix:
-    """Evaluate the degree-k part on k vectors at a point.
-
-    Terms whose form degree differs from len(vectors) contribute nothing;
-    selecting the degree is the caller's job. The form monomial pairs with
-    the vectors through det[v_b^{mu_a}].
-    """
-    k = len(vectors)
-    vecs = [np.array([float(c) for c in v]) for v in vectors]
-    comps: dict[int, np.ndarray] = {}
-    for mask, field, mat in config.terms:
-        bits = config.form_degree_bits(mask)
-        if len(bits) != k:
-            continue
-        if k == 0:
-            pairing = 1.0
-        else:
-            rows = np.array([[vecs[b][mu] for b in range(k)] for mu in bits])
-            pairing = float(np.linalg.det(rows)) if k > 1 else float(rows[0, 0])
-        value = field.evaluate(point) * pairing
-        if value == 0:
-            continue
-        tm = config.theta_mask(mask)
-        if tm in comps:
-            comps[tm] = comps[tm] + value * mat
-        else:
-            comps[tm] = value * mat
-    return SuperMatrix(config.n, config.n_theta, comps)
 
 
 def field_obstruction(config: FieldConfig, conn: FlatConnection) -> FieldConfig:

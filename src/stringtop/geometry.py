@@ -54,19 +54,6 @@ class Torus:
 Space = Chart | Torus
 
 
-def space_to_json(space: Space) -> dict:
-    return {"type": space.kind, "d": space.d}
-
-
-def space_from_json(obj: dict) -> Space:
-    kind = obj["type"]
-    if kind == "chart":
-        return Chart(int(obj["d"]))
-    if kind == "torus":
-        return Torus(int(obj["d"]))
-    raise ValueError(f"unknown space type {kind!r}")
-
-
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -79,10 +66,6 @@ def _rat(x) -> Fraction:
         # rationals; callers who care pass Fraction or "p/q" strings
         return Fraction(x).limit_denominator(10**12)
     raise TypeError(f"cannot interpret {x!r} as a rational coordinate")
-
-
-def rat_to_json(x: Fraction) -> str:
-    return str(x)
 
 
 Point = tuple[Fraction, ...]
@@ -251,32 +234,11 @@ class PLLoop:
     def same_loop(self, other: "PLLoop") -> bool:
         return self.space == other.space and self.normal_form() == other.normal_form()
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "space": space_to_json(self.space),
-            "vertices": [[rat_to_json(c) for c in p] for p in self.vertices],
-            "closure": list(self.closure),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PLLoop":
-        space = space_from_json(obj["space"])
-        return cls(space, obj["vertices"], obj.get("closure"))
-
     def __repr__(self) -> str:
         return (
             f"PLLoop({self.space.kind} d={self.space.d}, "
             f"K={self.num_segments}, closure={self.closure})"
         )
-
-
-def loop_class_torus(loop: PLLoop) -> tuple[int, ...]:
-    """Free homotopy class of a torus loop (its lattice closure vector)."""
-    if not isinstance(loop.space, Torus):
-        raise ValueError("loop does not live on a torus")
-    return loop.lattice_class()
 
 
 class VariationField:

@@ -232,28 +232,6 @@ class GradedCoefficient:
     def norm(self) -> float:
         return max((abs(complex(v)) for v in self._terms.values()), default=0.0)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> list[dict]:
-        out = []
-        for m in sorted(self._terms, key=lambda m: (m.bit_count(), m)):
-            v = complex(self._terms[m])
-            out.append(
-                {"indices": list(_mask_to_indices(m)), "re": v.real, "im": v.imag}
-            )
-        return out
-
-    @classmethod
-    def from_json_obj(
-        cls, obj: list[dict], n_gen: int = DEFAULT_GENERATORS
-    ) -> "GradedCoefficient":
-        terms: dict[tuple[int, ...], object] = {}
-        for entry in obj:
-            indices = tuple(int(a) for a in entry["indices"])
-            value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
-            terms[indices] = terms.get(indices, 0) + value
-        return cls(terms, n_gen)
-
     def __repr__(self) -> str:
         if not self._terms:
             return "GradedCoefficient(0)"
@@ -284,8 +262,3 @@ def gc_mul(a: GradedCoefficient, b: GradedCoefficient) -> GradedCoefficient:
             else:
                 out[k] = s
     return GradedCoefficient.from_masks(out, a.n_gen)
-
-
-def gc_body(a: GradedCoefficient) -> object:
-    """Scalar (degree-zero) part of ``a``."""
-    return a.body()

@@ -244,6 +244,38 @@ def _needs_stepping(config: FieldConfig | None) -> bool:
     )
 
 
+def _midpoint_grid(
+    conn: FlatConnection,
+    loop: PLLoop,
+    s: Fraction,
+    t: Fraction,
+    steps: int,
+    variations: Sequence[VariationField],
+    configs: Sequence[FieldConfig],
+):
+    """Walk the midpoint grid of [s, t] once, sampling several fields.
+
+    Per piece yields (h, A(v), mats) where mats[c][j] is M(t_j) of
+    configs[c] at the j-th midpoint of the piece; every caller of this
+    walk therefore samples the same nodes and leg values.
+    """
+    n_legs = len(variations)
+    k_seg = loop.num_segments
+    for piece in _pieces(loop, s, t):
+        i, lo, _ = piece
+        start, vel, span = _piece_floats(loop, piece)
+        h = span / steps
+        u_loc0 = float(lo) * k_seg - i  # local coordinate of the piece start
+        du = h * k_seg
+        mats: list[list[SuperMatrix]] = [[] for _ in configs]
+        for j in range(steps):
+            pos = start + (j + 0.5) * h * vel
+            legs = _leg_values(variations, loop, piece, u_loc0 + (j + 0.5) * du)
+            for out, config in zip(mats, configs):
+                out.append(insertion_matrix(config, pos, vel, legs, n_legs))
+        yield h, conn.matrix_of(vel), mats
+
+
 def _gen_transport_fixed(
     conn: FlatConnection,
     config: FieldConfig,
@@ -253,25 +285,13 @@ def _gen_transport_fixed(
     steps: int,
     variations: Sequence[VariationField],
 ) -> SuperMatrix:
-    n = config.n
-    n_legs = len(variations)
-    n_gen = config.n_theta + n_legs
-    u_mat = SuperMatrix.identity(n, n_gen)
-    k_seg = loop.num_segments
-    for piece in _pieces(loop, s, t):
-        i, lo, _ = piece
-        start, vel, span = _piece_floats(loop, piece)
-        h = span / steps
-        e_half = SuperMatrix.from_body(expm(conn.matrix_of(vel) * (h / 2)), n_gen)
-        e_full = SuperMatrix.from_body(expm(conn.matrix_of(vel) * h), n_gen)
-        u_loc0 = float(lo) * k_seg - i  # local coordinate of the piece start
-        du = h * k_seg
+    n_gen = config.n_theta + len(variations)
+    u_mat = SuperMatrix.identity(config.n, n_gen)
+    for h, a_vel, (inserts,) in _midpoint_grid(conn, loop, s, t, steps, variations, (config,)):
+        e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
+        e_full = SuperMatrix.from_body(expm(a_vel * h), n_gen)
         u_mat = u_mat @ e_half
-        for j in range(steps):
-            u_mid = u_loc0 + (j + 0.5) * du
-            pos = start + (j + 0.5) * h * vel
-            legs = _leg_values(variations, loop, piece, u_mid)
-            m_ins = insertion_matrix(config, pos, vel, legs, n_legs)
+        for j, m_ins in enumerate(inserts):
             u_mat = u_mat @ _exp_series(m_ins * h)
             u_mat = u_mat @ (e_full if j + 1 < steps else e_half)
     return u_mat
@@ -364,34 +384,26 @@ def insertion_derivative(
     if eta.n != config.n or eta.n_theta != config.n_theta:
         raise ValueError("insertion field shape differs from transport field")
     n = config.n
-    n_legs = len(variations)
-    n_gen = config.n_theta + n_legs
+    n_gen = config.n_theta + len(variations)
 
     def fixed(steps: int) -> GradedCoefficient:
         factors: list[SuperMatrix] = []
         halves: list[tuple[SuperMatrix, SuperMatrix]] = []
         m_etas: list[SuperMatrix] = []
         widths: list[float] = []
-        k_seg = loop.num_segments
-        for piece in _pieces(loop, Fraction(0), Fraction(1)):
-            i, lo, _ = piece
-            start, vel, span = _piece_floats(loop, piece)
-            h = span / steps
-            e_half = SuperMatrix.from_body(expm(conn.matrix_of(vel) * (h / 2)), n_gen)
-            u_loc0 = float(lo) * k_seg - i
-            du = h * k_seg
-            for j in range(steps):
-                u_mid = u_loc0 + (j + 0.5) * du
-                pos = start + (j + 0.5) * h * vel
-                legs = _leg_values(variations, loop, piece, u_mid)
-                m_c = insertion_matrix(config, pos, vel, legs, n_legs)
+        grid = _midpoint_grid(
+            conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta)
+        )
+        for h, a_vel, (m_cs, m_es) in grid:
+            e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
+            for m_c in m_cs:
                 g_half = _exp_series(m_c * (h / 2))
                 first = e_half @ g_half
                 second = g_half @ e_half
                 factors.append(first @ second)
                 halves.append((first, second))
-                m_etas.append(insertion_matrix(eta, pos, vel, legs, n_legs))
-                widths.append(h)
+            m_etas.extend(m_es)
+            widths.extend([h] * steps)
         total_steps = len(factors)
         suffix = [SuperMatrix.identity(n, n_gen)] * (total_steps + 1)
         for j in range(total_steps - 1, -1, -1):

@@ -6,21 +6,19 @@ at row i, column j, zero elsewhere). The invariant pairing is
     kappa((i,j), (k,l)) = tr(E_ij E_kl) = delta_jk delta_il,
 
 whose matrix is the involutive permutation (i,j) <-> (j,i); it is therefore
-its own inverse, and both are evaluated in closed form (no numerical
-inversion anywhere).
+its own inverse, so ``kappa`` also serves as kappa^{ab} and ``dual`` names
+the one nonzero partner of each index (no numerical inversion anywhere).
 
-Two identities carried by this pairing are implemented and tested:
+The identity carried by this pairing that the package uses is trace
+fusion: for matrices A1, A2, B1, B2 with entries in a Grassmann algebra
+(entry order preserved),
 
-* the quadratic element sum_ab kappa^{ab} E_a (x) E_b acts on C^n (x) C^n
-  as the swap v (x) w -> w (x) v, exactly, with integer matrices;
-* trace fusion: for matrices A1, A2, B1, B2 with entries in a Grassmann
-  algebra (entry order preserved),
+    sum_ab tr[A1 E_a A2] kappa^{ab} tr[B1 E_b B2] = tr[A1 B2 B1 A2].
 
-      sum_ab tr[A1 E_a A2] kappa^{ab} tr[B1 E_b B2] = tr[A1 B2 B1 A2].
-
-  This holds for the standard representation specifically; it is what lets
-  a double-trace contraction collapse to a single trace of the reordered
-  product.
+It holds because the quadratic element sum_ab kappa^{ab} E_a (x) E_b acts
+on C^n (x) C^n as the swap v (x) w -> w (x) v, so it is specific to the
+standard representation; it is what lets a double-trace contraction
+collapse to a single trace of the reordered product.
 
 ``SuperMatrix`` stores an n x n matrix over the Grassmann algebra as
 {monomial mask: complex ndarray}, so products are a handful of dense
@@ -28,8 +26,6 @@ matmuls instead of n^2 symbolic entry products.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,67 +59,10 @@ class LieBasis:
         k, l = self.unit(b)
         return 1 if (j == k and i == l) else 0
 
-    def kappa_inv(self, a: int, b: int) -> int:
-        # the pairing matrix is an involutive permutation, so it equals
-        # its own inverse
-        return self.kappa(a, b)
-
     def dual(self, a: int) -> int:
         """Index b with kappa(a, b) = 1 (transpose the matrix unit)."""
         i, j = self.unit(a)
         return self.index(j, i)
-
-    def kappa_form(self, x: np.ndarray, y: np.ndarray) -> complex:
-        """kappa extended bilinearly: tr(x y)."""
-        return complex(np.trace(np.asarray(x) @ np.asarray(y)))
-
-    def casimir_tensor(self) -> np.ndarray:
-        """sum_ab kappa^{ab} E_a (x) E_b as an integer n^2 x n^2 matrix."""
-        n = self.n
-        out = np.zeros((n * n, n * n), dtype=np.int64)
-        for a in range(self.dim):
-            b = self.dual(a)
-            i, j = self.unit(a)
-            k, l = self.unit(b)
-            # rows indexed (r,s), columns (u,v); E_a acts on the first
-            # factor, E_b on the second
-            out[i * n + k, j * n + l] += 1
-        return out
-
-    def swap_tensor(self) -> np.ndarray:
-        """The flip operator v (x) w -> w (x) v on C^n (x) C^n."""
-        n = self.n
-        out = np.zeros((n * n, n * n), dtype=np.int64)
-        for r in range(n):
-            for s in range(n):
-                out[r * n + s, s * n + r] = 1
-        return out
-
-
-def swap_via_casimir(
-    v: Sequence[complex], w: Sequence[complex], basis: LieBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply sum_ab kappa^{ab} E_a (x) E_b to v (x) w by explicit summation.
-
-    The output tensor is rank one and equals w (x) v; it is returned
-    factored as a pair (first factor, second factor) via the pivot
-    row/column of its largest entry.
-    """
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    n = basis.n
-    if v.shape != (n,) or w.shape != (n,):
-        raise ValueError(f"vectors must have length {n}")
-    tensor = np.zeros((n, n), dtype=complex)
-    for a in range(basis.dim):
-        b = basis.dual(a)
-        tensor += np.outer(basis.matrix(a) @ v, basis.matrix(b) @ w)
-    if not tensor.any():
-        return np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-    r0, s0 = np.unravel_index(np.argmax(np.abs(tensor)), tensor.shape)
-    first = tensor[:, s0]
-    second = tensor[r0, :] / tensor[r0, s0]
-    return first, second
 
 
 class SuperMatrix:
@@ -175,25 +114,6 @@ class SuperMatrix:
     @classmethod
     def zero(cls, n: int, n_gen: int = DEFAULT_GENERATORS) -> "SuperMatrix":
         return cls(n, n_gen, {})
-
-    @classmethod
-    def from_entries(
-        cls, entries: Sequence[Sequence[GradedCoefficient]]
-    ) -> "SuperMatrix":
-        n = len(entries)
-        n_gen = entries[0][0].n_gen
-        comps: dict[int, np.ndarray] = {}
-        for i, row in enumerate(entries):
-            if len(row) != n:
-                raise ValueError("entries must form a square matrix")
-            for j, e in enumerate(row):
-                if e.n_gen != n_gen:
-                    raise ValueError("mismatched generator counts in entries")
-                for mask, val in e.masks.items():
-                    comps.setdefault(mask, np.zeros((n, n), dtype=complex))[
-                        i, j
-                    ] = complex(val)
-        return cls(n, n_gen, comps)
 
     # -- views -------------------------------------------------------------
 
@@ -261,23 +181,6 @@ class SuperMatrix:
 
     __rmul__ = __mul__
 
-    def scale_left(self, c: GradedCoefficient) -> "SuperMatrix":
-        """Left multiplication by a Grassmann scalar: c * M entrywise."""
-        if c.n_gen != self.n_gen:
-            raise ValueError("mismatched generator counts")
-        out: dict[int, np.ndarray] = {}
-        for i, val in c.masks.items():
-            for j, arr in self.components.items():
-                if i & j:
-                    continue
-                k = i | j
-                term = (merge_sign(i, j) * complex(val)) * arr
-                if k in out:
-                    out[k] = out[k] + term
-                else:
-                    out[k] = term
-        return SuperMatrix(self.n, self.n_gen, out)
-
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check(other)
         out: dict[int, np.ndarray] = {}
@@ -287,26 +190,6 @@ class SuperMatrix:
                     continue
                 k = i | j
                 term = merge_sign(i, j) * (a @ b)
-                if k in out:
-                    out[k] = out[k] + term
-                else:
-                    out[k] = term
-        return SuperMatrix(self.n, self.n_gen, out)
-
-    def matmul_entrywise_transposed(self, other: "SuperMatrix") -> "SuperMatrix":
-        """M[i, j] = sum_r self[r, i] * other[j, r], entry order preserved.
-
-        This is the transpose-product (self^T other^T) but with the entry
-        coefficients multiplied self-first, which matters for odd entries.
-        """
-        self._check(other)
-        out: dict[int, np.ndarray] = {}
-        for i, a in self.components.items():
-            for j, b in other.components.items():
-                if i & j:
-                    continue
-                k = i | j
-                term = merge_sign(i, j) * (a.T @ b.T)
                 if k in out:
                     out[k] = out[k] + term
                 else:
@@ -337,21 +220,6 @@ class SuperMatrix:
             default=0.0,
         )
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> list[list[list[dict]]]:
-        return [[e.to_json_obj() for e in row] for row in self.to_entries()]
-
-    @classmethod
-    def from_json_obj(
-        cls, obj: Iterable[Iterable[list]], n_gen: int = DEFAULT_GENERATORS
-    ) -> "SuperMatrix":
-        entries = [
-            [GradedCoefficient.from_json_obj(cell, n_gen) for cell in row]
-            for row in obj
-        ]
-        return cls.from_entries(entries)
-
     def __repr__(self) -> str:
         return f"SuperMatrix(n={self.n}, n_gen={self.n_gen}, monomials={len(self.components)})"
 
@@ -365,14 +233,14 @@ def fuse_traces(
 ) -> GradedCoefficient:
     """sum_ab tr[a1 E_a a2] kappa^{ab} tr[b1 E_b b2].
 
-    Computed without enumerating basis pairs: with M1[i, j] =
-    sum_r a1[r, i] a2[j, r] = tr[a1 E_ij a2] and likewise M2 for (b1, b2),
-    the kappa pairing (i,j) <-> (j,i) turns the double sum into
-    tr(M1 M2). Factor order inside each entry is preserved, so this is
-    valid for Grassmann-valued matrices.
+    Computed without enumerating basis pairs: M1 = a1^T a2^T has entries
+    M1[i, j] = sum_r a1[r, i] a2[j, r] = tr[a1 E_ij a2], likewise M2 for
+    (b1, b2), and the kappa pairing (i,j) <-> (j,i) turns the double sum
+    into tr(M1 M2). The product multiplies entry coefficients left factor
+    first, so this is valid for Grassmann-valued matrices.
     """
     if basis is not None and basis.n != a1.n:
         raise ValueError("basis size does not match matrices")
-    m1 = a1.matmul_entrywise_transposed(a2)
-    m2 = b1.matmul_entrywise_transposed(b2)
+    m1 = a1.transpose() @ a2.transpose()
+    m2 = b1.transpose() @ b2.transpose()
     return (m1 @ m2).trace()

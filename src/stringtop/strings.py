@@ -243,16 +243,6 @@ class StringCycle:
             out[cls] = out.get(cls, 0) + coeff
         return {k: v for k, v in out.items() if v != 0}
 
-    def to_json_obj(self) -> list:
-        return [{"coeff": c, "loop": l.to_json_obj()} for c, l in self.terms]
-
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "StringCycle":
-        loops = [(int(t["coeff"]), PLLoop.from_json_obj(t["loop"])) for t in obj]
-        if not loops:
-            raise ValueError("cannot infer the space of an empty cycle file")
-        return cls(loops[0][1].space, loops)
-
     def __repr__(self) -> str:
         return f"StringCycle({self.space.kind}, {len(self.terms)} terms)"
 
@@ -306,8 +296,11 @@ def goldman_torus(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, tuple[int,
 
     Counts solutions of b1 + t c1 = b2 + r c2 + lam over deck vectors lam
     with t, r in [0, 1), from fixed generic base points, summing frame
-    signs. Shares nothing with the bracket machinery; used to cross-check
-    it. Returns (count, componentwise class sum).
+    signs. Returns (count, componentwise class sum).
+
+    This is an oracle: it shares nothing with the bracket machinery and no
+    bracket computation calls it; checks compare ``string_bracket`` class
+    reductions against it, so it must stay independent of ``intersections``.
     """
     c1 = (int(c1[0]), int(c1[1]))
     c2 = (int(c2[0]), int(c2[1]))

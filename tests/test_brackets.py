@@ -16,7 +16,6 @@ from stringtop.brackets import (
     loop_form_pairing_sign,
     main_theorem_check,
     main_theorem_sides,
-    main_theorem_sign,
     wilson_field_bracket,
     wilson_intersection_weight,
 )
@@ -96,8 +95,6 @@ class _CurvedStub:
 def test_named_signs_are_pinned():
     assert wilson_intersection_weight(1) == 1
     assert wilson_intersection_weight(-1) == -1
-    assert main_theorem_sign(0, 0, 2) == 1
-    assert main_theorem_sign(1, 1, 2) == -1
     assert loop_form_pairing_sign(2) == -1
     with pytest.raises(NotImplementedError):
         wilson_intersection_weight(1, d=3)

@@ -13,13 +13,13 @@ from stringtop.fields import (
     FourierField,
     PolyField,
     ZeroConnection,
-    coeff_field_from_json,
-    eval_field,
+    constant_field,
     field_obstruction,
-    natural_field,
 )
 from stringtop.geometry import Chart, Torus
 from stringtop.grassmann import GradedCoefficient
+
+from oracles import eval_field
 
 
 def unit(n, i, j):
@@ -75,16 +75,9 @@ def test_cross_kind_products_require_a_constant_factor():
         f * x1
 
 
-def test_natural_field_picks_the_space_kind():
-    assert isinstance(natural_field(Torus(2), {(1, 0): 1.0}), FourierField)
-    assert isinstance(natural_field(Chart(2), {(1, 0): 1.0}), PolyField)
-
-
-def test_coeff_field_json_round_trip():
-    p = PolyField.from_dict(2, {(2, 1): 1.5 - 0.5j, (0, 0): 2.0})
-    assert coeff_field_from_json(p.to_json_obj(), 2) == p
-    f = FourierField.from_dict(2, {(1, -2): 0.25j})
-    assert coeff_field_from_json(f.to_json_obj(), 2) == f
+def test_constant_field_picks_the_space_kind():
+    assert constant_field(Torus(2), 1.5) == FourierField.constant(2, 1.5)
+    assert constant_field(Chart(2), 1.5) == PolyField.constant(2, 1.5)
 
 
 # -- flat connections ----------------------------------------------------------
@@ -261,28 +254,3 @@ def test_simplify_cancels_and_merges():
     doubled = cfg + cfg
     assert len(doubled.terms) == 1
     assert (doubled + cfg.scale(-2.0)).is_zero
-
-
-def test_config_json_round_trip():
-    torus = Torus(2)
-    cfg = FieldConfig.build(
-        torus,
-        2,
-        2,
-        [
-            {
-                "indices": (1,),
-                "field": FourierField.from_dict(2, {(1, 0): 0.4 - 0.1j}),
-                "lie": (1, 2),
-            },
-            {
-                "indices": (2,),
-                "eps": (1, 2),
-                "field": FourierField.from_dict(2, {(0, 1): 0.3}),
-                "lie": np.array([[0.0, 0.0], [1.5, 0.0]]),
-            },
-        ],
-    )
-    back = FieldConfig.from_json_obj(cfg.to_json_obj())
-    assert back.space == cfg.space
-    assert (back + cfg.scale(-1.0)).is_zero

@@ -11,8 +11,6 @@ from stringtop.geometry import (
     PLLoop,
     Torus,
     VariationField,
-    loop_class_torus,
-    space_from_json,
 )
 
 F = Fraction
@@ -47,7 +45,7 @@ def test_straight_torus_line_with_one_segment():
     loop = PLLoop(Torus(2), [(0, 0)], closure=(1, 2))
     assert loop.num_segments == 1
     assert loop.point_at(F(1, 2)) == (F(1, 2), F(1))
-    assert loop_class_torus(loop) == (1, 2)
+    assert loop.lattice_class() == (1, 2)
 
 
 def test_uniform_parametrization_is_exact():
@@ -107,18 +105,6 @@ def test_reverse_flips_class_and_geometry():
         a - b for a, b in zip(loop.point_at(F(3, 4)), (1, 0))
     )
     assert rev.reverse().same_loop(loop)
-
-
-def test_json_round_trip_keeps_rationals_exact():
-    loop = PLLoop(
-        Torus(2), [(F(1, 3), F(2, 7)), (F(5, 6), F(1, 2))], closure=(0, 1)
-    )
-    obj = loop.to_json_obj()
-    assert obj["vertices"][0] == ["1/3", "2/7"]
-    back = PLLoop.from_json_obj(obj)
-    assert back.vertices == loop.vertices
-    assert back.closure == loop.closure
-    assert isinstance(space_from_json(obj["space"]), Torus)
 
 
 def test_variation_interpolates_and_deforms():

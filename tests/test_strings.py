@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stringtop.geometry import Chart, PLLoop, Torus, loop_class_torus
+from stringtop.geometry import Chart, PLLoop, Torus
 from stringtop.strings import (
     StringCycle,
     TransversalityError,
@@ -111,7 +111,7 @@ def test_concatenation_adds_classes_and_marks_the_crossing():
     g2 = torus_line((0, 1), base=(F(1, 3), F(1, 5)))
     p = intersections(g1, g2)[0]
     cat = concatenate(g1, g2, p)
-    assert loop_class_torus(cat) == (1, 1)
+    assert cat.lattice_class() == (1, 1)
     assert cat.vertices[0] == p.point
     assert cat.num_segments == g1.num_segments + g2.num_segments + 2
 
@@ -168,14 +168,6 @@ def test_cycles_combine_rotated_duplicates():
     assert (cycle + cycle.scale(-1)).is_zero
 
 
-def test_cycle_json_round_trip():
-    rng = np.random.default_rng(13)
-    cycle = StringCycle(
-        TORUS, [(2, wiggly_rep(rng, (1, 0))), (-1, wiggly_rep(rng, (0, 1)))]
-    )
-    assert StringCycle.from_json_obj(cycle.to_json_obj()) == cycle
-
-
 def test_class_reduction_is_torus_only():
     loop = PLLoop(CHART, [(0, 0), (1, 0), (1, 1)])
     with pytest.raises(ValueError, match="torus"):
@@ -196,7 +188,7 @@ def test_torus_bracket_of_transverse_classes():
     a = StringCycle.from_loop(torus_line((1, 0)))
     abar = StringCycle.from_loop(torus_line((0, 1), base=(F(1, 3), F(1, 5))))
     br = string_bracket(a, abar)
-    assert [(c, loop_class_torus(l)) for c, l in br.terms] == [(1, (1, 1))]
+    assert [(c, l.lattice_class()) for c, l in br.terms] == [(1, (1, 1))]
     # antisymmetry at degree 0: {abar; a} = -{a; abar}, already on chains
     assert (br + string_bracket(abar, a)).is_zero
 

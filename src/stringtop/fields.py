@@ -78,16 +78,15 @@ class PolyField:
     def constant_value(self) -> complex:
         return sum((v for e, v in self.terms if not any(e)), 0j)
 
-    def evaluate(self, point: Sequence) -> complex:
-        xs = [float(x) for x in point]
-        total = 0j
-        for exps, coeff in self.terms:
-            mono = 1.0
-            for x, e in zip(xs, exps):
-                if e:
-                    mono *= x**e
-            total += coeff * mono
-        return total
+    def evaluate(self, point: Sequence | np.ndarray) -> complex | np.ndarray:
+        """Value at one point of length d, or the (m,) values at the rows of
+        an (m, d) array of points."""
+        xs = np.asarray(point, dtype=float)
+        exps = np.array([e for e, _ in self.terms], dtype=float).reshape(-1, self.d)
+        coeffs = np.array([c for _, c in self.terms], dtype=complex)
+        monos = np.prod(xs[..., None, :] ** exps, axis=-1)
+        values = (monos * coeffs).sum(axis=-1)
+        return values if xs.ndim == 2 else complex(values)
 
     def derivative(self, mu: int) -> "PolyField":
         out: dict[tuple[int, ...], complex] = {}
@@ -162,13 +161,15 @@ class FourierField:
     def constant_value(self) -> complex:
         return sum((v for f, v in self.terms if not any(f)), 0j)
 
-    def evaluate(self, point: Sequence) -> complex:
-        xs = [float(x) for x in point]
-        total = 0j
-        for freqs, coeff in self.terms:
-            phase = sum(m * x for m, x in zip(freqs, xs))
-            total += coeff * cmath.exp(2j * cmath.pi * phase)
-        return total
+    def evaluate(self, point: Sequence | np.ndarray) -> complex | np.ndarray:
+        """Value at one point of length d, or the (m,) values at the rows of
+        an (m, d) array of points."""
+        xs = np.asarray(point, dtype=float)
+        freqs = np.array([f for f, _ in self.terms], dtype=float).reshape(-1, self.d)
+        coeffs = np.array([c for _, c in self.terms], dtype=complex)
+        phases = (xs[..., None, :] * freqs).sum(axis=-1)
+        values = (np.exp(2j * np.pi * phases) * coeffs).sum(axis=-1)
+        return values if xs.ndim == 2 else complex(values)
 
     def derivative(self, mu: int) -> "FourierField":
         out = {

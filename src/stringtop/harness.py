@@ -657,7 +657,12 @@ def _run_one(cfg: SuiteConfig, name: str) -> CheckRecord:
     start = perf_counter()
     try:
         instances, retries, worst = _CHECKS[name](cfg, rng)
-        record = CheckRecord(
+    except (CheckSetupError, RetryCapError) as err:
+        error = str(err)
+    except Exception as err:  # one failing check must not end the suite
+        error = f"{type(err).__name__}: {err}"
+    else:
+        return CheckRecord(
             check=name,
             statement=_STATEMENTS[name],
             instances=instances,
@@ -667,19 +672,17 @@ def _run_one(cfg: SuiteConfig, name: str) -> CheckRecord:
             passed=worst <= tol,
             runtime_ms=(perf_counter() - start) * 1e3,
         )
-    except (CheckSetupError, RetryCapError) as err:
-        record = CheckRecord(
-            check=name,
-            statement=_STATEMENTS[name],
-            instances=0,
-            retries=0,
-            max_residual=None,
-            tolerance=tol,
-            passed=False,
-            runtime_ms=(perf_counter() - start) * 1e3,
-            error=str(err),
-        )
-    return record
+    return CheckRecord(
+        check=name,
+        statement=_STATEMENTS[name],
+        instances=0,
+        retries=0,
+        max_residual=None,
+        tolerance=tol,
+        passed=False,
+        runtime_ms=(perf_counter() - start) * 1e3,
+        error=error,
+    )
 
 
 def run_suite(config: SuiteConfig, selection=None) -> Report:

@@ -26,12 +26,25 @@ with W^mu = sum_i w_i v_i^mu(t) built from the supplied variation fields
 on extra Grassmann generators w_i placed after the thetas. Form degree
 zero terms carry no dt factor and never enter the transport.
 
+The stepping runs on complex arrays in the left-regular representation of
+the Grassmann algebra on N = n_theta + len(variations) generators (see
+``lierep``): a Grassmann n x n matrix is a D x D complex matrix with
+D = 2^N n, and a product is one matmul. The midpoint grid is walked in
+blocks of at most ``BLOCK`` midpoints of one piece. A block's insertion
+matrices are built as one (b, D, D) stack: each term's Grassmann
+coefficient is the vector W^{mu_1} .. W^{mu_k} e_S, with the legs acting by
+left multiplication, times f at the block's points. Their exponentials are
+one Taylor series summed over the block, and the block's step factors are
+multiplied pairwise into one D x D product, so the working memory is
+O(BLOCK D^2) however many steps the plan takes.
+
 The symmetric step makes the error expansion even in h, so one Richardson
 level in h^2 is applied by default; with a tolerance set, steps double
 until two successive extrapolated values agree, up to a hard cap per
-segment (then ``QuadratureError``). Midpoint nodes lie strictly inside
-segments, so the corner discontinuities of PL velocities are never
-sampled.
+segment (then ``QuadratureError``). A level's fine grid is the next
+level's coarse grid, and each grid is evaluated once. Midpoint nodes lie
+strictly inside segments, so the corner discontinuities of PL velocities
+are never sampled.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from scipy.linalg import expm
 from stringtop.fields import FieldConfig, FlatConnection
 from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient, merge_sign
-from stringtop.lierep import SuperMatrix
+from stringtop.lierep import SuperMatrix, left_regular, regular
 
 
 class QuadratureError(RuntimeError):
@@ -133,105 +146,106 @@ def transport(conn: FlatConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) 
 # ---------------------------------------------------------------------------
 # insertion matrices
 
+BLOCK = 16  # midpoints per block: bounds the (block, D, D) working arrays
 
-def _leg_values(variations: Sequence[VariationField], loop: PLLoop, piece, u: float):
-    """Float value of each variation field at local coordinate u of the piece."""
+
+def _leg_values(variations: Sequence[VariationField], loop: PLLoop, piece, u: np.ndarray) -> np.ndarray:
+    """(n_legs, b, d) values of the variation fields at local coordinates u of the piece."""
     i, _, _ = piece
-    values = []
-    for var in variations:
+    out = np.empty((len(variations), len(u), loop.space.d))
+    for idx, var in enumerate(variations):
         if var.is_tangent:
-            values.append(
-                np.array([float(c) for c in loop.segment_velocity(i)])
-            )
+            out[idx] = [float(c) for c in loop.segment_velocity(i)]
             continue
         a = np.array([float(c) for c in var.displacement(i)])
         b = np.array([float(c) for c in var.displacement(i + 1)])
-        values.append(a + u * (b - a))
-    return values
+        out[idx] = a + u[:, None] * (b - a)
+    return out
 
 
 def insertion_matrix(
     config: FieldConfig,
     pos: np.ndarray,
     vel: np.ndarray,
-    leg_values: Sequence[np.ndarray],
+    leg_values: np.ndarray,
     n_legs: int,
-) -> SuperMatrix:
-    """M(t): C's form slots fed one velocity and k-1 leg generators."""
+) -> np.ndarray:
+    """M(t) at a block of midpoints: C's form slots fed one velocity and k-1 legs.
+
+    pos is the (b, d) array of midpoints, vel the piece velocity and
+    leg_values the (n_legs, b, d) variation values there. Returns the
+    (b, D, D) stack of regular matrices, D = 2^(n_theta + n_legs) n.
+    """
     n_theta = config.n_theta
     n_gen = n_theta + n_legs
-    d = config.space.d
-    comps: dict[int, np.ndarray] = {}
-    w_elements: list[GradedCoefficient] | None = None
+    stack = left_regular(n_gen)
+    b = len(pos)
+    # w_ops[mu, j] is W^mu at midpoint j, acting by left multiplication
+    leg_ops = stack[[1 << (n_theta + idx) for idx in range(n_legs)]]
+    w_ops = np.einsum("ijm,ist->mjst", leg_values, leg_ops)
+    by_mask: dict[int, list] = {}
     for mask, field, mat in config.terms:
+        by_mask.setdefault(mask, []).append((field, mat))
+    comps = np.zeros((b, 1 << n_gen, config.n, config.n), dtype=complex)
+    for mask, terms in by_mask.items():
         bits = config.form_degree_bits(mask)
-        k = len(bits)
-        if k == 0:
+        if not bits:
             continue
-        fval = field.evaluate(pos)
-        if fval == 0:
-            continue
-        theta = GradedCoefficient.from_masks(
-            {config.theta_mask(mask): 1.0}, n_gen
-        )
-        if k == 1:
-            gc = theta.scale(fval * vel[bits[0]])
-        else:
-            if w_elements is None:
-                w_elements = [
-                    GradedCoefficient.from_masks(
-                        {
-                            1 << (n_theta + idx): complex(val[mu])
-                            for idx, val in enumerate(leg_values)
-                            if val[mu] != 0
-                        },
-                        n_gen,
-                    )
-                    for mu in range(d)
-                ]
-            gc = GradedCoefficient.zero(n_gen)
-            for a in range(k):
-                speed = vel[bits[a]]
-                if speed == 0:
-                    continue
-                part = GradedCoefficient.one(n_gen)
-                for b in range(k):
-                    if b == a:
-                        continue
-                    part = part * w_elements[bits[b]]
-                    if part.is_zero:
-                        break
-                if part.is_zero:
-                    continue
-                sign = -1.0 if a % 2 else 1.0
-                gc = gc + (part * theta).scale(sign * speed * fval)
-        if gc.is_zero:
-            continue
-        for gm, gv in gc.masks.items():
-            val = complex(gv)
-            if gm in comps:
-                comps[gm] = comps[gm] + val * mat
-            else:
-                comps[gm] = val * mat
-    return SuperMatrix(config.n, n_gen, comps)
+        coeff = np.zeros((b, 1 << n_gen), dtype=complex)
+        for a, mu in enumerate(bits):
+            if vel[mu] == 0:
+                continue
+            part = np.zeros((b, 1 << n_gen))
+            part[:, config.theta_mask(mask)] = 1.0
+            for other in reversed(bits[:a] + bits[a + 1 :]):
+                part = np.einsum("jst,jt->js", w_ops[other], part)
+            coeff += (-vel[mu] if a % 2 else vel[mu]) * part
+        values = sum(field.evaluate(pos)[:, None, None] * mat for field, mat in terms)
+        comps += coeff[:, :, None, None] * values[:, None]
+    return regular(comps)
 
 
-def _exp_series(m: SuperMatrix) -> SuperMatrix:
-    """exp(M) summed directly; the Grassmann part is nilpotent and the body
-    part arrives pre-scaled by a small step width, so the series is short."""
-    acc = SuperMatrix.identity(m.n, m.n_gen)
-    term = acc
+def _exp_series(m: np.ndarray, n: int) -> np.ndarray:
+    """exp of each regular matrix of the stack m, summed directly.
+
+    The Grassmann part is nilpotent and the body part arrives pre-scaled
+    by a small step width, so the series is short. It is summed on the
+    unit column, term_k = m term_{k-1} / k, and each matrix stops at its
+    own term: a zero term, or one below 1e-17 of the sum.
+    """
+    b, dim, _ = m.shape
+    term = np.zeros((b, dim, n), dtype=complex)
+    term[:, :n] = np.eye(n)
+    acc = term.copy()
+    active = np.ones(b, dtype=bool)
     for k in range(1, 60):
-        term = (term @ m) * (1.0 / k)
-        norm = term.norm()
-        if norm == 0.0:
-            break
-        acc = acc + term
-        if norm < 1e-17 * max(1.0, acc.norm()):
+        term = (m @ term) * (1.0 / k)
+        norm = np.abs(term).max(axis=(1, 2))
+        active &= norm != 0.0
+        acc = np.where(active[:, None, None], acc + term, acc)
+        active &= norm >= 1e-17 * np.maximum(1.0, np.abs(acc).max(axis=(1, 2)))
+        if not active.any():
             break
     else:
         raise QuadratureError("insertion exponential failed to converge")
-    return acc
+    return regular(acc.reshape(b, dim // n, n, n))
+
+
+def _chain(factors: np.ndarray, kernels: np.ndarray | None = None):
+    """Ordered product F = factors[0] @ .. @ factors[-1], multiplied pairwise.
+
+    With kernels, also returns K = sum_j F_0 .. F_{j-1} K_j F_{j+1} .. F_last,
+    from the pair rule (F1, K1)(F2, K2) = (F1 F2, F1 K2 + K1 F2).
+    """
+    while len(factors) > 1:
+        even = len(factors) // 2 * 2
+        left, right = factors[0:even:2], factors[1:even:2]
+        paired = left @ right
+        if kernels is not None:
+            k_paired = left @ kernels[1:even:2] + kernels[0:even:2] @ right
+            kernels = np.concatenate([k_paired, kernels[even:]])
+        factors = np.concatenate([paired, factors[even:]])
+    return factors[0] if kernels is None else (factors[0], kernels[0])
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +269,14 @@ def _midpoint_grid(
 ):
     """Walk the midpoint grid of [s, t] once, sampling several fields.
 
-    Per piece yields (h, A(v), mats) where mats[c][j] is M(t_j) of
-    configs[c] at the j-th midpoint of the piece; every caller of this
-    walk therefore samples the same nodes and leg values.
+    Yields (h, e_half, mats) per block of at most BLOCK midpoints of one
+    piece: h is the piece's step width, e_half the regular matrix of
+    exp(A(v) h/2), and mats[c] the (b, D, D) stack of M(t_j) of configs[c]
+    at the block's midpoints; every caller of this walk therefore samples
+    the same nodes and leg values.
     """
     n_legs = len(variations)
+    size = 1 << (configs[0].n_theta + n_legs)
     k_seg = loop.num_segments
     for piece in _pieces(loop, s, t):
         i, lo, _ = piece
@@ -267,13 +284,12 @@ def _midpoint_grid(
         h = span / steps
         u_loc0 = float(lo) * k_seg - i  # local coordinate of the piece start
         du = h * k_seg
-        mats: list[list[SuperMatrix]] = [[] for _ in configs]
-        for j in range(steps):
-            pos = start + (j + 0.5) * h * vel
-            legs = _leg_values(variations, loop, piece, u_loc0 + (j + 0.5) * du)
-            for out, config in zip(mats, configs):
-                out.append(insertion_matrix(config, pos, vel, legs, n_legs))
-        yield h, conn.matrix_of(vel), mats
+        e_half = np.kron(np.eye(size), expm(conn.matrix_of(vel) * (h / 2)))
+        for first in range(0, steps, BLOCK):
+            mid = np.arange(first, min(first + BLOCK, steps)) + 0.5
+            pos = start + (mid * h)[:, None] * vel
+            legs = _leg_values(variations, loop, piece, u_loc0 + mid * du)
+            yield h, e_half, [insertion_matrix(c, pos, vel, legs, n_legs) for c in configs]
 
 
 def _gen_transport_fixed(
@@ -286,25 +302,30 @@ def _gen_transport_fixed(
     variations: Sequence[VariationField],
 ) -> SuperMatrix:
     n_gen = config.n_theta + len(variations)
-    u_mat = SuperMatrix.identity(config.n, n_gen)
-    for h, a_vel, (inserts,) in _midpoint_grid(conn, loop, s, t, steps, variations, (config,)):
-        e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
-        e_full = SuperMatrix.from_body(expm(a_vel * h), n_gen)
-        u_mat = u_mat @ e_half
-        for j, m_ins in enumerate(inserts):
-            u_mat = u_mat @ _exp_series(m_ins * h)
-            u_mat = u_mat @ (e_full if j + 1 < steps else e_half)
-    return u_mat
+    u_mat = np.eye((1 << n_gen) * config.n, dtype=complex)
+    for h, e_half, (inserts,) in _midpoint_grid(conn, loop, s, t, steps, variations, (config,)):
+        u_mat = u_mat @ _chain(e_half @ _exp_series(inserts * h, config.n) @ e_half)
+    return SuperMatrix.from_regular(u_mat, config.n, n_gen)
 
 
 def _with_richardson(evaluate, plan: TransportPlan):
-    """Run ``evaluate(steps)`` under the plan's extrapolation/tolerance policy."""
+    """Run ``evaluate(steps)`` under the plan's extrapolation/tolerance policy.
+
+    Each step count is evaluated once: in tol mode a level's fine grid is
+    the next level's coarse grid.
+    """
+    values = {}
+
+    def at(steps):
+        if steps not in values:
+            values[steps] = evaluate(steps)
+        return values[steps]
 
     def level(steps):
         if plan.richardson == 0:
-            return evaluate(steps)
-        coarse = evaluate(steps)
-        fine = evaluate(2 * steps)
+            return at(steps)
+        coarse = at(steps)
+        fine = at(2 * steps)
         return fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)
 
     steps = plan.steps
@@ -376,8 +397,12 @@ def insertion_derivative(
 
     U is the generalized transport of ``config``; the insertion field
     ``eta`` is paired exactly like C-terms (one velocity factor, legs for
-    the remaining slots). Evaluated with prefix/suffix transport arrays on
-    the same midpoint grid as the transports themselves.
+    the remaining slots). Evaluated on the same midpoint grid as the
+    transports themselves: per block, the step factors F_j and the
+    sandwiches h Z_j = h (e_half g_j) M_eta(t_j) (g_j e_half) are multiplied
+    into the block's product and kernel sum_j Q_j h Z_j Q'_j (Q_j, Q'_j the
+    in-block prefix and suffix), and those combine across blocks by the
+    same pair rule.
     """
     if config is None:
         config = FieldConfig(eta.space, eta.n, eta.n_theta, ())
@@ -385,37 +410,24 @@ def insertion_derivative(
         raise ValueError("insertion field shape differs from transport field")
     n = config.n
     n_gen = config.n_theta + len(variations)
+    dim = (1 << n_gen) * n
 
     def fixed(steps: int) -> GradedCoefficient:
-        factors: list[SuperMatrix] = []
-        halves: list[tuple[SuperMatrix, SuperMatrix]] = []
-        m_etas: list[SuperMatrix] = []
-        widths: list[float] = []
+        # (prod, acc) is the pair product of the blocks so far: prod is the
+        # transport, acc the sum of the sandwiches prefix . h Z_j . suffix
+        prod = np.eye(dim, dtype=complex)
+        acc = np.zeros((dim, dim), dtype=complex)
         grid = _midpoint_grid(
             conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta)
         )
-        for h, a_vel, (m_cs, m_es) in grid:
-            e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
-            for m_c in m_cs:
-                g_half = _exp_series(m_c * (h / 2))
-                first = e_half @ g_half
-                second = g_half @ e_half
-                factors.append(first @ second)
-                halves.append((first, second))
-            m_etas.extend(m_es)
-            widths.extend([h] * steps)
-        total_steps = len(factors)
-        suffix = [SuperMatrix.identity(n, n_gen)] * (total_steps + 1)
-        for j in range(total_steps - 1, -1, -1):
-            suffix[j] = factors[j] @ suffix[j + 1]
-        out = GradedCoefficient.zero(n_gen)
-        prefix = SuperMatrix.identity(n, n_gen)
-        for j in range(total_steps):
-            first, second = halves[j]
-            sandwich = prefix @ first @ m_etas[j] @ second @ suffix[j + 1]
-            out = out + sandwich.trace().scale(widths[j])
-            prefix = prefix @ factors[j]
-        return out
+        for h, e_half, (m_cs, m_es) in grid:
+            g_half = _exp_series(m_cs * (h / 2), n)
+            first = e_half @ g_half
+            second = g_half @ e_half
+            f_blk, k_blk = _chain(first @ second, first @ (m_es * h) @ second)
+            acc = acc @ f_blk + prod @ k_blk
+            prod = prod @ f_blk
+        return SuperMatrix.from_regular(acc, n, n_gen).trace()
 
     return _with_richardson(fixed, plan)
 

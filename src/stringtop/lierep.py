@@ -20,12 +20,28 @@ on C^n (x) C^n as the swap v (x) w -> w (x) v, so it is specific to the
 standard representation; it is what lets a double-trace contraction
 collapse to a single trace of the reordered product.
 
-``SuperMatrix`` stores an n x n matrix over the Grassmann algebra as
-{monomial mask: complex ndarray}, so products are a handful of dense
-matmuls instead of n^2 symbolic entry products.
+``SuperMatrix`` stores an n x n matrix over the Grassmann algebra
+Lambda(N) as {monomial mask: complex ndarray}, so products are a handful of
+dense matmuls instead of n^2 symbolic entry products. It is the one public
+Grassmann-matrix type.
+
+Long chains of products (the generalized transports) run instead in the
+left-regular representation of Lambda(N): theta_S acts on the 2^N basis
+monomials by left multiplication L_S, and M = sum_S theta_S M_S becomes the
+complex (2^N n)-square matrix
+
+    regular(M) = sum_S L_S (x) M_S,
+
+rows and columns indexed (monomial T, matrix index i) as T * n + i. This is
+an algebra homomorphism, so a Grassmann matrix product is one complex
+matmul. The column block of the unit monomial (T = 0) holds M itself: the
+rows of block S are M_S, which ``SuperMatrix.from_regular`` reads back; the
+Grassmann trace is the trace of those blocks.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -114,6 +130,13 @@ class SuperMatrix:
     @classmethod
     def zero(cls, n: int, n_gen: int = DEFAULT_GENERATORS) -> "SuperMatrix":
         return cls(n, n_gen, {})
+
+    @classmethod
+    def from_regular(cls, mat: np.ndarray, n: int, n_gen: int) -> "SuperMatrix":
+        """The matrix whose regular representation is ``mat``, read from its
+        unit column block: rows S * n .. S * n + n - 1 are the component M_S."""
+        column = mat[:, :n].reshape(1 << n_gen, n, n)
+        return cls(n, n_gen, dict(enumerate(column)))
 
     # -- views -------------------------------------------------------------
 
@@ -222,6 +245,43 @@ class SuperMatrix:
 
     def __repr__(self) -> str:
         return f"SuperMatrix(n={self.n}, n_gen={self.n_gen}, monomials={len(self.components)})"
+
+
+@functools.lru_cache(maxsize=None)
+def left_regular(n_gen: int) -> np.ndarray:
+    """Stack L[S] of the left multiplications by theta_S on Lambda(n_gen).
+
+    L[S][T | S, T] is the sign of theta_S theta_T = +-theta_{S | T} for
+    disjoint S and T; every other entry is zero. L[S] is built as the product
+    L[a_1] ... L[a_k] over the generators a_1 < ... < a_k of S, where the
+    generator a passes the generators of T below it. The array is shared,
+    so it is read-only.
+    """
+    size = 1 << n_gen
+    monomials = np.arange(size)
+    out = np.zeros((size, size, size))
+    out[0] = np.eye(size)
+    for s in range(1, size):
+        low = s & -s
+        free = monomials[(monomials & low) == 0]
+        below = [int(t & (low - 1)).bit_count() for t in free]
+        gen = np.zeros((size, size))
+        gen[free | low, free] = np.where(np.array(below) % 2, -1.0, 1.0)
+        out[s] = gen @ out[s ^ low]
+    out.flags.writeable = False
+    return out
+
+
+def regular(components: np.ndarray) -> np.ndarray:
+    """sum_S L_S (x) M_S for a stack components[..., S, i, j] of all 2^N
+    components; returns the (..., 2^N n, 2^N n) regular matrices."""
+    *lead, size, n, _ = components.shape
+    stack = left_regular(size.bit_length() - 1)
+    monomials = np.arange(size)
+    # entry (T, U) of L_S is nonzero only for S = T ^ U (U inside T), so
+    # each block is one signed component
+    blocks = components[..., monomials[:, None] ^ monomials, :, :] * stack.sum(axis=0)[:, :, None, None]
+    return np.swapaxes(blocks, -3, -2).reshape(*lead, size * n, size * n)
 
 
 def fuse_traces(

@@ -7,11 +7,16 @@ check that identity rather than one route against itself.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
-from stringtop.fields import FieldConfig
+from stringtop.fields import FieldConfig, FlatConnection
+from stringtop.geometry import PLLoop, VariationField
+from stringtop.grassmann import GradedCoefficient
+from stringtop.holonomy import _pieces, _piece_floats
 from stringtop.lierep import LieBasis, SuperMatrix
 
 
@@ -100,3 +105,149 @@ def eval_field(
         else:
             comps[tm] = value * mat
     return SuperMatrix(config.n, config.n_theta, comps)
+
+
+# ---------------------------------------------------------------------------
+# step-by-step generalized transport on dict-of-masks supermatrices
+#
+# The package runs the transport in the regular representation of the
+# Grassmann algebra, a block of midpoints at a time. These functions take one
+# midpoint at a time instead: the insertion matrix is assembled from
+# GradedCoefficient products, its exponential is a Taylor series of
+# SuperMatrix products, and the path-ordered product is a left-to-right
+# chain of SuperMatrix products. They take a fixed step count and apply no
+# Richardson extrapolation.
+
+
+def _leg_values_at(variations: Sequence[VariationField], loop: PLLoop, piece, u: float):
+    i, _, _ = piece
+    values = []
+    for var in variations:
+        if var.is_tangent:
+            values.append(np.array([float(c) for c in loop.segment_velocity(i)]))
+            continue
+        a = np.array([float(c) for c in var.displacement(i)])
+        b = np.array([float(c) for c in var.displacement(i + 1)])
+        values.append(a + u * (b - a))
+    return values
+
+
+def insertion_matrix_at(
+    config: FieldConfig, pos, vel, leg_values: Sequence[np.ndarray], n_legs: int
+) -> SuperMatrix:
+    """M(t) at one midpoint, from symbolic Grassmann products."""
+    n_theta = config.n_theta
+    n_gen = n_theta + n_legs
+    comps: dict[int, np.ndarray] = {}
+    w_elements = [
+        GradedCoefficient.from_masks(
+            {1 << (n_theta + idx): complex(val[mu]) for idx, val in enumerate(leg_values) if val[mu] != 0},
+            n_gen,
+        )
+        for mu in range(config.space.d)
+    ]
+    for mask, field, mat in config.terms:
+        bits = config.form_degree_bits(mask)
+        if not bits:
+            continue
+        fval = field.evaluate(pos)
+        theta = GradedCoefficient.from_masks({config.theta_mask(mask): 1.0}, n_gen)
+        gc = GradedCoefficient.zero(n_gen)
+        for a in range(len(bits)):
+            part = GradedCoefficient.one(n_gen)
+            for b in range(len(bits)):
+                if b != a:
+                    part = part * w_elements[bits[b]]
+            sign = -1.0 if a % 2 else 1.0
+            gc = gc + (part * theta).scale(sign * vel[bits[a]] * fval)
+        for gm, gv in gc.masks.items():
+            comps[gm] = comps.get(gm, 0) + complex(gv) * mat
+    return SuperMatrix(config.n, n_gen, comps)
+
+
+def exp_series(m: SuperMatrix) -> SuperMatrix:
+    """exp(M) as a Taylor series of SuperMatrix products."""
+    acc = SuperMatrix.identity(m.n, m.n_gen)
+    term = acc
+    for k in range(1, 60):
+        term = (term @ m) * (1.0 / k)
+        norm = term.norm()
+        if norm == 0.0:
+            break
+        acc = acc + term
+        if norm < 1e-17 * max(1.0, acc.norm()):
+            break
+    else:
+        raise RuntimeError("insertion exponential failed to converge")
+    return acc
+
+
+def _midpoints(conn, loop, s, t, steps, variations, configs):
+    """Per piece: (h, A(v), [[M_c(t_j) for each config c] for each midpoint j])."""
+    k_seg = loop.num_segments
+    for piece in _pieces(loop, s, t):
+        i, lo, _ = piece
+        start, vel, span = _piece_floats(loop, piece)
+        h = span / steps
+        u_loc0 = float(lo) * k_seg - i
+        rows = []
+        for j in range(steps):
+            pos = start + (j + 0.5) * h * vel
+            legs = _leg_values_at(variations, loop, piece, u_loc0 + (j + 0.5) * h * k_seg)
+            rows.append([insertion_matrix_at(c, pos, vel, legs, len(variations)) for c in configs])
+        yield h, conn.matrix_of(vel), rows
+
+
+def gen_transport_stepwise(
+    conn: FlatConnection,
+    config: FieldConfig,
+    loop: PLLoop,
+    s=Fraction(0),
+    t=Fraction(1),
+    steps: int = 64,
+    variations: Sequence[VariationField] = (),
+) -> SuperMatrix:
+    """Strang-split transport, one SuperMatrix product per factor."""
+    n_gen = config.n_theta + len(variations)
+    u_mat = SuperMatrix.identity(config.n, n_gen)
+    for h, a_vel, rows in _midpoints(conn, loop, Fraction(s), Fraction(t), steps, variations, (config,)):
+        e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
+        e_full = SuperMatrix.from_body(expm(a_vel * h), n_gen)
+        u_mat = u_mat @ e_half
+        for j, (m_ins,) in enumerate(rows):
+            u_mat = u_mat @ exp_series(m_ins * h)
+            u_mat = u_mat @ (e_full if j + 1 < steps else e_half)
+    return u_mat
+
+
+def insertion_derivative_stepwise(
+    conn: FlatConnection,
+    config: FieldConfig,
+    loop: PLLoop,
+    eta: FieldConfig,
+    steps: int = 64,
+    variations: Sequence[VariationField] = (),
+) -> GradedCoefficient:
+    """sum_j h tr[U(0, t_j-) M_eta(t_j) U(t_j+, 1)] with prefix and suffix products."""
+    n, n_gen = config.n, config.n_theta + len(variations)
+    factors, halves, m_etas, widths = [], [], [], []
+    for h, a_vel, rows in _midpoints(conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta)):
+        e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
+        for m_c, m_e in rows:
+            g_half = exp_series(m_c * (h / 2))
+            first = e_half @ g_half
+            second = g_half @ e_half
+            factors.append(first @ second)
+            halves.append((first, second))
+            m_etas.append(m_e)
+            widths.append(h)
+    suffix = [SuperMatrix.identity(n, n_gen)] * (len(factors) + 1)
+    for j in range(len(factors) - 1, -1, -1):
+        suffix[j] = factors[j] @ suffix[j + 1]
+    out = GradedCoefficient.zero(n_gen)
+    prefix = SuperMatrix.identity(n, n_gen)
+    for j, (first, second) in enumerate(halves):
+        sandwich = prefix @ first @ m_etas[j] @ second @ suffix[j + 1]
+        out = out + sandwich.trace().scale(widths[j])
+        prefix = prefix @ factors[j]
+    return out

@@ -54,6 +54,19 @@ def test_fourier_evaluate_and_derivative():
     assert f.derivative(1).is_zero
 
 
+def test_evaluate_takes_an_array_of_points():
+    points = np.array([[0.25, 0.7], [-1.5, 0.3], [2.0, 0.5]])
+    for field in (
+        PolyField.from_dict(2, {(2, 0): 1.0, (1, 1): 3.0 - 1j, (0, 0): 0.5}),
+        FourierField.from_dict(2, {(1, 0): 1.0, (-2, 1): 0.3j}),
+        PolyField.from_dict(2, {}),
+    ):
+        values = field.evaluate(points)
+        assert values.shape == (3,)
+        assert all(values[k] == field.evaluate(points[k]) for k in range(3))
+        assert isinstance(field.evaluate((0.1, 0.2)), complex)
+
+
 def test_products_convolve_within_one_kind():
     x1 = PolyField.from_dict(2, {(1, 0): 1.0})
     x2 = PolyField.from_dict(2, {(0, 1): 1.0})

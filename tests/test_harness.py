@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
-from stringtop.harness import CHECK_NAMES, SuiteConfig, _run_one
+from stringtop import harness
+from stringtop.harness import CHECK_NAMES, SuiteConfig, _run_one, run_suite, strip_runtime
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
@@ -27,3 +29,30 @@ def test_main_theorem_draws_no_constant_lines(seed):
 def test_checks_run_in_sequence_without_a_workers_field():
     assert "workers" not in {f.name for f in dataclasses.fields(SuiteConfig)}
     assert "workers" not in SuiteConfig().echo()
+
+
+def test_run_suite_validates_and_reruns_byte_identically():
+    cfg = SuiteConfig(counts={"gln": 1})
+    first, again = (run_suite(cfg, ["gln"]) for _ in range(2))
+    first.validate()
+    assert first.passed and [r.check for r in first.records] == ["gln"]
+    assert json.dumps(strip_runtime(first.to_json_obj()), sort_keys=True) == json.dumps(
+        strip_runtime(again.to_json_obj()), sort_keys=True
+    )
+
+
+def test_an_unexpected_error_becomes_a_fail_record(monkeypatch):
+    def broken(cfg, rng):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(harness._CHECKS, "gln", broken)
+    report = run_suite(SuiteConfig(counts={"gln": 1, "holonomy": 1}), ["gln", "holonomy"])
+    failed, fine = report.records
+    assert (failed.passed, failed.error, failed.instances, failed.max_residual) == (
+        False,
+        "TypeError: unsupported operand",
+        0,
+        None,
+    )
+    assert fine.passed and fine.error is None
+    assert not report.passed

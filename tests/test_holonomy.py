@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from fractions import Fraction
@@ -10,13 +11,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from stringtop import holonomy
 from stringtop.fields import (
     ConstantCommutingConnection,
     FieldConfig,
     FourierField,
+    PolyField,
     ZeroConnection,
+    field_obstruction,
 )
-from stringtop.geometry import PLLoop, Torus, VariationField
+from stringtop.geometry import Chart, PLLoop, Torus, VariationField
 from stringtop.grassmann import GradedCoefficient
 from stringtop.holonomy import (
     PatchSchedule,
@@ -30,6 +34,8 @@ from stringtop.holonomy import (
     transport,
     wilson,
 )
+
+from oracles import gen_transport_stepwise, insertion_derivative_stepwise
 
 F = Fraction
 TORUS = Torus(2)
@@ -218,6 +224,26 @@ def test_tolerance_driven_refinement_and_cap():
         )
 
 
+def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
+    # tol mode runs the levels 8,16 | 16,32 | 32,64 ...; the shared grids
+    # are computed once and the extrapolated value is unchanged
+    conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
+    fixed = holonomy._gen_transport_fixed
+    calls = collections.Counter()
+
+    def counting(*args):
+        calls[args[5]] += 1
+        return fixed(*args)
+
+    monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting)
+    out = gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-8))
+    top = max(calls)
+    assert sorted(calls) == [8 << k for k in range(len(calls))] and len(calls) >= 4
+    assert set(calls.values()) == {1}
+    coarse, fine = (fixed(conn, cfg, loop, F(0), F(1), s, ()) for s in (top // 2, top))
+    assert out.distance(fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)) == 0.0
+
+
 def test_transport_plan_validation():
     with pytest.raises(ValueError, match="step counts"):
         TransportPlan(steps=0)
@@ -355,3 +381,99 @@ def test_glued_wilson_requires_matching_end_patches():
     sched = PatchSchedule((F(0), F(1, 2), F(1)), (0, 1))
     with pytest.raises(ValueError, match="same patch"):
         glued_wilson(tp, wiggly_loop(), sched)
+
+
+# -- the block-streamed regular representation against the stepwise oracles ----
+
+
+def random_config(n, rng, n_theta=2, two_form=True):
+    """Odd terms: a body-level 1-form, a theta-pair 1-form and a theta 2-form."""
+
+    def field():
+        modes = rng.choice(3, size=2, replace=False)
+        freqs = [(1, 0), (0, 1), (1, 1)]
+        return FourierField.from_dict(2, {freqs[int(m)]: 0.3 * complex(*rng.standard_normal(2)) for m in modes})
+
+    def lie():
+        return 0.5 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+    specs = [
+        {"indices": (1,), "field": field(), "lie": lie()},
+        {"indices": (2,), "eps": (1, 2), "field": field(), "lie": lie()},
+    ]
+    if two_form:
+        specs.append({"indices": (1, 2), "eps": (1,), "field": field(), "lie": lie()})
+    return FieldConfig.build(TORUS, n, n_theta, specs, expect_parity=1)
+
+
+def random_connection(n, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return ConstantCommutingConnection([q @ np.diag(rng.uniform(-0.5, 0.5, n)) @ q.T for _ in range(2)])
+
+
+def vertex_variation(loop):
+    return VariationField.from_displacements(
+        loop, [(F(k % 3 - 1, 16), F(1 - k % 2, 32)) for k in range(loop.num_segments)]
+    )
+
+
+def relative(new, old):
+    return new.distance(old) / max(old.norm(), 1e-300)
+
+
+STEPS = 20  # one full block and one partial block per piece
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_legs", [0, 1])
+def test_gen_transport_matches_stepwise_oracle(n, n_legs):
+    rng = np.random.default_rng(10 * n + n_legs)
+    conn, cfg, loop = random_connection(n, rng), random_config(n, rng), wiggly_loop()
+    legs = [vertex_variation(loop)] * n_legs
+    plan = TransportPlan(steps=STEPS, richardson=0)
+    for s, t in ((F(0), F(1)), (F(1, 7), F(5, 9))):
+        new = gen_transport(conn, cfg, loop, s, t, plan, legs)
+        old = gen_transport_stepwise(conn, cfg, loop, s, t, STEPS, legs)
+        assert new.n_gen == old.n_gen == 2 + n_legs
+        assert relative(new, old) <= 1e-12
+
+
+def test_gen_transport_with_a_body_level_term_matches_oracle():
+    conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
+    new = gen_transport(conn, cfg, loop, plan=TransportPlan(steps=STEPS, richardson=0))
+    old = gen_transport_stepwise(conn, cfg, loop, steps=STEPS)
+    assert relative(new, old) <= 1e-12
+
+
+def test_gen_transport_of_a_polynomial_field_on_a_chart_matches_oracle():
+    chart = Chart(2)
+    loop = PLLoop(chart, [(0, 0), (F(3, 5), F(1, 10)), (F(1, 2), F(4, 5)), (F(-1, 5), F(1, 2))])
+    x_y = PolyField.from_dict(2, {(1, 0): 0.5, (1, 1): -0.7j, (0, 2): 0.2})
+    cfg = FieldConfig.build(
+        chart,
+        2,
+        2,
+        [
+            {"indices": (1,), "field": x_y, "lie": (1, 2)},
+            {"indices": (2,), "eps": (1, 2), "field": x_y.derivative(0), "lie": (2, 1)},
+            {"indices": (1, 2), "eps": (2,), "field": x_y, "lie": (1, 1)},
+        ],
+        expect_parity=1,
+    )
+    legs = [vertex_variation(loop)]
+    new = gen_transport(diag_connection(), cfg, loop, F(1, 9), F(6, 7), TransportPlan(steps=STEPS, richardson=0), legs)
+    old = gen_transport_stepwise(diag_connection(), cfg, loop, F(1, 9), F(6, 7), STEPS, legs)
+    assert relative(new, old) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_legs", [0, 1])
+def test_insertion_derivative_matches_stepwise_oracle(n, n_legs):
+    rng = np.random.default_rng(100 + 10 * n + n_legs)
+    conn, cfg, loop = random_connection(n, rng), random_config(n, rng, two_form=False), wiggly_loop()
+    legs = [vertex_variation(loop)] * n_legs
+    eta = field_obstruction(cfg, conn) if n_legs else random_config(n, rng)
+    new = insertion_derivative(conn, cfg, loop, eta, TransportPlan(steps=STEPS, richardson=0), legs)
+    old = insertion_derivative_stepwise(conn, cfg, loop, eta, STEPS, legs)
+    assert old.norm() > 0
+    assert relative(new, old) <= 1e-12

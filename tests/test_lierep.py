@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stringtop.grassmann import GradedCoefficient
-from stringtop.lierep import LieBasis, SuperMatrix, fuse_traces
+from stringtop.lierep import LieBasis, SuperMatrix, fuse_traces, left_regular, regular
 
 from oracles import casimir_tensor, kappa_form, swap_tensor, swap_via_casimir
 
@@ -203,3 +203,59 @@ def test_trace_is_linear_and_cyclic_for_even_matrices():
     assert lhs.distance(rhs) < 1e-12
     s = (a + b).trace()
     assert s.distance(a.trace() + b.trace()) < 1e-13
+
+
+# -- the left-regular representation -------------------------------------------
+
+
+def integer_supermatrix(rng, n, n_gen):
+    """Every component filled with small integers, so products are exact."""
+    comps = rng.integers(-3, 4, size=(1 << n_gen, n, n)) + 1j * rng.integers(-3, 4, size=(1 << n_gen, n, n))
+    return SuperMatrix(n, n_gen, dict(enumerate(comps)))
+
+
+def component_stack(m):
+    out = np.zeros((1 << m.n_gen, m.n, m.n), dtype=complex)
+    for mask, arr in m.components.items():
+        out[mask] = arr
+    return out
+
+
+@pytest.mark.parametrize("n_gen", [0, 1, 2, 3, 4])
+def test_left_regular_stack_multiplies_basis_monomials(n_gen):
+    stack = left_regular(n_gen)
+    size = 1 << n_gen
+    for s in range(size):
+        for t in range(size):
+            want = GradedCoefficient.from_masks({s: 1}, n_gen) * GradedCoefficient.from_masks({t: 1}, n_gen)
+            got = {u: stack[s, u, t] for u in range(size) if stack[s, u, t]}
+            assert got == want.masks
+    assert left_regular(n_gen) is stack and not stack.flags.writeable
+
+
+@pytest.mark.parametrize("n_gen", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_regular_representation_is_a_homomorphism(n_gen, n):
+    rng = np.random.default_rng(31 * n_gen + n)
+    a, b = integer_supermatrix(rng, n, n_gen), integer_supermatrix(rng, n, n_gen)
+    ra, rb = regular(component_stack(a)), regular(component_stack(b))
+    assert ra.shape == ((1 << n_gen) * n,) * 2
+    assert np.array_equal(regular(component_stack(a @ b)), ra @ rb)
+    assert np.array_equal(regular(component_stack(a)[None])[0], ra)
+
+
+@pytest.mark.parametrize("n_gen", [0, 1, 2, 3, 4])
+def test_unit_column_round_trip_and_trace(n_gen):
+    rng = np.random.default_rng(n_gen)
+    n = 3
+    m = random_supermatrix(rng, n, n_gen, masks=range(0, 1 << n_gen, 2) if n_gen else [0])
+    mat = regular(component_stack(m))
+    back = SuperMatrix.from_regular(mat, n, n_gen)
+    assert back.components.keys() == m.components.keys()
+    assert all(np.array_equal(back.components[k], m.components[k]) for k in m.components)
+    # the Grassmann trace sums the diagonals of the unit column's blocks
+    column = mat[:, :n].reshape(1 << n_gen, n, n)
+    from_column = GradedCoefficient.from_masks(
+        {s: complex(np.trace(block)) for s, block in enumerate(column)}, n_gen
+    )
+    assert from_column == m.trace()

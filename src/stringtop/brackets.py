@@ -167,14 +167,23 @@ def _check_attached(loop: PLLoop, v: VariationField) -> None:
 
 
 def _deformation_derivative(
-    conn, config: FieldConfig, v: VariationField, plan: TransportPlan, eps: Fraction
+    conn, config: FieldConfig, v: VariationField, plan: TransportPlan, eps: Fraction, refine: bool
 ) -> GradedCoefficient:
+    """Central difference along v with step eps; with refine, one
+    elimination step on eps and eps/2."""
     if v.is_tangent:
         # tangent fields reparametrize the loop, the derivative vanishes
         return GradedCoefficient.zero(config.n_theta)
-    up = wilson(conn, config, v.deform(eps), plan)
-    down = wilson(conn, config, v.deform(-eps), plan)
-    return (up - down).scale(1.0 / (2.0 * float(eps)))
+
+    def central(step: Fraction) -> GradedCoefficient:
+        up = wilson(conn, config, v.deform(step), plan)
+        down = wilson(conn, config, v.deform(-step), plan)
+        return (up - down).scale(1.0 / (2.0 * float(step)))
+
+    d1 = central(eps)
+    if refine:
+        d1 = (central(eps / 2).scale(4.0) - d1).scale(1.0 / 3.0)
+    return d1
 
 
 def _obstruction_path(
@@ -204,10 +213,7 @@ def fundamental_identity_paths(
     already carrying the pairing sign, so the contract is Path1 == Path2.
     """
     _check_attached(loop, v)
-    d1 = _deformation_derivative(conn, config, v, plan, eps)
-    if refine:
-        half = _deformation_derivative(conn, config, v, plan, eps / 2)
-        d1 = (half.scale(4.0) - d1).scale(1.0 / 3.0)
+    d1 = _deformation_derivative(conn, config, v, plan, eps, refine)
     return d1, _obstruction_path(conn, config, loop, v, plan)
 
 
@@ -241,14 +247,10 @@ def fundamental_identity_residuals(
     """Residuals across an eps schedule, with Path 2 computed once."""
     _check_attached(loop, v)
     p2 = _obstruction_path(conn, config, loop, v, plan)
-    out = []
-    for eps in eps_schedule:
-        d1 = _deformation_derivative(conn, config, v, plan, Fraction(eps))
-        if refine:
-            half = _deformation_derivative(conn, config, v, plan, Fraction(eps) / 2)
-            d1 = (half.scale(4.0) - d1).scale(1.0 / 3.0)
-        out.append(d1.distance(p2))
-    return out
+    return [
+        _deformation_derivative(conn, config, v, plan, Fraction(eps), refine).distance(p2)
+        for eps in eps_schedule
+    ]
 
 
 def halving_orders(residuals: Sequence[float], floor: float = 5e-9) -> list[float]:

@@ -10,12 +10,11 @@ schema and rerun byte-identically apart from the runtime fields.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from time import perf_counter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from jsonschema import validate as _schema_validate
@@ -25,8 +24,8 @@ from . import __version__
 from .brackets import fundamental_identity_check, main_theorem_sides
 from .chords import ChordDiagram, DiagramRealization, evaluate_diagram, four_t_combination, gln_ideal_element
 from .fields import ConstantCommutingConnection, FieldConfig, FourierField
-from .geometry import Chart, PLLoop, Torus, VariationField
-from .holonomy import DEFAULT_PLAN, TransportPlan, transport, wilson
+from .geometry import PLLoop, Torus, VariationField
+from .holonomy import transport, wilson
 from .lierep import LieBasis, SuperMatrix, fuse_traces
 from .phasespace import GradedPhaseModel, delta_and_nilpotency, graded_bracket
 from .strings import StringCycle, TransversalityError, goldman_torus, jacobi_residual, string_bracket
@@ -59,8 +58,14 @@ _STATEMENTS = {
     "chord-ideal": "chord contraction matches the reconnected trace in the standard representation",
 }
 
-# (default instance count, default tolerance); exact integer/rational checks
-# report 0.0 or 1.0 and keep a positive tolerance to satisfy the config rule
+# matrix sizes the checks cycle through, theta generators of the field
+# configurations, and redraws allowed per instance for degenerate positions
+N_LIST = (1, 2, 3)
+N_THETA = 2
+RETRY_CAP = 8
+
+# (default instance count, tolerance); exact integer/rational checks report
+# 0.0 or 1.0 against a positive tolerance
 _DEFAULTS = {
     "gln": (150, 1e-10),
     "holonomy": (12, 1e-8),
@@ -75,10 +80,6 @@ _DEFAULTS = {
 }
 
 
-class CheckSetupError(ValueError):
-    """The configuration cannot support the requested check."""
-
-
 class RetryCapError(RuntimeError):
     """Instance regeneration hit the retry cap."""
 
@@ -90,54 +91,22 @@ class RetryCapError(RuntimeError):
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 0
-    n_list: tuple[int, ...] = (1, 2, 3)
     counts: Mapping[str, int] = field(default_factory=dict)
-    tolerances: Mapping[str, float] = field(default_factory=dict)
-    plan: TransportPlan = DEFAULT_PLAN
-    n_theta: int = 2
-    retry_cap: int = 8
 
     def __post_init__(self):
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
-        if not self.n_list or any(n < 1 for n in self.n_list):
-            raise ValueError("n_list must hold positive dimensions")
         for name, cnt in self.counts.items():
             if name not in CHECK_NAMES:
                 raise ValueError(f"unknown check {name!r} in counts")
             if cnt < 1:
                 raise ValueError(f"count for {name!r} must be at least 1")
-        for name, tol in self.tolerances.items():
-            if name not in CHECK_NAMES:
-                raise ValueError(f"unknown check {name!r} in tolerances")
-            if not tol > 0:
-                raise ValueError(f"tolerance for {name!r} must be positive")
-        if self.n_theta < 0:
-            raise ValueError("n_theta must be nonnegative")
-        if self.retry_cap < 0:
-            raise ValueError("retry_cap must be nonnegative")
 
     def count_for(self, check: str) -> int:
         return int(self.counts.get(check, _DEFAULTS[check][0]))
 
-    def tol_for(self, check: str) -> float:
-        return float(self.tolerances.get(check, _DEFAULTS[check][1]))
-
     def echo(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_list": list(self.n_list),
-            "counts": {c: self.count_for(c) for c in CHECK_NAMES},
-            "tolerances": {c: self.tol_for(c) for c in CHECK_NAMES},
-            "plan": {
-                "steps": self.plan.steps,
-                "richardson": self.plan.richardson,
-                "tol": self.plan.tol,
-                "max_steps": self.plan.max_steps,
-            },
-            "n_theta": self.n_theta,
-            "retry_cap": self.retry_cap,
-        }
+        return {"seed": self.seed, "counts": {c: self.count_for(c) for c in CHECK_NAMES}}
 
 
 @dataclass(frozen=True)
@@ -254,26 +223,11 @@ def gen_random_loop(space, cls=None, vertex_count: int = 4, seed=0) -> PLLoop:
         return PLLoop(space, verts, closure if isinstance(space, Torus) else None)
 
 
-def perturb_loop(loop: PLLoop, rng, denom: int = 128, span: int = 8) -> PLLoop:
-    """Jitter every vertex by rationals in [-span/denom, span/denom]."""
-    rng = np.random.default_rng(rng)
-    for _ in range(32):
-        verts = [
-            tuple(c + Fraction(int(rng.integers(-span, span + 1)), denom) for c in v)
-            for v in loop.vertices
-        ]
-        try:
-            return PLLoop(loop.space, verts, loop.closure)
-        except ValueError:
-            continue
-    raise RetryCapError("could not perturb the loop without degenerating a segment")
-
-
 _DEGENERATE_HINTS = ("collinear overlap", "vertex or marked point")
 
 
-def _retrying(draw, cap: int):
-    """draw() again when PL positions land degenerately, up to cap retries."""
+def _retrying(draw):
+    """draw() again when PL positions land degenerately, up to RETRY_CAP retries."""
     retries = 0
     while True:
         try:
@@ -284,18 +238,18 @@ def _retrying(draw, cap: int):
             if not any(hint in str(err) for hint in _DEGENERATE_HINTS):
                 raise
         retries += 1
-        if retries > cap:
-            raise RetryCapError(f"instance regeneration exceeded {cap} retries")
+        if retries > RETRY_CAP:
+            raise RetryCapError(f"instance regeneration exceeded {RETRY_CAP} retries")
 
 
 def _crandn(rng, *shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _rand_conn(rng, n: int, conjugate: bool = True) -> ConstantCommutingConnection:
+def _rand_conn(rng, n: int) -> ConstantCommutingConnection:
     d1 = np.diag(rng.uniform(-0.5, 0.5, n)).astype(complex)
     d2 = np.diag(rng.uniform(-0.5, 0.5, n)).astype(complex)
-    if conjugate and n > 1:
+    if n > 1:
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         d1 = q @ d1 @ q.T
         d2 = q @ d2 @ q.T
@@ -310,12 +264,12 @@ def _rand_fourier(rng) -> FourierField:
     )
 
 
-def _rand_config(rng, n: int, n_theta: int) -> FieldConfig:
+def _rand_config(rng, n: int) -> FieldConfig:
     # both terms odd: dx^1 theta^1 theta^2 and a bare dx^2
     return FieldConfig.build(
         TORUS2,
         n,
-        n_theta,
+        N_THETA,
         [
             {"indices": (1,), "eps": (1, 2), "field": _rand_fourier(rng), "lie": 0.5 * _crandn(rng, n, n)},
             {"indices": (2,), "field": _rand_fourier(rng), "lie": 0.5 * _crandn(rng, n, n)},
@@ -336,9 +290,9 @@ def _rand_line_class(rng) -> tuple[int, int]:
             return cls
 
 
-def _rand_even_supermatrix(rng, n: int, n_theta: int) -> SuperMatrix:
-    masks = [m for m in range(1 << n_theta) if m.bit_count() % 2 == 0]
-    return SuperMatrix(n, n_theta, {m: _crandn(rng, n, n) for m in masks})
+def _rand_even_supermatrix(rng, n: int) -> SuperMatrix:
+    masks = [m for m in range(1 << N_THETA) if m.bit_count() % 2 == 0]
+    return SuperMatrix(n, N_THETA, {m: _crandn(rng, n, n) for m in masks})
 
 
 # fixed chord geometry: a self-crossing zigzag of class (1,0) whose first
@@ -355,16 +309,13 @@ _LINE_B = PLLoop(TORUS2, [(Fraction(1, 3), Fraction(1, 5))], closure=(0, 1))
 
 
 def _check_gln(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
-    ns = [n for n in cfg.n_list if 1 <= n <= 4]
-    if not ns:
-        raise CheckSetupError("gln check needs a dimension between 1 and 4")
     count = cfg.count_for("gln")
     worst = 0.0
     for k in range(count):
-        n = ns[k % len(ns)]
+        n = N_LIST[k % len(N_LIST)]
         basis = LieBasis(n)
-        if k % 5 == 4 and cfg.n_theta >= 2:
-            mats = [_rand_even_supermatrix(rng, n, cfg.n_theta) for _ in range(4)]
+        if k % 5 == 4:
+            mats = [_rand_even_supermatrix(rng, n) for _ in range(4)]
         else:
             mats = [SuperMatrix.from_body(_crandn(rng, n, n), 0) for _ in range(4)]
         a1, a2, b1, b2 = mats
@@ -379,7 +330,7 @@ def _check_holonomy(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
     count = cfg.count_for("holonomy")
     worst = 0.0
     for k in range(count):
-        n = cfg.n_list[k % len(cfg.n_list)]
+        n = N_LIST[k % len(N_LIST)]
         conn = _rand_conn(rng, n)
         loop = gen_random_loop(TORUS2, None, 4, rng)
         u = transport(conn, loop)
@@ -401,38 +352,34 @@ def _check_holonomy(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
 
 
 def _check_gauge(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
-    if cfg.n_theta < 2:
-        raise CheckSetupError("gauge check builds two-theta field terms")
     count = cfg.count_for("gauge")
     worst = 0.0
     for k in range(count):
-        n = cfg.n_list[k % len(cfg.n_list)]
+        n = N_LIST[k % len(N_LIST)]
         conn = _rand_conn(rng, n)
-        config = _rand_config(rng, n, cfg.n_theta)
+        config = _rand_config(rng, n)
         loop = gen_random_loop(TORUS2, None, 4, rng)
         g = expm(0.4 * _crandn(rng, n, n))
-        w1 = wilson(conn, config, loop, cfg.plan)
-        w2 = wilson(conn.gauge(g), config.gauge(g), loop, cfg.plan)
+        w1 = wilson(conn, config, loop)
+        w2 = wilson(conn.gauge(g), config.gauge(g), loop)
         worst = max(worst, w1.distance(w2) / max(w1.norm(), 1.0))
     return count, 0, worst
 
 
 def _check_fundamental(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
-    if cfg.n_theta < 2:
-        raise CheckSetupError("fundamental check builds two-theta field terms")
     count = cfg.count_for("fundamental")
     worst = 0.0
     for k in range(count):
-        n = cfg.n_list[k % len(cfg.n_list)]
+        n = N_LIST[k % len(N_LIST)]
         conn = _rand_conn(rng, n)
-        config = _rand_config(rng, n, cfg.n_theta)
+        config = _rand_config(rng, n)
         loop = gen_random_loop(TORUS2, None, 4, rng)
         disps = [
             [Fraction(int(rng.integers(-8, 9)), 64) for _ in range(2)]
             for _ in loop.vertices
         ]
         v = VariationField.from_displacements(loop, disps)
-        worst = max(worst, fundamental_identity_check(conn, config, loop, v, cfg.plan))
+        worst = max(worst, fundamental_identity_check(conn, config, loop, v))
     return count, 0, worst
 
 
@@ -452,7 +399,7 @@ def _check_goldman(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
             expect = {total: n_cross} if n_cross else {}
             return 0.0 if br.class_reduction() == expect else 1.0
 
-        r, res = _retrying(one, cfg.retry_cap)
+        r, res = _retrying(one)
         retries += r
         worst = max(worst, res)
     return count, retries, worst
@@ -465,7 +412,7 @@ def _check_main_theorem(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
 
     for k in range(count):
         def one():
-            n = cfg.n_list[k % len(cfg.n_list)]
+            n = N_LIST[k % len(N_LIST)]
             conn = _rand_conn(rng, n)
             lines = k % 3 != 2
             draw_class = _rand_line_class if lines else _rand_class
@@ -485,7 +432,7 @@ def _check_main_theorem(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
             )
             return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
-        r, res = _retrying(one, cfg.retry_cap)
+        r, res = _retrying(one)
         retries += r
         worst = max(worst, res)
     return count, retries, worst
@@ -505,7 +452,7 @@ def _check_jacobi(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
             reduced = jacobi_residual(*cycles).class_reduction()
             return 0.0 if reduced == {} else 1.0
 
-        r, res = _retrying(one, cfg.retry_cap)
+        r, res = _retrying(one)
         retries += r
         worst = max(worst, res)
     return count, retries, worst
@@ -573,20 +520,13 @@ def _check_bracket_axioms(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
     return count, 0, worst
 
 
-def _chord_conn(rng, n: int) -> ConstantCommutingConnection:
-    return _rand_conn(rng, n, conjugate=True)
-
-
 def _check_chord_4t(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
-    ns = [n for n in cfg.n_list if n <= 3]
-    if not ns:
-        raise CheckSetupError("chord checks need a dimension at most 3")
     count = cfg.count_for("chord-4t")
     worst = 0.0
     s_a, s_b = _ZIG_S
     for k in range(count):
-        n = ns[k % len(ns)]
-        conn = _chord_conn(rng, n)
+        n = N_LIST[k % len(N_LIST)]
+        conn = _rand_conn(rng, n)
         base = ChordDiagram(
             [(f"std:{n}", ("p", "q", "x")), (f"std:{n}", ("y",))],
             [("p", "q"), ("x", "y")],
@@ -605,9 +545,6 @@ def _check_chord_4t(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
 def _check_chord_ideal(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
     from .strings import concatenate, intersections
 
-    ns = [n for n in cfg.n_list if n <= 3]
-    if not ns:
-        raise CheckSetupError("chord checks need a dimension at most 3")
     count = cfg.count_for("chord-ideal")
     worst = 0.0
     pt = intersections(_LINE_A, _LINE_B)[0]
@@ -616,8 +553,8 @@ def _check_chord_ideal(cfg: SuiteConfig, rng) -> tuple[int, int, float]:
     lobe = PLLoop(TORUS2, [(Fraction(1, 2), Fraction(1, 6)), (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))], closure=(0, 0))
     rest = PLLoop(TORUS2, [(Fraction(1, 2), Fraction(1, 6)), (1, 0)], closure=(1, 0))
     for k in range(count):
-        n = ns[k % len(ns)]
-        conn = _chord_conn(rng, n)
+        n = N_LIST[k % len(N_LIST)]
+        conn = _rand_conn(rng, n)
         two = ChordDiagram([(f"std:{n}", ("p",)), (f"std:{n}", ("q",))], [("p", "q")])
         chorded = evaluate_diagram(
             DiagramRealization(two, [_LINE_A, _LINE_B], {"p": pt.s, "q": pt.s_bar}), conn
@@ -653,11 +590,11 @@ _CHECKS = {
 
 def _run_one(cfg: SuiteConfig, name: str) -> CheckRecord:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(CHECK_NAMES.index(name),)))
-    tol = cfg.tol_for(name)
+    tol = _DEFAULTS[name][1]
     start = perf_counter()
     try:
         instances, retries, worst = _CHECKS[name](cfg, rng)
-    except (CheckSetupError, RetryCapError) as err:
+    except RetryCapError as err:
         error = str(err)
     except Exception as err:  # one failing check must not end the suite
         error = f"{type(err).__name__}: {err}"

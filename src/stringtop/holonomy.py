@@ -26,17 +26,19 @@ with W^mu = sum_i w_i v_i^mu(t) built from the supplied variation fields
 on extra Grassmann generators w_i placed after the thetas. Form degree
 zero terms carry no dt factor and never enter the transport.
 
-The stepping runs on complex arrays in the left-regular representation of
-the Grassmann algebra on N = n_theta + len(variations) generators (see
-``lierep``): a Grassmann n x n matrix is a D x D complex matrix with
-D = 2^N n, and a product is one matmul. The midpoint grid is walked in
-blocks of at most ``BLOCK`` midpoints of one piece. A block's insertion
-matrices are built as one (b, D, D) stack: each term's Grassmann
-coefficient is the vector W^{mu_1} .. W^{mu_k} e_S, with the legs acting by
-left multiplication, times f at the block's points. Their exponentials are
-one Taylor series summed over the block, and the block's step factors are
-multiplied pairwise into one D x D product, so the working memory is
-O(BLOCK D^2) however many steps the plan takes.
+The stepping runs in the left-regular representation of the Grassmann
+algebra on N = n_theta + len(variations) generators (see ``lierep``): a
+Grassmann n x n matrix, stored as its (2^N, n, n) component stack, acts as
+a D x D complex matrix with D = 2^N n, and a product is one matmul. The
+midpoint grid is walked in blocks of at most ``BLOCK`` midpoints of one
+piece. A block's insertion matrices are built as one stack of component
+stacks: each term's Grassmann coefficient is W^{mu_1} .. W^{mu_k} theta_S,
+with each leg W^mu the regular matrix of a 1 x 1 Grassmann matrix, times f
+at the block's points. Their exponentials are one Taylor series summed on
+the component stacks, and the block's step factors are multiplied
+pairwise into one D x D product, so the working memory is O(BLOCK D^2)
+however many steps the plan takes. The transport is read back as a
+``SuperMatrix`` from the unit column of that product.
 
 The symmetric step makes the error expansion even in h, so one Richardson
 level in h^2 is applied by default; with a tolerance set, steps double
@@ -59,7 +61,7 @@ from scipy.linalg import expm
 from stringtop.fields import FieldConfig, FlatConnection
 from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient, merge_sign
-from stringtop.lierep import SuperMatrix, left_regular, regular
+from stringtop.lierep import SuperMatrix, regular
 
 
 class QuadratureError(RuntimeError):
@@ -178,11 +180,13 @@ def insertion_matrix(
     """
     n_theta = config.n_theta
     n_gen = n_theta + n_legs
-    stack = left_regular(n_gen)
     b = len(pos)
-    # w_ops[mu, j] is W^mu at midpoint j, acting by left multiplication
-    leg_ops = stack[[1 << (n_theta + idx) for idx in range(n_legs)]]
-    w_ops = np.einsum("ijm,ist->mjst", leg_values, leg_ops)
+    # w_ops[mu, j] is W^mu = sum_i w_i v_i^mu at midpoint j, acting by left
+    # multiplication: the regular matrix of a 1 x 1 Grassmann matrix
+    legs = np.zeros((leg_values.shape[-1], b, 1 << n_gen, 1, 1))
+    for idx in range(n_legs):
+        legs[:, :, 1 << (n_theta + idx), 0, 0] = leg_values[idx].T
+    w_ops = regular(legs)
     by_mask: dict[int, list] = {}
     for mask, field, mat in config.terms:
         by_mask.setdefault(mask, []).append((field, mat))
@@ -558,20 +562,14 @@ def glued_wilson(
     """
     if schedule.patches[0] != schedule.patches[-1]:
         raise ValueError("loop must start and end in the same patch")
-    n_theta = 0
-    for cfg in tp.configs:
-        if cfg is not None:
-            n_theta = cfg.n_theta
+    # both patches carry a field configuration with the same n_theta, or neither does
+    config = tp.configs[0]
+    n_theta = 0 if config is None else config.n_theta
     u_mat = SuperMatrix.identity(tp.n, n_theta)
     for idx, patch in enumerate(schedule.patches):
         lo = schedule.boundaries[idx]
         hi = schedule.boundaries[idx + 1]
-        seg = gen_transport(
-            tp.conns[patch], tp.configs[patch], loop, lo, hi, plan
-        )
-        if seg.n_gen != n_theta:
-            seg = seg.with_generators(n_theta)
-        u_mat = u_mat @ seg
+        u_mat = u_mat @ gen_transport(tp.conns[patch], tp.configs[patch], loop, lo, hi, plan)
         if idx + 1 < len(schedule.patches):
             t_mat = SuperMatrix.from_body(
                 tp.transition(patch, schedule.patches[idx + 1]), n_theta

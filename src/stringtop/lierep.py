@@ -20,23 +20,24 @@ on C^n (x) C^n as the swap v (x) w -> w (x) v, so it is specific to the
 standard representation; it is what lets a double-trace contraction
 collapse to a single trace of the reordered product.
 
-``SuperMatrix`` stores an n x n matrix over the Grassmann algebra
-Lambda(N) as {monomial mask: complex ndarray}, so products are a handful of
-dense matmuls instead of n^2 symbolic entry products. It is the one public
-Grassmann-matrix type.
+``SuperMatrix`` is the one Grassmann-matrix type. It stores an n x n
+matrix over the Grassmann algebra Lambda(N) as the dense complex stack of
+its 2^N components, M = sum_S theta_S M_S with ``components[S] = M_S``.
 
-Long chains of products (the generalized transports) run instead in the
-left-regular representation of Lambda(N): theta_S acts on the 2^N basis
-monomials by left multiplication L_S, and M = sum_S theta_S M_S becomes the
+Products run in the left-regular representation of Lambda(N): theta_S acts
+on the 2^N basis monomials by left multiplication L_S, and M becomes the
 complex (2^N n)-square matrix
 
     regular(M) = sum_S L_S (x) M_S,
 
-rows and columns indexed (monomial T, matrix index i) as T * n + i. This is
-an algebra homomorphism, so a Grassmann matrix product is one complex
-matmul. The column block of the unit monomial (T = 0) holds M itself: the
-rows of block S are M_S, which ``SuperMatrix.from_regular`` reads back; the
-Grassmann trace is the trace of those blocks.
+rows and columns indexed (monomial T, matrix index i) as T * n + i. Block
+(T, U) is nonzero only for U inside T, where it is signs[T, U] M_{T ^ U}
+with the sign of theta_{T ^ U} theta_U = +-theta_T. This is an algebra
+homomorphism whose unit column block (U = 0) is the component stack
+itself, so a product A B is the one matmul regular(A) times the stacked
+components of B, and long chains of products (the generalized transports)
+stay regular matrices until ``SuperMatrix.from_regular`` reads the column
+back. The Grassmann trace is the trace of each component.
 """
 
 from __future__ import annotations
@@ -84,13 +85,11 @@ class LieBasis:
 class SuperMatrix:
     """n x n matrix with entries in the Grassmann algebra.
 
-    Stored by monomial: ``components[mask]`` is the complex n x n matrix of
-    coefficients of theta_mask across all entries. The product is
-
-        (AB)[i|j] += merge_sign(i, j) * A[i] @ B[j]      (i & j == 0),
-
-    which multiplies entry coefficients in left-to-right order, so Grassmann
-    signs come out the same as for scalar products.
+    ``components`` is the complex (2^n_gen, n, n) stack whose slice S is the
+    matrix of coefficients of theta_S across all entries; the constructor
+    takes those slices as a {mask: n x n array} dict, missing masks zero.
+    The product multiplies entry coefficients in left-to-right order, so
+    Grassmann signs come out the same as for scalar products.
     """
 
     __slots__ = ("n", "n_gen", "components")
@@ -103,18 +102,25 @@ class SuperMatrix:
     ) -> None:
         self.n = n
         self.n_gen = n_gen
-        self.components: dict[int, np.ndarray] = {}
-        if components:
-            for mask, arr in components.items():
-                arr = np.asarray(arr, dtype=complex)
-                if arr.shape != (n, n):
-                    raise ValueError(f"component shape {arr.shape} != ({n}, {n})")
-                if mask >> n_gen:
-                    raise ValueError("mask exceeds generator count")
-                if arr.any():
-                    self.components[mask] = arr
+        self.components = np.zeros((1 << n_gen, n, n), dtype=complex)
+        for mask, arr in (components or {}).items():
+            arr = np.asarray(arr, dtype=complex)
+            if arr.shape != (n, n):
+                raise ValueError(f"component shape {arr.shape} != ({n}, {n})")
+            if mask >> n_gen:
+                raise ValueError("mask exceeds generator count")
+            self.components[mask] = arr
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, stack: np.ndarray) -> "SuperMatrix":
+        """Wrap a complex (2^n_gen, n, n) component stack without copying."""
+        out = cls.__new__(cls)
+        out.n = stack.shape[-1]
+        out.n_gen = len(stack).bit_length() - 1
+        out.components = stack
+        return out
 
     @classmethod
     def from_body(
@@ -128,48 +134,30 @@ class SuperMatrix:
         return cls.from_body(np.eye(n), n_gen)
 
     @classmethod
-    def zero(cls, n: int, n_gen: int = DEFAULT_GENERATORS) -> "SuperMatrix":
-        return cls(n, n_gen, {})
-
-    @classmethod
     def from_regular(cls, mat: np.ndarray, n: int, n_gen: int) -> "SuperMatrix":
         """The matrix whose regular representation is ``mat``, read from its
         unit column block: rows S * n .. S * n + n - 1 are the component M_S."""
-        column = mat[:, :n].reshape(1 << n_gen, n, n)
-        return cls(n, n_gen, dict(enumerate(column)))
+        return cls._of(mat[:, :n].reshape(1 << n_gen, n, n).astype(complex))
 
     # -- views -------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> GradedCoefficient:
         return GradedCoefficient.from_masks(
-            {m: arr[i, j] for m, arr in self.components.items() if arr[i, j] != 0},
-            self.n_gen,
+            dict(enumerate(self.components[:, i, j])), self.n_gen
         )
 
     def to_entries(self) -> list[list[GradedCoefficient]]:
         return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
 
     def body(self) -> np.ndarray:
-        return self.components.get(0, np.zeros((self.n, self.n), dtype=complex))
+        return self.components[0]
 
     def trace(self) -> GradedCoefficient:
-        return GradedCoefficient.from_masks(
-            {m: complex(np.trace(arr)) for m, arr in self.components.items()},
-            self.n_gen,
-        )
+        traces = np.trace(self.components, axis1=1, axis2=2)
+        return GradedCoefficient.from_masks(dict(enumerate(traces.tolist())), self.n_gen)
 
     def transpose(self) -> "SuperMatrix":
-        return SuperMatrix(
-            self.n, self.n_gen, {m: arr.T.copy() for m, arr in self.components.items()}
-        )
-
-    def with_generators(self, n_gen: int) -> "SuperMatrix":
-        used = 0
-        for m in self.components:
-            used |= m
-        if used >> n_gen:
-            raise ValueError("matrix uses generators beyond requested count")
-        return SuperMatrix(self.n, n_gen, dict(self.components))
+        return SuperMatrix._of(self.components.transpose(0, 2, 1).copy())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -179,108 +167,68 @@ class SuperMatrix:
 
     def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check(other)
-        out = {m: arr.copy() for m, arr in self.components.items()}
-        for m, arr in other.components.items():
-            if m in out:
-                out[m] = out[m] + arr
-            else:
-                out[m] = arr.copy()
-        return SuperMatrix(self.n, self.n_gen, out)
+        return SuperMatrix._of(self.components + other.components)
 
     def __neg__(self) -> "SuperMatrix":
-        return SuperMatrix(
-            self.n, self.n_gen, {m: -arr for m, arr in self.components.items()}
-        )
+        return SuperMatrix._of(-self.components)
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self + (-other)
+        self._check(other)
+        return SuperMatrix._of(self.components - other.components)
 
     def __mul__(self, scalar: object) -> "SuperMatrix":
-        return SuperMatrix(
-            self.n,
-            self.n_gen,
-            {m: complex(scalar) * arr for m, arr in self.components.items()},
-        )
+        return SuperMatrix._of(complex(scalar) * self.components)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check(other)
-        out: dict[int, np.ndarray] = {}
-        for i, a in self.components.items():
-            for j, b in other.components.items():
-                if i & j:
-                    continue
-                k = i | j
-                term = merge_sign(i, j) * (a @ b)
-                if k in out:
-                    out[k] = out[k] + term
-                else:
-                    out[k] = term
-        return SuperMatrix(self.n, self.n_gen, out)
+        size, n = len(self.components), self.n
+        column = regular(self.components) @ other.components.reshape(size * n, n)
+        return SuperMatrix._of(column.reshape(size, n, n))
 
     def distance(self, other: "SuperMatrix") -> float:
         self._check(other)
-        keys = set(self.components) | set(other.components)
-        zero = np.zeros((self.n, self.n))
-        return max(
-            (
-                float(
-                    np.max(
-                        np.abs(
-                            self.components.get(m, zero) - other.components.get(m, zero)
-                        )
-                    )
-                )
-                for m in keys
-            ),
-            default=0.0,
-        )
+        return float(np.max(np.abs(self.components - other.components)))
 
     def norm(self) -> float:
-        return max(
-            (float(np.max(np.abs(arr))) for arr in self.components.values()),
-            default=0.0,
-        )
+        return float(np.max(np.abs(self.components)))
 
     def __repr__(self) -> str:
-        return f"SuperMatrix(n={self.n}, n_gen={self.n_gen}, monomials={len(self.components)})"
+        return f"SuperMatrix(n={self.n}, n_gen={self.n_gen})"
 
 
 @functools.lru_cache(maxsize=None)
-def left_regular(n_gen: int) -> np.ndarray:
-    """Stack L[S] of the left multiplications by theta_S on Lambda(n_gen).
+def signs(n_gen: int) -> np.ndarray:
+    """signs[T, U] = merge_sign(T ^ U, U) for U inside T, else 0.
 
-    L[S][T | S, T] is the sign of theta_S theta_T = +-theta_{S | T} for
-    disjoint S and T; every other entry is zero. L[S] is built as the product
-    L[a_1] ... L[a_k] over the generators a_1 < ... < a_k of S, where the
-    generator a passes the generators of T below it. The array is shared,
-    so it is read-only.
+    It is the sign of theta_{T ^ U} theta_U = +-theta_T, so row T, column U
+    is the one nonzero entry of the left multiplication L_{T ^ U} there.
+    The array is shared, so it is read-only.
     """
     size = 1 << n_gen
-    monomials = np.arange(size)
-    out = np.zeros((size, size, size))
-    out[0] = np.eye(size)
-    for s in range(1, size):
-        low = s & -s
-        free = monomials[(monomials & low) == 0]
-        below = [int(t & (low - 1)).bit_count() for t in free]
-        gen = np.zeros((size, size))
-        gen[free | low, free] = np.where(np.array(below) % 2, -1.0, 1.0)
-        out[s] = gen @ out[s ^ low]
+    out = np.zeros((size, size))
+    for t in range(size):
+        for u in range(size):
+            if u & t == u:
+                out[t, u] = merge_sign(t ^ u, u)
     out.flags.writeable = False
     return out
+
+
+# build the tables up to the default generator count once, at import, so no
+# later call (timed or traced) pays the merge_sign calls that fill them
+for _n_gen in range(DEFAULT_GENERATORS + 1):
+    signs(_n_gen)
 
 
 def regular(components: np.ndarray) -> np.ndarray:
     """sum_S L_S (x) M_S for a stack components[..., S, i, j] of all 2^N
     components; returns the (..., 2^N n, 2^N n) regular matrices."""
     *lead, size, n, _ = components.shape
-    stack = left_regular(size.bit_length() - 1)
     monomials = np.arange(size)
-    # entry (T, U) of L_S is nonzero only for S = T ^ U (U inside T), so
-    # each block is one signed component
-    blocks = components[..., monomials[:, None] ^ monomials, :, :] * stack.sum(axis=0)[:, :, None, None]
+    sign = signs(size.bit_length() - 1)[:, :, None, None]
+    blocks = components[..., monomials[:, None] ^ monomials, :, :] * sign
     return np.swapaxes(blocks, -3, -2).reshape(*lead, size * n, size * n)
 
 

@@ -108,7 +108,7 @@ def eval_field(
 
 
 # ---------------------------------------------------------------------------
-# step-by-step generalized transport on dict-of-masks supermatrices
+# step-by-step generalized transport, one SuperMatrix product per factor
 #
 # The package runs the transport in the regular representation of the
 # Grassmann algebra, a block of midpoints at a time. These functions take one

@@ -56,3 +56,10 @@ def test_an_unexpected_error_becomes_a_fail_record(monkeypatch):
     )
     assert fine.passed and fine.error is None
     assert not report.passed
+
+
+def test_config_holds_only_seed_and_counts_and_records_keep_their_tolerance():
+    assert {f.name for f in dataclasses.fields(SuiteConfig)} == {"seed", "counts"}
+    echo = SuiteConfig(seed=3, counts={"gln": 2}).echo()
+    assert set(echo) == {"seed", "counts"} and echo["counts"]["gln"] == 2
+    assert _run_one(SuiteConfig(counts={"gln": 1}), "gln").tolerance == 1e-10

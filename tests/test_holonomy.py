@@ -142,7 +142,7 @@ def test_zero_form_terms_do_not_enter_transports():
     )
     u_gen = gen_transport(conn, cfg, loop)
     assert np.max(np.abs(u_gen.body() - transport(conn, loop))) == 0.0
-    assert list(u_gen.components) == [0]
+    assert np.flatnonzero(u_gen.components.any(axis=(1, 2))).tolist() == [0]
 
 
 def test_one_insertion_closed_form():
@@ -153,7 +153,7 @@ def test_one_insertion_closed_form():
         TORUS, 2, 2, [{"indices": (1,), "eps": (1, 2), "field": 1.0, "lie": (1, 1)}]
     )
     u_gen = gen_transport(ZeroConnection(2, 2), cfg, line)
-    assert sorted(u_gen.components) == [0, 3]
+    assert np.flatnonzero(u_gen.components.any(axis=(1, 2))).tolist() == [0, 3]
     assert np.max(np.abs(u_gen.components[0] - np.eye(2))) <= 1e-14
     e11 = np.zeros((2, 2))
     e11[0, 0] = 1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stringtop.grassmann import GradedCoefficient
-from stringtop.lierep import LieBasis, SuperMatrix, fuse_traces, left_regular, regular
+from stringtop.lierep import LieBasis, SuperMatrix, fuse_traces, regular, signs
 
 from oracles import casimir_tensor, kappa_form, swap_tensor, swap_via_casimir
 
@@ -150,27 +150,41 @@ def test_kappa_form_is_ad_invariant():
         assert abs(lhs - rhs) / max(abs(rhs), 1.0) < 1e-9
 
 
+def integer_supermatrix(rng, n, n_gen):
+    """Every component filled with small integers, so products are exact."""
+    comps = rng.integers(-3, 4, size=(1 << n_gen, n, n)) + 1j * rng.integers(-3, 4, size=(1 << n_gen, n, n))
+    return SuperMatrix(n, n_gen, dict(enumerate(comps)))
+
+
+def symbolic_product(a, b):
+    """Component stack of a @ b from GradedCoefficient entry products."""
+    out = np.zeros_like(a.components)
+    for i in range(a.n):
+        for j in range(a.n):
+            entry = GradedCoefficient.zero(a.n_gen)
+            for k in range(a.n):
+                entry = entry + a.entry(i, k) * b.entry(k, j)
+            for mask, value in entry.masks.items():
+                out[mask, i, j] = value
+    return out
+
+
 def test_supermatrix_product_matches_symbolic_entries():
     rng = np.random.default_rng(3)
-    a = random_supermatrix(rng, 2, n_gen=4, masks=[0, 1, 6, 9])
-    b = random_supermatrix(rng, 2, n_gen=4, masks=[0, 2, 5, 12])
-    prod = a @ b
-    for i in range(2):
-        for j in range(2):
-            expected = GradedCoefficient.zero(4)
-            for k in range(2):
-                expected = expected + a.entry(i, k) * b.entry(k, j)
-            assert prod.entry(i, j).distance(expected) < 1e-13
+    for n_gen in range(5):
+        for n in (1, 2, 3):
+            a, b = integer_supermatrix(rng, n, n_gen), integer_supermatrix(rng, n, n_gen)
+            assert np.array_equal((a @ b).components, symbolic_product(a, b)), (n_gen, n)
 
 
 def test_supermatrix_entries_round_trip():
     rng = np.random.default_rng(4)
     a = random_supermatrix(rng, 3, n_gen=5, masks=[0, 3, 17])
     entries = a.to_entries()
-    for mask, arr in a.components.items():
+    for mask, arr in enumerate(a.components):
         back = np.array([[entries[i][j].masks.get(mask, 0) for j in range(3)] for i in range(3)])
         assert np.array_equal(back, arr)
-    assert all(set(e.masks) <= set(a.components) for row in entries for e in row)
+    assert all(set(e.masks) <= {0, 3, 17} for row in entries for e in row)
 
 
 def test_scalar_matrix_product_keeps_koszul_signs():
@@ -208,29 +222,18 @@ def test_trace_is_linear_and_cyclic_for_even_matrices():
 # -- the left-regular representation -------------------------------------------
 
 
-def integer_supermatrix(rng, n, n_gen):
-    """Every component filled with small integers, so products are exact."""
-    comps = rng.integers(-3, 4, size=(1 << n_gen, n, n)) + 1j * rng.integers(-3, 4, size=(1 << n_gen, n, n))
-    return SuperMatrix(n, n_gen, dict(enumerate(comps)))
-
-
-def component_stack(m):
-    out = np.zeros((1 << m.n_gen, m.n, m.n), dtype=complex)
-    for mask, arr in m.components.items():
-        out[mask] = arr
-    return out
-
-
 @pytest.mark.parametrize("n_gen", [0, 1, 2, 3, 4])
-def test_left_regular_stack_multiplies_basis_monomials(n_gen):
-    stack = left_regular(n_gen)
+def test_sign_table_multiplies_basis_monomials(n_gen):
+    table = signs(n_gen)
     size = 1 << n_gen
-    for s in range(size):
-        for t in range(size):
-            want = GradedCoefficient.from_masks({s: 1}, n_gen) * GradedCoefficient.from_masks({t: 1}, n_gen)
-            got = {u: stack[s, u, t] for u in range(size) if stack[s, u, t]}
-            assert got == want.masks
-    assert left_regular(n_gen) is stack and not stack.flags.writeable
+    for t in range(size):
+        for u in range(size):
+            if u & t != u:
+                assert table[t, u] == 0
+                continue
+            want = GradedCoefficient.from_masks({t ^ u: 1}, n_gen) * GradedCoefficient.from_masks({u: 1}, n_gen)
+            assert want.masks == {t: table[t, u]}
+    assert signs(n_gen) is table and not table.flags.writeable
 
 
 @pytest.mark.parametrize("n_gen", [0, 1, 2, 3, 4])
@@ -238,10 +241,10 @@ def test_left_regular_stack_multiplies_basis_monomials(n_gen):
 def test_regular_representation_is_a_homomorphism(n_gen, n):
     rng = np.random.default_rng(31 * n_gen + n)
     a, b = integer_supermatrix(rng, n, n_gen), integer_supermatrix(rng, n, n_gen)
-    ra, rb = regular(component_stack(a)), regular(component_stack(b))
+    ra, rb = regular(a.components), regular(b.components)
     assert ra.shape == ((1 << n_gen) * n,) * 2
-    assert np.array_equal(regular(component_stack(a @ b)), ra @ rb)
-    assert np.array_equal(regular(component_stack(a)[None])[0], ra)
+    assert np.array_equal(regular(symbolic_product(a, b)), ra @ rb)
+    assert np.array_equal(regular(a.components[None])[0], ra)
 
 
 @pytest.mark.parametrize("n_gen", [0, 1, 2, 3, 4])
@@ -249,10 +252,9 @@ def test_unit_column_round_trip_and_trace(n_gen):
     rng = np.random.default_rng(n_gen)
     n = 3
     m = random_supermatrix(rng, n, n_gen, masks=range(0, 1 << n_gen, 2) if n_gen else [0])
-    mat = regular(component_stack(m))
+    mat = regular(m.components)
     back = SuperMatrix.from_regular(mat, n, n_gen)
-    assert back.components.keys() == m.components.keys()
-    assert all(np.array_equal(back.components[k], m.components[k]) for k in m.components)
+    assert np.array_equal(back.components, m.components)
     # the Grassmann trace sums the diagonals of the unit column's blocks
     column = mat[:, :n].reshape(1 << n_gen, n, n)
     from_column = GradedCoefficient.from_masks(

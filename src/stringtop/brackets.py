@@ -73,6 +73,9 @@ def loop_form_pairing_sign(d: int = 2) -> int:
 
 # -- observable bracket -------------------------------------------------------
 
+# relative agreement the two contraction routes must reach at every crossing
+PATH_TOL = 1e-10
+
 
 def _kappa_path(basis: LieBasis, x, y, xb, yb) -> complex:
     """Explicit basis sum tr[x T_a y] kappa^{ab} tr[xb T_b yb].
@@ -95,17 +98,12 @@ def _kappa_path(basis: LieBasis, x, y, xb, yb) -> complex:
     return total
 
 
-def wilson_field_bracket(
-    loop: PLLoop,
-    loopbar: PLLoop,
-    conn,
-    path_tol: float = 1e-10,
-) -> complex:
+def wilson_field_bracket(loop: PLLoop, loopbar: PLLoop, conn) -> complex:
     """Bracket of two holonomy traces, localized on transversal crossings.
 
     Each crossing splits both holonomies at the crossing parameter and
     pairs the halves; the basis-summed and fused-trace contractions are
-    both computed and must agree to path_tol (relative). Plain transports
+    both computed and must agree to PATH_TOL (relative). Plain transports
     are exact per piece, so no discretization plan is involved.
     """
     if conn.flatness_residual() > 1e-12:
@@ -121,7 +119,7 @@ def wilson_field_bracket(
         fused = complex(np.trace(x @ yb @ xb @ y))
         contracted = _kappa_path(basis, x, y, xb, yb)
         scale = max(1.0, abs(fused), abs(contracted))
-        if abs(fused - contracted) > path_tol * scale:
+        if abs(fused - contracted) > PATH_TOL * scale:
             raise RuntimeError(
                 f"contraction paths disagree at s={p.s}: {contracted} vs {fused}"
             )

@@ -175,27 +175,43 @@ def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
 # formal cycles
 
 
+def _combine(terms) -> tuple[tuple[int, PLLoop], ...]:
+    """Sum the coefficients of normal-form loops per key; drop zeros; sort by key."""
+    combined: dict[tuple, tuple[int, PLLoop]] = {}
+    for coeff, loop in terms:
+        key = (loop.vertices, loop.closure)
+        total = combined[key][0] if key in combined else 0
+        combined[key] = (total + int(coeff), loop)
+    return tuple((c, l) for _, (c, l) in sorted(combined.items()) if c != 0)
+
+
 class StringCycle:
-    """Formal integer combination of loops, each stored rotation-normalized."""
+    """Formal integer combination of loops, each stored rotation-normalized.
+
+    A stored loop is its own normal form, so its (vertices, closure) is its
+    key: only the constructor normalizes, and sums, scalings, equality and
+    hashing work on the stored keys.
+    """
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space, terms: Iterable[tuple[int, PLLoop]] = ()) -> None:
-        self.space = space
-        combined: dict[tuple, tuple[int, PLLoop]] = {}
+        canonical = []
         for coeff, loop in terms:
             if loop.space != space:
                 raise ValueError("cycle terms live on different spaces")
             verts, closure = loop.normal_form()
-            canonical = PLLoop(space, verts, closure)
-            key = (verts, closure)
-            if key in combined:
-                combined[key] = (combined[key][0] + int(coeff), canonical)
-            else:
-                combined[key] = (int(coeff), canonical)
-        self.terms = tuple(
-            (c, l) for _, (c, l) in sorted(combined.items()) if c != 0
-        )
+            canonical.append((coeff, PLLoop(space, verts, closure)))
+        self.space = space
+        self.terms = _combine(canonical)
+
+    @classmethod
+    def _of(cls, space, terms) -> "StringCycle":
+        """Cycle of terms whose loops are already normal forms."""
+        cycle = cls.__new__(cls)
+        cycle.space = space
+        cycle.terms = _combine(terms)
+        return cycle
 
     @classmethod
     def from_loop(cls, loop: PLLoop, coeff: int = 1) -> "StringCycle":
@@ -212,10 +228,10 @@ class StringCycle:
     def __add__(self, other: "StringCycle") -> "StringCycle":
         if self.space != other.space:
             raise ValueError("cycles live on different spaces")
-        return StringCycle(self.space, self.terms + other.terms)
+        return StringCycle._of(self.space, self.terms + other.terms)
 
     def scale(self, k: int) -> "StringCycle":
-        return StringCycle(self.space, [(k * c, l) for c, l in self.terms])
+        return StringCycle._of(self.space, [(k * c, l) for c, l in self.terms])
 
     def __neg__(self) -> "StringCycle":
         return self.scale(-1)
@@ -223,15 +239,16 @@ class StringCycle:
     def __sub__(self, other: "StringCycle") -> "StringCycle":
         return self + (-other)
 
+    def _keys(self) -> tuple:
+        return tuple((c, l.vertices, l.closure) for c, l in self.terms)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, StringCycle):
             return NotImplemented
-        return self.space == other.space and [
-            (c, l.normal_form()) for c, l in self.terms
-        ] == [(c, l.normal_form()) for c, l in other.terms]
+        return self.space == other.space and self._keys() == other._keys()
 
     def __hash__(self):
-        return hash((self.space, tuple((c, l.normal_form()) for c, l in self.terms)))
+        return hash((self.space, self._keys()))
 
     def class_reduction(self) -> dict[tuple[int, ...], int]:
         """Coefficients per free homotopy class; torus only."""

@@ -8,7 +8,8 @@ import json
 import pytest
 
 from stringtop import harness
-from stringtop.harness import CHECK_NAMES, SuiteConfig, _run_one, run_suite, strip_runtime
+from stringtop.harness import CHECK_NAMES, SuiteConfig, _retrying, _run_one, run_suite, strip_runtime
+from stringtop.strings import TransversalityError
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
@@ -32,20 +33,21 @@ def test_checks_run_in_sequence_without_a_workers_field():
 
 
 def test_run_suite_validates_and_reruns_byte_identically():
-    cfg = SuiteConfig(counts={"gln": 1})
-    first, again = (run_suite(cfg, ["gln"]) for _ in range(2))
+    cfg = SuiteConfig(counts={name: 2 for name in CHECK_NAMES})
+    first, again = (run_suite(cfg) for _ in range(2))
     first.validate()
-    assert first.passed and [r.check for r in first.records] == ["gln"]
+    assert first.passed and [r.check for r in first.records] == list(CHECK_NAMES)
+    assert all(r.instances == 2 for r in first.records)
     assert json.dumps(strip_runtime(first.to_json_obj()), sort_keys=True) == json.dumps(
         strip_runtime(again.to_json_obj()), sort_keys=True
     )
 
 
 def test_an_unexpected_error_becomes_a_fail_record(monkeypatch):
-    def broken(cfg, rng):
+    def broken(rng, k):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setitem(harness._CHECKS, "gln", broken)
+    monkeypatch.setitem(harness.CHECKS, "gln", dataclasses.replace(harness.CHECKS["gln"], instance=broken))
     report = run_suite(SuiteConfig(counts={"gln": 1, "holonomy": 1}), ["gln", "holonomy"])
     failed, fine = report.records
     assert (failed.passed, failed.error, failed.instances, failed.max_residual) == (
@@ -63,3 +65,51 @@ def test_config_holds_only_seed_and_counts_and_records_keep_their_tolerance():
     echo = SuiteConfig(seed=3, counts={"gln": 2}).echo()
     assert set(echo) == {"seed", "counts"} and echo["counts"]["gln"] == 2
     assert _run_one(SuiteConfig(counts={"gln": 1}), "gln").tolerance == 1e-10
+    # a check's position is its spawn key: reordering the table changes every draw
+    assert [(name, c.count, c.tolerance) for name, c in harness.CHECKS.items()] == [
+        ("gln", 150, 1e-10),
+        ("holonomy", 12, 1e-8),
+        ("gauge", 10, 1e-9),
+        ("fundamental", 4, 1e-4),
+        ("goldman", 40, 1e-12),
+        ("main-theorem", 20, 1e-9),
+        ("jacobi", 10, 1e-12),
+        ("bracket-axioms", 30, 1e-12),
+        ("chord-4t", 9, 1e-10),
+        ("chord-ideal", 9, 1e-10),
+    ]
+    assert CHECK_NAMES == tuple(harness.CHECKS)
+    assert SuiteConfig().echo()["counts"] == {name: c.count for name, c in harness.CHECKS.items()}
+
+
+def test_a_degenerate_draw_is_redrawn_and_counted(monkeypatch):
+    gln = harness.CHECKS["gln"]
+    raised = []
+
+    def once_degenerate(rng, k):
+        if not raised:
+            raised.append(k)
+            raise TransversalityError("segments (0, 1) cross at a vertex or marked point")
+        return gln.instance(rng, k)
+
+    monkeypatch.setitem(harness.CHECKS, "gln", dataclasses.replace(gln, instance=once_degenerate))
+    record = _run_one(SuiteConfig(counts={"gln": 3}), "gln")
+    assert (record.passed, record.error, record.instances, record.retries) == (True, None, 3, 1)
+
+
+def test_only_transversality_errors_are_redrawn():
+    draws = []
+
+    def collinear():
+        draws.append(1)
+        raise ValueError("collinear overlap")
+
+    with pytest.raises(ValueError, match="collinear overlap"):
+        _retrying(collinear)
+    assert len(draws) == 1
+
+    def always_degenerate():
+        raise TransversalityError("collinear overlap between segments (0, 0)")
+
+    with pytest.raises(harness.RetryCapError):
+        _retrying(always_degenerate)

@@ -168,6 +168,22 @@ def test_cycles_combine_rotated_duplicates():
     assert (cycle + cycle.scale(-1)).is_zero
 
 
+def test_only_the_constructor_normalizes(monkeypatch):
+    rng = np.random.default_rng(12)
+    a = StringCycle(TORUS, [(2, wiggly_rep(rng, (1, 2))), (-1, wiggly_rep(rng, (0, 1)))])
+    b = StringCycle.from_loop(wiggly_rep(rng, (1, 2)).rotate_marked(1), 3)
+    calls = []
+    normal_form = PLLoop.normal_form
+    monkeypatch.setattr(PLLoop, "normal_form", lambda self: calls.append(1) or normal_form(self))
+    total, neg = a + b, a.scale(-1)
+    assert (a == b, a == a, total == b + a) == (False, True, True)
+    assert hash(neg) == hash(-a) and hash(total) == hash(b + a)
+    assert calls == []
+    # a stored loop is its own normal form, so its key is what normal_form gives
+    for _, loop in a.terms + b.terms:
+        assert normal_form(loop) == (loop.vertices, loop.closure)
+
+
 def test_class_reduction_is_torus_only():
     loop = PLLoop(CHART, [(0, 0), (1, 0), (1, 1)])
     with pytest.raises(ValueError, match="torus"):

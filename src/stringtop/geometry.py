@@ -11,6 +11,12 @@ Parametrization is uniform in t: with K segments, t in [i/K, (i+1)/K]
 traverses segment i affinely. All point and velocity evaluations at
 rational t are exact.
 
+The exact layer of the string bracket works on integers: ``integer_lift``
+gives the K + 1 lift vertices as integer tuples over one common
+denominator, cached on the (immutable) loop. ``normal_form`` runs a least
+rotation (Booth 1980) over those integers and builds ``Fraction`` vertices
+only for the winning rotation; it is cached as well.
+
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
 epsilon stays inside the exact PL category and never changes the closure
@@ -22,6 +28,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -90,6 +97,31 @@ def _scale(p: Sequence[Fraction], s: Fraction) -> Point:
     return tuple(s * a for a in p)
 
 
+def least_rotation(seq: Sequence) -> int:
+    """Start index of a lexicographically least rotation of ``seq`` (Booth 1980).
+
+    Linear time over any totally ordered items. When several rotations tie
+    (a periodic sequence) any of them may be returned; they are equal.
+    """
+    doubled = list(seq) * 2
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        item = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and item != doubled[k + i + 1]:
+            if item < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if item != doubled[k + i + 1]:  # here i == -1
+            if item < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 class PLLoop:
     """Closed piecewise-linear loop, one lift, exact rational vertices.
 
@@ -98,7 +130,7 @@ class PLLoop:
     segments, and in particular no constant loops).
     """
 
-    __slots__ = ("space", "vertices", "closure")
+    __slots__ = ("space", "vertices", "closure", "_lift", "_normal")
 
     def __init__(
         self,
@@ -124,6 +156,8 @@ class PLLoop:
                 raise ValueError(
                     "consecutive vertices coincide (constant segments are not allowed)"
                 )
+        self._lift = None
+        self._normal = None
 
     @property
     def num_segments(self) -> int:
@@ -212,24 +246,73 @@ class PLLoop:
         """Closure vector; on the torus this is the free homotopy class."""
         return self.closure
 
+    def integer_lift(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, pts): the lift over its common denominator, as integers.
+
+        den is the lcm of the vertex denominators; pts holds the K + 1
+        lift vertices times den, the last one being vertices[0] + closure.
+        Cached: a loop is never changed after construction.
+        """
+        if self._lift is None:
+            den = math.lcm(*(c.denominator for p in self.vertices for c in p))
+            pts = [tuple(c.numerator * (den // c.denominator) for c in p) for p in self.vertices]
+            pts.append(tuple(a + den * m for a, m in zip(pts[0], self.closure)))
+            self._lift = (den, tuple(pts))
+        return self._lift
+
     def normal_form(self) -> tuple:
         """Canonical form under marked-point rotation (and deck translation).
 
         Two loops describe the same unmarked geometric loop exactly when
-        their normal forms agree. On the torus, each rotation's lift is
-        first translated so its initial vertex lies in [0,1)^d: rotations
-        past the wrap differ by the closure translation, which must not
-        affect the result.
+        their normal forms agree. The candidates are the K rotations
+        (vertex(r), ..., vertex(r + K - 1)); on the torus each is first
+        translated by the floor of its initial vertex, into [0,1)^d, so
+        rotations past the wrap, which differ by the closure translation,
+        do not affect the result. The normal form is (least candidate,
+        closure), and it is cached.
+
+        The least candidate is found without building the candidates. Let
+        P_0..P_K be the integer lift (``integer_lift``) over its denominator
+        den > 0, and give vertex i the token (P_i mod den on the torus, P_i
+        on a chart; P_{i+1} - P_i). The token sequences starting at r and
+        at q compare in the same order as candidates r and q:
+
+        - the point entries of the first tokens are the candidates' first
+          vertices times den;
+        - once the first m vertices agree, vertex m + 1 is vertex m plus
+          the edge of token m, so the edges decide; the point entries of
+          token m agree, since P_{r+m} and P_{q+m} differ from the equal
+          vertices m by lattice vectors times den;
+        - when all K vertices agree, the last edges, which both close up
+          at vertex 0 + closure, agree too: equal token sequences are
+          equal candidates.
+
+        Scaling by den > 0 keeps every order, so the least rotation of the
+        cyclic token sequence (``least_rotation``) is a least candidate,
+        and rotations that tie give equal candidates. Only the winner is
+        turned into ``Fraction`` vertices.
         """
-        n = self.num_segments
-        candidates = []
-        for r in range(n):
-            verts = [self.vertex(r + i) for i in range(n)]
-            if isinstance(self.space, Torus):
-                shift = tuple(Fraction(c.numerator // c.denominator) for c in verts[0])
-                verts = [_sub(p, shift) for p in verts]
-            candidates.append(tuple(verts))
-        return (min(candidates), self.closure)
+        if self._normal is None:
+            den, pts = self.integer_lift()
+            torus = isinstance(self.space, Torus)
+            tokens = [
+                (tuple(c % den for c in p) if torus else p, tuple(b - a for a, b in zip(p, q)))
+                for p, q in zip(pts, pts[1:])
+            ]
+            r = least_rotation(tokens)
+            wrap = tuple(den * m for m in self.closure)
+            rows = pts[r:-1] + tuple(tuple(a + w for a, w in zip(p, wrap)) for p in pts[:r])
+            shift = tuple(c - c % den for c in rows[0]) if torus else (0,) * self.space.d
+            verts = tuple(tuple(Fraction(a - s, den) for a, s in zip(p, shift)) for p in rows)
+            self._normal = (verts, self.closure)
+        return self._normal
+
+    def canonical(self) -> "PLLoop":
+        """The loop whose vertices are the normal form; it is its own normal form."""
+        verts, closure = self.normal_form()
+        canon = PLLoop(self.space, verts, closure)
+        canon._normal = (canon.vertices, closure)
+        return canon
 
     def same_loop(self, other: "PLLoop") -> bool:
         return self.space == other.space and self.normal_form() == other.normal_form()

@@ -4,7 +4,9 @@ Every check is one entry of the ``CHECKS`` table, in suite order: its
 statement, default instance count, tolerance, and an instance function
 ``(rng, k) -> residual`` for instance k. ``_run_one`` is the one loop over
 instances: it redraws an instance whose PL positions land degenerately
-(``TransversalityError``), sums the redraws, and keeps the worst residual.
+(``TransversalityError``), sums the redraws, and keeps the worst residual;
+a residual that is not finite (NaN compares false with everything) fails
+the check with an error naming the instance.
 Every check draws from its own generator, spawned from the suite seed and
 the check's position in the table, so a selection of checks cannot change
 any numerical result. Checks run one after another, so each runtime is
@@ -15,6 +17,7 @@ schema and rerun byte-identically apart from the runtime fields.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -524,6 +527,9 @@ def _run_one(cfg: SuiteConfig, name: str) -> CheckRecord:
         for k in range(count):
             r, res = _retrying(lambda: check.instance(rng, k))
             retries += r
+            if not math.isfinite(res):
+                error = f"instance {k}: residual is {res}"
+                break
             worst = max(worst, res)
     except RetryCapError as err:
         error = str(err)

@@ -1,9 +1,12 @@
 """Transversal loop intersections, concatenation, and the surface bracket.
 
-Everything here is exact: intersections of PL segments are solved with
-rational 2x2 linear algebra, torus crossings are enumerated over the
-finitely many deck translations that can bring two lift bounding boxes
-together, and formal cycles carry integer coefficients on
+Everything here is exact. Crossings are found on integers: both lifts
+are scaled to one common denominator (``PLLoop.integer_lift``), crossings
+are tested with integer cross products, and ``Fraction`` values are built
+only for the crossings found. On the torus each segment pair is tried
+against the deck translations that bring the two closed segment boxes
+together, one integer range per axis; on a chart a pair is tried only if
+its boxes overlap. Formal cycles carry integer coefficients on
 rotation-normalized loops. Non-transversal contact (overlapping segments,
 crossings at vertices or marked points) raises ``TransversalityError``
 instead of being perturbed away silently.
@@ -52,52 +55,14 @@ def _cross(u, v) -> Fraction:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _segment_crossing(p0, dp, q0, dq, label):
-    """Interior crossing parameters (t, r) of two segments, or None.
-
-    Segments are p0 + t dp and q0 + r dq with t, r in [0, 1]. Collinear
-    overlap and boundary contact (a crossing at t or r in {0, 1}) raise
-    TransversalityError; disjoint or parallel-apart segments return None.
-    """
-    den = _cross(dp, dq)
-    diff = (q0[0] - p0[0], q0[1] - p0[1])
-    if den == 0:
-        if _cross(diff, dp) != 0:
-            return None
-        # collinear: compare parameter ranges along the first segment
-        axis = 0 if dp[0] != 0 else 1
-        t0 = diff[axis] / dp[axis]
-        t1 = (diff[axis] + dq[axis]) / dp[axis]
-        if min(t0, t1) <= 1 and max(t0, t1) >= 0:
-            raise TransversalityError(f"collinear overlap between segments {label}")
-        return None
-    t = _cross(diff, dq) / den
-    r = _cross(diff, dp) / den
-    if t < 0 or t > 1 or r < 0 or r > 1:
-        return None
-    if t in (0, 1) or r in (0, 1):
-        raise TransversalityError(
-            f"segments {label} cross at a vertex or marked point"
-        )
-    return t, r
-
-
-def _lift_box(loop: PLLoop):
-    pts = [loop.vertex(i) for i in range(loop.num_segments + 1)]
-    lo = tuple(min(p[k] for p in pts) for k in range(2))
-    hi = tuple(max(p[k] for p in pts) for k in range(2))
-    return lo, hi
-
-
-def _deck_offsets(loop: PLLoop, other: PLLoop):
-    if not isinstance(loop.space, Torus):
-        return [(0, 0)]
-    (alo, ahi), (blo, bhi) = _lift_box(loop), _lift_box(other)
-    ranges = [
-        range(math.ceil(alo[k] - bhi[k]), math.floor(ahi[k] - blo[k]) + 1)
-        for k in range(2)
-    ]
-    return [(l1, l2) for l1 in ranges[0] for l2 in ranges[1]]
+def _segments(loop: PLLoop, scale: int) -> list[tuple[int, ...]]:
+    """Per segment of the integer lift times ``scale``: start, edge, closed box."""
+    out = []
+    _, pts = loop.integer_lift()
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        x0, y0, x1, y1 = x0 * scale, y0 * scale, x1 * scale, y1 * scale
+        out.append((x0, y0, x1 - x0, y1 - y0, min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)))
+    return out
 
 
 def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
@@ -108,36 +73,70 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
     second; the translation is recorded in ``offset``. Self-intersections
     of a single loop are not this function's business: passing the same
     geometric loop twice is a total overlap and raises.
+
+    Both lifts are scaled to the unit u = lcm of their denominators. Segment
+    i of the first lift, with closed box [alo, ahi] per axis, can meet the
+    translate of segment j, box [blo, bhi], by lam only if every axis has
+    ceil((alo - bhi)/u) <= lam <= floor((ahi - blo)/u). Every contact,
+    degenerate or not, is a common point, so it lies in that range; the
+    pairs are visited in the order (i, j, lam), so the first degenerate
+    contact, and with it the ``TransversalityError`` text, is that of the
+    enumeration over all deck translations of the whole lifts.
     """
     if loop.space != other.space:
         raise ValueError("loops live on different spaces")
     if loop.space.d != 2:
         raise ValueError("intersections are implemented for d = 2 only")
     k1, k2 = loop.num_segments, other.num_segments
-    offsets = _deck_offsets(loop, other)
+    den1, den2 = loop.integer_lift()[0], other.integer_lift()[0]
+    unit = math.lcm(den1, den2)
+    torus = isinstance(loop.space, Torus)
+    others = _segments(other, unit // den2)
     found = []
-    for i in range(k1):
-        p0, p1 = loop.segment(i)
-        dp = tuple(b - a for a, b in zip(p0, p1))
-        for j in range(k2):
-            q0, q1 = other.segment(j)
-            dq = tuple(b - a for a, b in zip(q0, q1))
-            for lam in offsets:
-                q0l = tuple(c + o for c, o in zip(q0, lam))
-                hit = _segment_crossing(p0, dp, q0l, dq, f"({i}, {j})")
-                if hit is None:
-                    continue
-                t, r = hit
-                point = tuple(a + t * d for a, d in zip(p0, dp))
-                found.append(
-                    IntersectionPoint(
-                        s=(i + t) / k1,
-                        s_bar=(j + r) / k2,
-                        point=point,
-                        sign=1 if _cross(dp, dq) > 0 else -1,
-                        offset=lam,
+    for i, (px, py, dpx, dpy, axlo, axhi, aylo, ayhi) in enumerate(_segments(loop, unit // den1)):
+        for j, (qx, qy, dqx, dqy, bxlo, bxhi, bylo, byhi) in enumerate(others):
+            if torus:
+                l1s = range(-((bxhi - axlo) // unit), (axhi - bxlo) // unit + 1)
+                l2s = range(-((byhi - aylo) // unit), (ayhi - bylo) // unit + 1)
+            elif axlo <= bxhi and bxlo <= axhi and aylo <= byhi and bylo <= ayhi:
+                l1s = l2s = (0,)
+            else:
+                continue
+            cross = dpx * dqy - dpy * dqx
+            den = abs(cross)
+            for l1 in l1s:
+                for l2 in l2s:
+                    # the translate q + lam u against p + t dp, with t = tn/den, r = rn/den
+                    ex, ey = qx + l1 * unit - px, qy + l2 * unit - py
+                    if cross == 0:
+                        if ex * dpy - ey * dpx != 0:
+                            continue  # parallel and apart
+                        # collinear: do [a, b] and [0, e] overlap on an axis the first segment spans?
+                        a, b, e = (ex, ex + dqx, dpx) if dpx != 0 else (ey, ey + dqy, dpy)
+                        if min(a, b) <= max(0, e) and max(a, b) >= min(0, e):
+                            raise TransversalityError(f"collinear overlap between segments ({i}, {j})")
+                        continue
+                    tn, rn = ex * dqy - ey * dqx, ex * dpy - ey * dpx
+                    if cross < 0:
+                        tn, rn = -tn, -rn
+                    if tn < 0 or tn > den or rn < 0 or rn > den:
+                        continue
+                    if tn in (0, den) or rn in (0, den):
+                        raise TransversalityError(
+                            f"segments ({i}, {j}) cross at a vertex or marked point"
+                        )
+                    found.append(
+                        IntersectionPoint(
+                            s=Fraction(i * den + tn, den * k1),
+                            s_bar=Fraction(j * den + rn, den * k2),
+                            point=(
+                                Fraction(px * den + tn * dpx, unit * den),
+                                Fraction(py * den + tn * dpy, unit * den),
+                            ),
+                            sign=1 if cross > 0 else -1,
+                            offset=(l1, l2),
+                        )
                     )
-                )
     found.sort(key=lambda p: (p.s, p.s_bar))
     return found
 
@@ -176,20 +175,32 @@ def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
 
 
 def _combine(terms) -> tuple[tuple[int, PLLoop], ...]:
-    """Sum the coefficients of normal-form loops per key; drop zeros; sort by key."""
+    """Sum the coefficients of normal-form loops per loop; drop zeros; sort.
+
+    A loop is keyed by its integer lift, which fixes its vertices and
+    closure. The terms are sorted by (vertices, closure): scaled to one
+    common denominator, the lift rows compare in that order (the last row
+    is the first plus the closure times that denominator).
+    """
     combined: dict[tuple, tuple[int, PLLoop]] = {}
     for coeff, loop in terms:
-        key = (loop.vertices, loop.closure)
+        key = loop.integer_lift()
         total = combined[key][0] if key in combined else 0
         combined[key] = (total + int(coeff), loop)
-    return tuple((c, l) for _, (c, l) in sorted(combined.items()) if c != 0)
+    unit = math.lcm(*(den for den, _ in combined))
+
+    def order(key):
+        scale = unit // key[0]
+        return tuple(tuple(c * scale for c in row) for row in key[1])
+
+    return tuple(combined[key] for key in sorted(combined, key=order) if combined[key][0] != 0)
 
 
 class StringCycle:
     """Formal integer combination of loops, each stored rotation-normalized.
 
-    A stored loop is its own normal form, so its (vertices, closure) is its
-    key: only the constructor normalizes, and sums, scalings, equality and
+    A stored loop is its own normal form, so its integer lift is its key:
+    only the constructor normalizes, and sums, scalings, equality and
     hashing work on the stored keys.
     """
 
@@ -200,8 +211,7 @@ class StringCycle:
         for coeff, loop in terms:
             if loop.space != space:
                 raise ValueError("cycle terms live on different spaces")
-            verts, closure = loop.normal_form()
-            canonical.append((coeff, PLLoop(space, verts, closure)))
+            canonical.append((coeff, loop.canonical()))
         self.space = space
         self.terms = _combine(canonical)
 
@@ -240,7 +250,7 @@ class StringCycle:
         return self + (-other)
 
     def _keys(self) -> tuple:
-        return tuple((c, l.vertices, l.closure) for c, l in self.terms)
+        return tuple((c, l.integer_lift()) for c, l in self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StringCycle):

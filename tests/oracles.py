@@ -7,6 +7,7 @@ check that identity rather than one route against itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -14,10 +15,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from stringtop.fields import FieldConfig, FlatConnection
-from stringtop.geometry import PLLoop, VariationField
+from stringtop.geometry import PLLoop, Torus, VariationField
 from stringtop.grassmann import GradedCoefficient
 from stringtop.holonomy import _pieces, _piece_floats
 from stringtop.lierep import LieBasis, SuperMatrix
+from stringtop.strings import IntersectionPoint, TransversalityError
 
 
 def kappa_form(x: np.ndarray, y: np.ndarray) -> complex:
@@ -251,3 +253,106 @@ def insertion_derivative_stepwise(
         out = out + sandwich.trace().scale(widths[j])
         prefix = prefix @ factors[j]
     return out
+
+
+# -- the exact geometry layer on Fractions ------------------------------------
+#
+# Oracles for ``PLLoop.normal_form`` and ``strings.intersections``, which
+# compute the same values on integers over a common denominator.
+
+
+def normal_form_rotations(loop: PLLoop) -> tuple:
+    """Oracle: (least of all K translated rotations, closure), built in full.
+
+    Every rotation's K vertices are formed as Fractions; on the torus each
+    rotation is translated by the floor of its first vertex.
+    """
+    n = loop.num_segments
+    candidates = []
+    for r in range(n):
+        verts = [loop.vertex(r + i) for i in range(n)]
+        if isinstance(loop.space, Torus):
+            shift = tuple(Fraction(c.numerator // c.denominator) for c in verts[0])
+            verts = [tuple(a - b for a, b in zip(p, shift)) for p in verts]
+        candidates.append(tuple(verts))
+    return (min(candidates), loop.closure)
+
+
+def _cross(u, v) -> Fraction:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _segment_crossing(p0, dp, q0, dq, label):
+    """Interior crossing parameters (t, r) of two segments, or None."""
+    den = _cross(dp, dq)
+    diff = (q0[0] - p0[0], q0[1] - p0[1])
+    if den == 0:
+        if _cross(diff, dp) != 0:
+            return None
+        # collinear: compare parameter ranges along the first segment
+        axis = 0 if dp[0] != 0 else 1
+        t0 = diff[axis] / dp[axis]
+        t1 = (diff[axis] + dq[axis]) / dp[axis]
+        if min(t0, t1) <= 1 and max(t0, t1) >= 0:
+            raise TransversalityError(f"collinear overlap between segments {label}")
+        return None
+    t = _cross(diff, dq) / den
+    r = _cross(diff, dp) / den
+    if t < 0 or t > 1 or r < 0 or r > 1:
+        return None
+    if t in (0, 1) or r in (0, 1):
+        raise TransversalityError(f"segments {label} cross at a vertex or marked point")
+    return t, r
+
+
+def _lift_box(loop: PLLoop):
+    pts = [loop.vertex(i) for i in range(loop.num_segments + 1)]
+    lo = tuple(min(p[k] for p in pts) for k in range(2))
+    hi = tuple(max(p[k] for p in pts) for k in range(2))
+    return lo, hi
+
+
+def _deck_offsets(loop: PLLoop, other: PLLoop):
+    if not isinstance(loop.space, Torus):
+        return [(0, 0)]
+    (alo, ahi), (blo, bhi) = _lift_box(loop), _lift_box(other)
+    ranges = [range(math.ceil(alo[k] - bhi[k]), math.floor(ahi[k] - blo[k]) + 1) for k in range(2)]
+    return [(l1, l2) for l1 in ranges[0] for l2 in ranges[1]]
+
+
+def intersections_fraction(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
+    """Oracle: every segment pair against every deck offset of the whole-lift boxes.
+
+    The same crossings, in the same order and with the same errors, as
+    ``strings.intersections``, solved with Fraction 2x2 linear algebra.
+    """
+    if loop.space != other.space:
+        raise ValueError("loops live on different spaces")
+    if loop.space.d != 2:
+        raise ValueError("intersections are implemented for d = 2 only")
+    k1, k2 = loop.num_segments, other.num_segments
+    offsets = _deck_offsets(loop, other)
+    found = []
+    for i in range(k1):
+        p0, p1 = loop.segment(i)
+        dp = tuple(b - a for a, b in zip(p0, p1))
+        for j in range(k2):
+            q0, q1 = other.segment(j)
+            dq = tuple(b - a for a, b in zip(q0, q1))
+            for lam in offsets:
+                q0l = tuple(c + o for c, o in zip(q0, lam))
+                hit = _segment_crossing(p0, dp, q0l, dq, f"({i}, {j})")
+                if hit is None:
+                    continue
+                t, r = hit
+                found.append(
+                    IntersectionPoint(
+                        s=(i + t) / k1,
+                        s_bar=(j + r) / k2,
+                        point=tuple(a + t * d for a, d in zip(p0, dp)),
+                        sign=1 if _cross(dp, dq) > 0 else -1,
+                        offset=lam,
+                    )
+                )
+    found.sort(key=lambda p: (p.s, p.s_bar))
+    return found

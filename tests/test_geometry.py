@@ -4,13 +4,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import normal_form_rotations
 from stringtop.geometry import (
     Chart,
     PLLoop,
     Torus,
     VariationField,
+    least_rotation,
 )
 
 F = Fraction
@@ -136,3 +139,95 @@ def test_constant_variation_translates():
     var = VariationField.constant(loop, (F(1, 2), F(1, 3)))
     moved = var.deform(F(1))
     assert moved.vertices[2] == (F(3, 2), F(4, 3))
+
+
+# -- the integer lift and the least-rotation normal form ----------------------------
+
+
+def random_loop(rng, space, dens, cls=(0, 0), k_max=6, span=6):
+    """A loop with 1..k_max vertices in [-span, span]^2 over the given denominators."""
+    while True:
+        k = int(rng.integers(1, k_max + 1))
+        verts = [
+            tuple(F(int(rng.integers(-span * den, span * den + 1)), den) for den in map(int, rng.choice(dens, 2)))
+            for _ in range(k)
+        ]
+        try:
+            return PLLoop(space, verts, closure=cls)
+        except ValueError:
+            continue
+
+
+def cover(loop, m):
+    """The loop run m times: vertex pattern repeated, shifted by the closure each time."""
+    verts = [
+        tuple(c + j * w for c, w in zip(p, loop.closure)) for j in range(m) for p in loop.vertices
+    ]
+    return PLLoop(loop.space, verts, tuple(m * w for w in loop.closure))
+
+
+def test_least_rotation_matches_brute_force():
+    rng = np.random.default_rng(40)
+    for _ in range(500):
+        seq = [int(x) for x in rng.integers(0, 3, int(rng.integers(1, 13)))]
+        if rng.random() < 0.3:
+            seq = seq[: max(1, len(seq) // 3)] * 3
+        r = least_rotation(seq)
+        assert seq[r:] + seq[:r] == min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def test_integer_lift_is_the_lift_over_the_common_denominator():
+    loop = PLLoop(Torus(2), [(F(-1, 3), 0), (F(1, 2), F(5, 4))], closure=(2, -1))
+    den, pts = loop.integer_lift()
+    assert den == 12
+    assert pts == ((-4, 0), (6, 15), (20, -12))
+    assert [tuple(F(c, den) for c in p) for p in pts] == [loop.vertex(i) for i in range(3)]
+    assert loop.integer_lift() is loop.integer_lift()
+
+
+def test_normal_form_matches_rotation_oracle_on_random_torus_loops():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        cls = tuple(int(x) for x in rng.integers(-3, 4, 2))
+        loop = random_loop(rng, Torus(2), [160], cls)
+        assert loop.normal_form() == normal_form_rotations(loop)
+
+
+def test_normal_form_matches_rotation_oracle_on_mixed_denominators():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        cls = tuple(int(x) for x in rng.integers(-3, 4, 2))
+        loop = random_loop(rng, Torus(2), [1, 3, 128], cls, span=2)
+        assert loop.normal_form() == normal_form_rotations(loop)
+    # 1/3 next to 1/128, negative coordinates, a vertex exactly on the lattice
+    loop = PLLoop(Torus(2), [(F(-1, 3), F(-5, 128)), (F(-1, 128), F(1, 3)), (-1, 2)], closure=(-1, 1))
+    assert loop.normal_form() == normal_form_rotations(loop)
+
+
+def test_normal_form_matches_rotation_oracle_on_charts():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        loop = random_loop(rng, Chart(2), [1, 4, 7])
+        assert loop.normal_form() == normal_form_rotations(loop)
+
+
+def test_normal_form_of_periodic_loops_breaks_ties_like_the_oracle():
+    rng = np.random.default_rng(44)
+    for space, cls in [(Torus(2), (1, 0)), (Torus(2), (-1, 2)), (Torus(2), (0, 0)), (Chart(2), (0, 0))]:
+        for _ in range(30):
+            base = random_loop(rng, space, [4], cls, k_max=4, span=1)
+            for m in (2, 3):
+                loop = cover(base, m)
+                # rotations by a multiple of the base length tie
+                nf = loop.normal_form()
+                assert nf == normal_form_rotations(loop)
+                assert loop.rotate_marked(base.num_segments).normal_form() == nf
+
+
+def test_normal_form_is_cached_and_canonical_loops_are_their_own_normal_form():
+    loop = PLLoop(Torus(2), [(F(5, 4), F(-1, 2)), (F(3, 2), 0), (F(1, 4), F(1, 3))], closure=(0, 1))
+    nf = loop.normal_form()
+    assert loop.normal_form() is nf
+    canon = loop.canonical()
+    assert (canon.vertices, canon.closure) == nf
+    assert normal_form_rotations(canon) == canon.normal_form() == nf

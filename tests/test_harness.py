@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -113,3 +114,22 @@ def test_only_transversality_errors_are_redrawn():
 
     with pytest.raises(harness.RetryCapError):
         _retrying(always_degenerate)
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [(float("nan"), float("nan")), (3e-11, float("nan")), (0.0, float("inf"))],
+    ids=["nan", "nan-after-finite", "inf"],
+)
+def test_a_non_finite_residual_fails_the_check_and_names_the_instance(monkeypatch, residuals):
+    def instance(rng, k):
+        return residuals[k]
+
+    monkeypatch.setitem(harness.CHECKS, "gln", dataclasses.replace(harness.CHECKS["gln"], instance=instance))
+    record = _run_one(SuiteConfig(counts={"gln": 2}), "gln")
+    bad = next(k for k, res in enumerate(residuals) if not math.isfinite(res))
+    assert not record.passed
+    assert record.error == f"instance {bad}: residual is {residuals[bad]}"
+    report = run_suite(SuiteConfig(counts={"gln": 2}), ["gln"])
+    report.validate()
+    assert not report.passed

@@ -7,7 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import intersections_fraction, normal_form_rotations
+from stringtop import strings
 from stringtop.geometry import Chart, PLLoop, Torus
+from stringtop.harness import gen_random_loop
 from stringtop.strings import (
     StringCycle,
     TransversalityError,
@@ -101,6 +104,72 @@ def test_intersections_input_validation():
     l3 = PLLoop(t3, [(0, 0, 0)], closure=(1, 0, 0))
     with pytest.raises(ValueError, match="d = 2"):
         intersections(l3, l3)
+
+
+def crossings_or_error(find, loop, other):
+    try:
+        return find(loop, other)
+    except TransversalityError as err:
+        return str(err)
+
+
+def grid_loop(rng, space, den, cls):
+    """A loop of 1..5 vertices on the 1/den grid of [-2, 2]^2, or None if degenerate."""
+    verts = [
+        (F(int(rng.integers(-2 * den, 2 * den + 1)), den), F(int(rng.integers(-2 * den, 2 * den + 1)), den))
+        for _ in range(int(rng.integers(1, 6)))
+    ]
+    try:
+        return PLLoop(space, verts, closure=cls)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "space, den, pairs",
+    [(TORUS, 4, 150), (TORUS, 160, 50), (CHART, 4, 150), (CHART, 24, 150)],
+    ids=["torus-4", "torus-160", "chart-4", "chart-24"],
+)
+def test_intersections_match_the_fraction_oracle(space, den, pairs):
+    # on the coarse 1/4 grid many pairs touch degenerately, and both sides must raise alike
+    rng = np.random.default_rng(den + len(space.kind))
+    crossed = degenerate = 0
+    for _ in range(pairs):
+        loop = other = None
+        while loop is None or other is None:
+            cls = [tuple(int(x) for x in rng.integers(-3, 4, 2)) if space == TORUS else (0, 0) for _ in range(2)]
+            loop, other = grid_loop(rng, space, den, cls[0]), grid_loop(rng, space, den, cls[1])
+        got = crossings_or_error(intersections, loop, other)
+        assert got == crossings_or_error(intersections_fraction, loop, other)
+        if isinstance(got, str):
+            degenerate += 1
+        elif got:
+            crossed += 1
+    assert crossed >= 20
+    assert degenerate >= (10 if den == 4 else 0)
+
+
+def test_mixed_denominators_match_the_fraction_oracle():
+    loop = PLLoop(TORUS, [(F(-1, 3), F(1, 128)), (F(2, 3), F(-1, 7)), (F(1, 5), F(5, 3))], closure=(1, 2))
+    other = PLLoop(TORUS, [(F(1, 128), F(-1, 3)), (F(9, 7), F(1, 2))], closure=(2, -1))
+    pts = intersections(loop, other)
+    assert len(pts) >= 3 and pts == intersections_fraction(loop, other)
+
+
+def test_degenerate_contact_at_a_nonzero_deck_offset_still_raises():
+    line = torus_line((1, 0))
+    # the second loop's vertex (5/2, 3) sits on the line's translate by (2, 3)
+    kink = PLLoop(TORUS, [(F(5, 2), 3), (F(11, 4), F(13, 4))], closure=(0, 1))
+    with pytest.raises(TransversalityError, match=r"segments \(0, 0\) cross at a vertex"):
+        intersections(line, kink)
+    # the triangle's first edge runs along the line's translate by (3, 2)
+    triangle = PLLoop(TORUS, [(F(13, 4), 2), (F(7, 2), 2), (F(7, 2), F(5, 2))])
+    with pytest.raises(TransversalityError, match=r"collinear overlap between segments \(0, 0\)"):
+        intersections(line, triangle)
+    for other in (kink, triangle):
+        assert crossings_or_error(intersections, line, other) == crossings_or_error(
+            intersections_fraction, line, other
+        )
 
 
 # -- concatenation -----------------------------------------------------------------
@@ -249,3 +318,35 @@ def test_jacobi_residual_reduces_to_zero():
     assert res.class_reduction() == {}
     zero = StringCycle.zero(TORUS)
     assert jacobi_residual(zero, cycles[1], cycles[2]).is_zero
+
+
+def chain_terms(cycle):
+    return [(c, loop.vertices, loop.closure) for c, loop in cycle.terms]
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_chain_level_terms_match_the_fraction_oracles(seed, monkeypatch):
+    """Class reductions cannot see where a bracket concatenates; the chains can."""
+    classes = [[(1, 0), (0, 1), (1, 1)], [(2, -1), (1, 2), (-1, 1)], [(2, 1), (1, -2), (1, 1)]]
+
+    def chains():
+        rng = np.random.default_rng(seed)
+        out = []
+        for cls in classes:
+            a, b, c = (StringCycle.from_loop(gen_random_loop(TORUS, rng, x)) for x in cls)
+            try:
+                ab = string_bracket(a, b)
+                out.append([chain_terms(x) for x in (ab, string_bracket(ab, c), jacobi_residual(a, b, c))])
+            except TransversalityError as err:
+                out.append(str(err))
+        return out
+
+    production = chains()
+    # terms are sorted by (vertices, closure)
+    for terms in production:
+        for chain in terms if isinstance(terms, list) else ():
+            assert chain == sorted(chain, key=lambda term: term[1:])
+    monkeypatch.setattr(strings, "intersections", intersections_fraction)
+    monkeypatch.setattr(PLLoop, "normal_form", normal_form_rotations)
+    assert chains() == production
+    assert sum(len(terms[1]) for terms in production if isinstance(terms, list)) > 30

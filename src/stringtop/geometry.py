@@ -13,9 +13,11 @@ rational t are exact.
 
 The exact layer of the string bracket works on integers: ``integer_lift``
 gives the K + 1 lift vertices as integer tuples over one common
-denominator, cached on the (immutable) loop. ``normal_form`` runs a least
-rotation (Booth 1980) over those integers and builds ``Fraction`` vertices
-only for the winning rotation; it is cached as well.
+denominator, cached on the (immutable) loop. A loop can also be built
+from such a lift (``PLLoop._from_lift``), as concatenations and canonical
+loops are; its ``Fraction`` vertices are then formed only on demand.
+``canonical`` and ``normal_form`` share one least rotation (Booth 1980)
+over the integer lift.
 
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
@@ -28,7 +30,9 @@ exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -69,8 +73,9 @@ def _rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
-        # floats are accepted for convenience but snapped to exact dyadic
-        # rationals; callers who care pass Fraction or "p/q" strings
+        # floats are accepted for convenience but snapped to the nearest
+        # rational with denominator at most 10**12 (0.1 becomes 1/10, not
+        # its binary value); callers who care pass Fraction or "p/q" strings
         return Fraction(x).limit_denominator(10**12)
     raise TypeError(f"cannot interpret {x!r} as a rational coordinate")
 
@@ -127,10 +132,12 @@ class PLLoop:
 
     vertices[i] for i in 0..K-1, and the lift closes at
     vertices[0] + closure. Consecutive vertices must differ (no zero-length
-    segments, and in particular no constant loops).
+    segments, and in particular no constant loops). A loop built from an
+    integer lift (``_from_lift``) forms its ``Fraction`` vertices on first
+    use.
     """
 
-    __slots__ = ("space", "vertices", "closure", "_lift", "_normal")
+    __slots__ = ("space", "_vertices", "closure", "_lift", "_normal")
 
     def __init__(
         self,
@@ -140,17 +147,18 @@ class PLLoop:
     ) -> None:
         self.space = space
         d = space.d
-        self.vertices: tuple[Point, ...] = tuple(_as_point(v, d) for v in vertices)
-        if closure is None:
-            closure = (0,) * d
+        self._vertices: tuple[Point, ...] = tuple(_as_point(v, d) for v in vertices)
+        closure = (0,) * d if closure is None else tuple(closure)
         self.closure: tuple[int, ...] = tuple(int(c) for c in closure)
+        if self.closure != closure:
+            raise ValueError(f"closure vector {closure} is not integral")
         if len(self.closure) != d:
             raise ValueError("closure vector has wrong dimension")
         if isinstance(space, Chart) and any(self.closure):
             raise ValueError("loops on a chart must have zero closure")
-        if not self.vertices:
+        if not self._vertices:
             raise ValueError("loop needs at least one vertex")
-        k = len(self.vertices)
+        k = len(self._vertices)
         for i in range(k):
             if self.vertex(i) == self.vertex(i + 1):
                 raise ValueError(
@@ -159,9 +167,54 @@ class PLLoop:
         self._lift = None
         self._normal = None
 
+    @classmethod
+    def _from_lift(cls, space: Space, den: int, pts: tuple[tuple[int, ...], ...]) -> "PLLoop":
+        """The loop whose lift is pts / den, validated on the integers.
+
+        pts holds the K + 1 lift vertices times den > 0 as int tuples, the
+        last one being the first plus den times the closure. The common
+        factor gcd(den, every coordinate) is divided out, so the stored lift
+        is the one ``integer_lift`` gives for the same vertices. (The lifts
+        of ``canonical`` and ``strings.concatenate`` are already reduced:
+        their den is the lcm of the denominators of vertices they contain.)
+        """
+        g = math.gcd(den, *itertools.chain.from_iterable(pts))
+        if g > 1:
+            den //= g
+            pts = tuple(tuple(c // g for c in p) for p in pts)
+        if len(pts) < 2:
+            raise ValueError("loop needs at least one vertex")
+        closure = tuple(b - a for a, b in zip(pts[0], pts[-1]))
+        if any(c % den for c in closure):
+            raise ValueError("closure vector is not integral")
+        closure = tuple(c // den for c in closure)
+        if len(closure) != space.d:
+            raise ValueError("closure vector has wrong dimension")
+        if isinstance(space, Chart) and any(closure):
+            raise ValueError("loops on a chart must have zero closure")
+        if any(map(operator.eq, pts, pts[1:])):
+            raise ValueError("consecutive vertices coincide (constant segments are not allowed)")
+        loop = cls.__new__(cls)
+        loop.space = space
+        loop._vertices = None
+        loop.closure = closure
+        loop._lift = (den, pts)
+        loop._normal = None
+        return loop
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """The K lift vertices as Fractions, formed from the lift on first use."""
+        if self._vertices is None:
+            den, pts = self._lift
+            self._vertices = tuple(tuple(Fraction(c, den) for c in p) for p in pts[:-1])
+        return self._vertices
+
     @property
     def num_segments(self) -> int:
-        return len(self.vertices)
+        if self._vertices is None:
+            return len(self._lift[1]) - 1
+        return len(self._vertices)
 
     def vertex(self, i: int) -> Point:
         """Vertex of the lift, extended periodically: P_{i+K} = P_i + closure."""
@@ -184,14 +237,14 @@ class PLLoop:
     def segment_of(self, t: Fraction) -> tuple[int, Fraction]:
         """Segment index and local coordinate u in [0,1] for t in [0,1]."""
         t = _rat(t)
-        if not 0 <= t <= 1:
+        tn, td = t.numerator, t.denominator
+        if not 0 <= tn <= td:
             raise ValueError("parameter must lie in [0, 1]")
         k = self.num_segments
-        u = t * k
-        i = int(u)
+        i, rem = divmod(tn * k, td)
         if i == k:
-            i, u = k - 1, Fraction(k)
-        return i, u - i
+            return k - 1, Fraction(1)
+        return i, Fraction(rem, td)
 
     def point_at(self, t: Fraction) -> Point:
         i, u = self.segment_of(t)
@@ -254,8 +307,8 @@ class PLLoop:
         Cached: a loop is never changed after construction.
         """
         if self._lift is None:
-            den = math.lcm(*(c.denominator for p in self.vertices for c in p))
-            pts = [tuple(c.numerator * (den // c.denominator) for c in p) for p in self.vertices]
+            den = math.lcm(*(c.denominator for p in self._vertices for c in p))
+            pts = [tuple(c.numerator * (den // c.denominator) for c in p) for p in self._vertices]
             pts.append(tuple(a + den * m for a, m in zip(pts[0], self.closure)))
             self._lift = (den, tuple(pts))
         return self._lift
@@ -293,26 +346,34 @@ class PLLoop:
         turned into ``Fraction`` vertices.
         """
         if self._normal is None:
-            den, pts = self.integer_lift()
-            torus = isinstance(self.space, Torus)
-            tokens = [
-                (tuple(c % den for c in p) if torus else p, tuple(b - a for a, b in zip(p, q)))
-                for p, q in zip(pts, pts[1:])
-            ]
-            r = least_rotation(tokens)
-            wrap = tuple(den * m for m in self.closure)
-            rows = pts[r:-1] + tuple(tuple(a + w for a, w in zip(p, wrap)) for p in pts[:r])
-            shift = tuple(c - c % den for c in rows[0]) if torus else (0,) * self.space.d
-            verts = tuple(tuple(Fraction(a - s, den) for a, s in zip(p, shift)) for p in rows)
+            den, rows = self._least_lift()
+            verts = tuple(tuple(Fraction(a, den) for a in p) for p in rows[:-1])
             self._normal = (verts, self.closure)
         return self._normal
 
+    def _least_lift(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, rows): the integer lift of the normal form (see ``normal_form``).
+
+        rows are the K + 1 lift vertices of the least rotation times den, on
+        the torus translated so that the first lies in [0, den)^d.
+        """
+        den, pts = self.integer_lift()
+        torus = isinstance(self.space, Torus)
+        tokens = [
+            (*(map(den.__rmod__, p) if torus else p), *map(operator.sub, q, p))
+            for p, q in zip(pts, pts[1:])
+        ]
+        r = least_rotation(tokens)
+        # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^d
+        shift = tuple(c - c % den for c in pts[r]) if torus else (0,) * self.space.d
+        back = tuple(den * m - s for m, s in zip(self.closure, shift))
+        rows = tuple(tuple(map(operator.sub, p, shift)) for p in pts[r:-1])
+        rows += tuple(tuple(map(operator.add, p, back)) for p in pts[: r + 1])
+        return den, rows
+
     def canonical(self) -> "PLLoop":
-        """The loop whose vertices are the normal form; it is its own normal form."""
-        verts, closure = self.normal_form()
-        canon = PLLoop(self.space, verts, closure)
-        canon._normal = (canon.vertices, closure)
-        return canon
+        """The loop whose vertices are the normal form, built on the integers."""
+        return PLLoop._from_lift(self.space, *self._least_lift())
 
     def same_loop(self, other: "PLLoop") -> bool:
         return self.space == other.space and self.normal_form() == other.normal_form()

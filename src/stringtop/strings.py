@@ -6,10 +6,14 @@ are tested with integer cross products, and ``Fraction`` values are built
 only for the crossings found. On the torus each segment pair is tried
 against the deck translations that bring the two closed segment boxes
 together, one integer range per axis; on a chart a pair is tried only if
-its boxes overlap. Formal cycles carry integer coefficients on
-rotation-normalized loops. Non-transversal contact (overlapping segments,
-crossings at vertices or marked points) raises ``TransversalityError``
-instead of being perturbed away silently.
+its boxes overlap. ``concatenate`` splices the two integer lifts over one
+common denominator and builds the result from its lift, as
+``PLLoop.canonical`` does, so a bracket output stays on integers from its
+crossing to its stored term; its ``Fraction`` vertices are formed only on
+demand. Formal cycles carry integer coefficients on rotation-normalized
+loops. Non-transversal contact (overlapping segments, crossings at
+vertices or marked points) raises ``TransversalityError`` instead of
+being perturbed away silently.
 
 The degree-0 bracket of two cycles on a surface sums, over transversal
 intersection points p of their representatives, the loop concatenated at
@@ -21,6 +25,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,33 +146,53 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
     return found
 
 
+def _on_segment(loop: PLLoop, t, point, offset) -> int | None:
+    """The segment index of t if ``point`` is loop(t) + offset, else None.
+
+    The test is an exact cross-multiplication against the integer lift
+    segment: with t at local coordinate u = un/ud of segment i over den,
+    point * den * ud == P_i * ud + un * (P_{i+1} - P_i) + offset * den * ud.
+    """
+    i, u = loop.segment_of(t)
+    den, pts = loop.integer_lift()
+    un, ud = u.numerator, u.denominator
+    for c, a, b, o in zip(point, pts[i], pts[i + 1], offset):
+        if c.numerator * den * ud != c.denominator * (a * ud + un * (b - a) + o * den * ud):
+            return None
+    return i
+
+
 def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
     """The loop that runs around ``loop`` from p and then around ``other``.
 
-    The marked point of the result is p. Vertex lists are spliced at the
-    exact crossing parameters; on the torus the second lift is translated
-    so the two circuits join, and the closure vectors add.
+    The marked point of the result is p. The two integer lifts are spliced
+    over unit = lcm(both denominators, the denominators of p.point), at
+    the exact crossing parameters; on the torus the second lift is
+    translated so the two circuits join, and the closure vectors add.
     """
-    if loop.point_at(p.s) != p.point:
+    i = _on_segment(loop, p.s, p.point, (0,) * loop.space.d)
+    if i is None:
         raise ValueError("stale intersection point: not on the first loop")
-    shifted = tuple(c + o for c, o in zip(other.point_at(p.s_bar), p.offset))
-    if shifted != p.point:
+    j = _on_segment(other, p.s_bar, p.point, p.offset)
+    if j is None:
         raise ValueError("stale intersection point: not on the second loop")
-    k1, k2 = loop.num_segments, other.num_segments
-    i = loop.segment_of(p.s)[0]
-    j = other.segment_of(p.s_bar)[0]
-    # after the first circuit the path sits at p + closure; the second lift
-    # is translated there: tau = offset + closure of the first loop
-    tau = tuple(o + c for o, c in zip(p.offset, loop.closure))
-    verts = [p.point]
-    verts += [loop.vertex(i + m) for m in range(1, k1 + 1)]
-    verts += [tuple(a + c for a, c in zip(p.point, loop.closure))]
-    verts += [
-        tuple(a + c for a, c in zip(other.vertex(j + m), tau))
-        for m in range(1, k2 + 1)
-    ]
-    closure = tuple(a + b for a, b in zip(loop.closure, other.closure))
-    return PLLoop(loop.space, verts, closure)
+    (den1, pts1), (den2, pts2) = loop.integer_lift(), other.integer_lift()
+    unit = math.lcm(den1, den2, *(c.denominator for c in p.point))
+    s1, s2 = unit // den1, unit // den2
+    start = tuple(c.numerator * (unit // c.denominator) for c in p.point)
+    # lift vertices i + 1 .. i + K1 of the first loop lead to p + closure;
+    # the second lift is translated there: tau = offset + closure of the first
+    wrap1 = tuple(unit * m for m in loop.closure)
+    wrap2 = tuple(den2 * m for m in other.closure)
+    tau = tuple(unit * (o + m) for o, m in zip(p.offset, loop.closure))
+    rows = [start]
+    rows += [tuple(c * s1 for c in q) for q in pts1[i + 1 :]]
+    rows += [tuple(c * s1 + w for c, w in zip(q, wrap1)) for q in pts1[1 : i + 1]]
+    rows.append(tuple(a + w for a, w in zip(start, wrap1)))
+    rows += [tuple(c * s2 + t for c, t in zip(q, tau)) for q in pts2[j + 1 :]]
+    rows += [tuple((c + w) * s2 + t for c, w, t in zip(q, wrap2, tau)) for q in pts2[1 : j + 1]]
+    rows.append(tuple(a + unit * (m + n) for a, m, n in zip(start, loop.closure, other.closure)))
+    return PLLoop._from_lift(loop.space, unit, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +203,35 @@ def _combine(terms) -> tuple[tuple[int, PLLoop], ...]:
     """Sum the coefficients of normal-form loops per loop; drop zeros; sort.
 
     A loop is keyed by its integer lift, which fixes its vertices and
-    closure. The terms are sorted by (vertices, closure): scaled to one
-    common denominator, the lift rows compare in that order (the last row
-    is the first plus the closure times that denominator).
+    closure. The terms are sorted by their lift rows scaled to one common
+    denominator (``_by_rows``). The first K rows are the vertices and the
+    last is the first plus the closure times that denominator, so this is
+    the order of (vertices, closure) unless one loop's vertices begin
+    another's.
     """
     combined: dict[tuple, tuple[int, PLLoop]] = {}
     for coeff, loop in terms:
         key = loop.integer_lift()
         total = combined[key][0] if key in combined else 0
         combined[key] = (total + int(coeff), loop)
-    unit = math.lcm(*(den for den, _ in combined))
+    keys = sorted((key for key, (coeff, _) in combined.items() if coeff != 0), key=_by_rows)
+    return tuple(combined[key] for key in keys)
 
-    def order(key):
-        scale = unit // key[0]
-        return tuple(tuple(c * scale for c in row) for row in key[1])
 
-    return tuple(combined[key] for key in sorted(combined, key=order) if combined[key][0] != 0)
+@functools.cmp_to_key
+def _by_rows(x, y) -> int:
+    """Order integer lifts by their rows scaled to one common denominator.
+
+    Row entries a/dx and b/dy compare as a * dy and b * dx, so nothing is
+    scaled beyond the first entry that differs.
+    """
+    (dx, px), (dy, py) = x, y
+    for p, q in zip(px, py):
+        for a, b in zip(p, q):
+            a, b = a * dy, b * dx
+            if a != b:
+                return -1 if a < b else 1
+    return len(px) - len(py)
 
 
 class StringCycle:
@@ -241,7 +279,13 @@ class StringCycle:
         return StringCycle._of(self.space, self.terms + other.terms)
 
     def scale(self, k: int) -> "StringCycle":
-        return StringCycle._of(self.space, [(k * c, l) for c, l in self.terms])
+        """k times the cycle; for k != 0 the stored terms keep their order."""
+        if k == 0:
+            return StringCycle.zero(self.space)
+        cycle = StringCycle.__new__(StringCycle)
+        cycle.space = self.space
+        cycle.terms = tuple((k * c, loop) for c, loop in self.terms)
+        return cycle
 
     def __neg__(self) -> "StringCycle":
         return self.scale(-1)

@@ -257,8 +257,9 @@ def insertion_derivative_stepwise(
 
 # -- the exact geometry layer on Fractions ------------------------------------
 #
-# Oracles for ``PLLoop.normal_form`` and ``strings.intersections``, which
-# compute the same values on integers over a common denominator.
+# Oracles for ``PLLoop.normal_form``, ``strings.intersections`` and
+# ``strings.concatenate``, which compute the same values on integers over a
+# common denominator.
 
 
 def normal_form_rotations(loop: PLLoop) -> tuple:
@@ -356,3 +357,34 @@ def intersections_fraction(loop: PLLoop, other: PLLoop) -> list[IntersectionPoin
                 )
     found.sort(key=lambda p: (p.s, p.s_bar))
     return found
+
+
+def concatenate_fraction(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
+    """Oracle: ``strings.concatenate`` with every vertex formed as a Fraction.
+
+    Both staleness checks recompute the crossing with ``point_at``; the
+    result goes through the ``PLLoop`` constructor.
+    """
+    if loop.point_at(p.s) != p.point:
+        raise ValueError("stale intersection point: not on the first loop")
+    shifted = tuple(c + o for c, o in zip(other.point_at(p.s_bar), p.offset))
+    if shifted != p.point:
+        raise ValueError("stale intersection point: not on the second loop")
+    k1, k2 = loop.num_segments, other.num_segments
+    i = loop.segment_of(p.s)[0]
+    j = other.segment_of(p.s_bar)[0]
+    # after the first circuit the path sits at p + closure; the second lift
+    # is translated there: tau = offset + closure of the first loop
+    tau = tuple(o + c for o, c in zip(p.offset, loop.closure))
+    verts = [p.point]
+    verts += [loop.vertex(i + m) for m in range(1, k1 + 1)]
+    verts += [tuple(a + c for a, c in zip(p.point, loop.closure))]
+    verts += [tuple(a + c for a, c in zip(other.vertex(j + m), tau)) for m in range(1, k2 + 1)]
+    closure = tuple(a + b for a, b in zip(loop.closure, other.closure))
+    return PLLoop(loop.space, verts, closure)
+
+
+def canonical_rotations(loop: PLLoop) -> PLLoop:
+    """Oracle: ``PLLoop.canonical`` built from ``normal_form_rotations``."""
+    verts, closure = normal_form_rotations(loop)
+    return PLLoop(loop.space, verts, closure)

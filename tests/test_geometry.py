@@ -37,6 +37,16 @@ def test_chart_loops_must_close():
         PLLoop(Chart(2), [(0, 0), (1, 0)], closure=(1, 0))
 
 
+def test_closure_must_be_integral():
+    with pytest.raises(ValueError, match="not integral"):
+        PLLoop(Torus(2), [(0, 0), (F(1, 2), F(1, 3))], closure=(0.5, 1.9))
+    with pytest.raises(ValueError, match="not integral"):
+        PLLoop(Torus(2), [(0, 0)], closure=(F(1, 2), 1))
+    for closure in [(np.int64(1), np.int32(-2)), (1.0, -2), (F(1), -2.0)]:
+        loop = PLLoop(Torus(2), [(0, 0), (F(1, 2), F(1, 3))], closure=closure)
+        assert loop.closure == (1, -2) and all(type(c) is int for c in loop.closure)
+
+
 def test_constant_loops_are_rejected():
     with pytest.raises(ValueError, match="coincide"):
         PLLoop(Chart(2), [(0, 0), (0, 0), (1, 1)])
@@ -231,3 +241,32 @@ def test_normal_form_is_cached_and_canonical_loops_are_their_own_normal_form():
     canon = loop.canonical()
     assert (canon.vertices, canon.closure) == nf
     assert normal_form_rotations(canon) == canon.normal_form() == nf
+
+
+def test_a_loop_from_a_lift_is_reduced_and_validated():
+    ref = PLLoop(Torus(2), [(F(-1, 3), 0), (F(1, 2), F(5, 4))], closure=(2, -1))
+    # the same lift over 24 instead of 12
+    loop = PLLoop._from_lift(Torus(2), 24, ((-8, 0), (12, 30), (40, -24)))
+    assert loop.integer_lift() == ref.integer_lift() == (12, ((-4, 0), (6, 15), (20, -12)))
+    assert loop._vertices is None
+    assert (loop.num_segments, loop.closure) == (2, (2, -1))
+    assert loop.vertices == ref.vertices and loop.vertices is loop.vertices
+    assert loop.normal_form() == ref.normal_form()
+    with pytest.raises(ValueError, match="not integral"):
+        PLLoop._from_lift(Torus(2), 4, ((0, 0), (1, 2), (2, 2)))
+    with pytest.raises(ValueError, match="coincide"):
+        PLLoop._from_lift(Torus(2), 4, ((0, 0), (1, 2), (1, 2), (4, 0)))
+    with pytest.raises(ValueError, match="coincide"):
+        PLLoop._from_lift(Chart(2), 4, ((1, 3), (1, 3)))
+    with pytest.raises(ValueError, match="zero closure"):
+        PLLoop._from_lift(Chart(2), 4, ((0, 0), (1, 1), (4, 0)))
+
+
+def test_canonical_loops_have_the_lift_of_the_constructor():
+    rng = np.random.default_rng(45)
+    for space, dens in [(Torus(2), [1, 3, 128]), (Torus(2), [160]), (Chart(2), [1, 4, 7])]:
+        for _ in range(100):
+            cls = tuple(int(x) for x in rng.integers(-3, 4, 2)) if isinstance(space, Torus) else (0, 0)
+            canon = random_loop(rng, space, dens, cls).canonical()
+            assert canon.integer_lift() == PLLoop(space, canon.vertices, canon.closure).integer_lift()
+            assert normal_form_rotations(canon) == (canon.vertices, canon.closure)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import intersections_fraction, normal_form_rotations
+from oracles import canonical_rotations, concatenate_fraction, intersections_fraction, normal_form_rotations
 from stringtop import strings
 from stringtop.geometry import Chart, PLLoop, Torus
 from stringtop.harness import gen_random_loop
@@ -194,6 +195,85 @@ def test_concatenation_rejects_stale_points():
         concatenate(g1, g3, p)
 
 
+def test_stale_points_raise_the_texts_of_the_fraction_oracle():
+    rng = np.random.default_rng(8)
+    g1 = wiggly_rep(rng, (2, 1))
+    g2 = wiggly_rep(rng, (-1, 1))
+    p = next(p for p in intersections(g1, g2) if any(p.offset))
+    cases = [
+        (dataclasses.replace(p, s=(p.s + F(1, 7)) % 1), "stale intersection point: not on the first loop"),
+        (dataclasses.replace(p, s_bar=(p.s_bar + F(1, 7)) % 1), "stale intersection point: not on the second loop"),
+        (dataclasses.replace(p, offset=(p.offset[0] + 1, p.offset[1])), "stale intersection point: not on the second loop"),
+        (dataclasses.replace(p, s=F(3, 2)), "parameter must lie in"),
+        (dataclasses.replace(p, s=F(-1, 5)), "parameter must lie in"),
+        (dataclasses.replace(p, s_bar=F(6, 5)), "parameter must lie in"),
+    ]
+    for stale, text in cases:
+        for cat in (concatenate, concatenate_fraction):
+            with pytest.raises(ValueError, match=text):
+                cat(g1, g2, stale)
+
+
+def assert_concatenation_matches_the_oracle(loop, other, p):
+    got, want = concatenate(loop, other, p), concatenate_fraction(loop, other, p)
+    assert (got.vertices, got.closure) == (want.vertices, want.closure)
+    assert got.integer_lift() == want.integer_lift()
+    # the same lift over twice the denominator builds the same loop
+    den, rows = got.integer_lift()
+    doubled = tuple(tuple(2 * c for c in row) for row in rows)
+    assert PLLoop._from_lift(got.space, 2 * den, doubled).integer_lift() == (den, rows)
+    canon = got.canonical()
+    for built in (got, canon):
+        assert built.integer_lift() == PLLoop(built.space, built.vertices, built.closure).integer_lift()
+    assert (canon.vertices, canon.closure) == normal_form_rotations(want)
+    return got
+
+
+@pytest.mark.parametrize(
+    "space, dens, pairs",
+    [(TORUS, [1, 3, 128], 60), (TORUS, [160], 20), (CHART, [24], 60), (CHART, [1, 3, 128], 60)],
+    ids=["torus-mixed", "torus-160", "chart-24", "chart-mixed"],
+)
+def test_concatenation_matches_the_fraction_oracle(space, dens, pairs):
+    rng = np.random.default_rng(len(dens) + len(space.kind))
+    found = deck = fed_back = 0
+    for _ in range(pairs):
+        cls = [tuple(int(x) for x in rng.integers(-3, 4, 2)) if space == TORUS else (0, 0) for _ in range(3)]
+        loop, other, third = (grid_loop(rng, space, int(rng.choice(dens)), c) for c in cls)
+        if loop is None or other is None or third is None:
+            continue
+        try:
+            pts = intersections(loop, other)
+        except TransversalityError:
+            continue
+        for p in pts[:3]:
+            cat = assert_concatenation_matches_the_oracle(loop, other, p)
+            found += 1
+            deck += any(p.offset)
+            # a bracket output fed back in, on either side
+            for a, b in ((cat, third), (third, cat)):
+                try:
+                    again = intersections(a, b)
+                except TransversalityError:
+                    continue
+                for q in again[:2]:
+                    assert_concatenation_matches_the_oracle(a, b, q)
+                    fed_back += 1
+    assert found >= 30 and fed_back >= 30
+    assert deck >= (20 if space == TORUS else 0)
+
+
+def test_concatenation_over_mixed_denominators_matches_the_fraction_oracle():
+    loop = PLLoop(TORUS, [(F(-1, 3), F(1, 128)), (F(2, 3), F(-1, 7)), (F(1, 5), F(5, 3))], closure=(1, 2))
+    other = PLLoop(TORUS, [(F(1, 128), F(-1, 3)), (F(9, 7), F(1, 2))], closure=(2, -1))
+    pts = intersections(loop, other)
+    assert any(any(p.offset) for p in pts)
+    for p in pts:
+        assert_concatenation_matches_the_oracle(loop, other, p)
+    for p in intersections(other, loop):
+        assert_concatenation_matches_the_oracle(other, loop, p)
+
+
 def test_concatenation_is_rotation_equivariant():
     rng = np.random.default_rng(3)
     g1 = wiggly_rep(rng, (1, 0))
@@ -237,13 +317,24 @@ def test_cycles_combine_rotated_duplicates():
     assert (cycle + cycle.scale(-1)).is_zero
 
 
+def test_scaling_keeps_the_term_order_and_zero_gives_the_zero_cycle():
+    rng = np.random.default_rng(13)
+    cycle = StringCycle(TORUS, [(c, wiggly_rep(rng, cls)) for c, cls in [(2, (1, 2)), (-1, (0, 1)), (3, (1, 0))]])
+    assert len(cycle.terms) == 3
+    assert cycle.scale(0).is_zero and cycle.scale(0) == StringCycle.zero(TORUS)
+    for k in (-1, 3):
+        scaled = cycle.scale(k)
+        assert [(c, loop) for c, loop in scaled.terms] == [(k * c, loop) for c, loop in cycle.terms]
+        assert scaled == StringCycle(TORUS, [(k * c, loop) for c, loop in cycle.terms])
+
+
 def test_only_the_constructor_normalizes(monkeypatch):
     rng = np.random.default_rng(12)
     a = StringCycle(TORUS, [(2, wiggly_rep(rng, (1, 2))), (-1, wiggly_rep(rng, (0, 1)))])
     b = StringCycle.from_loop(wiggly_rep(rng, (1, 2)).rotate_marked(1), 3)
     calls = []
-    normal_form = PLLoop.normal_form
-    monkeypatch.setattr(PLLoop, "normal_form", lambda self: calls.append(1) or normal_form(self))
+    normal_form, least_lift = PLLoop.normal_form, PLLoop._least_lift
+    monkeypatch.setattr(PLLoop, "_least_lift", lambda self: calls.append(1) or least_lift(self))
     total, neg = a + b, a.scale(-1)
     assert (a == b, a == a, total == b + a) == (False, True, True)
     assert hash(neg) == hash(-a) and hash(total) == hash(b + a)
@@ -347,6 +438,7 @@ def test_chain_level_terms_match_the_fraction_oracles(seed, monkeypatch):
         for chain in terms if isinstance(terms, list) else ():
             assert chain == sorted(chain, key=lambda term: term[1:])
     monkeypatch.setattr(strings, "intersections", intersections_fraction)
-    monkeypatch.setattr(PLLoop, "normal_form", normal_form_rotations)
+    monkeypatch.setattr(strings, "concatenate", concatenate_fraction)
+    monkeypatch.setattr(PLLoop, "canonical", canonical_rotations)
     assert chains() == production
     assert sum(len(terms[1]) for terms in production if isinstance(terms, list)) > 30

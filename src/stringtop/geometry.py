@@ -137,7 +137,7 @@ class PLLoop:
     use.
     """
 
-    __slots__ = ("space", "_vertices", "closure", "_lift", "_normal")
+    __slots__ = ("space", "_vertices", "closure", "_lift", "_normal", "_is_canonical")
 
     def __init__(
         self,
@@ -166,6 +166,7 @@ class PLLoop:
                 )
         self._lift = None
         self._normal = None
+        self._is_canonical = False
 
     @classmethod
     def _from_lift(cls, space: Space, den: int, pts: tuple[tuple[int, ...], ...]) -> "PLLoop":
@@ -200,6 +201,7 @@ class PLLoop:
         loop.closure = closure
         loop._lift = (den, pts)
         loop._normal = None
+        loop._is_canonical = False
         return loop
 
     @property
@@ -372,8 +374,16 @@ class PLLoop:
         return den, rows
 
     def canonical(self) -> "PLLoop":
-        """The loop whose vertices are the normal form, built on the integers."""
-        return PLLoop._from_lift(self.space, *self._least_lift())
+        """The loop whose vertices are the normal form, built on the integers.
+
+        A loop built here is its own normal form, so its ``canonical`` is
+        itself, without another least rotation.
+        """
+        if self._is_canonical:
+            return self
+        loop = PLLoop._from_lift(self.space, *self._least_lift())
+        loop._is_canonical = True
+        return loop
 
     def same_loop(self, other: "PLLoop") -> bool:
         return self.space == other.space and self.normal_form() == other.normal_form()

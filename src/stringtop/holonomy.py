@@ -26,27 +26,30 @@ with W^mu = sum_i w_i v_i^mu(t) built from the supplied variation fields
 on extra Grassmann generators w_i placed after the thetas. Form degree
 zero terms carry no dt factor and never enter the transport.
 
-The stepping runs in the left-regular representation of the Grassmann
-algebra on N = n_theta + len(variations) generators (see ``lierep``): a
-Grassmann n x n matrix, stored as its (2^N, n, n) component stack, acts as
-a D x D complex matrix with D = 2^N n, and a product is one matmul. The
-midpoint grid is walked in blocks of at most ``BLOCK`` midpoints of one
-piece. A block's insertion matrices are built as one stack of component
-stacks: each term's Grassmann coefficient is W^{mu_1} .. W^{mu_k} theta_S,
-with each leg W^mu the regular matrix of a 1 x 1 Grassmann matrix, times f
-at the block's points. Their exponentials are one Taylor series summed on
-the component stacks, and the block's step factors are multiplied
-pairwise into one D x D product, so the working memory is O(BLOCK D^2)
-however many steps the plan takes. The transport is read back as a
-``SuperMatrix`` from the unit column of that product.
+The stepping runs on component stacks: a Grassmann n x n matrix over the
+N = n_theta + len(variations) generators is its (2^N, n, n) stack, and a
+product is one matmul of the left-regular representation of the left
+factor with the stacked components of the right one (``lierep.product``).
+The midpoint grid is walked in blocks of at most ``BLOCK`` midpoints,
+which may span pieces; each piece's step width, velocity, leg end values
+and half step E = exp(A v h/2) are computed once. A block's insertion
+matrices are one stack of component stacks: each term's Grassmann
+coefficient is W^{mu_1} .. W^{mu_k} theta_S, with each leg W^mu the
+regular matrix of a 1 x 1 Grassmann matrix, times f at the block's points.
+Their exponentials are one Taylor series on the block's regular matrices,
+built once; the half steps E act on every component, E G_S E; and the
+block's step factors are multiplied pairwise into one component stack.
+The largest arrays are a block's regular matrices, BLOCK (2^N n)^2
+entries, so the working memory does not grow with the steps the plan
+takes; the transport is the ``SuperMatrix`` product of the blocks.
 
 The symmetric step makes the error expansion even in h, so one Richardson
 level in h^2 is applied by default; with a tolerance set, steps double
 until two successive extrapolated values agree, up to a hard cap per
-segment (then ``QuadratureError``). A level's fine grid is the next
-level's coarse grid, and each grid is evaluated once. Midpoint nodes lie
-strictly inside segments, so the corner discontinuities of PL velocities
-are never sampled.
+segment on the finest grid evaluated (then ``QuadratureError``). A
+level's fine grid is the next level's coarse grid, and each grid is
+evaluated once. Midpoint nodes lie strictly inside segments, so the corner
+discontinuities of PL velocities are never sampled.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from scipy.linalg import expm
 from stringtop.fields import FieldConfig, FlatConnection
 from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient, merge_sign
-from stringtop.lierep import SuperMatrix, regular
+from stringtop.lierep import SuperMatrix, product, regular
 
 
 class QuadratureError(RuntimeError):
@@ -77,7 +80,8 @@ class TransportPlan:
         (4 T_{2S} - T_S) / 3, valid because the scheme's error is even in h.
     tol: if set, double steps until successive extrapolated values agree
         to this distance.
-    max_steps: per-segment cap on the doubling.
+    max_steps: per-segment cap on the finest grid evaluated, which is
+        2 * steps with one Richardson level.
     """
 
     steps: int = 64
@@ -86,10 +90,10 @@ class TransportPlan:
     max_steps: int = 16384
 
     def __post_init__(self):
-        if self.steps < 1 or self.max_steps < self.steps:
-            raise ValueError("bad step counts")
         if self.richardson not in (0, 1):
             raise ValueError("richardson must be 0 or 1")
+        if self.steps < 1 or self.max_steps < self.steps << self.richardson:
+            raise ValueError("bad step counts")
 
 
 DEFAULT_PLAN = TransportPlan()
@@ -148,21 +152,7 @@ def transport(conn: FlatConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) 
 # ---------------------------------------------------------------------------
 # insertion matrices
 
-BLOCK = 16  # midpoints per block: bounds the (block, D, D) working arrays
-
-
-def _leg_values(variations: Sequence[VariationField], loop: PLLoop, piece, u: np.ndarray) -> np.ndarray:
-    """(n_legs, b, d) values of the variation fields at local coordinates u of the piece."""
-    i, _, _ = piece
-    out = np.empty((len(variations), len(u), loop.space.d))
-    for idx, var in enumerate(variations):
-        if var.is_tangent:
-            out[idx] = [float(c) for c in loop.segment_velocity(i)]
-            continue
-        a = np.array([float(c) for c in var.displacement(i)])
-        b = np.array([float(c) for c in var.displacement(i + 1)])
-        out[idx] = a + u[:, None] * (b - a)
-    return out
+BLOCK = 128  # midpoints per block: bounds the (block, D, D) working arrays
 
 
 def insertion_matrix(
@@ -174,9 +164,9 @@ def insertion_matrix(
 ) -> np.ndarray:
     """M(t) at a block of midpoints: C's form slots fed one velocity and k-1 legs.
 
-    pos is the (b, d) array of midpoints, vel the piece velocity and
-    leg_values the (n_legs, b, d) variation values there. Returns the
-    (b, D, D) stack of regular matrices, D = 2^(n_theta + n_legs) n.
+    pos and vel are the (b, d) arrays of midpoints and path velocities there,
+    leg_values the (n_legs, b, d) variation values. Returns the
+    (b, 2^N, n, n) stack of component stacks, N = n_theta + n_legs.
     """
     n_theta = config.n_theta
     n_gen = n_theta + n_legs
@@ -197,33 +187,35 @@ def insertion_matrix(
             continue
         coeff = np.zeros((b, 1 << n_gen), dtype=complex)
         for a, mu in enumerate(bits):
-            if vel[mu] == 0:
+            if not vel[:, mu].any():
                 continue
             part = np.zeros((b, 1 << n_gen))
             part[:, config.theta_mask(mask)] = 1.0
             for other in reversed(bits[:a] + bits[a + 1 :]):
                 part = np.einsum("jst,jt->js", w_ops[other], part)
-            coeff += (-vel[mu] if a % 2 else vel[mu]) * part
+            coeff += (-vel[:, mu, None] if a % 2 else vel[:, mu, None]) * part
         values = sum(field.evaluate(pos)[:, None, None] * mat for field, mat in terms)
         comps += coeff[:, :, None, None] * values[:, None]
-    return regular(comps)
+    return comps
 
 
-def _exp_series(m: np.ndarray, n: int) -> np.ndarray:
-    """exp of each regular matrix of the stack m, summed directly.
+def _exp_series(m: np.ndarray) -> np.ndarray:
+    """exp of each Grassmann matrix of the (b, 2^N, n, n) stack m, summed directly.
 
     The Grassmann part is nilpotent and the body part arrives pre-scaled
     by a small step width, so the series is short. It is summed on the
-    unit column, term_k = m term_{k-1} / k, and each matrix stops at its
-    own term: a zero term, or one below 1e-17 of the sum.
+    unit column of the block's regular matrices, built once,
+    term_k = m term_{k-1} / k, and each matrix stops at its own term: a
+    zero term, or one below 1e-17 of the sum. Returns the component stacks.
     """
-    b, dim, _ = m.shape
-    term = np.zeros((b, dim, n), dtype=complex)
+    b, size, n, _ = m.shape
+    reg = regular(m)
+    term = np.zeros((b, size * n, n), dtype=complex)
     term[:, :n] = np.eye(n)
     acc = term.copy()
     active = np.ones(b, dtype=bool)
     for k in range(1, 60):
-        term = (m @ term) * (1.0 / k)
+        term = (reg @ term) * (1.0 / k)
         norm = np.abs(term).max(axis=(1, 2))
         active &= norm != 0.0
         acc = np.where(active[:, None, None], acc + term, acc)
@@ -232,11 +224,26 @@ def _exp_series(m: np.ndarray, n: int) -> np.ndarray:
             break
     else:
         raise QuadratureError("insertion exponential failed to converge")
-    return regular(acc.reshape(b, dim // n, n, n))
+    return acc.reshape(b, size, n, n)
+
+
+def _body_left(e: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """e g for (b, n, n) body matrices e and (b, 2^N, n, n) component stacks
+    g: e multiplies every component, in one batched matmul over the block."""
+    b, size, n, _ = g.shape
+    rows = e @ g.transpose(0, 2, 1, 3).reshape(b, n, size * n)
+    return rows.reshape(b, n, size, n).transpose(0, 2, 1, 3)
+
+
+def _body_right(g: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """g e, likewise: one batched matmul on the unit columns of g."""
+    b, size, n, _ = g.shape
+    return (g.reshape(b, size * n, n) @ e).reshape(b, size, n, n)
 
 
 def _chain(factors: np.ndarray, kernels: np.ndarray | None = None):
-    """Ordered product F = factors[0] @ .. @ factors[-1], multiplied pairwise.
+    """Ordered product F = factors[0] .. factors[-1] of a stack of component
+    stacks, multiplied pairwise.
 
     With kernels, also returns K = sum_j F_0 .. F_{j-1} K_j F_{j+1} .. F_last,
     from the pair rule (F1, K1)(F2, K2) = (F1 F2, F1 K2 + K1 F2).
@@ -244,9 +251,9 @@ def _chain(factors: np.ndarray, kernels: np.ndarray | None = None):
     while len(factors) > 1:
         even = len(factors) // 2 * 2
         left, right = factors[0:even:2], factors[1:even:2]
-        paired = left @ right
+        paired = product(left, right)
         if kernels is not None:
-            k_paired = left @ kernels[1:even:2] + kernels[0:even:2] @ right
+            k_paired = product(left, kernels[1:even:2]) + product(kernels[0:even:2], right)
             kernels = np.concatenate([k_paired, kernels[even:]])
         factors = np.concatenate([paired, factors[even:]])
     return factors[0] if kernels is None else (factors[0], kernels[0])
@@ -273,27 +280,50 @@ def _midpoint_grid(
 ):
     """Walk the midpoint grid of [s, t] once, sampling several fields.
 
-    Yields (h, e_half, mats) per block of at most BLOCK midpoints of one
-    piece: h is the piece's step width, e_half the regular matrix of
-    exp(A(v) h/2), and mats[c] the (b, D, D) stack of M(t_j) of configs[c]
-    at the block's midpoints; every caller of this walk therefore samples
-    the same nodes and leg values.
+    The grid holds ``steps`` midpoints per piece, in path order. Each
+    piece's start, velocity, step width h, leg end values and half step
+    E = exp(A(v) h/2) are computed once; the grid is then cut into blocks of
+    at most BLOCK midpoints, which may span pieces. Yields (h, e_half, mats)
+    per block: h is the (b, 1, 1, 1) array of step widths, e_half the
+    (b, n, n) array of half steps, and mats[c] the (b, 2^N, n, n)
+    component stacks of M(t_j) of configs[c]; every caller of this walk
+    therefore samples the same nodes and leg values.
     """
     n_legs = len(variations)
-    size = 1 << (configs[0].n_theta + n_legs)
     k_seg = loop.num_segments
+    starts, vels, widths, u_starts, e_halves, leg_starts, leg_slopes = ([] for _ in range(7))
     for piece in _pieces(loop, s, t):
         i, lo, _ = piece
         start, vel, span = _piece_floats(loop, piece)
         h = span / steps
-        u_loc0 = float(lo) * k_seg - i  # local coordinate of the piece start
-        du = h * k_seg
-        e_half = np.kron(np.eye(size), expm(conn.matrix_of(vel) * (h / 2)))
-        for first in range(0, steps, BLOCK):
-            mid = np.arange(first, min(first + BLOCK, steps)) + 0.5
-            pos = start + (mid * h)[:, None] * vel
-            legs = _leg_values(variations, loop, piece, u_loc0 + mid * du)
-            yield h, e_half, [insertion_matrix(c, pos, vel, legs, n_legs) for c in configs]
+        starts.append(start)
+        vels.append(vel)
+        widths.append(h)
+        u_starts.append(float(lo) * k_seg - i)  # local coordinate of the piece start
+        e_halves.append(expm(conn.matrix_of(vel) * (h / 2)))
+        # leg values are affine in the local coordinate u, a + u (b - a); a
+        # tangent field is the piece velocity throughout
+        ends = np.array(
+            [
+                [vel, vel] if var.is_tangent else [[float(c) for c in var.displacement(i + e)] for e in (0, 1)]
+                for var in variations
+            ]
+        ).reshape(n_legs, 2, loop.space.d)
+        leg_starts.append(ends[:, 0])
+        leg_slopes.append(ends[:, 1] - ends[:, 0])
+    starts, vels, widths, u_starts, e_halves, leg_starts, leg_slopes = map(
+        np.array, (starts, vels, widths, u_starts, e_halves, leg_starts, leg_slopes)
+    )
+    total = len(widths) * steps
+    for first in range(0, total, BLOCK):
+        p, j = np.divmod(np.arange(first, min(first + BLOCK, total)), steps)
+        mid = j + 0.5
+        h = widths[p]
+        pos = starts[p] + (mid * h)[:, None] * vels[p]
+        u = u_starts[p] + mid * (h * k_seg)
+        legs = (leg_starts[p] + u[:, None, None] * leg_slopes[p]).transpose(1, 0, 2)
+        mats = [insertion_matrix(c, pos, vels[p], legs, n_legs) for c in configs]
+        yield h[:, None, None, None], e_halves[p], mats
 
 
 def _gen_transport_fixed(
@@ -305,11 +335,11 @@ def _gen_transport_fixed(
     steps: int,
     variations: Sequence[VariationField],
 ) -> SuperMatrix:
-    n_gen = config.n_theta + len(variations)
-    u_mat = np.eye((1 << n_gen) * config.n, dtype=complex)
+    u_mat = SuperMatrix.identity(config.n, config.n_theta + len(variations))
     for h, e_half, (inserts,) in _midpoint_grid(conn, loop, s, t, steps, variations, (config,)):
-        u_mat = u_mat @ _chain(e_half @ _exp_series(inserts * h, config.n) @ e_half)
-    return SuperMatrix.from_regular(u_mat, config.n, n_gen)
+        factors = _body_right(_body_left(e_half, _exp_series(inserts * h)), e_half)
+        u_mat = u_mat @ SuperMatrix._of(_chain(factors))
+    return u_mat
 
 
 def _with_richardson(evaluate, plan: TransportPlan):
@@ -337,7 +367,8 @@ def _with_richardson(evaluate, plan: TransportPlan):
     if plan.tol is None:
         return value
     while True:
-        if 2 * steps > plan.max_steps:
+        # the next level's finest grid is 2 * steps, doubled by Richardson
+        if 2 * steps << plan.richardson > plan.max_steps:
             raise QuadratureError(
                 f"no convergence to tol={plan.tol} within {plan.max_steps} steps/segment"
             )
@@ -412,26 +443,27 @@ def insertion_derivative(
         config = FieldConfig(eta.space, eta.n, eta.n_theta, ())
     if eta.n != config.n or eta.n_theta != config.n_theta:
         raise ValueError("insertion field shape differs from transport field")
-    n = config.n
     n_gen = config.n_theta + len(variations)
-    dim = (1 << n_gen) * n
 
     def fixed(steps: int) -> GradedCoefficient:
         # (prod, acc) is the pair product of the blocks so far: prod is the
         # transport, acc the sum of the sandwiches prefix . h Z_j . suffix
-        prod = np.eye(dim, dtype=complex)
-        acc = np.zeros((dim, dim), dtype=complex)
+        prod = SuperMatrix.identity(config.n, n_gen)
+        acc = SuperMatrix(config.n, n_gen)
         grid = _midpoint_grid(
             conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta)
         )
         for h, e_half, (m_cs, m_es) in grid:
-            g_half = _exp_series(m_cs * (h / 2), n)
-            first = e_half @ g_half
-            second = g_half @ e_half
-            f_blk, k_blk = _chain(first @ second, first @ (m_es * h) @ second)
+            g_half = _exp_series(m_cs * (h / 2))
+            first = _body_left(e_half, g_half)
+            second = _body_right(g_half, e_half)
+            f_blk, k_blk = map(
+                SuperMatrix._of,
+                _chain(product(first, second), product(product(first, m_es * h), second)),
+            )
             acc = acc @ f_blk + prod @ k_blk
             prod = prod @ f_blk
-        return SuperMatrix.from_regular(acc, n, n_gen).trace()
+        return acc.trace()
 
     return _with_richardson(fixed, plan)
 

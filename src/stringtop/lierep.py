@@ -35,9 +35,10 @@ rows and columns indexed (monomial T, matrix index i) as T * n + i. Block
 with the sign of theta_{T ^ U} theta_U = +-theta_T. This is an algebra
 homomorphism whose unit column block (U = 0) is the component stack
 itself, so a product A B is the one matmul regular(A) times the stacked
-components of B, and long chains of products (the generalized transports)
-stay regular matrices until ``SuperMatrix.from_regular`` reads the column
-back. The Grassmann trace is the trace of each component.
+components of B (``product``), and the result is again a component stack.
+``product`` multiplies whole stacks of matrices at once, which is how the
+generalized transports multiply their step factors. The Grassmann trace is
+the trace of each component.
 """
 
 from __future__ import annotations
@@ -133,12 +134,6 @@ class SuperMatrix:
     def identity(cls, n: int, n_gen: int = DEFAULT_GENERATORS) -> "SuperMatrix":
         return cls.from_body(np.eye(n), n_gen)
 
-    @classmethod
-    def from_regular(cls, mat: np.ndarray, n: int, n_gen: int) -> "SuperMatrix":
-        """The matrix whose regular representation is ``mat``, read from its
-        unit column block: rows S * n .. S * n + n - 1 are the component M_S."""
-        return cls._of(mat[:, :n].reshape(1 << n_gen, n, n).astype(complex))
-
     # -- views -------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> GradedCoefficient:
@@ -183,9 +178,7 @@ class SuperMatrix:
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check(other)
-        size, n = len(self.components), self.n
-        column = regular(self.components) @ other.components.reshape(size * n, n)
-        return SuperMatrix._of(column.reshape(size, n, n))
+        return SuperMatrix._of(product(self.components, other.components))
 
     def distance(self, other: "SuperMatrix") -> float:
         self._check(other)
@@ -222,14 +215,43 @@ for _n_gen in range(DEFAULT_GENERATORS + 1):
     signs(_n_gen)
 
 
+@functools.lru_cache(maxsize=None)
+def _regular_index(n_gen: int, n: int) -> np.ndarray:
+    """Where ``regular`` reads each entry of the (2^N n)-square matrix.
+
+    Entry (T * n + i, U * n + j) is signs[T, U] times entry (i, j) of
+    component T ^ U. With the components flattened to c and padded as
+    [0, c, -c], it is the padded entry at 1 + k for sign +1, at
+    1 + 2^N n^2 + k for sign -1 and at 0 for U outside T, k the flat
+    position of that component entry. Shared, so read-only.
+    """
+    size = 1 << n_gen
+    t, i, u, j = np.ix_(range(size), range(n), range(size), range(n))
+    flat = 1 + ((t ^ u) * n + i) * n + j
+    sign = signs(n_gen)[:, None, :, None]
+    out = np.where(sign > 0, flat, np.where(sign < 0, flat + size * n * n, 0))
+    out = out.reshape(size * n, size * n)
+    out.flags.writeable = False
+    return out
+
+
 def regular(components: np.ndarray) -> np.ndarray:
     """sum_S L_S (x) M_S for a stack components[..., S, i, j] of all 2^N
-    components; returns the (..., 2^N n, 2^N n) regular matrices."""
+    components; returns the (..., 2^N n, 2^N n) regular matrices, gathered
+    in one indexing step (``_regular_index``)."""
     *lead, size, n, _ = components.shape
-    monomials = np.arange(size)
-    sign = signs(size.bit_length() - 1)[:, :, None, None]
-    blocks = components[..., monomials[:, None] ^ monomials, :, :] * sign
-    return np.swapaxes(blocks, -3, -2).reshape(*lead, size * n, size * n)
+    flat = components.reshape(*lead, size * n * n)
+    padded = np.concatenate([np.zeros((*lead, 1), flat.dtype), flat, -flat], axis=-1)
+    return padded[..., _regular_index(size.bit_length() - 1, n)]
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Grassmann matrix products of component stacks a[..., S, i, j] and
+    b[..., S, i, j], leading axes broadcast: regular(a) times the unit
+    column of b, reshaped back into a component stack."""
+    size, n = b.shape[-3], b.shape[-1]
+    column = regular(a) @ b.reshape(*b.shape[:-3], size * n, n)
+    return column.reshape(*column.shape[:-2], size, n, n)
 
 
 def fuse_traces(

@@ -112,12 +112,15 @@ def eval_field(
 # ---------------------------------------------------------------------------
 # step-by-step generalized transport, one SuperMatrix product per factor
 #
-# The package runs the transport in the regular representation of the
-# Grassmann algebra, a block of midpoints at a time. These functions take one
-# midpoint at a time instead: the insertion matrix is assembled from
-# GradedCoefficient products, its exponential is a Taylor series of
-# SuperMatrix products, and the path-ordered product is a left-to-right
-# chain of SuperMatrix products. They take a fixed step count and apply no
+# The package runs the transport on stacks of component stacks, a block of
+# midpoints at a time: one Taylor series on the block's regular matrices,
+# the half steps applied to each component, and the step factors multiplied
+# pairwise. These functions take one midpoint at a time instead: the
+# insertion matrix is assembled from GradedCoefficient products, its
+# exponential is a Taylor series of SuperMatrix products, and the
+# path-ordered product is a left-to-right chain of SuperMatrix products
+# (with one full step exp(A v h) between the midpoints of a piece in
+# ``gen_transport_stepwise``). They take a fixed step count and apply no
 # Richardson extrapolation.
 
 

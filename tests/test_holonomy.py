@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from stringtop.holonomy import (
     transport,
     wilson,
 )
+from stringtop.lierep import SuperMatrix
 
 from oracles import gen_transport_stepwise, insertion_derivative_stepwise
 
@@ -251,6 +253,23 @@ def test_transport_plan_validation():
         TransportPlan(steps=128, max_steps=64)
     with pytest.raises(ValueError, match="richardson"):
         TransportPlan(richardson=2)
+
+
+def test_no_grid_finer_than_max_steps_is_evaluated():
+    # one Richardson level evaluates 2 * steps, so the levels run 8, 16 and
+    # the next one (16, 32) would pass the cap of 16
+    evaluated = []
+
+    def evaluate(steps):
+        evaluated.append(steps)
+        return SuperMatrix.from_body(np.eye(1) * steps, 0)
+
+    with pytest.raises(QuadratureError, match="within 16 steps/segment"):
+        holonomy._with_richardson(evaluate, TransportPlan(steps=8, tol=1e-9, max_steps=16))
+    assert evaluated == [8, 16]
+    with pytest.raises(ValueError, match="step counts"):
+        TransportPlan(steps=16, max_steps=16)
+    assert TransportPlan(steps=16, richardson=0, max_steps=16).max_steps == 16
 
 
 # -- variation legs -------------------------------------------------------------
@@ -477,3 +496,44 @@ def test_insertion_derivative_matches_stepwise_oracle(n, n_legs):
     old = insertion_derivative_stepwise(conn, cfg, loop, eta, STEPS, legs)
     assert old.norm() > 0
     assert relative(new, old) <= 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_block_boundaries_do_not_matter(monkeypatch, block):
+    # [1/7, 5/9] cuts the end pieces short, so h differs between pieces, and
+    # at 20 steps blocks of 7 span pieces and the last one is partial
+    rng = np.random.default_rng(77)
+    conn, cfg, loop = random_connection(3, rng), random_config(3, rng, two_form=False), wiggly_loop()
+    legs = [vertex_variation(loop)]
+    eta = field_obstruction(cfg, conn)
+    plan = TransportPlan(steps=STEPS, richardson=0)
+
+    def run():
+        return (
+            gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), plan, legs),
+            insertion_derivative(conn, cfg, loop, eta, plan, legs),
+        )
+
+    base = run()
+    monkeypatch.setattr(holonomy, "BLOCK", block)
+    got = run()
+    for new, old in zip(got, base):
+        assert relative(new, old) <= 1e-13
+    assert relative(got[0], gen_transport_stepwise(conn, cfg, loop, F(1, 7), F(5, 9), STEPS, legs)) <= 1e-12
+    assert relative(got[1], insertion_derivative_stepwise(conn, cfg, loop, eta, STEPS, legs)) <= 1e-12
+
+
+def test_transport_memory_does_not_grow_with_the_steps():
+    # the working set is one block of midpoints, however fine the grid
+    rng = np.random.default_rng(5)
+    conn, cfg, loop = random_connection(3, rng), random_config(3, rng), wiggly_loop()
+    legs = [vertex_variation(loop)]
+    peaks = []
+    for steps in (128, 1024):
+        tracemalloc.start()
+        try:
+            gen_transport(conn, cfg, loop, plan=TransportPlan(steps=steps, richardson=0), variations=legs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1.5 * min(peaks)

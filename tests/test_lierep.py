@@ -253,10 +253,10 @@ def test_unit_column_round_trip_and_trace(n_gen):
     n = 3
     m = random_supermatrix(rng, n, n_gen, masks=range(0, 1 << n_gen, 2) if n_gen else [0])
     mat = regular(m.components)
-    back = SuperMatrix.from_regular(mat, n, n_gen)
-    assert np.array_equal(back.components, m.components)
-    # the Grassmann trace sums the diagonals of the unit column's blocks
+    # the unit column block (rows S * n .. S * n + n - 1) is the component stack
     column = mat[:, :n].reshape(1 << n_gen, n, n)
+    assert np.array_equal(column, m.components)
+    # the Grassmann trace sums the diagonals of the unit column's blocks
     from_column = GradedCoefficient.from_masks(
         {s: complex(np.trace(block)) for s, block in enumerate(column)}, n_gen
     )

@@ -344,6 +344,22 @@ def test_only_the_constructor_normalizes(monkeypatch):
         assert normal_form(loop) == (loop.vertices, loop.closure)
 
 
+def test_rewrapping_canonical_terms_runs_no_least_rotation(monkeypatch):
+    rng = np.random.default_rng(13)
+    bracket = bracket_of_classes(rng, (1, 2), (2, -1))
+    assert len(bracket.terms) > 1
+    calls = []
+    least_lift = PLLoop._least_lift
+    monkeypatch.setattr(PLLoop, "_least_lift", lambda self: calls.append(1) or least_lift(self))
+    again = StringCycle(TORUS, bracket.terms)
+    assert calls == []
+    assert again == bracket and again.terms == bracket.terms
+    # a canonical loop's canonical() is itself, with the lift a fresh build gives
+    for _, loop in bracket.terms:
+        assert loop.canonical() is loop
+        assert PLLoop._from_lift(TORUS, *least_lift(loop)).integer_lift() == loop.integer_lift()
+
+
 def test_class_reduction_is_torus_only():
     loop = PLLoop(CHART, [(0, 0), (1, 0), (1, 1)])
     with pytest.raises(ValueError, match="torus"):

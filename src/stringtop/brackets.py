@@ -49,25 +49,21 @@ __all__ = [
 # on the surface case, so a convention change is a one-line, one-test edit.
 
 
-def wilson_intersection_weight(sign: int, d: int = 2) -> int:
-    """Weight of one crossing in the observable bracket: +sign for d = 2.
+def wilson_intersection_weight(sign: int) -> int:
+    """Weight of one crossing in the observable bracket on a surface: +sign.
 
     Fixed once against the commuting-holonomy closed form on the torus.
     """
-    if d != 2:
-        raise NotImplementedError("only the surface case d = 2 is pinned")
     return sign
 
 
-def loop_form_pairing_sign(d: int = 2) -> int:
+def loop_form_pairing_sign() -> int:
     """Relative sign between the deformation derivative of a Wilson loop
-    and the insertion integral of the obstruction 2-form; -1 for d = 2.
+    and the insertion integral of the obstruction 2-form on a surface: -1.
 
     Fixed by the rank-one analytic case and frozen; the residual of
     fundamental_identity_check reads |Path1 - sign * Path2|.
     """
-    if d != 2:
-        raise NotImplementedError("only the surface case d = 2 is pinned")
     return -1
 
 
@@ -123,7 +119,7 @@ def wilson_field_bracket(loop: PLLoop, loopbar: PLLoop, conn) -> complex:
             raise RuntimeError(
                 f"contraction paths disagree at s={p.s}: {contracted} vs {fused}"
             )
-        total += wilson_intersection_weight(p.sign, loop.space.d) * fused
+        total += wilson_intersection_weight(p.sign) * fused
     return total
 
 
@@ -190,7 +186,7 @@ def _obstruction_path(
     raw = insertion_derivative(
         conn, config, loop, field_obstruction(config, conn), plan, variations=[v]
     )
-    sign = loop_form_pairing_sign(config.space.d)
+    sign = loop_form_pairing_sign()
     return extract_leg_coefficient(raw, config.n_theta, 1).scale(sign)
 
 

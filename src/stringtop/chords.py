@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import PLLoop, Torus
+from .geometry import PLLoop
 from .lierep import LieBasis
 from .holonomy import transport
 from .strings import TransversalityError, _cross, degree_zero_prefactor, intersections
@@ -184,15 +184,9 @@ class DiagramRealization:
     def _check_arc(self, arc: tuple[str, str]) -> None:
         p1 = self._meeting_point(arc[0])
         p2 = self._meeting_point(arc[1])
-        space = self.loops[0].space
-        diff = [a - b for a, b in zip(p1, p2)]
-        if isinstance(space, Torus):
-            ok = all(x.denominator == 1 for x in diff)
-        else:
-            ok = all(x == 0 for x in diff)
-        if not ok:
+        if any((a - b).denominator != 1 for a, b in zip(p1, p2)):
             raise ValueError(f"arc {arc} endpoints meet at different points")
-        if space.d == 2:
+        if self.loops[0].space.d == 2:
             i1 = self.diagram.circle_of(arc[0])
             i2 = self.diagram.circle_of(arc[1])
             v1 = self.loops[i1].velocity_at(self.params[arc[0]])

@@ -1,16 +1,16 @@
 """Coefficient fields, flat connections, and Grassmann-valued form fields.
 
-A field configuration is an inhomogeneous differential form on a flat
-space with values in n x n matrices tensored with a Grassmann algebra:
+A field configuration is an inhomogeneous differential form on the flat
+torus with values in n x n matrices tensored with a Grassmann algebra:
 
     C = sum_terms  f(x) * dx^{mu_1} ... dx^{mu_k} * theta_S * E,
 
-with f a scalar coefficient function (polynomial on a chart, finite
-Fourier sum on a torus), the mu's strictly increasing, theta_S a Grassmann
-monomial, and E a constant matrix. Internally the form and Grassmann
-factors are one monomial in a single exterior algebra whose generators
-are ordered [dx^1 .. dx^d, theta_1 .. theta_N]: all Koszul signs reduce
-to ``merge_sign`` on bitmasks, and the exterior derivative is left
+with f a scalar coefficient function (a finite Fourier sum), the mu's
+strictly increasing, theta_S a Grassmann monomial, and E a constant
+matrix. Internally the form and Grassmann factors are one monomial in a
+single exterior algebra whose generators are ordered
+[dx^1 .. dx^d, theta_1 .. theta_N]: all Koszul signs reduce to
+``merge_sign`` on bitmasks, and the exterior derivative is left
 multiplication by dx^mu paired with d/dx^mu on the coefficient.
 
 The obstruction field of a configuration C against a flat connection A is
@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from stringtop.geometry import Space, Torus
+from stringtop.geometry import Torus
 from stringtop.grassmann import merge_sign
 
 
@@ -47,89 +47,6 @@ def _clean_terms(terms: Mapping[tuple[int, ...], complex]) -> tuple:
             out.append((tuple(int(k) for k in key), val))
     out.sort(key=lambda kv: kv[0])
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class PolyField:
-    """Polynomial function on R^d: sum_e c_e prod_mu x_mu^{e_mu}."""
-
-    d: int
-    terms: tuple[tuple[tuple[int, ...], complex], ...]
-
-    @classmethod
-    def from_dict(cls, d: int, terms: Mapping[tuple[int, ...], complex]) -> "PolyField":
-        for key in terms:
-            if len(key) != d or any(e < 0 for e in key):
-                raise ValueError(f"bad exponent tuple {key}")
-        return cls(d, _clean_terms(terms))
-
-    @classmethod
-    def constant(cls, d: int, value: complex) -> "PolyField":
-        return cls.from_dict(d, {(0,) * d: value})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(not any(e) for e, _ in self.terms)
-
-    def constant_value(self) -> complex:
-        return sum((v for e, v in self.terms if not any(e)), 0j)
-
-    def evaluate(self, point: Sequence | np.ndarray) -> complex | np.ndarray:
-        """Value at one point of length d, or the (m,) values at the rows of
-        an (m, d) array of points."""
-        xs = np.asarray(point, dtype=float)
-        exps = np.array([e for e, _ in self.terms], dtype=float).reshape(-1, self.d)
-        coeffs = np.array([c for _, c in self.terms], dtype=complex)
-        monos = np.prod(xs[..., None, :] ** exps, axis=-1)
-        values = (monos * coeffs).sum(axis=-1)
-        return values if xs.ndim == 2 else complex(values)
-
-    def derivative(self, mu: int) -> "PolyField":
-        out: dict[tuple[int, ...], complex] = {}
-        for exps, coeff in self.terms:
-            e = exps[mu]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[mu] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0j) + e * coeff
-        return PolyField.from_dict(self.d, out)
-
-    def scale(self, s: complex) -> "PolyField":
-        return PolyField.from_dict(self.d, {e: s * v for e, v in self.terms})
-
-    def __add__(self, other: "PolyField") -> "PolyField":
-        out = {e: v for e, v in self.terms}
-        for e, v in other.terms:
-            out[e] = out.get(e, 0j) + v
-        return PolyField.from_dict(self.d, out)
-
-    def __mul__(self, other):
-        if isinstance(other, PolyField):
-            out: dict[tuple[int, ...], complex] = {}
-            for e1, v1 in self.terms:
-                for e2, v2 in other.terms:
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, 0j) + v1 * v2
-            return PolyField.from_dict(self.d, out)
-        if isinstance(other, FourierField):
-            if self.is_constant:
-                return other.scale(self.constant_value())
-            if other.is_constant:
-                return self.scale(other.constant_value())
-            raise TypeError("cannot multiply a polynomial by a non-constant Fourier field")
-        return NotImplemented
-
-    def coeff_norm(self) -> float:
-        return sum(abs(v) for _, v in self.terms)
-
-    def key(self) -> tuple:
-        return ("poly", self.d, self.terms)
 
 
 @dataclass(frozen=True)
@@ -153,13 +70,6 @@ class FourierField:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(not any(f) for f, _ in self.terms)
-
-    def constant_value(self) -> complex:
-        return sum((v for f, v in self.terms if not any(f)), 0j)
 
     def evaluate(self, point: Sequence | np.ndarray) -> complex | np.ndarray:
         """Value at one point of length d, or the (m,) values at the rows of
@@ -189,65 +99,21 @@ class FourierField:
         return FourierField.from_dict(self.d, out)
 
     def __mul__(self, other):
-        if isinstance(other, FourierField):
-            out: dict[tuple[int, ...], complex] = {}
-            for f1, v1 in self.terms:
-                for f2, v2 in other.terms:
-                    key = tuple(a + b for a, b in zip(f1, f2))
-                    out[key] = out.get(key, 0j) + v1 * v2
-            return FourierField.from_dict(self.d, out)
-        if isinstance(other, PolyField):
-            if other.is_constant:
-                return self.scale(other.constant_value())
-            if self.is_constant:
-                return other.scale(self.constant_value())
-            raise TypeError("cannot multiply a Fourier field by a non-constant polynomial")
-        return NotImplemented
+        if not isinstance(other, FourierField):
+            return NotImplemented
+        out: dict[tuple[int, ...], complex] = {}
+        for f1, v1 in self.terms:
+            for f2, v2 in other.terms:
+                key = tuple(a + b for a, b in zip(f1, f2))
+                out[key] = out.get(key, 0j) + v1 * v2
+        return FourierField.from_dict(self.d, out)
 
     def coeff_norm(self) -> float:
         return sum(abs(v) for _, v in self.terms)
 
-    def key(self) -> tuple:
-        return ("fourier", self.d, self.terms)
-
-
-CoeffField = PolyField | FourierField
-
-
-def constant_field(space: Space, value: complex) -> CoeffField:
-    """A constant function in the natural field class of the space."""
-    if isinstance(space, Torus):
-        return FourierField.constant(space.d, value)
-    return PolyField.constant(space.d, value)
-
 
 # ---------------------------------------------------------------------------
 # flat connections
-
-
-class ZeroConnection:
-    """The trivial connection A = 0 on a rank-n bundle."""
-
-    def __init__(self, n: int, d: int) -> None:
-        self.n = n
-        self.d = d
-
-    @property
-    def mats(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.zeros((self.n, self.n), dtype=complex) for _ in range(self.d))
-
-    @property
-    def is_zero(self) -> bool:
-        return True
-
-    def matrix_of(self, velocity: Sequence) -> np.ndarray:
-        return np.zeros((self.n, self.n), dtype=complex)
-
-    def gauge(self, g: np.ndarray) -> "ZeroConnection":
-        return self
-
-    def flatness_residual(self) -> float:
-        return 0.0
 
 
 class ConstantCommutingConnection:
@@ -297,7 +163,7 @@ class ConstantCommutingConnection:
         return worst
 
 
-FlatConnection = ZeroConnection | ConstantCommutingConnection
+FlatConnection = ConstantCommutingConnection
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +172,7 @@ FlatConnection = ZeroConnection | ConstantCommutingConnection
 
 class FieldTerm(NamedTuple):
     mask: int  # bits 0..d-1: dx factors; bits d..d+n_theta-1: theta factors
-    field: CoeffField
+    field: FourierField
     mat: np.ndarray
 
 
@@ -317,7 +183,7 @@ class FieldConfig:
 
     def __init__(
         self,
-        space: Space,
+        space: Torus,
         n: int,
         n_theta: int,
         terms: Iterable[FieldTerm] = (),
@@ -350,7 +216,7 @@ class FieldConfig:
     @classmethod
     def build(
         cls,
-        space: Space,
+        space: Torus,
         n: int,
         n_theta: int,
         term_specs: Iterable[dict],
@@ -358,7 +224,7 @@ class FieldConfig:
     ) -> "FieldConfig":
         """Terms as dicts: indices (1-based dx), eps (1-based theta), field, lie.
 
-        ``field`` may be a CoeffField or a bare constant; ``lie`` may be an
+        ``field`` may be a FourierField or a bare constant; ``lie`` may be an
         (i, j) 1-based matrix-unit pair or an explicit matrix.
         """
         d = space.d
@@ -380,8 +246,8 @@ class FieldConfig:
             for a in eps:
                 mask |= 1 << (d + a - 1)
             field = spec["field"]
-            if not isinstance(field, (PolyField, FourierField)):
-                field = constant_field(space, complex(field))
+            if not isinstance(field, FourierField):
+                field = FourierField.constant(d, complex(field))
             lie = spec["lie"]
             if isinstance(lie, tuple) and len(lie) == 2 and isinstance(lie[0], int):
                 mat = np.zeros((n, n), dtype=complex)
@@ -430,7 +296,7 @@ class FieldConfig:
         grouped: dict[tuple, FieldTerm] = {}
         order: list[tuple] = []
         for mask, field, mat in self.terms:
-            key = (mask, field.key())
+            key = (mask, field)
             if key in grouped:
                 old = grouped[key]
                 grouped[key] = FieldTerm(mask, field, old.mat + mat)
@@ -453,7 +319,7 @@ class FieldConfig:
 
     def __repr__(self) -> str:
         return (
-            f"FieldConfig({self.space.kind} d={self.space.d}, n={self.n}, "
+            f"FieldConfig(torus d={self.space.d}, n={self.n}, "
             f"n_theta={self.n_theta}, terms={len(self.terms)})"
         )
 

@@ -1,11 +1,10 @@
-"""Flat spaces, piecewise-linear loops, and loop variations.
+"""The flat torus, piecewise-linear loops, and loop variations.
 
-Two model spaces are supported: a single affine chart R^d and the flat
-torus R^d / Z^d, both with d >= 2. A loop is a closed piecewise-linear
-path given by the vertices of one lift to R^d, with exact rational
-coordinates, plus an integer closure vector: the lift ends at
-vertices[0] + closure. On a chart the closure must vanish; on the torus it
-is the homotopy/homology class of the loop.
+The model space is the flat torus R^d / Z^d, d >= 2. A loop is a closed
+piecewise-linear path given by the vertices of one lift to R^d, with
+exact rational coordinates, plus an integer closure vector: the lift ends
+at vertices[0] + closure. The closure is the homotopy/homology class of
+the loop.
 
 Parametrization is uniform in t: with K segments, t in [i/K, (i+1)/K]
 traverses segment i affinely. All point and velocity evaluations at
@@ -39,30 +38,14 @@ from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
-class Chart:
-    """A single affine chart R^d."""
-
-    d: int
-    kind: str = "chart"
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("dimension must be at least 2")
-
-
-@dataclass(frozen=True)
 class Torus:
     """The flat torus R^d / Z^d, coordinates understood mod 1."""
 
     d: int
-    kind: str = "torus"
 
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
-
-
-Space = Chart | Torus
 
 
 def _rat(x) -> Fraction:
@@ -141,7 +124,7 @@ class PLLoop:
 
     def __init__(
         self,
-        space: Space,
+        space: Torus,
         vertices: Sequence[Iterable],
         closure: Sequence[int] | None = None,
     ) -> None:
@@ -154,8 +137,6 @@ class PLLoop:
             raise ValueError(f"closure vector {closure} is not integral")
         if len(self.closure) != d:
             raise ValueError("closure vector has wrong dimension")
-        if isinstance(space, Chart) and any(self.closure):
-            raise ValueError("loops on a chart must have zero closure")
         if not self._vertices:
             raise ValueError("loop needs at least one vertex")
         k = len(self._vertices)
@@ -169,7 +150,7 @@ class PLLoop:
         self._is_canonical = False
 
     @classmethod
-    def _from_lift(cls, space: Space, den: int, pts: tuple[tuple[int, ...], ...]) -> "PLLoop":
+    def _from_lift(cls, space: Torus, den: int, pts: tuple[tuple[int, ...], ...]) -> "PLLoop":
         """The loop whose lift is pts / den, validated on the integers.
 
         pts holds the K + 1 lift vertices times den > 0 as int tuples, the
@@ -191,8 +172,6 @@ class PLLoop:
         closure = tuple(c // den for c in closure)
         if len(closure) != space.d:
             raise ValueError("closure vector has wrong dimension")
-        if isinstance(space, Chart) and any(closure):
-            raise ValueError("loops on a chart must have zero closure")
         if any(map(operator.eq, pts, pts[1:])):
             raise ValueError("consecutive vertices coincide (constant segments are not allowed)")
         loop = cls.__new__(cls)
@@ -298,7 +277,7 @@ class PLLoop:
     # -- class invariants ---------------------------------------------------
 
     def lattice_class(self) -> tuple[int, ...]:
-        """Closure vector; on the torus this is the free homotopy class."""
+        """Closure vector: the free homotopy class."""
         return self.closure
 
     def integer_lift(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -320,17 +299,17 @@ class PLLoop:
 
         Two loops describe the same unmarked geometric loop exactly when
         their normal forms agree. The candidates are the K rotations
-        (vertex(r), ..., vertex(r + K - 1)); on the torus each is first
-        translated by the floor of its initial vertex, into [0,1)^d, so
-        rotations past the wrap, which differ by the closure translation,
-        do not affect the result. The normal form is (least candidate,
-        closure), and it is cached.
+        (vertex(r), ..., vertex(r + K - 1)), each first translated by the
+        floor of its initial vertex, into [0,1)^d, so rotations past the
+        wrap, which differ by the closure translation, do not affect the
+        result. The normal form is (least candidate, closure), and it is
+        cached.
 
         The least candidate is found without building the candidates. Let
         P_0..P_K be the integer lift (``integer_lift``) over its denominator
-        den > 0, and give vertex i the token (P_i mod den on the torus, P_i
-        on a chart; P_{i+1} - P_i). The token sequences starting at r and
-        at q compare in the same order as candidates r and q:
+        den > 0, and give vertex i the token (P_i mod den, P_{i+1} - P_i).
+        The token sequences starting at r and at q compare in the same
+        order as candidates r and q:
 
         - the point entries of the first tokens are the candidates' first
           vertices times den;
@@ -356,18 +335,14 @@ class PLLoop:
     def _least_lift(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, rows): the integer lift of the normal form (see ``normal_form``).
 
-        rows are the K + 1 lift vertices of the least rotation times den, on
-        the torus translated so that the first lies in [0, den)^d.
+        rows are the K + 1 lift vertices of the least rotation times den,
+        translated so that the first lies in [0, den)^d.
         """
         den, pts = self.integer_lift()
-        torus = isinstance(self.space, Torus)
-        tokens = [
-            (*(map(den.__rmod__, p) if torus else p), *map(operator.sub, q, p))
-            for p, q in zip(pts, pts[1:])
-        ]
+        tokens = [(*map(den.__rmod__, p), *map(operator.sub, q, p)) for p, q in zip(pts, pts[1:])]
         r = least_rotation(tokens)
         # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^d
-        shift = tuple(c - c % den for c in pts[r]) if torus else (0,) * self.space.d
+        shift = tuple(c - c % den for c in pts[r])
         back = tuple(den * m - s for m, s in zip(self.closure, shift))
         rows = tuple(tuple(map(operator.sub, p, shift)) for p in pts[r:-1])
         rows += tuple(tuple(map(operator.add, p, back)) for p in pts[: r + 1])
@@ -390,7 +365,7 @@ class PLLoop:
 
     def __repr__(self) -> str:
         return (
-            f"PLLoop({self.space.kind} d={self.space.d}, "
+            f"PLLoop(torus d={self.space.d}, "
             f"K={self.num_segments}, closure={self.closure})"
         )
 

@@ -141,10 +141,6 @@ class GradedCoefficient:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_homogeneous(self) -> bool:
-        degrees = {m.bit_count() for m in self._terms}
-        return len(degrees) <= 1
-
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None for mixed or zero-without-grade."""
         parities = {m.bit_count() & 1 for m in self._terms}

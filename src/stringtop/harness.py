@@ -175,12 +175,7 @@ def strip_runtime(obj: dict) -> dict:
 def gen_random_loop(space, rng, cls=None) -> PLLoop:
     """Random four-vertex rational loop, rejection-sampled away from zero segments."""
     d = space.d
-    if isinstance(space, Torus):
-        closure = tuple(
-            int(c) for c in (cls if cls is not None else rng.integers(-2, 3, size=d))
-        )
-    else:
-        closure = (0,) * d
+    closure = tuple(int(c) for c in (cls if cls is not None else rng.integers(-2, 3, size=d)))
     while True:
         verts = [
             tuple(
@@ -192,7 +187,7 @@ def gen_random_loop(space, rng, cls=None) -> PLLoop:
         ahead = verts[1:] + [tuple(v + c for v, c in zip(verts[0], closure))]
         if any(a == b for a, b in zip(verts, ahead)):
             continue
-        return PLLoop(space, verts, closure if isinstance(space, Torus) else None)
+        return PLLoop(space, verts, closure)
 
 
 def _retrying(draw):

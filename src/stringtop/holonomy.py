@@ -78,8 +78,8 @@ class TransportPlan:
     steps: sub-intervals per covered segment piece (before extrapolation).
     richardson: extrapolation levels; 1 combines S and 2S values as
         (4 T_{2S} - T_S) / 3, valid because the scheme's error is even in h.
-    tol: if set, double steps until successive extrapolated values agree
-        to this distance.
+    tol: if set, a positive distance: double steps until successive
+        extrapolated values agree to it.
     max_steps: per-segment cap on the finest grid evaluated, which is
         2 * steps with one Richardson level.
     """
@@ -94,6 +94,8 @@ class TransportPlan:
             raise ValueError("richardson must be 0 or 1")
         if self.steps < 1 or self.max_steps < self.steps << self.richardson:
             raise ValueError("bad step counts")
+        if self.tol is not None and not self.tol > 0:
+            raise ValueError("tol must be positive")
 
 
 DEFAULT_PLAN = TransportPlan()
@@ -487,124 +489,3 @@ def extract_leg_coefficient(
             continue
         comps[theta_part] = merge_sign(leg_mask, theta_part) * val
     return GradedCoefficient.from_masks(comps, n_theta)
-
-
-# ---------------------------------------------------------------------------
-# two-patch gluing
-
-
-@dataclass(frozen=True)
-class PatchSchedule:
-    """Assignment of patches to parameter intervals of one loop.
-
-    boundaries: times 0 = b_0 < b_1 < ... < b_m = 1 (exact rationals);
-    patches[i] is the patch index (0 or 1) used on [b_i, b_{i+1}];
-    overlap: half-width of the window around each interior boundary inside
-    which both patches are valid (crossing times may move within it).
-    """
-
-    boundaries: tuple[Fraction, ...]
-    patches: tuple[int, ...]
-    overlap: Fraction = Fraction(1, 20)
-
-    def __post_init__(self):
-        bs = self.boundaries
-        if bs[0] != 0 or bs[-1] != 1 or any(a >= b for a, b in zip(bs, bs[1:])):
-            raise ValueError("boundaries must increase from 0 to 1")
-        if len(self.patches) != len(bs) - 1:
-            raise ValueError("need one patch per interval")
-        if any(p not in (0, 1) for p in self.patches):
-            raise ValueError("patch indices must be 0 or 1")
-        for a, b in zip(self.patches, self.patches[1:]):
-            if a == b:
-                raise ValueError("consecutive intervals must switch patches")
-
-    def moved(self, index: int, delta: Fraction) -> "PatchSchedule":
-        """Move interior boundary ``index`` by delta, within the overlap."""
-        if not 1 <= index <= len(self.boundaries) - 2:
-            raise ValueError("only interior boundaries can move")
-        if abs(delta) > self.overlap:
-            raise ValueError("move exceeds the overlap window")
-        bs = list(self.boundaries)
-        bs[index] = bs[index] + delta
-        return PatchSchedule(tuple(bs), self.patches, self.overlap)
-
-
-class TwoPatchConnection:
-    """Flat connection given in two local gauges with a constant transition.
-
-    Patch data (A_i, C_i) are related on overlaps by the constant
-    transition t12 (patch 0 to patch 1):  X_1 = t21 X_0 t12 with
-    t21 = t12^{-1}. The cocycle condition and the compatibility of both
-    connection and insertion fields are validated at construction.
-    """
-
-    def __init__(
-        self,
-        conn0: FlatConnection,
-        conn1: FlatConnection,
-        t12: np.ndarray,
-        t21: np.ndarray | None = None,
-        config0: FieldConfig | None = None,
-        config1: FieldConfig | None = None,
-        tol: float = 1e-10,
-    ) -> None:
-        self.conns = (conn0, conn1)
-        self.configs = (config0, config1)
-        self.t12 = np.asarray(t12, dtype=complex)
-        self.t21 = np.linalg.inv(self.t12) if t21 is None else np.asarray(t21, dtype=complex)
-        self.n = conn0.n
-        cocycle = float(np.max(np.abs(self.t12 @ self.t21 - np.eye(self.n))))
-        if cocycle > tol:
-            raise ValueError(f"transition cocycle violated: |t12 t21 - 1| = {cocycle:.3e}")
-        for mu, (a0, a1) in enumerate(zip(conn0.mats, conn1.mats)):
-            residual = float(np.max(np.abs(a1 - self.t21 @ a0 @ self.t12)))
-            if residual > tol * max(1.0, float(np.max(np.abs(a0)))):
-                raise ValueError(
-                    f"connections incompatible on overlap (direction {mu + 1}, "
-                    f"residual {residual:.3e})"
-                )
-        if (config0 is None) != (config1 is None):
-            raise ValueError("provide insertion fields for both patches or neither")
-        if config0 is not None and config1 is not None:
-            gauged = config0.gauge(self.t21)
-            diff = gauged + config1.scale(-1.0)
-            if not diff.is_zero and diff.norm() > tol * max(1.0, config0.norm()):
-                raise ValueError("insertion fields incompatible on overlap")
-
-    def transition(self, from_patch: int, to_patch: int) -> np.ndarray:
-        if (from_patch, to_patch) == (0, 1):
-            return self.t12
-        if (from_patch, to_patch) == (1, 0):
-            return self.t21
-        raise ValueError("transition requires a patch switch")
-
-
-def glued_wilson(
-    tp: TwoPatchConnection,
-    loop: PLLoop,
-    schedule: PatchSchedule,
-    plan: TransportPlan = DEFAULT_PLAN,
-) -> GradedCoefficient:
-    """Trace of the transport glued across patches at the scheduled crossings.
-
-    U = prod_i [ hol_{p_i}(b_i, b_{i+1}) t_{p_i p_{i+1}} ], trace taken
-    after the final interval (the loop starts and ends in the same patch,
-    so no transition is inserted at the endpoints).
-    """
-    if schedule.patches[0] != schedule.patches[-1]:
-        raise ValueError("loop must start and end in the same patch")
-    # both patches carry a field configuration with the same n_theta, or neither does
-    config = tp.configs[0]
-    n_theta = 0 if config is None else config.n_theta
-    u_mat = SuperMatrix.identity(tp.n, n_theta)
-    for idx, patch in enumerate(schedule.patches):
-        lo = schedule.boundaries[idx]
-        hi = schedule.boundaries[idx + 1]
-        u_mat = u_mat @ gen_transport(tp.conns[patch], tp.configs[patch], loop, lo, hi, plan)
-        if idx + 1 < len(schedule.patches):
-            t_mat = SuperMatrix.from_body(
-                tp.transition(patch, schedule.patches[idx + 1]), n_theta
-            )
-            u_mat = u_mat @ t_mat
-    return u_mat.trace()

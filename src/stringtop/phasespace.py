@@ -95,9 +95,6 @@ class GradedPhaseModel:
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
 
-    def parity_of(self, name: str) -> int:
-        return self.parities[self.index(name)]
-
     # -- polynomial factories ------------------------------------------------
 
     def zero(self) -> "GradedPolynomial":

@@ -3,10 +3,9 @@
 Everything here is exact. Crossings are found on integers: both lifts
 are scaled to one common denominator (``PLLoop.integer_lift``), crossings
 are tested with integer cross products, and ``Fraction`` values are built
-only for the crossings found. On the torus each segment pair is tried
-against the deck translations that bring the two closed segment boxes
-together, one integer range per axis; on a chart a pair is tried only if
-its boxes overlap. ``concatenate`` splices the two integer lifts over one
+only for the crossings found. Each segment pair is tried against the
+deck translations that bring the two closed segment boxes together, one
+integer range per axis. ``concatenate`` splices the two integer lifts over one
 common denominator and builds the result from its lift, as
 ``PLLoop.canonical`` does, so a bracket output stays on integers from its
 crossing to its stored term; its ``Fraction`` vertices are formed only on
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from stringtop.geometry import PLLoop, Torus
+from stringtop.geometry import PLLoop
 
 
 class TransversalityError(ValueError):
@@ -45,8 +44,7 @@ class IntersectionPoint:
     s, s_bar: loop parameters of the crossing on each loop;
     point: crossing location on the first loop's lift;
     sign: orientation of the (velocity, bar-velocity) frame, +1 or -1;
-    offset: deck translation with gamma(s) = gammabar(s_bar) + offset
-    (zero on a chart).
+    offset: deck translation with gamma(s) = gammabar(s_bar) + offset.
     """
 
     s: Fraction
@@ -73,11 +71,11 @@ def _segments(loop: PLLoop, scale: int) -> list[tuple[int, ...]]:
 def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
     """All transversal crossings of two loops, exact, sorted by (s, s_bar).
 
-    On the torus the crossings of the quotient loops are enumerated as
-    crossings of the first lift with every relevant deck translate of the
-    second; the translation is recorded in ``offset``. Self-intersections
-    of a single loop are not this function's business: passing the same
-    geometric loop twice is a total overlap and raises.
+    The crossings of the quotient loops are enumerated as crossings of the
+    first lift with every relevant deck translate of the second; the
+    translation is recorded in ``offset``. Self-intersections of a single
+    loop are not this function's business: passing the same geometric
+    loop twice is a total overlap and raises.
 
     Both lifts are scaled to the unit u = lcm of their denominators. Segment
     i of the first lift, with closed box [alo, ahi] per axis, can meet the
@@ -95,18 +93,12 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
     k1, k2 = loop.num_segments, other.num_segments
     den1, den2 = loop.integer_lift()[0], other.integer_lift()[0]
     unit = math.lcm(den1, den2)
-    torus = isinstance(loop.space, Torus)
     others = _segments(other, unit // den2)
     found = []
     for i, (px, py, dpx, dpy, axlo, axhi, aylo, ayhi) in enumerate(_segments(loop, unit // den1)):
         for j, (qx, qy, dqx, dqy, bxlo, bxhi, bylo, byhi) in enumerate(others):
-            if torus:
-                l1s = range(-((bxhi - axlo) // unit), (axhi - bxlo) // unit + 1)
-                l2s = range(-((byhi - aylo) // unit), (ayhi - bylo) // unit + 1)
-            elif axlo <= bxhi and bxlo <= axhi and aylo <= byhi and bylo <= ayhi:
-                l1s = l2s = (0,)
-            else:
-                continue
+            l1s = range(-((bxhi - axlo) // unit), (axhi - bxlo) // unit + 1)
+            l2s = range(-((byhi - aylo) // unit), (ayhi - bylo) // unit + 1)
             cross = dpx * dqy - dpy * dqx
             den = abs(cross)
             for l1 in l1s:
@@ -167,8 +159,8 @@ def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
 
     The marked point of the result is p. The two integer lifts are spliced
     over unit = lcm(both denominators, the denominators of p.point), at
-    the exact crossing parameters; on the torus the second lift is
-    translated so the two circuits join, and the closure vectors add.
+    the exact crossing parameters; the second lift is translated so the
+    two circuits join, and the closure vectors add.
     """
     i = _on_segment(loop, p.s, p.point, (0,) * loop.space.d)
     if i is None:
@@ -305,9 +297,7 @@ class StringCycle:
         return hash((self.space, self._keys()))
 
     def class_reduction(self) -> dict[tuple[int, ...], int]:
-        """Coefficients per free homotopy class; torus only."""
-        if not isinstance(self.space, Torus):
-            raise ValueError("class reduction is defined on the torus")
+        """Coefficients per free homotopy class."""
         out: dict[tuple[int, ...], int] = {}
         for coeff, loop in self.terms:
             cls = loop.lattice_class()
@@ -315,7 +305,7 @@ class StringCycle:
         return {k: v for k, v in out.items() if v != 0}
 
     def __repr__(self) -> str:
-        return f"StringCycle({self.space.kind}, {len(self.terms)} terms)"
+        return f"StringCycle(torus, {len(self.terms)} terms)"
 
 
 # ---------------------------------------------------------------------------

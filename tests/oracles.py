@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from stringtop.fields import FieldConfig, FlatConnection
-from stringtop.geometry import PLLoop, Torus, VariationField
+from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient
 from stringtop.holonomy import _pieces, _piece_floats
 from stringtop.lierep import LieBasis, SuperMatrix
@@ -268,17 +268,15 @@ def insertion_derivative_stepwise(
 def normal_form_rotations(loop: PLLoop) -> tuple:
     """Oracle: (least of all K translated rotations, closure), built in full.
 
-    Every rotation's K vertices are formed as Fractions; on the torus each
-    rotation is translated by the floor of its first vertex.
+    Every rotation's K vertices are formed as Fractions, and each rotation
+    is translated by the floor of its first vertex.
     """
     n = loop.num_segments
     candidates = []
     for r in range(n):
         verts = [loop.vertex(r + i) for i in range(n)]
-        if isinstance(loop.space, Torus):
-            shift = tuple(Fraction(c.numerator // c.denominator) for c in verts[0])
-            verts = [tuple(a - b for a, b in zip(p, shift)) for p in verts]
-        candidates.append(tuple(verts))
+        shift = tuple(Fraction(c.numerator // c.denominator) for c in verts[0])
+        candidates.append(tuple(tuple(a - b for a, b in zip(p, shift)) for p in verts))
     return (min(candidates), loop.closure)
 
 
@@ -317,8 +315,6 @@ def _lift_box(loop: PLLoop):
 
 
 def _deck_offsets(loop: PLLoop, other: PLLoop):
-    if not isinstance(loop.space, Torus):
-        return [(0, 0)]
     (alo, ahi), (blo, bhi) = _lift_box(loop), _lift_box(other)
     ranges = [range(math.ceil(alo[k] - bhi[k]), math.floor(ahi[k] - blo[k]) + 1) for k in range(2)]
     return [(l1, l2) for l1 in ranges[0] for l2 in ranges[1]]

@@ -95,11 +95,7 @@ class _CurvedStub:
 def test_named_signs_are_pinned():
     assert wilson_intersection_weight(1) == 1
     assert wilson_intersection_weight(-1) == -1
-    assert loop_form_pairing_sign(2) == -1
-    with pytest.raises(NotImplementedError):
-        wilson_intersection_weight(1, d=3)
-    with pytest.raises(NotImplementedError):
-        loop_form_pairing_sign(3)
+    assert loop_form_pairing_sign() == -1
 
 
 # -- observable bracket -----------------------------------------------------------

@@ -11,12 +11,9 @@ from stringtop.fields import (
     ConstantCommutingConnection,
     FieldConfig,
     FourierField,
-    PolyField,
-    ZeroConnection,
-    constant_field,
     field_obstruction,
 )
-from stringtop.geometry import Chart, Torus
+from stringtop.geometry import Torus
 from stringtop.grassmann import GradedCoefficient
 
 from oracles import eval_field
@@ -37,14 +34,6 @@ def diag_connection():
 # -- scalar coefficient fields ------------------------------------------------
 
 
-def test_poly_evaluate_and_derivative():
-    p = PolyField.from_dict(2, {(2, 0): 1.0, (1, 1): 3.0})
-    assert p.evaluate((2.0, 0.5)) == pytest.approx(4.0 + 3.0)
-    dp = p.derivative(0)
-    assert dp.evaluate((2.0, 0.5)) == pytest.approx(2 * 2.0 + 3 * 0.5)
-    assert p.derivative(1).evaluate((2.0, 0.5)) == pytest.approx(3 * 2.0)
-
-
 def test_fourier_evaluate_and_derivative():
     f = FourierField.from_dict(2, {(1, 0): 1.0})
     assert f.evaluate((0.25, 0.7)) == pytest.approx(1j)
@@ -57,9 +46,9 @@ def test_fourier_evaluate_and_derivative():
 def test_evaluate_takes_an_array_of_points():
     points = np.array([[0.25, 0.7], [-1.5, 0.3], [2.0, 0.5]])
     for field in (
-        PolyField.from_dict(2, {(2, 0): 1.0, (1, 1): 3.0 - 1j, (0, 0): 0.5}),
+        FourierField.from_dict(2, {(2, 0): 1.0, (1, 1): 3.0 - 1j, (0, 0): 0.5}),
         FourierField.from_dict(2, {(1, 0): 1.0, (-2, 1): 0.3j}),
-        PolyField.from_dict(2, {}),
+        FourierField.from_dict(2, {}),
     ):
         values = field.evaluate(points)
         assert values.shape == (3,)
@@ -68,29 +57,10 @@ def test_evaluate_takes_an_array_of_points():
 
 
 def test_products_convolve_within_one_kind():
-    x1 = PolyField.from_dict(2, {(1, 0): 1.0})
-    x2 = PolyField.from_dict(2, {(0, 1): 1.0})
-    assert (x1 * x2).terms == (((1, 1), 1.0 + 0j),)
     e10 = FourierField.from_dict(2, {(1, 0): 2.0})
     e01 = FourierField.from_dict(2, {(0, 1): 0.5})
     assert (e10 * e01).terms == (((1, 1), 1.0 + 0j),)
-
-
-def test_cross_kind_products_require_a_constant_factor():
-    c = PolyField.constant(2, 3.0)
-    f = FourierField.from_dict(2, {(1, 0): 1.0})
-    assert (c * f).terms == (((1, 0), 3.0 + 0j),)
-    assert (f * c).terms == (((1, 0), 3.0 + 0j),)
-    x1 = PolyField.from_dict(2, {(1, 0): 1.0})
-    with pytest.raises(TypeError, match="non-constant"):
-        x1 * f
-    with pytest.raises(TypeError, match="non-constant"):
-        f * x1
-
-
-def test_constant_field_picks_the_space_kind():
-    assert constant_field(Torus(2), 1.5) == FourierField.constant(2, 1.5)
-    assert constant_field(Chart(2), 1.5) == PolyField.constant(2, 1.5)
+    assert (FourierField.constant(2, 3.0) * e10).terms == (((1, 0), 6.0 + 0j),)
 
 
 # -- flat connections ----------------------------------------------------------
@@ -114,7 +84,7 @@ def test_connection_contraction_and_gauge():
     ginv = np.linalg.inv(g)
     for a, b in zip(gauged.mats, conn.mats):
         np.testing.assert_allclose(a, g @ b @ ginv, atol=1e-14)
-    zero = ZeroConnection(2, 2)
+    zero = ConstantCommutingConnection([np.zeros((2, 2))] * 2)
     assert zero.is_zero
     assert not zero.matrix_of((1.0, 1.0)).any()
 
@@ -123,20 +93,20 @@ def test_connection_contraction_and_gauge():
 
 
 def test_build_rejects_bad_indices_and_parity():
-    chart = Chart(2)
+    torus = Torus(2)
     with pytest.raises(ValueError, match="out of range"):
-        FieldConfig.build(chart, 2, 2, [{"indices": (3,), "field": 1.0, "lie": (1, 2)}])
+        FieldConfig.build(torus, 2, 2, [{"indices": (3,), "field": 1.0, "lie": (1, 2)}])
     with pytest.raises(ValueError, match="strictly increasing"):
         FieldConfig.build(
-            chart, 2, 2, [{"indices": (2, 1), "field": 1.0, "lie": (1, 2)}]
+            torus, 2, 2, [{"indices": (2, 1), "field": 1.0, "lie": (1, 2)}]
         )
     with pytest.raises(ValueError, match="theta index out of range"):
         FieldConfig.build(
-            chart, 2, 2, [{"indices": (1,), "eps": (3,), "field": 1.0, "lie": (1, 2)}]
+            torus, 2, 2, [{"indices": (1,), "eps": (3,), "field": 1.0, "lie": (1, 2)}]
         )
     with pytest.raises(ValueError, match="parity"):
         FieldConfig.build(
-            chart,
+            torus,
             2,
             2,
             [{"indices": (1, 2), "eps": (1,), "field": 1.0, "lie": (1, 2)}],
@@ -144,7 +114,7 @@ def test_build_rejects_bad_indices_and_parity():
         )
     # an odd term list under the odd filter is fine
     cfg = FieldConfig.build(
-        chart,
+        torus,
         2,
         2,
         [
@@ -157,18 +127,18 @@ def test_build_rejects_bad_indices_and_parity():
 
 
 def test_eval_field_selects_degree_and_pairs_antisymmetrically():
-    chart = Chart(2)
+    torus = Torus(2)
     cfg = FieldConfig.build(
-        chart,
+        torus,
         2,
         2,
         [
             {"field": 5.0, "lie": (1, 1)},
-            {"indices": (1,), "field": PolyField.from_dict(2, {(0, 1): 1.0}), "lie": (1, 2)},
+            {"indices": (1,), "field": FourierField.from_dict(2, {(0, 1): 3.0}), "lie": (1, 2)},
             {"indices": (1, 2), "field": 2.0, "lie": (2, 1)},
         ],
     )
-    point = (0.5, 3.0)
+    point = (0.5, 3.0)  # the 1-form's field is 3 exp(2 pi i x_2) = 3 there
     zero_part = eval_field(cfg, point, [])
     np.testing.assert_allclose(zero_part.body(), 5.0 * unit(2, 1, 1))
     one_part = eval_field(cfg, point, [(2.0, 7.0)])
@@ -182,23 +152,24 @@ def test_eval_field_selects_degree_and_pairs_antisymmetrically():
 
 
 def test_obstruction_of_constant_nilpotent_one_form_vanishes():
-    chart = Chart(2)
-    cfg = FieldConfig.build(chart, 2, 0, [{"indices": (1,), "field": 1.0, "lie": (1, 2)}])
-    assert field_obstruction(cfg, ZeroConnection(2, 2)).is_zero
+    torus = Torus(2)
+    cfg = FieldConfig.build(torus, 2, 0, [{"indices": (1,), "field": 1.0, "lie": (1, 2)}])
+    assert field_obstruction(cfg, ConstantCommutingConnection([np.zeros((2, 2))] * 2)).is_zero
 
 
 def test_exterior_derivative_sign_on_a_one_form():
-    # d(x_2 dx^1) = dx^2 dx^1 = -dx^1 dx^2
-    chart = Chart(2)
+    # d(f dx^1) = d_2 f dx^2 dx^1 = -d_2 f dx^1 dx^2, for f = exp(2 pi i x_2)
+    torus = Torus(2)
     cfg = FieldConfig.build(
-        chart,
+        torus,
         2,
         0,
-        [{"indices": (1,), "field": PolyField.from_dict(2, {(0, 1): 1.0}), "lie": (1, 1)}],
+        [{"indices": (1,), "field": FourierField.from_dict(2, {(0, 1): 1.0}), "lie": (1, 1)}],
     )
-    b = field_obstruction(cfg, ZeroConnection(2, 2))
+    b = field_obstruction(cfg, ConstantCommutingConnection([np.zeros((2, 2))] * 2))
+    minus_d2f = FourierField.from_dict(2, {(0, 1): -2j * cmath.pi})
     expected = FieldConfig.build(
-        chart, 2, 0, [{"indices": (1, 2), "field": -1.0, "lie": (1, 1)}]
+        torus, 2, 0, [{"indices": (1, 2), "field": minus_d2f, "lie": (1, 1)}]
     )
     assert (b + expected.scale(-1.0)).is_zero
 
@@ -206,15 +177,15 @@ def test_exterior_derivative_sign_on_a_one_form():
 def test_obstruction_is_the_covariant_derivative_on_an_odd_scalar():
     # B(f theta_1 E) = sum_mu dx^mu theta_1 (d_mu f E + f [A_mu, E]),
     # checked by evaluation since term factorizations are not canonical.
-    chart = Chart(2)
+    torus = Torus(2)
     conn = diag_connection()
-    f = PolyField.from_dict(2, {(1, 1): 1.0})
+    f = FourierField.from_dict(2, {(1, 1): 1.0})
     e = unit(2, 1, 2)
-    cfg = FieldConfig.build(chart, 2, 1, [{"eps": (1,), "field": f, "lie": e}])
+    cfg = FieldConfig.build(torus, 2, 1, [{"eps": (1,), "field": f, "lie": e}])
     b = field_obstruction(cfg, conn)
     point = (0.7, -1.3)
-    grads = (point[1], point[0])
-    fval = point[0] * point[1]
+    fval = cmath.exp(2j * cmath.pi * (point[0] + point[1]))
+    grads = (2j * cmath.pi * fval, 2j * cmath.pi * fval)
     for mu in range(2):
         basis = [(1.0, 0.0), (0.0, 1.0)][mu]
         got = eval_field(b, point, [basis]).to_entries()

@@ -9,7 +9,6 @@ import pytest
 
 from oracles import normal_form_rotations
 from stringtop.geometry import (
-    Chart,
     PLLoop,
     Torus,
     VariationField,
@@ -19,22 +18,15 @@ from stringtop.geometry import (
 F = Fraction
 
 
-def unit_square_loop(space=None):
-    if space is None:
-        space = Chart(2)
-    return PLLoop(space, [(0, 0), (1, 0), (1, 1), (0, 1)])
+def unit_square_loop():
+    return PLLoop(Torus(2), [(0, 0), (1, 0), (1, 1), (0, 1)], closure=(0, 0))
 
 
 def test_dimension_validation():
     with pytest.raises(ValueError, match="at least 2"):
-        Chart(1)
-    with pytest.raises(ValueError, match="at least 2"):
         Torus(1)
-
-
-def test_chart_loops_must_close():
-    with pytest.raises(ValueError, match="zero closure"):
-        PLLoop(Chart(2), [(0, 0), (1, 0)], closure=(1, 0))
+    with pytest.raises(TypeError):
+        Torus(2, kind="chart")
 
 
 def test_closure_must_be_integral():
@@ -49,7 +41,7 @@ def test_closure_must_be_integral():
 
 def test_constant_loops_are_rejected():
     with pytest.raises(ValueError, match="coincide"):
-        PLLoop(Chart(2), [(0, 0), (0, 0), (1, 1)])
+        PLLoop(Torus(2), [(0, 0), (0, 0), (1, 1)])
     with pytest.raises(ValueError, match="coincide"):
         PLLoop(Torus(2), [(F(1, 2), F(1, 2))], closure=(0, 0))
 
@@ -154,7 +146,7 @@ def test_constant_variation_translates():
 # -- the integer lift and the least-rotation normal form ----------------------------
 
 
-def random_loop(rng, space, dens, cls=(0, 0), k_max=6, span=6):
+def random_loop(rng, dens, cls=(0, 0), k_max=6, span=6):
     """A loop with 1..k_max vertices in [-span, span]^2 over the given denominators."""
     while True:
         k = int(rng.integers(1, k_max + 1))
@@ -163,7 +155,7 @@ def random_loop(rng, space, dens, cls=(0, 0), k_max=6, span=6):
             for _ in range(k)
         ]
         try:
-            return PLLoop(space, verts, closure=cls)
+            return PLLoop(Torus(2), verts, closure=cls)
         except ValueError:
             continue
 
@@ -199,7 +191,7 @@ def test_normal_form_matches_rotation_oracle_on_random_torus_loops():
     rng = np.random.default_rng(41)
     for _ in range(200):
         cls = tuple(int(x) for x in rng.integers(-3, 4, 2))
-        loop = random_loop(rng, Torus(2), [160], cls)
+        loop = random_loop(rng, [160], cls)
         assert loop.normal_form() == normal_form_rotations(loop)
 
 
@@ -207,7 +199,7 @@ def test_normal_form_matches_rotation_oracle_on_mixed_denominators():
     rng = np.random.default_rng(42)
     for _ in range(200):
         cls = tuple(int(x) for x in rng.integers(-3, 4, 2))
-        loop = random_loop(rng, Torus(2), [1, 3, 128], cls, span=2)
+        loop = random_loop(rng, [1, 3, 128], cls, span=2)
         assert loop.normal_form() == normal_form_rotations(loop)
     # 1/3 next to 1/128, negative coordinates, a vertex exactly on the lattice
     loop = PLLoop(Torus(2), [(F(-1, 3), F(-5, 128)), (F(-1, 128), F(1, 3)), (-1, 2)], closure=(-1, 1))
@@ -215,17 +207,18 @@ def test_normal_form_matches_rotation_oracle_on_mixed_denominators():
 
 
 def test_normal_form_matches_rotation_oracle_on_charts():
+    # class (0, 0): loops that close up in one chart, spanning several cells
     rng = np.random.default_rng(43)
     for _ in range(200):
-        loop = random_loop(rng, Chart(2), [1, 4, 7])
+        loop = random_loop(rng, [1, 4, 7])
         assert loop.normal_form() == normal_form_rotations(loop)
 
 
 def test_normal_form_of_periodic_loops_breaks_ties_like_the_oracle():
     rng = np.random.default_rng(44)
-    for space, cls in [(Torus(2), (1, 0)), (Torus(2), (-1, 2)), (Torus(2), (0, 0)), (Chart(2), (0, 0))]:
+    for cls in [(1, 0), (-1, 2), (0, 0)]:
         for _ in range(30):
-            base = random_loop(rng, space, [4], cls, k_max=4, span=1)
+            base = random_loop(rng, [4], cls, k_max=4, span=1)
             for m in (2, 3):
                 loop = cover(base, m)
                 # rotations by a multiple of the base length tie
@@ -257,16 +250,14 @@ def test_a_loop_from_a_lift_is_reduced_and_validated():
     with pytest.raises(ValueError, match="coincide"):
         PLLoop._from_lift(Torus(2), 4, ((0, 0), (1, 2), (1, 2), (4, 0)))
     with pytest.raises(ValueError, match="coincide"):
-        PLLoop._from_lift(Chart(2), 4, ((1, 3), (1, 3)))
-    with pytest.raises(ValueError, match="zero closure"):
-        PLLoop._from_lift(Chart(2), 4, ((0, 0), (1, 1), (4, 0)))
+        PLLoop._from_lift(Torus(2), 4, ((1, 3), (1, 3)))
 
 
 def test_canonical_loops_have_the_lift_of_the_constructor():
     rng = np.random.default_rng(45)
-    for space, dens in [(Torus(2), [1, 3, 128]), (Torus(2), [160]), (Chart(2), [1, 4, 7])]:
+    for random_class, dens in [(True, [1, 3, 128]), (True, [160]), (False, [1, 4, 7])]:
         for _ in range(100):
-            cls = tuple(int(x) for x in rng.integers(-3, 4, 2)) if isinstance(space, Torus) else (0, 0)
-            canon = random_loop(rng, space, dens, cls).canonical()
-            assert canon.integer_lift() == PLLoop(space, canon.vertices, canon.closure).integer_lift()
+            cls = tuple(int(x) for x in rng.integers(-3, 4, 2)) if random_class else (0, 0)
+            canon = random_loop(rng, dens, cls).canonical()
+            assert canon.integer_lift() == PLLoop(Torus(2), canon.vertices, canon.closure).integer_lift()
             assert normal_form_rotations(canon) == (canon.vertices, canon.closure)

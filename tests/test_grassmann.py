@@ -93,7 +93,6 @@ def test_parity_and_homogeneity():
     assert t(1, 2).parity() == 0
     mixed = t(1) + t(1, 2)
     assert mixed.parity() is None
-    assert not mixed.is_homogeneous()
     assert (t(1) + t(2, 3, 4)).parity() == 1
 
 

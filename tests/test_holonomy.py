@@ -1,4 +1,4 @@
-"""Tests for plain/generalized transport, insertions, and patch gluing."""
+"""Tests for plain/generalized transport and insertions."""
 
 from __future__ import annotations
 
@@ -17,20 +17,15 @@ from stringtop.fields import (
     ConstantCommutingConnection,
     FieldConfig,
     FourierField,
-    PolyField,
-    ZeroConnection,
     field_obstruction,
 )
-from stringtop.geometry import Chart, PLLoop, Torus, VariationField
+from stringtop.geometry import PLLoop, Torus, VariationField
 from stringtop.grassmann import GradedCoefficient
 from stringtop.holonomy import (
-    PatchSchedule,
     QuadratureError,
     TransportPlan,
-    TwoPatchConnection,
     extract_leg_coefficient,
     gen_transport,
-    glued_wilson,
     insertion_derivative,
     transport,
     wilson,
@@ -154,7 +149,7 @@ def test_one_insertion_closed_form():
     cfg = FieldConfig.build(
         TORUS, 2, 2, [{"indices": (1,), "eps": (1, 2), "field": 1.0, "lie": (1, 1)}]
     )
-    u_gen = gen_transport(ZeroConnection(2, 2), cfg, line)
+    u_gen = gen_transport(ConstantCommutingConnection([np.zeros((2, 2))] * 2), cfg, line)
     assert np.flatnonzero(u_gen.components.any(axis=(1, 2))).tolist() == [0, 3]
     assert np.max(np.abs(u_gen.components[0] - np.eye(2))) <= 1e-14
     e11 = np.zeros((2, 2))
@@ -253,6 +248,10 @@ def test_transport_plan_validation():
         TransportPlan(steps=128, max_steps=64)
     with pytest.raises(ValueError, match="richardson"):
         TransportPlan(richardson=2)
+    # a tolerance that is not positive would run every grid up to the cap
+    for tol in (math.nan, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            TransportPlan(steps=8, tol=tol)
 
 
 def test_no_grid_finer_than_max_steps_is_evaluated():
@@ -321,7 +320,7 @@ def test_insertion_derivative_closed_form():
     eta = FieldConfig.build(
         TORUS, 2, 2, [{"indices": (1,), "eps": (1, 2), "field": 1.0, "lie": (1, 1)}]
     )
-    out = insertion_derivative(ZeroConnection(2, 2), None, line, eta)
+    out = insertion_derivative(ConstantCommutingConnection([np.zeros((2, 2))] * 2), None, line, eta)
     assert out.distance(GradedCoefficient.from_masks({0b11: 1.0}, 2)) <= 1e-12
 
 
@@ -331,75 +330,6 @@ def test_insertion_derivative_rejects_mismatched_shapes():
     )
     with pytest.raises(ValueError, match="shape differs"):
         insertion_derivative(diag_connection(), mixed_config(2), wiggly_loop(), eta)
-
-
-# -- two-patch gluing -------------------------------------------------------------
-
-
-def two_patch_setup():
-    conn0 = diag_connection()
-    cfg0 = mixed_config()
-    t12 = np.array([[1.0, 0.3], [-0.5, 1.0]])
-    t21 = np.linalg.inv(t12)
-    conn1 = ConstantCommutingConnection([t21 @ m @ t12 for m in conn0.mats])
-    cfg1 = cfg0.gauge(t21)
-    return conn0, conn1, t12, cfg0, cfg1
-
-
-def test_patch_schedule_validation():
-    with pytest.raises(ValueError, match="increase from 0 to 1"):
-        PatchSchedule((F(0), F(2, 3), F(1, 3), F(1)), (0, 1, 0))
-    with pytest.raises(ValueError, match="one patch per interval"):
-        PatchSchedule((F(0), F(1, 2), F(1)), (0, 1, 0))
-    with pytest.raises(ValueError, match="switch patches"):
-        PatchSchedule((F(0), F(1, 2), F(1)), (0, 0))
-    sched = PatchSchedule((F(0), F(1, 3), F(2, 3), F(1)), (0, 1, 0))
-    with pytest.raises(ValueError, match="interior"):
-        sched.moved(0, F(1, 100))
-    with pytest.raises(ValueError, match="exceeds the overlap"):
-        sched.moved(1, F(1, 10))
-    assert sched.moved(1, F(1, 30)).boundaries[1] == F(1, 3) + F(1, 30)
-
-
-def test_two_patch_constructor_validates_compatibility():
-    conn0, conn1, t12, cfg0, cfg1 = two_patch_setup()
-    with pytest.raises(ValueError, match="cocycle"):
-        TwoPatchConnection(conn0, conn1, t12, t21=np.eye(2) * 2.0)
-    with pytest.raises(ValueError, match="incompatible on overlap"):
-        TwoPatchConnection(conn0, conn0, t12)
-    with pytest.raises(ValueError, match="both patches or neither"):
-        TwoPatchConnection(conn0, conn1, t12, config0=cfg0)
-    with pytest.raises(ValueError, match="insertion fields incompatible"):
-        TwoPatchConnection(conn0, conn1, t12, config0=cfg0, config1=cfg0)
-
-
-def test_glued_wilson_matches_single_patch():
-    conn0, conn1, t12, cfg0, cfg1 = two_patch_setup()
-    tp = TwoPatchConnection(conn0, conn1, t12, config0=cfg0, config1=cfg1)
-    loop = wiggly_loop()
-    sched = PatchSchedule((F(0), F(1, 3), F(2, 3), F(1)), (0, 1, 0))
-    glued = glued_wilson(tp, loop, sched)
-    assert glued.distance(wilson(conn0, cfg0, loop)) <= 1e-9
-    moved = glued_wilson(tp, loop, sched.moved(1, F(1, 30)))
-    assert moved.distance(glued) <= 1e-10
-
-
-def test_glued_wilson_without_insertions():
-    conn0, conn1, t12, _, _ = two_patch_setup()
-    tp = TwoPatchConnection(conn0, conn1, t12)
-    loop = wiggly_loop()
-    sched = PatchSchedule((F(0), F(1, 3), F(2, 3), F(1)), (0, 1, 0))
-    plain = complex(np.trace(transport(conn0, loop)))
-    out = glued_wilson(tp, loop, sched)
-    assert out.distance(GradedCoefficient.scalar(plain, 0)) <= 1e-13
-
-
-def test_glued_wilson_requires_matching_end_patches():
-    conn0, conn1, t12, _, _ = two_patch_setup()
-    tp = TwoPatchConnection(conn0, conn1, t12)
-    sched = PatchSchedule((F(0), F(1, 2), F(1)), (0, 1))
-    with pytest.raises(ValueError, match="same patch"):
-        glued_wilson(tp, wiggly_loop(), sched)
 
 
 # -- the block-streamed regular representation against the stepwise oracles ----
@@ -464,18 +394,17 @@ def test_gen_transport_with_a_body_level_term_matches_oracle():
     assert relative(new, old) <= 1e-12
 
 
-def test_gen_transport_of_a_polynomial_field_on_a_chart_matches_oracle():
-    chart = Chart(2)
-    loop = PLLoop(chart, [(0, 0), (F(3, 5), F(1, 10)), (F(1, 2), F(4, 5)), (F(-1, 5), F(1, 2))])
-    x_y = PolyField.from_dict(2, {(1, 0): 0.5, (1, 1): -0.7j, (0, 2): 0.2})
+def test_gen_transport_of_a_field_and_its_derivative_matches_oracle_off_grid():
+    loop = PLLoop(TORUS, [(0, 0), (F(3, 5), F(1, 10)), (F(1, 2), F(4, 5)), (F(-1, 5), F(1, 2))])
+    f = FourierField.from_dict(2, {(1, 0): 0.5, (1, 1): -0.7j, (0, 2): 0.2})
     cfg = FieldConfig.build(
-        chart,
+        TORUS,
         2,
         2,
         [
-            {"indices": (1,), "field": x_y, "lie": (1, 2)},
-            {"indices": (2,), "eps": (1, 2), "field": x_y.derivative(0), "lie": (2, 1)},
-            {"indices": (1, 2), "eps": (2,), "field": x_y, "lie": (1, 1)},
+            {"indices": (1,), "field": f, "lie": (1, 2)},
+            {"indices": (2,), "eps": (1, 2), "field": f.derivative(0), "lie": (2, 1)},
+            {"indices": (1, 2), "eps": (2,), "field": f, "lie": (1, 1)},
         ],
         expect_parity=1,
     )

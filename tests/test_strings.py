@@ -10,7 +10,7 @@ import pytest
 
 from oracles import canonical_rotations, concatenate_fraction, intersections_fraction, normal_form_rotations
 from stringtop import strings
-from stringtop.geometry import Chart, PLLoop, Torus
+from stringtop.geometry import PLLoop, Torus
 from stringtop.harness import gen_random_loop
 from stringtop.strings import (
     StringCycle,
@@ -26,7 +26,6 @@ from stringtop.strings import (
 
 F = Fraction
 TORUS = Torus(2)
-CHART = Chart(2)
 
 
 def torus_line(cls, base=(0, 0)):
@@ -70,19 +69,24 @@ def test_straight_torus_lifts_cross_once():
     assert p.point == (F(1, 3), F(0))
 
 
+def small(verts):
+    """A class-(0, 0) loop with the vertices scaled by 1/8, so that only the untranslated lifts meet."""
+    return PLLoop(TORUS, [tuple(F(c, 8) for c in v) for v in verts], closure=(0, 0))
+
+
 def test_diamond_and_band_cross_twice_with_opposite_signs():
-    diamond = PLLoop(CHART, [(1, 0), (0, 1), (-1, 0), (0, -1)])
-    band = PLLoop(CHART, [(-2, F(1, 3)), (2, F(1, 3)), (2, 2), (-2, 2)])
+    diamond = small([(1, 0), (0, 1), (-1, 0), (0, -1)])
+    band = small([(-2, F(1, 3)), (2, F(1, 3)), (2, 2), (-2, 2)])
     pts = intersections(diamond, band)
-    assert [(p.point, p.sign) for p in pts] == [
-        ((F(2, 3), F(1, 3)), -1),
-        ((F(-2, 3), F(1, 3)), 1),
+    assert [(p.point, p.sign, p.offset) for p in pts] == [
+        ((F(1, 12), F(1, 24)), -1, (0, 0)),
+        ((F(-1, 12), F(1, 24)), 1, (0, 0)),
     ]
 
 
 def test_disjoint_loops_do_not_intersect():
-    diamond = PLLoop(CHART, [(1, 0), (0, 1), (-1, 0), (0, -1)])
-    far = PLLoop(CHART, [(10, 10), (11, 10), (11, 11)])
+    diamond = small([(1, 0), (0, 1), (-1, 0), (0, -1)])
+    far = small([(3, 3), (4, 3), (4, 4)])
     assert intersections(diamond, far) == []
     # parallel torus lines from distinct base points never touch
     assert intersections(torus_line((1, 0)), torus_line((2, 0), base=(0, F(1, 2)))) == []
@@ -92,17 +96,16 @@ def test_non_transversal_contact_is_rejected():
     g1 = torus_line((1, 0))
     with pytest.raises(TransversalityError, match="collinear overlap"):
         intersections(g1, torus_line((1, 0)))
-    square = PLLoop(CHART, [(0, -1), (1, 0), (0, 1), (-1, 0)])
-    through_vertex = PLLoop(CHART, [(-2, -1), (2, -1), (2, 2), (-2, 2)])
+    square = small([(0, -1), (1, 0), (0, 1), (-1, 0)])
+    through_vertex = small([(-2, -1), (2, -1), (2, 2), (-2, 2)])
     with pytest.raises(TransversalityError, match="vertex or marked point"):
         intersections(square, through_vertex)
 
 
 def test_intersections_input_validation():
+    l3 = PLLoop(Torus(3), [(0, 0, 0)], closure=(1, 0, 0))
     with pytest.raises(ValueError, match="different spaces"):
-        intersections(torus_line((1, 0)), PLLoop(CHART, [(0, 0), (1, 0), (1, 1)]))
-    t3 = Torus(3)
-    l3 = PLLoop(t3, [(0, 0, 0)], closure=(1, 0, 0))
+        intersections(torus_line((1, 0)), l3)
     with pytest.raises(ValueError, match="d = 2"):
         intersections(l3, l3)
 
@@ -114,32 +117,33 @@ def crossings_or_error(find, loop, other):
         return str(err)
 
 
-def grid_loop(rng, space, den, cls):
+def grid_loop(rng, den, cls):
     """A loop of 1..5 vertices on the 1/den grid of [-2, 2]^2, or None if degenerate."""
     verts = [
         (F(int(rng.integers(-2 * den, 2 * den + 1)), den), F(int(rng.integers(-2 * den, 2 * den + 1)), den))
         for _ in range(int(rng.integers(1, 6)))
     ]
     try:
-        return PLLoop(space, verts, closure=cls)
+        return PLLoop(TORUS, verts, closure=cls)
     except ValueError:
         return None
 
 
 @pytest.mark.parametrize(
-    "space, den, pairs",
-    [(TORUS, 4, 150), (TORUS, 160, 50), (CHART, 4, 150), (CHART, 24, 150)],
+    "random_class, den, pairs",
+    [(True, 4, 150), (True, 160, 50), (False, 4, 150), (False, 24, 150)],
     ids=["torus-4", "torus-160", "chart-4", "chart-24"],
 )
-def test_intersections_match_the_fraction_oracle(space, den, pairs):
-    # on the coarse 1/4 grid many pairs touch degenerately, and both sides must raise alike
-    rng = np.random.default_rng(den + len(space.kind))
+def test_intersections_match_the_fraction_oracle(random_class, den, pairs):
+    # on the coarse 1/4 grid many pairs touch degenerately, and both sides must raise alike;
+    # the chart-* cases draw class (0, 0), loops that close up in one chart
+    rng = np.random.default_rng(den + 5)
     crossed = degenerate = 0
     for _ in range(pairs):
         loop = other = None
         while loop is None or other is None:
-            cls = [tuple(int(x) for x in rng.integers(-3, 4, 2)) if space == TORUS else (0, 0) for _ in range(2)]
-            loop, other = grid_loop(rng, space, den, cls[0]), grid_loop(rng, space, den, cls[1])
+            cls = [tuple(int(x) for x in rng.integers(-3, 4, 2)) if random_class else (0, 0) for _ in range(2)]
+            loop, other = grid_loop(rng, den, cls[0]), grid_loop(rng, den, cls[1])
         got = crossings_or_error(intersections, loop, other)
         assert got == crossings_or_error(intersections_fraction, loop, other)
         if isinstance(got, str):
@@ -230,16 +234,17 @@ def assert_concatenation_matches_the_oracle(loop, other, p):
 
 
 @pytest.mark.parametrize(
-    "space, dens, pairs",
-    [(TORUS, [1, 3, 128], 60), (TORUS, [160], 20), (CHART, [24], 60), (CHART, [1, 3, 128], 60)],
+    "random_class, dens, pairs",
+    [(True, [1, 3, 128], 60), (True, [160], 20), (False, [24], 60), (False, [1, 3, 128], 60)],
     ids=["torus-mixed", "torus-160", "chart-24", "chart-mixed"],
 )
-def test_concatenation_matches_the_fraction_oracle(space, dens, pairs):
-    rng = np.random.default_rng(len(dens) + len(space.kind))
+def test_concatenation_matches_the_fraction_oracle(random_class, dens, pairs):
+    # the chart-* cases draw class (0, 0), loops that close up in one chart
+    rng = np.random.default_rng(len(dens) + 5)
     found = deck = fed_back = 0
     for _ in range(pairs):
-        cls = [tuple(int(x) for x in rng.integers(-3, 4, 2)) if space == TORUS else (0, 0) for _ in range(3)]
-        loop, other, third = (grid_loop(rng, space, int(rng.choice(dens)), c) for c in cls)
+        cls = [tuple(int(x) for x in rng.integers(-3, 4, 2)) if random_class else (0, 0) for _ in range(3)]
+        loop, other, third = (grid_loop(rng, int(rng.choice(dens)), c) for c in cls)
         if loop is None or other is None or third is None:
             continue
         try:
@@ -260,7 +265,7 @@ def test_concatenation_matches_the_fraction_oracle(space, dens, pairs):
                     assert_concatenation_matches_the_oracle(a, b, q)
                     fed_back += 1
     assert found >= 30 and fed_back >= 30
-    assert deck >= (20 if space == TORUS else 0)
+    assert deck >= 20
 
 
 def test_concatenation_over_mixed_denominators_matches_the_fraction_oracle():
@@ -360,12 +365,6 @@ def test_rewrapping_canonical_terms_runs_no_least_rotation(monkeypatch):
         assert PLLoop._from_lift(TORUS, *least_lift(loop)).integer_lift() == loop.integer_lift()
 
 
-def test_class_reduction_is_torus_only():
-    loop = PLLoop(CHART, [(0, 0), (1, 0), (1, 1)])
-    with pytest.raises(ValueError, match="torus"):
-        StringCycle.from_loop(loop).class_reduction()
-
-
 # -- the bracket --------------------------------------------------------------------
 
 
@@ -449,10 +448,14 @@ def test_chain_level_terms_match_the_fraction_oracles(seed, monkeypatch):
         return out
 
     production = chains()
-    # terms are sorted by (vertices, closure)
+    # terms are sorted by their lift rows over one common denominator (``_by_rows``)
     for terms in production:
         for chain in terms if isinstance(terms, list) else ():
-            assert chain == sorted(chain, key=lambda term: term[1:])
+            lifts = [PLLoop(TORUS, verts, closure).integer_lift() for _, verts, closure in chain]
+            assert lifts == sorted(lifts, key=strings._by_rows)
+    # which is not the (vertices, closure) order when one loop's vertices begin another's
+    short, long = PLLoop(TORUS, [(0, 0)], (1, 0)), PLLoop(TORUS, [(0, 0), (0, F(1, 2))], (0, 1))
+    assert [loop.num_segments for _, loop in StringCycle(TORUS, [(1, short), (1, long)]).terms] == [2, 1]
     monkeypatch.setattr(strings, "intersections", intersections_fraction)
     monkeypatch.setattr(strings, "concatenate", concatenate_fraction)
     monkeypatch.setattr(PLLoop, "canonical", canonical_rotations)

@@ -100,10 +100,9 @@ def wilson_field_bracket(loop: PLLoop, loopbar: PLLoop, conn) -> complex:
     Each crossing splits both holonomies at the crossing parameter and
     pairs the halves; the basis-summed and fused-trace contractions are
     both computed and must agree to PATH_TOL (relative). Plain transports
-    are exact per piece, so no discretization plan is involved.
+    are single exponentials, so no discretization plan is involved; their
+    closed form needs the connection flat, which its constructor checks.
     """
-    if conn.flatness_residual() > 1e-12:
-        raise ValueError("connection is not flat")
     pts = intersections(loop, loopbar)
     basis = LieBasis(conn.n)
     total = 0j

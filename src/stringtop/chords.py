@@ -5,12 +5,15 @@ with a perfect matching (arcs) on the endpoint labels distributed over
 the circles. A realization maps each circle to a loop and each endpoint
 to a loop parameter so that matched endpoints land on the same point of
 the space. Evaluation inserts contracted basis elements at the endpoints
-and multiplies the traces of the resulting alternating products.
+and multiplies the traces of the resulting alternating products; the
+basis sums are one tensor contraction of per-arc Casimir tensors with the
+transports between endpoints (``evaluate_diagram``).
 """
 
 from __future__ import annotations
 
 import itertools
+import string
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -51,15 +54,14 @@ def parse_rep(label: str) -> tuple[str, int]:
     return kind, int(size)
 
 
-def _rep_matrix(kind: str, basis: LieBasis, a: int) -> np.ndarray:
-    if kind == "std":
-        return basis.matrix(a)
-    # diagonal subalgebra padded by zero: not a representation of the
-    # full algebra, used to show the trace ideal is gl(n)-specific
-    i, j = basis.unit(a)
-    if i == j:
-        return basis.matrix(a)
-    return np.zeros((basis.n, basis.n), dtype=complex)
+def _rep_stack(kind: str, n: int) -> np.ndarray:
+    """R(E_a) for every matrix unit E_a of gl(n), as an (n^2, n, n) stack."""
+    stack = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    if kind == "diag":
+        # diagonal subalgebra padded by zero: not a representation of the
+        # full algebra, used to show the trace ideal is gl(n)-specific
+        stack[[a for a in range(n * n) if a % (n + 1)]] = 0
+    return stack
 
 
 class ChordDiagram:
@@ -203,60 +205,68 @@ class DiagramRealization:
 # -- evaluation ----------------------------------------------------------------
 
 
+# einsum names each index with one letter, a-z or A-Z
+_LETTERS = string.ascii_letters
+
+
 def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
     """Product over circles of traces of transports and arc insertions.
 
     Each arc contributes a basis pair fully contracted with the inverse
     trace form; insertions follow the circles' traversal order, with a
     plain transport between consecutive endpoint parameters. Plain
-    transports are exact per piece, so no discretization plan is involved.
+    transports are single exponentials, so no discretization plan is
+    involved.
+
+    The whole value is one tensor contraction (Bar-Natan's gl(N) weight
+    system): arc (p, q) is the Casimir tensor
+    sum_a R_p(E_a)[x, y] R_q(E_a*)[z, w], with E_a* the kappa-dual unit;
+    endpoint m of a circle carries the index pair (in_m, out_m), the hop
+    after it (out_m, in_{m+1}), and the last hop closes the trace at in_1.
+    An empty circle is the trace of its full transport. Every endpoint
+    takes two indices and every empty circle one, so a diagram needing
+    more than 52 raises ``ValueError``.
     """
     diag = realization.diagram
     reps = [parse_rep(c.rep) for c in diag.circles]
     for _, size in reps:
         if size != conn.n:
             raise ValueError("representation size differs from the connection")
+    n_index = sum(2 * len(c.endpoints) or 1 for c in diag.circles)
+    if n_index > len(_LETTERS):
+        raise ValueError(
+            f"diagram needs {n_index} contraction indices, more than the {len(_LETTERS)} einsum has"
+        )
     basis = LieBasis(conn.n)
-    # kappa is its own inverse with one nonzero (= 1) entry per row
-    pairs = [(a, basis.dual(a), 1) for a in range(basis.dim)]
+    dual = [basis.dual(a) for a in range(basis.dim)]
+    stacks = {kind: _rep_stack(kind, conn.n) for kind in {k for k, _ in reps}}
 
+    letters = iter(_LETTERS)
+    slot: dict[str, str] = {}  # endpoint label -> its (in, out) index pair
+    terms: list[str] = []
+    operands: list[np.ndarray] = []
     # transports between consecutive insertion parameters, one pass per circle
-    hops: list[list[np.ndarray]] = []
-    ordered: list[tuple[str, ...]] = []
     for idx, loop in enumerate(realization.loops):
         labels = realization.ordered_endpoints(idx)
-        ordered.append(labels)
         if not labels:
-            hops.append([transport(conn, loop)])
+            i = next(letters)
+            terms.append(i + i)
+            operands.append(transport(conn, loop))
             continue
+        for label in labels:
+            slot[label] = next(letters) + next(letters)
         ss = [realization.params[l] for l in labels]
-        segs = []
-        for s, t in zip(ss, ss[1:]):
-            segs.append(transport(conn, loop, s, t))
+        segs = [transport(conn, loop, s, t) for s, t in zip(ss, ss[1:])]
         segs.append(transport(conn, loop, ss[-1], Fraction(1)) @ transport(conn, loop, Fraction(0), ss[0]))
-        hops.append(segs)
-
-    total = 0j
-    for assignment in itertools.product(pairs, repeat=len(diag.arcs)):
-        ins: dict[str, np.ndarray] = {}
-        weight = 1
-        for arc, (a, b, k) in zip(diag.arcs, assignment):
-            weight *= k
-            ins[arc[0]] = _rep_matrix(reps[diag.circle_of(arc[0])][0], basis, a)
-            ins[arc[1]] = _rep_matrix(reps[diag.circle_of(arc[1])][0], basis, b)
-        val = complex(weight)
-        for idx in range(len(diag.circles)):
-            labels = ordered[idx]
-            if not labels:
-                val *= complex(np.trace(hops[idx][0]))
-                continue
-            prod = None
-            for pos, label in enumerate(labels):
-                step = ins[label] @ hops[idx][pos]
-                prod = step if prod is None else prod @ step
-            val *= complex(np.trace(prod))
-        total += val
-    return total
+        for pos, seg in enumerate(segs):
+            terms.append(slot[labels[pos]][1] + slot[labels[(pos + 1) % len(labels)]][0])
+            operands.append(seg)
+    for p, q in diag.arcs:
+        r_p = stacks[reps[diag.circle_of(p)][0]]
+        r_q = stacks[reps[diag.circle_of(q)][0]][dual]
+        terms.append(slot[p] + slot[q])
+        operands.append(np.einsum("axy,azw->xyzw", r_p, r_q))
+    return complex(np.einsum(",".join(terms) + "->", *operands, optimize="greedy"))
 
 
 # -- relations -------------------------------------------------------------------

@@ -92,12 +92,6 @@ class FourierField:
     def scale(self, s: complex) -> "FourierField":
         return FourierField.from_dict(self.d, {f: s * v for f, v in self.terms})
 
-    def __add__(self, other: "FourierField") -> "FourierField":
-        out = {f: v for f, v in self.terms}
-        for f, v in other.terms:
-            out[f] = out.get(f, 0j) + v
-        return FourierField.from_dict(self.d, out)
-
     def __mul__(self, other):
         if not isinstance(other, FourierField):
             return NotImplemented
@@ -107,9 +101,6 @@ class FourierField:
                 key = tuple(a + b for a, b in zip(f1, f2))
                 out[key] = out.get(key, 0j) + v1 * v2
         return FourierField.from_dict(self.d, out)
-
-    def coeff_norm(self) -> float:
-        return sum(abs(v) for _, v in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +112,8 @@ class ConstantCommutingConnection:
 
     dA = 0 for constant coefficients and A ^ A = sum_{mu<nu} [A_mu, A_nu]
     dx^mu dx^nu, so pairwise commutation is exactly flatness; it is
-    validated at construction.
+    validated at construction, once, relative to the matrix scale. The
+    single-exponential ``holonomy.transport`` relies on it.
     """
 
     def __init__(self, mats: Sequence[np.ndarray]) -> None:
@@ -266,21 +258,6 @@ class FieldConfig:
 
     # -- algebra ---------------------------------------------------------------
 
-    def __add__(self, other: "FieldConfig") -> "FieldConfig":
-        if (self.space, self.n, self.n_theta) != (other.space, other.n, other.n_theta):
-            raise ValueError("incompatible field configurations")
-        return FieldConfig(
-            self.space, self.n, self.n_theta, self.terms + other.terms
-        ).simplify()
-
-    def scale(self, s: complex) -> "FieldConfig":
-        return FieldConfig(
-            self.space,
-            self.n,
-            self.n_theta,
-            [FieldTerm(m, f, s * mat) for m, f, mat in self.terms],
-        )
-
     def gauge(self, g: np.ndarray) -> "FieldConfig":
         """Conjugate the matrix part of every term by a constant g."""
         ginv = np.linalg.inv(g)
@@ -305,16 +282,6 @@ class FieldConfig:
                 order.append(key)
         return FieldConfig(
             self.space, self.n, self.n_theta, [grouped[k] for k in order]
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.simplify().terms
-
-    def norm(self) -> float:
-        return max(
-            (f.coeff_norm() * float(np.max(np.abs(m))) for _, f, m in self.terms),
-            default=0.0,
         )
 
     def __repr__(self) -> str:

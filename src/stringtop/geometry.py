@@ -12,7 +12,8 @@ rational t are exact.
 
 The exact layer of the string bracket works on integers: ``integer_lift``
 gives the K + 1 lift vertices as integer tuples over one common
-denominator, cached on the (immutable) loop. A loop can also be built
+denominator, cached on the (immutable) loop, and ``lift_point`` reads the
+point at a rational t off it in integers. A loop can also be built
 from such a lift (``PLLoop._from_lift``), as concatenations and canonical
 loops are; its ``Fraction`` vertices are then formed only on demand.
 ``canonical`` and ``normal_form`` share one least rotation (Booth 1980)
@@ -293,6 +294,24 @@ class PLLoop:
             pts.append(tuple(a + den * m for a, m in zip(pts[0], self.closure)))
             self._lift = (den, tuple(pts))
         return self._lift
+
+    def lift_point(self, t: Fraction) -> tuple[int, tuple[int, ...]]:
+        """(den', x'): the lift point at t in [0, 1] as x' / den', in integers.
+
+        With (den, P_0..P_K) the integer lift and t = tn/td in lowest terms,
+        divmod(tn K, td) = (i, rem) picks segment i and local coordinate
+        rem/td, so the point is (P_i td + rem (P_{i+1} - P_i)) / (den td),
+        or P_i / den at a vertex (rem = 0). The same point as ``point_at``,
+        without forming a ``Fraction``.
+        """
+        tn, td = t.numerator, t.denominator
+        if not 0 <= tn <= td:
+            raise ValueError("parameter must lie in [0, 1]")
+        den, pts = self.integer_lift()
+        i, rem = divmod(tn * (len(pts) - 1), td)
+        if not rem:
+            return den, pts[i]
+        return den * td, tuple(a * td + rem * (b - a) for a, b in zip(pts[i], pts[i + 1]))
 
     def normal_form(self) -> tuple:
         """Canonical form under marked-point rotation (and deck translation).

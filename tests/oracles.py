@@ -2,11 +2,13 @@
 
 Nothing in ``stringtop`` calls these. Each one computes by explicit
 enumeration what the package computes through an identity, so the tests
-check that identity rather than one route against itself.
+check that identity rather than one route against itself. The last
+section holds field-configuration arithmetic that only tests need.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -14,10 +16,11 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from stringtop.fields import FieldConfig, FlatConnection
+from stringtop.chords import DiagramRealization, parse_rep
+from stringtop.fields import FieldConfig, FieldTerm, FlatConnection, FourierField
 from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient
-from stringtop.holonomy import _pieces, _piece_floats
+from stringtop.holonomy import _pieces, _piece_floats, transport
 from stringtop.lierep import LieBasis, SuperMatrix
 from stringtop.strings import IntersectionPoint, TransversalityError
 
@@ -387,3 +390,84 @@ def canonical_rotations(loop: PLLoop) -> PLLoop:
     """Oracle: ``PLLoop.canonical`` built from ``normal_form_rotations``."""
     verts, closure = normal_form_rotations(loop)
     return PLLoop(loop.space, verts, closure)
+
+
+# ---------------------------------------------------------------------------
+# chord diagrams by explicit basis enumeration
+
+
+def _rep_matrix(kind: str, basis: LieBasis, a: int) -> np.ndarray:
+    """R(E_a): the matrix unit itself, or zero off the diagonal for "diag"."""
+    i, j = basis.unit(a)
+    if kind == "std" or i == j:
+        return basis.matrix(a)
+    return np.zeros((basis.n, basis.n), dtype=complex)
+
+
+def evaluate_diagram_enumerated(realization: DiagramRealization, conn) -> complex:
+    """Oracle: ``chords.evaluate_diagram`` summed over every basis assignment.
+
+    Each arc takes every pair (E_a, E_a*) with E_a* the kappa-dual unit, so
+    the sum runs over n^(2 arcs) assignments; each adds the product over
+    circles of tr(R(E) U R(E) U ...) along the traversal order. The
+    package contracts per-arc Casimir tensors instead.
+    """
+    diag = realization.diagram
+    kinds = [parse_rep(c.rep)[0] for c in diag.circles]
+    basis = LieBasis(conn.n)
+    hops = []
+    for idx, loop in enumerate(realization.loops):
+        ss = [realization.params[l] for l in realization.ordered_endpoints(idx)]
+        if not ss:
+            hops.append([transport(conn, loop)])
+            continue
+        segs = [transport(conn, loop, s, t) for s, t in zip(ss, ss[1:])]
+        segs.append(transport(conn, loop, ss[-1], Fraction(1)) @ transport(conn, loop, Fraction(0), ss[0]))
+        hops.append(segs)
+    total = 0j
+    for assignment in itertools.product(range(basis.dim), repeat=len(diag.arcs)):
+        ins: dict[str, np.ndarray] = {}
+        for (p, q), a in zip(diag.arcs, assignment):
+            ins[p] = _rep_matrix(kinds[diag.circle_of(p)], basis, a)
+            ins[q] = _rep_matrix(kinds[diag.circle_of(q)], basis, basis.dual(a))
+        val = 1 + 0j
+        for idx in range(len(diag.circles)):
+            prod = np.eye(conn.n, dtype=complex)
+            for label, hop in itertools.zip_longest(realization.ordered_endpoints(idx), hops[idx]):
+                prod = prod @ (hop if label is None else ins[label] @ hop)
+            val *= complex(np.trace(prod))
+        total += val
+    return total
+
+
+# ---------------------------------------------------------------------------
+# field configuration arithmetic
+#
+# Tests compare obstruction fields term by term with these; the package
+# itself only builds, gauges and simplifies configurations.
+
+
+def coeff_norm(field: FourierField) -> float:
+    """l1 norm of the Fourier coefficients."""
+    return sum(abs(v) for _, v in field.terms)
+
+
+def config_sum(a: FieldConfig, b: FieldConfig) -> FieldConfig:
+    if (a.space, a.n, a.n_theta) != (b.space, b.n, b.n_theta):
+        raise ValueError("incompatible field configurations")
+    return FieldConfig(a.space, a.n, a.n_theta, a.terms + b.terms).simplify()
+
+
+def config_scale(config: FieldConfig, s: complex) -> FieldConfig:
+    return FieldConfig(
+        config.space, config.n, config.n_theta, [FieldTerm(m, f, s * mat) for m, f, mat in config.terms]
+    )
+
+
+def config_is_zero(config: FieldConfig) -> bool:
+    return not config.simplify().terms
+
+
+def config_norm(config: FieldConfig) -> float:
+    """Largest coeff_norm(f) * max |E| over the terms f E."""
+    return max((coeff_norm(f) * float(np.max(np.abs(m))) for _, f, m in config.terms), default=0.0)

@@ -82,13 +82,6 @@ def generic_variation(loop):
     )
 
 
-class _CurvedStub:
-    n = 2
-
-    def flatness_residual(self):
-        return 1.0
-
-
 # -- sign conventions ------------------------------------------------------------
 
 
@@ -121,9 +114,17 @@ def test_bracket_of_disjoint_loops_vanishes():
     assert wilson_field_bracket(line((1, 0)), line((2, 0), base=(0, F(1, 2))), conn) == 0
 
 
-def test_bracket_rejects_curved_connections():
-    with pytest.raises(ValueError, match="not flat"):
-        wilson_field_bracket(line((1, 0)), line((0, 1)), _CurvedStub())
+def test_bracket_accepts_every_connection_the_constructor_accepts():
+    # flatness is tested once, at construction, relative to the matrix scale
+    with pytest.raises(ValueError, match="do not commute"):
+        ConstantCommutingConnection([np.diag([1.0, 0.0]), np.array([[0.0, 1e-3], [0.0, 0.0]])])
+    # [A1, A2] has one entry 5e-12: above 1e-12, below 1e-12 * max |A| = 1e-11
+    a1 = np.diag([10.0, 0.0])
+    a2 = np.array([[0.0, 5e-13], [0.0, 0.0]])
+    conn = ConstantCommutingConnection([a1, a2])
+    assert 1e-12 < conn.flatness_residual() <= 1e-11
+    val = wilson_field_bracket(line((1, 0)), line((0, 1), base=(F(1, 3), F(1, 5))), conn)
+    assert abs(val - np.trace(expm(a1) @ expm(a2))) <= 1e-12 * abs(val)
 
 
 # -- main comparison -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +18,8 @@ from stringtop.chords import (
 from stringtop.fields import ConstantCommutingConnection
 from stringtop.geometry import PLLoop, Torus
 from stringtop.strings import TransversalityError, concatenate, intersections
+
+from oracles import evaluate_diagram_enumerated
 
 T = Torus(2)
 
@@ -283,3 +286,99 @@ def test_chord_bracket_degree0_label_collision():
     )
     with pytest.raises(ValueError, match="both sides"):
         chord_bracket_degree0([(1, ra)], [(1, rb)])
+
+
+# -- the contraction against the enumeration oracle ---------------------------------
+
+
+def _realize(circles, arcs):
+    """circles: [(rep, loop)]; arcs: [(i, s, j, t)] joins circle i at s to circle j at t."""
+    params, ends = {}, [[] for _ in circles]
+    for k, (i, s, j, t) in enumerate(arcs):
+        params[f"p{k}"], params[f"q{k}"] = s, t
+        ends[i].append(f"p{k}")
+        ends[j].append(f"q{k}")
+    diagram = ChordDiagram(
+        [(rep, sorted(e, key=params.get)) for (rep, _), e in zip(circles, ends)],
+        [(f"p{k}", f"q{k}") for k in range(len(arcs))],
+    )
+    return DiagramRealization(diagram, [loop for _, loop in circles], params)
+
+
+def _random_realizations(rng, n, kinds):
+    """Diagrams with 0-3 arcs on lines of classes (1,0), (0,1), (1,1), (1,-1)
+    at random base points and a randomly translated self-crossing zigzag."""
+    while True:
+        bases = [F(int(c), 97) for c in rng.integers(0, 97, size=4)]
+        x = line((1, 0), base=(0, bases[0]))
+        y = line((0, 1), base=(bases[1], 0))
+        z = line((1, 1), base=(bases[2], 0))
+        w = line((1, -1), base=(bases[3], 0))
+        zig = ZIG.translate((F(int(rng.integers(0, 89)), 89), F(int(rng.integers(0, 89)), 89)))
+        try:
+            cross = {
+                (a, b): [(p.s, p.s_bar) for p in intersections(la, lb)]
+                for (a, la), (b, lb) in itertools.combinations(
+                    [("x", x), ("y", y), ("z", z), ("w", w), ("zig", zig)], 2
+                )
+            }
+        except TransversalityError:
+            continue
+        break
+    loops = {"x": x, "y": y, "z": z, "w": w, "zig": zig}
+
+    def arc(names, a, b):
+        s, t = cross[(a, b)][0]
+        return (names.index(a), s, names.index(b), t)
+
+    def case(names, arcs):
+        reps = [f"{kinds[i % len(kinds)]}:{n}" for i in range(len(names))]
+        return _realize([(r, loops[nm]) for r, nm in zip(reps, names)], arcs)
+
+    self_chord = (0, S_A, 0, S_B)
+    return [
+        case(["x", "y"], []),
+        case(["x", "y"], [arc(["x", "y"], "x", "y")]),
+        case(["zig"], [self_chord]),
+        case(["zig", "x"], [self_chord]),
+        case(["x", "y", "z"], [arc(["x", "y", "z"], "x", "y"), arc(["x", "y", "z"], "y", "z")]),
+        case(["zig", "y"], [self_chord, arc(["zig", "y"], "y", "zig")]),
+        case(
+            ["x", "y", "z", "w"],
+            [arc(["x", "y", "z", "w"], *pair) for pair in (("x", "y"), ("z", "w"), ("x", "w"))],
+        ),
+        case(
+            ["zig", "y", "z", "x"],
+            [self_chord, arc(["zig", "y", "z", "x"], "y", "zig"), arc(["zig", "y", "z", "x"], "y", "z")],
+        ),
+    ]
+
+
+@pytest.mark.parametrize("seed,kinds", [(1, ("std",)), (2, ("diag",)), (3, ("std", "diag"))])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contraction_matches_the_enumeration_oracle(n, seed, kinds):
+    # kinds cycle over the circles: ("std", "diag") mixes them, also within arcs
+    rng = np.random.default_rng((n, seed))
+    conn = conn_n(n, seed=int(rng.integers(1 << 30)))
+    realizations = _random_realizations(rng, n, kinds)
+    assert {len(r.diagram.arcs) for r in realizations} == {0, 1, 2, 3}
+    assert any(not c.endpoints for r in realizations for c in r.diagram.circles)
+    for r in realizations:
+        want = evaluate_diagram_enumerated(r, conn)
+        got = evaluate_diagram(r, conn)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), r.diagram
+
+
+def test_contraction_index_budget():
+    # every endpoint takes two einsum letters: 13 arcs need 52, 14 need 56
+    g1 = line((1, 0))
+    g2 = line((0, 1), base=(F(1, 3), F(1, 5)))
+    pt = intersections(g1, g2)[0]
+    conn = conn_n(1, 4)
+    for k, ok in ((13, True), (14, False)):
+        r = _realize([("std:1", g1), ("std:1", g2)], [(0, pt.s, 1, pt.s_bar)] * k)
+        if ok:
+            assert abs(evaluate_diagram(r, conn) - evaluate_diagram_enumerated(r, conn)) <= 1e-12
+        else:
+            with pytest.raises(ValueError, match="56 contraction indices"):
+                evaluate_diagram(r, conn)

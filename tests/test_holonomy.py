@@ -21,6 +21,7 @@ from stringtop.fields import (
 )
 from stringtop.geometry import PLLoop, Torus, VariationField
 from stringtop.grassmann import GradedCoefficient
+from stringtop.harness import gen_random_loop, transport_by_pieces
 from stringtop.holonomy import (
     QuadratureError,
     TransportPlan,
@@ -31,6 +32,7 @@ from stringtop.holonomy import (
     wilson,
 )
 from stringtop.lierep import SuperMatrix
+from stringtop.strings import TransversalityError, concatenate, intersections
 
 from oracles import gen_transport_stepwise, insertion_derivative_stepwise
 
@@ -109,6 +111,35 @@ def test_plain_transport_composes_exactly_off_grid():
     u_full = transport(conn, loop)
     u_split = transport(conn, loop, F(0), F(1, 3)) @ transport(conn, loop, F(1, 3), F(1))
     assert np.max(np.abs(u_split - u_full)) <= 1e-13
+
+
+def test_single_exponential_matches_the_ordered_product_over_pieces():
+    # the per-piece product is the holonomy check's oracle; concatenations
+    # are built from an integer lift and form their Fraction vertices lazily
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 6:
+        n = 1 + checked % 3
+        conn = random_connection(n, rng)
+        a = gen_random_loop(TORUS, rng, (1, 0))
+        b = gen_random_loop(TORUS, rng, (int(rng.integers(-1, 2)), 1))
+        try:
+            pts = intersections(a, b)
+        except TransversalityError:
+            continue
+        for p in pts[:2]:
+            cat = concatenate(a, b, p)
+            u = transport(conn, cat)
+            scale = max(1.0, float(np.max(np.abs(u))))
+            assert np.max(np.abs(u - transport_by_pieces(conn, cat))) <= 1e-13 * scale
+            # off-grid s < t: denominators coprime to the segment count
+            k = cat.num_segments
+            s = F(int(rng.integers(0, 6 * k + 1)), 6 * k + 1)
+            t = s + (1 - s) * F(int(rng.integers(1, 10)), 11)
+            part = transport(conn, cat, s, t)
+            assert np.max(np.abs(part - transport_by_pieces(conn, cat, s, t))) <= 1e-13 * scale
+            assert np.array_equal(transport(conn, cat, t, t), np.eye(n))
+        checked += 1
 
 
 def test_transport_parameter_validation():

@@ -11,9 +11,7 @@ the comparison of the observable bracket with the geometric one.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +32,7 @@ from .strings import StringCycle, degree_zero_prefactor, intersections, string_b
 __all__ = [
     "fundamental_identity_check",
     "fundamental_identity_paths",
-    "fundamental_identity_residuals",
-    "halving_orders",
     "loop_form_pairing_sign",
-    "main_theorem_check",
     "main_theorem_sides",
     "wilson_field_bracket",
     "wilson_intersection_weight",
@@ -69,7 +64,8 @@ def loop_form_pairing_sign() -> int:
 
 # -- observable bracket -------------------------------------------------------
 
-# relative agreement the two contraction routes must reach at every crossing
+# agreement the two contraction routes must reach at every crossing, relative
+# to the product of the norms of the four split transports
 PATH_TOL = 1e-10
 
 
@@ -99,7 +95,8 @@ def wilson_field_bracket(loop: PLLoop, loopbar: PLLoop, conn) -> complex:
 
     Each crossing splits both holonomies at the crossing parameter and
     pairs the halves; the basis-summed and fused-trace contractions are
-    both computed and must agree to PATH_TOL (relative). Plain transports
+    both computed and must agree to PATH_TOL relative to the product of
+    the Frobenius norms of the four halves. Plain transports
     are single exponentials, so no discretization plan is involved; their
     closed form needs the connection flat, which its constructor checks.
     """
@@ -113,7 +110,9 @@ def wilson_field_bracket(loop: PLLoop, loopbar: PLLoop, conn) -> complex:
         yb = transport(conn, loopbar, p.s_bar, Fraction(1))
         fused = complex(np.trace(x @ yb @ xb @ y))
         contracted = _kappa_path(basis, x, y, xb, yb)
-        scale = max(1.0, abs(fused), abs(contracted))
+        # both routes round in proportion to the product of the four norms
+        # (|tr[x yb xb y]| is at most that product), not to the trace
+        scale = np.prod([np.linalg.norm(m) for m in (x, y, xb, yb)])
         if abs(fused - contracted) > PATH_TOL * scale:
             raise RuntimeError(
                 f"contraction paths disagree at s={p.s}: {contracted} vs {fused}"
@@ -127,9 +126,7 @@ def wilson_field_bracket(loop: PLLoop, loopbar: PLLoop, conn) -> complex:
 
 def main_theorem_sides(a: StringCycle, abar: StringCycle, conn) -> tuple[complex, complex]:
     """(observable-bracket side, geometric-bracket side) for degree-0 cycles."""
-    if a.space != abar.space:
-        raise ValueError("cycles live on different spaces")
-    sign = degree_zero_prefactor(0, 0, a.space.d)
+    sign = degree_zero_prefactor(0, 0)
     lhs = 0j
     for m, gamma in a.terms:
         for mbar, gammabar in abar.terms:
@@ -140,43 +137,26 @@ def main_theorem_sides(a: StringCycle, abar: StringCycle, conn) -> tuple[complex
     return lhs, rhs
 
 
-def main_theorem_check(a: StringCycle, abar: StringCycle, conn) -> float:
-    """|LHS - RHS| of the bracket comparison; callers scale for tolerance."""
-    lhs, rhs = main_theorem_sides(a, abar, conn)
-    return abs(lhs - rhs)
-
-
 # -- fundamental identity -----------------------------------------------------
 
 
 def _check_attached(loop: PLLoop, v: VariationField) -> None:
     base = v.loop
-    if (
-        base.space != loop.space
-        or base.vertices != loop.vertices
-        or base.closure != loop.closure
-    ):
+    if base.vertices != loop.vertices or base.closure != loop.closure:
         raise ValueError("variation field is not attached to the loop")
 
 
 def _deformation_derivative(
-    conn, config: FieldConfig, v: VariationField, plan: TransportPlan, eps: Fraction, refine: bool
+    conn, config: FieldConfig, v: VariationField, plan: TransportPlan, eps: Fraction
 ) -> GradedCoefficient:
-    """Central difference along v with step eps; with refine, one
-    elimination step on eps and eps/2."""
+    """Central difference along v with step eps."""
     if v.is_tangent:
         # tangent fields reparametrize the loop, the derivative vanishes
         return GradedCoefficient.zero(config.n_theta)
 
-    def central(step: Fraction) -> GradedCoefficient:
-        up = wilson(conn, config, v.deform(step), plan)
-        down = wilson(conn, config, v.deform(-step), plan)
-        return (up - down).scale(1.0 / (2.0 * float(step)))
-
-    d1 = central(eps)
-    if refine:
-        d1 = (central(eps / 2).scale(4.0) - d1).scale(1.0 / 3.0)
-    return d1
+    up = wilson(conn, config, v.deform(eps), plan)
+    down = wilson(conn, config, v.deform(-eps), plan)
+    return (up - down).scale(1.0 / (2.0 * float(eps)))
 
 
 def _obstruction_path(
@@ -196,17 +176,16 @@ def fundamental_identity_paths(
     v: VariationField,
     plan: TransportPlan = DEFAULT_PLAN,
     eps: Fraction = Fraction(1, 1000),
-    refine: bool = False,
 ) -> tuple[GradedCoefficient, GradedCoefficient]:
     """(Path 1, Path 2): deformation derivative vs obstruction insertion.
 
-    Path 1 is a central difference along v with exact rational step eps
-    (one elimination step on eps, eps/2 when refine is set). Path 2 is the
-    insertion integral of the obstruction 2-form contracted with v,
-    already carrying the pairing sign, so the contract is Path1 == Path2.
+    Path 1 is a central difference along v with exact rational step eps.
+    Path 2 is the insertion integral of the obstruction 2-form contracted
+    with v, already carrying the pairing sign, so the contract is
+    Path1 == Path2.
     """
     _check_attached(loop, v)
-    d1 = _deformation_derivative(conn, config, v, plan, eps, refine)
+    d1 = _deformation_derivative(conn, config, v, plan, eps)
     return d1, _obstruction_path(conn, config, loop, v, plan)
 
 
@@ -217,44 +196,8 @@ def fundamental_identity_check(
     v: VariationField,
     plan: TransportPlan = DEFAULT_PLAN,
     eps: Fraction = Fraction(1, 1000),
-    refine: bool = False,
 ) -> float:
     """Residual |Path1 - Path2| of the deformation/insertion comparison."""
-    p1, p2 = fundamental_identity_paths(conn, config, loop, v, plan, eps, refine)
+    p1, p2 = fundamental_identity_paths(conn, config, loop, v, plan, eps)
     return p1.distance(p2)
 
-
-def fundamental_identity_residuals(
-    conn,
-    config: FieldConfig,
-    loop: PLLoop,
-    v: VariationField,
-    plan: TransportPlan = DEFAULT_PLAN,
-    eps_schedule: Sequence[Fraction] = (
-        Fraction(1, 100),
-        Fraction(1, 200),
-        Fraction(1, 400),
-    ),
-    refine: bool = False,
-) -> list[float]:
-    """Residuals across an eps schedule, with Path 2 computed once."""
-    _check_attached(loop, v)
-    p2 = _obstruction_path(conn, config, loop, v, plan)
-    return [
-        _deformation_derivative(conn, config, v, plan, Fraction(eps), refine).distance(p2)
-        for eps in eps_schedule
-    ]
-
-
-def halving_orders(residuals: Sequence[float], floor: float = 5e-9) -> list[float]:
-    """log2 ratios of successive residuals, skipping noise-floor entries.
-
-    Entries below the floor are already quadrature-limited; a ratio against
-    them would understate the finite-difference order.
-    """
-    out = []
-    for a, b in zip(residuals, residuals[1:]):
-        if a <= floor or b <= floor:
-            continue
-        out.append(math.log2(a / b))
-    return out

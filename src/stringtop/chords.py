@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import PLLoop
+from .geometry import PLLoop, least_rotation
 from .lierep import LieBasis
 from .holonomy import transport
 from .strings import TransversalityError, _cross, degree_zero_prefactor, intersections
@@ -38,13 +38,6 @@ __all__ = [
 class Circle(NamedTuple):
     rep: str
     endpoints: tuple[str, ...]
-
-
-def _canonical_rotation(seq: tuple[str, ...]) -> tuple[str, ...]:
-    if not seq:
-        return seq
-    rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
-    return min(rotations)
 
 
 def parse_rep(label: str) -> tuple[str, int]:
@@ -75,7 +68,10 @@ class ChordDiagram:
         cs = []
         for rep, endpoints in circles:
             parse_rep(rep)
-            cs.append(Circle(rep, _canonical_rotation(tuple(endpoints))))
+            # a least rotation is unique as a sequence, so it keys the circle
+            endpoints = tuple(endpoints)
+            r = least_rotation(endpoints)
+            cs.append(Circle(rep, endpoints[r:] + endpoints[:r]))
         self.circles = tuple(cs)
         seen: dict[str, int] = {}
         for idx, circle in enumerate(self.circles):
@@ -145,9 +141,6 @@ class DiagramRealization:
     ) -> None:
         if len(loops) != len(diagram.circles):
             raise ValueError("one loop per circle required")
-        space = loops[0].space if loops else None
-        if any(lp.space != space for lp in loops):
-            raise ValueError("loops live on different spaces")
         want = set(diagram._circle_of)
         if set(params) != want:
             raise ValueError("parameters must cover exactly the endpoint labels")
@@ -188,13 +181,12 @@ class DiagramRealization:
         p2 = self._meeting_point(arc[1])
         if any((a - b).denominator != 1 for a, b in zip(p1, p2)):
             raise ValueError(f"arc {arc} endpoints meet at different points")
-        if self.loops[0].space.d == 2:
-            i1 = self.diagram.circle_of(arc[0])
-            i2 = self.diagram.circle_of(arc[1])
-            v1 = self.loops[i1].velocity_at(self.params[arc[0]])
-            v2 = self.loops[i2].velocity_at(self.params[arc[1]])
-            if _cross(v1, v2) == 0:
-                raise TransversalityError(f"arc {arc} meets tangentially")
+        i1 = self.diagram.circle_of(arc[0])
+        i2 = self.diagram.circle_of(arc[1])
+        v1 = self.loops[i1].velocity_at(self.params[arc[0]])
+        v2 = self.loops[i2].velocity_at(self.params[arc[1]])
+        if _cross(v1, v2) == 0:
+            raise TransversalityError(f"arc {arc} meets tangentially")
 
     def ordered_endpoints(self, idx: int) -> tuple[str, ...]:
         """Endpoints of circle idx in traversal order from the marked point."""
@@ -388,7 +380,7 @@ def chord_bracket_degree0(
             common = set(ra.diagram._circle_of) & set(rb.diagram._circle_of)
             if common:
                 raise ValueError(f"endpoint labels {sorted(common)} appear on both sides")
-            pref = degree_zero_prefactor(0, 0, ra.loops[0].space.d)
+            pref = degree_zero_prefactor(0, 0)
             for i, loop_i in enumerate(ra.loops):
                 for j, loop_j in enumerate(rb.loops):
                     for pt in intersections(loop_i, loop_j):

@@ -9,7 +9,7 @@ with f a scalar coefficient function (a finite Fourier sum), the mu's
 strictly increasing, theta_S a Grassmann monomial, and E a constant
 matrix. Internally the form and Grassmann factors are one monomial in a
 single exterior algebra whose generators are ordered
-[dx^1 .. dx^d, theta_1 .. theta_N]: all Koszul signs reduce to
+[dx^1, dx^2, theta_1 .. theta_N]: all Koszul signs reduce to
 ``merge_sign`` on bitmasks, and the exterior derivative is left
 multiplication by dx^mu paired with d/dx^mu on the coefficient.
 
@@ -108,20 +108,22 @@ class FourierField:
 
 
 class ConstantCommutingConnection:
-    """A = sum_mu A_mu dx^mu with constant pairwise-commuting matrices.
+    """A = A_1 dx^1 + A_2 dx^2 with constant commuting matrices on T^2.
 
-    dA = 0 for constant coefficients and A ^ A = sum_{mu<nu} [A_mu, A_nu]
-    dx^mu dx^nu, so pairwise commutation is exactly flatness; it is
-    validated at construction, once, relative to the matrix scale. The
-    single-exponential ``holonomy.transport`` relies on it.
+    dA = 0 for constant coefficients and A ^ A = [A_1, A_2] dx^1 dx^2, so
+    commutation is exactly flatness; it is validated at construction,
+    once, relative to the matrix scale. The single-exponential
+    ``holonomy.transport`` relies on it. There is one matrix per torus
+    direction: ``field_obstruction`` gives A_mu the form bit of dx^mu.
     """
 
     def __init__(self, mats: Sequence[np.ndarray]) -> None:
         self.mats = tuple(np.asarray(m, dtype=complex) for m in mats)
-        if not self.mats:
-            raise ValueError("need at least one direction matrix")
+        if len(self.mats) != 2:
+            raise ValueError(
+                f"need two direction matrices, one per torus direction, not {len(self.mats)}"
+            )
         self.n = self.mats[0].shape[0]
-        self.d = len(self.mats)
         for m in self.mats:
             if m.shape != (self.n, self.n):
                 raise ValueError("connection matrices must share one square shape")
@@ -147,12 +149,9 @@ class ConstantCommutingConnection:
         return ConstantCommutingConnection([g @ m @ ginv for m in self.mats])
 
     def flatness_residual(self) -> float:
-        worst = 0.0
-        for i in range(self.d):
-            for j in range(i + 1, self.d):
-                comm = self.mats[i] @ self.mats[j] - self.mats[j] @ self.mats[i]
-                worst = max(worst, float(np.max(np.abs(comm))))
-        return worst
+        """Largest entry of the commutator [A_1, A_2]."""
+        a1, a2 = self.mats
+        return float(np.max(np.abs(a1 @ a2 - a2 @ a1)))
 
 
 FlatConnection = ConstantCommutingConnection
@@ -163,7 +162,7 @@ FlatConnection = ConstantCommutingConnection
 
 
 class FieldTerm(NamedTuple):
-    mask: int  # bits 0..d-1: dx factors; bits d..d+n_theta-1: theta factors
+    mask: int  # bits 0, 1: dx factors; bits 2..n_theta+1: theta factors
     field: FourierField
     mat: np.ndarray
 

@@ -1,10 +1,11 @@
 """The flat torus, piecewise-linear loops, and loop variations.
 
-The model space is the flat torus R^d / Z^d, d >= 2. A loop is a closed
-piecewise-linear path given by the vertices of one lift to R^d, with
-exact rational coordinates, plus an integer closure vector: the lift ends
-at vertices[0] + closure. The closure is the homotopy/homology class of
-the loop.
+The model space is the flat torus R^2 / Z^2, the surface on which the
+string bracket is Goldman's bracket. A loop is a closed piecewise-linear
+path given by the vertices of one lift to R^2, with exact rational
+coordinates, plus an integer closure vector: the lift ends at
+vertices[0] + closure. The closure is the homotopy/homology class of the
+loop.
 
 Parametrization is uniform in t: with K segments, t in [i/K, (i+1)/K]
 traverses segment i affinely. All point and velocity evaluations at
@@ -40,13 +41,17 @@ from typing import Iterable, Sequence
 
 @dataclass(frozen=True)
 class Torus:
-    """The flat torus R^d / Z^d, coordinates understood mod 1."""
+    """The flat torus R^2 / Z^2, coordinates understood mod 1.
+
+    d is the dimension, and it must be 2: every bracket in the package is
+    a surface bracket.
+    """
 
     d: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("dimension must be at least 2")
+        if self.d != 2:
+            raise ValueError("dimension must be 2")
 
 
 def _rat(x) -> Fraction:
@@ -240,10 +245,6 @@ class PLLoop:
 
     # -- transformations ---------------------------------------------------
 
-    def translate(self, vec: Sequence) -> "PLLoop":
-        v = _as_point(vec, self.space.d)
-        return PLLoop(self.space, [_add(p, v) for p in self.vertices], self.closure)
-
     def rotate_marked(self, k: int) -> "PLLoop":
         """Move the marked point (parameter 0) to the current vertex k."""
         n = self.num_segments
@@ -379,9 +380,6 @@ class PLLoop:
         loop._is_canonical = True
         return loop
 
-    def same_loop(self, other: "PLLoop") -> bool:
-        return self.space == other.space and self.normal_form() == other.normal_form()
-
     def __repr__(self) -> str:
         return (
             f"PLLoop(torus d={self.space.d}, "
@@ -427,11 +425,6 @@ class VariationField:
         return cls(loop, disps)
 
     @classmethod
-    def constant(cls, loop: PLLoop, vec: Iterable) -> "VariationField":
-        v = tuple(vec)
-        return cls(loop, [v] * loop.num_segments)
-
-    @classmethod
     def tangent(cls, loop: PLLoop) -> "VariationField":
         return cls(loop, None, is_tangent=True)
 
@@ -439,14 +432,6 @@ class VariationField:
         """Displacement at vertex i (periodic: same at i and i + K)."""
         assert self.displacements is not None
         return self.displacements[i % self.loop.num_segments]
-
-    def value_at(self, t: Fraction) -> Point:
-        if self.is_tangent:
-            return self.loop.velocity_at(t)
-        i, u = self.loop.segment_of(t)
-        a = self.displacement(i)
-        b = self.displacement(i + 1)
-        return tuple(x + u * (y - x) for x, y in zip(a, b))
 
     def deform(self, eps: Fraction) -> PLLoop:
         """The loop moved by eps times this field; closure is unchanged."""

@@ -148,16 +148,6 @@ class GradedCoefficient:
             return parities.pop()
         return None
 
-    def with_generators(self, n_gen: int) -> "GradedCoefficient":
-        """Re-embed into the algebra on ``n_gen >= self.n_gen`` generators."""
-        if n_gen < self.n_gen:
-            used = 0
-            for m in self._terms:
-                used |= m
-            if used >> n_gen:
-                raise ValueError("element uses generators beyond requested count")
-        return GradedCoefficient.from_masks(self._terms, n_gen)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: "GradedCoefficient") -> None:

@@ -172,10 +172,9 @@ def strip_runtime(obj: dict) -> dict:
 # deterministic instance generation
 
 
-def gen_random_loop(space, rng, cls=None) -> PLLoop:
-    """Random four-vertex rational loop, rejection-sampled away from zero segments."""
-    d = space.d
-    closure = tuple(int(c) for c in (cls if cls is not None else rng.integers(-2, 3, size=d)))
+def gen_random_loop(rng, cls=None) -> PLLoop:
+    """Random four-vertex rational loop on T^2, rejection-sampled away from zero segments."""
+    closure = tuple(int(c) for c in (cls if cls is not None else rng.integers(-2, 3, size=2)))
     while True:
         verts = [
             tuple(
@@ -187,7 +186,7 @@ def gen_random_loop(space, rng, cls=None) -> PLLoop:
         ahead = verts[1:] + [tuple(v + c for v, c in zip(verts[0], closure))]
         if any(a == b for a, b in zip(verts, ahead)):
             continue
-        return PLLoop(space, verts, closure)
+        return PLLoop(TORUS2, verts, closure)
 
 
 def _retrying(draw):
@@ -330,7 +329,7 @@ def transport_by_pieces(conn, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.
 
 def _holonomy(rng, k: int) -> float:
     conn = _rand_conn(rng, N_LIST[k % len(N_LIST)])
-    loop = gen_random_loop(TORUS2, rng)
+    loop = gen_random_loop(rng)
     u = transport(conn, loop)
     scale = max(float(np.max(np.abs(u))), 1.0)
     t = Fraction(int(rng.integers(1, 16)), 16)
@@ -352,7 +351,7 @@ def _gauge(rng, k: int) -> float:
     n = N_LIST[k % len(N_LIST)]
     conn = _rand_conn(rng, n)
     config = _rand_config(rng, n)
-    loop = gen_random_loop(TORUS2, rng)
+    loop = gen_random_loop(rng)
     g = expm(0.4 * _crandn(rng, n, n))
     w1 = wilson(conn, config, loop)
     w2 = wilson(conn.gauge(g), config.gauge(g), loop)
@@ -363,7 +362,7 @@ def _fundamental(rng, k: int) -> float:
     n = N_LIST[k % len(N_LIST)]
     conn = _rand_conn(rng, n)
     config = _rand_config(rng, n)
-    loop = gen_random_loop(TORUS2, rng)
+    loop = gen_random_loop(rng)
     disps = [[Fraction(int(rng.integers(-8, 9)), 64) for _ in range(2)] for _ in loop.vertices]
     v = VariationField.from_displacements(loop, disps)
     return fundamental_identity_check(conn, config, loop, v)
@@ -372,8 +371,8 @@ def _fundamental(rng, k: int) -> float:
 def _goldman(rng, k: int) -> float:
     c1 = _rand_class(rng, -3, 4)
     c2 = _rand_class(rng, -3, 4)
-    l1 = gen_random_loop(TORUS2, rng, c1)
-    l2 = gen_random_loop(TORUS2, rng, c2)
+    l1 = gen_random_loop(rng, c1)
+    l2 = gen_random_loop(rng, c2)
     br = string_bracket(StringCycle.from_loop(l1), StringCycle.from_loop(l2))
     n_cross, total = goldman_torus(c1, c2)
     expect = {total: n_cross} if n_cross else {}
@@ -394,14 +393,14 @@ def _main_theorem(rng, k: int) -> float:
     if lines:
         l1, l2 = _rand_line(rng, c1), _rand_line(rng, c2)
     else:
-        l1, l2 = gen_random_loop(TORUS2, rng, c1), gen_random_loop(TORUS2, rng, c2)
+        l1, l2 = gen_random_loop(rng, c1), gen_random_loop(rng, c2)
     lhs, rhs = main_theorem_sides(StringCycle.from_loop(l1), StringCycle.from_loop(l2), conn)
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 def _jacobi(rng, k: int) -> float:
     cycles = [
-        StringCycle.from_loop(gen_random_loop(TORUS2, rng, _rand_class(rng))) for _ in range(3)
+        StringCycle.from_loop(gen_random_loop(rng, _rand_class(rng))) for _ in range(3)
     ]
     return 0.0 if jacobi_residual(*cycles).class_reduction() == {} else 1.0
 

@@ -136,14 +136,6 @@ class SuperMatrix:
 
     # -- views -------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> GradedCoefficient:
-        return GradedCoefficient.from_masks(
-            dict(enumerate(self.components[:, i, j])), self.n_gen
-        )
-
-    def to_entries(self) -> list[list[GradedCoefficient]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
-
     def body(self) -> np.ndarray:
         return self.components[0]
 

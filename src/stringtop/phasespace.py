@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .grassmann import GradedCoefficient
-
 __all__ = [
     "GradedPhaseModel",
     "GradedPolynomial",
@@ -27,11 +25,7 @@ class MasterEquationError(RuntimeError):
 
 
 def _coerce_scalar(value):
-    """Accept exact or floating scalars; unwrap central graded coefficients."""
-    if isinstance(value, GradedCoefficient):
-        if any(mask and not v == 0 for mask, v in value.masks.items()):
-            raise ValueError("polynomial coefficients must be central scalars")
-        value = value.body()
+    """Accept exact or floating scalars."""
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, (float, complex)):
@@ -108,12 +102,6 @@ class GradedPhaseModel:
 
     def monomial(self, coeff, *names: str) -> "GradedPolynomial":
         return GradedPolynomial(self, [(coeff, tuple(self.index(n) for n in names))])
-
-    def poly(self, terms: Mapping[tuple[str, ...], object]) -> "GradedPolynomial":
-        raw = [
-            (coeff, tuple(self.index(n) for n in key)) for key, coeff in terms.items()
-        ]
-        return GradedPolynomial(self, raw)
 
     def __eq__(self, other) -> bool:
         return (
@@ -268,13 +256,10 @@ def _left_derivative(poly: GradedPolynomial, j: int):
     return out
 
 
-def graded_bracket(
-    P: GradedPolynomial, Q: GradedPolynomial, model: GradedPhaseModel | None = None
-) -> GradedPolynomial:
+def graded_bracket(P: GradedPolynomial, Q: GradedPolynomial) -> GradedPolynomial:
     """Darboux-form bracket {P; Q} = sum_ij (P d_i) omega^{ij} (d_j Q)."""
-    if model is None:
-        model = P.model
-    if P.model != model or Q.model != model:
+    model = P.model
+    if Q.model != model:
         raise ValueError("polynomials live on different models")
     raw = []
     for (i, j), w in model.omega.items():
@@ -287,19 +272,15 @@ def graded_bracket(
     return GradedPolynomial(model, raw)
 
 
-def delta_and_nilpotency(
-    S: GradedPolynomial, P: GradedPolynomial, model: GradedPhaseModel | None = None
-):
+def delta_and_nilpotency(S: GradedPolynomial, P: GradedPolynomial):
     """Return ({S;P}, {S;{S;P}}) after checking the master equation {S;S}=0.
 
     The second entry vanishes identically only when {S; .} is an odd
     derivation, i.e. parity(S) + d is odd; callers assert nilpotency where
     that holds. For an even derivation {S;S} = 0 does not constrain it.
     """
-    if model is None:
-        model = S.model
-    obstruction = graded_bracket(S, S, model)
+    obstruction = graded_bracket(S, S)
     if not obstruction.is_zero:
         raise MasterEquationError(f"master equation violated: {{S;S}} = {obstruction}")
-    dP = graded_bracket(S, P, model)
-    return dP, graded_bracket(S, dP, model)
+    dP = graded_bracket(S, P)
+    return dP, graded_bracket(S, dP)

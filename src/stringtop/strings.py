@@ -86,10 +86,6 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
     contact, and with it the ``TransversalityError`` text, is that of the
     enumeration over all deck translations of the whole lifts.
     """
-    if loop.space != other.space:
-        raise ValueError("loops live on different spaces")
-    if loop.space.d != 2:
-        raise ValueError("intersections are implemented for d = 2 only")
     k1, k2 = loop.num_segments, other.num_segments
     den1, den2 = loop.integer_lift()[0], other.integer_lift()[0]
     unit = math.lcm(den1, den2)
@@ -239,8 +235,6 @@ class StringCycle:
     def __init__(self, space, terms: Iterable[tuple[int, PLLoop]] = ()) -> None:
         canonical = []
         for coeff, loop in terms:
-            if loop.space != space:
-                raise ValueError("cycle terms live on different spaces")
             canonical.append((coeff, loop.canonical()))
         self.space = space
         self.terms = _combine(canonical)
@@ -266,8 +260,6 @@ class StringCycle:
         return not self.terms
 
     def __add__(self, other: "StringCycle") -> "StringCycle":
-        if self.space != other.space:
-            raise ValueError("cycles live on different spaces")
         return StringCycle._of(self.space, self.terms + other.terms)
 
     def scale(self, k: int) -> "StringCycle":
@@ -312,21 +304,21 @@ class StringCycle:
 # the bracket
 
 
-def degree_zero_prefactor(bar_degree: int, degree: int, d: int) -> int:
-    """Bracket prefactor (-1)^{bar_degree (d + degree)}; +1 at degree 0."""
-    return -1 if (bar_degree * (d + degree)) % 2 else 1
+def degree_zero_prefactor(bar_degree: int, degree: int) -> int:
+    """Bracket prefactor (-1)^{bar_degree (d + degree)} on the surface, d = 2;
+    +1 at degree 0."""
+    return -1 if (bar_degree * (2 + degree)) % 2 else 1
 
 
-def jacobi_eta(parity_a: int, parity_c: int, d: int) -> int:
-    """Cyclic-sum sign (-1)^{(|a|+d)(|c|+d)}; +1 at degree 0 in d = 2."""
-    return -1 if ((parity_a + d) * (parity_c + d)) % 2 else 1
+def jacobi_eta(parity_a: int, parity_c: int) -> int:
+    """Cyclic-sum sign (-1)^{(|a|+d)(|c|+d)} on the surface, d = 2; +1 at
+    degree 0."""
+    return -1 if ((parity_a + 2) * (parity_c + 2)) % 2 else 1
 
 
 def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:
     """Degree-0 bracket: signed concatenations over all crossings, bilinear."""
-    if a.space != abar.space:
-        raise ValueError("cycles live on different spaces")
-    pref = degree_zero_prefactor(0, 0, a.space.d)
+    pref = degree_zero_prefactor(0, 0)
     out = []
     for m, gamma in a.terms:
         for mbar, gammabar in abar.terms:
@@ -341,10 +333,9 @@ def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCyc
     The chain-level result depends on where concatenations happen, so only
     its class reduction is contractually zero; callers report both.
     """
-    d = a.space.d
     out = StringCycle.zero(a.space)
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        out = out + string_bracket(string_bracket(x, y), z).scale(jacobi_eta(0, 0, d))
+        out = out + string_bracket(string_bracket(x, y), z).scale(jacobi_eta(0, 0))
     return out
 
 

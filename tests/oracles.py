@@ -2,8 +2,11 @@
 
 Nothing in ``stringtop`` calls these. Each one computes by explicit
 enumeration what the package computes through an identity, so the tests
-check that identity rather than one route against itself. The last
-section holds field-configuration arithmetic that only tests need.
+check that identity rather than one route against itself. Some are
+views and helpers that only tests need, kept here rather than in the
+package: symbolic supermatrix entries, exact variation values, the
+fundamental identity across finite-difference steps, and, in the last
+section, field-configuration arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from stringtop.brackets import fundamental_identity_paths
 from stringtop.chords import DiagramRealization, parse_rep
 from stringtop.fields import FieldConfig, FieldTerm, FlatConnection, FourierField
 from stringtop.geometry import PLLoop, VariationField
@@ -23,6 +27,15 @@ from stringtop.grassmann import GradedCoefficient
 from stringtop.holonomy import _pieces, _piece_floats, transport
 from stringtop.lierep import LieBasis, SuperMatrix
 from stringtop.strings import IntersectionPoint, TransversalityError
+
+
+def supermatrix_entries(m: SuperMatrix) -> list[list[GradedCoefficient]]:
+    """Oracle view: the entries of m as GradedCoefficients, for products
+    summed entry by entry in the Grassmann algebra instead of on stacks."""
+    return [
+        [GradedCoefficient.from_masks(dict(enumerate(m.components[:, i, j])), m.n_gen) for j in range(m.n)]
+        for i in range(m.n)
+    ]
 
 
 def kappa_form(x: np.ndarray, y: np.ndarray) -> complex:
@@ -261,6 +274,47 @@ def insertion_derivative_stepwise(
     return out
 
 
+def variation_value_at(v: VariationField, t: Fraction) -> tuple:
+    """Oracle: the exact value of v at t, which ``holonomy`` samples in floats.
+
+    A tangent field is the loop velocity there; otherwise the displacements
+    at the two ends of t's segment are interpolated affinely.
+    """
+    if v.is_tangent:
+        return v.loop.velocity_at(t)
+    i, u = v.loop.segment_of(t)
+    return tuple(x + u * (y - x) for x, y in zip(v.displacement(i), v.displacement(i + 1)))
+
+
+# -- the fundamental identity across finite-difference steps ------------------
+
+
+def fundamental_identity_residuals(conn, config, loop, v, eps_schedule, refine=False) -> list[float]:
+    """Oracle: |Path1 - Path2| of ``fundamental_identity_paths`` at each eps of a schedule.
+
+    With refine, Path 1 takes one elimination step on eps and eps/2,
+    (4 D(eps/2) - D(eps)) / 3, which cancels the eps^2 term of the central
+    difference D.
+    """
+    out = []
+    for eps in eps_schedule:
+        d1, p2 = fundamental_identity_paths(conn, config, loop, v, eps=eps)
+        if refine:
+            half, _ = fundamental_identity_paths(conn, config, loop, v, eps=eps / 2)
+            d1 = (half.scale(4.0) - d1).scale(1.0 / 3.0)
+        out.append(d1.distance(p2))
+    return out
+
+
+def halving_orders(residuals: Sequence[float], floor: float = 5e-9) -> list[float]:
+    """log2 ratios of successive residuals, skipping noise-floor entries.
+
+    Entries below the floor are already quadrature-limited; a ratio against
+    them would understate the finite-difference order.
+    """
+    return [math.log2(a / b) for a, b in zip(residuals, residuals[1:]) if a > floor and b > floor]
+
+
 # -- the exact geometry layer on Fractions ------------------------------------
 #
 # Oracles for ``PLLoop.normal_form``, ``strings.intersections`` and
@@ -329,10 +383,6 @@ def intersections_fraction(loop: PLLoop, other: PLLoop) -> list[IntersectionPoin
     The same crossings, in the same order and with the same errors, as
     ``strings.intersections``, solved with Fraction 2x2 linear algebra.
     """
-    if loop.space != other.space:
-        raise ValueError("loops live on different spaces")
-    if loop.space.d != 2:
-        raise ValueError("intersections are implemented for d = 2 only")
     k1, k2 = loop.num_segments, other.num_segments
     offsets = _deck_offsets(loop, other)
     found = []
@@ -453,7 +503,7 @@ def coeff_norm(field: FourierField) -> float:
 
 
 def config_sum(a: FieldConfig, b: FieldConfig) -> FieldConfig:
-    if (a.space, a.n, a.n_theta) != (b.space, b.n, b.n_theta):
+    if (a.n, a.n_theta) != (b.n, b.n_theta):
         raise ValueError("incompatible field configurations")
     return FieldConfig(a.space, a.n, a.n_theta, a.terms + b.terms).simplify()
 

@@ -11,17 +11,17 @@ from scipy.linalg import expm
 from stringtop.brackets import (
     fundamental_identity_check,
     fundamental_identity_paths,
-    fundamental_identity_residuals,
-    halving_orders,
     loop_form_pairing_sign,
-    main_theorem_check,
     main_theorem_sides,
     wilson_field_bracket,
     wilson_intersection_weight,
 )
 from stringtop.fields import ConstantCommutingConnection, FieldConfig, FourierField
 from stringtop.geometry import PLLoop, Torus, VariationField
+from stringtop.lierep import LieBasis
 from stringtop.strings import StringCycle
+
+from oracles import fundamental_identity_residuals, halving_orders
 
 F = Fraction
 TORUS = Torus(2)
@@ -127,6 +127,36 @@ def test_bracket_accepts_every_connection_the_constructor_accepts():
     assert abs(val - np.trace(expm(a1) @ expm(a2))) <= 1e-12 * abs(val)
 
 
+def large_transport_connection():
+    """n = 3 commuting diagonals of scale 10, gauged by expm(0.8 (X + iY)): the
+    split transports of two unit lines reach norms near 1e5 each."""
+    rng = np.random.default_rng(1)
+    for _ in range(6):
+        ds = [np.diag(10 * rng.normal(size=3)) for _ in range(2)]
+        x, y = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    return ConstantCommutingConnection(ds).gauge(expm(0.8 * (x + 1j * y)))
+
+
+def bracket_of_unit_lines(conn):
+    return wilson_field_bracket(line((1, 0), base=(0, F(1, 7))), line((0, 1), base=(F(1, 5), 0)), conn)
+
+
+def test_contraction_paths_are_compared_at_the_scale_of_the_transports():
+    # the routes differ by 5e-8 of the trace, 2.5e-18 of the norm product
+    conn = large_transport_connection()
+    val = bracket_of_unit_lines(conn)
+    expected = complex(np.trace(expm(conn.mats[0]) @ expm(conn.mats[1])))
+    assert abs(val - expected) <= 1e-6 * abs(expected)
+
+
+def test_a_wrong_pairing_still_fails_the_path_comparison(monkeypatch):
+    # kappa replaced by delta_ab reads 6e-3 of the norm product on this draw
+    conn = large_transport_connection()
+    monkeypatch.setattr(LieBasis, "kappa", lambda self, a, b: int(a == b))
+    with pytest.raises(RuntimeError, match="contraction paths disagree"):
+        bracket_of_unit_lines(conn)
+
+
 # -- main comparison -----------------------------------------------------------------
 
 
@@ -161,21 +191,15 @@ def test_three_dimensional_fibers_agree():
     )
     a = StringCycle.from_loop(line((1, 1)))
     b = StringCycle.from_loop(line((1, -1), base=(F(1, 3), F(1, 5))))
-    assert main_theorem_check(a, b, conn) <= 1e-9
+    lhs, rhs = main_theorem_sides(a, b, conn)
+    assert abs(lhs - rhs) <= 1e-9
 
 
 def test_zero_cycle_gives_zero_residual():
     conn = diag_connection()
     zero = StringCycle.zero(TORUS)
-    assert main_theorem_check(zero, StringCycle.from_loop(line((1, 0))), conn) == 0
-
-
-def test_sides_require_matching_spaces():
-    conn = diag_connection()
-    a = StringCycle.from_loop(line((1, 0)))
-    b = StringCycle.from_loop(PLLoop(Torus(3), [(0, 0, 0)], closure=(0, 1, 0)))
-    with pytest.raises(ValueError, match="different spaces"):
-        main_theorem_sides(a, b, conn)
+    lhs, rhs = main_theorem_sides(zero, StringCycle.from_loop(line((1, 0))), conn)
+    assert abs(lhs - rhs) == 0
 
 
 # -- fundamental identity ---------------------------------------------------------
@@ -219,7 +243,7 @@ def test_variation_must_be_attached_to_the_loop():
     conn = diag_connection()
     loop = wiggly_loop()
     other = line((1, 1))
-    v = VariationField.constant(other, (F(1, 8), F(0)))
+    v = VariationField.from_displacements(other, [(F(1, 8), F(0))] * other.num_segments)
     with pytest.raises(ValueError, match="not attached"):
         fundamental_identity_paths(conn, odd_config(), loop, v)
 

@@ -16,7 +16,7 @@ from stringtop.fields import (
 from stringtop.geometry import Torus
 from stringtop.grassmann import GradedCoefficient
 
-from oracles import config_is_zero, config_norm, config_scale, config_sum, eval_field
+from oracles import config_is_zero, config_norm, config_scale, config_sum, eval_field, supermatrix_entries
 
 
 def unit(n, i, j):
@@ -71,6 +71,14 @@ def test_connection_requires_commuting_directions():
     a2 = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="do not commute"):
         ConstantCommutingConnection([a1, a2])
+
+
+def test_connection_takes_one_matrix_per_torus_direction():
+    # a third matrix would wedge in at bit 1 << 2, theta_1's slot of the
+    # FieldConfig mask; a single one would drop the y-velocity in matrix_of
+    for count in (0, 1, 3):
+        with pytest.raises(ValueError, match="two direction matrices"):
+            ConstantCommutingConnection([np.eye(2)] * count)
 
 
 def test_connection_contraction_and_gauge():
@@ -188,7 +196,7 @@ def test_obstruction_is_the_covariant_derivative_on_an_odd_scalar():
     grads = (2j * cmath.pi * fval, 2j * cmath.pi * fval)
     for mu in range(2):
         basis = [(1.0, 0.0), (0.0, 1.0)][mu]
-        got = eval_field(b, point, [basis]).to_entries()
+        got = supermatrix_entries(eval_field(b, point, [basis]))
         a_mu = conn.mats[mu]
         want = grads[mu] * e + fval * (a_mu @ e - e @ a_mu)
         for i in range(2):

@@ -96,15 +96,6 @@ def test_parity_and_homogeneity():
     assert (t(1) + t(2, 3, 4)).parity() == 1
 
 
-def test_embedding_into_larger_algebra():
-    a = GradedCoefficient({(1, 2): Fraction(3, 7)}, n_gen=4)
-    big = a.with_generators(9)
-    assert big.n_gen == 9
-    assert big.coeff((1, 2)) == Fraction(3, 7)
-    with pytest.raises(ValueError, match="beyond"):
-        big.with_generators(1)
-
-
 small_elements = st.builds(
     lambda coeffs: GradedCoefficient.from_masks(
         {m: Fraction(c) for m, c in enumerate(coeffs) if c != 0}, n_gen=4

@@ -8,7 +8,7 @@ import pytest
 from stringtop.grassmann import GradedCoefficient
 from stringtop.lierep import LieBasis, SuperMatrix, fuse_traces, regular, signs
 
-from oracles import casimir_tensor, kappa_form, swap_tensor, swap_via_casimir
+from oracles import casimir_tensor, kappa_form, supermatrix_entries, swap_tensor, swap_via_casimir
 
 
 def random_supermatrix(rng, n, n_gen=6, masks=None, parity=None):
@@ -95,14 +95,15 @@ def naive_fusion(a1, a2, b1, b2, basis):
     """Brute-force double sum over basis pairs, symbolic entry products."""
     total = GradedCoefficient.zero(a1.n_gen)
     n = basis.n
+    e1, e2, f1, f2 = map(supermatrix_entries, (a1, a2, b1, b2))
     for i in range(n):
         for j in range(n):
             tr_a = GradedCoefficient.zero(a1.n_gen)
             for r in range(n):
-                tr_a = tr_a + a1.entry(r, i) * a2.entry(j, r)
+                tr_a = tr_a + e1[r][i] * e2[j][r]
             tr_b = GradedCoefficient.zero(a1.n_gen)
             for s in range(n):
-                tr_b = tr_b + b1.entry(s, j) * b2.entry(i, s)
+                tr_b = tr_b + f1[s][j] * f2[i][s]
             total = total + tr_a * tr_b
     return total
 
@@ -159,11 +160,12 @@ def integer_supermatrix(rng, n, n_gen):
 def symbolic_product(a, b):
     """Component stack of a @ b from GradedCoefficient entry products."""
     out = np.zeros_like(a.components)
+    ea, eb = supermatrix_entries(a), supermatrix_entries(b)
     for i in range(a.n):
         for j in range(a.n):
             entry = GradedCoefficient.zero(a.n_gen)
             for k in range(a.n):
-                entry = entry + a.entry(i, k) * b.entry(k, j)
+                entry = entry + ea[i][k] * eb[k][j]
             for mask, value in entry.masks.items():
                 out[mask, i, j] = value
     return out
@@ -180,7 +182,7 @@ def test_supermatrix_product_matches_symbolic_entries():
 def test_supermatrix_entries_round_trip():
     rng = np.random.default_rng(4)
     a = random_supermatrix(rng, 3, n_gen=5, masks=[0, 3, 17])
-    entries = a.to_entries()
+    entries = supermatrix_entries(a)
     for mask, arr in enumerate(a.components):
         back = np.array([[entries[i][j].masks.get(mask, 0) for j in range(3)] for i in range(3)])
         assert np.array_equal(back, arr)

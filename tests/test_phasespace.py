@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stringtop.grassmann import GradedCoefficient
 from stringtop.phasespace import (
     GradedPhaseModel,
     GradedPolynomial,
@@ -96,13 +95,6 @@ def test_normal_form_reordering_and_odd_squares():
     assert (t1 * t2).parity == 0
     with pytest.raises(ValueError, match="homogeneous"):
         (t1 + q).parity
-
-
-def test_central_graded_coefficients_are_unwrapped():
-    half = GradedCoefficient.scalar(F(1, 2), n_gen=2)
-    assert EVEN.scalar(half) == EVEN.scalar(F(1, 2))
-    with pytest.raises(ValueError, match="central"):
-        EVEN.scalar(GradedCoefficient.generator(1, n_gen=2))
 
 
 # -- frozen bracket values -----------------------------------------------------

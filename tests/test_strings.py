@@ -102,14 +102,6 @@ def test_non_transversal_contact_is_rejected():
         intersections(square, through_vertex)
 
 
-def test_intersections_input_validation():
-    l3 = PLLoop(Torus(3), [(0, 0, 0)], closure=(1, 0, 0))
-    with pytest.raises(ValueError, match="different spaces"):
-        intersections(torus_line((1, 0)), l3)
-    with pytest.raises(ValueError, match="d = 2"):
-        intersections(l3, l3)
-
-
 def crossings_or_error(find, loop, other):
     try:
         return find(loop, other)
@@ -290,7 +282,7 @@ def test_concatenation_is_rotation_equivariant():
         for q in intersections(rotated, g2)
         if all((qc - pc) % 1 == 0 for qc, pc in zip(q.point, p.point))
     )
-    assert concatenate(g1, g2, p).same_loop(concatenate(rotated, g2, q))
+    assert concatenate(g1, g2, p).normal_form() == concatenate(rotated, g2, q).normal_form()
 
 
 def test_subdividing_a_loop_changes_no_signs():
@@ -369,10 +361,10 @@ def test_rewrapping_canonical_terms_runs_no_least_rotation(monkeypatch):
 
 
 def test_sign_prefactors_at_degree_zero():
-    assert degree_zero_prefactor(0, 0, 2) == 1
-    assert degree_zero_prefactor(1, 1, 2) == -1
-    assert jacobi_eta(0, 0, 2) == 1
-    assert jacobi_eta(1, 1, 2) == -1
+    assert degree_zero_prefactor(0, 0) == 1
+    assert degree_zero_prefactor(1, 1) == -1
+    assert jacobi_eta(0, 0) == 1
+    assert jacobi_eta(1, 1) == -1
 
 
 def test_torus_bracket_of_transverse_classes():
@@ -439,7 +431,7 @@ def test_chain_level_terms_match_the_fraction_oracles(seed, monkeypatch):
         rng = np.random.default_rng(seed)
         out = []
         for cls in classes:
-            a, b, c = (StringCycle.from_loop(gen_random_loop(TORUS, rng, x)) for x in cls)
+            a, b, c = (StringCycle.from_loop(gen_random_loop(rng, x)) for x in cls)
             try:
                 ab = string_bracket(a, b)
                 out.append([chain_terms(x) for x in (ab, string_bracket(ab, c), jacobi_residual(a, b, c))])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import PLLoop, least_rotation
 from .lierep import LieBasis
-from .holonomy import transport
+from .holonomy import transport, wrap_transport
 from .strings import TransversalityError, _cross, degree_zero_prefactor, intersections
 
 __all__ = [
@@ -206,9 +206,10 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
 
     Each arc contributes a basis pair fully contracted with the inverse
     trace form; insertions follow the circles' traversal order, with a
-    plain transport between consecutive endpoint parameters. Plain
-    transports are single exponentials, so no discretization plan is
-    involved.
+    plain transport between consecutive endpoint parameters and, from the
+    last endpoint over the marked point to the first, ``wrap_transport``.
+    Plain transports are single exponentials, so no discretization plan
+    is involved.
 
     The whole value is one tensor contraction (Bar-Natan's gl(N) weight
     system): arc (p, q) is the Casimir tensor
@@ -249,7 +250,7 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
             slot[label] = next(letters) + next(letters)
         ss = [realization.params[l] for l in labels]
         segs = [transport(conn, loop, s, t) for s, t in zip(ss, ss[1:])]
-        segs.append(transport(conn, loop, ss[-1], Fraction(1)) @ transport(conn, loop, Fraction(0), ss[0]))
+        segs.append(wrap_transport(conn, loop, ss[-1], ss[0]))
         for pos, seg in enumerate(segs):
             terms.append(slot[labels[pos]][1] + slot[labels[(pos + 1) % len(labels)]][0])
             operands.append(seg)

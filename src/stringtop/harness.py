@@ -493,7 +493,7 @@ CHECKS = {
     ),
     "fundamental": Check(
         "central-difference deformation derivative equals the obstruction insertion integral",
-        4, 1e-4, _fundamental,
+        4, 2e-6, _fundamental,
     ),
     "goldman": Check(
         "string bracket of random representatives reduces to the straight-line crossing count",

@@ -28,22 +28,28 @@ with W^mu = sum_i w_i v_i^mu(t) built from the supplied variation fields
 on extra Grassmann generators w_i placed after the thetas. Form degree
 zero terms carry no dt factor and never enter the transport.
 
-The stepping runs on component stacks: a Grassmann n x n matrix over the
-N = n_theta + len(variations) generators is its (2^N, n, n) stack, and a
-product is one matmul of the left-regular representation of the left
-factor with the stacked components of the right one (``lierep.product``).
-The midpoint grid is walked in blocks of at most ``BLOCK`` midpoints,
-which may span pieces; each piece's step width, velocity, leg end values
-and half step E = exp(A v h/2) are computed once. A block's insertion
-matrices are one stack of component stacks: each term's Grassmann
-coefficient is W^{mu_1} .. W^{mu_k} theta_S, with each leg W^mu the
-regular matrix of a 1 x 1 Grassmann matrix, times f at the block's points.
-Their exponentials are one Taylor series on the block's regular matrices,
-built once; the half steps E act on every component, E G_S E; and the
-block's step factors are multiplied pairwise into one component stack.
-The largest arrays are a block's regular matrices, BLOCK (2^N n)^2
-entries, so the working memory does not grow with the steps the plan
-takes; the transport is the ``SuperMatrix`` product of the blocks.
+The stepping runs on component stacks over the support of the fields. A
+Grassmann n x n matrix over the N = n_theta + len(variations) generators
+has 2^N components, but a term of form degree k only reaches the masks
+theta_S | L, L any k - 1 leg generators, and every factor of the
+transport lives on the closure S of those masks under disjoint union
+(``_support``, fixed by the terms, often half the algebra). So each
+matrix is its (|S|, n, n) stack on S, and a product is one matmul of the
+left-regular representation of the left factor on S with the stacked
+components of the right one (``lierep.product``). The midpoint grid is
+walked in blocks of at most ``BLOCK`` midpoints, which may span pieces;
+each piece's step width, velocity, leg end values and half step
+E = exp(A v h/2) are computed once. A block's insertion matrices are one
+stack of component stacks: each term's Grassmann coefficient is
+W^{mu_1} .. W^{mu_k} theta_S, with each leg W^mu the regular matrix of a
+1 x 1 Grassmann matrix, times f at the block's points. Their exponentials
+are one Taylor series on the block's regular matrices, built once; the
+half steps E act on every component, E G_S E; and the block's step
+factors are multiplied pairwise into one component stack. The largest
+arrays are a block's regular matrices, BLOCK (|S| n)^2 entries, so the
+working memory does not grow with the steps the plan takes. The running
+product of the blocks stays on S, and the transport becomes a
+``SuperMatrix`` over all 2^N masks only when it is returned.
 
 The symmetric step makes the error expansion even in h, so one Richardson
 level in h^2 is applied by default; with a tolerance set, steps double
@@ -56,6 +62,7 @@ discontinuities of PL velocities are never sampled.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -128,15 +135,36 @@ def _pieces(loop: PLLoop, s: Fraction, t: Fraction):
 
 
 def _piece_floats(loop: PLLoop, piece):
-    """Float geometry of one piece: start point, velocity, span."""
+    """Float geometry of one piece: start point, velocity, span.
+
+    Read off the integer lift: every coordinate is one correctly rounded
+    quotient of integers, so it is the float of the exact ``point_at`` and
+    ``segment_velocity`` values without forming a ``Fraction``.
+    """
     i, lo, hi = piece
-    start = np.array([float(c) for c in loop.point_at(lo)])
-    vel = np.array([float(c) for c in loop.segment_velocity(i)])
-    return start, vel, float(hi - lo)
+    den_lo, start = loop.lift_point(lo)
+    den, pts = loop.integer_lift()
+    k_seg = len(pts) - 1
+    vel = [k_seg * (b - a) / den for a, b in zip(pts[i], pts[i + 1])]
+    return np.array([c / den_lo for c in start]), np.array(vel), float(hi - lo)
 
 
 # ---------------------------------------------------------------------------
 # plain transport (exact)
+
+
+def _displacement(loop: PLLoop, s: Fraction, t: Fraction, wrap: bool = False) -> list[float]:
+    """x(t) - x(s), or closure + x(t) - x(s) with wrap, as floats.
+
+    x(s) and x(t) are integer points over their denominators
+    (``PLLoop.lift_point``), so each coordinate is one correctly rounded
+    quotient of integers.
+    """
+    den_s, x_s = loop.lift_point(s)
+    den_t, x_t = loop.lift_point(t)
+    if wrap:
+        x_t = [b + c * den_t for b, c in zip(x_t, loop.closure)]
+    return [(b * den_s - a * den_t) / (den_s * den_t) for a, b in zip(x_s, x_t)]
 
 
 def transport(conn: FlatConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.ndarray:
@@ -144,10 +172,8 @@ def transport(conn: FlatConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) 
 
     The closed form of the ordered product of per-segment factors
     exp(A(delta x)) holds because the direction matrices of A commute,
-    which the connection's constructor validates. x(s) and x(t) are
-    integer points over their denominators (``PLLoop.lift_point``), so
-    each coordinate of the displacement is one correctly rounded quotient
-    of integers. s == t gives the identity exactly.
+    which the connection's constructor validates. s == t gives the
+    identity exactly.
     """
     s = Fraction(s)
     t = Fraction(t)
@@ -155,10 +181,22 @@ def transport(conn: FlatConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) 
         raise ValueError("need 0 <= s <= t <= 1")
     if conn.is_zero or s == t:
         return np.eye(conn.n, dtype=complex)
-    den_s, x_s = loop.lift_point(s)
-    den_t, x_t = loop.lift_point(t)
-    delta = [(b * den_s - a * den_t) / (den_s * den_t) for a, b in zip(x_s, x_t)]
-    return expm(conn.matrix_of(delta))
+    return expm(conn.matrix_of(_displacement(loop, s, t)))
+
+
+def wrap_transport(conn: FlatConnection, loop: PLLoop, s: Fraction, t: Fraction) -> np.ndarray:
+    """U(s, 1) U(0, t) for t <= s: from s over the marked point to t.
+
+    The same closed form as ``transport``, one exponential of the wrapped
+    displacement closure + x(t) - x(s).
+    """
+    s = Fraction(s)
+    t = Fraction(t)
+    if not 0 <= t <= s <= 1:
+        raise ValueError("need 0 <= t <= s <= 1")
+    if conn.is_zero:
+        return np.eye(conn.n, dtype=complex)
+    return expm(conn.matrix_of(_displacement(loop, s, t, wrap=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +211,15 @@ def insertion_matrix(
     vel: np.ndarray,
     leg_values: np.ndarray,
     n_legs: int,
+    support: tuple[int, ...],
 ) -> np.ndarray:
     """M(t) at a block of midpoints: C's form slots fed one velocity and k-1 legs.
 
     pos and vel are the (b, d) arrays of midpoints and path velocities there,
     leg_values the (n_legs, b, d) variation values. Returns the
-    (b, 2^N, n, n) stack of component stacks, N = n_theta + n_legs.
+    (b, |S|, n, n) stack of component stacks on the support S, which must
+    hold every mask M reaches (``_support``), N = n_theta + n_legs
+    generators.
     """
     n_theta = config.n_theta
     n_gen = n_theta + n_legs
@@ -188,11 +229,11 @@ def insertion_matrix(
     legs = np.zeros((leg_values.shape[-1], b, 1 << n_gen, 1, 1))
     for idx in range(n_legs):
         legs[:, :, 1 << (n_theta + idx), 0, 0] = leg_values[idx].T
-    w_ops = regular(legs)
+    w_ops = regular(legs, tuple(range(1 << n_gen)))
     by_mask: dict[int, list] = {}
     for mask, field, mat in config.terms:
         by_mask.setdefault(mask, []).append((field, mat))
-    comps = np.zeros((b, 1 << n_gen, config.n, config.n), dtype=complex)
+    comps = np.zeros((b, len(support), config.n, config.n), dtype=complex)
     for mask, terms in by_mask.items():
         bits = config.form_degree_bits(mask)
         if not bits:
@@ -207,32 +248,60 @@ def insertion_matrix(
                 part = np.einsum("jst,jt->js", w_ops[other], part)
             coeff += (-vel[:, mu, None] if a % 2 else vel[:, mu, None]) * part
         values = sum(field.evaluate(pos)[:, None, None] * mat for field, mat in terms)
-        comps += coeff[:, :, None, None] * values[:, None]
+        comps += coeff[:, list(support), None, None] * values[:, None]
     return comps
 
 
-def _exp_series(m: np.ndarray) -> np.ndarray:
-    """exp of each Grassmann matrix of the (b, 2^N, n, n) stack m, summed directly.
+def _support(configs: Sequence[FieldConfig], n_legs: int) -> tuple[int, ...]:
+    """The sorted masks that the step factors of the configs can reach.
+
+    A form term of degree k >= 1 enters M with the masks theta_S | L, for
+    every set L of k - 1 leg generators. Products of Grassmann monomials
+    are nonzero only on disjoint masks, so every exponential, half step
+    and product of the transport lives on the closure of those masks
+    under disjoint union, with 0 for the body. The closure is exact for
+    the terms and fixed per transport; data that happen to vanish only
+    leave zeros on it.
+    """
+    reach = set()
+    for config in configs:
+        legs = [1 << (config.n_theta + idx) for idx in range(n_legs)]
+        for mask, _, _ in config.terms:
+            k = len(config.form_degree_bits(mask))
+            for part in itertools.combinations(legs, k - 1) if k else ():
+                reach.add(config.theta_mask(mask) | sum(part))
+    closed, fresh = {0}, [0]
+    while fresh:
+        base = fresh.pop()
+        for mask in reach:
+            if not base & mask and base | mask not in closed:
+                closed.add(base | mask)
+                fresh.append(base | mask)
+    return tuple(sorted(closed))
+
+
+def _exp_series(m: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
+    """exp of each Grassmann matrix of the (b, |S|, n, n) stack m on the
+    support S, summed directly.
 
     The Grassmann part is nilpotent and the body part arrives pre-scaled
     by a small step width, so the series is short. It is summed on the
     unit column of the block's regular matrices, built once,
-    term_k = m term_{k-1} / k, and each matrix stops at its own term: a
-    zero term, or one below 1e-17 of the sum. Returns the component stacks.
+    term_k = m term_{k-1} / k. The whole block stops after the first term
+    that is, for every matrix, zero or below 1e-17 max(1, |sum|); the
+    terms a matrix adds after its own such term are below its rounding.
+    Returns the component stacks.
     """
     b, size, n, _ = m.shape
-    reg = regular(m)
+    reg = regular(m, support)
     term = np.zeros((b, size * n, n), dtype=complex)
     term[:, :n] = np.eye(n)
     acc = term.copy()
-    active = np.ones(b, dtype=bool)
     for k in range(1, 60):
         term = (reg @ term) * (1.0 / k)
+        acc += term
         norm = np.abs(term).max(axis=(1, 2))
-        active &= norm != 0.0
-        acc = np.where(active[:, None, None], acc + term, acc)
-        active &= norm >= 1e-17 * np.maximum(1.0, np.abs(acc).max(axis=(1, 2)))
-        if not active.any():
+        if (norm < 1e-17 * np.maximum(1.0, np.abs(acc).max(axis=(1, 2)))).all():
             break
     else:
         raise QuadratureError("insertion exponential failed to converge")
@@ -253,19 +322,30 @@ def _body_right(g: np.ndarray, e: np.ndarray) -> np.ndarray:
     return (g.reshape(b, size * n, n) @ e).reshape(b, size, n, n)
 
 
-def _chain(factors: np.ndarray, kernels: np.ndarray | None = None):
+def _times(left: np.ndarray, rights, support: tuple[int, ...]) -> list[np.ndarray]:
+    """left times each stack of rights, from one regular matrix of left:
+    the right factors stand side by side as the columns of one product."""
+    n = left.shape[-1]
+    both = product(left, np.concatenate(rights, axis=-1), support)
+    return [both[..., k * n : (k + 1) * n] for k in range(len(rights))]
+
+
+def _chain(factors: np.ndarray, support: tuple[int, ...], kernels: np.ndarray | None = None):
     """Ordered product F = factors[0] .. factors[-1] of a stack of component
-    stacks, multiplied pairwise.
+    stacks on the support, multiplied pairwise.
 
     With kernels, also returns K = sum_j F_0 .. F_{j-1} K_j F_{j+1} .. F_last,
-    from the pair rule (F1, K1)(F2, K2) = (F1 F2, F1 K2 + K1 F2).
+    from the pair rule (F1, K1)(F2, K2) = (F1 F2, F1 K2 + K1 F2); F1 K2 and
+    F1 F2 share the one regular matrix of F1.
     """
     while len(factors) > 1:
         even = len(factors) // 2 * 2
         left, right = factors[0:even:2], factors[1:even:2]
-        paired = product(left, right)
-        if kernels is not None:
-            k_paired = product(left, kernels[1:even:2]) + product(kernels[0:even:2], right)
+        if kernels is None:
+            paired = product(left, right, support)
+        else:
+            paired, k_left = _times(left, (right, kernels[1:even:2]), support)
+            k_paired = k_left + product(kernels[0:even:2], right, support)
             kernels = np.concatenate([k_paired, kernels[even:]])
         factors = np.concatenate([paired, factors[even:]])
     return factors[0] if kernels is None else (factors[0], kernels[0])
@@ -289,6 +369,7 @@ def _midpoint_grid(
     steps: int,
     variations: Sequence[VariationField],
     configs: Sequence[FieldConfig],
+    support: tuple[int, ...],
 ):
     """Walk the midpoint grid of [s, t] once, sampling several fields.
 
@@ -297,9 +378,9 @@ def _midpoint_grid(
     E = exp(A(v) h/2) are computed once; the grid is then cut into blocks of
     at most BLOCK midpoints, which may span pieces. Yields (h, e_half, mats)
     per block: h is the (b, 1, 1, 1) array of step widths, e_half the
-    (b, n, n) array of half steps, and mats[c] the (b, 2^N, n, n)
-    component stacks of M(t_j) of configs[c]; every caller of this walk
-    therefore samples the same nodes and leg values.
+    (b, n, n) array of half steps, and mats[c] the (b, |S|, n, n)
+    component stacks of M(t_j) of configs[c] on the support; every caller
+    of this walk therefore samples the same nodes and leg values.
     """
     n_legs = len(variations)
     k_seg = loop.num_segments
@@ -334,7 +415,7 @@ def _midpoint_grid(
         pos = starts[p] + (mid * h)[:, None] * vels[p]
         u = u_starts[p] + mid * (h * k_seg)
         legs = (leg_starts[p] + u[:, None, None] * leg_slopes[p]).transpose(1, 0, 2)
-        mats = [insertion_matrix(c, pos, vels[p], legs, n_legs) for c in configs]
+        mats = [insertion_matrix(c, pos, vels[p], legs, n_legs, support) for c in configs]
         yield h[:, None, None, None], e_halves[p], mats
 
 
@@ -347,11 +428,14 @@ def _gen_transport_fixed(
     steps: int,
     variations: Sequence[VariationField],
 ) -> SuperMatrix:
-    u_mat = SuperMatrix.identity(config.n, config.n_theta + len(variations))
-    for h, e_half, (inserts,) in _midpoint_grid(conn, loop, s, t, steps, variations, (config,)):
-        factors = _body_right(_body_left(e_half, _exp_series(inserts * h)), e_half)
-        u_mat = u_mat @ SuperMatrix._of(_chain(factors))
-    return u_mat
+    n_gen = config.n_theta + len(variations)
+    support = _support((config,), len(variations))
+    u_mat = SuperMatrix.identity(config.n, n_gen).components[list(support)]
+    grid = _midpoint_grid(conn, loop, s, t, steps, variations, (config,), support)
+    for h, e_half, (inserts,) in grid:
+        factors = _body_right(_body_left(e_half, _exp_series(inserts * h, support)), e_half)
+        u_mat = product(u_mat, _chain(factors, support), support)
+    return SuperMatrix(config.n, n_gen, dict(zip(support, u_mat)))
 
 
 def _with_richardson(evaluate, plan: TransportPlan):
@@ -449,33 +533,34 @@ def insertion_derivative(
     sandwiches h Z_j = h (e_half g_j) M_eta(t_j) (g_j e_half) are multiplied
     into the block's product and kernel sum_j Q_j h Z_j Q'_j (Q_j, Q'_j the
     in-block prefix and suffix), and those combine across blocks by the
-    same pair rule.
+    same pair rule. Everything runs on the support that the terms of
+    ``config`` and ``eta`` reach together.
     """
     if config is None:
         config = FieldConfig(eta.space, eta.n, eta.n_theta, ())
     if eta.n != config.n or eta.n_theta != config.n_theta:
         raise ValueError("insertion field shape differs from transport field")
     n_gen = config.n_theta + len(variations)
+    support = _support((config, eta), len(variations))
 
     def fixed(steps: int) -> GradedCoefficient:
         # (prod, acc) is the pair product of the blocks so far: prod is the
         # transport, acc the sum of the sandwiches prefix . h Z_j . suffix
-        prod = SuperMatrix.identity(config.n, n_gen)
-        acc = SuperMatrix(config.n, n_gen)
+        prod = SuperMatrix.identity(config.n, n_gen).components[list(support)]
+        acc = np.zeros_like(prod)
         grid = _midpoint_grid(
-            conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta)
+            conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta), support
         )
         for h, e_half, (m_cs, m_es) in grid:
-            g_half = _exp_series(m_cs * (h / 2))
+            g_half = _exp_series(m_cs * (h / 2), support)
             first = _body_left(e_half, g_half)
             second = _body_right(g_half, e_half)
-            f_blk, k_blk = map(
-                SuperMatrix._of,
-                _chain(product(first, second), product(product(first, m_es * h), second)),
-            )
-            acc = acc @ f_blk + prod @ k_blk
-            prod = prod @ f_blk
-        return acc.trace()
+            factors, sandwiches = _times(first, (second, m_es * h), support)
+            f_blk, k_blk = _chain(factors, support, product(sandwiches, second, support))
+            prod_f, prod_k = _times(prod, (f_blk, k_blk), support)
+            acc = product(acc, f_blk, support) + prod_k
+            prod = prod_f
+        return SuperMatrix(config.n, n_gen, dict(zip(support, acc))).trace()
 
     return _with_richardson(fixed, plan)
 

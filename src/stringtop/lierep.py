@@ -39,6 +39,15 @@ components of B (``product``), and the result is again a component stack.
 ``product`` multiplies whole stacks of matrices at once, which is how the
 generalized transports multiply their step factors. The Grassmann trace is
 the trace of each component.
+
+``regular`` and ``product`` work on a support: a sorted tuple S of masks
+that contains 0 and is closed under disjoint union. Matrices whose
+components vanish off S form a subalgebra, so they are stored as the
+|S| components on S, and regular(M) restricted to S is the
+(|S| n)-square matrix of blocks (T, U) in S x S, with block (T, U) zero
+when T ^ U is not in S. The generalized transports step on the support
+their fields reach, often half the algebra; ``SuperMatrix`` products pass
+the full algebra, S = range(2^N).
 """
 
 from __future__ import annotations
@@ -170,7 +179,8 @@ class SuperMatrix:
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check(other)
-        return SuperMatrix._of(product(self.components, other.components))
+        support = tuple(range(1 << self.n_gen))  # the full algebra
+        return SuperMatrix._of(product(self.components, other.components, support))
 
     def distance(self, other: "SuperMatrix") -> float:
         self._check(other)
@@ -208,42 +218,54 @@ for _n_gen in range(DEFAULT_GENERATORS + 1):
 
 
 @functools.lru_cache(maxsize=None)
-def _regular_index(n_gen: int, n: int) -> np.ndarray:
-    """Where ``regular`` reads each entry of the (2^N n)-square matrix.
+def _regular_index(support: tuple[int, ...], n: int) -> np.ndarray:
+    """Where ``regular`` reads each entry of the (|S| n)-square matrix on the
+    sorted support S.
 
-    Entry (T * n + i, U * n + j) is signs[T, U] times entry (i, j) of
-    component T ^ U. With the components flattened to c and padded as
+    With T = S[p] and U = S[q], entry (p * n + i, q * n + j) is
+    signs[T, U] times entry (i, j) of component T ^ U, and zero when T ^ U
+    is not in S. With the components flattened to c and padded as
     [0, c, -c], it is the padded entry at 1 + k for sign +1, at
-    1 + 2^N n^2 + k for sign -1 and at 0 for U outside T, k the flat
-    position of that component entry. Shared, so read-only.
+    1 + |S| n^2 + k for sign -1 and at 0 otherwise, k the flat position of
+    that component entry. Shared, so read-only.
     """
-    size = 1 << n_gen
-    t, i, u, j = np.ix_(range(size), range(n), range(size), range(n))
-    flat = 1 + ((t ^ u) * n + i) * n + j
-    sign = signs(n_gen)[:, None, :, None]
+    size, n_gen = len(support), max(support).bit_length()
+    masks = np.array(support)
+    at = np.full(1 << n_gen, -1)
+    at[masks] = np.arange(size)
+    where = at[masks[:, None] ^ masks[None, :]]
+    sign = np.where(where >= 0, signs(n_gen)[np.ix_(masks, masks)], 0)
+    i, j = np.arange(n)[None, :, None, None], np.arange(n)[None, None, None, :]
+    flat = 1 + (where[:, None, :, None] * n + i) * n + j
+    sign = sign[:, None, :, None]
     out = np.where(sign > 0, flat, np.where(sign < 0, flat + size * n * n, 0))
     out = out.reshape(size * n, size * n)
     out.flags.writeable = False
     return out
 
 
-def regular(components: np.ndarray) -> np.ndarray:
-    """sum_S L_S (x) M_S for a stack components[..., S, i, j] of all 2^N
-    components; returns the (..., 2^N n, 2^N n) regular matrices, gathered
-    in one indexing step (``_regular_index``)."""
+def regular(components: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
+    """sum_S L_S (x) M_S restricted to the sorted support, for a stack
+    components[..., p, i, j] holding M_{support[p]}; returns the
+    (..., |S| n, |S| n) regular matrices, gathered in one indexing step
+    (``_regular_index``). The support must contain 0 and be closed under
+    disjoint union, so the stacks on it are a subalgebra; the full algebra
+    is support = range(2^N)."""
     *lead, size, n, _ = components.shape
     flat = components.reshape(*lead, size * n * n)
     padded = np.concatenate([np.zeros((*lead, 1), flat.dtype), flat, -flat], axis=-1)
-    return padded[..., _regular_index(size.bit_length() - 1, n)]
+    return padded[..., _regular_index(support, n)]
 
 
-def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Grassmann matrix products of component stacks a[..., S, i, j] and
-    b[..., S, i, j], leading axes broadcast: regular(a) times the unit
-    column of b, reshaped back into a component stack."""
-    size, n = b.shape[-3], b.shape[-1]
-    column = regular(a) @ b.reshape(*b.shape[:-3], size * n, n)
-    return column.reshape(*column.shape[:-2], size, n, n)
+def product(a: np.ndarray, b: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
+    """Grassmann matrix products of component stacks a[..., p, i, j] and
+    b[..., p, j, k] on one support, leading axes broadcast: regular(a)
+    times the unit column of b, reshaped back into a component stack. b may
+    have any number of columns, so one gather of a serves several right
+    factors placed side by side."""
+    size, rows, cols = b.shape[-3:]
+    column = regular(a, support) @ b.reshape(*b.shape[:-3], size * rows, cols)
+    return column.reshape(*column.shape[:-2], size, rows, cols)
 
 
 def fuse_traces(

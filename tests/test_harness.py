@@ -71,7 +71,7 @@ def test_config_holds_only_seed_and_counts_and_records_keep_their_tolerance():
         ("gln", 150, 1e-10),
         ("holonomy", 12, 1e-8),
         ("gauge", 10, 1e-9),
-        ("fundamental", 4, 1e-4),
+        ("fundamental", 4, 2e-6),
         ("goldman", 40, 1e-12),
         ("main-theorem", 20, 1e-9),
         ("jacobi", 10, 1e-12),

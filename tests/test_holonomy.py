@@ -147,6 +147,33 @@ def test_transport_parameter_validation():
         transport(diag_connection(), wiggly_loop(), F(1, 2), F(1, 4))
 
 
+def test_piece_floats_are_the_floats_of_the_exact_points():
+    # int/int quotients and float(Fraction) are both correctly rounded
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        loop = gen_random_loop(rng, (int(rng.integers(-2, 3)), int(rng.integers(-2, 3))))
+        s = F(int(rng.integers(0, 50)), 97)
+        for piece in holonomy._pieces(loop, s, s + F(int(rng.integers(1, 47)), 97)):
+            start, vel, span = holonomy._piece_floats(loop, piece)
+            assert start.tolist() == [float(c) for c in loop.point_at(piece[1])]
+            assert vel.tolist() == [float(c) for c in loop.segment_velocity(piece[0])]
+            assert span == float(piece[2] - piece[1])
+
+
+def test_wrap_transport_is_the_hop_over_the_marked_point():
+    rng = np.random.default_rng(12)
+    loop = wiggly_loop()
+    for n in (1, 2, 3):
+        conn = random_connection(n, rng)
+        for s, t in ((F(5, 7), F(1, 9)), (F(1, 3), F(1, 3)), (F(1), F(0)), (F(2, 3), F(0))):
+            two = transport(conn, loop, s, F(1)) @ transport(conn, loop, F(0), t)
+            assert np.max(np.abs(holonomy.wrap_transport(conn, loop, s, t) - two)) <= 1e-13
+    # from s over the marked point back to s is the whole loop
+    assert np.max(np.abs(holonomy.wrap_transport(conn, loop, F(1, 3), F(1, 3)) - transport(conn, loop))) <= 1e-13
+    with pytest.raises(ValueError, match="0 <= t <= s <= 1"):
+        holonomy.wrap_transport(conn, loop, F(1, 4), F(1, 2))
+
+
 # -- generalized transport ------------------------------------------------------
 
 
@@ -497,3 +524,76 @@ def test_transport_memory_does_not_grow_with_the_steps():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 1.5 * min(peaks)
+
+
+# -- the Grassmann support that the stepping runs on ---------------------------
+
+
+def support_config(n, rng, n_theta=2):
+    """Random odd and even terms: an odd-theta 1-form dx^1 theta^1, a 0-form,
+    and 2-forms with and without a theta; each kept with probability 3/4."""
+    specs = [
+        {"indices": (1,), "eps": (1,)},
+        {"indices": (2,), "eps": (1, 2)},
+        {"eps": (2,)},
+        {"indices": (1, 2)},
+        {"indices": (1, 2), "eps": (2,)},
+    ]
+    kept = [spec for spec in specs if rng.random() < 0.75] or specs[:1]
+    for spec in kept:
+        spec["field"] = FourierField.from_dict(2, {(1, 0): complex(*rng.standard_normal(2)), (1, 1): 0.3})
+        spec["lie"] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return FieldConfig.build(TORUS, n, n_theta, kept)
+
+
+@pytest.mark.parametrize("n_legs", [0, 1, 2])
+def test_insertion_matrices_vanish_off_the_static_support(n_legs):
+    rng = np.random.default_rng(40 + n_legs)
+    proper = 0
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        cfg = support_config(n, rng)
+        full = tuple(range(1 << (cfg.n_theta + n_legs)))
+        support = holonomy._support((cfg,), n_legs)
+        assert support[0] == 0 and list(support) == sorted(set(support))
+        assert all(a & b or a | b in support for a in support for b in support)
+        pos, vel = rng.uniform(0, 1, (9, 2)), rng.standard_normal((9, 2))
+        legs = rng.standard_normal((n_legs, 9, 2))
+        everywhere = holonomy.insertion_matrix(cfg, pos, vel, legs, n_legs, full)
+        off = [m for m in full if m not in support]
+        assert not everywhere[:, off].any()
+        assert np.array_equal(holonomy.insertion_matrix(cfg, pos, vel, legs, n_legs, support), everywhere[:, list(support)])
+        proper += len(support) < len(full)
+    assert proper >= 6
+
+
+def whole_algebra_config(n, rng):
+    """theta^1 dx^1, theta^2 dx^2 and the 2-form dx^1 dx^2: with one leg w their
+    masks 1, 2 and 4 close to the whole of Lambda(3)."""
+    specs = [
+        {"indices": (1,), "eps": (1,)},
+        {"indices": (2,), "eps": (2,)},
+        {"indices": (1, 2)},
+    ]
+    for spec in specs:
+        spec["field"] = FourierField.from_dict(2, {(1, 0): 0.4 * complex(*rng.standard_normal(2)), (0, 1): 0.2})
+        spec["lie"] = 0.5 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return FieldConfig.build(TORUS, n, 2, specs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_whole_algebra_support_matches_the_stepwise_oracles(n):
+    rng = np.random.default_rng(60 + n)
+    conn, cfg, loop = random_connection(n, rng), whole_algebra_config(n, rng), wiggly_loop()
+    legs = [vertex_variation(loop)]
+    assert holonomy._support((cfg,), 1) == tuple(range(8))
+    plan = TransportPlan(steps=STEPS, richardson=0)
+    new = gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), plan, legs)
+    old = gen_transport_stepwise(conn, cfg, loop, F(1, 7), F(5, 9), STEPS, legs)
+    assert all(np.abs(old.components[m]).max() > 0 for m in range(8))
+    assert relative(new, old) <= 1e-12
+    eta = random_config(n, rng)
+    new = insertion_derivative(conn, cfg, loop, eta, plan, legs)
+    old = insertion_derivative_stepwise(conn, cfg, loop, eta, STEPS, legs)
+    assert old.norm() > 0
+    assert relative(new, old) <= 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stringtop.grassmann import GradedCoefficient
-from stringtop.lierep import LieBasis, SuperMatrix, fuse_traces, regular, signs
+from stringtop.lierep import LieBasis, SuperMatrix, fuse_traces, product, regular, signs
 
 from oracles import casimir_tensor, kappa_form, supermatrix_entries, swap_tensor, swap_via_casimir
 
@@ -243,10 +243,11 @@ def test_sign_table_multiplies_basis_monomials(n_gen):
 def test_regular_representation_is_a_homomorphism(n_gen, n):
     rng = np.random.default_rng(31 * n_gen + n)
     a, b = integer_supermatrix(rng, n, n_gen), integer_supermatrix(rng, n, n_gen)
-    ra, rb = regular(a.components), regular(b.components)
+    full = tuple(range(1 << n_gen))
+    ra, rb = regular(a.components, full), regular(b.components, full)
     assert ra.shape == ((1 << n_gen) * n,) * 2
-    assert np.array_equal(regular(symbolic_product(a, b)), ra @ rb)
-    assert np.array_equal(regular(a.components[None])[0], ra)
+    assert np.array_equal(regular(symbolic_product(a, b), full), ra @ rb)
+    assert np.array_equal(regular(a.components[None], full)[0], ra)
 
 
 @pytest.mark.parametrize("n_gen", [0, 1, 2, 3, 4])
@@ -254,7 +255,7 @@ def test_unit_column_round_trip_and_trace(n_gen):
     rng = np.random.default_rng(n_gen)
     n = 3
     m = random_supermatrix(rng, n, n_gen, masks=range(0, 1 << n_gen, 2) if n_gen else [0])
-    mat = regular(m.components)
+    mat = regular(m.components, tuple(range(1 << n_gen)))
     # the unit column block (rows S * n .. S * n + n - 1) is the component stack
     column = mat[:, :n].reshape(1 << n_gen, n, n)
     assert np.array_equal(column, m.components)
@@ -263,3 +264,56 @@ def test_unit_column_round_trip_and_trace(n_gen):
         {s: complex(np.trace(block)) for s, block in enumerate(column)}, n_gen
     )
     assert from_column == m.trace()
+
+
+# -- the regular representation on a support -----------------------------------
+
+
+def regular_by_blocks(components):
+    """Oracle: sum_S L_S (x) M_S on the full algebra, one block at a time."""
+    size, n, _ = components.shape
+    table = signs(size.bit_length() - 1)
+    out = np.zeros((size * n, size * n), dtype=components.dtype)
+    for t in range(size):
+        for u in range(size):
+            if table[t, u] > 0:
+                out[t * n : t * n + n, u * n : u * n + n] = components[t ^ u]
+            elif table[t, u] < 0:
+                out[t * n : t * n + n, u * n : u * n + n] = -components[t ^ u]
+    return out
+
+
+@pytest.mark.parametrize("n_gen", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_regular_on_the_full_support_is_the_blockwise_sum(n_gen, n):
+    rng = np.random.default_rng(7 * n_gen + n)
+    comps = rng.standard_normal((1 << n_gen, n, n)) + 1j * rng.standard_normal((1 << n_gen, n, n))
+    comps[0, 0, 0] = 0.0  # a zero entry keeps its sign under the gather too
+    got = regular(comps, tuple(range(1 << n_gen)))
+    assert got.tobytes() == regular_by_blocks(comps).tobytes()
+
+
+# sorted, containing 0 and closed under disjoint union; the Wilson loops
+# reach (0, 3) of Lambda(2), and insertion_derivative (0, 3, 4, 7) of Lambda(3)
+PROPER_SUPPORTS = [(0, 3), (0, 1), (0, 3, 4, 7), (0, 1, 6, 7), (0, 3, 12, 15), (0, 5, 10, 15)]
+
+
+@pytest.mark.parametrize("support", PROPER_SUPPORTS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_on_a_closed_support_is_the_full_product_restricted(support, n):
+    rng = np.random.default_rng(sum(support) + n)
+    n_gen = max(support).bit_length()
+    a, b = (integer_supermatrix(rng, n, n_gen) for _ in range(2))
+    a_s, b_s = a.components[list(support)], b.components[list(support)]
+    # the full product of the matrices that vanish off the support
+    off = [m for m in range(1 << n_gen) if m not in support]
+    a.components[off] = b.components[off] = 0
+    full = (a @ b).components
+    assert not full[off].any()
+    got = product(a_s, b_s, support)
+    assert np.array_equal(got, full[list(support)])
+    # an exact homomorphism on integer components
+    assert np.array_equal(regular(got, support), regular(a_s, support) @ regular(b_s, support))
+    # one gather of a serves right factors placed side by side
+    wide = product(a_s, np.concatenate([b_s, a_s], axis=-1), support)
+    assert np.array_equal(wide[..., n:], product(a_s, a_s, support))

@@ -36,20 +36,35 @@ transport lives on the closure S of those masks under disjoint union
 (``_support``, fixed by the terms, often half the algebra). So each
 matrix is its (|S|, n, n) stack on S, and a product is one matmul of the
 left-regular representation of the left factor on S with the stacked
-components of the right one (``lierep.product``). The midpoint grid is
-walked in blocks of at most ``BLOCK`` midpoints, which may span pieces;
-each piece's step width, velocity, leg end values and half step
-E = exp(A v h/2) are computed once. A block's insertion matrices are one
-stack of component stacks: each term's Grassmann coefficient is
-W^{mu_1} .. W^{mu_k} theta_S, with each leg W^mu the regular matrix of a
-1 x 1 Grassmann matrix, times f at the block's points. Their exponentials
-are one Taylor series on the block's regular matrices, built once; the
-half steps E act on every component, E G_S E; and the block's step
+components of the right one (``lierep.product``).
+
+Within one transport every insertion matrix lies in a fixed slot basis
+(``_Slots``), M(t) = sum_q c_q(t) B_q. A slot q is a term with one set L
+of k - 1 legs; B_q = theta_{S | L} E is fixed, and only the scalar
+c_q(t) moves along the path: f(x(t)) times the determinant of the
+velocity and the leg values over the term's form bits. The slots and
+their regular matrices R_q are built once per transport, beside the
+support, and serve every grid that the Richardson levels walk. The
+midpoint grid is walked in blocks of at most ``BLOCK`` midpoints, which
+may span pieces; each piece's step width, velocity, leg end values and
+half step E = exp(A v h/2) are computed once. A block's step
+exponentials are one Taylor series on the unit columns of all its
+midpoints side by side, an (|S| n, n b) term: each Taylor term is one
+GEMM of the R_q side by side with the Q coefficient-weighted copies of
+the term, and the term count is fixed before the loop from the norm
+bound rho = max_j sum_q |c_q h| ||R_q||_inf, as the first K with
+rho^K / K! < 1e-17 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011,
+choose the degree of the action of a matrix exponential the same way).
+The half steps E act on every component, E G_S E, and the block's step
 factors are multiplied pairwise into one component stack. The largest
-arrays are a block's regular matrices, BLOCK (|S| n)^2 entries, so the
-working memory does not grow with the steps the plan takes. The running
-product of the blocks stays on S, and the transport becomes a
-``SuperMatrix`` over all 2^N masks only when it is returned.
+arrays are the regular matrices of that product's first pair level,
+BLOCK/2 (|S| n)^2 entries, and the weighted Taylor term, Q |S| n^2 BLOCK
+entries, so the working memory does not grow with the steps the plan
+takes. Dense stacks of M(t) (``insertion_matrix``: the same slot
+coefficients summed into their components) are formed only for the
+field that ``insertion_derivative`` inserts. The running product of the
+blocks stays on S, and the transport becomes a ``SuperMatrix`` over all
+2^N masks only when it is returned.
 
 The symmetric step makes the error expansion even in h, so one Richardson
 level in h^2 is applied by default; with a tolerance set, steps double
@@ -62,6 +77,7 @@ discontinuities of PL velocities are never sampled.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,56 +216,9 @@ def wrap_transport(conn: FlatConnection, loop: PLLoop, s: Fraction, t: Fraction)
 
 
 # ---------------------------------------------------------------------------
-# insertion matrices
+# insertion matrices in the slot basis
 
-BLOCK = 128  # midpoints per block: bounds the (block, D, D) working arrays
-
-
-def insertion_matrix(
-    config: FieldConfig,
-    pos: np.ndarray,
-    vel: np.ndarray,
-    leg_values: np.ndarray,
-    n_legs: int,
-    support: tuple[int, ...],
-) -> np.ndarray:
-    """M(t) at a block of midpoints: C's form slots fed one velocity and k-1 legs.
-
-    pos and vel are the (b, d) arrays of midpoints and path velocities there,
-    leg_values the (n_legs, b, d) variation values. Returns the
-    (b, |S|, n, n) stack of component stacks on the support S, which must
-    hold every mask M reaches (``_support``), N = n_theta + n_legs
-    generators.
-    """
-    n_theta = config.n_theta
-    n_gen = n_theta + n_legs
-    b = len(pos)
-    # w_ops[mu, j] is W^mu = sum_i w_i v_i^mu at midpoint j, acting by left
-    # multiplication: the regular matrix of a 1 x 1 Grassmann matrix
-    legs = np.zeros((leg_values.shape[-1], b, 1 << n_gen, 1, 1))
-    for idx in range(n_legs):
-        legs[:, :, 1 << (n_theta + idx), 0, 0] = leg_values[idx].T
-    w_ops = regular(legs, tuple(range(1 << n_gen)))
-    by_mask: dict[int, list] = {}
-    for mask, field, mat in config.terms:
-        by_mask.setdefault(mask, []).append((field, mat))
-    comps = np.zeros((b, len(support), config.n, config.n), dtype=complex)
-    for mask, terms in by_mask.items():
-        bits = config.form_degree_bits(mask)
-        if not bits:
-            continue
-        coeff = np.zeros((b, 1 << n_gen), dtype=complex)
-        for a, mu in enumerate(bits):
-            if not vel[:, mu].any():
-                continue
-            part = np.zeros((b, 1 << n_gen))
-            part[:, config.theta_mask(mask)] = 1.0
-            for other in reversed(bits[:a] + bits[a + 1 :]):
-                part = np.einsum("jst,jt->js", w_ops[other], part)
-            coeff += (-vel[:, mu, None] if a % 2 else vel[:, mu, None]) * part
-        values = sum(field.evaluate(pos)[:, None, None] * mat for field, mat in terms)
-        comps += coeff[:, list(support), None, None] * values[:, None]
-    return comps
+BLOCK = 256  # midpoints per block: one GEMM per Taylor term serves them all
 
 
 def _support(configs: Sequence[FieldConfig], n_legs: int) -> tuple[int, ...]:
@@ -280,32 +249,134 @@ def _support(configs: Sequence[FieldConfig], n_legs: int) -> tuple[int, ...]:
     return tuple(sorted(closed))
 
 
-def _exp_series(m: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
-    """exp of each Grassmann matrix of the (b, |S|, n, n) stack m on the
-    support S, summed directly.
+def _det(rows: tuple[int, ...], cols: list[np.ndarray]) -> np.ndarray:
+    """det[cols[c][:, rows[r]]] per midpoint, for (b, d) columns: the Laplace
+    expansion along the first column, which is how M(t) sums its velocity
+    slot; the minors are the products of the legs."""
+    if not cols:
+        return 1.0
+    return sum(
+        (-1) ** a * cols[0][:, mu] * _det(rows[:a] + rows[a + 1 :], cols[1:])
+        for a, mu in enumerate(rows)
+    )
 
-    The Grassmann part is nilpotent and the body part arrives pre-scaled
-    by a small step width, so the series is short. It is summed on the
-    unit column of the block's regular matrices, built once,
-    term_k = m term_{k-1} / k. The whole block stops after the first term
-    that is, for every matrix, zero or below 1e-17 max(1, |sum|); the
-    terms a matrix adds after its own such term are below its rounding.
-    Returns the component stacks.
+
+class _Slots:
+    """M(t) = sum_q c_q(t) B_q: a field configuration in its slot basis on a
+    support.
+
+    A slot q is a term f theta_S E of form degree k >= 1 with one sorted
+    set L of k - 1 leg generators: B_q = theta_{S | L} E is fixed, and
+
+        c_q(t) = sign(w_L theta_S) f(x(t)) det[v, v_{L_1}, .., v_{L_{k-1}}]
+
+    over the rows mu_1 .. mu_k of the term's form bits, since the sum over
+    the velocity slot in M(t) is the Laplace expansion of that determinant
+    and the legs' products are its minors. The support must hold every slot
+    mask (``_support``).
     """
-    b, size, n, _ = m.shape
-    reg = regular(m, support)
-    term = np.zeros((b, size * n, n), dtype=complex)
-    term[:, :n] = np.eye(n)
-    acc = term.copy()
-    for k in range(1, 60):
-        term = (reg @ term) * (1.0 / k)
-        acc += term
-        norm = np.abs(term).max(axis=(1, 2))
-        if (norm < 1e-17 * np.maximum(1.0, np.abs(acc).max(axis=(1, 2)))).all():
-            break
-    else:
-        raise QuadratureError("insertion exponential failed to converge")
-    return acc.reshape(b, size, n, n)
+
+    def __init__(self, config: FieldConfig, n_legs: int, support: tuple[int, ...]):
+        self.n, self.n_gen, self.support = config.n, config.n_theta + n_legs, support
+        self.terms, where, mats = [], [], []
+        for mask, field, mat in config.terms:
+            bits = config.form_degree_bits(mask)
+            theta = config.theta_mask(mask)
+            slots = []
+            for legs in itertools.combinations(range(n_legs), len(bits) - 1) if bits else ():
+                leg_mask = sum(1 << (config.n_theta + i) for i in legs)
+                # w_L theta_S = (-1)^{|L| |S|} theta_{S | L}: the legs follow the thetas
+                slots.append((legs, -1 if len(legs) * theta.bit_count() % 2 else 1))
+                where.append(support.index(theta | leg_mask))
+                mats.append(mat)
+            if slots:
+                self.terms.append((field, bits, slots))
+        self.where = tuple(where)
+        self.mats = np.array(mats, dtype=complex).reshape(len(mats), self.n, self.n)
+
+    def coefficients(self, pos: np.ndarray, vel: np.ndarray, legs: np.ndarray) -> np.ndarray:
+        """The (Q, b) coefficients c_q(t_j) at the (b, d) midpoints and
+        velocities, with the (n_legs, b, d) leg values; each field is
+        evaluated once."""
+        out = np.empty((len(self.where), len(pos)), dtype=complex)
+        dets, q = {}, 0
+        for field, bits, slots in self.terms:
+            values = field.evaluate(pos)
+            for legs_of, sign in slots:
+                if (bits, legs_of) not in dets:
+                    dets[bits, legs_of] = _det(bits, [vel, *(legs[i] for i in legs_of)])
+                out[q] = sign * values * dets[bits, legs_of]
+                q += 1
+        return out
+
+    def dense(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_q coeffs[q, j] B_q as the (b, |S|, n, n) component stacks."""
+        comps = np.zeros((coeffs.shape[1], len(self.support), self.n, self.n), dtype=complex)
+        for c, at, mat in zip(coeffs, self.where, self.mats):
+            comps[:, at] += c[:, None, None] * mat
+        return comps
+
+    @functools.cached_property
+    def regulars(self) -> tuple[np.ndarray, np.ndarray]:
+        """The regular matrices R_q = regular(B_q) side by side, an
+        (|S| n, Q |S| n) matrix, and their norms ||R_q||_inf."""
+        stacks = np.zeros((len(self.where), len(self.support), self.n, self.n), dtype=complex)
+        stacks[np.arange(len(self.where)), self.where] = self.mats
+        regs = regular(stacks, self.support)
+        rows = len(self.support) * self.n
+        return regs.transpose(1, 0, 2).reshape(rows, -1), np.abs(regs).sum(axis=2).max(axis=1, initial=0.0)
+
+    def exp(self, coeffs: np.ndarray) -> np.ndarray:
+        """exp(sum_q coeffs[q, j] B_q) for every midpoint j of a block, as
+        the (b, |S|, n, n) component stacks.
+
+        The Taylor series runs on the unit columns of all the block's
+        matrices at once, side by side in one (|S| n, n b) term:
+        term_k = sum_q R_q (coeffs[q] / k) term_{k-1} is one product of the
+        side-by-side R_q with the Q coefficient-weighted copies of the term
+        stacked. The term count K is fixed up front as the first with
+        rho^K / K! < 1e-17, rho = max_j sum_q |coeffs[q, j]| ||R_q||_inf,
+        which bounds every entry of term K; more than 59 terms raise.
+        """
+        stacked, norms = self.regulars
+        q, b = coeffs.shape
+        rows, n = stacked.shape[0], self.n
+        rho = float((np.abs(coeffs) * norms[:, None]).sum(axis=0).max(initial=0.0))
+        terms, bound = 1, rho
+        while not bound < 1e-17:
+            terms += 1
+            if terms > 59:
+                raise QuadratureError("insertion exponential failed to converge")
+            bound *= rho / terms
+        term = np.zeros((rows, n, b), dtype=complex)
+        term[:n] = np.eye(n)[:, :, None]
+        acc = term.copy()
+        for k in range(1, terms + 1):
+            weighted = term * (coeffs * (1.0 / k))[:, None, None, :]
+            term = (stacked @ weighted.reshape(q * rows, n * b)).reshape(rows, n, b)
+            acc += term
+        return acc.reshape(len(self.support), n, n, b).transpose(3, 0, 1, 2)
+
+
+def insertion_matrix(
+    config: FieldConfig,
+    pos: np.ndarray,
+    vel: np.ndarray,
+    leg_values: np.ndarray,
+    n_legs: int,
+    support: tuple[int, ...],
+) -> np.ndarray:
+    """M(t) at a block of midpoints: C's form slots fed one velocity and k-1 legs.
+
+    pos and vel are the (b, d) arrays of midpoints and path velocities there,
+    leg_values the (n_legs, b, d) variation values. Returns the
+    (b, |S|, n, n) stack of component stacks on the support S, which must
+    hold every mask M reaches (``_support``), N = n_theta + n_legs
+    generators: the slot coefficients (``_Slots``) summed into their
+    components.
+    """
+    slots = _Slots(config, n_legs, support)
+    return slots.dense(slots.coefficients(pos, vel, leg_values))
 
 
 def _body_left(e: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -368,19 +439,17 @@ def _midpoint_grid(
     t: Fraction,
     steps: int,
     variations: Sequence[VariationField],
-    configs: Sequence[FieldConfig],
-    support: tuple[int, ...],
 ):
-    """Walk the midpoint grid of [s, t] once, sampling several fields.
+    """Walk the midpoint grid of [s, t] once.
 
     The grid holds ``steps`` midpoints per piece, in path order. Each
     piece's start, velocity, step width h, leg end values and half step
     E = exp(A(v) h/2) are computed once; the grid is then cut into blocks of
-    at most BLOCK midpoints, which may span pieces. Yields (h, e_half, mats)
-    per block: h is the (b, 1, 1, 1) array of step widths, e_half the
-    (b, n, n) array of half steps, and mats[c] the (b, |S|, n, n)
-    component stacks of M(t_j) of configs[c] on the support; every caller
-    of this walk therefore samples the same nodes and leg values.
+    at most BLOCK midpoints, which may span pieces. Yields
+    (h, e_half, pos, vel, legs) per block: the (b,) step widths, the
+    (b, n, n) half steps, the (b, d) midpoints and velocities and the
+    (n_legs, b, d) leg values, which every field sampled on the block
+    shares.
     """
     n_legs = len(variations)
     k_seg = loop.num_segments
@@ -415,27 +484,25 @@ def _midpoint_grid(
         pos = starts[p] + (mid * h)[:, None] * vels[p]
         u = u_starts[p] + mid * (h * k_seg)
         legs = (leg_starts[p] + u[:, None, None] * leg_slopes[p]).transpose(1, 0, 2)
-        mats = [insertion_matrix(c, pos, vels[p], legs, n_legs, support) for c in configs]
-        yield h[:, None, None, None], e_halves[p], mats
+        yield h, e_halves[p], pos, vels[p], legs
 
 
 def _gen_transport_fixed(
     conn: FlatConnection,
-    config: FieldConfig,
+    slots: _Slots,
     loop: PLLoop,
     s: Fraction,
     t: Fraction,
     steps: int,
     variations: Sequence[VariationField],
 ) -> SuperMatrix:
-    n_gen = config.n_theta + len(variations)
-    support = _support((config,), len(variations))
-    u_mat = SuperMatrix.identity(config.n, n_gen).components[list(support)]
-    grid = _midpoint_grid(conn, loop, s, t, steps, variations, (config,), support)
-    for h, e_half, (inserts,) in grid:
-        factors = _body_right(_body_left(e_half, _exp_series(inserts * h, support)), e_half)
+    support = slots.support
+    u_mat = SuperMatrix.identity(slots.n, slots.n_gen).components[list(support)]
+    for h, e_half, pos, vel, legs in _midpoint_grid(conn, loop, s, t, steps, variations):
+        exps = slots.exp(slots.coefficients(pos, vel, legs) * h)
+        factors = _body_right(_body_left(e_half, exps), e_half)
         u_mat = product(u_mat, _chain(factors, support), support)
-    return SuperMatrix(config.n, n_gen, dict(zip(support, u_mat)))
+    return SuperMatrix(slots.n, slots.n_gen, dict(zip(support, u_mat)))
 
 
 def _with_richardson(evaluate, plan: TransportPlan):
@@ -499,8 +566,9 @@ def gen_transport(
     if not _needs_stepping(config):
         body = transport(conn, loop, s, t)
         return SuperMatrix.from_body(body, config.n_theta + len(variations))
+    slots = _Slots(config, len(variations), _support((config,), len(variations)))
     return _with_richardson(
-        lambda steps: _gen_transport_fixed(conn, config, loop, s, t, steps, variations),
+        lambda steps: _gen_transport_fixed(conn, slots, loop, s, t, steps, variations),
         plan,
     )
 
@@ -540,27 +608,27 @@ def insertion_derivative(
         config = FieldConfig(eta.space, eta.n, eta.n_theta, ())
     if eta.n != config.n or eta.n_theta != config.n_theta:
         raise ValueError("insertion field shape differs from transport field")
-    n_gen = config.n_theta + len(variations)
-    support = _support((config, eta), len(variations))
+    n_legs = len(variations)
+    support = _support((config, eta), n_legs)
+    slots = _Slots(config, n_legs, support)
 
     def fixed(steps: int) -> GradedCoefficient:
         # (prod, acc) is the pair product of the blocks so far: prod is the
         # transport, acc the sum of the sandwiches prefix . h Z_j . suffix
-        prod = SuperMatrix.identity(config.n, n_gen).components[list(support)]
+        prod = SuperMatrix.identity(config.n, slots.n_gen).components[list(support)]
         acc = np.zeros_like(prod)
-        grid = _midpoint_grid(
-            conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta), support
-        )
-        for h, e_half, (m_cs, m_es) in grid:
-            g_half = _exp_series(m_cs * (h / 2), support)
+        grid = _midpoint_grid(conn, loop, Fraction(0), Fraction(1), steps, variations)
+        for h, e_half, pos, vel, legs in grid:
+            g_half = slots.exp(slots.coefficients(pos, vel, legs) * (h / 2))
+            m_es = insertion_matrix(eta, pos, vel, legs, n_legs, support)
             first = _body_left(e_half, g_half)
             second = _body_right(g_half, e_half)
-            factors, sandwiches = _times(first, (second, m_es * h), support)
+            factors, sandwiches = _times(first, (second, m_es * h[:, None, None, None]), support)
             f_blk, k_blk = _chain(factors, support, product(sandwiches, second, support))
             prod_f, prod_k = _times(prod, (f_blk, k_blk), support)
             acc = product(acc, f_blk, support) + prod_k
             prod = prod_f
-        return SuperMatrix(config.n, n_gen, dict(zip(support, acc))).trace()
+        return SuperMatrix(config.n, slots.n_gen, dict(zip(support, acc))).trace()
 
     return _with_richardson(fixed, plan)
 

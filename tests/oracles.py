@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from stringtop.brackets import fundamental_identity_paths
@@ -238,6 +239,47 @@ def gen_transport_stepwise(
         for j, (m_ins,) in enumerate(rows):
             u_mat = u_mat @ exp_series(m_ins * h)
             u_mat = u_mat @ (e_full if j + 1 < steps else e_half)
+    return u_mat
+
+
+def gen_transport_ode(
+    conn: FlatConnection,
+    config: FieldConfig,
+    loop: PLLoop,
+    s=Fraction(0),
+    t=Fraction(1),
+    variations: Sequence[VariationField] = (),
+    rtol: float = 1e-12,
+) -> SuperMatrix:
+    """U' = U (A v + M(t)) integrated by an explicit Runge-Kutta method.
+
+    Independent of the stepping: no splitting, no step exponential and no
+    extrapolation. ``scipy.integrate.solve_ivp`` (DOP853) integrates the
+    component stack of U over each piece, where the velocity is constant,
+    and the pieces are chained. M(t) is assembled from symbolic Grassmann
+    products (``insertion_matrix_at``).
+    """
+    n_gen = config.n_theta + len(variations)
+    k_seg = loop.num_segments
+    u_mat = SuperMatrix.identity(config.n, n_gen)
+    for piece in _pieces(loop, Fraction(s), Fraction(t)):
+        i, lo, hi = piece
+        start, vel, _ = _piece_floats(loop, piece)
+        a_vel = SuperMatrix.from_body(conn.matrix_of(vel), n_gen)
+
+        def rhs(tau, y):
+            pos = start + (tau - float(lo)) * vel
+            legs = _leg_values_at(variations, loop, piece, tau * k_seg - i)
+            m = insertion_matrix_at(config, pos, vel, legs, len(variations))
+            u = SuperMatrix._of(y.reshape(u_mat.components.shape))
+            return (u @ (a_vel + m)).components.ravel()
+
+        sol = solve_ivp(
+            rhs, (float(lo), float(hi)), u_mat.components.ravel(), method="DOP853", rtol=rtol, atol=rtol * 1e-3
+        )
+        if not sol.success:
+            raise RuntimeError(sol.message)
+        u_mat = SuperMatrix._of(sol.y[:, -1].reshape(u_mat.components.shape))
     return u_mat
 
 

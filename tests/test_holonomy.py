@@ -34,7 +34,7 @@ from stringtop.holonomy import (
 from stringtop.lierep import SuperMatrix
 from stringtop.strings import TransversalityError, concatenate, intersections
 
-from oracles import gen_transport_stepwise, insertion_derivative_stepwise
+from oracles import exp_series, gen_transport_ode, gen_transport_stepwise, insertion_derivative_stepwise
 
 F = Fraction
 TORUS = Torus(2)
@@ -285,9 +285,11 @@ def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
     conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
     fixed = holonomy._gen_transport_fixed
     calls = collections.Counter()
+    seen = []
 
     def counting(*args):
         calls[args[5]] += 1
+        seen.append(args)
         return fixed(*args)
 
     monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting)
@@ -295,7 +297,9 @@ def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
     top = max(calls)
     assert sorted(calls) == [8 << k for k in range(len(calls))] and len(calls) >= 4
     assert set(calls.values()) == {1}
-    coarse, fine = (fixed(conn, cfg, loop, F(0), F(1), s, ()) for s in (top // 2, top))
+    # every grid of the transport steps on the one slot basis built for it
+    assert len({id(args[1]) for args in seen}) == 1
+    coarse, fine = (fixed(*seen[0][:5], s, ()) for s in (top // 2, top))
     assert out.distance(fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)) == 0.0
 
 
@@ -597,3 +601,80 @@ def test_whole_algebra_support_matches_the_stepwise_oracles(n):
     old = insertion_derivative_stepwise(conn, cfg, loop, eta, STEPS, legs)
     assert old.norm() > 0
     assert relative(new, old) <= 1e-12
+
+
+# -- the step exponential in the slot basis ------------------------------------
+
+
+def slot_block(n, n_legs, rng, rhos):
+    """Slots of a random config with 1- and 2-forms, and (Q, b) random
+    coefficients scaled so that column j has the norm bound rhos[j]."""
+    cfg = support_config(n, rng)
+    slots = holonomy._Slots(cfg, n_legs, holonomy._support((cfg,), n_legs))
+    shape = (len(slots.mats), len(rhos))
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if not len(slots.mats):
+        return slots, coeffs
+    _, norms = slots.regulars
+    return slots, coeffs * (rhos / (np.abs(coeffs) * norms[:, None]).sum(axis=0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_legs", [0, 1, 2])
+def test_block_exponential_matches_the_series_oracle(n, n_legs):
+    # rho from a fine step up to the coarsest step of the adaptive workload
+    # (about 1.4 at 8 steps per piece)
+    rng = np.random.default_rng(90 + 3 * n + n_legs)
+    rhos = np.geomspace(1e-3, 2.0, 12)
+    checked = 0
+    for _ in range(4):
+        slots, coeffs = slot_block(n, n_legs, rng, rhos)
+        if not len(slots.mats):
+            continue
+        got = slots.exp(coeffs)
+        dense = slots.dense(coeffs)
+        for j in range(len(rhos)):
+            m = SuperMatrix(n, slots.n_gen, dict(zip(slots.support, dense[j])))
+            want = exp_series(m).components
+            assert not np.delete(want, list(slots.support), axis=0).any()
+            want = want[list(slots.support)]
+            assert np.abs(got[j] - want).max() <= 1e-14 * np.abs(want).max()
+        checked += 1
+    assert checked >= 3
+
+
+def test_block_exponential_of_nothing_is_the_identity():
+    rng = np.random.default_rng(5)
+    slots, coeffs = slot_block(3, 1, rng, np.ones(6))
+    ident = np.zeros((6, len(slots.support), 3, 3))
+    ident[:, 0] = np.eye(3)
+    assert np.array_equal(slots.exp(np.zeros_like(coeffs)), ident)
+    # a 2-form without legs has no slot
+    cfg = FieldConfig.build(TORUS, 3, 2, [{"indices": (1, 2), "field": 0.5, "lie": (1, 2)}])
+    none = holonomy._Slots(cfg, 0, (0,))
+    assert len(none.mats) == 0
+    assert np.array_equal(none.exp(np.zeros((0, 6))), ident[:, :1])
+
+
+def test_block_exponential_that_needs_more_than_59_terms_raises():
+    rng = np.random.default_rng(6)
+    slots, coeffs = slot_block(2, 1, rng, np.array([0.1, 8.0]))
+    slots.exp(coeffs)  # rho = 8 takes 48 terms, rho = 12 would take 60
+    slots, coeffs = slot_block(2, 1, rng, np.array([0.1, 12.0]))
+    with pytest.raises(QuadratureError, match="insertion exponential failed to converge"):
+        slots.exp(coeffs)
+
+
+# -- against an independent integrator -----------------------------------------
+
+ODE_TOL = 1.5e-8  # 10x the worst of the two instances (1.5e-9) at DEFAULT_PLAN
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gen_transport_matches_an_independent_integrator(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed
+    conn, cfg, loop = random_connection(n, rng), random_config(n, rng), wiggly_loop()
+    legs = [vertex_variation(loop)]
+    ref = gen_transport_ode(conn, cfg, loop, variations=legs)
+    assert relative(gen_transport(conn, cfg, loop, variations=legs), ref) <= ODE_TOL

@@ -128,29 +128,6 @@ class Report:
             "checks": [r.to_json_obj() for r in self.records],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        lines = [
-            f"verification report  version {self.version}  seed {self.config['seed']}",
-            f"{'check':<16}{'instances':>10}{'retries':>9}{'max residual':>14}{'tolerance':>11}{'time':>9}  status",
-        ]
-        for r in self.records:
-            res = "-" if r.max_residual is None else f"{r.max_residual:.2e}"
-            status = "pass" if r.passed else "FAIL"
-            lines.append(
-                f"{r.check:<16}{r.instances:>10}{r.retries:>9}{res:>14}"
-                f"{r.tolerance:>11.1e}{r.runtime_ms:>7.0f}ms  {status}"
-            )
-            if r.error:
-                lines.append(f"{'':16}  error: {r.error}")
-        good = sum(1 for r in self.records if r.passed)
-        lines.append(
-            f"overall: {'pass' if self.passed else 'FAIL'} ({good}/{len(self.records)} checks)"
-        )
-        return "\n".join(lines)
-
     def validate(self) -> None:
         _schema_validate(self.to_json_obj(), _report_schema())
 

@@ -60,11 +60,14 @@ factors are multiplied pairwise into one component stack. The largest
 arrays are the regular matrices of that product's first pair level,
 BLOCK/2 (|S| n)^2 entries, and the weighted Taylor term, Q |S| n^2 BLOCK
 entries, so the working memory does not grow with the steps the plan
-takes. Dense stacks of M(t) (``insertion_matrix``: the same slot
-coefficients summed into their components) are formed only for the
-field that ``insertion_derivative`` inserts. The running product of the
-blocks stays on S, and the transport becomes a ``SuperMatrix`` over all
-2^N masks only when it is returned.
+takes. No dense stack of M(t) is formed while stepping. The running
+product of the blocks stays on S, and the transport becomes a
+``SuperMatrix`` over all 2^N masks only when it is returned.
+
+``insertion_derivative`` steps the same way: the insertion of a second
+field eta is the epsilon-part of the transport of C + epsilon eta, with
+epsilon an even product of two extra generators, so there is one
+stepping path for both.
 
 The symmetric step makes the error expansion even in h, so one Richardson
 level in h^2 is applied by default; with a tolerance set, steps double
@@ -221,8 +224,8 @@ def wrap_transport(conn: FlatConnection, loop: PLLoop, s: Fraction, t: Fraction)
 BLOCK = 256  # midpoints per block: one GEMM per Taylor term serves them all
 
 
-def _support(configs: Sequence[FieldConfig], n_legs: int) -> tuple[int, ...]:
-    """The sorted masks that the step factors of the configs can reach.
+def _support(config: FieldConfig, n_legs: int) -> tuple[int, ...]:
+    """The sorted masks that the step factors of the config can reach.
 
     A form term of degree k >= 1 enters M with the masks theta_S | L, for
     every set L of k - 1 leg generators. Products of Grassmann monomials
@@ -233,12 +236,11 @@ def _support(configs: Sequence[FieldConfig], n_legs: int) -> tuple[int, ...]:
     leave zeros on it.
     """
     reach = set()
-    for config in configs:
-        legs = [1 << (config.n_theta + idx) for idx in range(n_legs)]
-        for mask, _, _ in config.terms:
-            k = len(config.form_degree_bits(mask))
-            for part in itertools.combinations(legs, k - 1) if k else ():
-                reach.add(config.theta_mask(mask) | sum(part))
+    legs = [1 << (config.n_theta + idx) for idx in range(n_legs)]
+    for mask, _, _ in config.terms:
+        k = len(config.form_degree_bits(mask))
+        for part in itertools.combinations(legs, k - 1) if k else ():
+            reach.add(config.theta_mask(mask) | sum(part))
     closed, fresh = {0}, [0]
     while fresh:
         base = fresh.pop()
@@ -374,6 +376,10 @@ def insertion_matrix(
     hold every mask M reaches (``_support``), N = n_theta + n_legs
     generators: the slot coefficients (``_Slots``) summed into their
     components.
+
+    No stepping path calls it: the transports exponentiate in the slot
+    basis. It is kept as the dense view of M(t) that tests compare with
+    the symbolic oracle, and as a layer that the benchmark tracer names.
     """
     slots = _Slots(config, n_legs, support)
     return slots.dense(slots.coefficients(pos, vel, leg_values))
@@ -393,33 +399,14 @@ def _body_right(g: np.ndarray, e: np.ndarray) -> np.ndarray:
     return (g.reshape(b, size * n, n) @ e).reshape(b, size, n, n)
 
 
-def _times(left: np.ndarray, rights, support: tuple[int, ...]) -> list[np.ndarray]:
-    """left times each stack of rights, from one regular matrix of left:
-    the right factors stand side by side as the columns of one product."""
-    n = left.shape[-1]
-    both = product(left, np.concatenate(rights, axis=-1), support)
-    return [both[..., k * n : (k + 1) * n] for k in range(len(rights))]
-
-
-def _chain(factors: np.ndarray, support: tuple[int, ...], kernels: np.ndarray | None = None):
-    """Ordered product F = factors[0] .. factors[-1] of a stack of component
-    stacks on the support, multiplied pairwise.
-
-    With kernels, also returns K = sum_j F_0 .. F_{j-1} K_j F_{j+1} .. F_last,
-    from the pair rule (F1, K1)(F2, K2) = (F1 F2, F1 K2 + K1 F2); F1 K2 and
-    F1 F2 share the one regular matrix of F1.
-    """
+def _chain(factors: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
+    """Ordered product factors[0] .. factors[-1] of a stack of component
+    stacks on the support, multiplied pairwise."""
     while len(factors) > 1:
         even = len(factors) // 2 * 2
-        left, right = factors[0:even:2], factors[1:even:2]
-        if kernels is None:
-            paired = product(left, right, support)
-        else:
-            paired, k_left = _times(left, (right, kernels[1:even:2]), support)
-            k_paired = k_left + product(kernels[0:even:2], right, support)
-            kernels = np.concatenate([k_paired, kernels[even:]])
+        paired = product(factors[0:even:2], factors[1:even:2], support)
         factors = np.concatenate([paired, factors[even:]])
-    return factors[0] if kernels is None else (factors[0], kernels[0])
+    return factors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +553,7 @@ def gen_transport(
     if not _needs_stepping(config):
         body = transport(conn, loop, s, t)
         return SuperMatrix.from_body(body, config.n_theta + len(variations))
-    slots = _Slots(config, len(variations), _support((config,), len(variations)))
+    slots = _Slots(config, len(variations), _support(config, len(variations)))
     return _with_richardson(
         lambda steps: _gen_transport_fixed(conn, slots, loop, s, t, steps, variations),
         plan,
@@ -592,43 +579,44 @@ def insertion_derivative(
     plan: TransportPlan = DEFAULT_PLAN,
     variations: Sequence[VariationField] = (),
 ) -> GradedCoefficient:
-    """integral_0^1 tr[ U(0,tau) M_eta(tau) U(tau,1) ] dtau, one pass.
+    """integral_0^1 tr[ U(0,tau) M_eta(tau) U(tau,1) ] dtau.
 
     U is the generalized transport of ``config``; the insertion field
     ``eta`` is paired exactly like C-terms (one velocity factor, legs for
-    the remaining slots). Evaluated on the same midpoint grid as the
-    transports themselves: per block, the step factors F_j and the
-    sandwiches h Z_j = h (e_half g_j) M_eta(t_j) (g_j e_half) are multiplied
-    into the block's product and kernel sum_j Q_j h Z_j Q'_j (Q_j, Q'_j the
-    in-block prefix and suffix), and those combine across blocks by the
-    same pair rule. Everything runs on the support that the terms of
-    ``config`` and ``eta`` reach together.
+    the remaining slots). The integral is the first-order variation of the
+    Wilson loop of C in the direction eta, so it is the epsilon-coefficient
+    of the Wilson loop of C + epsilon eta, where epsilon = theta_a theta_b
+    is the product of two extra generators: even, so central, and
+    epsilon^2 = 0 (the Grassmann form of Van Loan's block-triangular
+    exponential, IEEE Trans. Autom. Control 23, 1978). The joint
+    configuration orders its generators as the n_theta thetas, then a and
+    b, then the legs; a and b are adjacent, so epsilon theta_S =
+    +theta_{S | a | b}, and the epsilon-part is read off the masks that
+    hold both. Each grid is one ``_gen_transport_fixed`` of the joint
+    configuration, and the Richardson levels and the tolerance act on the
+    extracted coefficient over n_theta + len(variations) generators.
     """
     if config is None:
         config = FieldConfig(eta.space, eta.n, eta.n_theta, ())
     if eta.n != config.n or eta.n_theta != config.n_theta:
         raise ValueError("insertion field shape differs from transport field")
-    n_legs = len(variations)
-    support = _support((config, eta), n_legs)
-    slots = _Slots(config, n_legs, support)
+    n_theta, n_legs = config.n_theta, len(variations)
+    pair = 0b11 << n_theta
+    joint = FieldConfig(
+        config.space,
+        config.n,
+        n_theta + 2,
+        [*config.terms, *((mask | pair << config.space.d, f, mat) for mask, f, mat in eta.terms)],
+    )
+    slots = _Slots(joint, n_legs, _support(joint, n_legs))
+    thetas = (1 << n_theta) - 1
 
     def fixed(steps: int) -> GradedCoefficient:
-        # (prod, acc) is the pair product of the blocks so far: prod is the
-        # transport, acc the sum of the sandwiches prefix . h Z_j . suffix
-        prod = SuperMatrix.identity(config.n, slots.n_gen).components[list(support)]
-        acc = np.zeros_like(prod)
-        grid = _midpoint_grid(conn, loop, Fraction(0), Fraction(1), steps, variations)
-        for h, e_half, pos, vel, legs in grid:
-            g_half = slots.exp(slots.coefficients(pos, vel, legs) * (h / 2))
-            m_es = insertion_matrix(eta, pos, vel, legs, n_legs, support)
-            first = _body_left(e_half, g_half)
-            second = _body_right(g_half, e_half)
-            factors, sandwiches = _times(first, (second, m_es * h[:, None, None, None]), support)
-            f_blk, k_blk = _chain(factors, support, product(sandwiches, second, support))
-            prod_f, prod_k = _times(prod, (f_blk, k_blk), support)
-            acc = product(acc, f_blk, support) + prod_k
-            prod = prod_f
-        return SuperMatrix(config.n, slots.n_gen, dict(zip(support, acc))).trace()
+        trace = _gen_transport_fixed(conn, slots, loop, Fraction(0), Fraction(1), steps, variations).trace()
+        # theta_S theta_a theta_b w_L = epsilon theta_S w_L: drop a and b, and
+        # move the legs down to follow the thetas
+        part = {m & thetas | m >> (n_theta + 2) << n_theta: v for m, v in trace.masks.items() if m & pair == pair}
+        return GradedCoefficient.from_masks(part, n_theta + n_legs)
 
     return _with_richardson(fixed, plan)
 

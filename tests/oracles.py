@@ -291,7 +291,13 @@ def insertion_derivative_stepwise(
     steps: int = 64,
     variations: Sequence[VariationField] = (),
 ) -> GradedCoefficient:
-    """sum_j h tr[U(0, t_j-) M_eta(t_j) U(t_j+, 1)] with prefix and suffix products."""
+    """sum_j h tr[U(0, t_j-) M_eta(t_j) U(t_j+, 1)] with prefix and suffix products.
+
+    The midpoint quadrature of the insertion integral, with M_eta sampled
+    between the two half steps of each Strang factor: a second
+    discretization, independent of the epsilon route of the package, that
+    agrees with it only up to the plan's error.
+    """
     n, n_gen = config.n, config.n_theta + len(variations)
     factors, halves, m_etas, widths = [], [], [], []
     for h, a_vel, rows in _midpoints(conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta)):
@@ -314,6 +320,47 @@ def insertion_derivative_stepwise(
         out = out + sandwich.trace().scale(widths[j])
         prefix = prefix @ factors[j]
     return out
+
+
+def epsilon_config(config: FieldConfig, eta: FieldConfig) -> FieldConfig:
+    """C + epsilon eta, epsilon = theta_a theta_b on two new thetas a, b
+    placed after C's; every term is rebuilt from its index tuples."""
+    n_theta = config.n_theta
+    specs = []
+    for cfg, extra in ((config, ()), (eta, (n_theta + 1, n_theta + 2))):
+        for mask, field, mat in cfg.terms:
+            thetas = tuple(b + 1 for b in range(n_theta) if cfg.theta_mask(mask) >> b & 1)
+            indices = tuple(mu + 1 for mu in cfg.form_degree_bits(mask))
+            specs.append({"indices": indices, "eps": thetas + extra, "field": field, "lie": mat})
+    return FieldConfig.build(config.space, config.n, n_theta + 2, specs)
+
+
+def epsilon_part(value: GradedCoefficient, n_theta: int, n_legs: int) -> GradedCoefficient:
+    """The coefficient of epsilon in a value over the generators of
+    ``epsilon_config`` plus n_legs legs: theta_S theta_a theta_b w_L is
+    epsilon theta_S w_L, since epsilon is even."""
+    a, b = n_theta + 1, n_theta + 2
+    out = {}
+    for indices, v in value.terms().items():
+        if a in indices and b in indices:
+            out[tuple(i if i <= n_theta else i - 2 for i in indices if i not in (a, b))] = v
+    return GradedCoefficient(out, n_theta + n_legs)
+
+
+def insertion_derivative_epsilon_stepwise(
+    conn: FlatConnection,
+    config: FieldConfig,
+    loop: PLLoop,
+    eta: FieldConfig,
+    steps: int = 64,
+    variations: Sequence[VariationField] = (),
+) -> GradedCoefficient:
+    """The epsilon-part of the stepwise Wilson loop of C + epsilon eta: the
+    discretization of ``holonomy.insertion_derivative``, one SuperMatrix
+    product per factor."""
+    joint = epsilon_config(config, eta)
+    u_mat = gen_transport_stepwise(conn, joint, loop, steps=steps, variations=variations)
+    return epsilon_part(u_mat.trace(), config.n_theta, len(variations))
 
 
 def variation_value_at(v: VariationField, t: Fraction) -> tuple:

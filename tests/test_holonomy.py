@@ -34,7 +34,15 @@ from stringtop.holonomy import (
 from stringtop.lierep import SuperMatrix
 from stringtop.strings import TransversalityError, concatenate, intersections
 
-from oracles import exp_series, gen_transport_ode, gen_transport_stepwise, insertion_derivative_stepwise
+from oracles import (
+    epsilon_config,
+    epsilon_part,
+    exp_series,
+    gen_transport_ode,
+    gen_transport_stepwise,
+    insertion_derivative_epsilon_stepwise,
+    insertion_derivative_stepwise,
+)
 
 F = Fraction
 TORUS = Torus(2)
@@ -394,6 +402,26 @@ def test_insertion_derivative_rejects_mismatched_shapes():
         insertion_derivative(diag_connection(), mixed_config(2), wiggly_loop(), eta)
 
 
+def test_insertion_derivative_steps_once_per_step_count(monkeypatch):
+    # the insertion is the epsilon-part of one generalized transport per
+    # grid: DEFAULT_PLAN evaluates 64 and 128 steps, both on one slot basis
+    conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
+    eta = field_obstruction(cfg, conn)
+    fixed = holonomy._gen_transport_fixed
+    calls = collections.Counter()
+    slot_ids = set()
+
+    def counting(*args):
+        calls[args[5]] += 1
+        slot_ids.add(id(args[1]))
+        return fixed(*args)
+
+    monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting)
+    insertion_derivative(conn, cfg, loop, eta, variations=[vertex_variation(loop)])
+    assert calls == {64: 1, 128: 1}
+    assert len(slot_ids) == 1
+
+
 # -- the block-streamed regular representation against the stepwise oracles ----
 
 
@@ -484,7 +512,7 @@ def test_insertion_derivative_matches_stepwise_oracle(n, n_legs):
     legs = [vertex_variation(loop)] * n_legs
     eta = field_obstruction(cfg, conn) if n_legs else random_config(n, rng)
     new = insertion_derivative(conn, cfg, loop, eta, TransportPlan(steps=STEPS, richardson=0), legs)
-    old = insertion_derivative_stepwise(conn, cfg, loop, eta, STEPS, legs)
+    old = insertion_derivative_epsilon_stepwise(conn, cfg, loop, eta, STEPS, legs)
     assert old.norm() > 0
     assert relative(new, old) <= 1e-12
 
@@ -511,7 +539,7 @@ def test_block_boundaries_do_not_matter(monkeypatch, block):
     for new, old in zip(got, base):
         assert relative(new, old) <= 1e-13
     assert relative(got[0], gen_transport_stepwise(conn, cfg, loop, F(1, 7), F(5, 9), STEPS, legs)) <= 1e-12
-    assert relative(got[1], insertion_derivative_stepwise(conn, cfg, loop, eta, STEPS, legs)) <= 1e-12
+    assert relative(got[1], insertion_derivative_epsilon_stepwise(conn, cfg, loop, eta, STEPS, legs)) <= 1e-12
 
 
 def test_transport_memory_does_not_grow_with_the_steps():
@@ -558,7 +586,7 @@ def test_insertion_matrices_vanish_off_the_static_support(n_legs):
         n = int(rng.integers(1, 4))
         cfg = support_config(n, rng)
         full = tuple(range(1 << (cfg.n_theta + n_legs)))
-        support = holonomy._support((cfg,), n_legs)
+        support = holonomy._support(cfg, n_legs)
         assert support[0] == 0 and list(support) == sorted(set(support))
         assert all(a & b or a | b in support for a in support for b in support)
         pos, vel = rng.uniform(0, 1, (9, 2)), rng.standard_normal((9, 2))
@@ -590,7 +618,7 @@ def test_whole_algebra_support_matches_the_stepwise_oracles(n):
     rng = np.random.default_rng(60 + n)
     conn, cfg, loop = random_connection(n, rng), whole_algebra_config(n, rng), wiggly_loop()
     legs = [vertex_variation(loop)]
-    assert holonomy._support((cfg,), 1) == tuple(range(8))
+    assert holonomy._support(cfg, 1) == tuple(range(8))
     plan = TransportPlan(steps=STEPS, richardson=0)
     new = gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), plan, legs)
     old = gen_transport_stepwise(conn, cfg, loop, F(1, 7), F(5, 9), STEPS, legs)
@@ -598,7 +626,7 @@ def test_whole_algebra_support_matches_the_stepwise_oracles(n):
     assert relative(new, old) <= 1e-12
     eta = random_config(n, rng)
     new = insertion_derivative(conn, cfg, loop, eta, plan, legs)
-    old = insertion_derivative_stepwise(conn, cfg, loop, eta, STEPS, legs)
+    old = insertion_derivative_epsilon_stepwise(conn, cfg, loop, eta, STEPS, legs)
     assert old.norm() > 0
     assert relative(new, old) <= 1e-12
 
@@ -610,7 +638,7 @@ def slot_block(n, n_legs, rng, rhos):
     """Slots of a random config with 1- and 2-forms, and (Q, b) random
     coefficients scaled so that column j has the norm bound rhos[j]."""
     cfg = support_config(n, rng)
-    slots = holonomy._Slots(cfg, n_legs, holonomy._support((cfg,), n_legs))
+    slots = holonomy._Slots(cfg, n_legs, holonomy._support(cfg, n_legs))
     shape = (len(slots.mats), len(rhos))
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if not len(slots.mats):
@@ -678,3 +706,26 @@ def test_gen_transport_matches_an_independent_integrator(seed):
     legs = [vertex_variation(loop)]
     ref = gen_transport_ode(conn, cfg, loop, variations=legs)
     assert relative(gen_transport(conn, cfg, loop, variations=legs), ref) <= ODE_TOL
+
+
+# 10x the worst of the six instances below: the sandwich quadrature's
+# Richardson value 1.2e-9 (n = 3, one leg), the integrator 2.2e-8 (n = 2,
+# one leg; the plan's own error, the same before the epsilon route)
+SANDWICH_TOL = 1.2e-8
+EPSILON_ODE_TOL = 2.2e-7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_legs", [0, 1])
+def test_insertion_derivative_matches_a_second_quadrature_and_an_integrator(n, n_legs):
+    # the midpoint sandwich samples M_eta between the half steps, the epsilon
+    # route inside the step exponential; both converge to the integral
+    rng = np.random.default_rng(100 + 10 * n + n_legs)
+    conn, cfg, loop = random_connection(n, rng), random_config(n, rng, two_form=False), wiggly_loop()
+    legs = [vertex_variation(loop)] * n_legs
+    eta = field_obstruction(cfg, conn) if n_legs else random_config(n, rng)
+    new = insertion_derivative(conn, cfg, loop, eta, variations=legs)
+    coarse, fine = (insertion_derivative_stepwise(conn, cfg, loop, eta, steps, legs) for steps in (64, 128))
+    assert relative(new, fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)) <= SANDWICH_TOL
+    ode = gen_transport_ode(conn, epsilon_config(cfg, eta), loop, variations=legs)
+    assert relative(new, epsilon_part(ode.trace(), cfg.n_theta, n_legs)) <= EPSILON_ODE_TOL

@@ -294,8 +294,9 @@ def test_regular_on_the_full_support_is_the_blockwise_sum(n_gen, n):
 
 
 # sorted, containing 0 and closed under disjoint union; the Wilson loops
-# reach (0, 3) of Lambda(2), and insertion_derivative (0, 3, 4, 7) of Lambda(3)
-PROPER_SUPPORTS = [(0, 3), (0, 1), (0, 3, 4, 7), (0, 1, 6, 7), (0, 3, 12, 15), (0, 5, 10, 15)]
+# reach (0, 3) of Lambda(2), and insertion_derivative, the transport of
+# C + epsilon eta with one leg, (0, 3, 28, 31) of Lambda(5)
+PROPER_SUPPORTS = [(0, 3), (0, 1), (0, 3, 4, 7), (0, 1, 6, 7), (0, 3, 12, 15), (0, 5, 10, 15), (0, 3, 28, 31)]
 
 
 @pytest.mark.parametrize("support", PROPER_SUPPORTS)

@@ -26,6 +26,7 @@ of C to be deformation invariant, which the holonomy layer tests.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -73,13 +74,13 @@ class FourierField:
 
     def evaluate(self, point: Sequence | np.ndarray) -> complex | np.ndarray:
         """Value at one point of length d, or the (m,) values at the rows of
-        an (m, d) array of points."""
-        xs = np.asarray(point, dtype=float)
-        freqs = np.array([f for f, _ in self.terms], dtype=float).reshape(-1, self.d)
-        coeffs = np.array([c for _, c in self.terms], dtype=complex)
-        phases = (xs[..., None, :] * freqs).sum(axis=-1)
-        values = (np.exp(2j * np.pi * phases) * coeffs).sum(axis=-1)
-        return values if xs.ndim == 2 else complex(values)
+        an (m, d) array of points: ``FourierStack`` of this one field."""
+        values = self._stack(point)[0]
+        return values if values.ndim else complex(values)
+
+    @functools.cached_property
+    def _stack(self) -> "FourierStack":
+        return FourierStack(self.d, [self])
 
     def derivative(self, mu: int) -> "FourierField":
         out = {
@@ -101,6 +102,47 @@ class FourierField:
                 key = tuple(a + b for a, b in zip(f1, f2))
                 out[key] = out.get(key, 0j) + v1 * v2
         return FourierField.from_dict(self.d, out)
+
+
+class FourierStack:
+    """Several Fourier fields on the torus, evaluated in one pass.
+
+    Every distinct mode of the fields is phased and exponentiated once per
+    call. A field's value is then its own modes gathered from those waves,
+    weighted by its coefficients and summed in its term order. The fields
+    are grouped by their number of modes, so each sum runs over exactly
+    that field's terms and rounds as the field alone does (numpy's
+    pairwise sum groups by length).
+    """
+
+    def __init__(self, d: int, fields: Sequence[FourierField]) -> None:
+        modes = sorted({f for field in fields for f, _ in field.terms})
+        where = {f: k for k, f in enumerate(modes)}
+        self.count = len(fields)
+        self.freqs = np.array(modes, dtype=float).reshape(-1, d)
+        by_length: dict[int, list[int]] = {}
+        for at, field in enumerate(fields):
+            by_length.setdefault(len(field.terms), []).append(at)
+        self.groups = [
+            (
+                np.array(ats),
+                np.array([[where[f] for f, _ in fields[a].terms] for a in ats], dtype=int).reshape(len(ats), length),
+                np.array([[c for _, c in fields[a].terms] for a in ats], dtype=complex).reshape(len(ats), length),
+            )
+            for length, ats in by_length.items()
+        ]
+
+    def __call__(self, point: Sequence | np.ndarray) -> np.ndarray:
+        """The (fields,) values at one point of length d, or the
+        (fields, m) values at the rows of an (m, d) array of points."""
+        xs = np.asarray(point, dtype=float)
+        waves = np.exp(2j * np.pi * (xs[..., None, :] * self.freqs).sum(axis=-1))
+        out = np.empty((self.count, *xs.shape[:-1]), dtype=complex)
+        for ats, index, coeffs in self.groups:
+            # np.take lays each field's modes out contiguously, so the sum runs
+            # along them as for the field alone (fancy indexing would not)
+            out[ats] = (np.take(waves, index, axis=-1) * coeffs).sum(axis=-1).T
+        return out
 
 
 # ---------------------------------------------------------------------------

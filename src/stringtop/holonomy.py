@@ -42,27 +42,35 @@ Within one transport every insertion matrix lies in a fixed slot basis
 (``_Slots``), M(t) = sum_q c_q(t) B_q. A slot q is a term with one set L
 of k - 1 legs; B_q = theta_{S | L} E is fixed, and only the scalar
 c_q(t) moves along the path: f(x(t)) times the determinant of the
-velocity and the leg values over the term's form bits. The slots and
-their regular matrices R_q are built once per transport, beside the
-support, and serve every grid that the Richardson levels walk. The
-midpoint grid is walked in blocks of at most ``BLOCK`` midpoints, which
-may span pieces; each piece's step width, velocity, leg end values and
-half step E = exp(A v h/2) are computed once. A block's step
+velocity and the leg values over the term's form bits. Two tables are
+built once per transport and serve every grid that the Richardson levels
+walk: the slots with the nonzero blocks of their regular matrices R_q,
+and the walk table of the pieces (``_Walk``: span, start, velocity v,
+A(v), leg start values and slopes). A grid then needs one batched
+``expm`` for the half steps E = exp(A v h/2) of all its pieces.
+
+The midpoint grid is walked in blocks of at most ``BLOCK`` midpoints,
+which may span pieces. The fields of all the slots are evaluated in one
+Fourier pass per block (``fields.FourierStack``). A block's step
 exponentials are one Taylor series on the unit columns of all its
-midpoints side by side, an (|S| n, n b) term: each Taylor term is one
-GEMM of the R_q side by side with the Q coefficient-weighted copies of
-the term, and the term count is fixed before the loop from the norm
-bound rho = max_j sum_q |c_q h| ||R_q||_inf, as the first K with
+midpoints side by side, an (|S|, n, n, b) term. R_q is nonzero only in
+the column blocks U that are disjoint from the slot's mask and whose
+union with it is in S, and only those P blocks are kept, packed side by
+side. Each Taylor term is one GEMM of the packed blocks with the gathered
+components term[U_p], each weighted by c_{q_p} h / k. The term count is
+fixed before the loop from the norm bound
+rho = max_j sum_q |c_q h| ||R_q||_inf, as the first K with
 rho^K / K! < 1e-17 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011,
 choose the degree of the action of a matrix exponential the same way).
-The half steps E act on every component, E G_S E, and the block's step
-factors are multiplied pairwise into one component stack. The largest
-arrays are the regular matrices of that product's first pair level,
-BLOCK/2 (|S| n)^2 entries, and the weighted Taylor term, Q |S| n^2 BLOCK
-entries, so the working memory does not grow with the steps the plan
-takes. No dense stack of M(t) is formed while stepping. The running
-product of the blocks stays on S, and the transport becomes a
-``SuperMatrix`` over all 2^N masks only when it is returned.
+The half steps act on every component, E G_S E. A run of midpoints on one
+piece shares its E, so each run takes two wide GEMMs (``_half_steps``).
+The block's step factors are then multiplied pairwise into one component
+stack. The largest arrays are the regular matrices of that product's
+first pair level, BLOCK/2 (|S| n)^2 entries, and the weighted Taylor
+term, P n^2 BLOCK entries, so the working memory does not grow with the
+steps the plan takes. No dense stack of M(t) is formed while stepping.
+The running product of the blocks stays on S, and the transport becomes
+a ``SuperMatrix`` over all 2^N masks only when it is returned.
 
 ``insertion_derivative`` steps the same way: the insertion of a second
 field eta is the epsilon-part of the transport of C + epsilon eta, with
@@ -89,7 +97,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from stringtop.fields import FieldConfig, FlatConnection
+from stringtop.fields import FieldConfig, FlatConnection, FourierStack
 from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient, merge_sign
 from stringtop.lierep import SuperMatrix, product, regular
@@ -276,11 +284,18 @@ class _Slots:
     the velocity slot in M(t) is the Laplace expansion of that determinant
     and the legs' products are its minors. The support must hold every slot
     mask (``_support``).
+
+    The regular matrix R_q = regular(B_q) is nonzero in column block U of
+    the support only when U is disjoint from the slot's mask and their
+    union is in the support. ``block_slot`` and ``block_mask`` list those
+    P blocks (q_p, U_p) by position, slot by slot and U ascending within a
+    slot: the order of the columns of all R_q side by side, so the packed
+    GEMM adds the nonzero products in the order the full one does.
     """
 
     def __init__(self, config: FieldConfig, n_legs: int, support: tuple[int, ...]):
         self.n, self.n_gen, self.support = config.n, config.n_theta + n_legs, support
-        self.terms, where, mats = [], [], []
+        self.terms, where, mats, fields = [], [], [], []
         for mask, field, mat in config.terms:
             bits = config.form_degree_bits(mask)
             theta = config.theta_mask(mask)
@@ -292,18 +307,27 @@ class _Slots:
                 where.append(support.index(theta | leg_mask))
                 mats.append(mat)
             if slots:
-                self.terms.append((field, bits, slots))
+                self.terms.append((bits, slots))
+                fields.append(field)
         self.where = tuple(where)
         self.mats = np.array(mats, dtype=complex).reshape(len(mats), self.n, self.n)
+        self.fields = FourierStack(config.space.d, fields)
+        blocks = [
+            (q, u)
+            for q, at in enumerate(where)
+            for u, mask in enumerate(support)
+            if not mask & support[at] and mask | support[at] in support
+        ]
+        self.block_slot = np.array([q for q, _ in blocks], dtype=int)
+        self.block_mask = np.array([u for _, u in blocks], dtype=int)
 
     def coefficients(self, pos: np.ndarray, vel: np.ndarray, legs: np.ndarray) -> np.ndarray:
         """The (Q, b) coefficients c_q(t_j) at the (b, d) midpoints and
-        velocities, with the (n_legs, b, d) leg values; each field is
-        evaluated once."""
+        velocities, with the (n_legs, b, d) leg values; the fields are
+        evaluated in one Fourier pass."""
         out = np.empty((len(self.where), len(pos)), dtype=complex)
         dets, q = {}, 0
-        for field, bits, slots in self.terms:
-            values = field.evaluate(pos)
+        for values, (bits, slots) in zip(self.fields(pos), self.terms):
             for legs_of, sign in slots:
                 if (bits, legs_of) not in dets:
                     dets[bits, legs_of] = _det(bits, [vel, *(legs[i] for i in legs_of)])
@@ -320,29 +344,31 @@ class _Slots:
 
     @functools.cached_property
     def regulars(self) -> tuple[np.ndarray, np.ndarray]:
-        """The regular matrices R_q = regular(B_q) side by side, an
-        (|S| n, Q |S| n) matrix, and their norms ||R_q||_inf."""
-        stacks = np.zeros((len(self.where), len(self.support), self.n, self.n), dtype=complex)
-        stacks[np.arange(len(self.where)), self.where] = self.mats
+        """The nonzero column blocks of the regular matrices side by side, an
+        (|S| n, P n) matrix whose column block p is column block U_p of
+        R_{q_p}, and the norms ||R_q||_inf of the whole R_q."""
+        q, size, n = len(self.where), len(self.support), self.n
+        stacks = np.zeros((q, size, n, n), dtype=complex)
+        stacks[np.arange(q), self.where] = self.mats
         regs = regular(stacks, self.support)
-        rows = len(self.support) * self.n
-        return regs.transpose(1, 0, 2).reshape(rows, -1), np.abs(regs).sum(axis=2).max(axis=1, initial=0.0)
+        blocks = regs.reshape(q, size * n, size, n)[self.block_slot, :, self.block_mask]
+        return blocks.transpose(1, 0, 2).reshape(size * n, -1), np.abs(regs).sum(axis=2).max(axis=1, initial=0.0)
 
     def exp(self, coeffs: np.ndarray) -> np.ndarray:
         """exp(sum_q coeffs[q, j] B_q) for every midpoint j of a block, as
         the (b, |S|, n, n) component stacks.
 
         The Taylor series runs on the unit columns of all the block's
-        matrices at once, side by side in one (|S| n, n b) term:
+        matrices at once, side by side in one (|S|, n, n, b) term:
         term_k = sum_q R_q (coeffs[q] / k) term_{k-1} is one product of the
-        side-by-side R_q with the Q coefficient-weighted copies of the term
-        stacked. The term count K is fixed up front as the first with
-        rho^K / K! < 1e-17, rho = max_j sum_q |coeffs[q, j]| ||R_q||_inf,
-        which bounds every entry of term K; more than 59 terms raise.
+        packed nonzero blocks of the R_q with the gathered components
+        term_{k-1}[U_p], each weighted by coeffs[q_p] / k. The term count K
+        is fixed up front as the first with rho^K / K! < 1e-17,
+        rho = max_j sum_q |coeffs[q, j]| ||R_q||_inf, which bounds every
+        entry of term K; more than 59 terms raise.
         """
-        stacked, norms = self.regulars
-        q, b = coeffs.shape
-        rows, n = stacked.shape[0], self.n
+        packed, norms = self.regulars
+        size, n, b = len(self.support), self.n, coeffs.shape[1]
         rho = float((np.abs(coeffs) * norms[:, None]).sum(axis=0).max(initial=0.0))
         terms, bound = 1, rho
         while not bound < 1e-17:
@@ -350,14 +376,16 @@ class _Slots:
             if terms > 59:
                 raise QuadratureError("insertion exponential failed to converge")
             bound *= rho / terms
-        term = np.zeros((rows, n, b), dtype=complex)
-        term[:n] = np.eye(n)[:, :, None]
+        term = np.zeros((size, n, n, b), dtype=complex)
+        term[0] = np.eye(n)[:, :, None]
         acc = term.copy()
+        weights = coeffs[self.block_slot]
         for k in range(1, terms + 1):
-            weighted = term * (coeffs * (1.0 / k))[:, None, None, :]
-            term = (stacked @ weighted.reshape(q * rows, n * b)).reshape(rows, n, b)
+            weighted = term[self.block_mask]
+            weighted *= (weights * (1.0 / k))[:, None, None, :]
+            term = (packed @ weighted.reshape(-1, n * b)).reshape(size, n, n, b)
             acc += term
-        return acc.reshape(len(self.support), n, n, b).transpose(3, 0, 1, 2)
+        return acc.transpose(3, 0, 1, 2)
 
 
 def insertion_matrix(
@@ -385,18 +413,29 @@ def insertion_matrix(
     return slots.dense(slots.coefficients(pos, vel, leg_values))
 
 
-def _body_left(e: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """e g for (b, n, n) body matrices e and (b, 2^N, n, n) component stacks
-    g: e multiplies every component, in one batched matmul over the block."""
-    b, size, n, _ = g.shape
-    rows = e @ g.transpose(0, 2, 1, 3).reshape(b, n, size * n)
-    return rows.reshape(b, n, size, n).transpose(0, 2, 1, 3)
+def _half_steps(e_halves: np.ndarray, piece: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """E g E at every midpoint of a block: g holds the (b, |S|, n, n) step
+    exponentials, piece the nondecreasing piece index of each midpoint and
+    e_halves the (pieces, n, n) half steps.
 
-
-def _body_right(g: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """g e, likewise: one batched matmul on the unit columns of g."""
+    The midpoints of a run on one piece share its E, so a run takes two
+    wide GEMMs: E times the run's components side by side, their rows
+    gathered into one matrix, then those products stacked times E. The
+    block is transposed once for each side, and each run's GEMM reads and
+    writes its slice of the block in place.
+    """
     b, size, n, _ = g.shape
-    return (g.reshape(b, size * n, n) @ e).reshape(b, size, n, n)
+    cuts = [0, *(np.flatnonzero(np.diff(piece)) + 1), b]
+    runs = [(e_halves[piece[lo]], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    cols = g.transpose(2, 0, 1, 3).copy()  # (i, b, |S|, j): E acts on i
+    left = np.empty_like(cols)
+    for e, lo, hi in runs:
+        np.matmul(e, cols[:, lo:hi].reshape(n, -1), out=left[:, lo:hi].reshape(n, -1))
+    rows = left.transpose(1, 2, 0, 3).copy()  # (b, |S|, i, j): E acts on j
+    out = cols.reshape(b, size, n, n)
+    for e, lo, hi in runs:
+        np.matmul(rows[lo:hi].reshape(-1, n), e, out=out[lo:hi].reshape(-1, n))
+    return out
 
 
 def _chain(factors: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
@@ -419,76 +458,76 @@ def _needs_stepping(config: FieldConfig | None) -> bool:
     )
 
 
-def _midpoint_grid(
-    conn: FlatConnection,
-    loop: PLLoop,
-    s: Fraction,
-    t: Fraction,
-    steps: int,
-    variations: Sequence[VariationField],
-):
-    """Walk the midpoint grid of [s, t] once.
+class _Walk:
+    """The pieces of [s, t] and what every grid walk reads of them.
 
-    The grid holds ``steps`` midpoints per piece, in path order. Each
-    piece's start, velocity, step width h, leg end values and half step
-    E = exp(A(v) h/2) are computed once; the grid is then cut into blocks of
-    at most BLOCK midpoints, which may span pieces. Yields
-    (h, e_half, pos, vel, legs) per block: the (b,) step widths, the
-    (b, n, n) half steps, the (b, d) midpoints and velocities and the
-    (n_legs, b, d) leg values, which every field sampled on the block
-    shares.
+    Built once per transport, since none of it depends on the step count:
+    each piece's span, start, velocity v, A(v), the local coordinate of
+    its start and the start values and slopes of its legs. Leg values are
+    affine in the local coordinate u, a + u (b - a); a tangent field is
+    the piece velocity throughout.
     """
-    n_legs = len(variations)
-    k_seg = loop.num_segments
-    starts, vels, widths, u_starts, e_halves, leg_starts, leg_slopes = ([] for _ in range(7))
-    for piece in _pieces(loop, s, t):
-        i, lo, _ = piece
-        start, vel, span = _piece_floats(loop, piece)
-        h = span / steps
-        starts.append(start)
-        vels.append(vel)
-        widths.append(h)
-        u_starts.append(float(lo) * k_seg - i)  # local coordinate of the piece start
-        e_halves.append(expm(conn.matrix_of(vel) * (h / 2)))
-        # leg values are affine in the local coordinate u, a + u (b - a); a
-        # tangent field is the piece velocity throughout
-        ends = np.array(
-            [
-                [vel, vel] if var.is_tangent else [[float(c) for c in var.displacement(i + e)] for e in (0, 1)]
-                for var in variations
-            ]
-        ).reshape(n_legs, 2, loop.space.d)
-        leg_starts.append(ends[:, 0])
-        leg_slopes.append(ends[:, 1] - ends[:, 0])
-    starts, vels, widths, u_starts, e_halves, leg_starts, leg_slopes = map(
-        np.array, (starts, vels, widths, u_starts, e_halves, leg_starts, leg_slopes)
-    )
-    total = len(widths) * steps
-    for first in range(0, total, BLOCK):
-        p, j = np.divmod(np.arange(first, min(first + BLOCK, total)), steps)
-        mid = j + 0.5
-        h = widths[p]
-        pos = starts[p] + (mid * h)[:, None] * vels[p]
-        u = u_starts[p] + mid * (h * k_seg)
-        legs = (leg_starts[p] + u[:, None, None] * leg_slopes[p]).transpose(1, 0, 2)
-        yield h, e_halves[p], pos, vels[p], legs
+
+    def __init__(
+        self,
+        conn: FlatConnection,
+        loop: PLLoop,
+        s: Fraction,
+        t: Fraction,
+        variations: Sequence[VariationField],
+    ):
+        self.k_seg = loop.num_segments
+        spans, starts, vels, u_starts, leg_ends = [], [], [], [], []
+        for piece in _pieces(loop, s, t):
+            i, lo, _ = piece
+            start, vel, span = _piece_floats(loop, piece)
+            spans.append(span)
+            starts.append(start)
+            vels.append(vel)
+            u_starts.append(float(lo) * self.k_seg - i)
+            leg_ends.append(
+                [
+                    [vel, vel] if var.is_tangent else [[float(c) for c in var.displacement(i + e)] for e in (0, 1)]
+                    for var in variations
+                ]
+            )
+        count, d = len(spans), loop.space.d
+        self.spans, self.u_starts = np.array(spans), np.array(u_starts)
+        self.starts, self.vels = (np.array(a).reshape(count, d) for a in (starts, vels))
+        self.a_vels = np.array([conn.matrix_of(v) for v in vels], dtype=complex).reshape(count, conn.n, conn.n)
+        ends = np.array(leg_ends).reshape(count, len(variations), 2, d)
+        self.leg_starts, self.leg_slopes = ends[:, :, 0], ends[:, :, 1] - ends[:, :, 0]
+
+    def blocks(self, steps: int):
+        """Walk the grid of ``steps`` midpoints per piece once, in path order.
+
+        The half steps E = exp(A(v) h/2) of all pieces are one batched
+        ``expm``; the grid is then cut into blocks of at most BLOCK
+        midpoints, which may span pieces. Yields (e_halves, piece, h, pos,
+        vel, legs) per block: the (pieces, n, n) half steps, the (b,) piece
+        index and step width of each midpoint, the (b, d) midpoints and
+        velocities and the (n_legs, b, d) leg values, which every field
+        sampled on the block shares.
+        """
+        widths = self.spans / steps
+        e_halves = expm(self.a_vels * (widths / 2)[:, None, None])
+        total = len(widths) * steps
+        for first in range(0, total, BLOCK):
+            p, j = np.divmod(np.arange(first, min(first + BLOCK, total)), steps)
+            mid = j + 0.5
+            h = widths[p]
+            pos = self.starts[p] + (mid * h)[:, None] * self.vels[p]
+            u = self.u_starts[p] + mid * (h * self.k_seg)
+            legs = (self.leg_starts[p] + u[:, None, None] * self.leg_slopes[p]).transpose(1, 0, 2)
+            yield e_halves, p, h, pos, self.vels[p], legs
 
 
-def _gen_transport_fixed(
-    conn: FlatConnection,
-    slots: _Slots,
-    loop: PLLoop,
-    s: Fraction,
-    t: Fraction,
-    steps: int,
-    variations: Sequence[VariationField],
-) -> SuperMatrix:
+def _gen_transport_fixed(slots: _Slots, walk: _Walk, steps: int) -> SuperMatrix:
     support = slots.support
     u_mat = SuperMatrix.identity(slots.n, slots.n_gen).components[list(support)]
-    for h, e_half, pos, vel, legs in _midpoint_grid(conn, loop, s, t, steps, variations):
+    for e_halves, piece, h, pos, vel, legs in walk.blocks(steps):
         exps = slots.exp(slots.coefficients(pos, vel, legs) * h)
-        factors = _body_right(_body_left(e_half, exps), e_half)
-        u_mat = product(u_mat, _chain(factors, support), support)
+        u_mat = product(u_mat, _chain(_half_steps(e_halves, piece, exps), support), support)
     return SuperMatrix(slots.n, slots.n_gen, dict(zip(support, u_mat)))
 
 
@@ -554,10 +593,8 @@ def gen_transport(
         body = transport(conn, loop, s, t)
         return SuperMatrix.from_body(body, config.n_theta + len(variations))
     slots = _Slots(config, len(variations), _support(config, len(variations)))
-    return _with_richardson(
-        lambda steps: _gen_transport_fixed(conn, slots, loop, s, t, steps, variations),
-        plan,
-    )
+    walk = _Walk(conn, loop, Fraction(s), Fraction(t), variations)
+    return _with_richardson(lambda steps: _gen_transport_fixed(slots, walk, steps), plan)
 
 
 def wilson(
@@ -609,10 +646,11 @@ def insertion_derivative(
         [*config.terms, *((mask | pair << config.space.d, f, mat) for mask, f, mat in eta.terms)],
     )
     slots = _Slots(joint, n_legs, _support(joint, n_legs))
+    walk = _Walk(conn, loop, Fraction(0), Fraction(1), variations)
     thetas = (1 << n_theta) - 1
 
     def fixed(steps: int) -> GradedCoefficient:
-        trace = _gen_transport_fixed(conn, slots, loop, Fraction(0), Fraction(1), steps, variations).trace()
+        trace = _gen_transport_fixed(slots, walk, steps).trace()
         # theta_S theta_a theta_b w_L = epsilon theta_S w_L: drop a and b, and
         # move the legs down to follow the thetas
         part = {m & thetas | m >> (n_theta + 2) << n_theta: v for m, v in trace.masks.items() if m & pair == pair}

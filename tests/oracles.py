@@ -94,6 +94,16 @@ def swap_via_casimir(
     return first, second
 
 
+def fourier_values(field: FourierField, points: np.ndarray) -> np.ndarray:
+    """Oracle: one field at the (m, d) points, its own modes phased,
+    exponentiated, weighted and summed; ``fields.FourierStack`` shares the
+    waves of every mode among the fields of a stack."""
+    freqs = np.array([f for f, _ in field.terms], dtype=float).reshape(-1, field.d)
+    coeffs = np.array([c for _, c in field.terms], dtype=complex)
+    phases = (points[..., None, :] * freqs).sum(axis=-1)
+    return (np.exp(2j * np.pi * phases) * coeffs).sum(axis=-1)
+
+
 def eval_field(
     config: FieldConfig, point: Sequence, vectors: Sequence[Sequence]
 ) -> SuperMatrix:
@@ -185,6 +195,23 @@ def insertion_matrix_at(
         for gm, gv in gc.masks.items():
             comps[gm] = comps.get(gm, 0) + complex(gv) * mat
     return SuperMatrix(config.n, n_gen, comps)
+
+
+def body_left(e: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Oracle: e g for (b, n, n) body matrices e, one per midpoint, and
+    (b, |S|, n, n) component stacks g; e multiplies every component, one
+    small matmul per midpoint. The package shares one e per piece
+    (``holonomy._half_steps``)."""
+    b, size, n, _ = g.shape
+    rows = e @ g.transpose(0, 2, 1, 3).reshape(b, n, size * n)
+    return rows.reshape(b, n, size, n).transpose(0, 2, 1, 3)
+
+
+def body_right(g: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Oracle: g e likewise, one small matmul per midpoint on the unit
+    columns of g."""
+    b, size, n, _ = g.shape
+    return (g.reshape(b, size * n, n) @ e).reshape(b, size, n, n)
 
 
 def exp_series(m: SuperMatrix) -> SuperMatrix:

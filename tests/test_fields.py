@@ -11,12 +11,21 @@ from stringtop.fields import (
     ConstantCommutingConnection,
     FieldConfig,
     FourierField,
+    FourierStack,
     field_obstruction,
 )
 from stringtop.geometry import Torus
 from stringtop.grassmann import GradedCoefficient
 
-from oracles import config_is_zero, config_norm, config_scale, config_sum, eval_field, supermatrix_entries
+from oracles import (
+    config_is_zero,
+    config_norm,
+    config_scale,
+    config_sum,
+    eval_field,
+    fourier_values,
+    supermatrix_entries,
+)
 
 
 def unit(n, i, j):
@@ -54,6 +63,36 @@ def test_evaluate_takes_an_array_of_points():
         assert values.shape == (3,)
         assert all(values[k] == field.evaluate(points[k]) for k in range(3))
         assert isinstance(field.evaluate((0.1, 0.2)), complex)
+
+
+def test_a_stack_evaluates_each_field_bit_for_bit_as_alone():
+    # numpy's pairwise sum groups a sum of more than 8 terms differently, so
+    # the stack must sum each field over exactly its own modes
+    rng = np.random.default_rng(17)
+
+    def field(modes):
+        return FourierField.from_dict(2, {m: complex(*rng.standard_normal(2)) for m in modes})
+
+    grid = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    fields = [
+        field([(1, 0), (0, 1)]),
+        field([(0, 1), (1, 1), (2, -1)]),  # shares (0, 1) with the first
+        field([(3, 3)]),  # disjoint from every other
+        FourierField.from_dict(2, {}),
+        field(grid[:12]),  # more than 8 modes
+        field(grid[5:14]),
+        field([(1, 0), (0, 1)]),  # the first field's length again
+    ]
+    points = rng.uniform(-1.5, 1.5, (300, 2))
+    stacked = FourierStack(2, fields)(points)
+    assert stacked.shape == (len(fields), len(points))
+    for values, f in zip(stacked, fields):
+        assert np.array_equal(values, f.evaluate(points))
+        assert np.array_equal(values, fourier_values(f, points))
+    at_one = FourierStack(2, fields)(points[7])
+    assert at_one.shape == (len(fields),)
+    assert all(at_one[k] == f.evaluate(points[7]) == fourier_values(f, points[7]) for k, f in enumerate(fields))
+    assert not stacked[3].any()
 
 
 def test_products_convolve_within_one_kind():

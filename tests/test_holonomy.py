@@ -35,6 +35,8 @@ from stringtop.lierep import SuperMatrix
 from stringtop.strings import TransversalityError, concatenate, intersections
 
 from oracles import (
+    body_left,
+    body_right,
     epsilon_config,
     epsilon_part,
     exp_series,
@@ -296,7 +298,7 @@ def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
     seen = []
 
     def counting(*args):
-        calls[args[5]] += 1
+        calls[args[2]] += 1
         seen.append(args)
         return fixed(*args)
 
@@ -306,8 +308,8 @@ def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
     assert sorted(calls) == [8 << k for k in range(len(calls))] and len(calls) >= 4
     assert set(calls.values()) == {1}
     # every grid of the transport steps on the one slot basis built for it
-    assert len({id(args[1]) for args in seen}) == 1
-    coarse, fine = (fixed(*seen[0][:5], s, ()) for s in (top // 2, top))
+    assert len({id(args[0]) for args in seen}) == 1
+    coarse, fine = (fixed(*seen[0][:2], s) for s in (top // 2, top))
     assert out.distance(fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)) == 0.0
 
 
@@ -412,8 +414,8 @@ def test_insertion_derivative_steps_once_per_step_count(monkeypatch):
     slot_ids = set()
 
     def counting(*args):
-        calls[args[5]] += 1
-        slot_ids.add(id(args[1]))
+        calls[args[2]] += 1
+        slot_ids.add(id(args[0]))
         return fixed(*args)
 
     monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting)
@@ -691,6 +693,57 @@ def test_block_exponential_that_needs_more_than_59_terms_raises():
     slots, coeffs = slot_block(2, 1, rng, np.array([0.1, 12.0]))
     with pytest.raises(QuadratureError, match="insertion exponential failed to converge"):
         slots.exp(coeffs)
+
+
+# -- the walk: piece set-up once per transport, half steps once per run --------
+
+
+def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
+    # every grid of the walk shares the pieces, their floats and A(v); a
+    # grid needs only its one batched expm of the half steps
+    conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
+    calls = collections.Counter()
+    piece_floats, batched_expm, fixed = holonomy._piece_floats, holonomy.expm, holonomy._gen_transport_fixed
+
+    def counting(name, function):
+        def wrapped(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(holonomy, "_piece_floats", counting("piece_floats", piece_floats))
+    monkeypatch.setattr(holonomy, "expm", counting("expm", batched_expm))
+    monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting("grids", fixed))
+    gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-8))
+    assert calls["grids"] >= 4
+    assert calls["piece_floats"] == len(holonomy._pieces(loop, F(0), F(1))) == loop.num_segments
+    assert calls["expm"] == calls["grids"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_half_steps_match_the_per_midpoint_oracle(monkeypatch, n):
+    # [1/7, 5/9] holds three pieces; at 3 steps per piece the first block of
+    # 7 midpoints spans all three, and the gauged connection is complex, so
+    # the per-run GEMMs do not all round as the per-midpoint ones do
+    rng = np.random.default_rng(30 + n)
+    conn = random_connection(n, rng).gauge(expm(0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))))
+    cfg, loop = random_config(n, rng), wiggly_loop()
+    half_steps = holonomy._half_steps
+    spans = []
+
+    def checked(e_halves, piece, g):
+        got = half_steps(e_halves, piece, g)
+        e = e_halves[piece]
+        want = body_right(body_left(e, g), e)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        spans.append(len(set(piece.tolist())))
+        return got
+
+    monkeypatch.setattr(holonomy, "BLOCK", 7)
+    monkeypatch.setattr(holonomy, "_half_steps", checked)
+    gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), TransportPlan(steps=3, richardson=0), [vertex_variation(loop)])
+    assert len(spans) >= 2 and max(spans) >= 3
 
 
 # -- against an independent integrator -----------------------------------------

@@ -20,14 +20,17 @@ from stringtop import brackets, holonomy, strings
 from stringtop.harness import SuiteConfig, run_suite
 from stringtop.lierep import LieBasis
 
-from oracles import config_scale, config_sum
+from oracles import body_left, config_scale, config_sum
 
 
 def lie_splitting(monkeypatch):
     """E^2 G in place of the Strang step E G E: first order in h."""
-    body_left = holonomy._body_left
-    monkeypatch.setattr(holonomy, "_body_left", lambda e, g: body_left(e @ e, g))
-    monkeypatch.setattr(holonomy, "_body_right", lambda g, e: g)
+
+    def e_squared_g(e_halves, piece, g):
+        e = e_halves[piece]
+        return body_left(e @ e, g)
+
+    monkeypatch.setattr(holonomy, "_half_steps", e_squared_g)
 
 
 def no_richardson(monkeypatch):

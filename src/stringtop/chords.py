@@ -12,6 +12,7 @@ transports between endpoints (``evaluate_diagram``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import string
 from fractions import Fraction
@@ -130,7 +131,9 @@ class DiagramRealization:
     Matched endpoints must land on the same point of the space; endpoint
     parameters must be cyclically sorted along each circle, where equal
     parameters are allowed (insertions at the same point) and their order
-    is taken from the circle's endpoint sequence.
+    is taken from the circle's endpoint sequence. Arcs are checked on the
+    loops' integer lifts: the two lift points agree modulo Z^2, and the
+    integer edges of the two segments they lie on are not parallel.
     """
 
     def __init__(
@@ -172,21 +175,24 @@ class DiagramRealization:
             )
         return (drops[0] + 1) % k if drops else 0
 
-    def _meeting_point(self, label: str):
-        idx = self.diagram.circle_of(label)
-        return self.loops[idx].point_at(self.params[label])
-
     def _check_arc(self, arc: tuple[str, str]) -> None:
-        p1 = self._meeting_point(arc[0])
-        p2 = self._meeting_point(arc[1])
-        if any((a - b).denominator != 1 for a, b in zip(p1, p2)):
+        (d1, x1, e1), (d2, x2, e2) = (self._lift_end(label) for label in arc)
+        # x1/d1 - x2/d2 is a deck translation: cross-multiplied, in Z^2 d1 d2
+        if any((a * d2 - b * d1) % (d1 * d2) for a, b in zip(x1, x2)):
             raise ValueError(f"arc {arc} endpoints meet at different points")
-        i1 = self.diagram.circle_of(arc[0])
-        i2 = self.diagram.circle_of(arc[1])
-        v1 = self.loops[i1].velocity_at(self.params[arc[0]])
-        v2 = self.loops[i2].velocity_at(self.params[arc[1]])
-        if _cross(v1, v2) == 0:
+        # the velocities are positive multiples of the integer edges
+        if _cross(e1, e2) == 0:
             raise TransversalityError(f"arc {arc} meets tangentially")
+
+    def _lift_end(self, label: str):
+        """(den, x, edge): the endpoint's lift point x / den and the integer
+        edge P_{i+1} - P_i of the segment i it lies on (right-sided)."""
+        loop = self.loops[self.diagram.circle_of(label)]
+        t = self.params[label]
+        den, x = loop.lift_point(t)
+        pts = loop.integer_lift()[1]
+        i = t.numerator * (len(pts) - 1) // t.denominator
+        return den, x, tuple(b - a for a, b in zip(pts[i], pts[i + 1]))
 
     def ordered_endpoints(self, idx: int) -> tuple[str, ...]:
         """Endpoints of circle idx in traversal order from the marked point."""
@@ -199,6 +205,18 @@ class DiagramRealization:
 
 # einsum names each index with one letter, a-z or A-Z
 _LETTERS = string.ascii_letters
+
+
+@functools.lru_cache(maxsize=64)
+def _contraction_path(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """numpy's greedy contraction order for spec on operands of these shapes.
+
+    The greedy search reads only the shapes, so einsum given this path
+    contracts in the same order, and rounds the same, as with
+    ``optimize="greedy"``. One diagram spec takes one entry per size n.
+    """
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(spec, *operands, optimize="greedy")[0])
 
 
 def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
@@ -218,7 +236,8 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
     after it (out_m, in_{m+1}), and the last hop closes the trace at in_1.
     An empty circle is the trace of its full transport. Every endpoint
     takes two indices and every empty circle one, so a diagram needing
-    more than 52 raises ``ValueError``.
+    more than 52 raises ``ValueError``. The greedy contraction order is
+    planned once per subscripts and operand shapes and then reused.
     """
     diag = realization.diagram
     reps = [parse_rep(c.rep) for c in diag.circles]
@@ -259,7 +278,9 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
         r_q = stacks[reps[diag.circle_of(q)][0]][dual]
         terms.append(slot[p] + slot[q])
         operands.append(np.einsum("axy,azw->xyzw", r_p, r_q))
-    return complex(np.einsum(",".join(terms) + "->", *operands, optimize="greedy"))
+    spec = ",".join(terms) + "->"
+    path = _contraction_path(spec, tuple(op.shape for op in operands))
+    return complex(np.einsum(spec, *operands, optimize=path))
 
 
 # -- relations -------------------------------------------------------------------

@@ -154,7 +154,8 @@ class ConstantCommutingConnection:
 
     dA = 0 for constant coefficients and A ^ A = [A_1, A_2] dx^1 dx^2, so
     commutation is exactly flatness; it is validated at construction,
-    once, relative to the matrix scale. The single-exponential
+    once, relative to the matrix scale, and ``is_zero`` is fixed there
+    too: the matrices are never changed afterwards. The single-exponential
     ``holonomy.transport`` relies on it. There is one matrix per torus
     direction: ``field_obstruction`` gives A_mu the form bit of dx^mu.
     """
@@ -175,10 +176,7 @@ class ConstantCommutingConnection:
             raise ValueError(
                 f"direction matrices do not commute (flatness residual {residual:.3e})"
             )
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(m.any() for m in self.mats)
+        self.is_zero = not any(m.any() for m in self.mats)
 
     def matrix_of(self, velocity: Sequence) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)

@@ -4,6 +4,11 @@ Polynomials in finitely many graded variables with exact scalar
 coefficients, a constant-pairing bracket in Darboux form, and the
 differential delta = {S; .} for a generator S solving the master
 equation {S; S} = 0.
+
+Coefficients are ``Fraction``s (ints are converted) or floats, and keep
+their type through every operation. Koszul signs of +-1 negate a
+coefficient rather than multiply it, and sums and rescalings of
+polynomials already in normal form skip the normalization.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ class MasterEquationError(RuntimeError):
 
 
 def _coerce_scalar(value):
-    """Accept exact or floating scalars."""
-    if isinstance(value, (int, Fraction)):
+    """Accept exact or floating scalars; an int becomes a Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, (float, complex)):
         return value
@@ -35,6 +42,16 @@ def _coerce_scalar(value):
 
 def _swap_sign(p: int, q: int) -> int:
     return -1 if (p * q) % 2 else 1
+
+
+def _accumulate(acc: dict, key: tuple[int, ...], coeff) -> None:
+    """Add coeff at key, dropping the key when the sum cancels."""
+    prev = acc.get(key)
+    total = coeff if prev is None else prev + coeff
+    if total == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = total
 
 
 class GradedPhaseModel:
@@ -104,7 +121,7 @@ class GradedPhaseModel:
         return GradedPolynomial(self, [(coeff, tuple(self.index(n) for n in names))])
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, GradedPhaseModel)
             and self.names == other.names
             and self.parities == other.parities
@@ -156,13 +173,17 @@ class GradedPolynomial:
             sign, key = _normal_key(model.parities, factors)
             if sign == 0 or coeff == 0:
                 continue
-            total = acc.get(key, 0) + sign * coeff
-            if total == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
+            _accumulate(acc, key, coeff if sign > 0 else -coeff)
         self.model = model
         self.terms = {key: acc[key] for key in sorted(acc)}
+
+    @classmethod
+    def _normal(cls, model: GradedPhaseModel, acc: dict) -> "GradedPolynomial":
+        """From nonzero coerced coefficients on keys already in normal form."""
+        poly = cls.__new__(cls)
+        poly.model = model
+        poly.terms = {key: acc[key] for key in sorted(acc)}
+        return poly
 
     # -- structure -----------------------------------------------------------
 
@@ -191,8 +212,10 @@ class GradedPolynomial:
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._check_model(other)
-        raw = list(self.terms.items()) + list(other.terms.items())
-        return GradedPolynomial(self.model, [(c, k) for k, c in raw])
+        acc = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _accumulate(acc, key, coeff)
+        return GradedPolynomial._normal(self.model, acc)
 
     def __neg__(self) -> "GradedPolynomial":
         return self.scale(-1)
@@ -201,9 +224,13 @@ class GradedPolynomial:
         return self + (-other)
 
     def scale(self, scalar) -> "GradedPolynomial":
-        return GradedPolynomial(
-            self.model, [(scalar * c, k) for k, c in self.terms.items()]
-        )
+        scalar = _coerce_scalar(scalar)
+        acc = {}
+        for key, coeff in self.terms.items():
+            value = scalar * coeff
+            if value != 0:
+                acc[key] = value
+        return GradedPolynomial._normal(self.model, acc)
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._check_model(other)
@@ -236,9 +263,8 @@ def _right_derivative(poly: GradedPolynomial, i: int):
         for u, idx in enumerate(key):
             if idx != i:
                 continue
-            tail = sum(parities[a] for a in key[u + 1 :])
-            sign = _swap_sign(parities[i], tail)
-            out.append((sign * coeff, key[:u] + key[u + 1 :]))
+            odd = parities[i] and sum(parities[a] for a in key[u + 1 :]) % 2
+            out.append((-coeff if odd else coeff, key[:u] + key[u + 1 :]))
     return out
 
 
@@ -250,9 +276,8 @@ def _left_derivative(poly: GradedPolynomial, j: int):
         for v, idx in enumerate(key):
             if idx != j:
                 continue
-            head = sum(parities[a] for a in key[:v])
-            sign = _swap_sign(parities[j], head)
-            out.append((sign * coeff, key[:v] + key[v + 1 :]))
+            odd = parities[j] and sum(parities[a] for a in key[:v]) % 2
+            out.append((-coeff if odd else coeff, key[:v] + key[v + 1 :]))
     return out
 
 
@@ -263,12 +288,12 @@ def graded_bracket(P: GradedPolynomial, Q: GradedPolynomial) -> GradedPolynomial
         raise ValueError("polynomials live on different models")
     raw = []
     for (i, j), w in model.omega.items():
-        left = _right_derivative(P, i)
+        left = [(cP * w, kP) for cP, kP in _right_derivative(P, i)]
         if not left:
             continue
         for cQ, kQ in _left_derivative(Q, j):
-            for cP, kP in left:
-                raw.append((cP * w * cQ, kP + kQ))
+            for cPw, kP in left:
+                raw.append((cPw * cQ, kP + kQ))
     return GradedPolynomial(model, raw)
 
 

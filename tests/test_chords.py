@@ -9,6 +9,7 @@ from stringtop.brackets import wilson_field_bracket
 from stringtop.chords import (
     ChordDiagram,
     DiagramRealization,
+    _contraction_path,
     chord_bracket_degree0,
     evaluate_diagram,
     four_t_combination,
@@ -17,7 +18,7 @@ from stringtop.chords import (
 )
 from stringtop.fields import ConstantCommutingConnection
 from stringtop.geometry import PLLoop, Torus
-from stringtop.strings import TransversalityError, concatenate, intersections
+from stringtop.strings import TransversalityError, _cross, concatenate, intersections
 
 from oracles import evaluate_diagram_enumerated
 
@@ -403,3 +404,132 @@ def test_contraction_index_budget():
         else:
             with pytest.raises(ValueError, match="56 contraction indices"):
                 evaluate_diagram(r, conn)
+
+
+# -- the cached contraction plan ------------------------------------------------
+
+
+def _plan_cases(n):
+    """The four 4T terms, the two ideal splits and a diagram with an empty circle."""
+    vert = PLLoop(T, [(F(1, 2), 0)], closure=(0, 1))
+    g1 = line((1, 0))
+    g2 = line((0, 1), base=(F(1, 3), F(1, 5)))
+    pt = intersections(g1, g2)[0]
+    base = ChordDiagram(
+        [(f"std:{n}", ("p", "q", "x")), (f"std:{n}", ("y",))], [("p", "q"), ("x", "y")]
+    )
+    out = [
+        DiagramRealization(
+            term, [ZIG, vert], {"p": S_A, "q": S_B, "x": S_A if k < 2 else S_B, "y": F(1, 6)}
+        )
+        for k, (_, term) in enumerate(four_t_combination(base, "x", ("p", "q")))
+    ]
+    two = ChordDiagram([(f"std:{n}", ("p",)), (f"std:{n}", ("q",))], [("p", "q")])
+    out.append(DiagramRealization(two, [g1, g2], {"p": pt.s, "q": pt.s_bar}))
+    merged = gln_ideal_element(two, ("p", "q"))[1][1]
+    out.append(DiagramRealization(merged, [concatenate(g1, g2, pt)], {}))
+    one = ChordDiagram([(f"std:{n}", ("a", "b"))], [("a", "b")])
+    out.append(DiagramRealization(one, [ZIG], {"a": S_A, "b": S_B}))
+    split = gln_ideal_element(one, ("a", "b"))[1][1]
+    lobe = PLLoop(T, [(F(1, 2), F(1, 6)), (F(3, 4), F(1, 4)), (F(1, 4), F(1, 4))], closure=(0, 0))
+    rest = PLLoop(T, [(F(1, 2), F(1, 6)), (1, 0)], closure=(1, 0))
+    out.append(DiagramRealization(split, [lobe, rest], {}))
+    empty = ChordDiagram([(f"std:{n}", ("a", "b")), (f"std:{n}", ())], [("a", "b")])
+    out.append(DiagramRealization(empty, [ZIG, vert], {"a": S_A, "b": S_B}))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_plan_is_bit_identical_to_greedy_einsum(n, monkeypatch):
+    einsum = np.einsum
+    seen = []
+
+    def spy(spec, *operands, optimize=False, **kw):
+        got = einsum(spec, *operands, optimize=optimize, **kw)
+        if optimize is not False:
+            seen.append((got, einsum(spec, *operands, optimize="greedy")))
+        return got
+
+    conn = conn_n(n, seed=20 + n)
+    monkeypatch.setattr(np, "einsum", spy)
+    for r in _plan_cases(n):
+        before = len(seen)
+        value = evaluate_diagram(r, conn)
+        assert len(seen) == before + 1
+        got, want = seen[-1]
+        assert value == complex(want)
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+
+def test_one_spec_is_planned_once_per_size():
+    _contraction_path.cache_clear()
+    cases = {n: _plan_cases(n)[0] for n in (1, 2)}
+    for n, r in cases.items():
+        evaluate_diagram(r, conn_n(n, seed=n))
+    info = _contraction_path.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for n, r in cases.items():
+        evaluate_diagram(r, conn_n(n, seed=n + 5))
+    info = _contraction_path.cache_info()
+    assert (info.hits, info.currsize) == (2, 2)
+
+
+# -- arcs checked on the integer lift --------------------------------------------
+
+
+def _arc_outcome(l1, s1, l2, s2):
+    """How DiagramRealization takes an arc from l1 at s1 to l2 at s2."""
+    if l1 is l2:
+        d = ChordDiagram([("std:1", ("a", "b"))], [("a", "b")])
+        loops = [l1]
+    else:
+        d = ChordDiagram([("std:1", ("a",)), ("std:1", ("b",))], [("a", "b")])
+        loops = [l1, l2]
+    try:
+        DiagramRealization(d, loops, {"a": s1, "b": s2})
+    except TransversalityError as err:
+        assert "tangentially" in str(err)
+        return "tangentially"
+    except ValueError as err:
+        assert "different points" in str(err)
+        return "different points"
+    return "meets"
+
+
+@pytest.mark.parametrize(
+    "pair", ["zig-self", "zig-vert", "zig-deck", "lines", "double-line", "zig-diag", "zig-level"]
+)
+def test_integer_arc_check_agrees_with_the_fraction_route(pair):
+    vert = PLLoop(T, [(F(1, 2), 0)], closure=(0, 1))
+    g1 = line((1, 0))
+    g2 = line((0, 1), base=(F(1, 3), F(1, 5)))
+    double = line((2, 0))
+    l1, l2 = {
+        "zig-self": (ZIG, ZIG),
+        "zig-vert": (ZIG, vert),
+        # the same loop through another lift: every meeting is a deck translate
+        "zig-deck": (ZIG, shifted(ZIG, 1, -1)),
+        # g1 at 1/3 meets g2 at 4/5 one lattice step away in the lift
+        "lines": (g1, g2),
+        "double-line": (double, double),
+        "zig-diag": (ZIG, line((1, 1), base=(F(1, 2), F(1, 6)))),
+        # through both ends of the zigzag's level segment: at its first vertex
+        # the velocity is the right-sided one, parallel to the line
+        "zig-level": (ZIG, line((1, 0), base=(0, F(1, 4)))),
+    }[pair]
+    grid = sorted({F(k, 36) for k in range(36)} | {F(k, 10) for k in range(10)})
+    seen = set()
+    for s1, s2 in itertools.product(grid, grid):
+        p1, p2 = l1.point_at(s1), l2.point_at(s2)
+        if any((a - b).denominator != 1 for a, b in zip(p1, p2)):
+            want = "different points"
+        elif _cross(l1.velocity_at(s1), l2.velocity_at(s2)) == 0:
+            want = "tangentially"
+        else:
+            want = "meets"
+        assert _arc_outcome(l1, s1, l2, s2) == want, (s1, s2)
+        seen.add(want)
+    assert "different points" in seen and len(seen) >= 2
+    if pair == "lines":
+        assert _arc_outcome(g1, F(1, 3), g2, F(4, 5)) == "meets"
+        assert g1.point_at(F(1, 3)) != g2.point_at(F(4, 5))

@@ -97,6 +97,47 @@ def test_normal_form_reordering_and_odd_squares():
         (t1 + q).parity
 
 
+def test_constructor_validates_and_normalizes():
+    t1, q = THETA.index("t1"), THETA.index("q")
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="not in model"):
+            GradedPolynomial(THETA, [(1, (q, bad))])
+    # a repeated odd variable kills the monomial, a repeated even one does not
+    assert GradedPolynomial(THETA, [(3, (t1, q, t1))]).is_zero
+    assert GradedPolynomial(THETA, [(3, (q, q))]).terms == {(q, q): 3}
+    # reordering odd factors costs a sign, and equal keys are summed
+    assert GradedPolynomial(THETA, [(1, (1, 0)), (F(1, 2), (0, 1))]).terms == {(0, 1): F(-1, 2)}
+    with pytest.raises(TypeError, match="unsupported coefficient"):
+        GradedPolynomial(THETA, [("1", (q,))])
+
+
+@pytest.mark.parametrize(
+    "coeffs,kind", [((2, F(1, 3), -1), Fraction), ((0.5, 1.25, -3.0), float)]
+)
+def test_coefficient_types_survive_every_operation(coeffs, kind):
+    # ints become Fractions and stay exact; floats stay floats
+    t1, t2, q, p = (THETA.index(n) for n in ("t1", "t2", "q", "p"))
+    a, b, c = coeffs
+    poly = GradedPolynomial(THETA, [(a, (p, t1)), (b, (q,)), (c, (t2, q, t1))])
+    other = GradedPolynomial(THETA, [(b, (t1, q)), (a, (p, p)), (c, (t2,))])
+    results = [
+        poly,
+        poly + other,
+        poly - other,
+        -poly,
+        poly.scale(-1),
+        poly.scale(3),
+        poly * other,
+        graded_bracket(poly, other),
+        graded_bracket(other, poly),
+    ]
+    for r in results:
+        assert r.terms
+        assert {type(v) for v in r.terms.values()} == {kind}
+    assert poly.scale(0).is_zero and (poly - poly).is_zero
+    assert -poly == poly.scale(-1) and poly - other == poly + other.scale(-1)
+
+
 # -- frozen bracket values -----------------------------------------------------
 
 

@@ -141,8 +141,7 @@ def main_theorem_sides(a: StringCycle, abar: StringCycle, conn) -> tuple[complex
 
 
 def _check_attached(loop: PLLoop, v: VariationField) -> None:
-    base = v.loop
-    if base.vertices != loop.vertices or base.closure != loop.closure:
+    if v.loop.integer_lift() != loop.integer_lift():
         raise ValueError("variation field is not attached to the loop")
 
 

@@ -190,9 +190,7 @@ class DiagramRealization:
         loop = self.loops[self.diagram.circle_of(label)]
         t = self.params[label]
         den, x = loop.lift_point(t)
-        pts = loop.integer_lift()[1]
-        i = t.numerator * (len(pts) - 1) // t.denominator
-        return den, x, tuple(b - a for a, b in zip(pts[i], pts[i + 1]))
+        return den, x, loop.edge(t.numerator * loop.num_segments // t.denominator)
 
     def ordered_endpoints(self, idx: int) -> tuple[str, ...]:
         """Endpoints of circle idx in traversal order from the marked point."""

@@ -194,9 +194,6 @@ class ConstantCommutingConnection:
         return float(np.max(np.abs(a1 @ a2 - a2 @ a1)))
 
 
-FlatConnection = ConstantCommutingConnection
-
-
 # ---------------------------------------------------------------------------
 # field configurations
 
@@ -330,7 +327,7 @@ class FieldConfig:
         )
 
 
-def field_obstruction(config: FieldConfig, conn: FlatConnection) -> FieldConfig:
+def field_obstruction(config: FieldConfig, conn: ConstantCommutingConnection) -> FieldConfig:
     """B = dC + AC + CA + CC in the unified exterior algebra.
 
     The exterior derivative inserts dx^mu from the left (sign from sorting

@@ -8,17 +8,18 @@ vertices[0] + closure. The closure is the homotopy/homology class of the
 loop.
 
 Parametrization is uniform in t: with K segments, t in [i/K, (i+1)/K]
-traverses segment i affinely. All point and velocity evaluations at
-rational t are exact.
+traverses segment i affinely. Points at rational t are exact, and the
+velocity on segment i is K times its edge.
 
-The exact layer of the string bracket works on integers: ``integer_lift``
-gives the K + 1 lift vertices as integer tuples over one common
-denominator, cached on the (immutable) loop, and ``lift_point`` reads the
-point at a rational t off it in integers. A loop can also be built
-from such a lift (``PLLoop._from_lift``), as concatenations and canonical
-loops are; its ``Fraction`` vertices are then formed only on demand.
-``canonical`` and ``normal_form`` share one least rotation (Booth 1980)
-over the integer lift.
+A loop is stored as its integer lift only: ``integer_lift`` gives the
+K + 1 lift vertices as integer tuples over one common denominator, and
+``lift_point`` and ``edge`` read points and segment edges off it in
+integers. The constructor turns rational vertices into that lift;
+``PLLoop._from_lift`` builds a loop from the integers directly, as
+concatenations, canonical loops and the transformations do. The
+``Fraction`` vertices are a view formed on demand. ``canonical`` and
+``normal_form`` share one least rotation (Booth 1980) over the integer
+lift.
 
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
@@ -79,18 +80,6 @@ def _as_point(coords: Iterable, d: int) -> Point:
     return pt
 
 
-def _add(p: Point, q: Sequence[Fraction]) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def _sub(p: Point, q: Sequence[Fraction]) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
-
-
-def _scale(p: Sequence[Fraction], s: Fraction) -> Point:
-    return tuple(s * a for a in p)
-
-
 def least_rotation(seq: Sequence) -> int:
     """Start index of a lexicographically least rotation of ``seq`` (Booth 1980).
 
@@ -119,14 +108,16 @@ def least_rotation(seq: Sequence) -> int:
 class PLLoop:
     """Closed piecewise-linear loop, one lift, exact rational vertices.
 
-    vertices[i] for i in 0..K-1, and the lift closes at
-    vertices[0] + closure. Consecutive vertices must differ (no zero-length
-    segments, and in particular no constant loops). A loop built from an
-    integer lift (``_from_lift``) forms its ``Fraction`` vertices on first
-    use.
+    The loop is stored as its integer lift only (``integer_lift``): the
+    K + 1 lift vertices P_0..P_K over one common denominator, where P_K is
+    P_0 plus the closure. The constructor takes the K vertices as rationals;
+    ``_from_lift`` takes the integers directly; both go through one
+    validator. Consecutive vertices must differ (no zero-length segments,
+    and in particular no constant loops). ``vertices`` is a ``Fraction``
+    view of the lift, formed on first use.
     """
 
-    __slots__ = ("space", "_vertices", "closure", "_lift", "_normal", "_is_canonical")
+    __slots__ = ("space", "closure", "_lift", "_vertices", "_is_canonical")
 
     def __init__(
         self,
@@ -134,26 +125,20 @@ class PLLoop:
         vertices: Sequence[Iterable],
         closure: Sequence[int] | None = None,
     ) -> None:
-        self.space = space
         d = space.d
-        self._vertices: tuple[Point, ...] = tuple(_as_point(v, d) for v in vertices)
+        verts = tuple(_as_point(v, d) for v in vertices)
         closure = (0,) * d if closure is None else tuple(closure)
-        self.closure: tuple[int, ...] = tuple(int(c) for c in closure)
-        if self.closure != closure:
+        ints = tuple(int(c) for c in closure)
+        if ints != closure:
             raise ValueError(f"closure vector {closure} is not integral")
-        if len(self.closure) != d:
+        if len(ints) != d:
             raise ValueError("closure vector has wrong dimension")
-        if not self._vertices:
+        if not verts:
             raise ValueError("loop needs at least one vertex")
-        k = len(self._vertices)
-        for i in range(k):
-            if self.vertex(i) == self.vertex(i + 1):
-                raise ValueError(
-                    "consecutive vertices coincide (constant segments are not allowed)"
-                )
-        self._lift = None
-        self._normal = None
-        self._is_canonical = False
+        den = math.lcm(*(c.denominator for p in verts for c in p))
+        pts = [tuple(c.numerator * (den // c.denominator) for c in p) for p in verts]
+        pts.append(tuple(a + den * m for a, m in zip(pts[0], ints)))
+        self._store(space, ints, den, tuple(pts))
 
     @classmethod
     def _from_lift(cls, space: Torus, den: int, pts: tuple[tuple[int, ...], ...]) -> "PLLoop":
@@ -162,9 +147,8 @@ class PLLoop:
         pts holds the K + 1 lift vertices times den > 0 as int tuples, the
         last one being the first plus den times the closure. The common
         factor gcd(den, every coordinate) is divided out, so the stored lift
-        is the one ``integer_lift`` gives for the same vertices. (The lifts
-        of ``canonical`` and ``strings.concatenate`` are already reduced:
-        their den is the lcm of the denominators of vertices they contain.)
+        is the one the constructor gives for the same vertices: den becomes
+        the lcm of the vertex denominators.
         """
         g = math.gcd(den, *itertools.chain.from_iterable(pts))
         if g > 1:
@@ -178,16 +162,19 @@ class PLLoop:
         closure = tuple(c // den for c in closure)
         if len(closure) != space.d:
             raise ValueError("closure vector has wrong dimension")
+        loop = cls.__new__(cls)
+        loop._store(space, closure, den, pts)
+        return loop
+
+    def _store(self, space: Torus, closure: tuple[int, ...], den: int, pts: tuple) -> None:
+        """Reject constant segments, then set the loop to the lift (den, pts)."""
         if any(map(operator.eq, pts, pts[1:])):
             raise ValueError("consecutive vertices coincide (constant segments are not allowed)")
-        loop = cls.__new__(cls)
-        loop.space = space
-        loop._vertices = None
-        loop.closure = closure
-        loop._lift = (den, pts)
-        loop._normal = None
-        loop._is_canonical = False
-        return loop
+        self.space = space
+        self.closure = closure
+        self._lift = (den, pts)
+        self._vertices = None
+        self._is_canonical = False
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -199,27 +186,21 @@ class PLLoop:
 
     @property
     def num_segments(self) -> int:
-        if self._vertices is None:
-            return len(self._lift[1]) - 1
-        return len(self._vertices)
+        return len(self._lift[1]) - 1
 
     def vertex(self, i: int) -> Point:
         """Vertex of the lift, extended periodically: P_{i+K} = P_i + closure."""
-        k = len(self.vertices)
-        wraps, idx = divmod(i, k)
-        base = self.vertices[idx]
+        verts = self.vertices
+        wraps, idx = divmod(i, len(verts))
+        base = verts[idx]
         if wraps == 0:
             return base
         return tuple(c + wraps * m for c, m in zip(base, self.closure))
 
-    def segment(self, i: int) -> tuple[Point, Point]:
-        return self.vertex(i), self.vertex(i + 1)
-
-    def segment_velocity(self, i: int) -> Point:
-        """Velocity on segment i: K * (P_{i+1} - P_i), constant there."""
-        a, b = self.segment(i)
-        k = Fraction(self.num_segments)
-        return tuple(k * (y - x) for x, y in zip(a, b))
+    def edge(self, i: int) -> tuple[int, ...]:
+        """P_{i+1} - P_i for 0 <= i < K: the edge of segment i times den, in integers."""
+        pts = self._lift[1]
+        return tuple(map(operator.sub, pts[i + 1], pts[i]))
 
     def segment_of(self, t: Fraction) -> tuple[int, Fraction]:
         """Segment index and local coordinate u in [0,1] for t in [0,1]."""
@@ -234,31 +215,30 @@ class PLLoop:
         return i, Fraction(rem, td)
 
     def point_at(self, t: Fraction) -> Point:
+        """The lift point at t, formed from ``Fraction`` vertices (see ``lift_point``)."""
         i, u = self.segment_of(t)
-        a, b = self.segment(i)
+        a, b = self.vertex(i), self.vertex(i + 1)
         return tuple(x + u * (y - x) for x, y in zip(a, b))
-
-    def velocity_at(self, t: Fraction) -> Point:
-        """Right-sided velocity at t (segment velocity of the segment containing t)."""
-        i, _ = self.segment_of(t)
-        return self.segment_velocity(i)
 
     # -- transformations ---------------------------------------------------
 
     def rotate_marked(self, k: int) -> "PLLoop":
         """Move the marked point (parameter 0) to the current vertex k."""
-        n = self.num_segments
-        k = k % n
-        verts = [self.vertex(k + i) for i in range(n)]
-        return PLLoop(self.space, verts, self.closure)
+        den, pts = self._lift
+        k %= len(pts) - 1
+        step = tuple(den * m for m in self.closure)
+        rows = pts[k:-1] + tuple(tuple(map(operator.add, p, step)) for p in pts[: k + 1])
+        return PLLoop._from_lift(self.space, den, rows)
 
     def reverse(self) -> "PLLoop":
-        """Orientation reversal, re-based at the original marked point."""
-        n = self.num_segments
-        verts = [self.vertices[0]] + [
-            _sub(self.vertex(n - i), self.closure) for i in range(1, n)
-        ]
-        return PLLoop(self.space, verts, tuple(-c for c in self.closure))
+        """Orientation reversal, re-based at the original marked point.
+
+        Lift vertex i of the reversal is P_{K-i} - closure.
+        """
+        den, pts = self._lift
+        step = tuple(den * m for m in self.closure)
+        rows = tuple(tuple(map(operator.sub, p, step)) for p in reversed(pts))
+        return PLLoop._from_lift(self.space, den, rows)
 
     def subdivide_segment(self, i: int, u: Fraction = Fraction(1, 2)) -> "PLLoop":
         """Insert a vertex at local coordinate u of segment i.
@@ -269,12 +249,12 @@ class PLLoop:
         u = _rat(u)
         if not 0 < u < 1:
             raise ValueError("subdivision point must be interior to the segment")
-        i = i % self.num_segments
-        a, b = self.segment(i)
-        mid = tuple(x + u * (y - x) for x, y in zip(a, b))
-        verts = list(self.vertices)
-        verts.insert(i + 1, mid)
-        return PLLoop(self.space, verts, self.closure)
+        den, pts = self._lift
+        i %= len(pts) - 1
+        un, ud = u.numerator, u.denominator
+        rows = [tuple(c * ud for c in p) for p in pts]
+        rows.insert(i + 1, tuple(a * ud + un * (b - a) for a, b in zip(pts[i], pts[i + 1])))
+        return PLLoop._from_lift(self.space, den * ud, tuple(rows))
 
     # -- class invariants ---------------------------------------------------
 
@@ -287,13 +267,7 @@ class PLLoop:
 
         den is the lcm of the vertex denominators; pts holds the K + 1
         lift vertices times den, the last one being vertices[0] + closure.
-        Cached: a loop is never changed after construction.
         """
-        if self._lift is None:
-            den = math.lcm(*(c.denominator for p in self._vertices for c in p))
-            pts = [tuple(c.numerator * (den // c.denominator) for c in p) for p in self._vertices]
-            pts.append(tuple(a + den * m for a, m in zip(pts[0], self.closure)))
-            self._lift = (den, tuple(pts))
         return self._lift
 
     def lift_point(self, t: Fraction) -> tuple[int, tuple[int, ...]]:
@@ -308,7 +282,7 @@ class PLLoop:
         tn, td = t.numerator, t.denominator
         if not 0 <= tn <= td:
             raise ValueError("parameter must lie in [0, 1]")
-        den, pts = self.integer_lift()
+        den, pts = self._lift
         i, rem = divmod(tn * (len(pts) - 1), td)
         if not rem:
             return den, pts[i]
@@ -318,18 +292,25 @@ class PLLoop:
         """Canonical form under marked-point rotation (and deck translation).
 
         Two loops describe the same unmarked geometric loop exactly when
-        their normal forms agree. The candidates are the K rotations
-        (vertex(r), ..., vertex(r + K - 1)), each first translated by the
-        floor of its initial vertex, into [0,1)^d, so rotations past the
-        wrap, which differ by the closure translation, do not affect the
-        result. The normal form is (least candidate, closure), and it is
-        cached.
+        their normal forms agree. The normal form is (least candidate,
+        closure), the vertices of ``canonical`` (see ``_least_lift``).
+        """
+        return self.canonical().vertices, self.closure
+
+    def _least_lift(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, rows): the integer lift of the normal form.
+
+        The candidates are the K rotations (vertex(r), ..., vertex(r + K - 1)),
+        each first translated by the floor of its initial vertex, into
+        [0,1)^d, so rotations past the wrap, which differ by the closure
+        translation, do not affect the result. rows are the K + 1 lift
+        vertices of the least candidate times den, the first in [0, den)^d.
 
         The least candidate is found without building the candidates. Let
-        P_0..P_K be the integer lift (``integer_lift``) over its denominator
-        den > 0, and give vertex i the token (P_i mod den, P_{i+1} - P_i).
-        The token sequences starting at r and at q compare in the same
-        order as candidates r and q:
+        P_0..P_K be the integer lift over its denominator den > 0, and give
+        vertex i the token (P_i mod den, P_{i+1} - P_i). The token
+        sequences starting at r and at q compare in the same order as
+        candidates r and q:
 
         - the point entries of the first tokens are the candidates' first
           vertices times den;
@@ -343,22 +324,9 @@ class PLLoop:
 
         Scaling by den > 0 keeps every order, so the least rotation of the
         cyclic token sequence (``least_rotation``) is a least candidate,
-        and rotations that tie give equal candidates. Only the winner is
-        turned into ``Fraction`` vertices.
+        and rotations that tie give equal candidates.
         """
-        if self._normal is None:
-            den, rows = self._least_lift()
-            verts = tuple(tuple(Fraction(a, den) for a in p) for p in rows[:-1])
-            self._normal = (verts, self.closure)
-        return self._normal
-
-    def _least_lift(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(den, rows): the integer lift of the normal form (see ``normal_form``).
-
-        rows are the K + 1 lift vertices of the least rotation times den,
-        translated so that the first lies in [0, den)^d.
-        """
-        den, pts = self.integer_lift()
+        den, pts = self._lift
         tokens = [(*map(den.__rmod__, p), *map(operator.sub, q, p)) for p, q in zip(pts, pts[1:])]
         r = least_rotation(tokens)
         # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^d
@@ -439,7 +407,7 @@ class VariationField:
             raise ValueError("tangent variations cannot deform the loop")
         eps = _rat(eps)
         verts = [
-            _add(p, _scale(v, eps))
+            tuple(a + eps * b for a, b in zip(p, v))
             for p, v in zip(self.loop.vertices, self.displacements)
         ]
         return PLLoop(self.loop.space, verts, self.loop.closure)

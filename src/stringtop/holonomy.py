@@ -97,7 +97,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from stringtop.fields import FieldConfig, FlatConnection, FourierStack
+from stringtop.fields import ConstantCommutingConnection, FieldConfig, FourierStack
 from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient, merge_sign
 from stringtop.lierep import SuperMatrix, product, regular
@@ -165,14 +165,14 @@ def _piece_floats(loop: PLLoop, piece):
     """Float geometry of one piece: start point, velocity, span.
 
     Read off the integer lift: every coordinate is one correctly rounded
-    quotient of integers, so it is the float of the exact ``point_at`` and
-    ``segment_velocity`` values without forming a ``Fraction``.
+    quotient of integers, so the start is the float of the exact
+    ``point_at`` value and the velocity that of K times the edge over den,
+    without forming a ``Fraction``.
     """
     i, lo, hi = piece
     den_lo, start = loop.lift_point(lo)
-    den, pts = loop.integer_lift()
-    k_seg = len(pts) - 1
-    vel = [k_seg * (b - a) / den for a, b in zip(pts[i], pts[i + 1])]
+    den, k_seg = loop.integer_lift()[0], loop.num_segments
+    vel = [k_seg * e / den for e in loop.edge(i)]
     return np.array([c / den_lo for c in start]), np.array(vel), float(hi - lo)
 
 
@@ -194,7 +194,7 @@ def _displacement(loop: PLLoop, s: Fraction, t: Fraction, wrap: bool = False) ->
     return [(b * den_s - a * den_t) / (den_s * den_t) for a, b in zip(x_s, x_t)]
 
 
-def transport(conn: FlatConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.ndarray:
+def transport(conn: ConstantCommutingConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.ndarray:
     """U(s, t) = exp(A(x(t) - x(s))): one exponential, exact up to rounding.
 
     The closed form of the ordered product of per-segment factors
@@ -211,7 +211,7 @@ def transport(conn: FlatConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) 
     return expm(conn.matrix_of(_displacement(loop, s, t)))
 
 
-def wrap_transport(conn: FlatConnection, loop: PLLoop, s: Fraction, t: Fraction) -> np.ndarray:
+def wrap_transport(conn: ConstantCommutingConnection, loop: PLLoop, s: Fraction, t: Fraction) -> np.ndarray:
     """U(s, 1) U(0, t) for t <= s: from s over the marked point to t.
 
     The same closed form as ``transport``, one exponential of the wrapped
@@ -470,7 +470,7 @@ class _Walk:
 
     def __init__(
         self,
-        conn: FlatConnection,
+        conn: ConstantCommutingConnection,
         loop: PLLoop,
         s: Fraction,
         t: Fraction,
@@ -569,7 +569,7 @@ def _with_richardson(evaluate, plan: TransportPlan):
 
 
 def gen_transport(
-    conn: FlatConnection,
+    conn: ConstantCommutingConnection,
     config: FieldConfig | None,
     loop: PLLoop,
     s=Fraction(0),
@@ -598,7 +598,7 @@ def gen_transport(
 
 
 def wilson(
-    conn: FlatConnection,
+    conn: ConstantCommutingConnection,
     config: FieldConfig | None,
     loop: PLLoop,
     plan: TransportPlan = DEFAULT_PLAN,
@@ -609,7 +609,7 @@ def wilson(
 
 
 def insertion_derivative(
-    conn: FlatConnection,
+    conn: ConstantCommutingConnection,
     config: FieldConfig | None,
     loop: PLLoop,
     eta: FieldConfig,

@@ -4,9 +4,9 @@ Nothing in ``stringtop`` calls these. Each one computes by explicit
 enumeration what the package computes through an identity, so the tests
 check that identity rather than one route against itself. Some are
 views and helpers that only tests need, kept here rather than in the
-package: symbolic supermatrix entries, exact variation values, the
-fundamental identity across finite-difference steps, and, in the last
-section, field-configuration arithmetic.
+package: symbolic supermatrix entries, exact segments, velocities and
+variation values, the fundamental identity across finite-difference
+steps, and, in the last section, field-configuration arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from scipy.linalg import expm
 
 from stringtop.brackets import fundamental_identity_paths
 from stringtop.chords import DiagramRealization, parse_rep
-from stringtop.fields import FieldConfig, FieldTerm, FlatConnection, FourierField
+from stringtop.fields import ConstantCommutingConnection, FieldConfig, FieldTerm, FourierField
 from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient
 from stringtop.holonomy import _pieces, _piece_floats, transport
@@ -156,7 +156,7 @@ def _leg_values_at(variations: Sequence[VariationField], loop: PLLoop, piece, u:
     values = []
     for var in variations:
         if var.is_tangent:
-            values.append(np.array([float(c) for c in loop.segment_velocity(i)]))
+            values.append(np.array([float(c) for c in segment_velocity(loop, i)]))
             continue
         a = np.array([float(c) for c in var.displacement(i)])
         b = np.array([float(c) for c in var.displacement(i + 1)])
@@ -248,7 +248,7 @@ def _midpoints(conn, loop, s, t, steps, variations, configs):
 
 
 def gen_transport_stepwise(
-    conn: FlatConnection,
+    conn: ConstantCommutingConnection,
     config: FieldConfig,
     loop: PLLoop,
     s=Fraction(0),
@@ -270,7 +270,7 @@ def gen_transport_stepwise(
 
 
 def gen_transport_ode(
-    conn: FlatConnection,
+    conn: ConstantCommutingConnection,
     config: FieldConfig,
     loop: PLLoop,
     s=Fraction(0),
@@ -311,7 +311,7 @@ def gen_transport_ode(
 
 
 def insertion_derivative_stepwise(
-    conn: FlatConnection,
+    conn: ConstantCommutingConnection,
     config: FieldConfig,
     loop: PLLoop,
     eta: FieldConfig,
@@ -375,7 +375,7 @@ def epsilon_part(value: GradedCoefficient, n_theta: int, n_legs: int) -> GradedC
 
 
 def insertion_derivative_epsilon_stepwise(
-    conn: FlatConnection,
+    conn: ConstantCommutingConnection,
     config: FieldConfig,
     loop: PLLoop,
     eta: FieldConfig,
@@ -397,7 +397,7 @@ def variation_value_at(v: VariationField, t: Fraction) -> tuple:
     at the two ends of t's segment are interpolated affinely.
     """
     if v.is_tangent:
-        return v.loop.velocity_at(t)
+        return velocity_at(v.loop, t)
     i, u = v.loop.segment_of(t)
     return tuple(x + u * (y - x) for x, y in zip(v.displacement(i), v.displacement(i + 1)))
 
@@ -433,9 +433,55 @@ def halving_orders(residuals: Sequence[float], floor: float = 5e-9) -> list[floa
 
 # -- the exact geometry layer on Fractions ------------------------------------
 #
-# Oracles for ``PLLoop.normal_form``, ``strings.intersections`` and
-# ``strings.concatenate``, which compute the same values on integers over a
-# common denominator.
+# Oracles for ``PLLoop.normal_form``, the ``PLLoop`` transformations,
+# ``strings.intersections`` and ``strings.concatenate``, which compute the
+# same values on integers over a common denominator, and the exact segment
+# and velocity views that only tests read.
+
+
+def segment(loop: PLLoop, i: int) -> tuple:
+    """The end points (vertex(i), vertex(i + 1)) of segment i, as Fractions."""
+    return loop.vertex(i), loop.vertex(i + 1)
+
+
+def segment_velocity(loop: PLLoop, i: int) -> tuple:
+    """Velocity on segment i: K * (P_{i+1} - P_i), constant there."""
+    a, b = segment(loop, i)
+    k = Fraction(loop.num_segments)
+    return tuple(k * (y - x) for x, y in zip(a, b))
+
+
+def velocity_at(loop: PLLoop, t: Fraction) -> tuple:
+    """Right-sided velocity at t (segment velocity of the segment containing t)."""
+    i, _ = loop.segment_of(t)
+    return segment_velocity(loop, i)
+
+
+def rotate_marked_fraction(loop: PLLoop, k: int) -> PLLoop:
+    """Oracle: ``PLLoop.rotate_marked`` from Fraction vertices, through the constructor."""
+    n = loop.num_segments
+    k = k % n
+    verts = [loop.vertex(k + i) for i in range(n)]
+    return PLLoop(loop.space, verts, loop.closure)
+
+
+def reverse_fraction(loop: PLLoop) -> PLLoop:
+    """Oracle: ``PLLoop.reverse`` from Fraction vertices, through the constructor."""
+    n = loop.num_segments
+    verts = [loop.vertices[0]] + [
+        tuple(a - c for a, c in zip(loop.vertex(n - i), loop.closure)) for i in range(1, n)
+    ]
+    return PLLoop(loop.space, verts, tuple(-c for c in loop.closure))
+
+
+def subdivide_segment_fraction(loop: PLLoop, i: int, u: Fraction) -> PLLoop:
+    """Oracle: ``PLLoop.subdivide_segment`` from Fraction vertices, through the constructor."""
+    i = i % loop.num_segments
+    a, b = segment(loop, i)
+    mid = tuple(x + u * (y - x) for x, y in zip(a, b))
+    verts = list(loop.vertices)
+    verts.insert(i + 1, mid)
+    return PLLoop(loop.space, verts, loop.closure)
 
 
 def normal_form_rotations(loop: PLLoop) -> tuple:
@@ -503,10 +549,10 @@ def intersections_fraction(loop: PLLoop, other: PLLoop) -> list[IntersectionPoin
     offsets = _deck_offsets(loop, other)
     found = []
     for i in range(k1):
-        p0, p1 = loop.segment(i)
+        p0, p1 = segment(loop, i)
         dp = tuple(b - a for a, b in zip(p0, p1))
         for j in range(k2):
-            q0, q1 = other.segment(j)
+            q0, q1 = segment(other, j)
             dq = tuple(b - a for a, b in zip(q0, q1))
             for lam in offsets:
                 q0l = tuple(c + o for c, o in zip(q0, lam))

@@ -20,7 +20,7 @@ from stringtop.fields import ConstantCommutingConnection
 from stringtop.geometry import PLLoop, Torus
 from stringtop.strings import TransversalityError, _cross, concatenate, intersections
 
-from oracles import evaluate_diagram_enumerated
+from oracles import evaluate_diagram_enumerated, velocity_at
 
 T = Torus(2)
 
@@ -523,7 +523,7 @@ def test_integer_arc_check_agrees_with_the_fraction_route(pair):
         p1, p2 = l1.point_at(s1), l2.point_at(s2)
         if any((a - b).denominator != 1 for a, b in zip(p1, p2)):
             want = "different points"
-        elif _cross(l1.velocity_at(s1), l2.velocity_at(s2)) == 0:
+        elif _cross(velocity_at(l1, s1), velocity_at(l2, s2)) == 0:
             want = "tangentially"
         else:
             want = "meets"

@@ -7,7 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import normal_form_rotations, variation_value_at
+from oracles import (
+    normal_form_rotations,
+    reverse_fraction,
+    rotate_marked_fraction,
+    segment_velocity,
+    subdivide_segment_fraction,
+    variation_value_at,
+    velocity_at,
+)
 from stringtop.geometry import (
     PLLoop,
     Torus,
@@ -66,10 +74,11 @@ def test_uniform_parametrization_is_exact():
 def test_segment_velocity_scale():
     """Velocity is K times the edge vector, constant on each segment."""
     loop = unit_square_loop()
-    assert loop.segment_velocity(0) == (4, 0)
-    assert loop.segment_velocity(2) == (-4, 0)
-    assert loop.velocity_at(F(1, 8)) == (4, 0)
-    assert loop.velocity_at(F(7, 8)) == (0, -4)
+    assert segment_velocity(loop, 0) == (4, 0)
+    assert segment_velocity(loop, 2) == (-4, 0)
+    assert velocity_at(loop, F(1, 8)) == (4, 0)
+    assert velocity_at(loop, F(7, 8)) == (0, -4)
+    assert [loop.edge(i) for i in (0, 2, 3)] == [(1, 0), (-1, 0), (0, -1)]
 
 
 def test_lift_vertices_extend_by_closure():
@@ -132,7 +141,7 @@ def test_variation_interpolates_and_deforms():
 def test_tangent_variation_matches_velocity():
     loop = unit_square_loop()
     var = VariationField.tangent(loop)
-    assert variation_value_at(var, F(1, 8)) == loop.velocity_at(F(1, 8))
+    assert variation_value_at(var, F(1, 8)) == velocity_at(loop, F(1, 8))
     with pytest.raises(ValueError, match="cannot deform"):
         var.deform(F(1, 10))
 
@@ -228,10 +237,9 @@ def test_normal_form_of_periodic_loops_breaks_ties_like_the_oracle():
                 assert loop.rotate_marked(base.num_segments).normal_form() == nf
 
 
-def test_normal_form_is_cached_and_canonical_loops_are_their_own_normal_form():
+def test_canonical_loops_are_their_own_normal_form():
     loop = PLLoop(Torus(2), [(F(5, 4), F(-1, 2)), (F(3, 2), 0), (F(1, 4), F(1, 3))], closure=(0, 1))
     nf = loop.normal_form()
-    assert loop.normal_form() is nf
     canon = loop.canonical()
     assert (canon.vertices, canon.closure) == nf
     assert normal_form_rotations(canon) == canon.normal_form() == nf
@@ -262,3 +270,40 @@ def test_canonical_loops_have_the_lift_of_the_constructor():
             canon = random_loop(rng, dens, cls).canonical()
             assert canon.integer_lift() == PLLoop(Torus(2), canon.vertices, canon.closure).integer_lift()
             assert normal_form_rotations(canon) == (canon.vertices, canon.closure)
+
+
+def test_a_loop_from_a_scaled_lift_is_the_constructed_loop():
+    rng = np.random.default_rng(46)
+    for _ in range(100):
+        cls = tuple(int(x) for x in rng.integers(-3, 4, 2))
+        ref = random_loop(rng, [1, 3, 128], cls, span=2)
+        den, pts = ref.integer_lift()
+        loop = PLLoop._from_lift(Torus(2), 2 * den, tuple(tuple(2 * c for c in p) for p in pts))
+        k = ref.num_segments
+        assert loop.integer_lift() == ref.integer_lift()
+        assert (loop.vertices, loop.closure) == (ref.vertices, ref.closure)
+        assert [loop.vertex(i) for i in range(-k, 2 * k + 1)] == [ref.vertex(i) for i in range(-k, 2 * k + 1)]
+        for t in [F(0), F(1)] + [F(int(rng.integers(0, q + 1)), q) for q in map(int, rng.integers(1, 50, 8))]:
+            assert loop.segment_of(t) == ref.segment_of(t)
+            assert loop.point_at(t) == ref.point_at(t)
+            assert loop.lift_point(t) == ref.lift_point(t)
+            lden, x = loop.lift_point(t)
+            assert tuple(F(c, lden) for c in x) == ref.point_at(t)
+        assert loop.normal_form() == ref.normal_form() == normal_form_rotations(ref)
+        assert loop.canonical().integer_lift() == ref.canonical().integer_lift()
+
+
+def test_transformations_on_the_lift_match_the_fraction_oracles():
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        cls = tuple(int(x) for x in rng.integers(-3, 4, 2))
+        loop = random_loop(rng, [1, 3, 128], cls, span=2)
+        k = loop.num_segments
+        for r in range(-1, k + 1):
+            assert loop.rotate_marked(r).integer_lift() == rotate_marked_fraction(loop, r).integer_lift()
+        assert loop.reverse().integer_lift() == reverse_fraction(loop).integer_lift()
+        for i in range(k):
+            u = F(int(rng.integers(1, 8)), 8) if rng.random() < 0.5 else F(1, 3)
+            got = loop.subdivide_segment(i, u)
+            assert got.integer_lift() == subdivide_segment_fraction(loop, i, u).integer_lift()
+            assert got.normal_form() != loop.normal_form() and got.num_segments == k + 1

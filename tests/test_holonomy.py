@@ -44,6 +44,7 @@ from oracles import (
     gen_transport_stepwise,
     insertion_derivative_epsilon_stepwise,
     insertion_derivative_stepwise,
+    segment_velocity,
 )
 
 F = Fraction
@@ -166,7 +167,7 @@ def test_piece_floats_are_the_floats_of_the_exact_points():
         for piece in holonomy._pieces(loop, s, s + F(int(rng.integers(1, 47)), 97)):
             start, vel, span = holonomy._piece_floats(loop, piece)
             assert start.tolist() == [float(c) for c in loop.point_at(piece[1])]
-            assert vel.tolist() == [float(c) for c in loop.segment_velocity(piece[0])]
+            assert vel.tolist() == [float(c) for c in segment_velocity(loop, piece[0])]
             assert span == float(piece[2] - piece[1])
 
 

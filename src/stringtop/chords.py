@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import PLLoop, least_rotation
 from .lierep import LieBasis
 from .holonomy import transport, wrap_transport
-from .strings import TransversalityError, _cross, degree_zero_prefactor, intersections
+from .strings import TransversalityError, degree_zero_prefactor, intersections
 
 __all__ = [
     "ChordDiagram",
@@ -123,6 +123,11 @@ class ChordDiagram:
     def __repr__(self) -> str:
         cs = "; ".join(f"{c.rep}({','.join(c.endpoints)})" for c in self.circles)
         return f"ChordDiagram[{cs} | {len(self.arcs)} arcs]"
+
+
+def _cross(u, v) -> int:
+    """The 2-D cross product u x v of two integer edges."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 class DiagramRealization:

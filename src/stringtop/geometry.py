@@ -16,7 +16,8 @@ K + 1 lift vertices as integer tuples over one common denominator, and
 ``lift_point`` and ``edge`` read points and segment edges off it in
 integers. The constructor turns rational vertices into that lift;
 ``PLLoop._from_lift`` builds a loop from the integers directly, as
-concatenations, canonical loops and the transformations do. The
+concatenations and the transformations do, and ``canonical`` stores its
+rotated lift with the constant-segment check alone. The
 ``Fraction`` vertices are a view formed on demand. ``canonical`` and
 ``normal_form`` share one least rotation (Booth 1980) over the integer
 lift.
@@ -86,6 +87,9 @@ def least_rotation(seq: Sequence) -> int:
     Linear time over any totally ordered items. When several rotations tie
     (a periodic sequence) any of them may be returned; they are equal.
     """
+    first = min(seq, default=None)
+    if seq.count(first) == 1:  # a least rotation starts at a least item
+        return seq.index(first)
     doubled = list(seq) * 2
     fail = [-1] * len(doubled)
     k = 0
@@ -202,21 +206,12 @@ class PLLoop:
         pts = self._lift[1]
         return tuple(map(operator.sub, pts[i + 1], pts[i]))
 
-    def segment_of(self, t: Fraction) -> tuple[int, Fraction]:
-        """Segment index and local coordinate u in [0,1] for t in [0,1]."""
-        t = _rat(t)
-        tn, td = t.numerator, t.denominator
-        if not 0 <= tn <= td:
-            raise ValueError("parameter must lie in [0, 1]")
-        k = self.num_segments
-        i, rem = divmod(tn * k, td)
-        if i == k:
-            return k - 1, Fraction(1)
-        return i, Fraction(rem, td)
-
     def point_at(self, t: Fraction) -> Point:
-        """The lift point at t, formed from ``Fraction`` vertices (see ``lift_point``)."""
-        i, u = self.segment_of(t)
+        """The lift point at t in [0, 1], formed from ``Fraction`` vertices (see ``lift_point``)."""
+        t = _rat(t)
+        if not 0 <= t <= 1:
+            raise ValueError("parameter must lie in [0, 1]")
+        i, u = divmod(t * self.num_segments, 1)
         a, b = self.vertex(i), self.vertex(i + 1)
         return tuple(x + u * (y - x) for x, y in zip(a, b))
 
@@ -286,7 +281,8 @@ class PLLoop:
         i, rem = divmod(tn * (len(pts) - 1), td)
         if not rem:
             return den, pts[i]
-        return den * td, tuple(a * td + rem * (b - a) for a, b in zip(pts[i], pts[i + 1]))
+        (ax, ay), (bx, by) = pts[i], pts[i + 1]
+        return den * td, (ax * td + rem * (bx - ax), ay * td + rem * (by - ay))
 
     def normal_form(self) -> tuple:
         """Canonical form under marked-point rotation (and deck translation).
@@ -302,9 +298,9 @@ class PLLoop:
 
         The candidates are the K rotations (vertex(r), ..., vertex(r + K - 1)),
         each first translated by the floor of its initial vertex, into
-        [0,1)^d, so rotations past the wrap, which differ by the closure
+        [0,1)^2, so rotations past the wrap, which differ by the closure
         translation, do not affect the result. rows are the K + 1 lift
-        vertices of the least candidate times den, the first in [0, den)^d.
+        vertices of the least candidate times den, the first in [0, den)^2.
 
         The least candidate is found without building the candidates. Let
         P_0..P_K be the integer lift over its denominator den > 0, and give
@@ -327,24 +323,30 @@ class PLLoop:
         and rotations that tie give equal candidates.
         """
         den, pts = self._lift
-        tokens = [(*map(den.__rmod__, p), *map(operator.sub, q, p)) for p, q in zip(pts, pts[1:])]
+        tokens = [(x % den, y % den, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:])]
         r = least_rotation(tokens)
-        # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^d
-        shift = tuple(c - c % den for c in pts[r])
-        back = tuple(den * m - s for m, s in zip(self.closure, shift))
-        rows = tuple(tuple(map(operator.sub, p, shift)) for p in pts[r:-1])
-        rows += tuple(tuple(map(operator.add, p, back)) for p in pts[: r + 1])
+        # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^2
+        x, y = pts[r]
+        sx, sy = x - x % den, y - y % den
+        bx, by = den * self.closure[0] - sx, den * self.closure[1] - sy
+        rows = tuple([(x - sx, y - sy) for x, y in pts[r:-1]] + [(x + bx, y + by) for x, y in pts[: r + 1]])
         return den, rows
 
     def canonical(self) -> "PLLoop":
         """The loop whose vertices are the normal form, built on the integers.
 
+        The loop is stored from ``_least_lift`` through ``_store`` alone,
+        without the gcd and closure passes of ``_from_lift``: rotating the
+        rows and translating them by den times a lattice vector keeps
+        gcd(den, coordinates) = 1 and keeps the closure, so those passes
+        would prove nothing new. ``_store`` still rejects constant segments.
         A loop built here is its own normal form, so its ``canonical`` is
         itself, without another least rotation.
         """
         if self._is_canonical:
             return self
-        loop = PLLoop._from_lift(self.space, *self._least_lift())
+        loop = PLLoop.__new__(PLLoop)
+        loop._store(self.space, self.closure, *self._least_lift())
         loop._is_canonical = True
         return loop
 

@@ -5,12 +5,13 @@ are scaled to one common denominator (``PLLoop.integer_lift``), crossings
 are tested with integer cross products, and ``Fraction`` values are built
 only for the crossings found. Each segment pair is tried against the
 deck translations that bring the two closed segment boxes together, one
-integer range per axis. ``concatenate`` splices the two integer lifts over one
-common denominator and builds the result from its lift, as
-``PLLoop.canonical`` does, so a bracket output stays on integers from its
-crossing to its stored term; its ``Fraction`` vertices are formed only on
-demand. Formal cycles carry integer coefficients on rotation-normalized
-loops. Non-transversal contact (overlapping segments, crossings at
+integer range per axis. ``concatenate`` checks the crossing on both integer
+lifts and splices them, as 2-D integer rows over one common denominator,
+into one ``PLLoop._from_lift``; ``PLLoop.canonical`` stores the least
+rotation of those rows without validating them again. So a bracket output
+stays on integers from its crossing to its stored term; its ``Fraction``
+vertices are formed only on demand. Formal cycles carry integer
+coefficients on rotation-normalized loops. Non-transversal contact (overlapping segments, crossings at
 vertices or marked points) raises ``TransversalityError`` instead of
 being perturbed away silently.
 
@@ -54,10 +55,6 @@ class IntersectionPoint:
     offset: tuple[int, ...]
 
 
-def _cross(u, v) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _segments(loop: PLLoop, scale: int) -> list[tuple[int, ...]]:
     """Per segment of the integer lift times ``scale``: start, edge, closed box."""
     out = []
@@ -92,13 +89,16 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
     others = _segments(other, unit // den2)
     found = []
     for i, (px, py, dpx, dpy, axlo, axhi, aylo, ayhi) in enumerate(_segments(loop, unit // den1)):
+        row = []  # crossings on segment i, at i/K1 < s < (i + 1)/K1
         for j, (qx, qy, dqx, dqy, bxlo, bxhi, bylo, byhi) in enumerate(others):
-            l1s = range(-((bxhi - axlo) // unit), (axhi - bxlo) // unit + 1)
-            l2s = range(-((byhi - aylo) // unit), (ayhi - bylo) // unit + 1)
+            l1lo, l1hi = -((bxhi - axlo) // unit), (axhi - bxlo) // unit
+            l2lo, l2hi = -((byhi - aylo) // unit), (ayhi - bylo) // unit
+            if l1lo > l1hi or l2lo > l2hi:
+                continue
             cross = dpx * dqy - dpy * dqx
             den = abs(cross)
-            for l1 in l1s:
-                for l2 in l2s:
+            for l1 in range(l1lo, l1hi + 1):
+                for l2 in range(l2lo, l2hi + 1):
                     # the translate q + lam u against p + t dp, with t = tn/den, r = rn/den
                     ex, ey = qx + l1 * unit - px, qy + l2 * unit - py
                     if cross == 0:
@@ -118,7 +118,7 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
                         raise TransversalityError(
                             f"segments ({i}, {j}) cross at a vertex or marked point"
                         )
-                    found.append(
+                    row.append(
                         IntersectionPoint(
                             s=Fraction(i * den + tn, den * k1),
                             s_bar=Fraction(j * den + rn, den * k2),
@@ -130,24 +130,23 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
                             offset=(l1, l2),
                         )
                     )
-    found.sort(key=lambda p: (p.s, p.s_bar))
+        found += sorted(row, key=lambda p: (p.s, p.s_bar))
     return found
 
 
-def _on_segment(loop: PLLoop, t, point, offset) -> int | None:
+def _on_segment(loop: PLLoop, t: Fraction, point, offset) -> int | None:
     """The segment index of t if ``point`` is loop(t) + offset, else None.
 
     The test is an exact cross-multiplication against the integer lift
-    segment: with t at local coordinate u = un/ud of segment i over den,
-    point * den * ud == P_i * ud + un * (P_{i+1} - P_i) + offset * den * ud.
+    point x / den at t (``PLLoop.lift_point``): point * den == x + offset * den.
+    Segment i = floor(t K) holds t, and the last one holds t = 1.
     """
-    i, u = loop.segment_of(t)
-    den, pts = loop.integer_lift()
-    un, ud = u.numerator, u.denominator
-    for c, a, b, o in zip(point, pts[i], pts[i + 1], offset):
-        if c.numerator * den * ud != c.denominator * (a * ud + un * (b - a) + o * den * ud):
-            return None
-    return i
+    den, (x, y) = loop.lift_point(t)
+    (cx, cy), (ox, oy) = point, offset
+    if cx.numerator * den != cx.denominator * (x + ox * den) or cy.numerator * den != cy.denominator * (y + oy * den):
+        return None
+    k = loop.num_segments
+    return min(t.numerator * k // t.denominator, k - 1)
 
 
 def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
@@ -158,28 +157,31 @@ def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
     the exact crossing parameters; the second lift is translated so the
     two circuits join, and the closure vectors add.
     """
-    i = _on_segment(loop, p.s, p.point, (0,) * loop.space.d)
+    i = _on_segment(loop, p.s, p.point, (0, 0))
     if i is None:
         raise ValueError("stale intersection point: not on the first loop")
     j = _on_segment(other, p.s_bar, p.point, p.offset)
     if j is None:
         raise ValueError("stale intersection point: not on the second loop")
     (den1, pts1), (den2, pts2) = loop.integer_lift(), other.integer_lift()
-    unit = math.lcm(den1, den2, *(c.denominator for c in p.point))
+    (px, py), (ox, oy) = p.point, p.offset
+    (m1, n1), (m2, n2) = loop.closure, other.closure
+    unit = math.lcm(den1, den2, px.denominator, py.denominator)
     s1, s2 = unit // den1, unit // den2
-    start = tuple(c.numerator * (unit // c.denominator) for c in p.point)
-    # lift vertices i + 1 .. i + K1 of the first loop lead to p + closure;
-    # the second lift is translated there: tau = offset + closure of the first
-    wrap1 = tuple(unit * m for m in loop.closure)
-    wrap2 = tuple(den2 * m for m in other.closure)
-    tau = tuple(unit * (o + m) for o, m in zip(p.offset, loop.closure))
-    rows = [start]
-    rows += [tuple(c * s1 for c in q) for q in pts1[i + 1 :]]
-    rows += [tuple(c * s1 + w for c, w in zip(q, wrap1)) for q in pts1[1 : i + 1]]
-    rows.append(tuple(a + w for a, w in zip(start, wrap1)))
-    rows += [tuple(c * s2 + t for c, t in zip(q, tau)) for q in pts2[j + 1 :]]
-    rows += [tuple((c + w) * s2 + t for c, w, t in zip(q, wrap2, tau)) for q in pts2[1 : j + 1]]
-    rows.append(tuple(a + unit * (m + n) for a, m, n in zip(start, loop.closure, other.closure)))
+    x0, y0 = px.numerator * (unit // px.denominator), py.numerator * (unit // py.denominator)
+    # lift vertices i + 1 .. i + K1 of the first loop lead to p + closure (w);
+    # the second lift is translated there, by tau = unit (offset + closure of
+    # the first), and past its own wrap by tau plus unit times its closure (v)
+    wx, wy = unit * m1, unit * n1
+    tx, ty = unit * ox + wx, unit * oy + wy
+    vx, vy = tx + unit * m2, ty + unit * n2
+    rows = [(x0, y0)]
+    rows += [(x * s1, y * s1) for x, y in pts1[i + 1 :]]
+    rows += [(x * s1 + wx, y * s1 + wy) for x, y in pts1[1 : i + 1]]
+    rows.append((x0 + wx, y0 + wy))
+    rows += [(x * s2 + tx, y * s2 + ty) for x, y in pts2[j + 1 :]]
+    rows += [(x * s2 + vx, y * s2 + vy) for x, y in pts2[1 : j + 1]]
+    rows.append((x0 + wx + unit * m2, y0 + wy + unit * n2))
     return PLLoop._from_lift(loop.space, unit, tuple(rows))
 
 
@@ -197,13 +199,12 @@ def _combine(terms) -> tuple[tuple[int, PLLoop], ...]:
     the order of (vertices, closure) unless one loop's vertices begin
     another's.
     """
-    combined: dict[tuple, tuple[int, PLLoop]] = {}
+    combined: dict[tuple, list] = {}
     for coeff, loop in terms:
-        key = loop.integer_lift()
-        total = combined[key][0] if key in combined else 0
-        combined[key] = (total + int(coeff), loop)
-    keys = sorted((key for key, (coeff, _) in combined.items() if coeff != 0), key=_by_rows)
-    return tuple(combined[key] for key in keys)
+        entry = combined.setdefault(loop.integer_lift(), [0, loop])
+        entry[0] += int(coeff)
+    kept = sorted((item for item in combined.items() if item[1][0] != 0), key=lambda item: _by_rows(item[0]))
+    return tuple((coeff, loop) for _, (coeff, loop) in kept)
 
 
 @functools.cmp_to_key
@@ -214,11 +215,13 @@ def _by_rows(x, y) -> int:
     scaled beyond the first entry that differs.
     """
     (dx, px), (dy, py) = x, y
-    for p, q in zip(px, py):
-        for a, b in zip(p, q):
-            a, b = a * dy, b * dx
-            if a != b:
-                return -1 if a < b else 1
+    for (a, b), (c, d) in zip(px, py):
+        a, c = a * dy, c * dx
+        if a != c:
+            return -1 if a < c else 1
+        b, d = b * dy, d * dx
+        if b != d:
+            return -1 if b < d else 1
     return len(px) - len(py)
 
 

@@ -398,7 +398,7 @@ def variation_value_at(v: VariationField, t: Fraction) -> tuple:
     """
     if v.is_tangent:
         return velocity_at(v.loop, t)
-    i, u = v.loop.segment_of(t)
+    i, u = segment_of(v.loop, t)
     return tuple(x + u * (y - x) for x, y in zip(v.displacement(i), v.displacement(i + 1)))
 
 
@@ -439,6 +439,19 @@ def halving_orders(residuals: Sequence[float], floor: float = 5e-9) -> list[floa
 # and velocity views that only tests read.
 
 
+def segment_of(loop: PLLoop, t: Fraction) -> tuple[int, Fraction]:
+    """Segment index and local coordinate u in [0,1] for t in [0,1]."""
+    t = Fraction(t)
+    tn, td = t.numerator, t.denominator
+    if not 0 <= tn <= td:
+        raise ValueError("parameter must lie in [0, 1]")
+    k = loop.num_segments
+    i, rem = divmod(tn * k, td)
+    if i == k:
+        return k - 1, Fraction(1)
+    return i, Fraction(rem, td)
+
+
 def segment(loop: PLLoop, i: int) -> tuple:
     """The end points (vertex(i), vertex(i + 1)) of segment i, as Fractions."""
     return loop.vertex(i), loop.vertex(i + 1)
@@ -453,7 +466,7 @@ def segment_velocity(loop: PLLoop, i: int) -> tuple:
 
 def velocity_at(loop: PLLoop, t: Fraction) -> tuple:
     """Right-sided velocity at t (segment velocity of the segment containing t)."""
-    i, _ = loop.segment_of(t)
+    i, _ = segment_of(loop, t)
     return segment_velocity(loop, i)
 
 
@@ -585,8 +598,8 @@ def concatenate_fraction(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> P
     if shifted != p.point:
         raise ValueError("stale intersection point: not on the second loop")
     k1, k2 = loop.num_segments, other.num_segments
-    i = loop.segment_of(p.s)[0]
-    j = other.segment_of(p.s_bar)[0]
+    i = segment_of(loop, p.s)[0]
+    j = segment_of(other, p.s_bar)[0]
     # after the first circuit the path sits at p + closure; the second lift
     # is translated there: tau = offset + closure of the first loop
     tau = tuple(o + c for o, c in zip(p.offset, loop.closure))

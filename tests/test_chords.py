@@ -10,6 +10,7 @@ from stringtop.chords import (
     ChordDiagram,
     DiagramRealization,
     _contraction_path,
+    _cross,
     chord_bracket_degree0,
     evaluate_diagram,
     four_t_combination,
@@ -18,7 +19,7 @@ from stringtop.chords import (
 )
 from stringtop.fields import ConstantCommutingConnection
 from stringtop.geometry import PLLoop, Torus
-from stringtop.strings import TransversalityError, _cross, concatenate, intersections
+from stringtop.strings import TransversalityError, concatenate, intersections
 
 from oracles import evaluate_diagram_enumerated, velocity_at
 

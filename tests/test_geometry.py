@@ -11,6 +11,7 @@ from oracles import (
     normal_form_rotations,
     reverse_fraction,
     rotate_marked_fraction,
+    segment_of,
     segment_velocity,
     subdivide_segment_fraction,
     variation_value_at,
@@ -284,7 +285,7 @@ def test_a_loop_from_a_scaled_lift_is_the_constructed_loop():
         assert (loop.vertices, loop.closure) == (ref.vertices, ref.closure)
         assert [loop.vertex(i) for i in range(-k, 2 * k + 1)] == [ref.vertex(i) for i in range(-k, 2 * k + 1)]
         for t in [F(0), F(1)] + [F(int(rng.integers(0, q + 1)), q) for q in map(int, rng.integers(1, 50, 8))]:
-            assert loop.segment_of(t) == ref.segment_of(t)
+            assert segment_of(loop, t) == segment_of(ref, t)
             assert loop.point_at(t) == ref.point_at(t)
             assert loop.lift_point(t) == ref.lift_point(t)
             lden, x = loop.lift_point(t)
@@ -307,3 +308,22 @@ def test_transformations_on_the_lift_match_the_fraction_oracles():
             got = loop.subdivide_segment(i, u)
             assert got.integer_lift() == subdivide_segment_fraction(loop, i, u).integer_lift()
             assert got.normal_form() != loop.normal_form() and got.num_segments == k + 1
+
+
+def test_canonical_stores_the_least_lift_that_from_lift_validates():
+    """``canonical`` skips the gcd and closure passes; a validated build agrees."""
+    rng = np.random.default_rng(48)
+    for span in (1, 6, 10**6):
+        for _ in range(40):
+            cls = tuple(int(x) for x in rng.integers(-3, 4, 2)) if rng.random() < 0.8 else (0, 0)
+            loop = random_loop(rng, [1, 3, 7, 128], cls, span=span)
+            k = loop.num_segments
+            u = F(int(rng.integers(1, 9)), 9)
+            for v in (loop, loop.reverse(), loop.rotate_marked(int(rng.integers(1, k + 1))), loop.subdivide_segment(int(rng.integers(0, k)), u)):
+                canon = v.canonical()
+                ref = PLLoop._from_lift(Torus(2), *v._least_lift())
+                assert canon.integer_lift() == ref.integer_lift()
+                assert (canon.vertices, canon.closure) == (ref.vertices, ref.closure) == normal_form_rotations(v)
+                assert canon.canonical() is canon
+                rebuilt = PLLoop(Torus(2), canon.vertices, canon.closure)
+                assert rebuilt.canonical().integer_lift() == canon.integer_lift()

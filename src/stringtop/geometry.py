@@ -19,8 +19,8 @@ integers. The constructor turns rational vertices into that lift;
 concatenations and the transformations do, and ``canonical`` stores its
 rotated lift with the constant-segment check alone. The
 ``Fraction`` vertices are a view formed on demand. ``canonical`` and
-``normal_form`` share one least rotation (Booth 1980) over the integer
-lift.
+``normal_form`` share one least rotation (``least_rotation``) over the
+integer lift.
 
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
@@ -82,31 +82,17 @@ def _as_point(coords: Iterable, d: int) -> Point:
 
 
 def least_rotation(seq: Sequence) -> int:
-    """Start index of a lexicographically least rotation of ``seq`` (Booth 1980).
+    """Start index of a lexicographically least rotation of ``seq``; 0 if empty.
 
-    Linear time over any totally ordered items. When several rotations tie
-    (a periodic sequence) any of them may be returned; they are equal.
+    A least rotation starts at a least item. O(K) when the least item is
+    unique; with c tied starts their c rotations are compared, O(cK). Tied
+    rotations that are equal (a periodic sequence) give the first start.
     """
     first = min(seq, default=None)
-    if seq.count(first) == 1:  # a least rotation starts at a least item
+    if seq.count(first) == 1:
         return seq.index(first)
-    doubled = list(seq) * 2
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        item = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and item != doubled[k + i + 1]:
-            if item < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if item != doubled[k + i + 1]:  # here i == -1
-            if item < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+    starts = (i for i, item in enumerate(seq) if item == first)
+    return min(starts, key=lambda i: seq[i:] + seq[:i], default=0)
 
 
 class PLLoop:
@@ -121,7 +107,7 @@ class PLLoop:
     view of the lift, formed on first use.
     """
 
-    __slots__ = ("space", "closure", "_lift", "_vertices", "_is_canonical")
+    __slots__ = ("space", "closure", "_lift", "_vertices")
 
     def __init__(
         self,
@@ -178,7 +164,6 @@ class PLLoop:
         self.closure = closure
         self._lift = (den, pts)
         self._vertices = None
-        self._is_canonical = False
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -340,14 +325,11 @@ class PLLoop:
         rows and translating them by den times a lattice vector keeps
         gcd(den, coordinates) = 1 and keeps the closure, so those passes
         would prove nothing new. ``_store`` still rejects constant segments.
-        A loop built here is its own normal form, so its ``canonical`` is
-        itself, without another least rotation.
+        Every call runs one least rotation; ``StringCycle`` keeps its stored
+        loops canonical, so it calls this only on loops it is given.
         """
-        if self._is_canonical:
-            return self
         loop = PLLoop.__new__(PLLoop)
         loop._store(self.space, self.closure, *self._least_lift())
-        loop._is_canonical = True
         return loop
 
     def __repr__(self) -> str:

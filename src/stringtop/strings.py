@@ -2,18 +2,18 @@
 
 Everything here is exact. Crossings are found on integers: both lifts
 are scaled to one common denominator (``PLLoop.integer_lift``), crossings
-are tested with integer cross products, and ``Fraction`` values are built
-only for the crossings found. Each segment pair is tried against the
-deck translations that bring the two closed segment boxes together, one
-integer range per axis. ``concatenate`` checks the crossing on both integer
-lifts and splices them, as 2-D integer rows over one common denominator,
-into one ``PLLoop._from_lift``; ``PLLoop.canonical`` stores the least
-rotation of those rows without validating them again. So a bracket output
-stays on integers from its crossing to its stored term; its ``Fraction``
-vertices are formed only on demand. Formal cycles carry integer
-coefficients on rotation-normalized loops. Non-transversal contact (overlapping segments, crossings at
-vertices or marked points) raises ``TransversalityError`` instead of
-being perturbed away silently.
+are tested with integer cross products, and a crossing found is recorded
+as its two parameters (``Fraction``), its sign and its deck offset. Each
+segment pair is tried against the deck translations that bring the two
+closed segment boxes together, one integer range per axis. ``concatenate``
+reads the crossing off both integer lifts (``PLLoop.lift_point``) and
+splices them, as 2-D integer rows over one common denominator, into one
+``PLLoop._from_lift``; ``PLLoop.canonical`` stores the least rotation of
+those rows without validating them again. So a bracket output stays on
+integers from its crossing to its stored term. Formal cycles carry integer
+coefficients on rotation-normalized loops. Non-transversal contact
+(overlapping segments, crossings at vertices or marked points) raises
+``TransversalityError`` instead of being perturbed away silently.
 
 The degree-0 bracket of two cycles on a surface sums, over transversal
 intersection points p of their representatives, the loop concatenated at
@@ -40,17 +40,16 @@ class TransversalityError(ValueError):
 
 @dataclass(frozen=True)
 class IntersectionPoint:
-    """One transversal crossing of two loops.
+    """One transversal crossing of two loops, by the four facts that fix it.
 
-    s, s_bar: loop parameters of the crossing on each loop;
-    point: crossing location on the first loop's lift;
+    s, s_bar: loop parameters of the crossing on each loop, so the point
+    on the first loop's lift is ``loop.lift_point(s)``;
     sign: orientation of the (velocity, bar-velocity) frame, +1 or -1;
     offset: deck translation with gamma(s) = gammabar(s_bar) + offset.
     """
 
     s: Fraction
     s_bar: Fraction
-    point: tuple[Fraction, ...]
     sign: int
     offset: tuple[int, ...]
 
@@ -122,10 +121,6 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
                         IntersectionPoint(
                             s=Fraction(i * den + tn, den * k1),
                             s_bar=Fraction(j * den + rn, den * k2),
-                            point=(
-                                Fraction(px * den + tn * dpx, unit * den),
-                                Fraction(py * den + tn * dpy, unit * den),
-                            ),
                             sign=1 if cross > 0 else -1,
                             offset=(l1, l2),
                         )
@@ -134,41 +129,30 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
     return found
 
 
-def _on_segment(loop: PLLoop, t: Fraction, point, offset) -> int | None:
-    """The segment index of t if ``point`` is loop(t) + offset, else None.
-
-    The test is an exact cross-multiplication against the integer lift
-    point x / den at t (``PLLoop.lift_point``): point * den == x + offset * den.
-    Segment i = floor(t K) holds t, and the last one holds t = 1.
-    """
-    den, (x, y) = loop.lift_point(t)
-    (cx, cy), (ox, oy) = point, offset
-    if cx.numerator * den != cx.denominator * (x + ox * den) or cy.numerator * den != cy.denominator * (y + oy * den):
-        return None
-    k = loop.num_segments
-    return min(t.numerator * k // t.denominator, k - 1)
-
-
 def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
     """The loop that runs around ``loop`` from p and then around ``other``.
 
-    The marked point of the result is p. The two integer lifts are spliced
-    over unit = lcm(both denominators, the denominators of p.point), at
-    the exact crossing parameters; the second lift is translated so the
-    two circuits join, and the closure vectors add.
+    The marked point of the result is p = x0 / den = ``loop.lift_point(p.s)``,
+    which must equal ``other.lift_point(p.s_bar)`` plus the offset, or the
+    record is stale. Segment i = floor(s K) holds s, the last one s = 1.
+    The two integer lifts are spliced over unit = lcm(both denominators,
+    the least denominator of p), so unit is the least denominator of the
+    result; the second lift is translated so the two circuits join, and the
+    closure vectors add.
     """
-    i = _on_segment(loop, p.s, p.point, (0, 0))
-    if i is None:
-        raise ValueError("stale intersection point: not on the first loop")
-    j = _on_segment(other, p.s_bar, p.point, p.offset)
-    if j is None:
-        raise ValueError("stale intersection point: not on the second loop")
+    den, (x0, y0) = loop.lift_point(p.s)
+    dbar, (xb, yb) = other.lift_point(p.s_bar)
+    ox, oy = p.offset
+    if x0 * dbar != (xb + ox * dbar) * den or y0 * dbar != (yb + oy * dbar) * den:
+        raise ValueError("stale intersection point: the loops do not meet at (s, s_bar, offset)")
+    k1, k2 = loop.num_segments, other.num_segments
+    i = min(p.s.numerator * k1 // p.s.denominator, k1 - 1)
+    j = min(p.s_bar.numerator * k2 // p.s_bar.denominator, k2 - 1)
     (den1, pts1), (den2, pts2) = loop.integer_lift(), other.integer_lift()
-    (px, py), (ox, oy) = p.point, p.offset
     (m1, n1), (m2, n2) = loop.closure, other.closure
-    unit = math.lcm(den1, den2, px.denominator, py.denominator)
+    unit = math.lcm(den1, den2, den // math.gcd(den, x0, y0))
     s1, s2 = unit // den1, unit // den2
-    x0, y0 = px.numerator * (unit // px.denominator), py.numerator * (unit // py.denominator)
+    x0, y0 = x0 * unit // den, y0 * unit // den
     # lift vertices i + 1 .. i + K1 of the first loop lead to p + closure (w);
     # the second lift is translated there, by tau = unit (offset + closure of
     # the first), and past its own wrap by tau plus unit times its closure (v)
@@ -331,10 +315,11 @@ def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:
 
 
 def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCycle:
-    """Signed cyclic sum eta(x,z) {{x;y};z}; zero on classes, not on chains.
+    """Signed cyclic sum eta(x,z) {{x;y};z}, formed on chains.
 
-    The chain-level result depends on where concatenations happen, so only
-    its class reduction is contractually zero; callers report both.
+    The suite checks that its class reduction is zero (Goldman). The chain
+    itself was zero too on every non-degenerate random triple tested
+    (``tests/test_strings.py``), a stronger statement than the suite's.
     """
     out = StringCycle.zero(a.space)
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):

@@ -577,7 +577,6 @@ def intersections_fraction(loop: PLLoop, other: PLLoop) -> list[IntersectionPoin
                     IntersectionPoint(
                         s=(i + t) / k1,
                         s_bar=(j + r) / k2,
-                        point=tuple(a + t * d for a, d in zip(p0, dp)),
                         sign=1 if _cross(dp, dq) > 0 else -1,
                         offset=lam,
                     )
@@ -589,23 +588,22 @@ def intersections_fraction(loop: PLLoop, other: PLLoop) -> list[IntersectionPoin
 def concatenate_fraction(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
     """Oracle: ``strings.concatenate`` with every vertex formed as a Fraction.
 
-    Both staleness checks recompute the crossing with ``point_at``; the
-    result goes through the ``PLLoop`` constructor.
+    The crossing point is ``point_at(p.s)``, checked against the second
+    loop's ``point_at(p.s_bar)`` plus the offset; the result goes through
+    the ``PLLoop`` constructor.
     """
-    if loop.point_at(p.s) != p.point:
-        raise ValueError("stale intersection point: not on the first loop")
-    shifted = tuple(c + o for c, o in zip(other.point_at(p.s_bar), p.offset))
-    if shifted != p.point:
-        raise ValueError("stale intersection point: not on the second loop")
+    point = loop.point_at(p.s)
+    if tuple(c + o for c, o in zip(other.point_at(p.s_bar), p.offset)) != point:
+        raise ValueError("stale intersection point: the loops do not meet at (s, s_bar, offset)")
     k1, k2 = loop.num_segments, other.num_segments
     i = segment_of(loop, p.s)[0]
     j = segment_of(other, p.s_bar)[0]
     # after the first circuit the path sits at p + closure; the second lift
     # is translated there: tau = offset + closure of the first loop
     tau = tuple(o + c for o, c in zip(p.offset, loop.closure))
-    verts = [p.point]
+    verts = [point]
     verts += [loop.vertex(i + m) for m in range(1, k1 + 1)]
-    verts += [tuple(a + c for a, c in zip(p.point, loop.closure))]
+    verts += [tuple(a + c for a, c in zip(point, loop.closure))]
     verts += [tuple(a + c for a, c in zip(other.vertex(j + m), tau)) for m in range(1, k2 + 1)]
     closure = tuple(a + b for a, b in zip(loop.closure, other.closure))
     return PLLoop(loop.space, verts, closure)

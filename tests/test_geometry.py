@@ -181,12 +181,17 @@ def cover(loop, m):
 
 def test_least_rotation_matches_brute_force():
     rng = np.random.default_rng(40)
+    assert least_rotation(()) == 0 and least_rotation([]) == 0
+    seqs = [[3] * n for n in range(1, 6)] + [[1, 0] * n for n in range(1, 5)] + [[0, 2] * n for n in range(1, 5)]
     for _ in range(500):
         seq = [int(x) for x in rng.integers(0, 3, int(rng.integers(1, 13)))]
         if rng.random() < 0.3:
             seq = seq[: max(1, len(seq) // 3)] * 3
-        r = least_rotation(seq)
-        assert seq[r:] + seq[:r] == min(seq[i:] + seq[:i] for i in range(len(seq)))
+        seqs.append(seq)
+    for seq in seqs:
+        for cand in (seq, tuple(seq)):
+            r = least_rotation(cand)
+            assert cand[r:] + cand[:r] == min(cand[i:] + cand[:i] for i in range(len(cand)))
 
 
 def test_integer_lift_is_the_lift_over_the_common_denominator():
@@ -324,6 +329,6 @@ def test_canonical_stores_the_least_lift_that_from_lift_validates():
                 ref = PLLoop._from_lift(Torus(2), *v._least_lift())
                 assert canon.integer_lift() == ref.integer_lift()
                 assert (canon.vertices, canon.closure) == (ref.vertices, ref.closure) == normal_form_rotations(v)
-                assert canon.canonical() is canon
+                assert canon.canonical().integer_lift() == canon.integer_lift()
                 rebuilt = PLLoop(Torus(2), canon.vertices, canon.closure)
                 assert rebuilt.canonical().integer_lift() == canon.integer_lift()

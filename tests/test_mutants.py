@@ -119,6 +119,13 @@ def test_the_unmutated_suite_passes():
     assert failing_checks() == set()
 
 
+@pytest.mark.parametrize("name", sorted(CAUGHT_BY_NOTHING_YET))
+def test_an_uncaught_mutant_runs_and_passes_every_check(monkeypatch, name):
+    """The strict xfail below would also pass if the mutant crashed; this one would not."""
+    MUTANTS[name][0](monkeypatch)
+    assert failing_checks() == set()
+
+
 @pytest.mark.parametrize(
     "name",
     [

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import canonical_rotations, concatenate_fraction, intersections_fraction, normal_form_rotations, segment_of
+from oracles import canonical_rotations, concatenate_fraction, intersections_fraction, normal_form_rotations
 from stringtop import strings
 from stringtop.geometry import PLLoop, Torus
 from stringtop.harness import gen_random_loop
@@ -67,7 +68,7 @@ def test_straight_torus_lifts_cross_once():
     assert len(pts) == 1
     p = pts[0]
     assert (p.s, p.s_bar, p.sign, p.offset) == (F(1, 3), F(4, 5), 1, (0, -1))
-    assert p.point == (F(1, 3), F(0))
+    assert g1.point_at(p.s) == (F(1, 3), F(0))
 
 
 def small(verts):
@@ -79,7 +80,7 @@ def test_diamond_and_band_cross_twice_with_opposite_signs():
     diamond = small([(1, 0), (0, 1), (-1, 0), (0, -1)])
     band = small([(-2, F(1, 3)), (2, F(1, 3)), (2, 2), (-2, 2)])
     pts = intersections(diamond, band)
-    assert [(p.point, p.sign, p.offset) for p in pts] == [
+    assert [(diamond.point_at(p.s), p.sign, p.offset) for p in pts] == [
         ((F(1, 12), F(1, 24)), -1, (0, 0)),
         ((F(-1, 12), F(1, 24)), 1, (0, 0)),
     ]
@@ -108,6 +109,12 @@ def crossings_or_error(find, loop, other):
         return find(loop, other)
     except TransversalityError as err:
         return str(err)
+
+
+def assert_crossings_meet(loop, other, pts):
+    """Each record locates its crossing: gamma(s) = gammabar(s_bar) + offset."""
+    for p in pts:
+        assert loop.point_at(p.s) == tuple(c + o for c, o in zip(other.point_at(p.s_bar), p.offset))
 
 
 def grid_loop(rng, den, cls):
@@ -142,6 +149,7 @@ def test_intersections_match_the_fraction_oracle(random_class, den, pairs):
         if isinstance(got, str):
             degenerate += 1
         elif got:
+            assert_crossings_meet(loop, other, got)
             crossed += 1
     assert crossed >= 20
     assert degenerate >= (10 if den == 4 else 0)
@@ -152,6 +160,7 @@ def test_mixed_denominators_match_the_fraction_oracle():
     other = PLLoop(TORUS, [(F(1, 128), F(-1, 3)), (F(9, 7), F(1, 2))], closure=(2, -1))
     pts = intersections(loop, other)
     assert len(pts) >= 3 and pts == intersections_fraction(loop, other)
+    assert_crossings_meet(loop, other, pts)
 
 
 def test_degenerate_contact_at_a_nonzero_deck_offset_still_raises():
@@ -179,7 +188,7 @@ def test_concatenation_adds_classes_and_marks_the_crossing():
     p = intersections(g1, g2)[0]
     cat = concatenate(g1, g2, p)
     assert cat.lattice_class() == (1, 1)
-    assert cat.vertices[0] == p.point
+    assert cat.vertices[0] == g1.point_at(p.s)
     assert cat.num_segments == g1.num_segments + g2.num_segments + 2
 
 
@@ -197,10 +206,11 @@ def test_stale_points_raise_the_texts_of_the_fraction_oracle():
     g1 = wiggly_rep(rng, (2, 1))
     g2 = wiggly_rep(rng, (-1, 1))
     p = next(p for p in intersections(g1, g2) if any(p.offset))
+    apart = "stale intersection point: the loops do not meet"
     cases = [
-        (dataclasses.replace(p, s=(p.s + F(1, 7)) % 1), "stale intersection point: not on the first loop"),
-        (dataclasses.replace(p, s_bar=(p.s_bar + F(1, 7)) % 1), "stale intersection point: not on the second loop"),
-        (dataclasses.replace(p, offset=(p.offset[0] + 1, p.offset[1])), "stale intersection point: not on the second loop"),
+        (dataclasses.replace(p, s=(p.s + F(1, 7)) % 1), apart),
+        (dataclasses.replace(p, s_bar=(p.s_bar + F(1, 7)) % 1), apart),
+        (dataclasses.replace(p, offset=(p.offset[0] + 1, p.offset[1])), apart),
         (dataclasses.replace(p, s=F(3, 2)), "parameter must lie in"),
         (dataclasses.replace(p, s=F(-1, 5)), "parameter must lie in"),
         (dataclasses.replace(p, s_bar=F(6, 5)), "parameter must lie in"),
@@ -211,29 +221,40 @@ def test_stale_points_raise_the_texts_of_the_fraction_oracle():
                 cat(g1, g2, stale)
 
 
-def test_the_integer_segment_check_matches_the_fraction_route():
-    """``_on_segment`` on the integer lift against point_at(t) + offset in Fractions."""
+def test_crossing_records_are_checked_like_the_fraction_route():
+    """``concatenate`` reads a record's point off both lifts; the oracle reads it with ``point_at``.
+
+    True crossings give one lift on both routes. A record with s, s_bar or
+    the offset moved is stale on both, and s outside [0, 1] is out of range.
+    """
     rng = np.random.default_rng(21)
     mixed = PLLoop(TORUS, [(F(-1, 3), F(1, 128)), (F(2, 3), F(-1, 7)), (F(1, 5), F(5, 3))], closure=(1, 2))
-    loops = [mixed] + [grid_loop(rng, den, tuple(int(x) for x in rng.integers(-3, 4, 2))) for den in (1, 3, 128) * 8]
+    loops = [mixed] + [grid_loop(rng, den, tuple(int(x) for x in rng.integers(-3, 4, 2))) for den in (1, 3, 128) * 12]
+    loops = list(filter(None, loops))
     checked = 0
-    for loop in filter(None, loops):
-        k = loop.num_segments
-        ts = [F(i, k) for i in range(k + 1)] + [F(int(rng.integers(0, q + 1)), q) for q in map(int, rng.integers(1, 300, 6))]
-        for t in ts:
-            i = segment_of(loop, t)[0]
-            for offset in ((0, 0), tuple(int(x) for x in rng.integers(-3, 4, 2))):
-                point = tuple(c + o for c, o in zip(loop.point_at(t), offset))
-                assert strings._on_segment(loop, t, point, offset) == i
-                assert strings._on_segment(loop, t, (point[0], point[1] + F(1, 1009)), offset) is None
-                assert strings._on_segment(loop, t, (point[0] - F(1, 1009), point[1]), offset) is None
-                assert strings._on_segment(loop, t, point, (offset[0] + 1, offset[1])) is None
-                checked += 1
-        for t in (F(-1, 7), F(8, 7), F(-1), F(2)):
-            for route in (loop.point_at, lambda t: strings._on_segment(loop, t, (F(0), F(0)), (0, 0))):
-                with pytest.raises(ValueError, match=r"parameter must lie in \[0, 1\]"):
-                    route(t)
-    assert checked > 300
+    for loop, other in zip(loops, loops[1:]):
+        try:
+            pts = intersections(loop, other)
+        except TransversalityError:
+            continue
+        for p in pts[:4]:
+            assert concatenate(loop, other, p).integer_lift() == concatenate_fraction(loop, other, p).integer_lift()
+            du = F(1, int(rng.integers(2, 300)))
+            for moved in (
+                dataclasses.replace(p, s=min(p.s + du, F(1))),
+                dataclasses.replace(p, s=max(p.s - du, F(0))),
+                dataclasses.replace(p, s_bar=min(p.s_bar + du, F(1))),
+                dataclasses.replace(p, offset=(p.offset[0], p.offset[1] - 1)),
+            ):
+                for cat in (concatenate, concatenate_fraction):
+                    with pytest.raises(ValueError, match="stale intersection point"):
+                        cat(loop, other, moved)
+            for s in (F(-1, 7), F(8, 7), F(-1), F(2)):
+                for cat in (concatenate, concatenate_fraction):
+                    with pytest.raises(ValueError, match=r"parameter must lie in \[0, 1\]"):
+                        cat(loop, other, dataclasses.replace(p, s=s))
+            checked += 1
+    assert checked > 30
 
 
 def assert_concatenation_matches_the_oracle(loop, other, p):
@@ -306,7 +327,7 @@ def test_concatenation_is_rotation_equivariant():
     q = next(
         q
         for q in intersections(rotated, g2)
-        if all((qc - pc) % 1 == 0 for qc, pc in zip(q.point, p.point))
+        if all((qc - pc) % 1 == 0 for qc, pc in zip(rotated.point_at(q.s), g1.point_at(p.s)))
     )
     assert concatenate(g1, g2, p).normal_form() == concatenate(rotated, g2, q).normal_form()
 
@@ -319,7 +340,7 @@ def test_subdividing_a_loop_changes_no_signs():
     fine = g1.subdivide_segment(1, F(1, 3))
     pts_fine = intersections(fine, g2)
     assert [p.sign for p in pts] == [p.sign for p in pts_fine]
-    assert {p.point for p in pts} == {p.point for p in pts_fine}
+    assert {g1.point_at(p.s) for p in pts} == {fine.point_at(p.s) for p in pts_fine}
     a, b = StringCycle.from_loop(g1), StringCycle.from_loop(g2)
     # chains differ by the extra collinear vertex, classes must not
     assert (
@@ -378,24 +399,33 @@ def test_each_bracket_term_builds_one_loop(monkeypatch):
     from_lift, least_lift = PLLoop._from_lift.__func__, PLLoop._least_lift
     monkeypatch.setattr(PLLoop, "_from_lift", classmethod(lambda cls, *args: builds.append(1) or from_lift(cls, *args)))
     monkeypatch.setattr(PLLoop, "_least_lift", lambda self: rotations.append(1) or least_lift(self))
-    string_bracket(a, b)
+    bracket = string_bracket(a, b)
     assert len(builds) == len(rotations) == crossings
-
-
-def test_rewrapping_canonical_terms_runs_no_least_rotation(monkeypatch):
-    rng = np.random.default_rng(13)
-    bracket = bracket_of_classes(rng, (1, 2), (2, -1))
-    assert len(bracket.terms) > 1
-    calls = []
-    least_lift = PLLoop._least_lift
-    monkeypatch.setattr(PLLoop, "_least_lift", lambda self: calls.append(1) or least_lift(self))
-    again = StringCycle(TORUS, bracket.terms)
-    assert calls == []
-    assert again == bracket and again.terms == bracket.terms
-    # a canonical loop's canonical() is itself, with the lift a fresh build gives
+    # re-wrapping canonical terms gives the same cycle, and each term the lift a validated build gives
+    assert StringCycle(TORUS, bracket.terms) == bracket
     for _, loop in bracket.terms:
-        assert loop.canonical() is loop
-        assert PLLoop._from_lift(TORUS, *least_lift(loop)).integer_lift() == loop.integer_lift()
+        assert from_lift(PLLoop, TORUS, *least_lift(loop)).integer_lift() == loop.integer_lift()
+
+
+def test_each_splice_is_over_the_least_denominator(monkeypatch):
+    """``concatenate`` hands ``_from_lift`` rows with no common factor to divide out."""
+    rng = np.random.default_rng(15)
+    splices = []
+    from_lift = PLLoop._from_lift.__func__
+
+    def record(cls, space, den, pts):
+        splices.append(math.gcd(den, *(c for row in pts for c in row)))
+        return from_lift(cls, space, den, pts)
+
+    monkeypatch.setattr(PLLoop, "_from_lift", classmethod(record))
+    for _ in range(50):
+        a, b = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(2))
+        try:
+            string_bracket(a, b)
+        except TransversalityError:
+            continue
+    assert len(splices) > 100
+    assert set(splices) == {1}
 
 
 # -- the bracket --------------------------------------------------------------------
@@ -445,6 +475,22 @@ def test_bracket_matches_goldman_oracle_on_random_pairs():
         expected = {} if coeff == 0 else {total: coeff}
         assert br.class_reduction() == expected, (cls1, cls2)
         checked += 1
+
+
+def test_jacobi_residual_is_zero_on_chains():
+    """On transversal random triples the residual vanishes as a chain, not only on classes."""
+    zero = drawn = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            a, b, c = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(3))
+            try:
+                res = jacobi_residual(a, b, c)
+            except TransversalityError:
+                continue
+            drawn += 1
+            zero += res.is_zero
+    assert drawn > 80 and zero == drawn
 
 
 def test_jacobi_residual_reduces_to_zero():

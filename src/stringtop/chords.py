@@ -1,19 +1,20 @@
 """Chord diagrams, their relations, and evaluation against holonomy data.
 
-A diagram is a set of oriented circles carrying representation labels,
-with a perfect matching (arcs) on the endpoint labels distributed over
-the circles. A realization maps each circle to a loop and each endpoint
-to a loop parameter so that matched endpoints land on the same point of
-the space. Evaluation inserts contracted basis elements at the endpoints
-and multiplies the traces of the resulting alternating products; the
-basis sums are one tensor contraction of per-arc Casimir tensors with the
-transports between endpoints (``evaluate_diagram``).
+A diagram is a set of oriented circles labelled ``std:n``, the standard
+representation of gl(n), with a perfect matching (arcs) on the endpoint
+labels distributed over the circles. A realization maps each circle to a
+loop and each endpoint to a loop parameter so that matched endpoints land
+on the same point of the space. Evaluation inserts contracted basis
+elements at the endpoints and multiplies the traces of the resulting
+alternating products: one tensor contraction of the gl(n) Casimir tensor,
+once per arc, with the transports between endpoints (``evaluate_diagram``).
+Two circles joined by one arc at a crossing, summed over the crossings with
+their signs, give the observable bracket ``brackets.wilson_field_bracket``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import string
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -23,13 +24,12 @@ import numpy as np
 from .geometry import PLLoop, least_rotation
 from .lierep import LieBasis
 from .holonomy import transport, wrap_transport
-from .strings import TransversalityError, degree_zero_prefactor, intersections
+from .strings import TransversalityError
 
 __all__ = [
     "ChordDiagram",
     "Circle",
     "DiagramRealization",
-    "chord_bracket_degree0",
     "evaluate_diagram",
     "four_t_combination",
     "gln_ideal_element",
@@ -41,21 +41,19 @@ class Circle(NamedTuple):
     endpoints: tuple[str, ...]
 
 
-def parse_rep(label: str) -> tuple[str, int]:
-    kind, _, size = label.partition(":")
-    if kind not in ("std", "diag") or not size.isdigit() or int(size) < 1:
+def parse_rep(label: str) -> int:
+    """n of the label ``std:n``, spelled canonically: equal representations
+    get equal labels, which ``gln_ideal_element`` compares."""
+    size = label.partition(":")[2]
+    n = int(size) if size.isdecimal() else 0
+    if n < 1 or label != f"std:{n}":
         raise ValueError(f"unknown representation {label!r}")
-    return kind, int(size)
+    return n
 
 
-def _rep_stack(kind: str, n: int) -> np.ndarray:
+def _rep_stack(n: int) -> np.ndarray:
     """R(E_a) for every matrix unit E_a of gl(n), as an (n^2, n, n) stack."""
-    stack = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-    if kind == "diag":
-        # diagonal subalgebra padded by zero: not a representation of the
-        # full algebra, used to show the trace ideal is gl(n)-specific
-        stack[[a for a in range(n * n) if a % (n + 1)]] = 0
-    return stack
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
 class ChordDiagram:
@@ -233,8 +231,8 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
     is involved.
 
     The whole value is one tensor contraction (Bar-Natan's gl(N) weight
-    system): arc (p, q) is the Casimir tensor
-    sum_a R_p(E_a)[x, y] R_q(E_a*)[z, w], with E_a* the kappa-dual unit;
+    system): every arc (p, q) is one Casimir tensor, built once per call,
+    sum_a R(E_a)[x, y] R(E_a*)[z, w], with E_a* the kappa-dual unit;
     endpoint m of a circle carries the index pair (in_m, out_m), the hop
     after it (out_m, in_{m+1}), and the last hop closes the trace at in_1.
     An empty circle is the trace of its full transport. Every endpoint
@@ -243,9 +241,8 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
     planned once per subscripts and operand shapes and then reused.
     """
     diag = realization.diagram
-    reps = [parse_rep(c.rep) for c in diag.circles]
-    for _, size in reps:
-        if size != conn.n:
+    for c in diag.circles:
+        if parse_rep(c.rep) != conn.n:
             raise ValueError("representation size differs from the connection")
     n_index = sum(2 * len(c.endpoints) or 1 for c in diag.circles)
     if n_index > len(_LETTERS):
@@ -254,7 +251,8 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
         )
     basis = LieBasis(conn.n)
     dual = [basis.dual(a) for a in range(basis.dim)]
-    stacks = {kind: _rep_stack(kind, conn.n) for kind in {k for k, _ in reps}}
+    stack = _rep_stack(conn.n)
+    casimir = np.einsum("axy,azw->xyzw", stack, stack[dual])
 
     letters = iter(_LETTERS)
     slot: dict[str, str] = {}  # endpoint label -> its (in, out) index pair
@@ -277,10 +275,8 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
             terms.append(slot[labels[pos]][1] + slot[labels[(pos + 1) % len(labels)]][0])
             operands.append(seg)
     for p, q in diag.arcs:
-        r_p = stacks[reps[diag.circle_of(p)][0]]
-        r_q = stacks[reps[diag.circle_of(q)][0]][dual]
         terms.append(slot[p] + slot[q])
-        operands.append(np.einsum("axy,azw->xyzw", r_p, r_q))
+        operands.append(casimir)
     spec = ",".join(terms) + "->"
     path = _contraction_path(spec, tuple(op.shape for op in operands))
     return complex(np.einsum(spec, *operands, optimize=path))
@@ -367,86 +363,3 @@ def gln_ideal_element(
     circles = [(c.rep, c.endpoints) if isinstance(c, Circle) else c for c in circles]
     return [(1, diagram), (-1, ChordDiagram(circles, rest))]
 
-
-# -- degree-0 bracket -------------------------------------------------------------
-
-
-def _insert_endpoint(
-    rep: str,
-    ordered: Sequence[str],
-    params: Mapping[str, Fraction],
-    label: str,
-    s: Fraction,
-) -> tuple[str, tuple[str, ...]]:
-    """Insert a label into a traversal-ordered endpoint sequence by parameter."""
-    if any(params[l] == s for l in ordered):
-        raise ValueError("crossing collides with an existing endpoint parameter")
-    at = 0
-    while at < len(ordered) and params[ordered[at]] < s:
-        at += 1
-    new = tuple(ordered[:at]) + (label,) + tuple(ordered[at:])
-    return (rep, new)
-
-
-def chord_bracket_degree0(
-    a: Sequence[tuple[int, DiagramRealization]],
-    abar: Sequence[tuple[int, DiagramRealization]],
-) -> list[tuple[int, DiagramRealization]]:
-    """Bracket of realized diagram combinations: one new arc per crossing.
-
-    For every transversal crossing between a circle of a term of ``a`` and
-    a circle of a term of ``abar``, emit the union diagram with a fresh
-    arc at the crossing, weighted by the crossing sign and coefficients.
-    """
-    out: list[tuple[int, DiagramRealization]] = []
-    counter = itertools.count()
-    for ca, ra in a:
-        for cb, rb in abar:
-            common = set(ra.diagram._circle_of) & set(rb.diagram._circle_of)
-            if common:
-                raise ValueError(f"endpoint labels {sorted(common)} appear on both sides")
-            pref = degree_zero_prefactor(0, 0)
-            for i, loop_i in enumerate(ra.loops):
-                for j, loop_j in enumerate(rb.loops):
-                    for pt in intersections(loop_i, loop_j):
-                        k = next(counter)
-                        lab_a, lab_b = f"_br{k}a", f"_br{k}b"
-                        circles = []
-                        params = dict(ra.params)
-                        params.update(rb.params)
-                        params[lab_a] = pt.s
-                        params[lab_b] = pt.s_bar
-                        for ii, circle in enumerate(ra.diagram.circles):
-                            if ii == i:
-                                circles.append(
-                                    _insert_endpoint(
-                                        circle.rep,
-                                        ra.ordered_endpoints(ii),
-                                        params,
-                                        lab_a,
-                                        pt.s,
-                                    )
-                                )
-                            else:
-                                circles.append((circle.rep, circle.endpoints))
-                        for jj, circle in enumerate(rb.diagram.circles):
-                            if jj == j:
-                                circles.append(
-                                    _insert_endpoint(
-                                        circle.rep,
-                                        rb.ordered_endpoints(jj),
-                                        params,
-                                        lab_b,
-                                        pt.s_bar,
-                                    )
-                                )
-                            else:
-                                circles.append((circle.rep, circle.endpoints))
-                        arcs = list(ra.diagram.arcs) + list(rb.diagram.arcs)
-                        arcs.append((lab_a, lab_b))
-                        diagram = ChordDiagram(circles, arcs)
-                        realization = DiagramRealization(
-                            diagram, list(ra.loops) + list(rb.loops), params
-                        )
-                        out.append((ca * cb * pref * pt.sign, realization))
-    return out

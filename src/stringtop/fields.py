@@ -154,10 +154,10 @@ class ConstantCommutingConnection:
 
     dA = 0 for constant coefficients and A ^ A = [A_1, A_2] dx^1 dx^2, so
     commutation is exactly flatness; it is validated at construction,
-    once, relative to the matrix scale, and ``is_zero`` is fixed there
-    too: the matrices are never changed afterwards. The single-exponential
-    ``holonomy.transport`` relies on it. There is one matrix per torus
-    direction: ``field_obstruction`` gives A_mu the form bit of dx^mu.
+    once, relative to the matrix scale: the matrices are never changed
+    afterwards. The single-exponential ``holonomy.transport`` relies on
+    it. There is one matrix per torus direction: ``field_obstruction``
+    gives A_mu the form bit of dx^mu.
     """
 
     def __init__(self, mats: Sequence[np.ndarray]) -> None:
@@ -176,7 +176,6 @@ class ConstantCommutingConnection:
             raise ValueError(
                 f"direction matrices do not commute (flatness residual {residual:.3e})"
             )
-        self.is_zero = not any(m.any() for m in self.mats)
 
     def matrix_of(self, velocity: Sequence) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)
@@ -349,20 +348,13 @@ def field_obstruction(config: FieldConfig, conn: ConstantCommutingConnection) ->
                 continue
             sign = merge_sign(bit, mask)
             out.append(FieldTerm(mask | bit, df.scale(sign), mat))
-    if not conn.is_zero:
-        for mu, a_mu in enumerate(conn.mats):
-            if not a_mu.any():
+    for mu, a_mu in enumerate(conn.mats):
+        bit = 1 << mu
+        for mask, field, mat in config.terms:
+            if mask & bit:
                 continue
-            bit = 1 << mu
-            for mask, field, mat in config.terms:
-                if mask & bit:
-                    continue
-                out.append(
-                    FieldTerm(mask | bit, field.scale(merge_sign(bit, mask)), a_mu @ mat)
-                )
-                out.append(
-                    FieldTerm(mask | bit, field.scale(merge_sign(mask, bit)), mat @ a_mu)
-                )
+            out.append(FieldTerm(mask | bit, field.scale(merge_sign(bit, mask)), a_mu @ mat))
+            out.append(FieldTerm(mask | bit, field.scale(merge_sign(mask, bit)), mat @ a_mu))
     for m1, f1, mat1 in config.terms:
         for m2, f2, mat2 in config.terms:
             if m1 & m2:

@@ -206,7 +206,7 @@ def transport(conn: ConstantCommutingConnection, loop: PLLoop, s=Fraction(0), t=
     t = Fraction(t)
     if not 0 <= s <= t <= 1:
         raise ValueError("need 0 <= s <= t <= 1")
-    if conn.is_zero or s == t:
+    if s == t:
         return np.eye(conn.n, dtype=complex)
     return expm(conn.matrix_of(_displacement(loop, s, t)))
 
@@ -221,8 +221,6 @@ def wrap_transport(conn: ConstantCommutingConnection, loop: PLLoop, s: Fraction,
     t = Fraction(t)
     if not 0 <= t <= s <= 1:
         raise ValueError("need 0 <= t <= s <= 1")
-    if conn.is_zero:
-        return np.eye(conn.n, dtype=complex)
     return expm(conn.matrix_of(_displacement(loop, s, t, wrap=True)))
 
 

@@ -619,14 +619,6 @@ def canonical_rotations(loop: PLLoop) -> PLLoop:
 # chord diagrams by explicit basis enumeration
 
 
-def _rep_matrix(kind: str, basis: LieBasis, a: int) -> np.ndarray:
-    """R(E_a): the matrix unit itself, or zero off the diagonal for "diag"."""
-    i, j = basis.unit(a)
-    if kind == "std" or i == j:
-        return basis.matrix(a)
-    return np.zeros((basis.n, basis.n), dtype=complex)
-
-
 def evaluate_diagram_enumerated(realization: DiagramRealization, conn) -> complex:
     """Oracle: ``chords.evaluate_diagram`` summed over every basis assignment.
 
@@ -636,7 +628,8 @@ def evaluate_diagram_enumerated(realization: DiagramRealization, conn) -> comple
     package contracts per-arc Casimir tensors instead.
     """
     diag = realization.diagram
-    kinds = [parse_rep(c.rep)[0] for c in diag.circles]
+    if any(parse_rep(c.rep) != conn.n for c in diag.circles):
+        raise ValueError("representation size differs from the connection")
     basis = LieBasis(conn.n)
     hops = []
     for idx, loop in enumerate(realization.loops):
@@ -651,8 +644,8 @@ def evaluate_diagram_enumerated(realization: DiagramRealization, conn) -> comple
     for assignment in itertools.product(range(basis.dim), repeat=len(diag.arcs)):
         ins: dict[str, np.ndarray] = {}
         for (p, q), a in zip(diag.arcs, assignment):
-            ins[p] = _rep_matrix(kinds[diag.circle_of(p)], basis, a)
-            ins[q] = _rep_matrix(kinds[diag.circle_of(q)], basis, basis.dual(a))
+            ins[p] = basis.matrix(a)
+            ins[q] = basis.matrix(basis.dual(a))
         val = 1 + 0j
         for idx in range(len(diag.circles)):
             prod = np.eye(conn.n, dtype=complex)

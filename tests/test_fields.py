@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from stringtop.fields import (
     FourierStack,
     field_obstruction,
 )
-from stringtop.geometry import Torus
+from stringtop.geometry import PLLoop, Torus
 from stringtop.grassmann import GradedCoefficient
+from stringtop.holonomy import transport, wrap_transport
 
 from oracles import (
     config_is_zero,
@@ -122,7 +124,6 @@ def test_connection_takes_one_matrix_per_torus_direction():
 
 def test_connection_contraction_and_gauge():
     conn = diag_connection()
-    assert not conn.is_zero
     np.testing.assert_allclose(
         conn.matrix_of((2.0, -1.0)), 2 * conn.mats[0] - conn.mats[1]
     )
@@ -132,8 +133,15 @@ def test_connection_contraction_and_gauge():
     for a, b in zip(gauged.mats, conn.mats):
         np.testing.assert_allclose(a, g @ b @ ginv, atol=1e-14)
     zero = ConstantCommutingConnection([np.zeros((2, 2))] * 2)
-    assert zero.is_zero
     assert not zero.matrix_of((1.0, 1.0)).any()
+    # exp of the zero matrix is the identity exactly, with no shortcut for it
+    loop = PLLoop(Torus(2), [(0, 0), (Fraction(1, 2), Fraction(1, 3))], closure=(1, 1))
+    for u in (
+        transport(zero, loop),
+        transport(zero, loop, Fraction(1, 3), Fraction(1, 2)),
+        wrap_transport(zero, loop, Fraction(1, 3), Fraction(1, 5)),
+    ):
+        assert np.array_equal(u, np.eye(2))
 
 
 # -- field configurations -------------------------------------------------------

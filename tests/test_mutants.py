@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stringtop import brackets, holonomy, strings
+from stringtop import brackets, chords, holonomy, strings
 from stringtop.harness import SuiteConfig, run_suite
 from stringtop.lierep import LieBasis
 
@@ -86,6 +86,18 @@ def casimir_without_dual(monkeypatch):
     monkeypatch.setattr(LieBasis, "dual", lambda self, a: a)
 
 
+def diagonal_pseudo_rep(monkeypatch):
+    """The off-diagonal matrix units represented by zero: no representation of gl(n)."""
+    rep_stack = chords._rep_stack
+
+    def diagonal(n):
+        stack = rep_stack(n)
+        stack[[a for a in range(n * n) if a % (n + 1)]] = 0
+        return stack
+
+    monkeypatch.setattr(chords, "_rep_stack", diagonal)
+
+
 def first_crossing(monkeypatch):
     """The bracket concatenates at the first crossing, whatever the crossing."""
     concatenate = strings.concatenate
@@ -103,6 +115,8 @@ MUTANTS = {
     "obstruction-without-cc": (obstruction_without_cc, {"fundamental"}),
     "displacement-from-zero": (displacement_from_zero, {"holonomy", "main-theorem", "chord-ideal"}),
     "casimir-without-dual": (casimir_without_dual, {"chord-ideal"}),
+    # the trace ideal is gl(n)-specific; the four-term relation is not
+    "diagonal-pseudo-rep": (diagonal_pseudo_rep, {"chord-ideal"}),
     # every suite connection commutes, so each crossing of a main-theorem
     # pair fuses the same trace; the non-abelian holonomy of ROADMAP item 3
     # is meant to make main-theorem see it

@@ -149,10 +149,6 @@ def _deformation_derivative(
     conn, config: FieldConfig, v: VariationField, plan: TransportPlan, eps: Fraction
 ) -> GradedCoefficient:
     """Central difference along v with step eps."""
-    if v.is_tangent:
-        # tangent fields reparametrize the loop, the derivative vanishes
-        return GradedCoefficient.zero(config.n_theta)
-
     up = wilson(conn, config, v.deform(eps), plan)
     down = wilson(conn, config, v.deform(-eps), plan)
     return (up - down).scale(1.0 / (2.0 * float(eps)))

@@ -25,10 +25,7 @@ integer lift.
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
 epsilon stays inside the exact PL category and never changes the closure
-word. A second, evaluation-only flavor represents the velocity field of
-the loop itself (discontinuous at corners, so not realizable by vertex
-displacements); it exists so that contractions with gamma' can be tested
-exactly.
+word.
 """
 
 from __future__ import annotations
@@ -342,30 +339,15 @@ class PLLoop:
 class VariationField:
     """A deformation direction for a PL loop.
 
-    The standard flavor assigns a displacement vector to each vertex and
-    interpolates affinely along segments; ``deform`` realizes the deformed
-    loop at a rational epsilon. The ``tangent`` flavor evaluates to the
-    loop's own velocity field and cannot deform (corner velocities are
-    two-sided); it exists for exact contraction checks.
+    It assigns a displacement vector to each vertex and interpolates
+    affinely along segments; ``deform`` realizes the deformed loop at a
+    rational epsilon.
     """
 
-    __slots__ = ("loop", "displacements", "is_tangent")
+    __slots__ = ("loop", "displacements")
 
-    def __init__(
-        self,
-        loop: PLLoop,
-        displacements: Sequence[Iterable] | None,
-        is_tangent: bool = False,
-    ) -> None:
+    def __init__(self, loop: PLLoop, displacements: Sequence[Iterable]) -> None:
         self.loop = loop
-        self.is_tangent = is_tangent
-        if is_tangent:
-            self.displacements = None
-            if displacements is not None:
-                raise ValueError("tangent variation takes no displacement data")
-            return
-        if displacements is None:
-            raise ValueError("displacement list required")
         d = loop.space.d
         disp = tuple(_as_point(v, d) for v in displacements)
         if len(disp) != loop.num_segments:
@@ -376,19 +358,12 @@ class VariationField:
     def from_displacements(cls, loop: PLLoop, disps: Sequence[Iterable]) -> "VariationField":
         return cls(loop, disps)
 
-    @classmethod
-    def tangent(cls, loop: PLLoop) -> "VariationField":
-        return cls(loop, None, is_tangent=True)
-
     def displacement(self, i: int) -> Point:
         """Displacement at vertex i (periodic: same at i and i + K)."""
-        assert self.displacements is not None
         return self.displacements[i % self.loop.num_segments]
 
     def deform(self, eps: Fraction) -> PLLoop:
         """The loop moved by eps times this field; closure is unchanged."""
-        if self.is_tangent:
-            raise ValueError("tangent variations cannot deform the loop")
         eps = _rat(eps)
         verts = [
             tuple(a + eps * b for a, b in zip(p, v))

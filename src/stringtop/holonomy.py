@@ -26,7 +26,8 @@ keeping the part linear in dt,
 
 with W^mu = sum_i w_i v_i^mu(t) built from the supplied variation fields
 on extra Grassmann generators w_i placed after the thetas. Form degree
-zero terms carry no dt factor and never enter the transport.
+zero terms carry no dt factor and never enter the transport, so a
+configuration of such terms alone takes the plain transport, exactly.
 
 The stepping runs on component stacks over the support of the fields. A
 Grassmann n x n matrix over the N = n_theta + len(variations) generators
@@ -77,13 +78,14 @@ field eta is the epsilon-part of the transport of C + epsilon eta, with
 epsilon an even product of two extra generators, so there is one
 stepping path for both.
 
-The symmetric step makes the error expansion even in h, so one Richardson
-level in h^2 is applied by default; with a tolerance set, steps double
-until two successive extrapolated values agree, up to a hard cap per
-segment on the finest grid evaluated (then ``QuadratureError``). A
-level's fine grid is the next level's coarse grid, and each grid is
-evaluated once. Midpoint nodes lie strictly inside segments, so the corner
-discontinuities of PL velocities are never sampled.
+The symmetric step makes the error expansion even in h, so every
+generalized transport applies one Richardson level in h^2; with a
+tolerance set, steps double until two successive extrapolated values
+agree, up to a hard cap per segment on the finest grid evaluated (then
+``QuadratureError``). A level's fine grid is the next level's coarse
+grid, and each grid is evaluated once. Midpoint nodes lie strictly inside
+segments, so the corner discontinuities of PL velocities are never
+sampled.
 """
 
 from __future__ import annotations
@@ -111,24 +113,23 @@ class QuadratureError(RuntimeError):
 class TransportPlan:
     """Discretization plan for generalized transports.
 
-    steps: sub-intervals per covered segment piece (before extrapolation).
-    richardson: extrapolation levels; 1 combines S and 2S values as
-        (4 T_{2S} - T_S) / 3, valid because the scheme's error is even in h.
+    Every plan applies one Richardson level: the values T_S and T_{2S} on
+    grids of S and 2S sub-intervals per piece combine as
+    (4 T_{2S} - T_S) / 3, valid because the scheme's error is even in h.
+
+    steps: S, sub-intervals per covered segment piece on the coarse grid.
     tol: if set, a positive distance: double steps until successive
         extrapolated values agree to it.
-    max_steps: per-segment cap on the finest grid evaluated, which is
-        2 * steps with one Richardson level.
+    max_steps: per-segment cap on the finest grid evaluated, at least the
+        2 * steps of the first level.
     """
 
     steps: int = 64
-    richardson: int = 1
     tol: float | None = None
     max_steps: int = 16384
 
     def __post_init__(self):
-        if self.richardson not in (0, 1):
-            raise ValueError("richardson must be 0 or 1")
-        if self.steps < 1 or self.max_steps < self.steps << self.richardson:
+        if self.steps < 1 or self.max_steps < 2 * self.steps:
             raise ValueError("bad step counts")
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive")
@@ -150,8 +151,6 @@ def _pieces(loop: PLLoop, s: Fraction, t: Fraction):
         raise ValueError("need 0 <= s <= t <= 1")
     pieces = []
     i = int(s * k)
-    if i == k:
-        i = k - 1
     while Fraction(i, k) < t:
         lo = max(s, Fraction(i, k))
         hi = min(t, Fraction(i + 1, k))
@@ -450,20 +449,14 @@ def _chain(factors: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
 # generalized transport
 
 
-def _needs_stepping(config: FieldConfig | None) -> bool:
-    return config is not None and any(
-        len(config.form_degree_bits(m)) >= 1 for m, _, _ in config.terms
-    )
-
-
 class _Walk:
     """The pieces of [s, t] and what every grid walk reads of them.
 
     Built once per transport, since none of it depends on the step count:
     each piece's span, start, velocity v, A(v), the local coordinate of
     its start and the start values and slopes of its legs. Leg values are
-    affine in the local coordinate u, a + u (b - a); a tangent field is
-    the piece velocity throughout.
+    affine in the local coordinate u, a + u (b - a), between the
+    displacements of the segment's two vertices.
     """
 
     def __init__(
@@ -483,12 +476,7 @@ class _Walk:
             starts.append(start)
             vels.append(vel)
             u_starts.append(float(lo) * self.k_seg - i)
-            leg_ends.append(
-                [
-                    [vel, vel] if var.is_tangent else [[float(c) for c in var.displacement(i + e)] for e in (0, 1)]
-                    for var in variations
-                ]
-            )
+            leg_ends.append([[[float(c) for c in var.displacement(i + e)] for e in (0, 1)] for var in variations])
         count, d = len(spans), loop.space.d
         self.spans, self.u_starts = np.array(spans), np.array(u_starts)
         self.starts, self.vels = (np.array(a).reshape(count, d) for a in (starts, vels))
@@ -530,10 +518,11 @@ def _gen_transport_fixed(slots: _Slots, walk: _Walk, steps: int) -> SuperMatrix:
 
 
 def _with_richardson(evaluate, plan: TransportPlan):
-    """Run ``evaluate(steps)`` under the plan's extrapolation/tolerance policy.
+    """One Richardson level of ``evaluate(steps)``, refined under the plan's tolerance.
 
-    Each step count is evaluated once: in tol mode a level's fine grid is
-    the next level's coarse grid.
+    A level evaluates its coarse grid, then its fine one. Each step count
+    is evaluated once: in tol mode a level's fine grid is the next level's
+    coarse grid.
     """
     values = {}
 
@@ -543,8 +532,6 @@ def _with_richardson(evaluate, plan: TransportPlan):
         return values[steps]
 
     def level(steps):
-        if plan.richardson == 0:
-            return at(steps)
         coarse = at(steps)
         fine = at(2 * steps)
         return fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)
@@ -554,8 +541,8 @@ def _with_richardson(evaluate, plan: TransportPlan):
     if plan.tol is None:
         return value
     while True:
-        # the next level's finest grid is 2 * steps, doubled by Richardson
-        if 2 * steps << plan.richardson > plan.max_steps:
+        # the next level's fine grid is twice its coarse grid of 2 * steps
+        if 4 * steps > plan.max_steps:
             raise QuadratureError(
                 f"no convergence to tol={plan.tol} within {plan.max_steps} steps/segment"
             )
@@ -568,7 +555,7 @@ def _with_richardson(evaluate, plan: TransportPlan):
 
 def gen_transport(
     conn: ConstantCommutingConnection,
-    config: FieldConfig | None,
+    config: FieldConfig,
     loop: PLLoop,
     s=Fraction(0),
     t=Fraction(1),
@@ -579,17 +566,13 @@ def gen_transport(
 
     The result lives in the Grassmann algebra on n_theta + len(variations)
     generators: thetas first, one leg generator per variation field after
-    them.
+    them. A config without terms of form degree >= 1 never enters M(t), so
+    its transport is the plain one, exactly.
     """
-    if config is None:
-        if variations:
-            raise ValueError("variations require a field configuration")
-        return SuperMatrix.from_body(transport(conn, loop, s, t), 0)
     if conn.n != config.n:
         raise ValueError("connection and field configuration sizes differ")
-    if not _needs_stepping(config):
-        body = transport(conn, loop, s, t)
-        return SuperMatrix.from_body(body, config.n_theta + len(variations))
+    if not any(config.form_degree_bits(m) for m, _, _ in config.terms):
+        return SuperMatrix.from_body(transport(conn, loop, s, t), config.n_theta + len(variations))
     slots = _Slots(config, len(variations), _support(config, len(variations)))
     walk = _Walk(conn, loop, Fraction(s), Fraction(t), variations)
     return _with_richardson(lambda steps: _gen_transport_fixed(slots, walk, steps), plan)
@@ -597,7 +580,7 @@ def gen_transport(
 
 def wilson(
     conn: ConstantCommutingConnection,
-    config: FieldConfig | None,
+    config: FieldConfig,
     loop: PLLoop,
     plan: TransportPlan = DEFAULT_PLAN,
     variations: Sequence[VariationField] = (),
@@ -608,7 +591,7 @@ def wilson(
 
 def insertion_derivative(
     conn: ConstantCommutingConnection,
-    config: FieldConfig | None,
+    config: FieldConfig,
     loop: PLLoop,
     eta: FieldConfig,
     plan: TransportPlan = DEFAULT_PLAN,
@@ -631,8 +614,6 @@ def insertion_derivative(
     configuration, and the Richardson levels and the tolerance act on the
     extracted coefficient over n_theta + len(variations) generators.
     """
-    if config is None:
-        config = FieldConfig(eta.space, eta.n, eta.n_theta, ())
     if eta.n != config.n or eta.n_theta != config.n_theta:
         raise ValueError("insertion field shape differs from transport field")
     n_theta, n_legs = config.n_theta, len(variations)

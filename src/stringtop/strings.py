@@ -317,9 +317,9 @@ def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:
 def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCycle:
     """Signed cyclic sum eta(x,z) {{x;y};z}, formed on chains.
 
-    The suite checks that its class reduction is zero (Goldman). The chain
-    itself was zero too on every non-degenerate random triple tested
-    (``tests/test_strings.py``), a stronger statement than the suite's.
+    Its class reduction is zero (Goldman). The suite checks the stronger
+    statement that the chain itself is zero, which held on every
+    non-degenerate random triple tested (``tests/test_strings.py``).
     """
     out = StringCycle.zero(a.space)
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):

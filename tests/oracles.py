@@ -151,13 +151,10 @@ def eval_field(
 # Richardson extrapolation.
 
 
-def _leg_values_at(variations: Sequence[VariationField], loop: PLLoop, piece, u: float):
+def _leg_values_at(variations: Sequence[VariationField], piece, u: float):
     i, _, _ = piece
     values = []
     for var in variations:
-        if var.is_tangent:
-            values.append(np.array([float(c) for c in segment_velocity(loop, i)]))
-            continue
         a = np.array([float(c) for c in var.displacement(i)])
         b = np.array([float(c) for c in var.displacement(i + 1)])
         values.append(a + u * (b - a))
@@ -242,7 +239,7 @@ def _midpoints(conn, loop, s, t, steps, variations, configs):
         rows = []
         for j in range(steps):
             pos = start + (j + 0.5) * h * vel
-            legs = _leg_values_at(variations, loop, piece, u_loc0 + (j + 0.5) * h * k_seg)
+            legs = _leg_values_at(variations, piece, u_loc0 + (j + 0.5) * h * k_seg)
             rows.append([insertion_matrix_at(c, pos, vel, legs, len(variations)) for c in configs])
         yield h, conn.matrix_of(vel), rows
 
@@ -296,7 +293,7 @@ def gen_transport_ode(
 
         def rhs(tau, y):
             pos = start + (tau - float(lo)) * vel
-            legs = _leg_values_at(variations, loop, piece, tau * k_seg - i)
+            legs = _leg_values_at(variations, piece, tau * k_seg - i)
             m = insertion_matrix_at(config, pos, vel, legs, len(variations))
             u = SuperMatrix._of(y.reshape(u_mat.components.shape))
             return (u @ (a_vel + m)).components.ravel()
@@ -393,11 +390,9 @@ def insertion_derivative_epsilon_stepwise(
 def variation_value_at(v: VariationField, t: Fraction) -> tuple:
     """Oracle: the exact value of v at t, which ``holonomy`` samples in floats.
 
-    A tangent field is the loop velocity there; otherwise the displacements
-    at the two ends of t's segment are interpolated affinely.
+    The displacements at the two ends of t's segment are interpolated
+    affinely.
     """
-    if v.is_tangent:
-        return velocity_at(v.loop, t)
     i, u = segment_of(v.loop, t)
     return tuple(x + u * (y - x) for x, y in zip(v.displacement(i), v.displacement(i + 1)))
 

@@ -229,16 +229,6 @@ def test_identity_is_trivial_without_insertion_fields():
     assert p1.norm() == 0 and p2.norm() == 0
 
 
-def test_tangent_variations_kill_both_paths():
-    conn = diag_connection()
-    loop = wiggly_loop()
-    p1, p2 = fundamental_identity_paths(
-        conn, odd_config(), loop, VariationField.tangent(loop)
-    )
-    assert p1.norm() == 0
-    assert p2.norm() <= 1e-12
-
-
 def test_variation_must_be_attached_to_the_loop():
     conn = diag_connection()
     loop = wiggly_loop()

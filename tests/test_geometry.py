@@ -139,14 +139,6 @@ def test_variation_interpolates_and_deforms():
     assert moved.closure == loop.closure
 
 
-def test_tangent_variation_matches_velocity():
-    loop = unit_square_loop()
-    var = VariationField.tangent(loop)
-    assert variation_value_at(var, F(1, 8)) == velocity_at(loop, F(1, 8))
-    with pytest.raises(ValueError, match="cannot deform"):
-        var.deform(F(1, 10))
-
-
 def test_constant_variation_translates():
     loop = unit_square_loop()
     var = VariationField.from_displacements(loop, [(F(1, 2), F(1, 3))] * loop.num_segments)

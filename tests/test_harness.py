@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -42,6 +43,20 @@ def test_run_suite_validates_and_reruns_byte_identically():
     assert json.dumps(strip_runtime(first.to_json_obj()), sort_keys=True) == json.dumps(
         strip_runtime(again.to_json_obj()), sort_keys=True
     )
+
+
+# sha256 of the default report without its runtimes and residuals: the
+# counts, retries, statements, tolerances and verdicts, which do not move
+# with float rounding across BLAS builds
+DEFAULT_ACCOUNTING_SHA = "536bc358e34d2367b4cf6f4c82890e90a18fb6c54b325461a0463f51651baaa4"
+
+
+def test_the_default_suite_keeps_its_draw_accounting():
+    report = strip_runtime(run_suite(SuiteConfig()).to_json_obj())
+    for record in report["checks"]:
+        del record["max_residual"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == DEFAULT_ACCOUNTING_SHA
 
 
 def test_an_unexpected_error_becomes_a_fail_record(monkeypatch):

@@ -94,13 +94,25 @@ def reference_transport():
         diag_connection(),
         mixed_config(),
         wiggly_loop(),
-        plan=TransportPlan(steps=512, richardson=1),
+        plan=TransportPlan(steps=512),
     )
 
 
 @functools.lru_cache(maxsize=None)
 def default_transport():
     return gen_transport(diag_connection(), mixed_config(), wiggly_loop())
+
+
+def single_grid(evaluate, plan):
+    """The plan's coarse grid alone, without the Richardson level."""
+    return evaluate(plan.steps)
+
+
+@pytest.fixture
+def one_grid(monkeypatch):
+    """Transports evaluate ``plan.steps`` steps per piece and nothing else,
+    the discretization that the stepwise oracles take."""
+    monkeypatch.setattr(holonomy, "_with_richardson", single_grid)
 
 
 # -- plain transport -----------------------------------------------------------
@@ -169,6 +181,8 @@ def test_piece_floats_are_the_floats_of_the_exact_points():
             assert start.tolist() == [float(c) for c in loop.point_at(piece[1])]
             assert vel.tolist() == [float(c) for c in segment_velocity(loop, piece[0])]
             assert span == float(piece[2] - piece[1])
+    # an empty interval has no pieces, at either end of the loop
+    assert holonomy._pieces(loop, F(1), F(1)) == holonomy._pieces(loop, F(0), F(0)) == []
 
 
 def test_wrap_transport_is_the_hop_over_the_marked_point():
@@ -191,11 +205,9 @@ def test_wrap_transport_is_the_hop_over_the_marked_point():
 def test_gen_transport_without_field_matches_plain():
     conn = diag_connection()
     loop = wiggly_loop()
-    u_gen = gen_transport(conn, None, loop)
+    u_gen = gen_transport(conn, FieldConfig(TORUS, 2, 0, ()), loop)
     assert u_gen.n_gen == 0
     assert np.max(np.abs(u_gen.body() - transport(conn, loop))) == 0.0
-    with pytest.raises(ValueError, match="variations require"):
-        gen_transport(conn, None, loop, variations=[VariationField.tangent(loop)])
     with pytest.raises(ValueError, match="sizes differ"):
         gen_transport(ConstantCommutingConnection([np.eye(3), np.eye(3)]), mixed_config(), loop)
 
@@ -226,20 +238,21 @@ def test_one_insertion_closed_form():
     assert np.max(np.abs(u_gen.components[3] - e11)) <= 1e-12
 
 
-def test_convergence_is_second_order_with_richardson_on_top():
-    ref = reference_transport()
+def test_convergence_is_second_order_with_richardson_on_top(monkeypatch):
+    ref, default = reference_transport(), default_transport()
+    monkeypatch.setattr(holonomy, "_with_richardson", single_grid)
     errs = [
         gen_transport(
             diag_connection(),
             mixed_config(),
             wiggly_loop(),
-            plan=TransportPlan(steps=s, richardson=0),
+            plan=TransportPlan(steps=s),
         ).distance(ref)
         for s in (16, 32, 64)
     ]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(p >= 1.9 for p in orders)
-    assert default_transport().distance(ref) <= 1e-9
+    assert default.distance(ref) <= 1e-9
 
 
 def test_gen_transport_composes_off_grid():
@@ -281,7 +294,7 @@ def test_tolerance_driven_refinement_and_cap():
     cfg = mixed_config()
     loop = wiggly_loop()
     refined = gen_transport(
-        conn, cfg, loop, plan=TransportPlan(steps=16, richardson=1, tol=1e-10)
+        conn, cfg, loop, plan=TransportPlan(steps=16, tol=1e-10)
     )
     assert refined.distance(reference_transport()) <= 1e-10
     with pytest.raises(QuadratureError, match="no convergence"):
@@ -319,8 +332,6 @@ def test_transport_plan_validation():
         TransportPlan(steps=0)
     with pytest.raises(ValueError, match="step counts"):
         TransportPlan(steps=128, max_steps=64)
-    with pytest.raises(ValueError, match="richardson"):
-        TransportPlan(richardson=2)
     # a tolerance that is not positive would run every grid up to the cap
     for tol in (math.nan, 0.0, -1e-6):
         with pytest.raises(ValueError, match="tol must be positive"):
@@ -341,38 +352,10 @@ def test_no_grid_finer_than_max_steps_is_evaluated():
     assert evaluated == [8, 16]
     with pytest.raises(ValueError, match="step counts"):
         TransportPlan(steps=16, max_steps=16)
-    assert TransportPlan(steps=16, richardson=0, max_steps=16).max_steps == 16
+    assert TransportPlan(steps=8, max_steps=16).max_steps == 16
 
 
 # -- variation legs -------------------------------------------------------------
-
-
-def test_tangent_legs_drop_out_of_two_forms():
-    # substituting dx -> gammadot dt + w gammadot pairs the velocity with
-    # itself antisymmetrically; the residual is pure rounding noise
-    conn = diag_connection()
-    cfg = FieldConfig.build(
-        TORUS,
-        2,
-        1,
-        [
-            {
-                "indices": (1, 2),
-                "eps": (1,),
-                "field": FourierField.from_dict(2, {(1, 0): 0.7}),
-                "lie": (1, 2),
-            },
-            {
-                "indices": (1,),
-                "field": FourierField.from_dict(2, {(0, 1): 0.4}),
-                "lie": (2, 1),
-            },
-        ],
-        expect_parity=1,
-    )
-    loop = wiggly_loop()
-    w = wilson(conn, cfg, loop, variations=[VariationField.tangent(loop)])
-    assert extract_leg_coefficient(w, 1, 1).norm() <= 1e-15
 
 
 def test_extract_leg_coefficient_signs():
@@ -387,13 +370,14 @@ def test_extract_leg_coefficient_signs():
 
 
 def test_insertion_derivative_closed_form():
-    # A = 0, no transport field: the integrand is tr M_eta(t), and for
+    # A = 0, an empty transport field: the integrand is tr M_eta(t), and for
     # eta = theta1 theta2 dx^1 E_11 that integrates to the net x^1 displacement
     line = PLLoop(TORUS, [(0, 0)], closure=(1, 0))
     eta = FieldConfig.build(
         TORUS, 2, 2, [{"indices": (1,), "eps": (1, 2), "field": 1.0, "lie": (1, 1)}]
     )
-    out = insertion_derivative(ConstantCommutingConnection([np.zeros((2, 2))] * 2), None, line, eta)
+    empty = FieldConfig(TORUS, 2, 2, ())
+    out = insertion_derivative(ConstantCommutingConnection([np.zeros((2, 2))] * 2), empty, line, eta)
     assert out.distance(GradedCoefficient.from_masks({0b11: 1.0}, 2)) <= 1e-12
 
 
@@ -468,11 +452,11 @@ STEPS = 20  # one full block and one partial block per piece
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("n_legs", [0, 1])
-def test_gen_transport_matches_stepwise_oracle(n, n_legs):
+def test_gen_transport_matches_stepwise_oracle(one_grid, n, n_legs):
     rng = np.random.default_rng(10 * n + n_legs)
     conn, cfg, loop = random_connection(n, rng), random_config(n, rng), wiggly_loop()
     legs = [vertex_variation(loop)] * n_legs
-    plan = TransportPlan(steps=STEPS, richardson=0)
+    plan = TransportPlan(steps=STEPS)
     for s, t in ((F(0), F(1)), (F(1, 7), F(5, 9))):
         new = gen_transport(conn, cfg, loop, s, t, plan, legs)
         old = gen_transport_stepwise(conn, cfg, loop, s, t, STEPS, legs)
@@ -480,14 +464,14 @@ def test_gen_transport_matches_stepwise_oracle(n, n_legs):
         assert relative(new, old) <= 1e-12
 
 
-def test_gen_transport_with_a_body_level_term_matches_oracle():
+def test_gen_transport_with_a_body_level_term_matches_oracle(one_grid):
     conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
-    new = gen_transport(conn, cfg, loop, plan=TransportPlan(steps=STEPS, richardson=0))
+    new = gen_transport(conn, cfg, loop, plan=TransportPlan(steps=STEPS))
     old = gen_transport_stepwise(conn, cfg, loop, steps=STEPS)
     assert relative(new, old) <= 1e-12
 
 
-def test_gen_transport_of_a_field_and_its_derivative_matches_oracle_off_grid():
+def test_gen_transport_of_a_field_and_its_derivative_matches_oracle_off_grid(one_grid):
     loop = PLLoop(TORUS, [(0, 0), (F(3, 5), F(1, 10)), (F(1, 2), F(4, 5)), (F(-1, 5), F(1, 2))])
     f = FourierField.from_dict(2, {(1, 0): 0.5, (1, 1): -0.7j, (0, 2): 0.2})
     cfg = FieldConfig.build(
@@ -502,33 +486,33 @@ def test_gen_transport_of_a_field_and_its_derivative_matches_oracle_off_grid():
         expect_parity=1,
     )
     legs = [vertex_variation(loop)]
-    new = gen_transport(diag_connection(), cfg, loop, F(1, 9), F(6, 7), TransportPlan(steps=STEPS, richardson=0), legs)
+    new = gen_transport(diag_connection(), cfg, loop, F(1, 9), F(6, 7), TransportPlan(steps=STEPS), legs)
     old = gen_transport_stepwise(diag_connection(), cfg, loop, F(1, 9), F(6, 7), STEPS, legs)
     assert relative(new, old) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("n_legs", [0, 1])
-def test_insertion_derivative_matches_stepwise_oracle(n, n_legs):
+def test_insertion_derivative_matches_stepwise_oracle(one_grid, n, n_legs):
     rng = np.random.default_rng(100 + 10 * n + n_legs)
     conn, cfg, loop = random_connection(n, rng), random_config(n, rng, two_form=False), wiggly_loop()
     legs = [vertex_variation(loop)] * n_legs
     eta = field_obstruction(cfg, conn) if n_legs else random_config(n, rng)
-    new = insertion_derivative(conn, cfg, loop, eta, TransportPlan(steps=STEPS, richardson=0), legs)
+    new = insertion_derivative(conn, cfg, loop, eta, TransportPlan(steps=STEPS), legs)
     old = insertion_derivative_epsilon_stepwise(conn, cfg, loop, eta, STEPS, legs)
     assert old.norm() > 0
     assert relative(new, old) <= 1e-12
 
 
 @pytest.mark.parametrize("block", [1, 7, 10_000])
-def test_block_boundaries_do_not_matter(monkeypatch, block):
+def test_block_boundaries_do_not_matter(one_grid, monkeypatch, block):
     # [1/7, 5/9] cuts the end pieces short, so h differs between pieces, and
     # at 20 steps blocks of 7 span pieces and the last one is partial
     rng = np.random.default_rng(77)
     conn, cfg, loop = random_connection(3, rng), random_config(3, rng, two_form=False), wiggly_loop()
     legs = [vertex_variation(loop)]
     eta = field_obstruction(cfg, conn)
-    plan = TransportPlan(steps=STEPS, richardson=0)
+    plan = TransportPlan(steps=STEPS)
 
     def run():
         return (
@@ -545,7 +529,7 @@ def test_block_boundaries_do_not_matter(monkeypatch, block):
     assert relative(got[1], insertion_derivative_epsilon_stepwise(conn, cfg, loop, eta, STEPS, legs)) <= 1e-12
 
 
-def test_transport_memory_does_not_grow_with_the_steps():
+def test_transport_memory_does_not_grow_with_the_steps(one_grid):
     # the working set is one block of midpoints, however fine the grid
     rng = np.random.default_rng(5)
     conn, cfg, loop = random_connection(3, rng), random_config(3, rng), wiggly_loop()
@@ -554,7 +538,7 @@ def test_transport_memory_does_not_grow_with_the_steps():
     for steps in (128, 1024):
         tracemalloc.start()
         try:
-            gen_transport(conn, cfg, loop, plan=TransportPlan(steps=steps, richardson=0), variations=legs)
+            gen_transport(conn, cfg, loop, plan=TransportPlan(steps=steps), variations=legs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -617,12 +601,12 @@ def whole_algebra_config(n, rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_whole_algebra_support_matches_the_stepwise_oracles(n):
+def test_whole_algebra_support_matches_the_stepwise_oracles(one_grid, n):
     rng = np.random.default_rng(60 + n)
     conn, cfg, loop = random_connection(n, rng), whole_algebra_config(n, rng), wiggly_loop()
     legs = [vertex_variation(loop)]
     assert holonomy._support(cfg, 1) == tuple(range(8))
-    plan = TransportPlan(steps=STEPS, richardson=0)
+    plan = TransportPlan(steps=STEPS)
     new = gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), plan, legs)
     old = gen_transport_stepwise(conn, cfg, loop, F(1, 7), F(5, 9), STEPS, legs)
     assert all(np.abs(old.components[m]).max() > 0 for m in range(8))
@@ -723,7 +707,7 @@ def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_half_steps_match_the_per_midpoint_oracle(monkeypatch, n):
+def test_half_steps_match_the_per_midpoint_oracle(one_grid, monkeypatch, n):
     # [1/7, 5/9] holds three pieces; at 3 steps per piece the first block of
     # 7 midpoints spans all three, and the gauged connection is complex, so
     # the per-run GEMMs do not all round as the per-midpoint ones do
@@ -743,7 +727,7 @@ def test_half_steps_match_the_per_midpoint_oracle(monkeypatch, n):
 
     monkeypatch.setattr(holonomy, "BLOCK", 7)
     monkeypatch.setattr(holonomy, "_half_steps", checked)
-    gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), TransportPlan(steps=3, richardson=0), [vertex_variation(loop)])
+    gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), TransportPlan(steps=3), [vertex_variation(loop)])
     assert len(spans) >= 2 and max(spans) >= 3
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import PLLoop, least_rotation
+from .geometry import PLLoop, _rat, least_rotation
 from .lierep import LieBasis
 from .holonomy import transport, wrap_transport
 from .strings import TransversalityError
@@ -152,7 +152,7 @@ class DiagramRealization:
             raise ValueError("parameters must cover exactly the endpoint labels")
         clean = {}
         for label, s in params.items():
-            s = Fraction(s)
+            s = _rat(s)
             if not 0 <= s < 1:
                 raise ValueError(f"parameter of {label!r} outside [0, 1)")
             clean[label] = s

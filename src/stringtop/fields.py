@@ -64,17 +64,17 @@ class FourierField:
                 raise ValueError(f"bad frequency tuple {key}")
         return cls(d, _clean_terms(terms))
 
-    @classmethod
-    def constant(cls, d: int, value: complex) -> "FourierField":
-        return cls.from_dict(d, {(0,) * d: value})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def evaluate(self, point: Sequence | np.ndarray) -> complex | np.ndarray:
         """Value at one point of length d, or the (m,) values at the rows of
-        an (m, d) array of points: ``FourierStack`` of this one field."""
+        an (m, d) array of points: ``FourierStack`` of this one field.
+
+        The library evaluates fields through ``FourierStack``; this wrapper
+        stays because the benchmark tracer (``perfbench/tracing.py``) names
+        it."""
         values = self._stack(point)[0]
         return values if values.ndim else complex(values)
 
@@ -251,8 +251,10 @@ class FieldConfig:
     ) -> "FieldConfig":
         """Terms as dicts: indices (1-based dx), eps (1-based theta), field, lie.
 
-        ``field`` may be a FourierField or a bare constant; ``lie`` may be an
-        (i, j) 1-based matrix-unit pair or an explicit matrix.
+        ``field`` is a ``FourierField`` (a constant c is
+        ``FourierField.from_dict(d, {(0,) * d: c})``), and anything else
+        raises ``TypeError``; ``lie`` is the n x n matrix part, any array-like
+        of that shape.
         """
         d = space.d
         terms = []
@@ -274,14 +276,8 @@ class FieldConfig:
                 mask |= 1 << (d + a - 1)
             field = spec["field"]
             if not isinstance(field, FourierField):
-                field = FourierField.constant(d, complex(field))
-            lie = spec["lie"]
-            if isinstance(lie, tuple) and len(lie) == 2 and isinstance(lie[0], int):
-                mat = np.zeros((n, n), dtype=complex)
-                mat[lie[0] - 1, lie[1] - 1] = 1.0
-            else:
-                mat = np.asarray(lie, dtype=complex)
-            terms.append(FieldTerm(mask, field, mat))
+                raise TypeError(f"field must be a FourierField, not {type(field).__name__}")
+            terms.append(FieldTerm(mask, field, spec["lie"]))
         return cls(space, n, n_theta, terms, expect_parity)
 
     def form_degree_bits(self, mask: int) -> tuple[int, ...]:

@@ -54,18 +54,16 @@ class Torus:
 
 
 def _rat(x) -> Fraction:
+    """x as a Fraction: the one coercion of coordinates and loop parameters.
+
+    Only a ``Fraction`` or an ``int`` is exact, so anything else (a float,
+    whose binary value 0.1 is not 1/10, or a string) raises ``TypeError``.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        # floats are accepted for convenience but snapped to the nearest
-        # rational with denominator at most 10**12 (0.1 becomes 1/10, not
-        # its binary value); callers who care pass Fraction or "p/q" strings
-        return Fraction(x).limit_denominator(10**12)
-    raise TypeError(f"cannot interpret {x!r} as a rational coordinate")
+    raise TypeError(f"cannot interpret {x!r} as an exact rational: pass a Fraction or an int")
 
 
 Point = tuple[Fraction, ...]
@@ -235,10 +233,6 @@ class PLLoop:
 
     # -- class invariants ---------------------------------------------------
 
-    def lattice_class(self) -> tuple[int, ...]:
-        """Closure vector: the free homotopy class."""
-        return self.closure
-
     def integer_lift(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, pts): the lift over its common denominator, as integers.
 
@@ -256,6 +250,7 @@ class PLLoop:
         or P_i / den at a vertex (rem = 0). The same point as ``point_at``,
         without forming a ``Fraction``.
         """
+        t = _rat(t)
         tn, td = t.numerator, t.denominator
         if not 0 <= tn <= td:
             raise ValueError("parameter must lie in [0, 1]")
@@ -272,6 +267,9 @@ class PLLoop:
         Two loops describe the same unmarked geometric loop exactly when
         their normal forms agree. The normal form is (least candidate,
         closure), the vertices of ``canonical`` (see ``_least_lift``).
+
+        The library compares loops by ``canonical``; this view stays
+        because the benchmark tracer (``perfbench/tracing.py``) names it.
         """
         return self.canonical().vertices, self.closure
 

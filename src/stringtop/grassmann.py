@@ -64,11 +64,14 @@ def _indices_to_mask(indices: Iterable[int], n_gen: int) -> int:
 class GradedCoefficient:
     """Element of the Grassmann algebra on ``n_gen`` generators.
 
-    Construct from a mapping of index tuples to scalars::
+    Construct from a mapping of index tuples to scalars, or of bitmasks to
+    scalars (bit a-1 for generator a), which is how production builds it::
 
-        GradedCoefficient({(): 2, (1, 2): 1})        # 2 + theta1 theta2
-        GradedCoefficient.scalar(3.5)
-        GradedCoefficient.generator(4)
+        GradedCoefficient({(): 2, (1, 2): 1})          # 2 + theta1 theta2
+        GradedCoefficient.from_masks({0b11: 1, 0: 2})  # the same element
+        GradedCoefficient.from_masks({0: 3.5})         # the scalar 3.5
+        GradedCoefficient.from_masks({1 << 3: 1})      # theta4
+        GradedCoefficient.from_masks({})               # zero
 
     Arithmetic (+, -, *, scalar *) keeps scalars duck-typed, so exact
     ``Fraction`` coefficients survive every operation.
@@ -105,22 +108,6 @@ class GradedCoefficient:
         if out._terms and max(out._terms) >> n_gen:
             raise ValueError("mask exceeds generator count")
         return out
-
-    @classmethod
-    def scalar(cls, value: object, n_gen: int = DEFAULT_GENERATORS) -> "GradedCoefficient":
-        return cls.from_masks({0: value} if not value == 0 else {}, n_gen)
-
-    @classmethod
-    def generator(cls, a: int, n_gen: int = DEFAULT_GENERATORS) -> "GradedCoefficient":
-        return cls({(a,): 1}, n_gen)
-
-    @classmethod
-    def zero(cls, n_gen: int = DEFAULT_GENERATORS) -> "GradedCoefficient":
-        return cls.from_masks({}, n_gen)
-
-    @classmethod
-    def one(cls, n_gen: int = DEFAULT_GENERATORS) -> "GradedCoefficient":
-        return cls.from_masks({0: 1}, n_gen)
 
     # -- views -------------------------------------------------------------
 
@@ -191,7 +178,7 @@ class GradedCoefficient:
 
     def scale(self, scalar: object) -> "GradedCoefficient":
         if scalar == 0:
-            return GradedCoefficient.zero(self.n_gen)
+            return GradedCoefficient.from_masks({}, self.n_gen)
         return GradedCoefficient.from_masks(
             {m: scalar * v for m, v in self._terms.items()}, self.n_gen
         )
@@ -233,6 +220,10 @@ def gc_mul(a: GradedCoefficient, b: GradedCoefficient) -> GradedCoefficient:
 
     Term-by-term: theta_I theta_J = 0 if I and J share a generator, else
     merge_sign(I, J) * theta_{I union J}.
+
+    No check multiplies coefficients symbolically; only tests do. It stays
+    here, and not with the test oracles, because the benchmark tracer
+    (``perfbench/tracing.py``) names it as a layer.
     """
     a._check_compatible(b)
     out: dict[int, object] = {}

@@ -100,13 +100,17 @@ import numpy as np
 from scipy.linalg import expm
 
 from stringtop.fields import ConstantCommutingConnection, FieldConfig, FourierStack
-from stringtop.geometry import PLLoop, VariationField
+from stringtop.geometry import PLLoop, VariationField, _rat
 from stringtop.grassmann import GradedCoefficient, merge_sign
 from stringtop.lierep import SuperMatrix, product, regular
 
 
 class QuadratureError(RuntimeError):
     """Step doubling hit the cap before reaching the requested tolerance."""
+
+
+# per-segment cap on the finest grid that any plan evaluates
+MAX_STEPS = 16384
 
 
 @dataclass(frozen=True)
@@ -117,20 +121,19 @@ class TransportPlan:
     grids of S and 2S sub-intervals per piece combine as
     (4 T_{2S} - T_S) / 3, valid because the scheme's error is even in h.
 
-    steps: S, sub-intervals per covered segment piece on the coarse grid.
+    steps: S, sub-intervals per covered segment piece on the coarse grid;
+        the first level's fine grid, 2 S, must not exceed ``MAX_STEPS``.
     tol: if set, a positive distance: double steps until successive
-        extrapolated values agree to it.
-    max_steps: per-segment cap on the finest grid evaluated, at least the
-        2 * steps of the first level.
+        extrapolated values agree to it, with no grid finer than
+        ``MAX_STEPS`` per segment (else ``QuadratureError``).
     """
 
     steps: int = 64
     tol: float | None = None
-    max_steps: int = 16384
 
     def __post_init__(self):
-        if self.steps < 1 or self.max_steps < 2 * self.steps:
-            raise ValueError("bad step counts")
+        if self.steps < 1 or 2 * self.steps > MAX_STEPS:
+            raise ValueError(f"bad step counts: steps must lie in 1..{MAX_STEPS // 2}")
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive")
 
@@ -145,8 +148,8 @@ DEFAULT_PLAN = TransportPlan()
 def _pieces(loop: PLLoop, s: Fraction, t: Fraction):
     """Split [s, t] into per-segment pieces with exact endpoints."""
     k = loop.num_segments
-    s = Fraction(s)
-    t = Fraction(t)
+    s = _rat(s)
+    t = _rat(t)
     if not 0 <= s <= t <= 1:
         raise ValueError("need 0 <= s <= t <= 1")
     pieces = []
@@ -201,8 +204,8 @@ def transport(conn: ConstantCommutingConnection, loop: PLLoop, s=Fraction(0), t=
     which the connection's constructor validates. s == t gives the
     identity exactly.
     """
-    s = Fraction(s)
-    t = Fraction(t)
+    s = _rat(s)
+    t = _rat(t)
     if not 0 <= s <= t <= 1:
         raise ValueError("need 0 <= s <= t <= 1")
     if s == t:
@@ -216,8 +219,8 @@ def wrap_transport(conn: ConstantCommutingConnection, loop: PLLoop, s: Fraction,
     The same closed form as ``transport``, one exponential of the wrapped
     displacement closure + x(t) - x(s).
     """
-    s = Fraction(s)
-    t = Fraction(t)
+    s = _rat(s)
+    t = _rat(t)
     if not 0 <= t <= s <= 1:
         raise ValueError("need 0 <= t <= s <= 1")
     return expm(conn.matrix_of(_displacement(loop, s, t, wrap=True)))
@@ -510,7 +513,7 @@ class _Walk:
 
 def _gen_transport_fixed(slots: _Slots, walk: _Walk, steps: int) -> SuperMatrix:
     support = slots.support
-    u_mat = SuperMatrix.identity(slots.n, slots.n_gen).components[list(support)]
+    u_mat = SuperMatrix.from_body(np.eye(slots.n), slots.n_gen).components[list(support)]
     for e_halves, piece, h, pos, vel, legs in walk.blocks(steps):
         exps = slots.exp(slots.coefficients(pos, vel, legs) * h)
         u_mat = product(u_mat, _chain(_half_steps(e_halves, piece, exps), support), support)
@@ -542,9 +545,9 @@ def _with_richardson(evaluate, plan: TransportPlan):
         return value
     while True:
         # the next level's fine grid is twice its coarse grid of 2 * steps
-        if 4 * steps > plan.max_steps:
+        if 4 * steps > MAX_STEPS:
             raise QuadratureError(
-                f"no convergence to tol={plan.tol} within {plan.max_steps} steps/segment"
+                f"no convergence to tol={plan.tol} within {MAX_STEPS} steps/segment"
             )
         steps *= 2
         nxt = level(steps)
@@ -574,7 +577,7 @@ def gen_transport(
     if not any(config.form_degree_bits(m) for m, _, _ in config.terms):
         return SuperMatrix.from_body(transport(conn, loop, s, t), config.n_theta + len(variations))
     slots = _Slots(config, len(variations), _support(config, len(variations)))
-    walk = _Walk(conn, loop, Fraction(s), Fraction(t), variations)
+    walk = _Walk(conn, loop, s, t, variations)
     return _with_richardson(lambda steps: _gen_transport_fixed(slots, walk, steps), plan)
 
 

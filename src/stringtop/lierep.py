@@ -139,10 +139,6 @@ class SuperMatrix:
         arr = np.asarray(arr, dtype=complex)
         return cls(arr.shape[0], n_gen, {0: arr})
 
-    @classmethod
-    def identity(cls, n: int, n_gen: int = DEFAULT_GENERATORS) -> "SuperMatrix":
-        return cls.from_body(np.eye(n), n_gen)
-
     # -- views -------------------------------------------------------------
 
     def body(self) -> np.ndarray:

@@ -111,13 +111,9 @@ class GradedPhaseModel:
     def zero(self) -> "GradedPolynomial":
         return GradedPolynomial(self, [])
 
-    def scalar(self, value) -> "GradedPolynomial":
-        return GradedPolynomial(self, [(value, ())])
-
-    def var(self, name: str) -> "GradedPolynomial":
-        return GradedPolynomial(self, [(1, (self.index(name),))])
-
     def monomial(self, coeff, *names: str) -> "GradedPolynomial":
+        """coeff times the named variables in order: ``monomial(1, "q")`` is
+        the variable q, and ``monomial(c)`` with no names the constant c."""
         return GradedPolynomial(self, [(coeff, tuple(self.index(n) for n in names))])
 
     def __eq__(self, other) -> bool:

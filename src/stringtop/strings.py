@@ -214,55 +214,43 @@ class StringCycle:
 
     A stored loop is its own normal form, so its integer lift is its key:
     only the constructor normalizes, and sums, scalings, equality and
-    hashing work on the stored keys.
+    hashing work on the stored keys. The cycle has no space of its own:
+    it lives where its loops do.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, space, terms: Iterable[tuple[int, PLLoop]] = ()) -> None:
+    def __init__(self, terms: Iterable[tuple[int, PLLoop]] = ()) -> None:
         canonical = []
         for coeff, loop in terms:
             canonical.append((coeff, loop.canonical()))
-        self.space = space
         self.terms = _combine(canonical)
 
     @classmethod
-    def _of(cls, space, terms) -> "StringCycle":
+    def _of(cls, terms) -> "StringCycle":
         """Cycle of terms whose loops are already normal forms."""
         cycle = cls.__new__(cls)
-        cycle.space = space
         cycle.terms = _combine(terms)
         return cycle
 
     @classmethod
-    def from_loop(cls, loop: PLLoop, coeff: int = 1) -> "StringCycle":
-        return cls(loop.space, [(coeff, loop)])
-
-    @classmethod
-    def zero(cls, space) -> "StringCycle":
-        return cls(space, ())
+    def from_loop(cls, loop: PLLoop) -> "StringCycle":
+        return cls([(1, loop)])
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "StringCycle") -> "StringCycle":
-        return StringCycle._of(self.space, self.terms + other.terms)
+        return StringCycle._of(self.terms + other.terms)
 
     def scale(self, k: int) -> "StringCycle":
         """k times the cycle; for k != 0 the stored terms keep their order."""
         if k == 0:
-            return StringCycle.zero(self.space)
+            return StringCycle()
         cycle = StringCycle.__new__(StringCycle)
-        cycle.space = self.space
         cycle.terms = tuple((k * c, loop) for c, loop in self.terms)
         return cycle
-
-    def __neg__(self) -> "StringCycle":
-        return self.scale(-1)
-
-    def __sub__(self, other: "StringCycle") -> "StringCycle":
-        return self + (-other)
 
     def _keys(self) -> tuple:
         return tuple((c, l.integer_lift()) for c, l in self.terms)
@@ -270,17 +258,16 @@ class StringCycle:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StringCycle):
             return NotImplemented
-        return self.space == other.space and self._keys() == other._keys()
+        return self._keys() == other._keys()
 
     def __hash__(self):
-        return hash((self.space, self._keys()))
+        return hash(self._keys())
 
     def class_reduction(self) -> dict[tuple[int, ...], int]:
         """Coefficients per free homotopy class."""
         out: dict[tuple[int, ...], int] = {}
         for coeff, loop in self.terms:
-            cls = loop.lattice_class()
-            out[cls] = out.get(cls, 0) + coeff
+            out[loop.closure] = out.get(loop.closure, 0) + coeff
         return {k: v for k, v in out.items() if v != 0}
 
     def __repr__(self) -> str:
@@ -311,7 +298,7 @@ def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:
         for mbar, gammabar in abar.terms:
             for p in intersections(gamma, gammabar):
                 out.append((pref * m * mbar * p.sign, concatenate(gamma, gammabar, p)))
-    return StringCycle(a.space, out)
+    return StringCycle(out)
 
 
 def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCycle:
@@ -321,7 +308,7 @@ def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCyc
     statement that the chain itself is zero, which held on every
     non-degenerate random triple tested (``tests/test_strings.py``).
     """
-    out = StringCycle.zero(a.space)
+    out = StringCycle()
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         out = out + string_bracket(string_bracket(x, y), z).scale(jacobi_eta(0, 0))
     return out

@@ -181,9 +181,9 @@ def insertion_matrix_at(
             continue
         fval = field.evaluate(pos)
         theta = GradedCoefficient.from_masks({config.theta_mask(mask): 1.0}, n_gen)
-        gc = GradedCoefficient.zero(n_gen)
+        gc = GradedCoefficient.from_masks({}, n_gen)
         for a in range(len(bits)):
-            part = GradedCoefficient.one(n_gen)
+            part = GradedCoefficient.from_masks({0: 1}, n_gen)
             for b in range(len(bits)):
                 if b != a:
                     part = part * w_elements[bits[b]]
@@ -213,7 +213,7 @@ def body_right(g: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def exp_series(m: SuperMatrix) -> SuperMatrix:
     """exp(M) as a Taylor series of SuperMatrix products."""
-    acc = SuperMatrix.identity(m.n, m.n_gen)
+    acc = SuperMatrix.from_body(np.eye(m.n), m.n_gen)
     term = acc
     for k in range(1, 60):
         term = (term @ m) * (1.0 / k)
@@ -255,7 +255,7 @@ def gen_transport_stepwise(
 ) -> SuperMatrix:
     """Strang-split transport, one SuperMatrix product per factor."""
     n_gen = config.n_theta + len(variations)
-    u_mat = SuperMatrix.identity(config.n, n_gen)
+    u_mat = SuperMatrix.from_body(np.eye(config.n), n_gen)
     for h, a_vel, rows in _midpoints(conn, loop, Fraction(s), Fraction(t), steps, variations, (config,)):
         e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
         e_full = SuperMatrix.from_body(expm(a_vel * h), n_gen)
@@ -285,7 +285,7 @@ def gen_transport_ode(
     """
     n_gen = config.n_theta + len(variations)
     k_seg = loop.num_segments
-    u_mat = SuperMatrix.identity(config.n, n_gen)
+    u_mat = SuperMatrix.from_body(np.eye(config.n), n_gen)
     for piece in _pieces(loop, Fraction(s), Fraction(t)):
         i, lo, hi = piece
         start, vel, _ = _piece_floats(loop, piece)
@@ -334,11 +334,11 @@ def insertion_derivative_stepwise(
             halves.append((first, second))
             m_etas.append(m_e)
             widths.append(h)
-    suffix = [SuperMatrix.identity(n, n_gen)] * (len(factors) + 1)
+    suffix = [SuperMatrix.from_body(np.eye(n), n_gen)] * (len(factors) + 1)
     for j in range(len(factors) - 1, -1, -1):
         suffix[j] = factors[j] @ suffix[j + 1]
-    out = GradedCoefficient.zero(n_gen)
-    prefix = SuperMatrix.identity(n, n_gen)
+    out = GradedCoefficient.from_masks({}, n_gen)
+    prefix = SuperMatrix.from_body(np.eye(n), n_gen)
     for j, (first, second) in enumerate(halves):
         sandwich = prefix @ first @ m_etas[j] @ second @ suffix[j + 1]
         out = out + sandwich.trace().scale(widths[j])
@@ -656,6 +656,18 @@ def evaluate_diagram_enumerated(realization: DiagramRealization, conn) -> comple
 #
 # Tests compare obstruction fields term by term with these; the package
 # itself only builds, gauges and simplifies configurations.
+
+
+def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
+    """The n x n matrix unit E_ij, 1-based: a ``lie`` part for test terms."""
+    out = np.zeros((n, n), dtype=complex)
+    out[i - 1, j - 1] = 1.0
+    return out
+
+
+def constant_field(value: complex) -> FourierField:
+    """The constant field value on T^2: a ``field`` for test terms."""
+    return FourierField.from_dict(2, {(0, 0): value})
 
 
 def coeff_norm(field: FourierField) -> float:

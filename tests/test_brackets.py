@@ -21,7 +21,7 @@ from stringtop.geometry import PLLoop, Torus, VariationField
 from stringtop.lierep import LieBasis
 from stringtop.strings import StringCycle
 
-from oracles import fundamental_identity_residuals, halving_orders
+from oracles import fundamental_identity_residuals, halving_orders, matrix_unit
 
 F = Fraction
 TORUS = Torus(2)
@@ -49,18 +49,18 @@ def odd_config():
                 "indices": (1,),
                 "eps": (1, 2),
                 "field": FourierField.from_dict(2, {(0, 1): 0.3, (1, 0): -0.15}),
-                "lie": (1, 2),
+                "lie": matrix_unit(2, 1, 2),
             },
             {
                 "indices": (2,),
                 "field": FourierField.from_dict(2, {(1, 0): 0.4, (0, 1): 0.2j}),
-                "lie": (2, 1),
+                "lie": matrix_unit(2, 2, 1),
             },
             {
                 "indices": (2,),
                 "eps": (1, 2),
                 "field": FourierField.from_dict(2, {(1, 1): 0.25}),
-                "lie": (1, 1),
+                "lie": matrix_unit(2, 1, 1),
             },
         ],
         expect_parity=1,
@@ -197,7 +197,7 @@ def test_three_dimensional_fibers_agree():
 
 def test_zero_cycle_gives_zero_residual():
     conn = diag_connection()
-    zero = StringCycle.zero(TORUS)
+    zero = StringCycle()
     lhs, rhs = main_theorem_sides(zero, StringCycle.from_loop(line((1, 0))), conn)
     assert abs(lhs - rhs) == 0
 

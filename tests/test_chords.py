@@ -109,6 +109,8 @@ def test_realization_validation():
         DiagramRealization(d, [g1, g2], {"p": F(3, 2), "q": pt.s_bar})
     with pytest.raises(ValueError, match="different points"):
         DiagramRealization(d, [g1, g2], {"p": pt.s, "q": pt.s_bar + F(1, 7)})
+    with pytest.raises(TypeError, match="Fraction or an int"):
+        DiagramRealization(d, [g1, g2], {"p": float(pt.s), "q": pt.s_bar})
     # a (2,0) line meets itself with parallel velocities
     d_self = ChordDiagram([("std:2", ("a", "b"))], [("a", "b")])
     with pytest.raises(TransversalityError, match="tangentially"):

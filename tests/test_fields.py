@@ -24,16 +24,12 @@ from oracles import (
     config_norm,
     config_scale,
     config_sum,
+    constant_field,
     eval_field,
     fourier_values,
+    matrix_unit,
     supermatrix_entries,
 )
-
-
-def unit(n, i, j):
-    m = np.zeros((n, n), dtype=complex)
-    m[i - 1, j - 1] = 1.0
-    return m
 
 
 def diag_connection():
@@ -101,7 +97,7 @@ def test_products_convolve_within_one_kind():
     e10 = FourierField.from_dict(2, {(1, 0): 2.0})
     e01 = FourierField.from_dict(2, {(0, 1): 0.5})
     assert (e10 * e01).terms == (((1, 1), 1.0 + 0j),)
-    assert (FourierField.constant(2, 3.0) * e10).terms == (((1, 0), 6.0 + 0j),)
+    assert (constant_field(3.0) * e10).terms == (((1, 0), 6.0 + 0j),)
 
 
 # -- flat connections ----------------------------------------------------------
@@ -150,31 +146,38 @@ def test_connection_contraction_and_gauge():
 def test_build_rejects_bad_indices_and_parity():
     torus = Torus(2)
     with pytest.raises(ValueError, match="out of range"):
-        FieldConfig.build(torus, 2, 2, [{"indices": (3,), "field": 1.0, "lie": (1, 2)}])
+        FieldConfig.build(torus, 2, 2, [{"indices": (3,), "field": constant_field(1.0), "lie": matrix_unit(2, 1, 2)}])
     with pytest.raises(ValueError, match="strictly increasing"):
         FieldConfig.build(
-            torus, 2, 2, [{"indices": (2, 1), "field": 1.0, "lie": (1, 2)}]
+            torus, 2, 2, [{"indices": (2, 1), "field": constant_field(1.0), "lie": matrix_unit(2, 1, 2)}]
         )
     with pytest.raises(ValueError, match="theta index out of range"):
         FieldConfig.build(
-            torus, 2, 2, [{"indices": (1,), "eps": (3,), "field": 1.0, "lie": (1, 2)}]
+            torus, 2, 2, [{"indices": (1,), "eps": (3,), "field": constant_field(1.0), "lie": matrix_unit(2, 1, 2)}]
         )
     with pytest.raises(ValueError, match="parity"):
         FieldConfig.build(
             torus,
             2,
             2,
-            [{"indices": (1, 2), "eps": (1,), "field": 1.0, "lie": (1, 2)}],
+            [{"indices": (1, 2), "eps": (1,), "field": constant_field(1.0), "lie": matrix_unit(2, 1, 2)}],
             expect_parity=0,
         )
+    # the field is a FourierField and the lie part a matrix: a bare constant
+    # or a 1-based (i, j) pair is refused, also where no matrix has E_12 (n = 1)
+    with pytest.raises(TypeError, match="FourierField"):
+        FieldConfig.build(torus, 2, 0, [{"indices": (1,), "field": 1.0, "lie": matrix_unit(2, 1, 2)}])
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="wrong shape"):
+            FieldConfig.build(torus, n, 0, [{"indices": (1,), "field": constant_field(1.0), "lie": (1, 2)}])
     # an odd term list under the odd filter is fine
     cfg = FieldConfig.build(
         torus,
         2,
         2,
         [
-            {"indices": (1,), "field": 1.0, "lie": (1, 2)},
-            {"indices": (2,), "eps": (1, 2), "field": 1.0, "lie": (2, 1)},
+            {"indices": (1,), "field": constant_field(1.0), "lie": matrix_unit(2, 1, 2)},
+            {"indices": (2,), "eps": (1, 2), "field": constant_field(1.0), "lie": matrix_unit(2, 2, 1)},
         ],
         expect_parity=1,
     )
@@ -188,27 +191,27 @@ def test_eval_field_selects_degree_and_pairs_antisymmetrically():
         2,
         2,
         [
-            {"field": 5.0, "lie": (1, 1)},
-            {"indices": (1,), "field": FourierField.from_dict(2, {(0, 1): 3.0}), "lie": (1, 2)},
-            {"indices": (1, 2), "field": 2.0, "lie": (2, 1)},
+            {"field": constant_field(5.0), "lie": matrix_unit(2, 1, 1)},
+            {"indices": (1,), "field": FourierField.from_dict(2, {(0, 1): 3.0}), "lie": matrix_unit(2, 1, 2)},
+            {"indices": (1, 2), "field": constant_field(2.0), "lie": matrix_unit(2, 2, 1)},
         ],
     )
     point = (0.5, 3.0)  # the 1-form's field is 3 exp(2 pi i x_2) = 3 there
     zero_part = eval_field(cfg, point, [])
-    np.testing.assert_allclose(zero_part.body(), 5.0 * unit(2, 1, 1))
+    np.testing.assert_allclose(zero_part.body(), 5.0 * matrix_unit(2, 1, 1))
     one_part = eval_field(cfg, point, [(2.0, 7.0)])
-    np.testing.assert_allclose(one_part.body(), 3.0 * 2.0 * unit(2, 1, 2))
+    np.testing.assert_allclose(one_part.body(), 3.0 * 2.0 * matrix_unit(2, 1, 2))
     u, v = (1.0, 0.0), (0.5, 4.0)
     two_part = eval_field(cfg, point, [u, v])
     det = u[0] * v[1] - v[0] * u[1]
-    np.testing.assert_allclose(two_part.body(), 2.0 * det * unit(2, 2, 1))
+    np.testing.assert_allclose(two_part.body(), 2.0 * det * matrix_unit(2, 2, 1))
     swapped = eval_field(cfg, point, [v, u])
     np.testing.assert_allclose(swapped.body(), -two_part.body())
 
 
 def test_obstruction_of_constant_nilpotent_one_form_vanishes():
     torus = Torus(2)
-    cfg = FieldConfig.build(torus, 2, 0, [{"indices": (1,), "field": 1.0, "lie": (1, 2)}])
+    cfg = FieldConfig.build(torus, 2, 0, [{"indices": (1,), "field": constant_field(1.0), "lie": matrix_unit(2, 1, 2)}])
     assert config_is_zero(field_obstruction(cfg, ConstantCommutingConnection([np.zeros((2, 2))] * 2)))
 
 
@@ -219,12 +222,12 @@ def test_exterior_derivative_sign_on_a_one_form():
         torus,
         2,
         0,
-        [{"indices": (1,), "field": FourierField.from_dict(2, {(0, 1): 1.0}), "lie": (1, 1)}],
+        [{"indices": (1,), "field": FourierField.from_dict(2, {(0, 1): 1.0}), "lie": matrix_unit(2, 1, 1)}],
     )
     b = field_obstruction(cfg, ConstantCommutingConnection([np.zeros((2, 2))] * 2))
     minus_d2f = FourierField.from_dict(2, {(0, 1): -2j * cmath.pi})
     expected = FieldConfig.build(
-        torus, 2, 0, [{"indices": (1, 2), "field": minus_d2f, "lie": (1, 1)}]
+        torus, 2, 0, [{"indices": (1, 2), "field": minus_d2f, "lie": matrix_unit(2, 1, 1)}]
     )
     assert config_is_zero(config_sum(b, config_scale(expected, -1.0)))
 
@@ -235,7 +238,7 @@ def test_obstruction_is_the_covariant_derivative_on_an_odd_scalar():
     torus = Torus(2)
     conn = diag_connection()
     f = FourierField.from_dict(2, {(1, 1): 1.0})
-    e = unit(2, 1, 2)
+    e = matrix_unit(2, 1, 2)
     cfg = FieldConfig.build(torus, 2, 1, [{"eps": (1,), "field": f, "lie": e}])
     b = field_obstruction(cfg, conn)
     point = (0.7, -1.3)
@@ -263,15 +266,15 @@ def test_obstruction_commutes_with_constant_gauge():
             {
                 "indices": (1,),
                 "field": FourierField.from_dict(2, {(1, 0): 0.4, (0, 1): 0.2j}),
-                "lie": (1, 2),
+                "lie": matrix_unit(2, 1, 2),
             },
             {
                 "indices": (2,),
                 "eps": (1, 2),
                 "field": FourierField.from_dict(2, {(0, 1): 0.3}),
-                "lie": (2, 1),
+                "lie": matrix_unit(2, 2, 1),
             },
-            {"eps": (1,), "field": FourierField.from_dict(2, {(1, 1): 0.7}), "lie": (2, 2)},
+            {"eps": (1,), "field": FourierField.from_dict(2, {(1, 1): 0.7}), "lie": matrix_unit(2, 2, 2)},
         ],
     )
     g = np.array([[1.0, 0.3], [-0.5, 1.0]])
@@ -287,7 +290,7 @@ def test_simplify_cancels_and_merges():
         torus,
         2,
         1,
-        [{"indices": (1,), "eps": (1,), "field": FourierField.from_dict(2, {(1, 0): 1.0}), "lie": (1, 2)}],
+        [{"indices": (1,), "eps": (1,), "field": FourierField.from_dict(2, {(1, 0): 1.0}), "lie": matrix_unit(2, 1, 2)}],
     )
     assert config_is_zero(config_sum(cfg, config_scale(cfg, -1.0)))
     doubled = config_sum(cfg, cfg)

@@ -60,7 +60,7 @@ def test_straight_torus_line_with_one_segment():
     loop = PLLoop(Torus(2), [(0, 0)], closure=(1, 2))
     assert loop.num_segments == 1
     assert loop.point_at(F(1, 2)) == (F(1, 2), F(1))
-    assert loop.lattice_class() == (1, 2)
+    assert loop.closure == (1, 2)
 
 
 def test_uniform_parametrization_is_exact():
@@ -70,6 +70,21 @@ def test_uniform_parametrization_is_exact():
     assert loop.point_at(F(1, 4)) == (1, 0)
     assert loop.point_at(F(5, 8)) == (F(1, 2), 1)
     assert loop.point_at(F(1)) == (0, 0)
+
+
+def test_parameters_and_coordinates_are_fractions_or_ints_only():
+    # 0.1 is not 1/10 in binary, so no route may read a float as a rational
+    loop = unit_square_loop()
+    assert loop.point_at(1) == loop.point_at(F(1)) == (0, 0)
+    assert loop.lift_point(0) == loop.lift_point(F(0))
+    for bad in (0.1, "1/10"):
+        for read in (loop.point_at, loop.lift_point, VariationField(loop, [(0, 0)] * 4).deform):
+            with pytest.raises(TypeError, match="Fraction or an int"):
+                read(bad)
+        with pytest.raises(TypeError, match="Fraction or an int"):
+            loop.subdivide_segment(0, bad)
+        with pytest.raises(TypeError, match="Fraction or an int"):
+            PLLoop(Torus(2), [(bad, 0)], closure=(1, 0))
 
 
 def test_segment_velocity_scale():
@@ -116,7 +131,7 @@ def test_translated_torus_loop_by_lattice_vector_is_same_loop():
 def test_reverse_flips_class_and_geometry():
     loop = PLLoop(Torus(2), [(0, 0), (F(1, 2), F(1, 4))], closure=(1, 0))
     rev = loop.reverse()
-    assert rev.lattice_class() == (-1, 0)
+    assert rev.closure == (-1, 0)
     assert rev.point_at(F(1, 4)) == tuple(
         a - b for a, b in zip(loop.point_at(F(3, 4)), (1, 0))
     )

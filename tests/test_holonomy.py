@@ -37,6 +37,7 @@ from stringtop.strings import TransversalityError, concatenate, intersections
 from oracles import (
     body_left,
     body_right,
+    constant_field,
     epsilon_config,
     epsilon_part,
     exp_series,
@@ -44,6 +45,7 @@ from oracles import (
     gen_transport_stepwise,
     insertion_derivative_epsilon_stepwise,
     insertion_derivative_stepwise,
+    matrix_unit,
     segment_velocity,
 )
 
@@ -75,13 +77,13 @@ def mixed_config(n_theta=2):
             {
                 "indices": (1,),
                 "field": FourierField.from_dict(2, {(1, 0): 0.4, (0, 1): 0.2j}),
-                "lie": (1, 2),
+                "lie": matrix_unit(2, 1, 2),
             },
             {
                 "indices": (2,),
                 "eps": (1, 2),
                 "field": FourierField.from_dict(2, {(0, 1): 0.3}),
-                "lie": (2, 1),
+                "lie": matrix_unit(2, 2, 1),
             },
         ],
         expect_parity=1,
@@ -166,8 +168,21 @@ def test_single_exponential_matches_the_ordered_product_over_pieces():
 
 
 def test_transport_parameter_validation():
+    conn, loop = diag_connection(), wiggly_loop()
     with pytest.raises(ValueError, match="0 <= s <= t <= 1"):
-        transport(diag_connection(), wiggly_loop(), F(1, 2), F(1, 4))
+        transport(conn, loop, F(1, 2), F(1, 4))
+    # parameters are read as the loop reads them: exact, Fraction or int
+    assert np.array_equal(transport(conn, loop, 0, 1), transport(conn, loop))
+    assert holonomy._pieces(loop, 0, 1) == holonomy._pieces(loop, F(0), F(1))
+    routes = (
+        lambda s: holonomy._pieces(loop, s, 1),
+        lambda s: transport(conn, loop, s),
+        lambda s: holonomy.wrap_transport(conn, loop, 1, s),
+        lambda s: gen_transport(conn, mixed_config(), loop, s),
+    )
+    for route in routes:
+        with pytest.raises(TypeError, match="Fraction or an int"):
+            route(0.1)
 
 
 def test_piece_floats_are_the_floats_of_the_exact_points():
@@ -216,7 +231,7 @@ def test_zero_form_terms_do_not_enter_transports():
     conn = diag_connection()
     loop = wiggly_loop()
     cfg = FieldConfig.build(
-        TORUS, 2, 2, [{"eps": (1,), "field": FourierField.from_dict(2, {(1, 0): 1.0}), "lie": (1, 2)}]
+        TORUS, 2, 2, [{"eps": (1,), "field": FourierField.from_dict(2, {(1, 0): 1.0}), "lie": matrix_unit(2, 1, 2)}]
     )
     u_gen = gen_transport(conn, cfg, loop)
     assert np.max(np.abs(u_gen.body() - transport(conn, loop))) == 0.0
@@ -228,7 +243,7 @@ def test_one_insertion_closed_form():
     # the resummed series truncates at I + (net x^1 displacement) theta1 theta2 E_11.
     line = PLLoop(TORUS, [(0, 0)], closure=(1, 0))
     cfg = FieldConfig.build(
-        TORUS, 2, 2, [{"indices": (1,), "eps": (1, 2), "field": 1.0, "lie": (1, 1)}]
+        TORUS, 2, 2, [{"indices": (1,), "eps": (1, 2), "field": constant_field(1.0), "lie": matrix_unit(2, 1, 1)}]
     )
     u_gen = gen_transport(ConstantCommutingConnection([np.zeros((2, 2))] * 2), cfg, line)
     assert np.flatnonzero(u_gen.components.any(axis=(1, 2))).tolist() == [0, 3]
@@ -289,7 +304,7 @@ def test_extra_theta_generators_do_not_change_values():
     assert GradedCoefficient.from_masks(w2.masks, 3).distance(w3) <= 1e-15
 
 
-def test_tolerance_driven_refinement_and_cap():
+def test_tolerance_driven_refinement_and_cap(monkeypatch):
     conn = diag_connection()
     cfg = mixed_config()
     loop = wiggly_loop()
@@ -297,10 +312,9 @@ def test_tolerance_driven_refinement_and_cap():
         conn, cfg, loop, plan=TransportPlan(steps=16, tol=1e-10)
     )
     assert refined.distance(reference_transport()) <= 1e-10
+    monkeypatch.setattr(holonomy, "MAX_STEPS", 64)
     with pytest.raises(QuadratureError, match="no convergence"):
-        gen_transport(
-            conn, cfg, loop, plan=TransportPlan(steps=16, tol=1e-30, max_steps=64)
-        )
+        gen_transport(conn, cfg, loop, plan=TransportPlan(steps=16, tol=1e-30))
 
 
 def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
@@ -327,18 +341,24 @@ def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
     assert out.distance(fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)) == 0.0
 
 
-def test_transport_plan_validation():
+def test_transport_plan_validation(monkeypatch):
     with pytest.raises(ValueError, match="step counts"):
         TransportPlan(steps=0)
+    # the first level's fine grid, 2 * steps, may not pass the cap
+    assert TransportPlan(steps=holonomy.MAX_STEPS // 2).steps == 8192
     with pytest.raises(ValueError, match="step counts"):
-        TransportPlan(steps=128, max_steps=64)
+        TransportPlan(steps=holonomy.MAX_STEPS // 2 + 1)
+    monkeypatch.setattr(holonomy, "MAX_STEPS", 64)
+    assert TransportPlan(steps=32).steps == 32
+    with pytest.raises(ValueError, match="step counts"):
+        TransportPlan(steps=33)
     # a tolerance that is not positive would run every grid up to the cap
     for tol in (math.nan, 0.0, -1e-6):
         with pytest.raises(ValueError, match="tol must be positive"):
             TransportPlan(steps=8, tol=tol)
 
 
-def test_no_grid_finer_than_max_steps_is_evaluated():
+def test_no_grid_finer_than_max_steps_is_evaluated(monkeypatch):
     # one Richardson level evaluates 2 * steps, so the levels run 8, 16 and
     # the next one (16, 32) would pass the cap of 16
     evaluated = []
@@ -347,12 +367,13 @@ def test_no_grid_finer_than_max_steps_is_evaluated():
         evaluated.append(steps)
         return SuperMatrix.from_body(np.eye(1) * steps, 0)
 
+    monkeypatch.setattr(holonomy, "MAX_STEPS", 16)
     with pytest.raises(QuadratureError, match="within 16 steps/segment"):
-        holonomy._with_richardson(evaluate, TransportPlan(steps=8, tol=1e-9, max_steps=16))
+        holonomy._with_richardson(evaluate, TransportPlan(steps=8, tol=1e-9))
     assert evaluated == [8, 16]
     with pytest.raises(ValueError, match="step counts"):
-        TransportPlan(steps=16, max_steps=16)
-    assert TransportPlan(steps=8, max_steps=16).max_steps == 16
+        TransportPlan(steps=16)
+    assert TransportPlan(steps=8).steps == 8
 
 
 # -- variation legs -------------------------------------------------------------
@@ -374,7 +395,7 @@ def test_insertion_derivative_closed_form():
     # eta = theta1 theta2 dx^1 E_11 that integrates to the net x^1 displacement
     line = PLLoop(TORUS, [(0, 0)], closure=(1, 0))
     eta = FieldConfig.build(
-        TORUS, 2, 2, [{"indices": (1,), "eps": (1, 2), "field": 1.0, "lie": (1, 1)}]
+        TORUS, 2, 2, [{"indices": (1,), "eps": (1, 2), "field": constant_field(1.0), "lie": matrix_unit(2, 1, 1)}]
     )
     empty = FieldConfig(TORUS, 2, 2, ())
     out = insertion_derivative(ConstantCommutingConnection([np.zeros((2, 2))] * 2), empty, line, eta)
@@ -383,7 +404,7 @@ def test_insertion_derivative_closed_form():
 
 def test_insertion_derivative_rejects_mismatched_shapes():
     eta = FieldConfig.build(
-        TORUS, 2, 1, [{"indices": (1,), "eps": (1,), "field": 1.0, "lie": (1, 1)}]
+        TORUS, 2, 1, [{"indices": (1,), "eps": (1,), "field": constant_field(1.0), "lie": matrix_unit(2, 1, 1)}]
     )
     with pytest.raises(ValueError, match="shape differs"):
         insertion_derivative(diag_connection(), mixed_config(2), wiggly_loop(), eta)
@@ -479,9 +500,9 @@ def test_gen_transport_of_a_field_and_its_derivative_matches_oracle_off_grid(one
         2,
         2,
         [
-            {"indices": (1,), "field": f, "lie": (1, 2)},
-            {"indices": (2,), "eps": (1, 2), "field": f.derivative(0), "lie": (2, 1)},
-            {"indices": (1, 2), "eps": (2,), "field": f, "lie": (1, 1)},
+            {"indices": (1,), "field": f, "lie": matrix_unit(2, 1, 2)},
+            {"indices": (2,), "eps": (1, 2), "field": f.derivative(0), "lie": matrix_unit(2, 2, 1)},
+            {"indices": (1, 2), "eps": (2,), "field": f, "lie": matrix_unit(2, 1, 1)},
         ],
         expect_parity=1,
     )
@@ -665,7 +686,7 @@ def test_block_exponential_of_nothing_is_the_identity():
     ident[:, 0] = np.eye(3)
     assert np.array_equal(slots.exp(np.zeros_like(coeffs)), ident)
     # a 2-form without legs has no slot
-    cfg = FieldConfig.build(TORUS, 3, 2, [{"indices": (1, 2), "field": 0.5, "lie": (1, 2)}])
+    cfg = FieldConfig.build(TORUS, 3, 2, [{"indices": (1, 2), "field": constant_field(0.5), "lie": matrix_unit(3, 1, 2)}])
     none = holonomy._Slots(cfg, 0, (0,))
     assert len(none.mats) == 0
     assert np.array_equal(none.exp(np.zeros((0, 6))), ident[:, :1])

@@ -85,7 +85,7 @@ def test_swap_on_random_vectors_componentwise():
 
 def test_fuse_traces_identity_matrices():
     basis = LieBasis(2)
-    eye = SuperMatrix.identity(2)
+    eye = SuperMatrix.from_body(np.eye(2))
     out = fuse_traces(eye, eye, eye, eye, basis)
     assert out.body() == pytest.approx(2.0)
     assert out.terms() == {(): out.body()}
@@ -93,15 +93,15 @@ def test_fuse_traces_identity_matrices():
 
 def naive_fusion(a1, a2, b1, b2, basis):
     """Brute-force double sum over basis pairs, symbolic entry products."""
-    total = GradedCoefficient.zero(a1.n_gen)
+    total = GradedCoefficient.from_masks({}, a1.n_gen)
     n = basis.n
     e1, e2, f1, f2 = map(supermatrix_entries, (a1, a2, b1, b2))
     for i in range(n):
         for j in range(n):
-            tr_a = GradedCoefficient.zero(a1.n_gen)
+            tr_a = GradedCoefficient.from_masks({}, a1.n_gen)
             for r in range(n):
                 tr_a = tr_a + e1[r][i] * e2[j][r]
-            tr_b = GradedCoefficient.zero(a1.n_gen)
+            tr_b = GradedCoefficient.from_masks({}, a1.n_gen)
             for s in range(n):
                 tr_b = tr_b + f1[s][j] * f2[i][s]
             total = total + tr_a * tr_b
@@ -163,7 +163,7 @@ def symbolic_product(a, b):
     ea, eb = supermatrix_entries(a), supermatrix_entries(b)
     for i in range(a.n):
         for j in range(a.n):
-            entry = GradedCoefficient.zero(a.n_gen)
+            entry = GradedCoefficient.from_masks({}, a.n_gen)
             for k in range(a.n):
                 entry = entry + ea[i][k] * eb[k][j]
             for mask, value in entry.masks.items():
@@ -205,7 +205,7 @@ def test_scalar_matrix_product_keeps_koszul_signs():
 def test_identity_is_neutral():
     rng = np.random.default_rng(6)
     a = random_supermatrix(rng, 3)
-    eye = SuperMatrix.identity(3)
+    eye = SuperMatrix.from_body(np.eye(3))
     assert (eye @ a).distance(a) == 0.0
     assert (a @ eye).distance(a) == 0.0
 

@@ -72,7 +72,7 @@ def test_model_validation():
             [("q", 0), ("p", 0)], {("q", "p"): 1, ("p", "q"): 1}, 2
         )
     with pytest.raises(ValueError, match="unknown variable"):
-        EVEN.var("z")
+        EVEN.monomial(1, "z")
 
 
 def test_pairing_completion_signs():
@@ -87,10 +87,10 @@ def test_pairing_completion_signs():
 
 
 def test_normal_form_reordering_and_odd_squares():
-    t1, t2 = THETA.var("t1"), THETA.var("t2")
+    t1, t2 = THETA.monomial(1, "t1"), THETA.monomial(1, "t2")
     assert (t2 * t1 + t1 * t2).is_zero
     assert (t1 * t1).is_zero
-    q = THETA.var("q")
+    q = THETA.monomial(1, "q")
     assert q * t1 == t1 * q
     assert (t1 * t2).parity == 0
     with pytest.raises(ValueError, match="homogeneous"):
@@ -142,22 +142,22 @@ def test_coefficient_types_survive_every_operation(coeffs, kind):
 
 
 def test_even_model_classical_values():
-    q, p = EVEN.var("q"), EVEN.var("p")
-    assert graded_bracket(q, p) == EVEN.scalar(1)
+    q, p = EVEN.monomial(1, "q"), EVEN.monomial(1, "p")
+    assert graded_bracket(q, p) == EVEN.monomial(1)
     assert graded_bracket(q * q, p) == q.scale(2)
     assert graded_bracket(p, q * q) == q.scale(-2)
-    assert graded_bracket(q * q + p, EVEN.scalar(7)).is_zero
+    assert graded_bracket(q * q + p, EVEN.monomial(7)).is_zero
 
 
 def test_odd_model_derived_values():
-    f, fd = ODD.var("f"), ODD.var("fd")
+    f, fd = ODD.monomial(1, "f"), ODD.monomial(1, "fd")
     assert graded_bracket(f * fd, f) == -f
     assert graded_bracket(f, f * fd) == f
 
 
 def test_bracket_rejects_foreign_polynomials():
     with pytest.raises(ValueError, match="different models"):
-        graded_bracket(EVEN.var("q"), ODD.var("f"))
+        graded_bracket(EVEN.monomial(1, "q"), ODD.monomial(1, "f"))
     with pytest.raises(ValueError, match="not in model"):
         GradedPolynomial(EVEN, [(1, (5,))])
 
@@ -202,29 +202,29 @@ def test_zero_generator_gives_zero_differential():
 
 
 def test_momentum_generator_acts_as_signed_q_derivative():
-    q, p = EVEN.var("q"), EVEN.var("p")
-    mono = EVEN.scalar(1)
+    q, p = EVEN.monomial(1, "q"), EVEN.monomial(1, "p")
+    mono = EVEN.monomial(1)
     for k in range(1, 5):
         mono = mono * q
         dP, _ = delta_and_nilpotency(p, mono)
         # with {q;p} = +1 the flow of p is (-1) d/dq; nilpotency is not
         # expected here since {p; .} is an even derivation
-        want = (q * q * q if k == 4 else [EVEN.scalar(1), q, q * q][k - 1]).scale(-k)
+        want = (q * q * q if k == 4 else [EVEN.monomial(1), q, q * q][k - 1]).scale(-k)
         assert dP == want
 
 
 def test_master_equation_violation_is_reported():
     # {S;S} can only be nonzero when parity(S) + d is odd
-    t1 = THETA.var("t1")
-    assert graded_bracket(t1, t1) == THETA.scalar(1)
+    t1 = THETA.monomial(1, "t1")
+    assert graded_bracket(t1, t1) == THETA.monomial(1)
     with pytest.raises(MasterEquationError, match="master equation"):
-        delta_and_nilpotency(t1, THETA.var("q"))
+        delta_and_nilpotency(t1, THETA.monomial(1, "q"))
 
 
 def test_koszul_generator_is_nilpotent():
     S = KOSZUL.monomial(1, "xd", "c")
     assert graded_bracket(S, S).is_zero
-    x, c = KOSZUL.var("x"), KOSZUL.var("c")
+    x, c = KOSZUL.monomial(1, "x"), KOSZUL.monomial(1, "c")
     dx, ddx = delta_and_nilpotency(S, x)
     assert dx == c and ddx.is_zero
     dc, _ = delta_and_nilpotency(S, c)

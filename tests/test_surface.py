@@ -4,6 +4,8 @@ file and entry point that ``pyproject.toml`` declares."""
 from __future__ import annotations
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,15 @@ def test_star_import_binds_every_listed_name(module):
     namespace: dict = {}
     exec(f"from {module} import *", namespace)
     assert set(importlib.import_module(module).__all__) <= set(namespace)
+
+
+def test_package_import_leaves_the_suite_runner_out():
+    # the suite runner loads jsonschema and its fixtures; the library needs neither
+    code = "import sys, stringtop; print(sorted({'stringtop.harness', 'jsonschema'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.split() == ["[]"]
 
 
 def test_pyproject_declares_only_what_exists():

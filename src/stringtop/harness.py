@@ -26,6 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from jsonschema import validate as _schema_validate
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from . import __version__
@@ -33,7 +34,8 @@ from .brackets import fundamental_identity_check, main_theorem_sides
 from .chords import ChordDiagram, DiagramRealization, evaluate_diagram, four_t_combination, gln_ideal_element
 from .fields import ConstantCommutingConnection, FieldConfig, FourierField
 from .geometry import PLLoop, Torus, VariationField
-from .holonomy import _pieces, transport, wilson
+from .grassmann import GradedCoefficient
+from .holonomy import _piece_floats, _pieces, gen_transport, transport, wilson
 from .lierep import LieBasis, SuperMatrix, fuse_traces
 from .phasespace import GradedPhaseModel, delta_and_nilpotency, graded_bracket
 from .strings import (
@@ -214,6 +216,12 @@ def _rand_config(rng, n: int) -> FieldConfig:
     )
 
 
+def _rand_variation(rng, loop: PLLoop) -> VariationField:
+    """Random vertex displacements in [-1/8, 1/8]^2, multiples of 1/64."""
+    disps = [[Fraction(int(rng.integers(-8, 9)), 64) for _ in range(2)] for _ in loop.vertices]
+    return VariationField.from_displacements(loop, disps)
+
+
 def _rand_class(rng, lo: int = -2, hi: int = 3) -> tuple[int, int]:
     return (int(rng.integers(lo, hi)), int(rng.integers(lo, hi)))
 
@@ -304,6 +312,91 @@ def transport_by_pieces(conn, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.
     return out
 
 
+def _leg_values_at(variations, piece, u: float) -> list[np.ndarray]:
+    """The variation values at local coordinate u of the piece's segment,
+    interpolated between its two vertex displacements."""
+    i, _, _ = piece
+    values = []
+    for var in variations:
+        a = np.array([float(c) for c in var.displacement(i)])
+        b = np.array([float(c) for c in var.displacement(i + 1)])
+        values.append(a + u * (b - a))
+    return values
+
+
+def insertion_matrix_at(config: FieldConfig, pos, vel, leg_values, n_legs: int) -> SuperMatrix:
+    """M(t) at one point, from symbolic Grassmann products.
+
+    Oracle for the slot basis of ``holonomy._Slots``: each form monomial
+    takes the velocity in each of its slots in turn, with the leg elements
+    W^mu = sum_i w_i v_i^mu in the others, multiplied out as
+    ``GradedCoefficient`` products.
+    """
+    n_theta = config.n_theta
+    n_gen = n_theta + n_legs
+    comps: dict[int, np.ndarray] = {}
+    w_elements = [
+        GradedCoefficient.from_masks(
+            {1 << (n_theta + idx): complex(val[mu]) for idx, val in enumerate(leg_values) if val[mu] != 0},
+            n_gen,
+        )
+        for mu in range(config.space.d)
+    ]
+    for mask, field, mat in config.terms:
+        bits = config.form_degree_bits(mask)
+        if not bits:
+            continue
+        fval = field.evaluate(pos)
+        theta = GradedCoefficient.from_masks({config.theta_mask(mask): 1.0}, n_gen)
+        gc = GradedCoefficient.from_masks({}, n_gen)
+        for a in range(len(bits)):
+            part = GradedCoefficient.from_masks({0: 1}, n_gen)
+            for b in range(len(bits)):
+                if b != a:
+                    part = part * w_elements[bits[b]]
+            sign = -1.0 if a % 2 else 1.0
+            gc = gc + (part * theta).scale(sign * vel[bits[a]] * fval)
+        for gm, gv in gc.masks.items():
+            comps[gm] = comps.get(gm, 0) + complex(gv) * mat
+    return SuperMatrix(config.n, n_gen, comps)
+
+
+def gen_transport_ode(
+    conn, config: FieldConfig, loop: PLLoop, s=Fraction(0), t=Fraction(1), variations=(), rtol: float = 1e-13
+) -> SuperMatrix:
+    """Oracle for ``gen_transport``: U' = U (A v + M(t)) integrated by an
+    explicit Runge-Kutta method.
+
+    Independent of the stepping: no step exponential, no slot basis and no
+    extrapolation. ``scipy.integrate.solve_ivp`` (DOP853) integrates the
+    component stack of U over each piece, where the velocity is constant,
+    and the pieces are chained. M(t) is assembled from symbolic Grassmann
+    products (``insertion_matrix_at``).
+    """
+    n_gen = config.n_theta + len(variations)
+    k_seg = loop.num_segments
+    u_mat = SuperMatrix.from_body(np.eye(config.n), n_gen)
+    for piece in _pieces(loop, Fraction(s), Fraction(t)):
+        i, lo, hi = piece
+        start, vel, _ = _piece_floats(loop, piece)
+        a_vel = SuperMatrix.from_body(conn.matrix_of(vel), n_gen)
+
+        def rhs(tau, y):
+            pos = start + (tau - float(lo)) * vel
+            legs = _leg_values_at(variations, piece, tau * k_seg - i)
+            m = insertion_matrix_at(config, pos, vel, legs, len(variations))
+            u = SuperMatrix._of(y.reshape(u_mat.components.shape))
+            return (u @ (a_vel + m)).components.ravel()
+
+        sol = solve_ivp(
+            rhs, (float(lo), float(hi)), u_mat.components.ravel(), method="DOP853", rtol=rtol, atol=rtol * 1e-3
+        )
+        if not sol.success:
+            raise RuntimeError(sol.message)
+        u_mat = SuperMatrix._of(sol.y[:, -1].reshape(u_mat.components.shape))
+    return u_mat
+
+
 def _holonomy(rng, k: int) -> float:
     conn = _rand_conn(rng, N_LIST[k % len(N_LIST)])
     loop = gen_random_loop(rng)
@@ -340,9 +433,17 @@ def _fundamental(rng, k: int) -> float:
     conn = _rand_conn(rng, n)
     config = _rand_config(rng, n)
     loop = gen_random_loop(rng)
-    disps = [[Fraction(int(rng.integers(-8, 9)), 64) for _ in range(2)] for _ in loop.vertices]
-    v = VariationField.from_displacements(loop, disps)
-    return fundamental_identity_check(conn, config, loop, v)
+    return fundamental_identity_check(conn, config, loop, _rand_variation(rng, loop))
+
+
+def _transport_accuracy(rng, k: int) -> float:
+    n = (2, 3)[k % 2]
+    conn = _rand_conn(rng, n)
+    config = _rand_config(rng, n)
+    loop = gen_random_loop(rng)
+    legs = [_rand_variation(rng, loop)]
+    ref = gen_transport_ode(conn, config, loop, variations=legs)
+    return gen_transport(conn, config, loop, variations=legs).distance(ref) / ref.norm()
 
 
 def _goldman(rng, k: int) -> float:
@@ -495,6 +596,10 @@ CHECKS = {
     "chord-ideal": Check(
         "chord contraction matches the reconnected trace in the standard representation",
         9, 1e-10, _chord_ideal,
+    ),
+    "transport-accuracy": Check(
+        "generalized transport with one leg matches an independent Runge-Kutta integration",
+        2, 1.5e-9, _transport_accuracy,
     ),
 }
 

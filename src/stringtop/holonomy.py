@@ -11,15 +11,11 @@ both points read off the loop's integer lift. It is exact up to machine
 rounding, and no step subdivision is involved.
 
 Generalized transport inserts a matrix-valued Grassmann field C along the
-path, resummed into an effective connection: the one-step factor on a
-sub-interval of width h is the symmetric (Strang) sandwich
-
-    exp(A v h/2) . exp(M(t_mid) h) . exp(A v h/2),
-
-where v is the segment velocity and M(t) is the pairing of C's degree-k
-terms with one velocity factor and k-1 "leg" generators: substituting
-dx^mu -> gammadot^mu dt + W^mu into the ascending form monomial and
-keeping the part linear in dt,
+path, resummed into an effective connection: the transport solves
+U' = U K(t) with K(t) = A(v) + M(t), where v is the segment velocity and
+M(t) is the pairing of C's degree-k terms with one velocity factor and
+k-1 "leg" generators: substituting dx^mu -> gammadot^mu dt + W^mu into the
+ascending form monomial and keeping the part linear in dt,
 
     M(t) = sum_terms f(gamma(t)) sum_a (-1)^{a-1} gammadot^{mu_a}
            W^{mu_1} .. (hat a) .. W^{mu_k} theta_S E,
@@ -28,6 +24,18 @@ with W^mu = sum_i w_i v_i^mu(t) built from the supplied variation fields
 on extra Grassmann generators w_i placed after the thetas. Form degree
 zero terms carry no dt factor and never enter the transport, so a
 configuration of such terms alone takes the plain transport, exactly.
+
+One step of width h from t is the fourth-order commutator-free Magnus
+step (Celledoni, Marthinsen and Owren, Future Gener. Comput. Syst. 19,
+2003; Blanes and Moan, Appl. Numer. Math. 56, 2006): with K_1, K_2 the
+values of K at the Gauss nodes t + c_i h, c_{1,2} = 1/2 -+ sqrt(3)/6, and
+the weights alpha_{1,2} = 1/4 +- sqrt(3)/6,
+
+    U(t + h) = U(t) . exp(h(alpha_1 K_1 + alpha_2 K_2))
+                    . exp(h(alpha_2 K_1 + alpha_1 K_2)).
+
+The nodes lie strictly inside segments, so the corner discontinuities of
+PL velocities are never sampled.
 
 The stepping runs on component stacks over the support of the fields. A
 Grassmann n x n matrix over the N = n_theta + len(variations) generators
@@ -39,37 +47,37 @@ matrix is its (|S|, n, n) stack on S, and a product is one matmul of the
 left-regular representation of the left factor on S with the stacked
 components of the right one (``lierep.product``).
 
-Within one transport every insertion matrix lies in a fixed slot basis
-(``_Slots``), M(t) = sum_q c_q(t) B_q. A slot q is a term with one set L
-of k - 1 legs; B_q = theta_{S | L} E is fixed, and only the scalar
-c_q(t) moves along the path: f(x(t)) times the determinant of the
-velocity and the leg values over the term's form bits. Two tables are
-built once per transport and serve every grid that the Richardson levels
-walk: the slots with the nonzero blocks of their regular matrices R_q,
-and the walk table of the pieces (``_Walk``: span, start, velocity v,
-A(v), leg start values and slopes). A grid then needs one batched
-``expm`` for the half steps E = exp(A v h/2) of all its pieces.
+Within one transport K(t) lies in a fixed slot basis (``_Slots``),
+K(t) = sum_q c_q(t) B_q. The connection gives two body slots: B_q = A_mu,
+with the velocity component v^mu as coefficient. A field slot q is a term
+with one set L of k - 1 legs; B_q = theta_{S | L} E is fixed, and only the
+scalar c_q(t) moves along the path: f(x(t)) times the determinant of the
+velocity and the leg values over the term's form bits. So each exponent
+of a step is sum_q (h times a combination of the two node values of c_q)
+B_q. Two tables are built once per transport and serve every grid that
+the Richardson levels walk: the slots with the nonzero blocks of their
+regular matrices R_q, and the walk table of the pieces (``_Walk``: span,
+start, velocity, leg start values and slopes).
 
-The midpoint grid is walked in blocks of at most ``BLOCK`` midpoints,
-which may span pieces. The fields of all the slots are evaluated in one
-Fourier pass per block (``fields.FourierStack``). A block's step
-exponentials are one Taylor series on the unit columns of all its
-midpoints side by side, an (|S|, n, n, b) term. R_q is nonzero only in
-the column blocks U that are disjoint from the slot's mask and whose
-union with it is in S, and only those P blocks are kept, packed side by
-side. Each Taylor term is one GEMM of the packed blocks with the gathered
-components term[U_p], each weighted by c_{q_p} h / k. The term count is
+The grid is walked in blocks of at most ``BLOCK`` step exponentials, two
+per step, which may span pieces. The fields of all the slots are
+evaluated at the block's nodes in one Fourier pass
+(``fields.FourierStack``). A block's step exponentials are one Taylor
+series on the unit columns of all of them side by side, an
+(|S|, n, n, b) term. R_q is nonzero only in the column blocks U that are
+disjoint from the slot's mask and whose union with it is in S, and only
+those P blocks are kept, packed side by side. Each Taylor term is one
+GEMM of the packed blocks with the gathered components term[U_p], each
+weighted by the exponent's coefficient of q_p over k. The term count is
 fixed before the loop from the norm bound
-rho = max_j sum_q |c_q h| ||R_q||_inf, as the first K with
+rho = max_j sum_q |coefficient| ||R_q||_inf, as the first K with
 rho^K / K! < 1e-17 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011,
 choose the degree of the action of a matrix exponential the same way).
-The half steps act on every component, E G_S E. A run of midpoints on one
-piece shares its E, so each run takes two wide GEMMs (``_half_steps``).
-The block's step factors are then multiplied pairwise into one component
+The block's exponentials are then multiplied pairwise into one component
 stack. The largest arrays are the regular matrices of that product's
 first pair level, BLOCK/2 (|S| n)^2 entries, and the weighted Taylor
 term, P n^2 BLOCK entries, so the working memory does not grow with the
-steps the plan takes. No dense stack of M(t) is formed while stepping.
+steps the plan takes. No dense stack of K(t) is formed while stepping.
 The running product of the blocks stays on S, and the transport becomes
 a ``SuperMatrix`` over all 2^N masks only when it is returned.
 
@@ -78,14 +86,12 @@ field eta is the epsilon-part of the transport of C + epsilon eta, with
 epsilon an even product of two extra generators, so there is one
 stepping path for both.
 
-The symmetric step makes the error expansion even in h, so every
-generalized transport applies one Richardson level in h^2; with a
-tolerance set, steps double until two successive extrapolated values
-agree, up to a hard cap per segment on the finest grid evaluated (then
-``QuadratureError``). A level's fine grid is the next level's coarse
-grid, and each grid is evaluated once. Midpoint nodes lie strictly inside
-segments, so the corner discontinuities of PL velocities are never
-sampled.
+The step is symmetric, so its error expansion is even in h: every
+generalized transport applies one Richardson level in h^4, which leaves
+an error of order h^6; with a tolerance set, steps double until two
+successive extrapolated values agree, up to a hard cap per segment on
+the finest grid evaluated (then ``QuadratureError``). A level's fine grid
+is the next level's coarse grid, and each grid is evaluated once.
 """
 
 from __future__ import annotations
@@ -118,17 +124,18 @@ class TransportPlan:
     """Discretization plan for generalized transports.
 
     Every plan applies one Richardson level: the values T_S and T_{2S} on
-    grids of S and 2S sub-intervals per piece combine as
-    (4 T_{2S} - T_S) / 3, valid because the scheme's error is even in h.
+    grids of S and 2S steps per piece combine as (16 T_{2S} - T_S) / 15,
+    valid because the fourth-order step's error is even in h. Each step
+    takes two step exponentials.
 
-    steps: S, sub-intervals per covered segment piece on the coarse grid;
-        the first level's fine grid, 2 S, must not exceed ``MAX_STEPS``.
+    steps: S, steps per covered segment piece on the coarse grid; the
+        first level's fine grid, 2 S, must not exceed ``MAX_STEPS``.
     tol: if set, a positive distance: double steps until successive
         extrapolated values agree to it, with no grid finer than
         ``MAX_STEPS`` per segment (else ``QuadratureError``).
     """
 
-    steps: int = 64
+    steps: int = 16
     tol: float | None = None
 
     def __post_init__(self):
@@ -229,7 +236,7 @@ def wrap_transport(conn: ConstantCommutingConnection, loop: PLLoop, s: Fraction,
 # ---------------------------------------------------------------------------
 # insertion matrices in the slot basis
 
-BLOCK = 256  # midpoints per block: one GEMM per Taylor term serves them all
+BLOCK = 256  # step exponentials per block, two per step: one GEMM per Taylor term serves them all
 
 
 def _support(config: FieldConfig, n_legs: int) -> tuple[int, ...]:
@@ -237,11 +244,10 @@ def _support(config: FieldConfig, n_legs: int) -> tuple[int, ...]:
 
     A form term of degree k >= 1 enters M with the masks theta_S | L, for
     every set L of k - 1 leg generators. Products of Grassmann monomials
-    are nonzero only on disjoint masks, so every exponential, half step
-    and product of the transport lives on the closure of those masks
-    under disjoint union, with 0 for the body. The closure is exact for
-    the terms and fixed per transport; data that happen to vanish only
-    leave zeros on it.
+    are nonzero only on disjoint masks, so every exponential and product
+    of the transport lives on the closure of those masks under disjoint
+    union, with 0 for the body. The closure is exact for the terms and
+    fixed per transport; data that happen to vanish only leave zeros on it.
     """
     reach = set()
     legs = [1 << (config.n_theta + idx) for idx in range(n_legs)]
@@ -260,7 +266,7 @@ def _support(config: FieldConfig, n_legs: int) -> tuple[int, ...]:
 
 
 def _det(rows: tuple[int, ...], cols: list[np.ndarray]) -> np.ndarray:
-    """det[cols[c][:, rows[r]]] per midpoint, for (b, d) columns: the Laplace
+    """det[cols[c][:, rows[r]]] per node, for (b, d) columns: the Laplace
     expansion along the first column, which is how M(t) sums its velocity
     slot; the minors are the products of the legs."""
     if not cols:
@@ -272,11 +278,13 @@ def _det(rows: tuple[int, ...], cols: list[np.ndarray]) -> np.ndarray:
 
 
 class _Slots:
-    """M(t) = sum_q c_q(t) B_q: a field configuration in its slot basis on a
-    support.
+    """K(t) = A(v) + M(t) = sum_q c_q(t) B_q: a connection and a field
+    configuration in their slot basis on a support.
 
-    A slot q is a term f theta_S E of form degree k >= 1 with one sorted
-    set L of k - 1 leg generators: B_q = theta_{S | L} E is fixed, and
+    Slots 0 and 1 are the body slots of the connection, B_q = A_{q+1} with
+    coefficient v^{q+1}. Every other slot q is a term f theta_S E of form
+    degree k >= 1 with one sorted set L of k - 1 leg generators:
+    B_q = theta_{S | L} E is fixed, and
 
         c_q(t) = sign(w_L theta_S) f(x(t)) det[v, v_{L_1}, .., v_{L_{k-1}}]
 
@@ -293,9 +301,11 @@ class _Slots:
     GEMM adds the nonzero products in the order the full one does.
     """
 
-    def __init__(self, config: FieldConfig, n_legs: int, support: tuple[int, ...]):
+    def __init__(
+        self, conn: ConstantCommutingConnection, config: FieldConfig, n_legs: int, support: tuple[int, ...]
+    ):
         self.n, self.n_gen, self.support = config.n, config.n_theta + n_legs, support
-        self.terms, where, mats, fields = [], [], [], []
+        self.terms, where, mats, fields = [], [0, 0], list(conn.mats), []
         for mask, field, mat in config.terms:
             bits = config.form_degree_bits(mask)
             theta = config.theta_mask(mask)
@@ -322,11 +332,12 @@ class _Slots:
         self.block_mask = np.array([u for _, u in blocks], dtype=int)
 
     def coefficients(self, pos: np.ndarray, vel: np.ndarray, legs: np.ndarray) -> np.ndarray:
-        """The (Q, b) coefficients c_q(t_j) at the (b, d) midpoints and
+        """The (Q, b) coefficients c_q(t_j) at the (b, d) nodes and
         velocities, with the (n_legs, b, d) leg values; the fields are
         evaluated in one Fourier pass."""
         out = np.empty((len(self.where), len(pos)), dtype=complex)
-        dets, q = {}, 0
+        out[:2] = vel.T
+        dets, q = {}, 2
         for values, (bits, slots) in zip(self.fields(pos), self.terms):
             for legs_of, sign in slots:
                 if (bits, legs_of) not in dets:
@@ -355,7 +366,7 @@ class _Slots:
         return blocks.transpose(1, 0, 2).reshape(size * n, -1), np.abs(regs).sum(axis=2).max(axis=1, initial=0.0)
 
     def exp(self, coeffs: np.ndarray) -> np.ndarray:
-        """exp(sum_q coeffs[q, j] B_q) for every midpoint j of a block, as
+        """exp(sum_q coeffs[q, j] B_q) for every column j of a block, as
         the (b, |S|, n, n) component stacks.
 
         The Taylor series runs on the unit columns of all the block's
@@ -396,9 +407,9 @@ def insertion_matrix(
     n_legs: int,
     support: tuple[int, ...],
 ) -> np.ndarray:
-    """M(t) at a block of midpoints: C's form slots fed one velocity and k-1 legs.
+    """M(t) at a block of points: C's form slots fed one velocity and k-1 legs.
 
-    pos and vel are the (b, d) arrays of midpoints and path velocities there,
+    pos and vel are the (b, d) arrays of points and path velocities there,
     leg_values the (n_legs, b, d) variation values. Returns the
     (b, |S|, n, n) stack of component stacks on the support S, which must
     hold every mask M reaches (``_support``), N = n_theta + n_legs
@@ -408,34 +419,11 @@ def insertion_matrix(
     No stepping path calls it: the transports exponentiate in the slot
     basis. It is kept as the dense view of M(t) that tests compare with
     the symbolic oracle, and as a layer that the benchmark tracer names.
+    The slots take a zero connection, so their body slots add nothing.
     """
-    slots = _Slots(config, n_legs, support)
+    zero = ConstantCommutingConnection([np.zeros((config.n, config.n))] * 2)
+    slots = _Slots(zero, config, n_legs, support)
     return slots.dense(slots.coefficients(pos, vel, leg_values))
-
-
-def _half_steps(e_halves: np.ndarray, piece: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """E g E at every midpoint of a block: g holds the (b, |S|, n, n) step
-    exponentials, piece the nondecreasing piece index of each midpoint and
-    e_halves the (pieces, n, n) half steps.
-
-    The midpoints of a run on one piece share its E, so a run takes two
-    wide GEMMs: E times the run's components side by side, their rows
-    gathered into one matrix, then those products stacked times E. The
-    block is transposed once for each side, and each run's GEMM reads and
-    writes its slice of the block in place.
-    """
-    b, size, n, _ = g.shape
-    cuts = [0, *(np.flatnonzero(np.diff(piece)) + 1), b]
-    runs = [(e_halves[piece[lo]], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    cols = g.transpose(2, 0, 1, 3).copy()  # (i, b, |S|, j): E acts on i
-    left = np.empty_like(cols)
-    for e, lo, hi in runs:
-        np.matmul(e, cols[:, lo:hi].reshape(n, -1), out=left[:, lo:hi].reshape(n, -1))
-    rows = left.transpose(1, 2, 0, 3).copy()  # (b, |S|, i, j): E acts on j
-    out = cols.reshape(b, size, n, n)
-    for e, lo, hi in runs:
-        np.matmul(rows[lo:hi].reshape(-1, n), e, out=out[lo:hi].reshape(-1, n))
-    return out
 
 
 def _chain(factors: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
@@ -452,24 +440,24 @@ def _chain(factors: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
 # generalized transport
 
 
+# the Gauss nodes of a step, as fractions of its width, and the weights of
+# the node values in its two exponentials: entry (i, f) weighs node i in
+# exponential f, first (alpha_1, alpha_2), then (alpha_2, alpha_1)
+_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3) / 6
+_CF_WEIGHTS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.sqrt(3) / 6
+
+
 class _Walk:
     """The pieces of [s, t] and what every grid walk reads of them.
 
     Built once per transport, since none of it depends on the step count:
-    each piece's span, start, velocity v, A(v), the local coordinate of
-    its start and the start values and slopes of its legs. Leg values are
+    each piece's span, start, velocity v, the local coordinate of its
+    start and the start values and slopes of its legs. Leg values are
     affine in the local coordinate u, a + u (b - a), between the
     displacements of the segment's two vertices.
     """
 
-    def __init__(
-        self,
-        conn: ConstantCommutingConnection,
-        loop: PLLoop,
-        s: Fraction,
-        t: Fraction,
-        variations: Sequence[VariationField],
-    ):
+    def __init__(self, loop: PLLoop, s: Fraction, t: Fraction, variations: Sequence[VariationField]):
         self.k_seg = loop.num_segments
         spans, starts, vels, u_starts, leg_ends = [], [], [], [], []
         for piece in _pieces(loop, s, t):
@@ -483,40 +471,39 @@ class _Walk:
         count, d = len(spans), loop.space.d
         self.spans, self.u_starts = np.array(spans), np.array(u_starts)
         self.starts, self.vels = (np.array(a).reshape(count, d) for a in (starts, vels))
-        self.a_vels = np.array([conn.matrix_of(v) for v in vels], dtype=complex).reshape(count, conn.n, conn.n)
         ends = np.array(leg_ends).reshape(count, len(variations), 2, d)
         self.leg_starts, self.leg_slopes = ends[:, :, 0], ends[:, :, 1] - ends[:, :, 0]
 
     def blocks(self, steps: int):
-        """Walk the grid of ``steps`` midpoints per piece once, in path order.
+        """Walk the grid of ``steps`` steps per piece once, in path order.
 
-        The half steps E = exp(A(v) h/2) of all pieces are one batched
-        ``expm``; the grid is then cut into blocks of at most BLOCK
-        midpoints, which may span pieces. Yields (e_halves, piece, h, pos,
-        vel, legs) per block: the (pieces, n, n) half steps, the (b,) piece
-        index and step width of each midpoint, the (b, d) midpoints and
-        velocities and the (n_legs, b, d) leg values, which every field
-        sampled on the block shares.
+        The grid is cut into blocks of BLOCK // 2 steps, at least one, which
+        may span pieces. Yields (h, pos, vel, legs) per block: the (b,) step
+        widths, and at the 2 b Gauss nodes, two per step in path order, the
+        (2 b, d) points and velocities and the (n_legs, 2 b, d) leg values,
+        which every field sampled on the block shares.
         """
         widths = self.spans / steps
-        e_halves = expm(self.a_vels * (widths / 2)[:, None, None])
-        total = len(widths) * steps
-        for first in range(0, total, BLOCK):
-            p, j = np.divmod(np.arange(first, min(first + BLOCK, total)), steps)
-            mid = j + 0.5
+        total, size = len(widths) * steps, max(1, BLOCK // 2)
+        for first in range(0, total, size):
+            p, j = np.divmod(np.arange(first, min(first + size, total)), steps)
             h = widths[p]
-            pos = self.starts[p] + (mid * h)[:, None] * self.vels[p]
-            u = self.u_starts[p] + mid * (h * self.k_seg)
+            p, h_node = np.repeat(p, 2), np.repeat(h, 2)
+            at = (j[:, None] + _NODES).ravel() * h_node
+            pos = self.starts[p] + at[:, None] * self.vels[p]
+            u = self.u_starts[p] + at * self.k_seg
             legs = (self.leg_starts[p] + u[:, None, None] * self.leg_slopes[p]).transpose(1, 0, 2)
-            yield e_halves, p, h, pos, self.vels[p], legs
+            yield h, pos, self.vels[p], legs
 
 
 def _gen_transport_fixed(slots: _Slots, walk: _Walk, steps: int) -> SuperMatrix:
     support = slots.support
     u_mat = SuperMatrix.from_body(np.eye(slots.n), slots.n_gen).components[list(support)]
-    for e_halves, piece, h, pos, vel, legs in walk.blocks(steps):
-        exps = slots.exp(slots.coefficients(pos, vel, legs) * h)
-        u_mat = product(u_mat, _chain(_half_steps(e_halves, piece, exps), support), support)
+    for h, pos, vel, legs in walk.blocks(steps):
+        nodes = slots.coefficients(pos, vel, legs).reshape(-1, len(h), 2)
+        exponents = (nodes @ _CF_WEIGHTS) * h[:, None]
+        exps = slots.exp(exponents.reshape(len(nodes), -1))
+        u_mat = product(u_mat, _chain(exps, support), support)
     return SuperMatrix(slots.n, slots.n_gen, dict(zip(support, u_mat)))
 
 
@@ -537,7 +524,7 @@ def _with_richardson(evaluate, plan: TransportPlan):
     def level(steps):
         coarse = at(steps)
         fine = at(2 * steps)
-        return fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)
+        return fine * (16.0 / 15.0) - coarse * (1.0 / 15.0)
 
     steps = plan.steps
     value = level(steps)
@@ -576,8 +563,8 @@ def gen_transport(
         raise ValueError("connection and field configuration sizes differ")
     if not any(config.form_degree_bits(m) for m, _, _ in config.terms):
         return SuperMatrix.from_body(transport(conn, loop, s, t), config.n_theta + len(variations))
-    slots = _Slots(config, len(variations), _support(config, len(variations)))
-    walk = _Walk(conn, loop, s, t, variations)
+    slots = _Slots(conn, config, len(variations), _support(config, len(variations)))
+    walk = _Walk(loop, s, t, variations)
     return _with_richardson(lambda steps: _gen_transport_fixed(slots, walk, steps), plan)
 
 
@@ -627,8 +614,8 @@ def insertion_derivative(
         n_theta + 2,
         [*config.terms, *((mask | pair << config.space.d, f, mat) for mask, f, mat in eta.terms)],
     )
-    slots = _Slots(joint, n_legs, _support(joint, n_legs))
-    walk = _Walk(conn, loop, Fraction(0), Fraction(1), variations)
+    slots = _Slots(conn, joint, n_legs, _support(joint, n_legs))
+    walk = _Walk(loop, Fraction(0), Fraction(1), variations)
     thetas = (1 << n_theta) - 1
 
     def fixed(steps: int) -> GradedCoefficient:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from stringtop.brackets import fundamental_identity_paths
@@ -25,6 +24,7 @@ from stringtop.chords import DiagramRealization, parse_rep
 from stringtop.fields import ConstantCommutingConnection, FieldConfig, FieldTerm, FourierField
 from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient
+from stringtop.harness import _leg_values_at, insertion_matrix_at
 from stringtop.holonomy import _pieces, _piece_floats, transport
 from stringtop.lierep import LieBasis, SuperMatrix
 from stringtop.strings import IntersectionPoint, TransversalityError
@@ -140,75 +140,17 @@ def eval_field(
 # step-by-step generalized transport, one SuperMatrix product per factor
 #
 # The package runs the transport on stacks of component stacks, a block of
-# midpoints at a time: one Taylor series on the block's regular matrices,
-# the half steps applied to each component, and the step factors multiplied
-# pairwise. These functions take one midpoint at a time instead: the
-# insertion matrix is assembled from GradedCoefficient products, its
+# steps at a time: one Taylor series on the block's regular matrices for
+# all its step exponentials, multiplied pairwise. These functions take one
+# node at a time instead: the insertion matrix is assembled from
+# GradedCoefficient products (``harness.insertion_matrix_at``), each
 # exponential is a Taylor series of SuperMatrix products, and the
-# path-ordered product is a left-to-right chain of SuperMatrix products
-# (with one full step exp(A v h) between the midpoints of a piece in
-# ``gen_transport_stepwise``). They take a fixed step count and apply no
-# Richardson extrapolation.
+# path-ordered product is a left-to-right chain of SuperMatrix products.
+# They take a fixed step count and apply no Richardson extrapolation.
 
-
-def _leg_values_at(variations: Sequence[VariationField], piece, u: float):
-    i, _, _ = piece
-    values = []
-    for var in variations:
-        a = np.array([float(c) for c in var.displacement(i)])
-        b = np.array([float(c) for c in var.displacement(i + 1)])
-        values.append(a + u * (b - a))
-    return values
-
-
-def insertion_matrix_at(
-    config: FieldConfig, pos, vel, leg_values: Sequence[np.ndarray], n_legs: int
-) -> SuperMatrix:
-    """M(t) at one midpoint, from symbolic Grassmann products."""
-    n_theta = config.n_theta
-    n_gen = n_theta + n_legs
-    comps: dict[int, np.ndarray] = {}
-    w_elements = [
-        GradedCoefficient.from_masks(
-            {1 << (n_theta + idx): complex(val[mu]) for idx, val in enumerate(leg_values) if val[mu] != 0},
-            n_gen,
-        )
-        for mu in range(config.space.d)
-    ]
-    for mask, field, mat in config.terms:
-        bits = config.form_degree_bits(mask)
-        if not bits:
-            continue
-        fval = field.evaluate(pos)
-        theta = GradedCoefficient.from_masks({config.theta_mask(mask): 1.0}, n_gen)
-        gc = GradedCoefficient.from_masks({}, n_gen)
-        for a in range(len(bits)):
-            part = GradedCoefficient.from_masks({0: 1}, n_gen)
-            for b in range(len(bits)):
-                if b != a:
-                    part = part * w_elements[bits[b]]
-            sign = -1.0 if a % 2 else 1.0
-            gc = gc + (part * theta).scale(sign * vel[bits[a]] * fval)
-        for gm, gv in gc.masks.items():
-            comps[gm] = comps.get(gm, 0) + complex(gv) * mat
-    return SuperMatrix(config.n, n_gen, comps)
-
-
-def body_left(e: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Oracle: e g for (b, n, n) body matrices e, one per midpoint, and
-    (b, |S|, n, n) component stacks g; e multiplies every component, one
-    small matmul per midpoint. The package shares one e per piece
-    (``holonomy._half_steps``)."""
-    b, size, n, _ = g.shape
-    rows = e @ g.transpose(0, 2, 1, 3).reshape(b, n, size * n)
-    return rows.reshape(b, n, size, n).transpose(0, 2, 1, 3)
-
-
-def body_right(g: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Oracle: g e likewise, one small matmul per midpoint on the unit
-    columns of g."""
-    b, size, n, _ = g.shape
-    return (g.reshape(b, size * n, n) @ e).reshape(b, size, n, n)
+# Gauss nodes of the fourth-order commutator-free step, and its weights
+GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
+ALPHA = (0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6)
 
 
 def exp_series(m: SuperMatrix) -> SuperMatrix:
@@ -228,8 +170,9 @@ def exp_series(m: SuperMatrix) -> SuperMatrix:
     return acc
 
 
-def _midpoints(conn, loop, s, t, steps, variations, configs):
-    """Per piece: (h, A(v), [[M_c(t_j) for each config c] for each midpoint j])."""
+def _steps(conn, loop, s, t, steps, variations, configs, nodes):
+    """Per piece: (h, A(v), [[[M_c(t_j + x h) for each config c] for each
+    node x] for each step j])."""
     k_seg = loop.num_segments
     for piece in _pieces(loop, s, t):
         i, lo, _ = piece
@@ -238,9 +181,12 @@ def _midpoints(conn, loop, s, t, steps, variations, configs):
         u_loc0 = float(lo) * k_seg - i
         rows = []
         for j in range(steps):
-            pos = start + (j + 0.5) * h * vel
-            legs = _leg_values_at(variations, piece, u_loc0 + (j + 0.5) * h * k_seg)
-            rows.append([insertion_matrix_at(c, pos, vel, legs, len(variations)) for c in configs])
+            at_nodes = []
+            for x in nodes:
+                pos = start + (j + x) * h * vel
+                legs = _leg_values_at(variations, piece, u_loc0 + (j + x) * h * k_seg)
+                at_nodes.append([insertion_matrix_at(c, pos, vel, legs, len(variations)) for c in configs])
+            rows.append(at_nodes)
         yield h, conn.matrix_of(vel), rows
 
 
@@ -250,60 +196,20 @@ def gen_transport_stepwise(
     loop: PLLoop,
     s=Fraction(0),
     t=Fraction(1),
-    steps: int = 64,
+    steps: int = 16,
     variations: Sequence[VariationField] = (),
 ) -> SuperMatrix:
-    """Strang-split transport, one SuperMatrix product per factor."""
+    """The fourth-order commutator-free transport, one SuperMatrix product
+    per factor: per step U exp(h(alpha_1 K_1 + alpha_2 K_2))
+    exp(h(alpha_2 K_1 + alpha_1 K_2)), K_i = A v + M(t + c_i h)."""
     n_gen = config.n_theta + len(variations)
     u_mat = SuperMatrix.from_body(np.eye(config.n), n_gen)
-    for h, a_vel, rows in _midpoints(conn, loop, Fraction(s), Fraction(t), steps, variations, (config,)):
-        e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
-        e_full = SuperMatrix.from_body(expm(a_vel * h), n_gen)
-        u_mat = u_mat @ e_half
-        for j, (m_ins,) in enumerate(rows):
-            u_mat = u_mat @ exp_series(m_ins * h)
-            u_mat = u_mat @ (e_full if j + 1 < steps else e_half)
-    return u_mat
-
-
-def gen_transport_ode(
-    conn: ConstantCommutingConnection,
-    config: FieldConfig,
-    loop: PLLoop,
-    s=Fraction(0),
-    t=Fraction(1),
-    variations: Sequence[VariationField] = (),
-    rtol: float = 1e-12,
-) -> SuperMatrix:
-    """U' = U (A v + M(t)) integrated by an explicit Runge-Kutta method.
-
-    Independent of the stepping: no splitting, no step exponential and no
-    extrapolation. ``scipy.integrate.solve_ivp`` (DOP853) integrates the
-    component stack of U over each piece, where the velocity is constant,
-    and the pieces are chained. M(t) is assembled from symbolic Grassmann
-    products (``insertion_matrix_at``).
-    """
-    n_gen = config.n_theta + len(variations)
-    k_seg = loop.num_segments
-    u_mat = SuperMatrix.from_body(np.eye(config.n), n_gen)
-    for piece in _pieces(loop, Fraction(s), Fraction(t)):
-        i, lo, hi = piece
-        start, vel, _ = _piece_floats(loop, piece)
-        a_vel = SuperMatrix.from_body(conn.matrix_of(vel), n_gen)
-
-        def rhs(tau, y):
-            pos = start + (tau - float(lo)) * vel
-            legs = _leg_values_at(variations, piece, tau * k_seg - i)
-            m = insertion_matrix_at(config, pos, vel, legs, len(variations))
-            u = SuperMatrix._of(y.reshape(u_mat.components.shape))
-            return (u @ (a_vel + m)).components.ravel()
-
-        sol = solve_ivp(
-            rhs, (float(lo), float(hi)), u_mat.components.ravel(), method="DOP853", rtol=rtol, atol=rtol * 1e-3
-        )
-        if not sol.success:
-            raise RuntimeError(sol.message)
-        u_mat = SuperMatrix._of(sol.y[:, -1].reshape(u_mat.components.shape))
+    for h, a_vel, rows in _steps(conn, loop, Fraction(s), Fraction(t), steps, variations, (config,), GAUSS_NODES):
+        a_vel = SuperMatrix.from_body(a_vel, n_gen)
+        for (m_1,), (m_2,) in rows:
+            k_1, k_2 = a_vel + m_1, a_vel + m_2
+            u_mat = u_mat @ exp_series((k_1 * ALPHA[0] + k_2 * ALPHA[1]) * h)
+            u_mat = u_mat @ exp_series((k_1 * ALPHA[1] + k_2 * ALPHA[0]) * h)
     return u_mat
 
 
@@ -317,16 +223,17 @@ def insertion_derivative_stepwise(
 ) -> GradedCoefficient:
     """sum_j h tr[U(0, t_j-) M_eta(t_j) U(t_j+, 1)] with prefix and suffix products.
 
-    The midpoint quadrature of the insertion integral, with M_eta sampled
-    between the two half steps of each Strang factor: a second
-    discretization, independent of the epsilon route of the package, that
-    agrees with it only up to the plan's error.
+    The midpoint quadrature of the insertion integral on Strang-split
+    factors exp(A v h/2) exp(M(t_j) h) exp(A v h/2), with M_eta sampled
+    between the two halves of each factor: a second-order discretization,
+    independent of the epsilon route and of the step of the package, that
+    agrees with the integral only up to its own error.
     """
     n, n_gen = config.n, config.n_theta + len(variations)
     factors, halves, m_etas, widths = [], [], [], []
-    for h, a_vel, rows in _midpoints(conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta)):
+    for h, a_vel, rows in _steps(conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta), (0.5,)):
         e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
-        for m_c, m_e in rows:
+        for ((m_c, m_e),) in rows:
             g_half = exp_series(m_c * (h / 2))
             first = e_half @ g_half
             second = g_half @ e_half
@@ -376,7 +283,7 @@ def insertion_derivative_epsilon_stepwise(
     config: FieldConfig,
     loop: PLLoop,
     eta: FieldConfig,
-    steps: int = 64,
+    steps: int = 16,
     variations: Sequence[VariationField] = (),
 ) -> GradedCoefficient:
     """The epsilon-part of the stepwise Wilson loop of C + epsilon eta: the

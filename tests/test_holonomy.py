@@ -21,7 +21,7 @@ from stringtop.fields import (
 )
 from stringtop.geometry import PLLoop, Torus, VariationField
 from stringtop.grassmann import GradedCoefficient
-from stringtop.harness import gen_random_loop, transport_by_pieces
+from stringtop.harness import gen_random_loop, gen_transport_ode, transport_by_pieces
 from stringtop.holonomy import (
     QuadratureError,
     TransportPlan,
@@ -35,13 +35,10 @@ from stringtop.lierep import SuperMatrix
 from stringtop.strings import TransversalityError, concatenate, intersections
 
 from oracles import (
-    body_left,
-    body_right,
     constant_field,
     epsilon_config,
     epsilon_part,
     exp_series,
-    gen_transport_ode,
     gen_transport_stepwise,
     insertion_derivative_epsilon_stepwise,
     insertion_derivative_stepwise,
@@ -253,7 +250,7 @@ def test_one_insertion_closed_form():
     assert np.max(np.abs(u_gen.components[3] - e11)) <= 1e-12
 
 
-def test_convergence_is_second_order_with_richardson_on_top(monkeypatch):
+def test_convergence_is_fourth_order_with_richardson_on_top(monkeypatch):
     ref, default = reference_transport(), default_transport()
     monkeypatch.setattr(holonomy, "_with_richardson", single_grid)
     errs = [
@@ -266,8 +263,8 @@ def test_convergence_is_second_order_with_richardson_on_top(monkeypatch):
         for s in (16, 32, 64)
     ]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert all(p >= 1.9 for p in orders)
-    assert default.distance(ref) <= 1e-9
+    assert all(p >= 3.9 for p in orders)
+    assert default.distance(ref) <= 2.5e-10
 
 
 def test_gen_transport_composes_off_grid():
@@ -331,14 +328,14 @@ def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
         return fixed(*args)
 
     monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting)
-    out = gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-8))
+    out = gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-10))
     top = max(calls)
     assert sorted(calls) == [8 << k for k in range(len(calls))] and len(calls) >= 4
     assert set(calls.values()) == {1}
     # every grid of the transport steps on the one slot basis built for it
     assert len({id(args[0]) for args in seen}) == 1
     coarse, fine = (fixed(*seen[0][:2], s) for s in (top // 2, top))
-    assert out.distance(fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)) == 0.0
+    assert out.distance(fine * (16.0 / 15.0) - coarse * (1.0 / 15.0)) == 0.0
 
 
 def test_transport_plan_validation(monkeypatch):
@@ -412,7 +409,7 @@ def test_insertion_derivative_rejects_mismatched_shapes():
 
 def test_insertion_derivative_steps_once_per_step_count(monkeypatch):
     # the insertion is the epsilon-part of one generalized transport per
-    # grid: DEFAULT_PLAN evaluates 64 and 128 steps, both on one slot basis
+    # grid: DEFAULT_PLAN evaluates 16 and 32 steps, both on one slot basis
     conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
     eta = field_obstruction(cfg, conn)
     fixed = holonomy._gen_transport_fixed
@@ -426,7 +423,7 @@ def test_insertion_derivative_steps_once_per_step_count(monkeypatch):
 
     monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting)
     insertion_derivative(conn, cfg, loop, eta, variations=[vertex_variation(loop)])
-    assert calls == {64: 1, 128: 1}
+    assert calls == {16: 1, 32: 1}
     assert len(slot_ids) == 1
 
 
@@ -468,7 +465,7 @@ def relative(new, old):
     return new.distance(old) / max(old.norm(), 1e-300)
 
 
-STEPS = 20  # one full block and one partial block per piece
+STEPS = 20  # steps per piece: the 80 steps of a whole loop fill less than one block
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -528,7 +525,7 @@ def test_insertion_derivative_matches_stepwise_oracle(one_grid, n, n_legs):
 @pytest.mark.parametrize("block", [1, 7, 10_000])
 def test_block_boundaries_do_not_matter(one_grid, monkeypatch, block):
     # [1/7, 5/9] cuts the end pieces short, so h differs between pieces, and
-    # at 20 steps blocks of 7 span pieces and the last one is partial
+    # at 20 steps blocks of 7 exponentials, 3 steps, span pieces and the last one is partial
     rng = np.random.default_rng(77)
     conn, cfg, loop = random_connection(3, rng), random_config(3, rng, two_form=False), wiggly_loop()
     legs = [vertex_variation(loop)]
@@ -646,7 +643,7 @@ def slot_block(n, n_legs, rng, rhos):
     """Slots of a random config with 1- and 2-forms, and (Q, b) random
     coefficients scaled so that column j has the norm bound rhos[j]."""
     cfg = support_config(n, rng)
-    slots = holonomy._Slots(cfg, n_legs, holonomy._support(cfg, n_legs))
+    slots = holonomy._Slots(random_connection(n, rng), cfg, n_legs, holonomy._support(cfg, n_legs))
     shape = (len(slots.mats), len(rhos))
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if not len(slots.mats):
@@ -685,11 +682,11 @@ def test_block_exponential_of_nothing_is_the_identity():
     ident = np.zeros((6, len(slots.support), 3, 3))
     ident[:, 0] = np.eye(3)
     assert np.array_equal(slots.exp(np.zeros_like(coeffs)), ident)
-    # a 2-form without legs has no slot
+    # a 2-form without legs has no slot: only the connection's two remain
     cfg = FieldConfig.build(TORUS, 3, 2, [{"indices": (1, 2), "field": constant_field(0.5), "lie": matrix_unit(3, 1, 2)}])
-    none = holonomy._Slots(cfg, 0, (0,))
-    assert len(none.mats) == 0
-    assert np.array_equal(none.exp(np.zeros((0, 6))), ident[:, :1])
+    body = holonomy._Slots(random_connection(3, rng), cfg, 0, (0,))
+    assert len(body.mats) == 2
+    assert np.array_equal(body.exp(np.zeros((2, 6))), ident[:, :1])
 
 
 def test_block_exponential_that_needs_more_than_59_terms_raises():
@@ -701,15 +698,15 @@ def test_block_exponential_that_needs_more_than_59_terms_raises():
         slots.exp(coeffs)
 
 
-# -- the walk: piece set-up once per transport, half steps once per run --------
+# -- the walk: piece set-up once per transport, no exponential of the pieces --
 
 
 def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
-    # every grid of the walk shares the pieces, their floats and A(v); a
-    # grid needs only its one batched expm of the half steps
+    # every grid of the walk shares the pieces and their floats; the
+    # connection steps in the slot basis, so no grid calls expm
     conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
     calls = collections.Counter()
-    piece_floats, batched_expm, fixed = holonomy._piece_floats, holonomy.expm, holonomy._gen_transport_fixed
+    piece_floats, expm_, fixed = holonomy._piece_floats, holonomy.expm, holonomy._gen_transport_fixed
 
     def counting(name, function):
         def wrapped(*args):
@@ -719,72 +716,68 @@ def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(holonomy, "_piece_floats", counting("piece_floats", piece_floats))
-    monkeypatch.setattr(holonomy, "expm", counting("expm", batched_expm))
+    monkeypatch.setattr(holonomy, "expm", counting("expm", expm_))
     monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting("grids", fixed))
-    gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-8))
+    gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-10))
     assert calls["grids"] >= 4
     assert calls["piece_floats"] == len(holonomy._pieces(loop, F(0), F(1))) == loop.num_segments
-    assert calls["expm"] == calls["grids"]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_half_steps_match_the_per_midpoint_oracle(one_grid, monkeypatch, n):
-    # [1/7, 5/9] holds three pieces; at 3 steps per piece the first block of
-    # 7 midpoints spans all three, and the gauged connection is complex, so
-    # the per-run GEMMs do not all round as the per-midpoint ones do
-    rng = np.random.default_rng(30 + n)
-    conn = random_connection(n, rng).gauge(expm(0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))))
-    cfg, loop = random_config(n, rng), wiggly_loop()
-    half_steps = holonomy._half_steps
-    spans = []
-
-    def checked(e_halves, piece, g):
-        got = half_steps(e_halves, piece, g)
-        e = e_halves[piece]
-        want = body_right(body_left(e, g), e)
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-        spans.append(len(set(piece.tolist())))
-        return got
-
-    monkeypatch.setattr(holonomy, "BLOCK", 7)
-    monkeypatch.setattr(holonomy, "_half_steps", checked)
-    gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), TransportPlan(steps=3), [vertex_variation(loop)])
-    assert len(spans) >= 2 and max(spans) >= 3
+    assert calls["expm"] == 0
 
 
 # -- against an independent integrator -----------------------------------------
 
-ODE_TOL = 1.5e-8  # 10x the worst of the two instances (1.5e-9) at DEFAULT_PLAN
+ODE_TOL = 9e-10  # 10x the worst of the two instances (8.7e-11) at DEFAULT_PLAN
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_gen_transport_matches_an_independent_integrator(seed):
+@functools.lru_cache(maxsize=None)
+def integrator_instance(seed):
+    """A random transport with one leg and its DOP853 reference."""
     rng = np.random.default_rng(seed)
     n = 2 + seed
     conn, cfg, loop = random_connection(n, rng), random_config(n, rng), wiggly_loop()
     legs = [vertex_variation(loop)]
-    ref = gen_transport_ode(conn, cfg, loop, variations=legs)
+    return conn, cfg, loop, legs, gen_transport_ode(conn, cfg, loop, variations=legs)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gen_transport_matches_an_independent_integrator(seed):
+    conn, cfg, loop, legs, ref = integrator_instance(seed)
     assert relative(gen_transport(conn, cfg, loop, variations=legs), ref) <= ODE_TOL
 
 
-# 10x the worst of the six instances below: the sandwich quadrature's
-# Richardson value 1.2e-9 (n = 3, one leg), the integrator 2.2e-8 (n = 2,
-# one leg; the plan's own error, the same before the epsilon route)
-SANDWICH_TOL = 1.2e-8
-EPSILON_ODE_TOL = 2.2e-7
+def test_the_extrapolated_error_falls_at_sixth_order():
+    # the Richardson value of the symmetric fourth-order step is of order 6,
+    # 64x per halving (70x here); the step alone would give 16x, and a
+    # second-order step with its Richardson level or the step with its
+    # exponentials swapped 16x or less
+    conn, cfg, loop, legs, ref = integrator_instance(0)
+    coarse, fine = (
+        relative(gen_transport(conn, cfg, loop, plan=TransportPlan(steps=steps), variations=legs), ref)
+        for steps in (4, 8)
+    )
+    assert coarse >= 40 * fine
+
+
+# 10x the worst of the six instances below against the integrator: the
+# package 5.9e-9 (n = 3, one leg), the Strang sandwich quadrature's
+# Richardson value at 64 and 128 steps 2.2e-8 (n = 2, one leg)
+EPSILON_ODE_TOL = 6e-8
+SANDWICH_TOL = 2.2e-7
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("n_legs", [0, 1])
 def test_insertion_derivative_matches_a_second_quadrature_and_an_integrator(n, n_legs):
-    # the midpoint sandwich samples M_eta between the half steps, the epsilon
-    # route inside the step exponential; both converge to the integral
+    # the midpoint sandwich samples M_eta between the halves of a Strang
+    # factor, the epsilon route inside the step exponentials; both converge
+    # to the integral that the integrator approximates
     rng = np.random.default_rng(100 + 10 * n + n_legs)
     conn, cfg, loop = random_connection(n, rng), random_config(n, rng, two_form=False), wiggly_loop()
     legs = [vertex_variation(loop)] * n_legs
     eta = field_obstruction(cfg, conn) if n_legs else random_config(n, rng)
-    new = insertion_derivative(conn, cfg, loop, eta, variations=legs)
-    coarse, fine = (insertion_derivative_stepwise(conn, cfg, loop, eta, steps, legs) for steps in (64, 128))
-    assert relative(new, fine * (4.0 / 3.0) - coarse * (1.0 / 3.0)) <= SANDWICH_TOL
     ode = gen_transport_ode(conn, epsilon_config(cfg, eta), loop, variations=legs)
-    assert relative(new, epsilon_part(ode.trace(), cfg.n_theta, n_legs)) <= EPSILON_ODE_TOL
+    ode = epsilon_part(ode.trace(), cfg.n_theta, n_legs)
+    new = insertion_derivative(conn, cfg, loop, eta, variations=legs)
+    assert relative(new, ode) <= EPSILON_ODE_TOL
+    coarse, fine = (insertion_derivative_stepwise(conn, cfg, loop, eta, steps, legs) for steps in (64, 128))
+    assert relative(fine * (4.0 / 3.0) - coarse * (1.0 / 3.0), ode) <= SANDWICH_TOL

@@ -121,9 +121,6 @@ class GradedCoefficient:
     def coeff(self, indices: tuple[int, ...]) -> object:
         return self._terms.get(_indices_to_mask(indices, self.n_gen), 0)
 
-    def body(self) -> object:
-        return self._terms.get(0, 0)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms

@@ -35,7 +35,7 @@ from .chords import ChordDiagram, DiagramRealization, evaluate_diagram, four_t_c
 from .fields import ConstantCommutingConnection, FieldConfig, FourierField
 from .geometry import PLLoop, Torus, VariationField
 from .grassmann import GradedCoefficient
-from .holonomy import _piece_floats, _pieces, gen_transport, transport, wilson
+from .holonomy import gen_transport, transport, wilson
 from .lierep import LieBasis, SuperMatrix, fuse_traces
 from .phasespace import GradedPhaseModel, delta_and_nilpotency, graded_bracket
 from .strings import (
@@ -65,22 +65,30 @@ class RetryCapError(RuntimeError):
 # configuration and report types
 
 
+def _require_int(value, name: str) -> None:
+    """Reject what is not an int, bool included: the report echoes it as a JSON integer."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 0
     counts: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        _require_int(self.seed, "seed")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         for name, cnt in self.counts.items():
             if name not in CHECK_NAMES:
                 raise ValueError(f"unknown check {name!r} in counts")
+            _require_int(cnt, f"count for {name!r}")
             if cnt < 1:
                 raise ValueError(f"count for {name!r} must be at least 1")
 
     def count_for(self, check: str) -> int:
-        return int(self.counts.get(check, CHECKS[check].count))
+        return self.counts.get(check, CHECKS[check].count)
 
     def echo(self) -> dict:
         return {"seed": self.seed, "counts": {c: self.count_for(c) for c in CHECK_NAMES}}
@@ -296,6 +304,22 @@ def _gln(rng, k: int) -> float:
     return fused.distance(single) / max(fused.norm(), single.norm(), 1.0)
 
 
+def _pieces(loop: PLLoop, s: Fraction, t: Fraction):
+    """Split [s, t] into per-segment pieces (i, lo, hi) with exact endpoints."""
+    k = loop.num_segments
+    if not 0 <= s <= t <= 1:
+        raise ValueError("need 0 <= s <= t <= 1")
+    pieces = []
+    i = int(s * k)
+    while Fraction(i, k) < t:
+        lo = max(s, Fraction(i, k))
+        hi = min(t, Fraction(i + 1, k))
+        if lo < hi:
+            pieces.append((i, lo, hi))
+        i += 1
+    return pieces
+
+
 def transport_by_pieces(conn, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.ndarray:
     """Oracle for ``transport``: the path-ordered product over the pieces of [s, t].
 
@@ -312,10 +336,9 @@ def transport_by_pieces(conn, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.
     return out
 
 
-def _leg_values_at(variations, piece, u: float) -> list[np.ndarray]:
-    """The variation values at local coordinate u of the piece's segment,
+def _leg_values_at(variations, i: int, u: float) -> list[np.ndarray]:
+    """The variation values at local coordinate u of segment i,
     interpolated between its two vertex displacements."""
-    i, _, _ = piece
     values = []
     for var in variations:
         a = np.array([float(c) for c in var.displacement(i)])
@@ -361,35 +384,40 @@ def insertion_matrix_at(config: FieldConfig, pos, vel, leg_values, n_legs: int) 
     return SuperMatrix(config.n, n_gen, comps)
 
 
-def gen_transport_ode(
-    conn, config: FieldConfig, loop: PLLoop, s=Fraction(0), t=Fraction(1), variations=(), rtol: float = 1e-13
-) -> SuperMatrix:
+# relative tolerance of the integrator, and a thousandth of it absolute
+ODE_RTOL = 1e-13
+
+
+def gen_transport_ode(conn, config: FieldConfig, loop: PLLoop, variations=()) -> SuperMatrix:
     """Oracle for ``gen_transport``: U' = U (A v + M(t)) integrated by an
-    explicit Runge-Kutta method.
+    explicit Runge-Kutta method around the whole loop.
 
     Independent of the stepping: no step exponential, no slot basis and no
     extrapolation. ``scipy.integrate.solve_ivp`` (DOP853) integrates the
-    component stack of U over each piece, where the velocity is constant,
-    and the pieces are chained. M(t) is assembled from symbolic Grassmann
-    products (``insertion_matrix_at``).
+    component stack of U over each segment [i / K, (i + 1) / K], where the
+    velocity is constant, and the segments are chained. Their start points
+    and velocities are the floats of the exact ``Fraction`` vertices. M(t)
+    is assembled from symbolic Grassmann products (``insertion_matrix_at``).
     """
     n_gen = config.n_theta + len(variations)
     k_seg = loop.num_segments
     u_mat = SuperMatrix.from_body(np.eye(config.n), n_gen)
-    for piece in _pieces(loop, Fraction(s), Fraction(t)):
-        i, lo, hi = piece
-        start, vel, _ = _piece_floats(loop, piece)
+    for i in range(k_seg):
+        a, b = loop.vertex(i), loop.vertex(i + 1)
+        start = np.array([float(x) for x in a])
+        vel = np.array([float(k_seg * (y - x)) for x, y in zip(a, b)])
+        lo = i / k_seg
         a_vel = SuperMatrix.from_body(conn.matrix_of(vel), n_gen)
 
         def rhs(tau, y):
-            pos = start + (tau - float(lo)) * vel
-            legs = _leg_values_at(variations, piece, tau * k_seg - i)
+            pos = start + (tau - lo) * vel
+            legs = _leg_values_at(variations, i, tau * k_seg - i)
             m = insertion_matrix_at(config, pos, vel, legs, len(variations))
             u = SuperMatrix._of(y.reshape(u_mat.components.shape))
             return (u @ (a_vel + m)).components.ravel()
 
         sol = solve_ivp(
-            rhs, (float(lo), float(hi)), u_mat.components.ravel(), method="DOP853", rtol=rtol, atol=rtol * 1e-3
+            rhs, (lo, (i + 1) / k_seg), u_mat.components.ravel(), method="DOP853", rtol=ODE_RTOL, atol=ODE_RTOL * 1e-3
         )
         if not sol.success:
             raise RuntimeError(sol.message)

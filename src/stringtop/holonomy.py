@@ -22,8 +22,7 @@ ascending form monomial and keeping the part linear in dt,
 
 with W^mu = sum_i w_i v_i^mu(t) built from the supplied variation fields
 on extra Grassmann generators w_i placed after the thetas. Form degree
-zero terms carry no dt factor and never enter the transport, so a
-configuration of such terms alone takes the plain transport, exactly.
+zero terms carry no dt factor and never enter the transport.
 
 One step of width h from t is the fourth-order commutator-free Magnus
 step (Celledoni, Marthinsen and Owren, Future Gener. Comput. Syst. 19,
@@ -56,14 +55,15 @@ velocity and the leg values over the term's form bits. So each exponent
 of a step is sum_q (h times a combination of the two node values of c_q)
 B_q. Two tables are built once per transport and serve every grid that
 the Richardson levels walk: the slots with the nonzero blocks of their
-regular matrices R_q, and the walk table of the pieces (``_Walk``: span,
-start, velocity, leg start values and slopes).
+regular matrices R_q, and the walk table of the loop's segments
+(``_Walk``: start, velocity, leg start values and slopes).
 
-The grid is walked in blocks of at most ``BLOCK`` step exponentials, two
-per step, which may span pieces. The fields of all the slots are
-evaluated at the block's nodes in one Fourier pass
-(``fields.FourierStack``). A block's step exponentials are one Taylor
-series on the unit columns of all of them side by side, an
+A generalized transport always runs around the whole loop [0, 1], as the
+traces of the Wilson loops need it. The grid is walked in blocks of at
+most ``BLOCK`` step exponentials, two per step, which may span segments.
+The fields of all the slots are evaluated at the block's nodes in one
+Fourier pass (``fields.FourierStack``). A block's step exponentials are
+one Taylor series on the unit columns of all of them side by side, an
 (|S|, n, n, b) term. R_q is nonzero only in the column blocks U that are
 disjoint from the slot's mask and whose union with it is in S, and only
 those P blocks are kept, packed side by side. Each Taylor term is one
@@ -115,7 +115,7 @@ class QuadratureError(RuntimeError):
     """Step doubling hit the cap before reaching the requested tolerance."""
 
 
-# per-segment cap on the finest grid that any plan evaluates
+# cap on the steps per segment of the finest grid that any plan evaluates
 MAX_STEPS = 16384
 
 
@@ -124,12 +124,12 @@ class TransportPlan:
     """Discretization plan for generalized transports.
 
     Every plan applies one Richardson level: the values T_S and T_{2S} on
-    grids of S and 2S steps per piece combine as (16 T_{2S} - T_S) / 15,
+    grids of S and 2S steps per segment combine as (16 T_{2S} - T_S) / 15,
     valid because the fourth-order step's error is even in h. Each step
     takes two step exponentials.
 
-    steps: S, steps per covered segment piece on the coarse grid; the
-        first level's fine grid, 2 S, must not exceed ``MAX_STEPS``.
+    steps: S, steps per segment on the coarse grid; the first level's
+        fine grid, 2 S, must not exceed ``MAX_STEPS``.
     tol: if set, a positive distance: double steps until successive
         extrapolated values agree to it, with no grid finer than
         ``MAX_STEPS`` per segment (else ``QuadratureError``).
@@ -146,43 +146,6 @@ class TransportPlan:
 
 
 DEFAULT_PLAN = TransportPlan()
-
-
-# ---------------------------------------------------------------------------
-# path pieces
-
-
-def _pieces(loop: PLLoop, s: Fraction, t: Fraction):
-    """Split [s, t] into per-segment pieces with exact endpoints."""
-    k = loop.num_segments
-    s = _rat(s)
-    t = _rat(t)
-    if not 0 <= s <= t <= 1:
-        raise ValueError("need 0 <= s <= t <= 1")
-    pieces = []
-    i = int(s * k)
-    while Fraction(i, k) < t:
-        lo = max(s, Fraction(i, k))
-        hi = min(t, Fraction(i + 1, k))
-        if lo < hi:
-            pieces.append((i, lo, hi))
-        i += 1
-    return pieces
-
-
-def _piece_floats(loop: PLLoop, piece):
-    """Float geometry of one piece: start point, velocity, span.
-
-    Read off the integer lift: every coordinate is one correctly rounded
-    quotient of integers, so the start is the float of the exact
-    ``point_at`` value and the velocity that of K times the edge over den,
-    without forming a ``Fraction``.
-    """
-    i, lo, hi = piece
-    den_lo, start = loop.lift_point(lo)
-    den, k_seg = loop.integer_lift()[0], loop.num_segments
-    vel = [k_seg * e / den for e in loop.edge(i)]
-    return np.array([c / den_lo for c in start]), np.array(vel), float(hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +267,8 @@ class _Slots:
     def __init__(
         self, conn: ConstantCommutingConnection, config: FieldConfig, n_legs: int, support: tuple[int, ...]
     ):
+        if conn.n != config.n:
+            raise ValueError("connection and field configuration sizes differ")
         self.n, self.n_gen, self.support = config.n, config.n_theta + n_legs, support
         self.terms, where, mats, fields = [], [0, 0], list(conn.mats), []
         for mask, field, mat in config.terms:
@@ -448,51 +413,43 @@ _CF_WEIGHTS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.sqrt(3) / 6
 
 
 class _Walk:
-    """The pieces of [s, t] and what every grid walk reads of them.
+    """The segments of the loop and what every grid walk reads of them.
 
     Built once per transport, since none of it depends on the step count:
-    each piece's span, start, velocity v, the local coordinate of its
-    start and the start values and slopes of its legs. Leg values are
-    affine in the local coordinate u, a + u (b - a), between the
-    displacements of the segment's two vertices.
+    with (den, P_0..P_K) the integer lift, segment i starts at P_i / den,
+    moves with velocity K (P_{i+1} - P_i) / den and spans 1 / K of the
+    parameter; every coordinate is one correctly rounded quotient of
+    integers. Leg values are affine in the local coordinate u = K t - i,
+    a + u (b - a), between the displacements a and b of the segment's two
+    vertices, so each segment stores a and the slope b - a.
     """
 
-    def __init__(self, loop: PLLoop, s: Fraction, t: Fraction, variations: Sequence[VariationField]):
-        self.k_seg = loop.num_segments
-        spans, starts, vels, u_starts, leg_ends = [], [], [], [], []
-        for piece in _pieces(loop, s, t):
-            i, lo, _ = piece
-            start, vel, span = _piece_floats(loop, piece)
-            spans.append(span)
-            starts.append(start)
-            vels.append(vel)
-            u_starts.append(float(lo) * self.k_seg - i)
-            leg_ends.append([[[float(c) for c in var.displacement(i + e)] for e in (0, 1)] for var in variations])
-        count, d = len(spans), loop.space.d
-        self.spans, self.u_starts = np.array(spans), np.array(u_starts)
-        self.starts, self.vels = (np.array(a).reshape(count, d) for a in (starts, vels))
-        ends = np.array(leg_ends).reshape(count, len(variations), 2, d)
-        self.leg_starts, self.leg_slopes = ends[:, :, 0], ends[:, :, 1] - ends[:, :, 0]
+    def __init__(self, loop: PLLoop, variations: Sequence[VariationField]):
+        (den, pts), self.k_seg = loop.integer_lift(), loop.num_segments
+        self.starts = np.array([[c / den for c in p] for p in pts[:-1]])
+        self.vels = np.array([[self.k_seg * e / den for e in loop.edge(i)] for i in range(self.k_seg)])
+        disp = [[[float(c) for c in var.displacement(i)] for var in variations] for i in range(self.k_seg + 1)]
+        disp = np.array(disp).reshape(self.k_seg + 1, len(variations), loop.space.d)
+        self.leg_starts, self.leg_slopes = disp[:-1], np.diff(disp, axis=0)
 
     def blocks(self, steps: int):
-        """Walk the grid of ``steps`` steps per piece once, in path order.
+        """Walk the grid of ``steps`` steps per segment once, in path order.
 
         The grid is cut into blocks of BLOCK // 2 steps, at least one, which
-        may span pieces. Yields (h, pos, vel, legs) per block: the (b,) step
-        widths, and at the 2 b Gauss nodes, two per step in path order, the
-        (2 b, d) points and velocities and the (n_legs, 2 b, d) leg values,
-        which every field sampled on the block shares.
+        may span segments. Yields (h, pos, vel, legs) per block: the step
+        width, and at the 2 b Gauss nodes of its b steps, two per step in
+        path order, the (2 b, d) points and velocities and the
+        (n_legs, 2 b, d) leg values, which every field sampled on the block
+        shares.
         """
-        widths = self.spans / steps
-        total, size = len(widths) * steps, max(1, BLOCK // 2)
+        h = 1 / self.k_seg / steps
+        total, size = self.k_seg * steps, max(1, BLOCK // 2)
         for first in range(0, total, size):
             p, j = np.divmod(np.arange(first, min(first + size, total)), steps)
-            h = widths[p]
-            p, h_node = np.repeat(p, 2), np.repeat(h, 2)
-            at = (j[:, None] + _NODES).ravel() * h_node
+            p = np.repeat(p, 2)
+            at = (j[:, None] + _NODES).ravel() * h
             pos = self.starts[p] + at[:, None] * self.vels[p]
-            u = self.u_starts[p] + at * self.k_seg
-            legs = (self.leg_starts[p] + u[:, None, None] * self.leg_slopes[p]).transpose(1, 0, 2)
+            legs = (self.leg_starts[p] + (at * self.k_seg)[:, None, None] * self.leg_slopes[p]).transpose(1, 0, 2)
             yield h, pos, self.vels[p], legs
 
 
@@ -500,9 +457,8 @@ def _gen_transport_fixed(slots: _Slots, walk: _Walk, steps: int) -> SuperMatrix:
     support = slots.support
     u_mat = SuperMatrix.from_body(np.eye(slots.n), slots.n_gen).components[list(support)]
     for h, pos, vel, legs in walk.blocks(steps):
-        nodes = slots.coefficients(pos, vel, legs).reshape(-1, len(h), 2)
-        exponents = (nodes @ _CF_WEIGHTS) * h[:, None]
-        exps = slots.exp(exponents.reshape(len(nodes), -1))
+        nodes = slots.coefficients(pos, vel, legs).reshape(len(slots.where), -1, 2)
+        exps = slots.exp(((nodes @ _CF_WEIGHTS) * h).reshape(len(nodes), -1))
         u_mat = product(u_mat, _chain(exps, support), support)
     return SuperMatrix(slots.n, slots.n_gen, dict(zip(support, u_mat)))
 
@@ -547,24 +503,19 @@ def gen_transport(
     conn: ConstantCommutingConnection,
     config: FieldConfig,
     loop: PLLoop,
-    s=Fraction(0),
-    t=Fraction(1),
     plan: TransportPlan = DEFAULT_PLAN,
     variations: Sequence[VariationField] = (),
 ) -> SuperMatrix:
-    """Path-ordered transport with C-insertions resummed, on [s, t].
+    """Path-ordered transport around the whole loop, C-insertions resummed.
 
     The result lives in the Grassmann algebra on n_theta + len(variations)
     generators: thetas first, one leg generator per variation field after
-    them. A config without terms of form degree >= 1 never enters M(t), so
-    its transport is the plain one, exactly.
+    them. A config without terms of form degree >= 1 has only the
+    connection's body slots on the support {0}: K is constant on each
+    segment, so the steps multiply to the plain transport up to rounding.
     """
-    if conn.n != config.n:
-        raise ValueError("connection and field configuration sizes differ")
-    if not any(config.form_degree_bits(m) for m, _, _ in config.terms):
-        return SuperMatrix.from_body(transport(conn, loop, s, t), config.n_theta + len(variations))
     slots = _Slots(conn, config, len(variations), _support(config, len(variations)))
-    walk = _Walk(loop, s, t, variations)
+    walk = _Walk(loop, variations)
     return _with_richardson(lambda steps: _gen_transport_fixed(slots, walk, steps), plan)
 
 
@@ -576,7 +527,7 @@ def wilson(
     variations: Sequence[VariationField] = (),
 ) -> GradedCoefficient:
     """Trace of the full-loop generalized transport."""
-    return gen_transport(conn, config, loop, Fraction(0), Fraction(1), plan, variations).trace()
+    return gen_transport(conn, config, loop, plan, variations).trace()
 
 
 def insertion_derivative(
@@ -615,7 +566,7 @@ def insertion_derivative(
         [*config.terms, *((mask | pair << config.space.d, f, mat) for mask, f, mat in eta.terms)],
     )
     slots = _Slots(conn, joint, n_legs, _support(joint, n_legs))
-    walk = _Walk(loop, Fraction(0), Fraction(1), variations)
+    walk = _Walk(loop, variations)
     thetas = (1 << n_theta) - 1
 
     def fixed(steps: int) -> GradedCoefficient:

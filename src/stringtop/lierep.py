@@ -141,9 +141,6 @@ class SuperMatrix:
 
     # -- views -------------------------------------------------------------
 
-    def body(self) -> np.ndarray:
-        return self.components[0]
-
     def trace(self) -> GradedCoefficient:
         traces = np.trace(self.components, axis1=1, axis2=2)
         return GradedCoefficient.from_masks(dict(enumerate(traces.tolist())), self.n_gen)

@@ -25,7 +25,7 @@ from stringtop.fields import ConstantCommutingConnection, FieldConfig, FieldTerm
 from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient
 from stringtop.harness import _leg_values_at, insertion_matrix_at
-from stringtop.holonomy import _pieces, _piece_floats, transport
+from stringtop.holonomy import transport
 from stringtop.lierep import LieBasis, SuperMatrix
 from stringtop.strings import IntersectionPoint, TransversalityError
 
@@ -170,21 +170,21 @@ def exp_series(m: SuperMatrix) -> SuperMatrix:
     return acc
 
 
-def _steps(conn, loop, s, t, steps, variations, configs, nodes):
-    """Per piece: (h, A(v), [[[M_c(t_j + x h) for each config c] for each
-    node x] for each step j])."""
+def _steps(conn, loop, steps, variations, configs, nodes):
+    """Per segment of the whole loop: (h, A(v), [[[M_c(t_j + x h) for each
+    config c] for each node x] for each step j]), the start point and
+    velocity the floats of the exact vertices."""
     k_seg = loop.num_segments
-    for piece in _pieces(loop, s, t):
-        i, lo, _ = piece
-        start, vel, span = _piece_floats(loop, piece)
-        h = span / steps
-        u_loc0 = float(lo) * k_seg - i
+    h = 1 / k_seg / steps
+    for i in range(k_seg):
+        start = np.array([float(c) for c in loop.vertex(i)])
+        vel = np.array([float(c) for c in segment_velocity(loop, i)])
         rows = []
         for j in range(steps):
             at_nodes = []
             for x in nodes:
                 pos = start + (j + x) * h * vel
-                legs = _leg_values_at(variations, piece, u_loc0 + (j + x) * h * k_seg)
+                legs = _leg_values_at(variations, i, (j + x) * h * k_seg)
                 at_nodes.append([insertion_matrix_at(c, pos, vel, legs, len(variations)) for c in configs])
             rows.append(at_nodes)
         yield h, conn.matrix_of(vel), rows
@@ -194,17 +194,16 @@ def gen_transport_stepwise(
     conn: ConstantCommutingConnection,
     config: FieldConfig,
     loop: PLLoop,
-    s=Fraction(0),
-    t=Fraction(1),
     steps: int = 16,
     variations: Sequence[VariationField] = (),
 ) -> SuperMatrix:
-    """The fourth-order commutator-free transport, one SuperMatrix product
-    per factor: per step U exp(h(alpha_1 K_1 + alpha_2 K_2))
-    exp(h(alpha_2 K_1 + alpha_1 K_2)), K_i = A v + M(t + c_i h)."""
+    """The fourth-order commutator-free transport around the whole loop,
+    one SuperMatrix product per factor: per step
+    U exp(h(alpha_1 K_1 + alpha_2 K_2)) exp(h(alpha_2 K_1 + alpha_1 K_2)),
+    K_i = A v + M(t + c_i h)."""
     n_gen = config.n_theta + len(variations)
     u_mat = SuperMatrix.from_body(np.eye(config.n), n_gen)
-    for h, a_vel, rows in _steps(conn, loop, Fraction(s), Fraction(t), steps, variations, (config,), GAUSS_NODES):
+    for h, a_vel, rows in _steps(conn, loop, steps, variations, (config,), GAUSS_NODES):
         a_vel = SuperMatrix.from_body(a_vel, n_gen)
         for (m_1,), (m_2,) in rows:
             k_1, k_2 = a_vel + m_1, a_vel + m_2
@@ -231,7 +230,7 @@ def insertion_derivative_stepwise(
     """
     n, n_gen = config.n, config.n_theta + len(variations)
     factors, halves, m_etas, widths = [], [], [], []
-    for h, a_vel, rows in _steps(conn, loop, Fraction(0), Fraction(1), steps, variations, (config, eta), (0.5,)):
+    for h, a_vel, rows in _steps(conn, loop, steps, variations, (config, eta), (0.5,)):
         e_half = SuperMatrix.from_body(expm(a_vel * (h / 2)), n_gen)
         for ((m_c, m_e),) in rows:
             g_half = exp_series(m_c * (h / 2))

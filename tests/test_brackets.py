@@ -226,7 +226,9 @@ def test_identity_is_trivial_without_insertion_fields():
     empty = FieldConfig(TORUS, 2, 2, ())
     loop = wiggly_loop()
     p1, p2 = fundamental_identity_paths(conn, empty, loop, generic_variation(loop))
-    assert p1.norm() == 0 and p2.norm() == 0
+    # both Wilson loops are the plain holonomy up to the rounding of their
+    # steps (1e-13), which the central difference divides by 2 eps = 2e-3
+    assert p1.norm() <= 1e-10 and p2.norm() == 0
 
 
 def test_variation_must_be_attached_to_the_loop():

@@ -198,15 +198,15 @@ def test_eval_field_selects_degree_and_pairs_antisymmetrically():
     )
     point = (0.5, 3.0)  # the 1-form's field is 3 exp(2 pi i x_2) = 3 there
     zero_part = eval_field(cfg, point, [])
-    np.testing.assert_allclose(zero_part.body(), 5.0 * matrix_unit(2, 1, 1))
+    np.testing.assert_allclose(zero_part.components[0], 5.0 * matrix_unit(2, 1, 1))
     one_part = eval_field(cfg, point, [(2.0, 7.0)])
-    np.testing.assert_allclose(one_part.body(), 3.0 * 2.0 * matrix_unit(2, 1, 2))
+    np.testing.assert_allclose(one_part.components[0], 3.0 * 2.0 * matrix_unit(2, 1, 2))
     u, v = (1.0, 0.0), (0.5, 4.0)
     two_part = eval_field(cfg, point, [u, v])
     det = u[0] * v[1] - v[0] * u[1]
-    np.testing.assert_allclose(two_part.body(), 2.0 * det * matrix_unit(2, 2, 1))
+    np.testing.assert_allclose(two_part.components[0], 2.0 * det * matrix_unit(2, 2, 1))
     swapped = eval_field(cfg, point, [v, u])
-    np.testing.assert_allclose(swapped.body(), -two_part.body())
+    np.testing.assert_allclose(swapped.components[0], -two_part.components[0])
 
 
 def test_obstruction_of_constant_nilpotent_one_form_vanishes():

@@ -229,8 +229,8 @@ def test_normal_form_matches_rotation_oracle_on_mixed_denominators():
     assert loop.normal_form() == normal_form_rotations(loop)
 
 
-def test_normal_form_matches_rotation_oracle_on_charts():
-    # class (0, 0): loops that close up in one chart, spanning several cells
+def test_normal_form_matches_rotation_oracle_on_contractible_loops():
+    # class (0, 0): loops that close up without winding, spanning several cells
     rng = np.random.default_rng(43)
     for _ in range(200):
         loop = random_loop(rng, [1, 4, 7])

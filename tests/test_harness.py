@@ -99,6 +99,26 @@ def test_config_holds_only_seed_and_counts_and_records_keep_their_tolerance():
     assert SuiteConfig().echo()["counts"] == {name: c.count for name, c in harness.CHECKS.items()}
 
 
+def test_a_fractional_seed_is_refused_at_construction():
+    # run_suite would hand it to numpy's seeding and crash without a report
+    with pytest.raises(TypeError, match="seed must be an int, not float"):
+        SuiteConfig(seed=1.5)
+    with pytest.raises(TypeError, match="seed must be an int, not bool"):
+        SuiteConfig(seed=True)
+
+
+def test_a_fractional_count_is_refused_rather_than_truncated():
+    with pytest.raises(TypeError, match="count for 'gln' must be an int, not float"):
+        SuiteConfig(counts={"gln": 2.5})
+    with pytest.raises(TypeError, match="count for 'gln' must be an int, not bool"):
+        SuiteConfig(counts={"gln": True})
+
+
+def test_a_string_count_is_refused_with_the_check_named():
+    with pytest.raises(TypeError, match="count for 'gln' must be an int, not str"):
+        SuiteConfig(counts={"gln": "3"})
+
+
 def test_a_degenerate_draw_is_redrawn_and_counted(monkeypatch):
     gln = harness.CHECKS["gln"]
     raised = []

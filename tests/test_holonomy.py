@@ -44,6 +44,7 @@ from oracles import (
     insertion_derivative_stepwise,
     matrix_unit,
     segment_velocity,
+    variation_value_at,
 )
 
 F = Fraction
@@ -109,7 +110,7 @@ def single_grid(evaluate, plan):
 
 @pytest.fixture
 def one_grid(monkeypatch):
-    """Transports evaluate ``plan.steps`` steps per piece and nothing else,
+    """Transports evaluate ``plan.steps`` steps per segment and nothing else,
     the discretization that the stepwise oracles take."""
     monkeypatch.setattr(holonomy, "_with_richardson", single_grid)
 
@@ -170,31 +171,28 @@ def test_transport_parameter_validation():
         transport(conn, loop, F(1, 2), F(1, 4))
     # parameters are read as the loop reads them: exact, Fraction or int
     assert np.array_equal(transport(conn, loop, 0, 1), transport(conn, loop))
-    assert holonomy._pieces(loop, 0, 1) == holonomy._pieces(loop, F(0), F(1))
     routes = (
-        lambda s: holonomy._pieces(loop, s, 1),
         lambda s: transport(conn, loop, s),
         lambda s: holonomy.wrap_transport(conn, loop, 1, s),
-        lambda s: gen_transport(conn, mixed_config(), loop, s),
     )
     for route in routes:
         with pytest.raises(TypeError, match="Fraction or an int"):
             route(0.1)
 
 
-def test_piece_floats_are_the_floats_of_the_exact_points():
-    # int/int quotients and float(Fraction) are both correctly rounded
+def test_walk_floats_are_the_floats_of_the_exact_vertices():
+    # int/int quotients and float(Fraction) are both correctly rounded; the
+    # subdivided loops have five segments, so 1 / K is not a binary fraction
     rng = np.random.default_rng(13)
     for _ in range(20):
         loop = gen_random_loop(rng, (int(rng.integers(-2, 3)), int(rng.integers(-2, 3))))
-        s = F(int(rng.integers(0, 50)), 97)
-        for piece in holonomy._pieces(loop, s, s + F(int(rng.integers(1, 47)), 97)):
-            start, vel, span = holonomy._piece_floats(loop, piece)
-            assert start.tolist() == [float(c) for c in loop.point_at(piece[1])]
-            assert vel.tolist() == [float(c) for c in segment_velocity(loop, piece[0])]
-            assert span == float(piece[2] - piece[1])
-    # an empty interval has no pieces, at either end of the loop
-    assert holonomy._pieces(loop, F(1), F(1)) == holonomy._pieces(loop, F(0), F(0)) == []
+        for loop in (loop, loop.subdivide_segment(int(rng.integers(0, 4)), F(int(rng.integers(1, 7)), 7))):
+            var = vertex_variation(loop)
+            walk = holonomy._Walk(loop, [var])
+            k = loop.num_segments
+            assert walk.starts.tolist() == [[float(c) for c in loop.vertex(i)] for i in range(k)]
+            assert walk.vels.tolist() == [[float(c) for c in segment_velocity(loop, i)] for i in range(k)]
+            assert walk.leg_starts.tolist() == [[[float(c) for c in variation_value_at(var, F(i, k))]] for i in range(k)]
 
 
 def test_wrap_transport_is_the_hop_over_the_marked_point():
@@ -215,13 +213,12 @@ def test_wrap_transport_is_the_hop_over_the_marked_point():
 
 
 def test_gen_transport_without_field_matches_plain():
+    # the steps of a constant K multiply to exp(A(delta x)) up to rounding
     conn = diag_connection()
     loop = wiggly_loop()
     u_gen = gen_transport(conn, FieldConfig(TORUS, 2, 0, ()), loop)
     assert u_gen.n_gen == 0
-    assert np.max(np.abs(u_gen.body() - transport(conn, loop))) == 0.0
-    with pytest.raises(ValueError, match="sizes differ"):
-        gen_transport(ConstantCommutingConnection([np.eye(3), np.eye(3)]), mixed_config(), loop)
+    assert np.max(np.abs(u_gen.components[0] - transport(conn, loop))) <= 1e-13
 
 
 def test_zero_form_terms_do_not_enter_transports():
@@ -231,8 +228,16 @@ def test_zero_form_terms_do_not_enter_transports():
         TORUS, 2, 2, [{"eps": (1,), "field": FourierField.from_dict(2, {(1, 0): 1.0}), "lie": matrix_unit(2, 1, 2)}]
     )
     u_gen = gen_transport(conn, cfg, loop)
-    assert np.max(np.abs(u_gen.body() - transport(conn, loop))) == 0.0
+    assert np.max(np.abs(u_gen.components[0] - transport(conn, loop))) <= 1e-13
     assert np.flatnonzero(u_gen.components.any(axis=(1, 2))).tolist() == [0]
+
+
+def test_both_stepping_entries_name_a_connection_of_another_size():
+    conn, cfg, loop = ConstantCommutingConnection([np.eye(3), np.eye(3)]), mixed_config(), wiggly_loop()
+    with pytest.raises(ValueError, match="connection and field configuration sizes differ"):
+        gen_transport(conn, cfg, loop)
+    with pytest.raises(ValueError, match="connection and field configuration sizes differ"):
+        insertion_derivative(conn, cfg, loop, field_obstruction(cfg, diag_connection()))
 
 
 def test_one_insertion_closed_form():
@@ -265,16 +270,6 @@ def test_convergence_is_fourth_order_with_richardson_on_top(monkeypatch):
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(p >= 3.9 for p in orders)
     assert default.distance(ref) <= 2.5e-10
-
-
-def test_gen_transport_composes_off_grid():
-    conn = diag_connection()
-    cfg = mixed_config()
-    loop = wiggly_loop()
-    u_split = gen_transport(conn, cfg, loop, F(0), F(1, 3)) @ gen_transport(
-        conn, cfg, loop, F(1, 3), F(1)
-    )
-    assert u_split.distance(default_transport()) <= 1e-9
 
 
 def test_wilson_is_parametrization_and_marking_invariant():
@@ -465,7 +460,7 @@ def relative(new, old):
     return new.distance(old) / max(old.norm(), 1e-300)
 
 
-STEPS = 20  # steps per piece: the 80 steps of a whole loop fill less than one block
+STEPS = 20  # steps per segment: the 80 steps of a whole loop fill less than one block
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -474,12 +469,10 @@ def test_gen_transport_matches_stepwise_oracle(one_grid, n, n_legs):
     rng = np.random.default_rng(10 * n + n_legs)
     conn, cfg, loop = random_connection(n, rng), random_config(n, rng), wiggly_loop()
     legs = [vertex_variation(loop)] * n_legs
-    plan = TransportPlan(steps=STEPS)
-    for s, t in ((F(0), F(1)), (F(1, 7), F(5, 9))):
-        new = gen_transport(conn, cfg, loop, s, t, plan, legs)
-        old = gen_transport_stepwise(conn, cfg, loop, s, t, STEPS, legs)
-        assert new.n_gen == old.n_gen == 2 + n_legs
-        assert relative(new, old) <= 1e-12
+    new = gen_transport(conn, cfg, loop, TransportPlan(steps=STEPS), legs)
+    old = gen_transport_stepwise(conn, cfg, loop, STEPS, legs)
+    assert new.n_gen == old.n_gen == 2 + n_legs
+    assert relative(new, old) <= 1e-12
 
 
 def test_gen_transport_with_a_body_level_term_matches_oracle(one_grid):
@@ -489,7 +482,7 @@ def test_gen_transport_with_a_body_level_term_matches_oracle(one_grid):
     assert relative(new, old) <= 1e-12
 
 
-def test_gen_transport_of_a_field_and_its_derivative_matches_oracle_off_grid(one_grid):
+def test_gen_transport_of_a_field_and_its_derivative_matches_oracle(one_grid):
     loop = PLLoop(TORUS, [(0, 0), (F(3, 5), F(1, 10)), (F(1, 2), F(4, 5)), (F(-1, 5), F(1, 2))])
     f = FourierField.from_dict(2, {(1, 0): 0.5, (1, 1): -0.7j, (0, 2): 0.2})
     cfg = FieldConfig.build(
@@ -504,8 +497,8 @@ def test_gen_transport_of_a_field_and_its_derivative_matches_oracle_off_grid(one
         expect_parity=1,
     )
     legs = [vertex_variation(loop)]
-    new = gen_transport(diag_connection(), cfg, loop, F(1, 9), F(6, 7), TransportPlan(steps=STEPS), legs)
-    old = gen_transport_stepwise(diag_connection(), cfg, loop, F(1, 9), F(6, 7), STEPS, legs)
+    new = gen_transport(diag_connection(), cfg, loop, TransportPlan(steps=STEPS), legs)
+    old = gen_transport_stepwise(diag_connection(), cfg, loop, STEPS, legs)
     assert relative(new, old) <= 1e-12
 
 
@@ -524,8 +517,8 @@ def test_insertion_derivative_matches_stepwise_oracle(one_grid, n, n_legs):
 
 @pytest.mark.parametrize("block", [1, 7, 10_000])
 def test_block_boundaries_do_not_matter(one_grid, monkeypatch, block):
-    # [1/7, 5/9] cuts the end pieces short, so h differs between pieces, and
-    # at 20 steps blocks of 7 exponentials, 3 steps, span pieces and the last one is partial
+    # at 20 steps per segment, blocks of 7 exponentials, 3 steps, span
+    # segments and the last one is partial
     rng = np.random.default_rng(77)
     conn, cfg, loop = random_connection(3, rng), random_config(3, rng, two_form=False), wiggly_loop()
     legs = [vertex_variation(loop)]
@@ -534,7 +527,7 @@ def test_block_boundaries_do_not_matter(one_grid, monkeypatch, block):
 
     def run():
         return (
-            gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), plan, legs),
+            gen_transport(conn, cfg, loop, plan, legs),
             insertion_derivative(conn, cfg, loop, eta, plan, legs),
         )
 
@@ -543,7 +536,7 @@ def test_block_boundaries_do_not_matter(one_grid, monkeypatch, block):
     got = run()
     for new, old in zip(got, base):
         assert relative(new, old) <= 1e-13
-    assert relative(got[0], gen_transport_stepwise(conn, cfg, loop, F(1, 7), F(5, 9), STEPS, legs)) <= 1e-12
+    assert relative(got[0], gen_transport_stepwise(conn, cfg, loop, STEPS, legs)) <= 1e-12
     assert relative(got[1], insertion_derivative_epsilon_stepwise(conn, cfg, loop, eta, STEPS, legs)) <= 1e-12
 
 
@@ -625,8 +618,8 @@ def test_whole_algebra_support_matches_the_stepwise_oracles(one_grid, n):
     legs = [vertex_variation(loop)]
     assert holonomy._support(cfg, 1) == tuple(range(8))
     plan = TransportPlan(steps=STEPS)
-    new = gen_transport(conn, cfg, loop, F(1, 7), F(5, 9), plan, legs)
-    old = gen_transport_stepwise(conn, cfg, loop, F(1, 7), F(5, 9), STEPS, legs)
+    new = gen_transport(conn, cfg, loop, plan, legs)
+    old = gen_transport_stepwise(conn, cfg, loop, STEPS, legs)
     assert all(np.abs(old.components[m]).max() > 0 for m in range(8))
     assert relative(new, old) <= 1e-12
     eta = random_config(n, rng)
@@ -698,15 +691,15 @@ def test_block_exponential_that_needs_more_than_59_terms_raises():
         slots.exp(coeffs)
 
 
-# -- the walk: piece set-up once per transport, no exponential of the pieces --
+# -- the walk: segment set-up once per transport, no exponential of the segments --
 
 
 def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
-    # every grid of the walk shares the pieces and their floats; the
+    # every grid shares one walk table of the segments, read once; the
     # connection steps in the slot basis, so no grid calls expm
     conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
     calls = collections.Counter()
-    piece_floats, expm_, fixed = holonomy._piece_floats, holonomy.expm, holonomy._gen_transport_fixed
+    walk, expm_, fixed = holonomy._Walk, holonomy.expm, holonomy._gen_transport_fixed
 
     def counting(name, function):
         def wrapped(*args):
@@ -715,12 +708,12 @@ def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(holonomy, "_piece_floats", counting("piece_floats", piece_floats))
+    monkeypatch.setattr(holonomy, "_Walk", counting("walks", walk))
     monkeypatch.setattr(holonomy, "expm", counting("expm", expm_))
     monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting("grids", fixed))
     gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-10))
     assert calls["grids"] >= 4
-    assert calls["piece_floats"] == len(holonomy._pieces(loop, F(0), F(1))) == loop.num_segments
+    assert calls["walks"] == 1
     assert calls["expm"] == 0
 
 

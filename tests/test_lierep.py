@@ -87,8 +87,8 @@ def test_fuse_traces_identity_matrices():
     basis = LieBasis(2)
     eye = SuperMatrix.from_body(np.eye(2))
     out = fuse_traces(eye, eye, eye, eye, basis)
-    assert out.body() == pytest.approx(2.0)
-    assert out.terms() == {(): out.body()}
+    assert out.masks.get(0, 0) == pytest.approx(2.0)
+    assert out.terms() == {(): out.masks.get(0, 0)}
 
 
 def naive_fusion(a1, a2, b1, b2, basis):

@@ -132,11 +132,11 @@ def grid_loop(rng, den, cls):
 @pytest.mark.parametrize(
     "random_class, den, pairs",
     [(True, 4, 150), (True, 160, 50), (False, 4, 150), (False, 24, 150)],
-    ids=["torus-4", "torus-160", "chart-4", "chart-24"],
+    ids=["torus-4", "torus-160", "contractible-4", "contractible-24"],
 )
 def test_intersections_match_the_fraction_oracle(random_class, den, pairs):
     # on the coarse 1/4 grid many pairs touch degenerately, and both sides must raise alike;
-    # the chart-* cases draw class (0, 0), loops that close up in one chart
+    # the contractible-* cases draw class (0, 0), loops that close up without winding
     rng = np.random.default_rng(den + 5)
     crossed = degenerate = 0
     for _ in range(pairs):
@@ -275,10 +275,10 @@ def assert_concatenation_matches_the_oracle(loop, other, p):
 @pytest.mark.parametrize(
     "random_class, dens, pairs",
     [(True, [1, 3, 128], 60), (True, [160], 20), (False, [24], 60), (False, [1, 3, 128], 60)],
-    ids=["torus-mixed", "torus-160", "chart-24", "chart-mixed"],
+    ids=["torus-mixed", "torus-160", "contractible-24", "contractible-mixed"],
 )
 def test_concatenation_matches_the_fraction_oracle(random_class, dens, pairs):
-    # the chart-* cases draw class (0, 0), loops that close up in one chart
+    # the contractible-* cases draw class (0, 0), loops that close up without winding
     rng = np.random.default_rng(len(dens) + 5)
     found = deck = fed_back = 0
     for _ in range(pairs):

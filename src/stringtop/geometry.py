@@ -18,9 +18,9 @@ integers. The constructor turns rational vertices into that lift;
 ``PLLoop._from_lift`` builds a loop from the integers directly, as
 concatenations and the transformations do, and ``canonical`` stores its
 rotated lift with the constant-segment check alone. The
-``Fraction`` vertices are a view formed on demand. ``canonical`` and
-``normal_form`` share one least rotation (``least_rotation``) over the
-integer lift.
+``Fraction`` vertices are a view formed on demand. ``canonical``,
+``normal_form`` and the string bracket's stored terms share one least
+rotation (``_least_lift``) over an integer lift.
 
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
@@ -88,6 +88,46 @@ def least_rotation(seq: Sequence) -> int:
         return seq.index(first)
     starts = (i for i, item in enumerate(seq) if item == first)
     return min(starts, key=lambda i: seq[i:] + seq[:i], default=0)
+
+
+def _least_lift(den: int, pts: tuple, closure: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, rows): the integer lift of the normal form of the lift (den, pts).
+
+    pts are the K + 1 lift vertices P_0..P_K of a loop with closure
+    ``closure``, times den > 0. The candidates are the K rotations
+    (vertex(r), ..., vertex(r + K - 1)), each first translated by the floor
+    of its initial vertex, into [0,1)^2, so rotations past the wrap, which
+    differ by the closure translation, do not affect the result. rows are
+    the K + 1 lift vertices of the least candidate times den, the first in
+    [0, den)^2.
+
+    The least candidate is found without building the candidates. Give
+    vertex i the token (P_i mod den, P_{i+1} - P_i). The token sequences
+    starting at r and at q compare in the same order as candidates r and q:
+
+    - the point entries of the first tokens are the candidates' first
+      vertices times den;
+    - once the first m vertices agree, vertex m + 1 is vertex m plus the
+      edge of token m, so the edges decide; the point entries of token m
+      agree, since P_{r+m} and P_{q+m} differ from the equal vertices m by
+      lattice vectors times den;
+    - when all K vertices agree, the last edges, which both close up at
+      vertex 0 + closure, agree too: equal token sequences are equal
+      candidates.
+
+    Scaling by den > 0 keeps every order, so the least rotation of the
+    cyclic token sequence (``least_rotation``) is a least candidate, and
+    rotations that tie give equal candidates. ``PLLoop.canonical`` and
+    ``strings.string_bracket`` both store their normal forms through here.
+    """
+    tokens = [(x % den, y % den, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:])]
+    r = least_rotation(tokens)
+    # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^2
+    x, y = pts[r]
+    sx, sy = x - x % den, y - y % den
+    bx, by = den * closure[0] - sx, den * closure[1] - sy
+    rows = tuple([(x - sx, y - sy) for x, y in pts[r:-1]] + [(x + bx, y + by) for x, y in pts[: r + 1]])
+    return den, rows
 
 
 class PLLoop:
@@ -273,59 +313,30 @@ class PLLoop:
         """
         return self.canonical().vertices, self.closure
 
-    def _least_lift(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(den, rows): the integer lift of the normal form.
+    @classmethod
+    def _canonical_of(cls, space: Torus, closure: tuple[int, ...], den: int, pts: tuple) -> "PLLoop":
+        """The normal-form loop of the lift (den, pts) with closure ``closure``.
 
-        The candidates are the K rotations (vertex(r), ..., vertex(r + K - 1)),
-        each first translated by the floor of its initial vertex, into
-        [0,1)^2, so rotations past the wrap, which differ by the closure
-        translation, do not affect the result. rows are the K + 1 lift
-        vertices of the least candidate times den, the first in [0, den)^2.
-
-        The least candidate is found without building the candidates. Let
-        P_0..P_K be the integer lift over its denominator den > 0, and give
-        vertex i the token (P_i mod den, P_{i+1} - P_i). The token
-        sequences starting at r and at q compare in the same order as
-        candidates r and q:
-
-        - the point entries of the first tokens are the candidates' first
-          vertices times den;
-        - once the first m vertices agree, vertex m + 1 is vertex m plus
-          the edge of token m, so the edges decide; the point entries of
-          token m agree, since P_{r+m} and P_{q+m} differ from the equal
-          vertices m by lattice vectors times den;
-        - when all K vertices agree, the last edges, which both close up
-          at vertex 0 + closure, agree too: equal token sequences are
-          equal candidates.
-
-        Scaling by den > 0 keeps every order, so the least rotation of the
-        cyclic token sequence (``least_rotation``) is a least candidate,
-        and rotations that tie give equal candidates.
+        The caller vouches for the lift: gcd(den, coordinates) = 1 and
+        pts[-1] = pts[0] + den closure. The loop is stored from ``_least_lift``
+        through ``_store`` alone, without the gcd and closure passes of
+        ``_from_lift``: rotating the rows and translating them by den times a
+        lattice vector keeps both facts, so those passes would prove nothing
+        new. ``_store`` still rejects constant segments. Every call runs one
+        least rotation.
         """
-        den, pts = self._lift
-        tokens = [(x % den, y % den, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:])]
-        r = least_rotation(tokens)
-        # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^2
-        x, y = pts[r]
-        sx, sy = x - x % den, y - y % den
-        bx, by = den * self.closure[0] - sx, den * self.closure[1] - sy
-        rows = tuple([(x - sx, y - sy) for x, y in pts[r:-1]] + [(x + bx, y + by) for x, y in pts[: r + 1]])
-        return den, rows
+        loop = cls.__new__(cls)
+        loop._store(space, closure, *_least_lift(den, pts, closure))
+        return loop
 
     def canonical(self) -> "PLLoop":
         """The loop whose vertices are the normal form, built on the integers.
 
-        The loop is stored from ``_least_lift`` through ``_store`` alone,
-        without the gcd and closure passes of ``_from_lift``: rotating the
-        rows and translating them by den times a lattice vector keeps
-        gcd(den, coordinates) = 1 and keeps the closure, so those passes
-        would prove nothing new. ``_store`` still rejects constant segments.
-        Every call runs one least rotation; ``StringCycle`` keeps its stored
-        loops canonical, so it calls this only on loops it is given.
+        A stored lift is reduced and closes up, so ``_canonical_of`` may skip
+        the validating passes. ``StringCycle`` keeps its stored loops
+        canonical, so it calls this only on loops it is given.
         """
-        loop = PLLoop.__new__(PLLoop)
-        loop._store(self.space, self.closure, *self._least_lift())
-        return loop
+        return PLLoop._canonical_of(self.space, self.closure, *self._lift)
 
     def __repr__(self) -> str:
         return (

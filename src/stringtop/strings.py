@@ -1,19 +1,29 @@
 """Transversal loop intersections, concatenation, and the surface bracket.
 
-Everything here is exact. Crossings are found on integers: both lifts
-are scaled to one common denominator (``PLLoop.integer_lift``), crossings
-are tested with integer cross products, and a crossing found is recorded
-as its two parameters (``Fraction``), its sign and its deck offset. Each
-segment pair is tried against the deck translations that bring the two
-closed segment boxes together, one integer range per axis. ``concatenate``
-reads the crossing off both integer lifts (``PLLoop.lift_point``) and
-splices them, as 2-D integer rows over one common denominator, into one
-``PLLoop._from_lift``; ``PLLoop.canonical`` stores the least rotation of
-those rows without validating them again. So a bracket output stays on
-integers from its crossing to its stored term. Formal cycles carry integer
-coefficients on rotation-normalized loops. Non-transversal contact
-(overlapping segments, crossings at vertices or marked points) raises
-``TransversalityError`` instead of being perturbed away silently.
+Everything here is exact. Crossings are found on integers by one
+enumerator, ``_crossings``: both lifts are scaled to one common
+denominator (``PLLoop.integer_lift``), each segment pair is tried against
+the deck translations that bring the two closed segment boxes together,
+one integer range per axis, and crossings are tested with integer cross
+products. A crossing is yielded as integers: its segments, its local
+coordinates over one denominator, its sign, its deck offset and its point.
+One splice, ``_splice``, joins the two integer lifts at a crossing, as 2-D
+integer rows over the least common denominator.
+
+The bracket uses both directly, so a bracket output stays on integers
+from its crossing to its stored term: ``string_bracket`` splices each
+crossing that ``_crossings`` yields and stores the least rotation of the
+rows (``PLLoop._canonical_of``), with no ``Fraction``, no
+``IntersectionPoint`` and no second ``PLLoop``. The public
+``intersections`` and ``concatenate`` wrap the same two routines:
+``intersections`` records each crossing as its two parameters
+(``Fraction``), its sign and its deck offset, sorted, and ``concatenate``
+reads such a record off both integer lifts (``PLLoop.lift_point``), checks
+it and builds the splice into a validated ``PLLoop._from_lift``. Formal
+cycles carry integer coefficients on rotation-normalized loops.
+Non-transversal contact (overlapping segments, crossings at vertices or
+marked points) raises ``TransversalityError`` instead of being perturbed
+away silently.
 
 The degree-0 bracket of two cycles on a surface sums, over transversal
 intersection points p of their representatives, the loop concatenated at
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -64,14 +75,15 @@ def _segments(loop: PLLoop, scale: int) -> list[tuple[int, ...]]:
     return out
 
 
-def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
-    """All transversal crossings of two loops, exact, sorted by (s, s_bar).
+def _crossings(loop: PLLoop, other: PLLoop):
+    """Every transversal crossing of two lifts, as integers, in (i, j, lam) order.
 
-    The crossings of the quotient loops are enumerated as crossings of the
-    first lift with every relevant deck translate of the second; the
-    translation is recorded in ``offset``. Self-intersections of a single
-    loop are not this function's business: passing the same geometric
-    loop twice is a total overlap and raises.
+    Yields (i, j, tn, rn, den, sign, offset, pden, x, y): segment i of the
+    first lift meets the ``offset`` translate of segment j of the second at
+    local coordinates tn/den and rn/den, with 0 < tn, rn < den; sign is the
+    orientation of the frame; (x, y) / pden is the crossing point on the
+    first lift. The first degenerate contact raises ``TransversalityError``,
+    after the crossings that precede it.
 
     Both lifts are scaled to the unit u = lcm of their denominators. Segment
     i of the first lift, with closed box [alo, ahi] per axis, can meet the
@@ -82,13 +94,10 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
     contact, and with it the ``TransversalityError`` text, is that of the
     enumeration over all deck translations of the whole lifts.
     """
-    k1, k2 = loop.num_segments, other.num_segments
     den1, den2 = loop.integer_lift()[0], other.integer_lift()[0]
     unit = math.lcm(den1, den2)
     others = _segments(other, unit // den2)
-    found = []
     for i, (px, py, dpx, dpy, axlo, axhi, aylo, ayhi) in enumerate(_segments(loop, unit // den1)):
-        row = []  # crossings on segment i, at i/K1 < s < (i + 1)/K1
         for j, (qx, qy, dqx, dqy, bxlo, bxhi, bylo, byhi) in enumerate(others):
             l1lo, l1hi = -((bxhi - axlo) // unit), (axhi - bxlo) // unit
             l2lo, l2hi = -((byhi - aylo) // unit), (ayhi - bylo) // unit
@@ -117,37 +126,42 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
                         raise TransversalityError(
                             f"segments ({i}, {j}) cross at a vertex or marked point"
                         )
-                    row.append(
-                        IntersectionPoint(
-                            s=Fraction(i * den + tn, den * k1),
-                            s_bar=Fraction(j * den + rn, den * k2),
-                            sign=1 if cross > 0 else -1,
-                            offset=(l1, l2),
-                        )
-                    )
-        found += sorted(row, key=lambda p: (p.s, p.s_bar))
+                    sign = 1 if cross > 0 else -1
+                    yield i, j, tn, rn, den, sign, (l1, l2), den * unit, px * den + tn * dpx, py * den + tn * dpy
+
+
+def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
+    """All transversal crossings of two loops, exact, sorted by (s, s_bar).
+
+    The crossings of the quotient loops are enumerated as crossings of the
+    first lift with every relevant deck translate of the second
+    (``_crossings``); the translation is recorded in ``offset``, and the
+    segment coordinates become the loop parameters s = (i + tn/den)/K1 and
+    s_bar = (j + rn/den)/K2. Self-intersections of a single loop are not
+    this function's business: passing the same geometric loop twice is a
+    total overlap and raises.
+    """
+    k1, k2 = loop.num_segments, other.num_segments
+    found = [
+        IntersectionPoint(Fraction(i * den + tn, den * k1), Fraction(j * den + rn, den * k2), sign, offset)
+        for i, j, tn, rn, den, sign, offset, *_ in _crossings(loop, other)
+    ]
+    found.sort(key=lambda p: (p.s, p.s_bar))
     return found
 
 
-def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
-    """The loop that runs around ``loop`` from p and then around ``other``.
+def _splice(loop: PLLoop, other: PLLoop, i: int, j: int, den: int, x0: int, y0: int, ox: int, oy: int):
+    """(unit, rows): the integer lift that runs around ``loop`` from a crossing, then around ``other``.
 
-    The marked point of the result is p = x0 / den = ``loop.lift_point(p.s)``,
-    which must equal ``other.lift_point(p.s_bar)`` plus the offset, or the
-    record is stale. Segment i = floor(s K) holds s, the last one s = 1.
-    The two integer lifts are spliced over unit = lcm(both denominators,
-    the least denominator of p), so unit is the least denominator of the
-    result; the second lift is translated so the two circuits join, and the
-    closure vectors add.
+    The crossing is the point (x0, y0) / den, inside segment i of the first
+    lift and inside segment j of the (ox, oy) translate of the second. The
+    two lifts are spliced over unit = lcm(both denominators, the least
+    denominator of the point). The rows hold every vertex of both lifts up
+    to lattice translations, and the point, so unit is the lcm of their
+    coordinates' denominators: gcd(unit, coordinates) = 1. The second lift
+    is translated so the two circuits join, so the last row is the first
+    plus unit times the sum of the two closures.
     """
-    den, (x0, y0) = loop.lift_point(p.s)
-    dbar, (xb, yb) = other.lift_point(p.s_bar)
-    ox, oy = p.offset
-    if x0 * dbar != (xb + ox * dbar) * den or y0 * dbar != (yb + oy * dbar) * den:
-        raise ValueError("stale intersection point: the loops do not meet at (s, s_bar, offset)")
-    k1, k2 = loop.num_segments, other.num_segments
-    i = min(p.s.numerator * k1 // p.s.denominator, k1 - 1)
-    j = min(p.s_bar.numerator * k2 // p.s_bar.denominator, k2 - 1)
     (den1, pts1), (den2, pts2) = loop.integer_lift(), other.integer_lift()
     (m1, n1), (m2, n2) = loop.closure, other.closure
     unit = math.lcm(den1, den2, den // math.gcd(den, x0, y0))
@@ -166,7 +180,28 @@ def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
     rows += [(x * s2 + tx, y * s2 + ty) for x, y in pts2[j + 1 :]]
     rows += [(x * s2 + vx, y * s2 + vy) for x, y in pts2[1 : j + 1]]
     rows.append((x0 + wx + unit * m2, y0 + wy + unit * n2))
-    return PLLoop._from_lift(loop.space, unit, tuple(rows))
+    return unit, tuple(rows)
+
+
+def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
+    """The loop that runs around ``loop`` from p and then around ``other``.
+
+    The marked point of the result is p = x0 / den = ``loop.lift_point(p.s)``,
+    which must equal ``other.lift_point(p.s_bar)`` plus the offset, or the
+    record is stale. Segment i = floor(s K) holds s, the last one s = 1.
+    The rows are those of ``_splice``, which the bracket stores directly;
+    here they are built into a validated ``PLLoop._from_lift``, whose gcd
+    and closure passes find them reduced and closing up.
+    """
+    den, (x0, y0) = loop.lift_point(p.s)
+    dbar, (xb, yb) = other.lift_point(p.s_bar)
+    ox, oy = p.offset
+    if x0 * dbar != (xb + ox * dbar) * den or y0 * dbar != (yb + oy * dbar) * den:
+        raise ValueError("stale intersection point: the loops do not meet at (s, s_bar, offset)")
+    k1, k2 = loop.num_segments, other.num_segments
+    i = min(p.s.numerator * k1 // p.s.denominator, k1 - 1)
+    j = min(p.s_bar.numerator * k2 // p.s_bar.denominator, k2 - 1)
+    return PLLoop._from_lift(loop.space, *_splice(loop, other, i, j, den, x0, y0, ox, oy))
 
 
 # ---------------------------------------------------------------------------
@@ -290,28 +325,49 @@ def jacobi_eta(parity_a: int, parity_c: int) -> int:
     return -1 if ((parity_a + 2) * (parity_c + 2)) % 2 else 1
 
 
-def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:
-    """Degree-0 bracket: signed concatenations over all crossings, bilinear."""
+def _bracket_terms(a: StringCycle, abar: StringCycle):
+    """The raw (coefficient, normal-form loop) terms of {a; abar}, one per crossing.
+
+    Each crossing goes from ``_crossings`` to ``_splice`` to
+    ``PLLoop._canonical_of`` on integers: ``_splice`` returns a lift over
+    its least denominator whose closure is the sum of the two closures, so
+    the loop is stored from its least rotation without a validating build.
+    """
     pref = degree_zero_prefactor(0, 0)
-    out = []
     for m, gamma in a.terms:
         for mbar, gammabar in abar.terms:
-            for p in intersections(gamma, gammabar):
-                out.append((pref * m * mbar * p.sign, concatenate(gamma, gammabar, p)))
-    return StringCycle(out)
+            closure = tuple(map(operator.add, gamma.closure, gammabar.closure))
+            for i, j, _, _, _, sign, (ox, oy), den, x, y in _crossings(gamma, gammabar):
+                lift = _splice(gamma, gammabar, i, j, den, x, y, ox, oy)
+                yield pref * m * mbar * sign, PLLoop._canonical_of(gamma.space, closure, *lift)
+
+
+def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:
+    """Degree-0 bracket: signed concatenations over all crossings, bilinear.
+
+    Each term is one crossing spliced and stored in normal form on the
+    integers (``_bracket_terms``); no ``IntersectionPoint``, ``Fraction``
+    or second ``PLLoop`` is built. The terms are combined once.
+    """
+    return StringCycle._of(_bracket_terms(a, abar))
 
 
 def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCycle:
     """Signed cyclic sum eta(x,z) {{x;y};z}, formed on chains.
 
+    The inner brackets {x;y} are ``string_bracket`` cycles; the raw terms of
+    the three outer brackets are gathered and combined once, which gives
+    the cycle that summing the three outer cycles gives.
+
     Its class reduction is zero (Goldman). The suite checks the stronger
     statement that the chain itself is zero, which held on every
     non-degenerate random triple tested (``tests/test_strings.py``).
     """
-    out = StringCycle()
+    eta = jacobi_eta(0, 0)
+    terms = []
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        out = out + string_bracket(string_bracket(x, y), z).scale(jacobi_eta(0, 0))
-    return out
+        terms += ((eta * k, loop) for k, loop in _bracket_terms(string_bracket(x, y), z))
+    return StringCycle._of(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -335,9 +335,9 @@ def halving_orders(residuals: Sequence[float], floor: float = 5e-9) -> list[floa
 # -- the exact geometry layer on Fractions ------------------------------------
 #
 # Oracles for ``PLLoop.normal_form``, the ``PLLoop`` transformations,
-# ``strings.intersections`` and ``strings.concatenate``, which compute the
-# same values on integers over a common denominator, and the exact segment
-# and velocity views that only tests read.
+# ``strings.intersections``, ``strings.concatenate`` and the bracket's
+# terms, which compute the same values on integers over a common
+# denominator, and the exact segment and velocity views that only tests read.
 
 
 def segment_of(loop: PLLoop, t: Fraction) -> tuple[int, Fraction]:
@@ -514,6 +514,19 @@ def canonical_rotations(loop: PLLoop) -> PLLoop:
     """Oracle: ``PLLoop.canonical`` built from ``normal_form_rotations``."""
     verts, closure = normal_form_rotations(loop)
     return PLLoop(loop.space, verts, closure)
+
+
+def bracket_terms_fraction(a, abar):
+    """Oracle: ``strings._bracket_terms`` through the three ``Fraction`` oracles above.
+
+    One (sign times coefficients, normal-form loop) term per crossing of
+    ``intersections_fraction``, spliced by ``concatenate_fraction`` and
+    normalized by ``canonical_rotations``.
+    """
+    for m, gamma in a.terms:
+        for mbar, gammabar in abar.terms:
+            for p in intersections_fraction(gamma, gammabar):
+                yield m * mbar * p.sign, canonical_rotations(concatenate_fraction(gamma, gammabar, p))
 
 
 # ---------------------------------------------------------------------------

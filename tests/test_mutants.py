@@ -92,27 +92,39 @@ def diagonal_pseudo_rep(monkeypatch):
     monkeypatch.setattr(chords, "_rep_stack", diagonal)
 
 
+def in_parameter_order(crossings):
+    """``strings._crossings`` records sorted by (s, s_bar), the order of ``intersections``."""
+    return sorted(crossings, key=lambda c: (Fraction(c[0] * c[4] + c[2], c[4]), Fraction(c[1] * c[4] + c[3], c[4])))
+
+
 def first_crossing(monkeypatch):
-    """The bracket concatenates at the first crossing, whatever the crossing."""
-    concatenate = strings.concatenate
-    monkeypatch.setattr(
-        strings, "concatenate", lambda loop, other, p: concatenate(loop, other, strings.intersections(loop, other)[0])
-    )
+    """The bracket splices at the pair's first crossing, whatever the crossing."""
+    splice = strings._splice
+
+    def first(loop, other, *crossing):
+        i, j, _, _, _, _, (ox, oy), den, x, y = in_parameter_order(strings._crossings(loop, other))[0]
+        return splice(loop, other, i, j, den, x, y, ox, oy)
+
+    monkeypatch.setattr(strings, "_splice", first)
 
 
 def paired_crossings_dropped(monkeypatch):
-    """Every crossing list that holds both signs loses its last +1 and its last -1 crossing."""
-    intersections = strings.intersections
+    """Every crossing list that holds both signs loses its last +1 and its last -1 crossing.
+
+    ``intersections`` and the bracket both enumerate through
+    ``strings._crossings``, so the bracket and ``wilson_field_bracket``
+    lose the same crossings.
+    """
+    crossings = strings._crossings
 
     def dropped(loop, other):
-        pts = intersections(loop, other)
-        last = {p.sign: k for k, p in enumerate(pts)}
+        found = in_parameter_order(crossings(loop, other))
+        last = {c[5]: k for k, c in enumerate(found)}
         if len(last) < 2:
-            return pts
-        return [p for k, p in enumerate(pts) if k not in last.values()]
+            return found
+        return [c for k, c in enumerate(found) if k not in last.values()]
 
-    monkeypatch.setattr(strings, "intersections", dropped)
-    monkeypatch.setattr(brackets, "intersections", dropped)
+    monkeypatch.setattr(strings, "_crossings", dropped)
 
 
 MUTANTS = {

@@ -10,8 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import canonical_rotations, concatenate_fraction, intersections_fraction, normal_form_rotations
-from stringtop import strings
+from oracles import (
+    bracket_terms_fraction,
+    canonical_rotations,
+    concatenate_fraction,
+    intersections_fraction,
+    normal_form_rotations,
+)
+from stringtop import geometry, strings
 from stringtop.geometry import PLLoop, Torus
 from stringtop.harness import gen_random_loop
 from stringtop.strings import (
@@ -377,8 +383,8 @@ def test_only_the_constructor_normalizes(monkeypatch):
     a = StringCycle([(2, wiggly_rep(rng, (1, 2))), (-1, wiggly_rep(rng, (0, 1)))])
     b = StringCycle([(3, wiggly_rep(rng, (1, 2)).rotate_marked(1))])
     calls = []
-    normal_form, least_lift = PLLoop.normal_form, PLLoop._least_lift
-    monkeypatch.setattr(PLLoop, "_least_lift", lambda self: calls.append(1) or least_lift(self))
+    normal_form, least_lift = PLLoop.normal_form, geometry._least_lift
+    monkeypatch.setattr(geometry, "_least_lift", lambda *lift: calls.append(1) or least_lift(*lift))
     total, neg = a + b, a.scale(-1)
     assert (a == b, a == a, total == b + a) == (False, True, True)
     assert hash(neg) == hash(a.scale(-1)) and hash(total) == hash(b + a)
@@ -388,44 +394,135 @@ def test_only_the_constructor_normalizes(monkeypatch):
         assert normal_form(loop) == (loop.vertices, loop.closure)
 
 
+def forbid(monkeypatch, owner, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the bracket called {name}")
+
+    monkeypatch.setattr(owner, name, refuse)
+
+
 def test_each_bracket_term_builds_one_loop(monkeypatch):
-    """One validated build (``_from_lift``) and one least rotation per term."""
+    """One least rotation and one stored ``PLLoop`` per term, straight from the integers.
+
+    The bracket builds no ``IntersectionPoint``, no ``Fraction``, no
+    ``lift_point`` and no validated ``_from_lift`` build.
+    """
     rng = np.random.default_rng(14)
     a = StringCycle([(2, wiggly_rep(rng, (1, 2))), (-1, wiggly_rep(rng, (0, 1)))])
     b = StringCycle([(1, wiggly_rep(rng, (2, -1))), (3, wiggly_rep(rng, (1, 1)))])
     crossings = sum(len(intersections(x, y)) for _, x in a.terms for _, y in b.terms)
     assert crossings > 5
-    builds, rotations = [], []
-    from_lift, least_lift = PLLoop._from_lift.__func__, PLLoop._least_lift
-    monkeypatch.setattr(PLLoop, "_from_lift", classmethod(lambda cls, *args: builds.append(1) or from_lift(cls, *args)))
-    monkeypatch.setattr(PLLoop, "_least_lift", lambda self: rotations.append(1) or least_lift(self))
+    stores, rotations = [], []
+    store, least_lift = PLLoop._store, geometry._least_lift
+    monkeypatch.setattr(PLLoop, "_store", lambda self, *args: stores.append(1) or store(self, *args))
+    monkeypatch.setattr(geometry, "_least_lift", lambda *lift: rotations.append(1) or least_lift(*lift))
+    for name in ("IntersectionPoint", "Fraction", "intersections", "concatenate"):
+        forbid(monkeypatch, strings, name)
+    forbid(monkeypatch, PLLoop, "lift_point")
+    forbid(monkeypatch, PLLoop, "_from_lift")
     bracket = string_bracket(a, b)
-    assert len(builds) == len(rotations) == crossings
+    assert len(stores) == len(rotations) == crossings
+    monkeypatch.undo()
     # re-wrapping canonical terms gives the same cycle, and each term the lift a validated build gives
     assert StringCycle(bracket.terms) == bracket
     for _, loop in bracket.terms:
-        assert from_lift(PLLoop, TORUS, *least_lift(loop)).integer_lift() == loop.integer_lift()
+        assert PLLoop._from_lift(TORUS, *least_lift(*loop.integer_lift(), loop.closure)).integer_lift() == loop.integer_lift()
 
 
 def test_each_splice_is_over_the_least_denominator(monkeypatch):
-    """``concatenate`` hands ``_from_lift`` rows with no common factor to divide out."""
+    """Every stored bracket term is reduced and closes up by the sum of the two closures.
+
+    So the gcd and closure passes of ``_from_lift``, which the bracket
+    skips, would change nothing. ``concatenate`` still runs them, on rows
+    with no common factor to divide out.
+    """
     rng = np.random.default_rng(15)
-    splices = []
-    from_lift = PLLoop._from_lift.__func__
+    stored, built = [], []
+    canonical_of, from_lift = PLLoop._canonical_of.__func__, PLLoop._from_lift.__func__
+
+    def keep(cls, *args):
+        stored.append(canonical_of(cls, *args))
+        return stored[-1]
 
     def record(cls, space, den, pts):
-        splices.append(math.gcd(den, *(c for row in pts for c in row)))
+        built.append(math.gcd(den, *(c for row in pts for c in row)))
         return from_lift(cls, space, den, pts)
 
+    monkeypatch.setattr(PLLoop, "_canonical_of", classmethod(keep))
     monkeypatch.setattr(PLLoop, "_from_lift", classmethod(record))
+    splices = 0
     for _ in range(50):
-        a, b = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(2))
+        x, y = gen_random_loop(rng), gen_random_loop(rng)
+        a, b = StringCycle.from_loop(x), StringCycle.from_loop(y)
+        del stored[:]
         try:
             string_bracket(a, b)
+            pts = intersections(x, y)
         except TransversalityError:
             continue
-    assert len(splices) > 100
-    assert set(splices) == {1}
+        closure = tuple(c + d for c, d in zip(x.closure, y.closure))
+        for loop in stored:
+            den, rows = loop.integer_lift()
+            assert math.gcd(den, *(c for row in rows for c in row)) == 1
+            assert loop.closure == closure
+            assert tuple(b - a for a, b in zip(rows[0], rows[-1])) == tuple(den * c for c in closure)
+        assert len(stored) == len(pts)
+        splices += len(stored)
+        for p in pts:
+            concatenate(x, y, p)
+    assert splices > 100 and len(built) == splices
+    assert set(built) == {1}
+
+
+def bracket_by_records(a, b):
+    """{a; b} through the public routes: sorted records, validated splices, then ``canonical``."""
+    return [
+        (m * mb * p.sign, concatenate(x, y, p).canonical())
+        for m, x in a.terms
+        for mb, y in b.terms
+        for p in intersections(x, y)
+    ]
+
+
+def test_the_bracket_splices_what_the_records_splice():
+    """The bracket's raw (sign, term) multiset is that of ``intersections`` -> ``concatenate`` -> ``canonical``.
+
+    On degenerate pairs both routes raise the same ``TransversalityError``
+    text. Two terms of each bracket are fed back in, so longer loops over
+    mixed denominators are spliced too.
+    """
+    rng = np.random.default_rng(16)
+    compared = degenerate = fed_back = 0
+
+    def compare(a, b):
+        try:
+            want = bracket_by_records(a, b)
+        except TransversalityError as err:
+            with pytest.raises(TransversalityError) as got:
+                list(strings._bracket_terms(a, b))
+            assert str(got.value) == str(err)
+            return None
+        got = list(strings._bracket_terms(a, b))
+        key = lambda terms: sorted((c, loop.integer_lift(), loop.closure) for c, loop in terms)
+        assert key(got) == key(want)
+        assert string_bracket(a, b) == StringCycle(want)
+        return StringCycle._of(got[:2])
+
+    for _ in range(60):
+        den = int(rng.choice([4, 128, 160]))
+        cls = [tuple(int(x) for x in rng.integers(-3, 4, 2)) for _ in range(3)]
+        loops = [grid_loop(rng, den, c) for c in cls]
+        if any(loop is None for loop in loops):
+            continue
+        x, y, z = (StringCycle.from_loop(loop) for loop in loops)
+        xy = compare(x, y)
+        if xy is None:
+            degenerate += 1
+            continue
+        compared += 1
+        if not xy.is_zero:
+            fed_back += compare(xy, z) is not None
+    assert compared >= 20 and degenerate >= 5 and fed_back >= 10
 
 
 # -- the bracket --------------------------------------------------------------------
@@ -535,8 +632,8 @@ def test_chain_level_terms_match_the_fraction_oracles(seed, monkeypatch):
     # which is not the (vertices, closure) order when one loop's vertices begin another's
     short, long = PLLoop(TORUS, [(0, 0)], (1, 0)), PLLoop(TORUS, [(0, 0), (0, F(1, 2))], (0, 1))
     assert [loop.num_segments for _, loop in StringCycle([(1, short), (1, long)]).terms] == [2, 1]
-    monkeypatch.setattr(strings, "intersections", intersections_fraction)
-    monkeypatch.setattr(strings, "concatenate", concatenate_fraction)
+    # the bracket's terms through the Fraction oracles, and the input loops normalized by rotations
+    monkeypatch.setattr(strings, "_bracket_terms", bracket_terms_fraction)
     monkeypatch.setattr(PLLoop, "canonical", canonical_rotations)
     assert chains() == production
     assert sum(len(terms[1]) for terms in production if isinstance(terms, list)) > 30

@@ -190,9 +190,8 @@ def fundamental_identity_check(
     loop: PLLoop,
     v: VariationField,
     plan: TransportPlan = DEFAULT_PLAN,
-    eps: Fraction = Fraction(1, 1000),
 ) -> float:
     """Residual |Path1 - Path2| of the deformation/insertion comparison."""
-    p1, p2 = fundamental_identity_paths(conn, config, loop, v, plan, eps)
+    p1, p2 = fundamental_identity_paths(conn, config, loop, v, plan)
     return p1.distance(p2)
 

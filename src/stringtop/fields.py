@@ -72,9 +72,9 @@ class FourierField:
         """Value at one point of length d, or the (m,) values at the rows of
         an (m, d) array of points: ``FourierStack`` of this one field.
 
-        The library evaluates fields through ``FourierStack``; this wrapper
-        stays because the benchmark tracer (``perfbench/tracing.py``) names
-        it."""
+        Oracle route: transports evaluate fields through ``FourierStack``,
+        and ``harness.insertion_matrix_at``, the M(t) of the
+        ``transport-accuracy`` oracle, calls this once per term and point."""
         values = self._stack(point)[0]
         return values if values.ndim else complex(values)
 

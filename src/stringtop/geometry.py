@@ -213,7 +213,10 @@ class PLLoop:
         return len(self._lift[1]) - 1
 
     def vertex(self, i: int) -> Point:
-        """Vertex of the lift, extended periodically: P_{i+K} = P_i + closure."""
+        """Vertex of the lift, extended periodically: P_{i+K} = P_i + closure.
+
+        Oracle route: production reads the integer lift; ``point_at`` and
+        ``gen_transport_ode`` read their segments here."""
         verts = self.vertices
         wraps, idx = divmod(i, len(verts))
         base = verts[idx]
@@ -227,7 +230,10 @@ class PLLoop:
         return tuple(map(operator.sub, pts[i + 1], pts[i]))
 
     def point_at(self, t: Fraction) -> Point:
-        """The lift point at t in [0, 1], formed from ``Fraction`` vertices (see ``lift_point``)."""
+        """The lift point at t in [0, 1], formed from ``Fraction`` vertices.
+
+        Oracle route: production reads ``lift_point``, in integers;
+        ``transport_by_pieces`` reads its end points here."""
         t = _rat(t)
         if not 0 <= t <= 1:
             raise ValueError("parameter must lie in [0, 1]")

@@ -17,7 +17,7 @@ is nilpotent; the body of a product is the product of bodies.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 DEFAULT_GENERATORS = 6
 
@@ -38,40 +38,15 @@ def merge_sign(i: int, j: int) -> int:
     return -1 if total & 1 else 1
 
 
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    b = 0
-    while mask:
-        if mask & 1:
-            out.append(b + 1)
-        mask >>= 1
-        b += 1
-    return tuple(out)
-
-
-def _indices_to_mask(indices: Iterable[int], n_gen: int) -> int:
-    mask = 0
-    for a in indices:
-        if not 1 <= a <= n_gen:
-            raise ValueError(f"generator index {a} outside 1..{n_gen}")
-        bit = 1 << (a - 1)
-        if mask & bit:
-            raise ValueError(f"repeated generator index {a}")
-        mask |= bit
-    return mask
-
-
 class GradedCoefficient:
     """Element of the Grassmann algebra on ``n_gen`` generators.
 
-    Construct from a mapping of index tuples to scalars, or of bitmasks to
-    scalars (bit a-1 for generator a), which is how production builds it::
+    Construct from a mapping of bitmasks to scalars, bit a-1 set for
+    generator a; zero scalars are dropped::
 
-        GradedCoefficient({(): 2, (1, 2): 1})          # 2 + theta1 theta2
-        GradedCoefficient.from_masks({0b11: 1, 0: 2})  # the same element
-        GradedCoefficient.from_masks({0: 3.5})         # the scalar 3.5
-        GradedCoefficient.from_masks({1 << 3: 1})      # theta4
-        GradedCoefficient.from_masks({})               # zero
+        GradedCoefficient({0: 2, 0b11: 1})   # 2 + theta1 theta2
+        GradedCoefficient({1 << 3: 1})       # theta4
+        GradedCoefficient({})                # zero
 
     Arithmetic (+, -, *, scalar *) keeps scalars duck-typed, so exact
     ``Fraction`` coefficients survive every operation.
@@ -79,58 +54,21 @@ class GradedCoefficient:
 
     __slots__ = ("n_gen", "_terms")
 
-    def __init__(
-        self,
-        terms: Mapping[tuple[int, ...], object] | None = None,
-        n_gen: int = DEFAULT_GENERATORS,
-    ) -> None:
+    def __init__(self, masks: Mapping[int, object], n_gen: int = DEFAULT_GENERATORS) -> None:
         if n_gen < 0:
             raise ValueError("number of generators must be nonnegative")
         self.n_gen = n_gen
-        data: dict[int, object] = {}
-        if terms:
-            for indices, value in terms.items():
-                mask = _indices_to_mask(indices, n_gen)
-                if tuple(sorted(indices)) != tuple(indices):
-                    raise ValueError(f"indices must be strictly increasing: {indices}")
-                if not value == 0:
-                    data[mask] = data.get(mask, 0) + value
-        self._terms = {m: v for m, v in data.items() if not v == 0}
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_masks(
-        cls, masks: Mapping[int, object], n_gen: int = DEFAULT_GENERATORS
-    ) -> "GradedCoefficient":
-        out = cls(n_gen=n_gen)
-        out._terms = {m: v for m, v in masks.items() if not v == 0}
-        if out._terms and max(out._terms) >> n_gen:
+        self._terms = {m: v for m, v in masks.items() if not v == 0}
+        if self._terms and max(self._terms) >> n_gen:
             raise ValueError("mask exceeds generator count")
-        return out
-
-    # -- views -------------------------------------------------------------
 
     @property
     def masks(self) -> dict[int, object]:
         return dict(self._terms)
 
-    def terms(self) -> dict[tuple[int, ...], object]:
-        return {_mask_to_indices(m): v for m, v in self._terms.items()}
-
-    def coeff(self, indices: tuple[int, ...]) -> object:
-        return self._terms.get(_indices_to_mask(indices, self.n_gen), 0)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def parity(self) -> int | None:
-        """0 for even, 1 for odd, None for mixed or zero-without-grade."""
-        parities = {m.bit_count() & 1 for m in self._terms}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -151,12 +89,10 @@ class GradedCoefficient:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return GradedCoefficient.from_masks(out, self.n_gen)
+        return GradedCoefficient(out, self.n_gen)
 
     def __neg__(self) -> "GradedCoefficient":
-        return GradedCoefficient.from_masks(
-            {m: -v for m, v in self._terms.items()}, self.n_gen
-        )
+        return GradedCoefficient({m: -v for m, v in self._terms.items()}, self.n_gen)
 
     def __sub__(self, other: "GradedCoefficient") -> "GradedCoefficient":
         if not isinstance(other, GradedCoefficient):
@@ -175,10 +111,8 @@ class GradedCoefficient:
 
     def scale(self, scalar: object) -> "GradedCoefficient":
         if scalar == 0:
-            return GradedCoefficient.from_masks({}, self.n_gen)
-        return GradedCoefficient.from_masks(
-            {m: scalar * v for m, v in self._terms.items()}, self.n_gen
-        )
+            return GradedCoefficient({}, self.n_gen)
+        return GradedCoefficient({m: scalar * v for m, v in self._terms.items()}, self.n_gen)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedCoefficient):
@@ -207,7 +141,7 @@ class GradedCoefficient:
             return "GradedCoefficient(0)"
         bits = []
         for m in sorted(self._terms, key=lambda m: (m.bit_count(), m)):
-            mono = "".join(f"t{a}" for a in _mask_to_indices(m)) or "1"
+            mono = "".join(f"t{b + 1}" for b in range(m.bit_length()) if m >> b & 1) or "1"
             bits.append(f"{self._terms[m]!r}*{mono}")
         return f"GradedCoefficient({' + '.join(bits)}, n_gen={self.n_gen})"
 
@@ -218,9 +152,9 @@ def gc_mul(a: GradedCoefficient, b: GradedCoefficient) -> GradedCoefficient:
     Term-by-term: theta_I theta_J = 0 if I and J share a generator, else
     merge_sign(I, J) * theta_{I union J}.
 
-    No check multiplies coefficients symbolically; only tests do. It stays
-    here, and not with the test oracles, because the benchmark tracer
-    (``perfbench/tracing.py``) names it as a layer.
+    Oracle route: transports multiply whole component stacks in
+    ``lierep``, and ``harness.insertion_matrix_at``, the M(t) of the
+    ``transport-accuracy`` oracle, multiplies symbolically through this.
     """
     a._check_compatible(b)
     out: dict[int, object] = {}
@@ -235,4 +169,4 @@ def gc_mul(a: GradedCoefficient, b: GradedCoefficient) -> GradedCoefficient:
                 out.pop(k, None)
             else:
                 out[k] = s
-    return GradedCoefficient.from_masks(out, a.n_gen)
+    return GradedCoefficient(out, a.n_gen)

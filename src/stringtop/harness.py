@@ -359,7 +359,7 @@ def insertion_matrix_at(config: FieldConfig, pos, vel, leg_values, n_legs: int) 
     n_gen = n_theta + n_legs
     comps: dict[int, np.ndarray] = {}
     w_elements = [
-        GradedCoefficient.from_masks(
+        GradedCoefficient(
             {1 << (n_theta + idx): complex(val[mu]) for idx, val in enumerate(leg_values) if val[mu] != 0},
             n_gen,
         )
@@ -370,10 +370,10 @@ def insertion_matrix_at(config: FieldConfig, pos, vel, leg_values, n_legs: int) 
         if not bits:
             continue
         fval = field.evaluate(pos)
-        theta = GradedCoefficient.from_masks({config.theta_mask(mask): 1.0}, n_gen)
-        gc = GradedCoefficient.from_masks({}, n_gen)
+        theta = GradedCoefficient({config.theta_mask(mask): 1.0}, n_gen)
+        gc = GradedCoefficient({}, n_gen)
         for a in range(len(bits)):
-            part = GradedCoefficient.from_masks({0: 1}, n_gen)
+            part = GradedCoefficient({0: 1}, n_gen)
             for b in range(len(bits)):
                 if b != a:
                     part = part * w_elements[bits[b]]

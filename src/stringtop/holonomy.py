@@ -524,10 +524,9 @@ def wilson(
     config: FieldConfig,
     loop: PLLoop,
     plan: TransportPlan = DEFAULT_PLAN,
-    variations: Sequence[VariationField] = (),
 ) -> GradedCoefficient:
     """Trace of the full-loop generalized transport."""
-    return gen_transport(conn, config, loop, plan, variations).trace()
+    return gen_transport(conn, config, loop, plan).trace()
 
 
 def insertion_derivative(
@@ -574,7 +573,7 @@ def insertion_derivative(
         # theta_S theta_a theta_b w_L = epsilon theta_S w_L: drop a and b, and
         # move the legs down to follow the thetas
         part = {m & thetas | m >> (n_theta + 2) << n_theta: v for m, v in trace.masks.items() if m & pair == pair}
-        return GradedCoefficient.from_masks(part, n_theta + n_legs)
+        return GradedCoefficient(part, n_theta + n_legs)
 
     return _with_richardson(fixed, plan)
 
@@ -597,4 +596,4 @@ def extract_leg_coefficient(
         if theta_part >> n_theta:
             continue
         comps[theta_part] = merge_sign(leg_mask, theta_part) * val
-    return GradedCoefficient.from_masks(comps, n_theta)
+    return GradedCoefficient(comps, n_theta)

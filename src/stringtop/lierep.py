@@ -75,13 +75,18 @@ class LieBasis:
         return divmod(a, self.n)
 
     def matrix(self, a: int) -> np.ndarray:
+        """The matrix unit E_a. Oracle route: only ``brackets._kappa_path``
+        sums over it."""
         i, j = self.unit(a)
         out = np.zeros((self.n, self.n), dtype=complex)
         out[i, j] = 1.0
         return out
 
     def kappa(self, a: int, b: int) -> int:
-        """tr(E_a E_b): 1 when b is a's transposed unit, else 0."""
+        """tr(E_a E_b): 1 when b is a's transposed unit, else 0.
+
+        Oracle route: ``fuse_traces`` uses the swap identity; only
+        ``brackets._kappa_path`` enumerates kappa."""
         i, j = self.unit(a)
         k, l = self.unit(b)
         return 1 if (j == k and i == l) else 0
@@ -143,7 +148,7 @@ class SuperMatrix:
 
     def trace(self) -> GradedCoefficient:
         traces = np.trace(self.components, axis1=1, axis2=2)
-        return GradedCoefficient.from_masks(dict(enumerate(traces.tolist())), self.n_gen)
+        return GradedCoefficient(dict(enumerate(traces.tolist())), self.n_gen)
 
     def transpose(self) -> "SuperMatrix":
         return SuperMatrix._of(self.components.transpose(0, 2, 1).copy())
@@ -157,9 +162,6 @@ class SuperMatrix:
     def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check(other)
         return SuperMatrix._of(self.components + other.components)
-
-    def __neg__(self) -> "SuperMatrix":
-        return SuperMatrix._of(-self.components)
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check(other)

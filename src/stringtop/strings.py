@@ -248,9 +248,10 @@ class StringCycle:
     """Formal integer combination of loops, each stored rotation-normalized.
 
     A stored loop is its own normal form, so its integer lift is its key:
-    only the constructor normalizes, and sums, scalings, equality and
-    hashing work on the stored keys. The cycle has no space of its own:
-    it lives where its loops do.
+    only the constructor normalizes, and equality and hashing work on the
+    stored keys. A sum or a multiple is built as a new cycle from the
+    terms, ``StringCycle(a.terms + b.terms)``. The cycle has no space of
+    its own: it lives where its loops do.
     """
 
     __slots__ = ("terms",)
@@ -275,17 +276,6 @@ class StringCycle:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "StringCycle") -> "StringCycle":
-        return StringCycle._of(self.terms + other.terms)
-
-    def scale(self, k: int) -> "StringCycle":
-        """k times the cycle; for k != 0 the stored terms keep their order."""
-        if k == 0:
-            return StringCycle()
-        cycle = StringCycle.__new__(StringCycle)
-        cycle.terms = tuple((k * c, loop) for c, loop in self.terms)
-        return cycle
 
     def _keys(self) -> tuple:
         return tuple((c, l.integer_lift()) for c, l in self.terms)

@@ -34,7 +34,7 @@ def supermatrix_entries(m: SuperMatrix) -> list[list[GradedCoefficient]]:
     """Oracle view: the entries of m as GradedCoefficients, for products
     summed entry by entry in the Grassmann algebra instead of on stacks."""
     return [
-        [GradedCoefficient.from_masks(dict(enumerate(m.components[:, i, j])), m.n_gen) for j in range(m.n)]
+        [GradedCoefficient(dict(enumerate(m.components[:, i, j])), m.n_gen) for j in range(m.n)]
         for i in range(m.n)
     ]
 
@@ -243,7 +243,7 @@ def insertion_derivative_stepwise(
     suffix = [SuperMatrix.from_body(np.eye(n), n_gen)] * (len(factors) + 1)
     for j in range(len(factors) - 1, -1, -1):
         suffix[j] = factors[j] @ suffix[j + 1]
-    out = GradedCoefficient.from_masks({}, n_gen)
+    out = GradedCoefficient({}, n_gen)
     prefix = SuperMatrix.from_body(np.eye(n), n_gen)
     for j, (first, second) in enumerate(halves):
         sandwich = prefix @ first @ m_etas[j] @ second @ suffix[j + 1]
@@ -268,12 +268,13 @@ def epsilon_config(config: FieldConfig, eta: FieldConfig) -> FieldConfig:
 def epsilon_part(value: GradedCoefficient, n_theta: int, n_legs: int) -> GradedCoefficient:
     """The coefficient of epsilon in a value over the generators of
     ``epsilon_config`` plus n_legs legs: theta_S theta_a theta_b w_L is
-    epsilon theta_S w_L, since epsilon is even."""
-    a, b = n_theta + 1, n_theta + 2
+    epsilon theta_S w_L, since epsilon is even. In masks: keep the terms
+    with both epsilon bits, drop those bits and shift the leg bits down."""
+    eps, low = 0b11 << n_theta, (1 << n_theta) - 1
     out = {}
-    for indices, v in value.terms().items():
-        if a in indices and b in indices:
-            out[tuple(i if i <= n_theta else i - 2 for i in indices if i not in (a, b))] = v
+    for m, v in value.masks.items():
+        if m & eps == eps:
+            out[(m & low) | (m >> (n_theta + 2) << n_theta)] = v
     return GradedCoefficient(out, n_theta + n_legs)
 
 

@@ -210,7 +210,7 @@ def test_identity_residual_and_convergence_order():
     cfg = odd_config()
     loop = wiggly_loop()
     v = generic_variation(loop)
-    assert fundamental_identity_check(conn, cfg, loop, v, eps=F(1, 1000)) <= 5e-7
+    assert fundamental_identity_check(conn, cfg, loop, v) <= 5e-7
     sched = [F(1, 100), F(1, 200), F(1, 400)]
     residuals = fundamental_identity_residuals(conn, cfg, loop, v, eps_schedule=sched)
     orders = halving_orders(residuals)

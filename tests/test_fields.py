@@ -251,7 +251,7 @@ def test_obstruction_is_the_covariant_derivative_on_an_odd_scalar():
         want = grads[mu] * e + fval * (a_mu @ e - e @ a_mu)
         for i in range(2):
             for j in range(2):
-                diff = got[i][j] - GradedCoefficient.from_masks({1: want[i, j]}, 1)
+                diff = got[i][j] - GradedCoefficient({1: want[i, j]}, 1)
                 assert diff.norm() <= 1e-13
 
 

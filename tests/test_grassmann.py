@@ -11,21 +11,26 @@ from hypothesis import strategies as st
 from stringtop.grassmann import GradedCoefficient, gc_mul, merge_sign
 
 
+def mask(*indices):
+    """The key of theta_{i1} ... theta_{ik}: bit a-1 for generator a."""
+    return sum(1 << (a - 1) for a in indices)
+
+
 def t(*indices, n_gen=6):
-    return GradedCoefficient({tuple(indices): 1}, n_gen=n_gen)
+    return GradedCoefficient({mask(*indices): 1}, n_gen)
 
 
 def test_product_of_body_plus_top_pair():
     """(2 + t1 t2)(3 + t1 t2) = 6 + 5 t1 t2 since (t1 t2)^2 = 0."""
-    a = GradedCoefficient({(): 2, (1, 2): 1})
-    b = GradedCoefficient({(): 3, (1, 2): 1})
-    assert gc_mul(a, b) == GradedCoefficient({(): 6, (1, 2): 5})
+    a = GradedCoefficient({0: 2, mask(1, 2): 1})
+    b = GradedCoefficient({0: 3, mask(1, 2): 1})
+    assert gc_mul(a, b) == GradedCoefficient({0: 6, mask(1, 2): 5})
 
 
 def test_generators_anticommute():
     assert t(1) * t(2) == -(t(2) * t(1))
     assert t(1) * t(2) == t(1, 2)
-    assert t(2) * t(1) == GradedCoefficient({(1, 2): -1})
+    assert t(2) * t(1) == GradedCoefficient({mask(1, 2): -1})
 
 
 def test_generators_square_to_zero():
@@ -56,22 +61,21 @@ def test_merge_sign_against_transposition_count():
 
 
 def test_body_of_product_is_product_of_bodies():
-    a = GradedCoefficient({(): 2 + 1j, (1,): 3, (2, 3): -1})
-    b = GradedCoefficient({(): -0.5j, (3,): 1, (1, 2): 4})
+    a = GradedCoefficient({0: 2 + 1j, mask(1): 3, mask(2, 3): -1})
+    b = GradedCoefficient({0: -0.5j, mask(3): 1, mask(1, 2): 4})
     assert gc_mul(a, b).masks.get(0, 0) == a.masks.get(0, 0) * b.masks.get(0, 0)
 
 
 def test_zero_body_elements_are_nilpotent():
     a = t(1) + t(2) + t(3) + t(1, 2, 3) * 2
-    power = GradedCoefficient.from_masks({0: 1})
+    power = GradedCoefficient({0: 1})
     for _ in range(7):
         power = power * a
     assert power.is_zero
 
 
 def test_mismatched_generator_counts_raise():
-    a = GradedCoefficient({(1,): 1}, n_gen=4)
-    b = GradedCoefficient({(1,): 1}, n_gen=6)
+    a, b = t(1, n_gen=4), t(1, n_gen=6)
     with pytest.raises(ValueError, match="mismatched generator counts"):
         gc_mul(a, b)
     with pytest.raises(ValueError, match="mismatched generator counts"):
@@ -79,25 +83,25 @@ def test_mismatched_generator_counts_raise():
 
 
 def test_index_validation():
-    with pytest.raises(ValueError, match="outside"):
-        GradedCoefficient({(7,): 1}, n_gen=6)
-    with pytest.raises(ValueError, match="repeated"):
-        GradedCoefficient({(2, 2): 1})
-    with pytest.raises(ValueError, match="strictly increasing"):
-        GradedCoefficient({(3, 1): 1})
+    """A mask bit at or above n_gen names a generator that is not there."""
+    for key, n_gen in [(mask(7), 6), (mask(1, 4), 3), (1, 0)]:
+        with pytest.raises(ValueError, match="exceeds generator count"):
+            GradedCoefficient({key: 1}, n_gen)
+    # zero terms are dropped before the check
+    assert GradedCoefficient({mask(6): 1, mask(7): 0}, 6) == t(6)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GradedCoefficient({}, -1)
 
 
-def test_parity_and_homogeneity():
-    assert GradedCoefficient.from_masks({0: 2}).parity() == 0
-    assert t(1).parity() == 1
-    assert t(1, 2).parity() == 0
-    mixed = t(1) + t(1, 2)
-    assert mixed.parity() is None
-    assert (t(1) + t(2, 3, 4)).parity() == 1
+def test_repr_lists_terms_by_degree_then_mask():
+    assert repr(GradedCoefficient({mask(1, 2): 1, 0: 2}, 3)) == "GradedCoefficient(2*1 + 1*t1t2, n_gen=3)"
+    mixed = GradedCoefficient({mask(1, 3): -1, mask(3): 1.5, mask(2): 1j}, 3)
+    assert repr(mixed) == "GradedCoefficient(1j*t2 + 1.5*t3 + -1*t1t3, n_gen=3)"
+    assert repr(GradedCoefficient({}, 3)) == "GradedCoefficient(0)"
 
 
 small_elements = st.builds(
-    lambda coeffs: GradedCoefficient.from_masks(
+    lambda coeffs: GradedCoefficient(
         {m: Fraction(c) for m, c in enumerate(coeffs) if c != 0}, n_gen=4
     ),
     st.lists(st.integers(min_value=-3, max_value=3), min_size=16, max_size=16),
@@ -121,7 +125,7 @@ def test_product_distributes_over_addition(a, b, c):
 def test_supercommutativity_of_homogeneous_parts(a, b):
     """a b = (-1)^{|a||b|} b a term-by-term in parity components."""
     def part(x, p):
-        return GradedCoefficient.from_masks(
+        return GradedCoefficient(
             {m: v for m, v in x.masks.items() if m.bit_count() & 1 == p}, x.n_gen
         )
 
@@ -135,8 +139,7 @@ def test_supercommutativity_of_homogeneous_parts(a, b):
 
 
 def test_scalar_mode_stays_exact():
-    a = GradedCoefficient({(): Fraction(1, 3), (1, 2): Fraction(2, 5)})
+    a = GradedCoefficient({0: Fraction(1, 3), mask(1, 2): Fraction(2, 5)})
     b = a * a
-    assert b.coeff(()) == Fraction(1, 9)
-    assert b.coeff((1, 2)) == Fraction(4, 15)
-    assert isinstance(b.masks.get(0, 0), Fraction)
+    assert b.masks == {0: Fraction(1, 9), mask(1, 2): Fraction(4, 15)}
+    assert all(isinstance(v, Fraction) for v in b.masks.values())

@@ -293,7 +293,7 @@ def test_wilson_is_gauge_invariant():
 def test_extra_theta_generators_do_not_change_values():
     w2 = wilson(diag_connection(), mixed_config(2), wiggly_loop())
     w3 = wilson(diag_connection(), mixed_config(3), wiggly_loop())
-    assert GradedCoefficient.from_masks(w2.masks, 3).distance(w3) <= 1e-15
+    assert GradedCoefficient(w2.masks, 3).distance(w3) <= 1e-15
 
 
 def test_tolerance_driven_refinement_and_cap(monkeypatch):
@@ -374,9 +374,9 @@ def test_no_grid_finer_than_max_steps_is_evaluated(monkeypatch):
 def test_extract_leg_coefficient_signs():
     # stored canonically as theta_1 w_1; the legs-left presentation w_1 theta_1
     # flips the sign, while leg-free monomials are dropped
-    value = GradedCoefficient.from_masks({0b11: 5.0, 0b01: 7.0, 0b10: 2.0}, 2)
+    value = GradedCoefficient({0b11: 5.0, 0b01: 7.0, 0b10: 2.0}, 2)
     out = extract_leg_coefficient(value, 1, 1)
-    assert out == GradedCoefficient.from_masks({0b1: -5.0, 0b0: 2.0}, 1)
+    assert out == GradedCoefficient({0b1: -5.0, 0b0: 2.0}, 1)
 
 
 # -- insertion derivative --------------------------------------------------------
@@ -391,7 +391,7 @@ def test_insertion_derivative_closed_form():
     )
     empty = FieldConfig(TORUS, 2, 2, ())
     out = insertion_derivative(ConstantCommutingConnection([np.zeros((2, 2))] * 2), empty, line, eta)
-    assert out.distance(GradedCoefficient.from_masks({0b11: 1.0}, 2)) <= 1e-12
+    assert out.distance(GradedCoefficient({0b11: 1.0}, 2)) <= 1e-12
 
 
 def test_insertion_derivative_rejects_mismatched_shapes():

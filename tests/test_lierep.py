@@ -88,20 +88,20 @@ def test_fuse_traces_identity_matrices():
     eye = SuperMatrix.from_body(np.eye(2))
     out = fuse_traces(eye, eye, eye, eye, basis)
     assert out.masks.get(0, 0) == pytest.approx(2.0)
-    assert out.terms() == {(): out.masks.get(0, 0)}
+    assert list(out.masks) == [0]
 
 
 def naive_fusion(a1, a2, b1, b2, basis):
     """Brute-force double sum over basis pairs, symbolic entry products."""
-    total = GradedCoefficient.from_masks({}, a1.n_gen)
+    total = GradedCoefficient({}, a1.n_gen)
     n = basis.n
     e1, e2, f1, f2 = map(supermatrix_entries, (a1, a2, b1, b2))
     for i in range(n):
         for j in range(n):
-            tr_a = GradedCoefficient.from_masks({}, a1.n_gen)
+            tr_a = GradedCoefficient({}, a1.n_gen)
             for r in range(n):
                 tr_a = tr_a + e1[r][i] * e2[j][r]
-            tr_b = GradedCoefficient.from_masks({}, a1.n_gen)
+            tr_b = GradedCoefficient({}, a1.n_gen)
             for s in range(n):
                 tr_b = tr_b + f1[s][j] * f2[i][s]
             total = total + tr_a * tr_b
@@ -163,7 +163,7 @@ def symbolic_product(a, b):
     ea, eb = supermatrix_entries(a), supermatrix_entries(b)
     for i in range(a.n):
         for j in range(a.n):
-            entry = GradedCoefficient.from_masks({}, a.n_gen)
+            entry = GradedCoefficient({}, a.n_gen)
             for k in range(a.n):
                 entry = entry + ea[i][k] * eb[k][j]
             for mask, value in entry.masks.items():
@@ -198,7 +198,7 @@ def test_scalar_matrix_product_keeps_koszul_signs():
     m = SuperMatrix.from_body(body)
     a = t1 @ (t2 @ m)
     b = t2 @ (t1 @ m)
-    assert a.distance(-b) == 0.0
+    assert a.distance(b * -1) == 0.0
     assert a.distance(SuperMatrix(2, 6, {0b11: body})) == 0.0
 
 
@@ -233,7 +233,7 @@ def test_sign_table_multiplies_basis_monomials(n_gen):
             if u & t != u:
                 assert table[t, u] == 0
                 continue
-            want = GradedCoefficient.from_masks({t ^ u: 1}, n_gen) * GradedCoefficient.from_masks({u: 1}, n_gen)
+            want = GradedCoefficient({t ^ u: 1}, n_gen) * GradedCoefficient({u: 1}, n_gen)
             assert want.masks == {t: table[t, u]}
     assert signs(n_gen) is table and not table.flags.writeable
 
@@ -260,7 +260,7 @@ def test_unit_column_round_trip_and_trace(n_gen):
     column = mat[:, :n].reshape(1 << n_gen, n, n)
     assert np.array_equal(column, m.components)
     # the Grassmann trace sums the diagonals of the unit column's blocks
-    from_column = GradedCoefficient.from_masks(
+    from_column = GradedCoefficient(
         {s: complex(np.trace(block)) for s, block in enumerate(column)}, n_gen
     )
     assert from_column == m.trace()

@@ -299,22 +299,6 @@ class FieldConfig:
             [FieldTerm(m, f, g @ mat @ ginv) for m, f, mat in self.terms],
         )
 
-    def simplify(self) -> "FieldConfig":
-        """Merge terms sharing (monomial, coefficient field); drop zeros."""
-        grouped: dict[tuple, FieldTerm] = {}
-        order: list[tuple] = []
-        for mask, field, mat in self.terms:
-            key = (mask, field)
-            if key in grouped:
-                old = grouped[key]
-                grouped[key] = FieldTerm(mask, field, old.mat + mat)
-            else:
-                grouped[key] = FieldTerm(mask, field, mat)
-                order.append(key)
-        return FieldConfig(
-            self.space, self.n, self.n_theta, [grouped[k] for k in order]
-        )
-
     def __repr__(self) -> str:
         return (
             f"FieldConfig(torus d={self.space.d}, n={self.n}, "
@@ -357,4 +341,4 @@ def field_obstruction(config: FieldConfig, conn: ConstantCommutingConnection) ->
                 continue
             sign = merge_sign(m1, m2)
             out.append(FieldTerm(m1 | m2, (f1 * f2).scale(sign), mat1 @ mat2))
-    return FieldConfig(config.space, config.n, config.n_theta, out).simplify()
+    return FieldConfig(config.space, config.n, config.n_theta, out)

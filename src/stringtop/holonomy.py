@@ -470,33 +470,20 @@ def _with_richardson(evaluate, plan: TransportPlan):
     is evaluated once: in tol mode a level's fine grid is the next level's
     coarse grid.
     """
-    values = {}
-
-    def at(steps):
-        if steps not in values:
-            values[steps] = evaluate(steps)
-        return values[steps]
-
-    def level(steps):
-        coarse = at(steps)
-        fine = at(2 * steps)
-        return fine * (16.0 / 15.0) - coarse * (1.0 / 15.0)
-
-    steps = plan.steps
-    value = level(steps)
-    if plan.tol is None:
-        return value
+    steps, value = plan.steps, None
+    coarse = evaluate(steps)
     while True:
+        fine = evaluate(2 * steps)
+        nxt = fine * (16.0 / 15.0) - coarse * (1.0 / 15.0)
+        if plan.tol is None or (value is not None and nxt.distance(value) <= plan.tol):
+            return nxt
         # the next level's fine grid is twice its coarse grid of 2 * steps
         if 4 * steps > MAX_STEPS:
             raise QuadratureError(
                 f"no convergence to tol={plan.tol} within {MAX_STEPS} steps/segment"
             )
         steps *= 2
-        nxt = level(steps)
-        if nxt.distance(value) <= plan.tol:
-            return nxt
-        value = nxt
+        coarse, value = fine, nxt
 
 
 def gen_transport(

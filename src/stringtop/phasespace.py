@@ -7,14 +7,14 @@ equation {S; S} = 0.
 
 Coefficients are ``Fraction``s (ints are converted) or floats, and keep
 their type through every operation. Koszul signs of +-1 negate a
-coefficient rather than multiply it, and sums and rescalings of
-polynomials already in normal form skip the normalization.
+coefficient rather than multiply it. A product merges two keys already in
+normal form, so only ``GradedPhaseModel.monomial`` normalizes a word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "GradedPhaseModel",
@@ -109,12 +109,18 @@ class GradedPhaseModel:
     # -- polynomial factories ------------------------------------------------
 
     def zero(self) -> "GradedPolynomial":
-        return GradedPolynomial(self, [])
+        return GradedPolynomial(self, {})
 
     def monomial(self, coeff, *names: str) -> "GradedPolynomial":
         """coeff times the named variables in order: ``monomial(1, "q")`` is
         the variable q, and ``monomial(c)`` with no names the constant c."""
-        return GradedPolynomial(self, [(coeff, tuple(self.index(n) for n in names))])
+        factors = [self.index(n) for n in names]
+        coeff = _coerce_scalar(coeff)
+        sign, key = 1, ()
+        for idx in factors:
+            s, key = _merge(self.parities, key, (idx,))
+            sign *= s
+        return GradedPolynomial(self, {key: coeff if sign > 0 else -coeff} if sign and coeff else {})
 
     def __eq__(self, other) -> bool:
         return other is self or (
@@ -130,56 +136,50 @@ class GradedPhaseModel:
         return f"GradedPhaseModel({vs}; d={self.d})"
 
 
-def _normal_key(parities: Sequence[int], factors: Sequence[int]):
-    """Insertion-sort the factors, tracking the Koszul sign of each swap.
+def _merge(parities: Sequence[int], a: tuple[int, ...], b: tuple[int, ...]):
+    """Merge two normal keys into (sign, normal key of the product a b).
 
-    Returns (sign, ascending tuple); sign 0 when an odd variable repeats.
+    Each odd factor of b that moves left past an odd factor of a greater
+    than it costs a sign -1; the sign is 0 when an odd variable repeats.
     """
-    out = list(factors)
+    out = []
     sign = 1
-    for i in range(1, len(out)):
-        j = i
-        while j > 0 and out[j - 1] > out[j]:
-            sign *= _swap_sign(parities[out[j - 1]], parities[out[j]])
-            out[j - 1], out[j] = out[j], out[j - 1]
-            j -= 1
-    for a, b in zip(out, out[1:]):
-        if a == b and parities[a] % 2:
-            return 0, ()
+    i = 0
+    odd_rest = sum(parities[x] for x in a)  # odd factors of a not yet placed
+    for y in b:
+        while i < len(a) and a[i] <= y:
+            x = a[i]
+            if x == y and parities[x]:
+                return 0, ()
+            out.append(x)
+            odd_rest -= parities[x]
+            i += 1
+        if parities[y] and odd_rest % 2:
+            sign = -sign
+        out.append(y)
+    out.extend(a[i:])
     return sign, tuple(out)
 
 
+def _accumulate_product(acc: dict, parities, k1, k2, coeff) -> None:
+    """Add coeff times the Koszul sign at the merged key of k1 k2."""
+    sign, key = _merge(parities, k1, k2)
+    if sign:
+        _accumulate(acc, key, coeff if sign > 0 else -coeff)
+
+
 class GradedPolynomial:
-    """Polynomial in normal form: ascending variable indices per monomial."""
+    """Polynomial in normal form: ascending variable indices per monomial.
+
+    ``terms`` maps normal keys to nonzero coerced coefficients; build a
+    polynomial from variable names with ``GradedPhaseModel.monomial``.
+    """
 
     __slots__ = ("model", "terms")
 
-    def __init__(
-        self,
-        model: GradedPhaseModel,
-        raw_terms: Iterable[tuple[object, Sequence[int]]],
-    ) -> None:
-        n = len(model.names)
-        acc: dict[tuple[int, ...], object] = {}
-        for coeff, factors in raw_terms:
-            coeff = _coerce_scalar(coeff)
-            for idx in factors:
-                if not 0 <= idx < n:
-                    raise ValueError(f"variable index {idx} not in model")
-            sign, key = _normal_key(model.parities, factors)
-            if sign == 0 or coeff == 0:
-                continue
-            _accumulate(acc, key, coeff if sign > 0 else -coeff)
+    def __init__(self, model: GradedPhaseModel, terms: Mapping[tuple[int, ...], object]) -> None:
         self.model = model
-        self.terms = {key: acc[key] for key in sorted(acc)}
-
-    @classmethod
-    def _normal(cls, model: GradedPhaseModel, acc: dict) -> "GradedPolynomial":
-        """From nonzero coerced coefficients on keys already in normal form."""
-        poly = cls.__new__(cls)
-        poly.model = model
-        poly.terms = {key: acc[key] for key in sorted(acc)}
-        return poly
+        self.terms = {key: terms[key] for key in sorted(terms)}
 
     # -- structure -----------------------------------------------------------
 
@@ -211,7 +211,7 @@ class GradedPolynomial:
         acc = dict(self.terms)
         for key, coeff in other.terms.items():
             _accumulate(acc, key, coeff)
-        return GradedPolynomial._normal(self.model, acc)
+        return GradedPolynomial(self.model, acc)
 
     def __neg__(self) -> "GradedPolynomial":
         return self.scale(-1)
@@ -226,16 +226,15 @@ class GradedPolynomial:
             value = scalar * coeff
             if value != 0:
                 acc[key] = value
-        return GradedPolynomial._normal(self.model, acc)
+        return GradedPolynomial(self.model, acc)
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._check_model(other)
-        raw = [
-            (c1 * c2, k1 + k2)
-            for k1, c1 in self.terms.items()
-            for k2, c2 in other.terms.items()
-        ]
-        return GradedPolynomial(self.model, raw)
+        acc: dict[tuple[int, ...], object] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _accumulate_product(acc, self.model.parities, k1, k2, c1 * c2)
+        return GradedPolynomial(self.model, acc)
 
     def _check_model(self, other: "GradedPolynomial") -> None:
         if self.model != other.model:
@@ -251,29 +250,18 @@ class GradedPolynomial:
         return " + ".join(bits)
 
 
-def _right_derivative(poly: GradedPolynomial, i: int):
-    """Terms of P d/dz_i acting from the right: the factor exits rightward."""
+def _derivative(poly: GradedPolynomial, i: int, right: bool):
+    """Terms of P d/dz_i (``right``: the factor exits rightward) or of
+    d/dz_i P (the factor exits leftward)."""
     parities = poly.model.parities
     out = []
     for key, coeff in poly.terms.items():
         for u, idx in enumerate(key):
             if idx != i:
                 continue
-            odd = parities[i] and sum(parities[a] for a in key[u + 1 :]) % 2
+            passed = key[u + 1 :] if right else key[:u]
+            odd = parities[i] and sum(parities[a] for a in passed) % 2
             out.append((-coeff if odd else coeff, key[:u] + key[u + 1 :]))
-    return out
-
-
-def _left_derivative(poly: GradedPolynomial, j: int):
-    """Terms of d/dz_j P acting from the left: the factor exits leftward."""
-    parities = poly.model.parities
-    out = []
-    for key, coeff in poly.terms.items():
-        for v, idx in enumerate(key):
-            if idx != j:
-                continue
-            odd = parities[j] and sum(parities[a] for a in key[:v]) % 2
-            out.append((-coeff if odd else coeff, key[:v] + key[v + 1 :]))
     return out
 
 
@@ -282,15 +270,15 @@ def graded_bracket(P: GradedPolynomial, Q: GradedPolynomial) -> GradedPolynomial
     model = P.model
     if Q.model != model:
         raise ValueError("polynomials live on different models")
-    raw = []
+    acc: dict[tuple[int, ...], object] = {}
     for (i, j), w in model.omega.items():
-        left = [(cP * w, kP) for cP, kP in _right_derivative(P, i)]
+        left = [(cP * w, kP) for cP, kP in _derivative(P, i, right=True)]
         if not left:
             continue
-        for cQ, kQ in _left_derivative(Q, j):
+        for cQ, kQ in _derivative(Q, j, right=False):
             for cPw, kP in left:
-                raw.append((cPw * cQ, kP + kQ))
-    return GradedPolynomial(model, raw)
+                _accumulate_product(acc, model.parities, kP, kQ, cPw * cQ)
+    return GradedPolynomial(model, acc)
 
 
 def delta_and_nilpotency(S: GradedPolynomial, P: GradedPolynomial):

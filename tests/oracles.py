@@ -572,10 +572,24 @@ def evaluate_diagram_enumerated(realization: DiagramRealization, conn) -> comple
 
 
 # ---------------------------------------------------------------------------
+# graded monomials by counting inversions
+
+
+def graded_word_normal_form(parities: Sequence[int], word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(sign, ascending key) of a word of variable indices: the sign is
+    (-1)^(inversions among odd factors), and 0 when an odd variable repeats."""
+    odd = [i for i in word if parities[i]]
+    if len(set(odd)) < len(odd):
+        return 0, ()
+    inversions = sum(1 for a, b in itertools.combinations(odd, 2) if a > b)
+    return (-1) ** inversions, tuple(sorted(word))
+
+
+# ---------------------------------------------------------------------------
 # field configuration arithmetic
 #
 # Tests compare obstruction fields term by term with these; the package
-# itself only builds, gauges and simplifies configurations.
+# itself only builds and gauges configurations.
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -595,10 +609,20 @@ def coeff_norm(field: FourierField) -> float:
     return sum(abs(v) for _, v in field.terms)
 
 
+def config_simplify(config: FieldConfig) -> FieldConfig:
+    """Merge terms sharing (monomial, coefficient field); the constructor
+    then drops the terms whose matrices cancel."""
+    grouped: dict[tuple, FieldTerm] = {}
+    for mask, field, mat in config.terms:
+        old = grouped.get((mask, field))
+        grouped[(mask, field)] = FieldTerm(mask, field, mat if old is None else old.mat + mat)
+    return FieldConfig(config.space, config.n, config.n_theta, list(grouped.values()))
+
+
 def config_sum(a: FieldConfig, b: FieldConfig) -> FieldConfig:
     if (a.n, a.n_theta) != (b.n, b.n_theta):
         raise ValueError("incompatible field configurations")
-    return FieldConfig(a.space, a.n, a.n_theta, a.terms + b.terms).simplify()
+    return config_simplify(FieldConfig(a.space, a.n, a.n_theta, a.terms + b.terms))
 
 
 def config_scale(config: FieldConfig, s: complex) -> FieldConfig:
@@ -608,7 +632,7 @@ def config_scale(config: FieldConfig, s: complex) -> FieldConfig:
 
 
 def config_is_zero(config: FieldConfig) -> bool:
-    return not config.simplify().terms
+    return not config_simplify(config).terms
 
 
 def config_norm(config: FieldConfig) -> float:

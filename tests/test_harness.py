@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 
+import jsonschema
 import pytest
 
 from stringtop import harness
@@ -97,6 +98,27 @@ def test_config_holds_only_seed_and_counts_and_records_keep_their_tolerance():
     ]
     assert CHECK_NAMES == tuple(harness.CHECKS)
     assert SuiteConfig().echo()["counts"] == {name: c.count for name, c in harness.CHECKS.items()}
+
+
+MALFORMED_REPORTS = {
+    "missing-count": lambda report: report["config"]["counts"].pop("gln"),
+    "unknown-count": lambda report: report["config"]["counts"].update(glm=1),
+    "zero-count": lambda report: report["config"]["counts"].update(gln=0),
+    "fractional-count": lambda report: report["config"]["counts"].update(gln=1.5),
+    "unknown-check": lambda report: report["checks"][0].update(check="glm"),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS)
+def test_the_schema_names_each_check_once_and_rejects_malformed_reports(malform):
+    schema = harness._report_schema()
+    assert schema["$defs"]["check"]["enum"] == list(CHECK_NAMES)
+    assert schema["properties"]["config"]["properties"]["counts"]["minProperties"] == len(CHECK_NAMES)
+    report = run_suite(SuiteConfig(counts={"gln": 1}), ["gln"]).to_json_obj()
+    jsonschema.validate(report, schema)
+    malform(report)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, schema)
 
 
 def test_a_fractional_seed_is_refused_at_construction():

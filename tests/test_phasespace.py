@@ -9,11 +9,12 @@ import pytest
 
 from stringtop.phasespace import (
     GradedPhaseModel,
-    GradedPolynomial,
     MasterEquationError,
     delta_and_nilpotency,
     graded_bracket,
 )
+
+from oracles import graded_word_normal_form
 
 F = Fraction
 
@@ -38,15 +39,15 @@ KOSZUL = GradedPhaseModel(
 def rand_poly(model, rng, parity=None, n_terms=3):
     n = len(model.names)
     while True:
-        raw = []
+        poly = model.zero()
         for _ in range(n_terms):
             k = int(rng.integers(0, 4))
             factors = tuple(int(rng.integers(0, n)) for _ in range(k))
             if parity is not None:
                 if sum(model.parities[i] for i in factors) % 2 != parity:
                     continue
-            raw.append((F(int(rng.integers(-4, 5)), int(rng.integers(1, 4))), factors))
-        poly = GradedPolynomial(model, raw)
+            coeff = F(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+            poly = poly + model.monomial(coeff, *(model.names[i] for i in factors))
         if not poly.is_zero:
             return poly
 
@@ -98,17 +99,31 @@ def test_normal_form_reordering_and_odd_squares():
 
 
 def test_constructor_validates_and_normalizes():
-    t1, q = THETA.index("t1"), THETA.index("q")
-    for bad in (4, -1):
-        with pytest.raises(ValueError, match="not in model"):
-            GradedPolynomial(THETA, [(1, (q, bad))])
+    # monomial is the one way to write a term from variable names
+    q = THETA.index("q")
+    with pytest.raises(ValueError, match="unknown variable"):
+        THETA.monomial(1, "q", "z")
     # a repeated odd variable kills the monomial, a repeated even one does not
-    assert GradedPolynomial(THETA, [(3, (t1, q, t1))]).is_zero
-    assert GradedPolynomial(THETA, [(3, (q, q))]).terms == {(q, q): 3}
+    assert THETA.monomial(3, "t1", "q", "t1").is_zero
+    assert THETA.monomial(3, "q", "q").terms == {(q, q): 3}
     # reordering odd factors costs a sign, and equal keys are summed
-    assert GradedPolynomial(THETA, [(1, (1, 0)), (F(1, 2), (0, 1))]).terms == {(0, 1): F(-1, 2)}
+    summed = THETA.monomial(1, "t2", "t1") + THETA.monomial(F(1, 2), "t1", "t2")
+    assert summed.terms == {(0, 1): F(-1, 2)}
     with pytest.raises(TypeError, match="unsupported coefficient"):
-        GradedPolynomial(THETA, [("1", (q,))])
+        THETA.monomial("1", "q")
+
+
+@pytest.mark.parametrize("model", [EVEN, ODD, THETA, KOSZUL])
+def test_monomials_and_products_match_the_inversion_count(model):
+    rng = np.random.default_rng(57)
+    n = len(model.names)
+    for _ in range(200):
+        w1, w2 = ([int(i) for i in rng.integers(0, n, int(rng.integers(0, 5)))] for _ in range(2))
+        a = model.monomial(F(1, 3), *(model.names[i] for i in w1))
+        b = model.monomial(-2, *(model.names[i] for i in w2))
+        for got, word, coeff in ((a, w1, F(1, 3)), (b, w2, F(-2)), (a * b, w1 + w2, F(-2, 3))):
+            sign, key = graded_word_normal_form(model.parities, word)
+            assert got.terms == ({key: sign * coeff} if sign else {})
 
 
 @pytest.mark.parametrize(
@@ -116,10 +131,10 @@ def test_constructor_validates_and_normalizes():
 )
 def test_coefficient_types_survive_every_operation(coeffs, kind):
     # ints become Fractions and stay exact; floats stay floats
-    t1, t2, q, p = (THETA.index(n) for n in ("t1", "t2", "q", "p"))
     a, b, c = coeffs
-    poly = GradedPolynomial(THETA, [(a, (p, t1)), (b, (q,)), (c, (t2, q, t1))])
-    other = GradedPolynomial(THETA, [(b, (t1, q)), (a, (p, p)), (c, (t2,))])
+    mono = THETA.monomial
+    poly = mono(a, "p", "t1") + mono(b, "q") + mono(c, "t2", "q", "t1")
+    other = mono(b, "t1", "q") + mono(a, "p", "p") + mono(c, "t2")
     results = [
         poly,
         poly + other,
@@ -158,8 +173,10 @@ def test_odd_model_derived_values():
 def test_bracket_rejects_foreign_polynomials():
     with pytest.raises(ValueError, match="different models"):
         graded_bracket(EVEN.monomial(1, "q"), ODD.monomial(1, "f"))
-    with pytest.raises(ValueError, match="not in model"):
-        GradedPolynomial(EVEN, [(1, (5,))])
+    with pytest.raises(ValueError, match="different models"):
+        EVEN.monomial(1, "q") * ODD.monomial(1, "f")
+    with pytest.raises(ValueError, match="unknown variable"):
+        EVEN.monomial(1, "f")
 
 
 # -- axioms -------------------------------------------------------------------

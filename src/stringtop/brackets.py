@@ -1,12 +1,13 @@
 """Wilson-loop brackets over intersections and the two verification targets.
 
 The bracket of two Wilson observables localizes on transversal crossings;
-each crossing contributes a pairing of split holonomies. Two independent
-contraction routes (explicit basis sum against the inverse trace form, and
-a single fused trace) are evaluated and compared on every call. On top of
-this sit the loop-space identities: the deformation derivative of a
-generalized Wilson loop against the obstruction-insertion integral, and
-the comparison of the observable bracket with the geometric one.
+each crossing pairs the holonomies of the two loops based there. Two
+independent contraction routes (explicit basis sum against the inverse
+trace form, and a single fused trace) are evaluated and compared on every
+call. On top of this sit the loop-space identities: the deformation
+derivative of a generalized Wilson loop against the obstruction-insertion
+integral, and the comparison of the observable bracket with the geometric
+one.
 """
 
 from __future__ import annotations
@@ -65,54 +66,54 @@ def loop_form_pairing_sign() -> int:
 # -- observable bracket -------------------------------------------------------
 
 # agreement the two contraction routes must reach at every crossing, relative
-# to the product of the norms of the four split transports
+# to the product of the norms of the two based holonomies
 PATH_TOL = 1e-10
 
 
-def _kappa_path(basis: LieBasis, x, y, xb, yb) -> complex:
-    """Explicit basis sum tr[x T_a y] kappa^{ab} tr[xb T_b yb].
+def _kappa_path(basis: LieBasis, h, hb) -> complex:
+    """Explicit basis sum tr[T_a h] kappa^{ab} tr[T_b hb].
 
-    This is an oracle for the fused trace: it enumerates every basis pair
-    instead of using the swap identity, so the two routes share nothing
-    beyond the matrix units. kappa is its own inverse, so it stands in for
-    kappa^{ab}.
+    This is an oracle for the fused trace tr(h hb): it enumerates every
+    basis pair instead of using the swap identity, so the two routes share
+    nothing beyond the matrix units. kappa is its own inverse, so it
+    stands in for kappa^{ab}.
     """
     dim = basis.n * basis.n
     total = 0j
     for a in range(dim):
-        tra = complex(np.trace(x @ basis.matrix(a) @ y))
+        tra = complex(np.trace(basis.matrix(a) @ h))
         if tra == 0:
             continue
         for b in range(dim):
             k = basis.kappa(a, b)
             if k:
-                total += tra * k * complex(np.trace(xb @ basis.matrix(b) @ yb))
+                total += tra * k * complex(np.trace(basis.matrix(b) @ hb))
     return total
 
 
 def wilson_field_bracket(loop: PLLoop, loopbar: PLLoop, conn) -> complex:
     """Bracket of two holonomy traces, localized on transversal crossings.
 
-    Each crossing splits both holonomies at the crossing parameter and
-    pairs the halves; the basis-summed and fused-trace contractions are
-    both computed and must agree to PATH_TOL relative to the product of
-    the Frobenius norms of the four halves. Plain transports
-    are single exponentials, so no discretization plan is involved; their
-    closed form needs the connection flat, which its constructor checks.
+    Each crossing p pairs the holonomies of the two loops based at p,
+    h = U(s, s + 1) on the loop and hb = U(s_bar, s_bar + 1) on loopbar,
+    as tr(h hb) (Goldman, Invent. Math. 85, 1986). The basis-summed and
+    fused-trace contractions are both computed and must agree to PATH_TOL
+    relative to the product of the Frobenius norms of h and hb. Plain
+    transports are single exponentials, so no discretization plan is
+    involved; their closed form needs the connection flat, which its
+    constructor checks.
     """
     pts = intersections(loop, loopbar)
     basis = LieBasis(conn.n)
     total = 0j
     for p in pts:
-        x = transport(conn, loop, Fraction(0), p.s)
-        y = transport(conn, loop, p.s, Fraction(1))
-        xb = transport(conn, loopbar, Fraction(0), p.s_bar)
-        yb = transport(conn, loopbar, p.s_bar, Fraction(1))
-        fused = complex(np.trace(x @ yb @ xb @ y))
-        contracted = _kappa_path(basis, x, y, xb, yb)
-        # both routes round in proportion to the product of the four norms
-        # (|tr[x yb xb y]| is at most that product), not to the trace
-        scale = np.prod([np.linalg.norm(m) for m in (x, y, xb, yb)])
+        h = transport(conn, loop, p.s, p.s + 1)
+        hb = transport(conn, loopbar, p.s_bar, p.s_bar + 1)
+        fused = complex(np.trace(h @ hb))
+        contracted = _kappa_path(basis, h, hb)
+        # both routes round in proportion to the product of the two norms
+        # (|tr[h hb]| is at most that product), not to the trace
+        scale = np.linalg.norm(h) * np.linalg.norm(hb)
         if abs(fused - contracted) > PATH_TOL * scale:
             raise RuntimeError(
                 f"contraction paths disagree at s={p.s}: {contracted} vs {fused}"

@@ -8,6 +8,8 @@ on the same point of the space. Evaluation inserts contracted basis
 elements at the endpoints and multiplies the traces of the resulting
 alternating products: one tensor contraction of the gl(n) Casimir tensor,
 once per arc, with the transports between endpoints (``evaluate_diagram``).
+Each circle closes with one plain transport over its marked point, a
+forward span of the loop's periodic lift.
 Two circles joined by one arc at a crossing, summed over the crossings with
 their signs, give the observable bracket ``brackets.wilson_field_bracket``.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from .geometry import PLLoop, _rat, least_rotation
 from .lierep import LieBasis
-from .holonomy import transport, wrap_transport
+from .holonomy import transport
 from .strings import TransversalityError
 
 __all__ = [
@@ -225,10 +227,11 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
 
     Each arc contributes a basis pair fully contracted with the inverse
     trace form; insertions follow the circles' traversal order, with a
-    plain transport between consecutive endpoint parameters and, from the
-    last endpoint over the marked point to the first, ``wrap_transport``.
-    Plain transports are single exponentials, so no discretization plan
-    is involved.
+    plain transport between consecutive endpoint parameters. The last hop
+    runs from the last endpoint over the marked point to the first, the
+    span (s_last, s_first + 1) on the loop's periodic lift. Plain
+    transports are single exponentials, so no discretization plan is
+    involved.
 
     The whole value is one tensor contraction (Bar-Natan's gl(N) weight
     system): every arc (p, q) is one Casimir tensor, built once per call,
@@ -270,7 +273,7 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
             slot[label] = next(letters) + next(letters)
         ss = [realization.params[l] for l in labels]
         segs = [transport(conn, loop, s, t) for s, t in zip(ss, ss[1:])]
-        segs.append(wrap_transport(conn, loop, ss[-1], ss[0]))
+        segs.append(transport(conn, loop, ss[-1], ss[0] + 1))
         for pos, seg in enumerate(segs):
             terms.append(slot[labels[pos]][1] + slot[labels[(pos + 1) % len(labels)]][0])
             operands.append(seg)
@@ -360,6 +363,5 @@ def gln_ideal_element(
         r2 = rotated.index(q)
         circles[i1] = (c.rep, rotated[:r2])
         circles.insert(i1 + 1, (c.rep, rotated[r2 + 1 :]))
-    circles = [(c.rep, c.endpoints) if isinstance(c, Circle) else c for c in circles]
     return [(1, diagram), (-1, ChordDiagram(circles, rest))]
 

@@ -156,8 +156,10 @@ class ConstantCommutingConnection:
     commutation is exactly flatness; it is validated at construction,
     once, relative to the matrix scale: the matrices are never changed
     afterwards. The single-exponential ``holonomy.transport`` relies on
-    it. There is one matrix per torus direction: ``field_obstruction``
-    gives A_mu the form bit of dx^mu.
+    it: any forward span of a loop's periodic lift, including one over
+    the marked point, is exp(A(x(t) - x(s))). There is one matrix per
+    torus direction: ``field_obstruction`` gives A_mu the form bit of
+    dx^mu.
     """
 
     def __init__(self, mats: Sequence[np.ndarray]) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 from time import perf_counter
@@ -107,17 +107,7 @@ class CheckRecord:
     error: str | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "check": self.check,
-            "statement": self.statement,
-            "instances": self.instances,
-            "retries": self.retries,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "runtime_ms": self.runtime_ms,
-            "error": self.error,
-        }
+        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -210,16 +200,17 @@ def _rand_fourier(rng) -> FourierField:
     )
 
 
-def _rand_config(rng, n: int) -> FieldConfig:
-    # both terms odd: dx^1 theta^1 theta^2 and a bare dx^2
+def _rand_config(rng, n: int, leg_term: bool = False) -> FieldConfig:
+    # all terms odd: dx^1 theta^1 theta^2 and a bare dx^2, then with
+    # leg_term a dx^1 dx^2 theta^1, the one term that a leg enters
+    forms = [{"indices": (1,), "eps": (1, 2)}, {"indices": (2,)}]
+    if leg_term:
+        forms.append({"indices": (1, 2), "eps": (1,)})
     return FieldConfig.build(
         TORUS2,
         n,
         N_THETA,
-        [
-            {"indices": (1,), "eps": (1, 2), "field": _rand_fourier(rng), "lie": 0.5 * _crandn(rng, n, n)},
-            {"indices": (2,), "field": _rand_fourier(rng), "lie": 0.5 * _crandn(rng, n, n)},
-        ],
+        [dict(form, field=_rand_fourier(rng), lie=0.5 * _crandn(rng, n, n)) for form in forms],
         expect_parity=1,
     )
 
@@ -441,6 +432,7 @@ def _holonomy(rng, k: int) -> float:
         u - comp,
         np.trace(u) - np.trace(transport_by_pieces(conn, rot)),
         u - transport_by_pieces(conn, sub),
+        transport(conn, loop, t, t + 1) - transport_by_pieces(conn, loop, t) @ transport_by_pieces(conn, loop, Fraction(0), t),
     )
     return max(float(np.max(np.abs(g))) for g in gaps) / scale
 
@@ -467,7 +459,7 @@ def _fundamental(rng, k: int) -> float:
 def _transport_accuracy(rng, k: int) -> float:
     n = (2, 3)[k % 2]
     conn = _rand_conn(rng, n)
-    config = _rand_config(rng, n)
+    config = _rand_config(rng, n, leg_term=True)
     loop = gen_random_loop(rng)
     legs = [_rand_variation(rng, loop)]
     ref = gen_transport_ode(conn, config, loop, variations=legs)

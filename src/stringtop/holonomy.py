@@ -152,48 +152,35 @@ DEFAULT_PLAN = TransportPlan()
 # plain transport (exact)
 
 
-def _displacement(loop: PLLoop, s: Fraction, t: Fraction, wrap: bool = False) -> list[float]:
-    """x(t) - x(s), or closure + x(t) - x(s) with wrap, as floats.
+def _displacement(loop: PLLoop, s: Fraction, t: Fraction) -> list[float]:
+    """x(t) - x(s) on the periodic lift, as floats.
 
-    x(s) and x(t) are integer points over their denominators
-    (``PLLoop.lift_point``), so each coordinate is one correctly rounded
-    quotient of integers.
+    A t past 1 is read one lap on, as closure + x(t - 1). x(s) and x(t)
+    are integer points over their denominators (``PLLoop.lift_point``), so
+    each coordinate is one correctly rounded quotient of integers.
     """
     den_s, x_s = loop.lift_point(s)
-    den_t, x_t = loop.lift_point(t)
-    if wrap:
-        x_t = [b + c * den_t for b, c in zip(x_t, loop.closure)]
+    lap = int(t > 1)
+    den_t, x_t = loop.lift_point(t - lap)
+    x_t = [b + lap * c * den_t for b, c in zip(x_t, loop.closure)]
     return [(b * den_s - a * den_t) / (den_s * den_t) for a, b in zip(x_s, x_t)]
 
 
 def transport(conn: ConstantCommutingConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.ndarray:
     """U(s, t) = exp(A(x(t) - x(s))): one exponential, exact up to rounding.
 
+    The span runs forward on the loop's periodic lift, 0 <= s <= 1 and
+    s <= t <= s + 1: a t past 1 crosses the marked point, U(s, 1) U(0, t - 1).
     The closed form of the ordered product of per-segment factors
     exp(A(delta x)) holds because the direction matrices of A commute,
     which the connection's constructor validates. s == t gives the
-    identity exactly.
+    identity exactly, as exp of the zero matrix.
     """
     s = _rat(s)
     t = _rat(t)
-    if not 0 <= s <= t <= 1:
-        raise ValueError("need 0 <= s <= t <= 1")
-    if s == t:
-        return np.eye(conn.n, dtype=complex)
+    if not (0 <= s <= 1 and s <= t <= s + 1):
+        raise ValueError("need 0 <= s <= 1 and s <= t <= s + 1")
     return expm(conn.matrix_of(_displacement(loop, s, t)))
-
-
-def wrap_transport(conn: ConstantCommutingConnection, loop: PLLoop, s: Fraction, t: Fraction) -> np.ndarray:
-    """U(s, 1) U(0, t) for t <= s: from s over the marked point to t.
-
-    The same closed form as ``transport``, one exponential of the wrapped
-    displacement closure + x(t) - x(s).
-    """
-    s = _rat(s)
-    t = _rat(t)
-    if not 0 <= t <= s <= 1:
-        raise ValueError("need 0 <= t <= s <= 1")
-    return expm(conn.matrix_of(_displacement(loop, s, t, wrap=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,8 @@ def test_bracket_accepts_every_connection_the_constructor_accepts():
 
 def large_transport_connection():
     """n = 3 commuting diagonals of scale 10, gauged by expm(0.8 (X + iY)): the
-    split transports of two unit lines reach norms near 1e5 each."""
+    holonomies of two unit lines based at their crossing reach norms near
+    2e7 and 3e11."""
     rng = np.random.default_rng(1)
     for _ in range(6):
         ds = [np.diag(10 * rng.normal(size=3)) for _ in range(2)]
@@ -142,7 +143,7 @@ def bracket_of_unit_lines(conn):
 
 
 def test_contraction_paths_are_compared_at_the_scale_of_the_transports():
-    # the routes differ by 5e-8 of the trace, 2.5e-18 of the norm product
+    # the routes differ by 5e-8 of the trace, 1.6e-17 of the norm product
     conn = large_transport_connection()
     val = bracket_of_unit_lines(conn)
     expected = complex(np.trace(expm(conn.mats[0]) @ expm(conn.mats[1])))
@@ -150,7 +151,7 @@ def test_contraction_paths_are_compared_at_the_scale_of_the_transports():
 
 
 def test_a_wrong_pairing_still_fails_the_path_comparison(monkeypatch):
-    # kappa replaced by delta_ab reads 6e-3 of the norm product on this draw
+    # kappa replaced by delta_ab reads 7e-2 of the norm product on this draw
     conn = large_transport_connection()
     monkeypatch.setattr(LieBasis, "kappa", lambda self, a, b: int(a == b))
     with pytest.raises(RuntimeError, match="contraction paths disagree"):

@@ -167,13 +167,15 @@ def test_single_exponential_matches_the_ordered_product_over_pieces():
 
 def test_transport_parameter_validation():
     conn, loop = diag_connection(), wiggly_loop()
-    with pytest.raises(ValueError, match="0 <= s <= t <= 1"):
-        transport(conn, loop, F(1, 2), F(1, 4))
+    # a span runs forward on the periodic lift, from an s in [0, 1] at most one lap
+    for s, t in ((F(1, 2), F(1, 4)), (F(1, 4), F(5, 4) + F(1, 100)), (F(5, 4), F(3, 2)), (F(-1, 4), F(1, 4))):
+        with pytest.raises(ValueError, match="0 <= s <= 1 and s <= t <= s \\+ 1"):
+            transport(conn, loop, s, t)
     # parameters are read as the loop reads them: exact, Fraction or int
     assert np.array_equal(transport(conn, loop, 0, 1), transport(conn, loop))
     routes = (
         lambda s: transport(conn, loop, s),
-        lambda s: holonomy.wrap_transport(conn, loop, 1, s),
+        lambda t: transport(conn, loop, F(1, 2), t),
     )
     for route in routes:
         with pytest.raises(TypeError, match="Fraction or an int"):
@@ -195,18 +197,31 @@ def test_walk_floats_are_the_floats_of_the_exact_vertices():
             assert walk.leg_starts.tolist() == [[[float(c) for c in variation_value_at(var, F(i, k))]] for i in range(k)]
 
 
-def test_wrap_transport_is_the_hop_over_the_marked_point():
+def test_transport_past_one_is_the_hop_over_the_marked_point():
     rng = np.random.default_rng(12)
     loop = wiggly_loop()
     for n in (1, 2, 3):
         conn = random_connection(n, rng)
         for s, t in ((F(5, 7), F(1, 9)), (F(1, 3), F(1, 3)), (F(1), F(0)), (F(2, 3), F(0))):
             two = transport(conn, loop, s, F(1)) @ transport(conn, loop, F(0), t)
-            assert np.max(np.abs(holonomy.wrap_transport(conn, loop, s, t) - two)) <= 1e-13
+            assert np.max(np.abs(transport(conn, loop, s, t + 1) - two)) <= 1e-13
     # from s over the marked point back to s is the whole loop
-    assert np.max(np.abs(holonomy.wrap_transport(conn, loop, F(1, 3), F(1, 3)) - transport(conn, loop))) <= 1e-13
-    with pytest.raises(ValueError, match="0 <= t <= s <= 1"):
-        holonomy.wrap_transport(conn, loop, F(1, 4), F(1, 2))
+    assert np.max(np.abs(transport(conn, loop, F(1, 3), F(4, 3)) - transport(conn, loop))) <= 1e-13
+
+
+def test_the_lap_from_s_is_the_holonomy_based_at_s():
+    # U(s, s + 1) = U(s, 1) U(0, s): conjugate to the holonomy at the marked point
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3):
+        conn = random_connection(n, rng)
+        loop = gen_random_loop(rng)
+        k = loop.num_segments
+        for s in (F(0), F(1, 3), F(2, k), F(int(rng.integers(1, 7 * k)), 7 * k), F(1)):
+            lap = transport(conn, loop, s, s + 1)
+            split = transport(conn, loop, s, F(1)) @ transport(conn, loop, F(0), s)
+            scale = max(1.0, float(np.max(np.abs(split))))
+            assert np.max(np.abs(lap - split)) <= 1e-13 * scale
+            assert abs(np.trace(lap) - np.trace(transport(conn, loop))) <= 1e-13 * scale * n
 
 
 # -- generalized transport ------------------------------------------------------

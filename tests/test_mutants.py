@@ -71,7 +71,7 @@ def displacement_from_zero(monkeypatch):
     """Plain transport reads x(s) at 0: U(s, t) becomes U(0, t)."""
     displacement = holonomy._displacement
     monkeypatch.setattr(
-        holonomy, "_displacement", lambda loop, s, t, wrap=False: displacement(loop, Fraction(0), t, wrap)
+        holonomy, "_displacement", lambda loop, s, t: displacement(loop, Fraction(0), t)
     )
 
 

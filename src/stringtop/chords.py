@@ -8,6 +8,9 @@ on the same point of the space. Evaluation inserts contracted basis
 elements at the endpoints and multiplies the traces of the resulting
 alternating products: one tensor contraction of the gl(n) Casimir tensor,
 once per arc, with the transports between endpoints (``evaluate_diagram``).
+The contraction runs as plain einsum steps compiled once per diagram shape
+from numpy's greedy path (``_contraction_steps``); the Casimir tensor is
+built on every call, so no cache holds representation data.
 Each circle closes with one plain transport over its marked point, a
 forward span of the loop's periodic lift.
 Two circles joined by one arc at a crossing, summed over the crossings with
@@ -211,15 +214,31 @@ _LETTERS = string.ascii_letters
 
 
 @functools.lru_cache(maxsize=64)
-def _contraction_path(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """numpy's greedy contraction order for spec on operands of these shapes.
+def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """numpy's greedy contraction order for spec, compiled to plain einsum steps.
 
-    The greedy search reads only the shapes, so einsum given this path
-    contracts in the same order, and rounds the same, as with
-    ``optimize="greedy"``. One diagram spec takes one entry per size n.
+    Returns one ``(positions, step)`` pair per step of
+    ``np.einsum_path(spec, ..., optimize="greedy")``: the operand positions
+    to pop, in descending order, and the subscripts that contract the
+    popped operands, in that order. A step's result keeps only the indices
+    that a later operand or the output still needs, and goes to the end
+    of the operand list, as in numpy's own replay of the path. The greedy
+    search reads only the shapes, so one diagram spec takes one entry per
+    size n; the entry holds no operand values.
     """
     operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return tuple(np.einsum_path(spec, *operands, optimize="greedy")[0])
+    path = np.einsum_path(spec, *operands, optimize="greedy")[0][1:]
+    inputs, output = spec.split("->")
+    subs = inputs.split(",")
+    steps = []
+    for step in path:
+        positions = tuple(sorted(step, reverse=True))
+        picked = [subs.pop(p) for p in positions]
+        needed = set(output).union(*subs)
+        result = "".join(sorted(set().union(*picked) & needed))
+        subs.append(result)
+        steps.append((positions, ",".join(picked) + "->" + result))
+    return tuple(steps)
 
 
 def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
@@ -240,9 +259,25 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
     after it (out_m, in_{m+1}), and the last hop closes the trace at in_1.
     An empty circle is the trace of its full transport. Every endpoint
     takes two indices and every empty circle one, so a diagram needing
-    more than 52 raises ``ValueError``. The greedy contraction order is
-    planned once per subscripts and operand shapes and then reused.
+    more than 52 raises ``ValueError``.
+
+    The contraction replays ``_contraction_steps``: numpy's greedy order,
+    compiled once per subscripts and operand shapes into plain
+    einsum calls, so no call parses a path. The values round as C einsum
+    does, not as the greedy BLAS route, to about 1e-16 relative. Only the
+    order is cached: the Casimir tensor is rebuilt on every call from
+    ``LieBasis.dual`` and ``_rep_stack``, so a change to either (a mutant
+    of the suite, say) reaches the next value.
     """
+    spec, operands = _diagram_tensors(realization, conn)
+    for positions, step in _contraction_steps(spec, tuple(op.shape for op in operands)):
+        picked = [operands.pop(p) for p in positions]
+        operands.append(np.einsum(step, *picked))
+    return complex(operands[0])
+
+
+def _diagram_tensors(realization: DiagramRealization, conn) -> tuple[str, list[np.ndarray]]:
+    """The einsum subscripts (scalar output) and operands of ``evaluate_diagram``."""
     diag = realization.diagram
     for c in diag.circles:
         if parse_rep(c.rep) != conn.n:
@@ -280,9 +315,7 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
     for p, q in diag.arcs:
         terms.append(slot[p] + slot[q])
         operands.append(casimir)
-    spec = ",".join(terms) + "->"
-    path = _contraction_path(spec, tuple(op.shape for op in operands))
-    return complex(np.einsum(spec, *operands, optimize=path))
+    return ",".join(terms) + "->", operands
 
 
 # -- relations -------------------------------------------------------------------

@@ -368,8 +368,12 @@ def goldman_torus(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, tuple[int,
     """Signed crossing count of straight torus lines of two classes.
 
     Counts solutions of b1 + t c1 = b2 + r c2 + lam over deck vectors lam
-    with t, r in [0, 1), from fixed generic base points, summing frame
-    signs. Returns (count, componentwise class sum).
+    with t, r in [0, 1), from the fixed generic base points b1 = 0 and
+    b2 = (1/97, 1/89), summing frame signs. Returns (count, componentwise
+    class sum). Everything is scaled by 97 * 89 * |det(c1, c2)|, so t and
+    r are integers tn, rn and the test is 0 <= tn, rn < span; the deck
+    range of a coordinate is then the integers m <= lam < M whose bounds
+    m, M come from the classes alone.
 
     This is an oracle: it shares nothing with the bracket machinery and no
     bracket computation calls it; checks compare ``string_bracket`` class
@@ -378,27 +382,19 @@ def goldman_torus(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, tuple[int,
     c1 = (int(c1[0]), int(c1[1]))
     c2 = (int(c2[0]), int(c2[1]))
     total = (c1[0] + c2[0], c1[1] + c2[1])
-    if c1 == (0, 0) or c2 == (0, 0):
-        return 0, total
-    b2 = (Fraction(1, 97), Fraction(1, 89))
     den = c1[0] * c2[1] - c1[1] * c2[0]
     if den == 0:
-        # parallel classes: distinct parallel lines never cross
+        # a zero class, or parallel classes: distinct parallel lines never cross
         return 0, total
+    sign = 1 if den > 0 else -1
+    span = 97 * 89 * abs(den)
     count = 0
-    l1_range = range(
-        math.ceil(min(0, c1[0]) - max(0, c2[0]) - b2[0]),
-        math.floor(max(0, c1[0]) - min(0, c2[0]) - b2[0]) + 1,
-    )
-    l2_range = range(
-        math.ceil(min(0, c1[1]) - max(0, c2[1]) - b2[1]),
-        math.floor(max(0, c1[1]) - min(0, c2[1]) - b2[1]) + 1,
-    )
-    for l1 in l1_range:
-        for l2 in l2_range:
-            rhs = (b2[0] + l1, b2[1] + l2)
-            t = (c2[1] * rhs[0] - c2[0] * rhs[1]) / den
-            r = (c1[1] * rhs[0] - c1[0] * rhs[1]) / den
-            if 0 <= t < 1 and 0 <= r < 1:
-                count += 1 if den > 0 else -1
+    for l1 in range(min(0, c1[0]) - max(0, c2[0]), max(0, c1[0]) - min(0, c2[0])):
+        x = 89 * (1 + 97 * l1)  # 97 * 89 * (b2 + lam), first coordinate
+        for l2 in range(min(0, c1[1]) - max(0, c2[1]), max(0, c1[1]) - min(0, c2[1])):
+            y = 97 * (1 + 89 * l2)
+            tn = sign * (c2[1] * x - c2[0] * y)
+            rn = sign * (c1[1] * x - c1[0] * y)
+            if 0 <= tn < span and 0 <= rn < span:
+                count += sign
     return count, total

@@ -530,6 +530,41 @@ def bracket_terms_fraction(a, abar):
                 yield m * mbar * p.sign, canonical_rotations(concatenate_fraction(gamma, gammabar, p))
 
 
+def goldman_torus_fraction(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, tuple[int, int]]:
+    """Oracle: ``strings.goldman_torus`` solved in ``Fraction``s, unscaled.
+
+    Solves b1 + t c1 = b2 + r c2 + lam for t, r by Cramer's rule from
+    b1 = 0 and b2 = (1/97, 1/89), with the deck ranges taken from the
+    rational bounds by ceil and floor.
+    """
+    c1 = (int(c1[0]), int(c1[1]))
+    c2 = (int(c2[0]), int(c2[1]))
+    total = (c1[0] + c2[0], c1[1] + c2[1])
+    if c1 == (0, 0) or c2 == (0, 0):
+        return 0, total
+    b2 = (Fraction(1, 97), Fraction(1, 89))
+    den = c1[0] * c2[1] - c1[1] * c2[0]
+    if den == 0:
+        return 0, total
+    count = 0
+    l1_range = range(
+        math.ceil(min(0, c1[0]) - max(0, c2[0]) - b2[0]),
+        math.floor(max(0, c1[0]) - min(0, c2[0]) - b2[0]) + 1,
+    )
+    l2_range = range(
+        math.ceil(min(0, c1[1]) - max(0, c2[1]) - b2[1]),
+        math.floor(max(0, c1[1]) - min(0, c2[1]) - b2[1]) + 1,
+    )
+    for l1 in l1_range:
+        for l2 in l2_range:
+            rhs = (b2[0] + l1, b2[1] + l2)
+            t = (c2[1] * rhs[0] - c2[0] * rhs[1]) / den
+            r = (c1[1] * rhs[0] - c1[0] * rhs[1]) / den
+            if 0 <= t < 1 and 0 <= r < 1:
+                count += 1 if den > 0 else -1
+    return count, total
+
+
 # ---------------------------------------------------------------------------
 # chord diagrams by explicit basis enumeration
 

@@ -9,7 +9,8 @@ from stringtop.brackets import wilson_field_bracket
 from stringtop.chords import (
     ChordDiagram,
     DiagramRealization,
-    _contraction_path,
+    _contraction_steps,
+    _diagram_tensors,
     _cross,
     evaluate_diagram,
     four_t_combination,
@@ -22,6 +23,7 @@ from stringtop.harness import gen_random_loop
 from stringtop.strings import TransversalityError, concatenate, intersections
 
 from oracles import evaluate_diagram_enumerated, velocity_at
+from test_mutants import casimir_without_dual, diagonal_pseudo_rep
 
 T = Torus(2)
 
@@ -411,38 +413,41 @@ def _plan_cases(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cached_plan_is_bit_identical_to_greedy_einsum(n, monkeypatch):
-    einsum = np.einsum
-    seen = []
-
-    def spy(spec, *operands, optimize=False, **kw):
-        got = einsum(spec, *operands, optimize=optimize, **kw)
-        if optimize is not False:
-            seen.append((got, einsum(spec, *operands, optimize="greedy")))
-        return got
-
+def test_compiled_steps_replay_the_greedy_path(n):
     conn = conn_n(n, seed=20 + n)
-    monkeypatch.setattr(np, "einsum", spy)
     for r in _plan_cases(n):
-        before = len(seen)
-        value = evaluate_diagram(r, conn)
-        assert len(seen) == before + 1
-        got, want = seen[-1]
-        assert value == complex(want)
-        assert got.tobytes() == np.asarray(want).tobytes()
+        spec, operands = _diagram_tensors(r, conn)
+        path = np.einsum_path(spec, *operands, optimize="greedy")[0][1:]
+        steps = _contraction_steps(spec, tuple(op.shape for op in operands))
+        assert [positions for positions, _ in steps] == [tuple(sorted(p, reverse=True)) for p in path]
+        want = complex(np.einsum(spec, *operands, optimize="greedy"))
+        assert abs(evaluate_diagram(r, conn) - want) <= 1e-15 * max(1.0, abs(want)), r.diagram
 
 
 def test_one_spec_is_planned_once_per_size():
-    _contraction_path.cache_clear()
+    _contraction_steps.cache_clear()
     cases = {n: _plan_cases(n)[0] for n in (1, 2)}
     for n, r in cases.items():
         evaluate_diagram(r, conn_n(n, seed=n))
-    info = _contraction_path.cache_info()
+    info = _contraction_steps.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
     for n, r in cases.items():
         evaluate_diagram(r, conn_n(n, seed=n + 5))
-    info = _contraction_path.cache_info()
+    info = _contraction_steps.cache_info()
     assert (info.hits, info.currsize) == (2, 2)
+
+
+def test_no_cache_holds_representation_data(monkeypatch):
+    # the Casimir tensor is rebuilt per call: patching the dual or the
+    # representation after a first value must change the next one
+    r = _plan_cases(2)[0]
+    conn = conn_n(2, seed=9)
+    value = evaluate_diagram(r, conn)
+    for mutant in (casimir_without_dual, diagonal_pseudo_rep):
+        mutant(monkeypatch)
+        assert abs(evaluate_diagram(r, conn) - value) > 1e-6, mutant.__name__
+        monkeypatch.undo()
+        assert evaluate_diagram(r, conn) == value
 
 
 # -- arcs checked on the integer lift --------------------------------------------

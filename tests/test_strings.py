@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from oracles import (
     bracket_terms_fraction,
     canonical_rotations,
     concatenate_fraction,
+    goldman_torus_fraction,
     intersections_fraction,
     normal_form_rotations,
 )
@@ -546,6 +548,13 @@ def test_goldman_oracle_frozen_table():
     assert goldman_torus((2, 1), (1, 1)) == (1, (3, 2))
     assert goldman_torus((-1, 2), (3, 1)) == (-7, (2, 3))
     assert goldman_torus((0, 0), (1, 1)) == (0, (1, 1))
+
+
+def test_integer_goldman_oracle_matches_the_fraction_route():
+    # every class pair that the suite's goldman check draws from, [-3, 3]^2
+    classes = list(itertools.product(range(-3, 4), repeat=2))
+    for c1, c2 in itertools.product(classes, repeat=2):
+        assert goldman_torus(c1, c2) == goldman_torus_fraction(c1, c2), (c1, c2)
 
 
 def test_bracket_matches_goldman_oracle_on_random_pairs():

@@ -71,24 +71,19 @@ PATH_TOL = 1e-10
 
 
 def _kappa_path(basis: LieBasis, h, hb) -> complex:
-    """Explicit basis sum tr[T_a h] kappa^{ab} tr[T_b hb].
+    """Explicit basis contraction tr[T_a h] kappa^{ab} tr[T_b hb].
 
-    This is an oracle for the fused trace tr(h hb): it enumerates every
-    basis pair instead of using the swap identity, so the two routes share
-    nothing beyond the matrix units. kappa is its own inverse, so it
-    stands in for kappa^{ab}.
+    This is an oracle for the fused trace tr(h hb): it stacks every matrix
+    unit and tabulates kappa on every basis pair instead of using the swap
+    identity, so the two routes share nothing beyond the matrix units.
+    The stack and the table are built on every call. kappa is its own
+    inverse, so it stands in for kappa^{ab}.
     """
-    dim = basis.n * basis.n
-    total = 0j
-    for a in range(dim):
-        tra = complex(np.trace(basis.matrix(a) @ h))
-        if tra == 0:
-            continue
-        for b in range(dim):
-            k = basis.kappa(a, b)
-            if k:
-                total += tra * k * complex(np.trace(basis.matrix(b) @ hb))
-    return total
+    dim = basis.dim
+    units = np.array([basis.matrix(a) for a in range(dim)]).reshape(dim, dim)
+    kappa = np.array([[basis.kappa(a, b) for b in range(dim)] for a in range(dim)], dtype=float)
+    # tr(T_a h) = sum_ij (T_a)_ij h_ji
+    return complex(units @ h.T.ravel() @ kappa @ (units @ hb.T.ravel()))
 
 
 def wilson_field_bracket(loop: PLLoop, loopbar: PLLoop, conn) -> complex:

@@ -180,10 +180,10 @@ class ConstantCommutingConnection:
             )
 
     def matrix_of(self, velocity: Sequence) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for v, m in zip(velocity, self.mats):
-            out += float(v) * m
-        return out
+        (v1, v2), (a1, a2) = velocity, self.mats
+        # the sum starts from +0.0, so no entry is -0.0: expm's result bits
+        # depend on the sign of a zero entry
+        return 0.0 + float(v1) * a1 + float(v2) * a2
 
     def gauge(self, g: np.ndarray) -> "ConstantCommutingConnection":
         ginv = np.linalg.inv(g)

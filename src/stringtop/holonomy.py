@@ -160,9 +160,11 @@ def _displacement(loop: PLLoop, s: Fraction, t: Fraction) -> list[float]:
     each coordinate is one correctly rounded quotient of integers.
     """
     den_s, x_s = loop.lift_point(s)
-    lap = int(t > 1)
-    den_t, x_t = loop.lift_point(t - lap)
-    x_t = [b + lap * c * den_t for b, c in zip(x_t, loop.closure)]
+    if t > 1:
+        den_t, x_t = loop.lift_point(t - 1)
+        x_t = [b + c * den_t for b, c in zip(x_t, loop.closure)]
+    else:
+        den_t, x_t = loop.lift_point(t)
     return [(b * den_s - a * den_t) / (den_s * den_t) for a, b in zip(x_s, x_t)]
 
 

@@ -5,15 +5,27 @@ coefficients, a constant-pairing bracket in Darboux form, and the
 differential delta = {S; .} for a generator S solving the master
 equation {S; S} = 0.
 
-Coefficients are ``Fraction``s (ints are converted) or floats, and keep
-their type through every operation. Koszul signs of +-1 negate a
-coefficient rather than multiply it. A product merges two keys already in
-normal form, so only ``GradedPhaseModel.monomial`` normalizes a word.
+A polynomial stores one positive integer denominator ``den`` and a
+numerator per normal key. Exact coefficients are integer numerators over
+``den``; float coefficients are floats over 1. Sums, products and brackets
+accumulate plain numbers, and one normalization step (the constructor)
+drops zeros, sorts the keys and divides out gcd(den, numerators); a float
+numerator there folds ``den`` into the numerators. The ``terms`` view
+keeps the coefficient types: ``Fraction`` for exact coefficients (ints
+are converted), and floats stay floats. The model's pairing is converted
+once to numerators over one common denominator.
+
+A product merges two keys already in normal form, so only
+``GradedPhaseModel.monomial`` normalizes a word. The merge of two keys is
+a pure function of the model's parities and the keys, and it is memoized
+in a bounded table shared by all models.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -40,18 +52,15 @@ def _coerce_scalar(value):
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
+def _ratio(value):
+    """(numerator, denominator) of a coefficient: a float is itself over 1."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    return _coerce_scalar(value), 1
+
+
 def _swap_sign(p: int, q: int) -> int:
     return -1 if (p * q) % 2 else 1
-
-
-def _accumulate(acc: dict, key: tuple[int, ...], coeff) -> None:
-    """Add coeff at key, dropping the key when the sum cancels."""
-    prev = acc.get(key)
-    total = coeff if prev is None else prev + coeff
-    if total == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = total
 
 
 class GradedPhaseModel:
@@ -99,6 +108,10 @@ class GradedPhaseModel:
                     raise ValueError(f"inconsistent pairing for {ka!r},{kb!r}")
                 omega[key] = val
         self.omega = omega
+        # the pairing as numerators over one denominator, for the bracket
+        ratios = {key: _ratio(val) for key, val in omega.items()}
+        self.omega_den = lcm(*(den for _, den in ratios.values()))
+        self.omega_nums = {key: num * (self.omega_den // den) for key, (num, den) in ratios.items()}
 
     def index(self, name: str) -> int:
         try:
@@ -109,18 +122,18 @@ class GradedPhaseModel:
     # -- polynomial factories ------------------------------------------------
 
     def zero(self) -> "GradedPolynomial":
-        return GradedPolynomial(self, {})
+        return GradedPolynomial(self, 1, {})
 
     def monomial(self, coeff, *names: str) -> "GradedPolynomial":
         """coeff times the named variables in order: ``monomial(1, "q")`` is
         the variable q, and ``monomial(c)`` with no names the constant c."""
         factors = [self.index(n) for n in names]
-        coeff = _coerce_scalar(coeff)
+        num, den = _ratio(coeff)
         sign, key = 1, ()
         for idx in factors:
             s, key = _merge(self.parities, key, (idx,))
             sign *= s
-        return GradedPolynomial(self, {key: coeff if sign > 0 else -coeff} if sign and coeff else {})
+        return GradedPolynomial(self, den, {key: sign * num})
 
     def __eq__(self, other) -> bool:
         return other is self or (
@@ -136,11 +149,13 @@ class GradedPhaseModel:
         return f"GradedPhaseModel({vs}; d={self.d})"
 
 
-def _merge(parities: Sequence[int], a: tuple[int, ...], b: tuple[int, ...]):
+@functools.lru_cache(maxsize=4096)
+def _merge(parities: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]):
     """Merge two normal keys into (sign, normal key of the product a b).
 
     Each odd factor of b that moves left past an odd factor of a greater
     than it costs a sign -1; the sign is 0 when an odd variable repeats.
+    The table is keyed by the parities too, so models never share a sign.
     """
     out = []
     sign = 1
@@ -161,37 +176,45 @@ def _merge(parities: Sequence[int], a: tuple[int, ...], b: tuple[int, ...]):
     return sign, tuple(out)
 
 
-def _accumulate_product(acc: dict, parities, k1, k2, coeff) -> None:
-    """Add coeff times the Koszul sign at the merged key of k1 k2."""
-    sign, key = _merge(parities, k1, k2)
-    if sign:
-        _accumulate(acc, key, coeff if sign > 0 else -coeff)
-
-
 class GradedPolynomial:
     """Polynomial in normal form: ascending variable indices per monomial.
 
-    ``terms`` maps normal keys to nonzero coerced coefficients; build a
+    The coefficient at a normal key is ``nums[key] / den``; build a
     polynomial from variable names with ``GradedPhaseModel.monomial``.
+    The constructor takes any positive integer ``den`` and a dict of
+    numerators, and brings them to lowest terms.
     """
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model", "den", "nums")
 
-    def __init__(self, model: GradedPhaseModel, terms: Mapping[tuple[int, ...], object]) -> None:
+    def __init__(self, model: GradedPhaseModel, den: int, nums: Mapping[tuple[int, ...], object]) -> None:
         self.model = model
-        self.terms = {key: terms[key] for key in sorted(terms)}
+        nums = {key: nums[key] for key in sorted(nums) if nums[key]}
+        try:
+            g = gcd(den, *nums.values())
+        except TypeError:  # a float numerator: floats over 1
+            nums = {key: value / den for key, value in nums.items()}
+            den, g = 1, 1
+        self.den = den // g
+        self.nums = {key: value // g for key, value in nums.items()} if g > 1 else nums
 
     # -- structure -----------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """{normal key: coefficient}: a ``Fraction`` for each exact one, floats as they are."""
+        den = self.den
+        return {key: Fraction(v, den) if isinstance(v, int) else v for key, v in self.nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def parity(self) -> int:
         """Parity of a homogeneous polynomial (zero counts as even)."""
         seen = {
-            sum(self.model.parities[i] for i in key) % 2 for key in self.terms
+            sum(self.model.parities[i] for i in key) % 2 for key in self.nums
         }
         if len(seen) > 1:
             raise ValueError("polynomial is not homogeneous")
@@ -207,41 +230,45 @@ class GradedPolynomial:
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        self._check_model(other)
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accumulate(acc, key, coeff)
-        return GradedPolynomial(self.model, acc)
+        return self._combined(other, 1)
+
+    def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
+        return self._combined(other, -1)
 
     def __neg__(self) -> "GradedPolynomial":
         return self.scale(-1)
 
-    def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return self + (-other)
+    def _combined(self, other: "GradedPolynomial", sign: int) -> "GradedPolynomial":
+        """self + sign * other over the least common denominator."""
+        self._check_model(other)
+        g = gcd(self.den, other.den)
+        up, up_other = other.den // g, sign * (self.den // g)
+        acc = {key: v * up for key, v in self.nums.items()}
+        for key, v in other.nums.items():
+            acc[key] = acc.get(key, 0) + v * up_other
+        return GradedPolynomial(self.model, self.den * up, acc)
 
     def scale(self, scalar) -> "GradedPolynomial":
-        scalar = _coerce_scalar(scalar)
-        acc = {}
-        for key, coeff in self.terms.items():
-            value = scalar * coeff
-            if value != 0:
-                acc[key] = value
-        return GradedPolynomial(self.model, acc)
+        num, den = _ratio(scalar)
+        return GradedPolynomial(self.model, self.den * den, {key: v * num for key, v in self.nums.items()})
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._check_model(other)
+        parities = self.model.parities
         acc: dict[tuple[int, ...], object] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _accumulate_product(acc, self.model.parities, k1, k2, c1 * c2)
-        return GradedPolynomial(self.model, acc)
+        for k1, c1 in self.nums.items():
+            for k2, c2 in other.nums.items():
+                sign, key = _merge(parities, k1, k2)
+                if sign:
+                    acc[key] = acc.get(key, 0) + sign * c1 * c2
+        return GradedPolynomial(self.model, self.den * other.den, acc)
 
     def _check_model(self, other: "GradedPolynomial") -> None:
         if self.model != other.model:
             raise ValueError("polynomials live on different models")
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for key, coeff in self.terms.items():
@@ -251,11 +278,11 @@ class GradedPolynomial:
 
 
 def _derivative(poly: GradedPolynomial, i: int, right: bool):
-    """Terms of P d/dz_i (``right``: the factor exits rightward) or of
-    d/dz_i P (the factor exits leftward)."""
+    """Numerators (over ``poly.den``) of P d/dz_i (``right``: the factor
+    exits rightward) or of d/dz_i P (the factor exits leftward)."""
     parities = poly.model.parities
     out = []
-    for key, coeff in poly.terms.items():
+    for key, coeff in poly.nums.items():
         for u, idx in enumerate(key):
             if idx != i:
                 continue
@@ -270,15 +297,18 @@ def graded_bracket(P: GradedPolynomial, Q: GradedPolynomial) -> GradedPolynomial
     model = P.model
     if Q.model != model:
         raise ValueError("polynomials live on different models")
+    parities = model.parities
     acc: dict[tuple[int, ...], object] = {}
-    for (i, j), w in model.omega.items():
+    for (i, j), w in model.omega_nums.items():
         left = [(cP * w, kP) for cP, kP in _derivative(P, i, right=True)]
         if not left:
             continue
         for cQ, kQ in _derivative(Q, j, right=False):
             for cPw, kP in left:
-                _accumulate_product(acc, model.parities, kP, kQ, cPw * cQ)
-    return GradedPolynomial(model, acc)
+                sign, key = _merge(parities, kP, kQ)
+                if sign:
+                    acc[key] = acc.get(key, 0) + sign * cPw * cQ
+    return GradedPolynomial(model, P.den * model.omega_den * Q.den, acc)
 
 
 def delta_and_nilpotency(S: GradedPolynomial, P: GradedPolynomial):

@@ -607,7 +607,13 @@ def evaluate_diagram_enumerated(realization: DiagramRealization, conn) -> comple
 
 
 # ---------------------------------------------------------------------------
-# graded monomials by counting inversions
+# graded polynomials on coefficients of their own type
+#
+# ``phasespace`` keeps integer numerators over one denominator and merges
+# normal keys through a memoized table. These functions take and return
+# {normal key: coefficient} dicts, compute each coefficient with the
+# coefficients' own arithmetic (``Fraction`` or float, and the model's
+# ``omega`` values), and order each product word by counting inversions.
 
 
 def graded_word_normal_form(parities: Sequence[int], word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -618,6 +624,66 @@ def graded_word_normal_form(parities: Sequence[int], word: Sequence[int]) -> tup
         return 0, ()
     inversions = sum(1 for a, b in itertools.combinations(odd, 2) if a > b)
     return (-1) ** inversions, tuple(sorted(word))
+
+
+def _graded_accumulate(acc: dict, key: tuple[int, ...], coeff) -> None:
+    prev = acc.get(key)
+    total = coeff if prev is None else prev + coeff
+    if total == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = total
+
+
+def graded_terms_sum(a: dict, b: dict) -> dict:
+    acc = dict(a)
+    for key, coeff in b.items():
+        _graded_accumulate(acc, key, coeff)
+    return dict(sorted(acc.items()))
+
+
+def graded_terms_scale(a: dict, scalar) -> dict:
+    """scalar times a; an int scalar counts as a Fraction."""
+    scalar = Fraction(scalar) if isinstance(scalar, int) else scalar
+    return {key: scalar * coeff for key, coeff in a.items() if scalar * coeff != 0}
+
+
+def _graded_products(parities: Sequence[int], pairs: list) -> dict:
+    """Sum of c times the normal form of the word k1 k2, over (c, k1, k2)."""
+    acc: dict = {}
+    for coeff, k1, k2 in pairs:
+        sign, key = graded_word_normal_form(parities, k1 + k2)
+        if sign:
+            _graded_accumulate(acc, key, coeff if sign > 0 else -coeff)
+    return dict(sorted(acc.items()))
+
+
+def graded_terms_product(parities: Sequence[int], a: dict, b: dict) -> dict:
+    return _graded_products(parities, [(c1 * c2, k1, k2) for k1, c1 in a.items() for k2, c2 in b.items()])
+
+
+def _graded_derivative(parities: Sequence[int], a: dict, i: int, right: bool) -> list:
+    """(coefficient, key) terms of P d/dz_i (``right``) or of d/dz_i P."""
+    out = []
+    for key, coeff in a.items():
+        for u, idx in enumerate(key):
+            if idx != i:
+                continue
+            passed = key[u + 1 :] if right else key[:u]
+            odd = parities[i] and sum(parities[x] for x in passed) % 2
+            out.append((-coeff if odd else coeff, key[:u] + key[u + 1 :]))
+    return out
+
+
+def graded_terms_bracket(model, p: dict, q: dict) -> dict:
+    """sum_ij (P d_i) omega^{ij} (d_j Q), with the model's ``omega`` values."""
+    parities = model.parities
+    pairs = []
+    for (i, j), w in model.omega.items():
+        left = [(cp * w, kp) for cp, kp in _graded_derivative(parities, p, i, right=True)]
+        for cq, kq in _graded_derivative(parities, q, j, right=False):
+            pairs.extend((cpw * cq, kp, kq) for cpw, kp in left)
+    return _graded_products(parities, pairs)
 
 
 # ---------------------------------------------------------------------------

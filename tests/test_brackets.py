@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from stringtop.brackets import (
+    _kappa_path,
     fundamental_identity_check,
     fundamental_identity_paths,
     loop_form_pairing_sign,
@@ -22,6 +23,7 @@ from stringtop.lierep import LieBasis
 from stringtop.strings import StringCycle
 
 from oracles import fundamental_identity_residuals, halving_orders, matrix_unit
+from test_mutants import casimir_without_dual
 
 F = Fraction
 TORUS = Torus(2)
@@ -156,6 +158,20 @@ def test_a_wrong_pairing_still_fails_the_path_comparison(monkeypatch):
     monkeypatch.setattr(LieBasis, "kappa", lambda self, a, b: int(a == b))
     with pytest.raises(RuntimeError, match="contraction paths disagree"):
         bracket_of_unit_lines(conn)
+
+
+def test_the_basis_oracle_enumerates_kappa_not_the_dual(monkeypatch):
+    rng = np.random.default_rng(5)
+    h, hb = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+    basis = LieBasis(3)
+    value = _kappa_path(basis, h, hb)
+    assert abs(value - np.trace(h @ hb)) <= 1e-12 * np.linalg.norm(h) * np.linalg.norm(hb)
+    # the casimir-without-dual mutant does not reach the oracle ...
+    casimir_without_dual(monkeypatch)
+    assert _kappa_path(basis, h, hb) == value
+    # ... and a wrong kappa does
+    monkeypatch.setattr(LieBasis, "kappa", lambda self, a, b: int(a == b))
+    assert abs(_kappa_path(basis, h, hb) - value) > 1e-3 * abs(value)
 
 
 # -- main comparison -----------------------------------------------------------------

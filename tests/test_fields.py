@@ -130,6 +130,8 @@ def test_connection_contraction_and_gauge():
         np.testing.assert_allclose(a, g @ b @ ginv, atol=1e-14)
     zero = ConstantCommutingConnection([np.zeros((2, 2))] * 2)
     assert not zero.matrix_of((1.0, 1.0)).any()
+    # no entry comes out -0.0, whose sign expm's result bits would see
+    assert not np.signbit(zero.matrix_of((-1.0, -1.0)).view(float)).any()
     # exp of the zero matrix is the identity exactly, with no shortcut for it
     loop = PLLoop(Torus(2), [(0, 0), (Fraction(1, 2), Fraction(1, 3))], closure=(1, 1))
     for u in (

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stringtop import phasespace
 from stringtop.phasespace import (
     GradedPhaseModel,
     MasterEquationError,
@@ -14,7 +15,13 @@ from stringtop.phasespace import (
     graded_bracket,
 )
 
-from oracles import graded_word_normal_form
+from oracles import (
+    graded_terms_bracket,
+    graded_terms_product,
+    graded_terms_scale,
+    graded_terms_sum,
+    graded_word_normal_form,
+)
 
 F = Fraction
 
@@ -36,7 +43,7 @@ KOSZUL = GradedPhaseModel(
 )
 
 
-def rand_poly(model, rng, parity=None, n_terms=3):
+def rand_poly(model, rng, parity=None, n_terms=3, kind=Fraction):
     n = len(model.names)
     while True:
         poly = model.zero()
@@ -46,7 +53,10 @@ def rand_poly(model, rng, parity=None, n_terms=3):
             if parity is not None:
                 if sum(model.parities[i] for i in factors) % 2 != parity:
                     continue
-            coeff = F(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+            if kind is Fraction:
+                coeff = F(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+            else:  # quarters: every float sum and product below is exact
+                coeff = int(rng.integers(-8, 9)) / 4
             poly = poly + model.monomial(coeff, *(model.names[i] for i in factors))
         if not poly.is_zero:
             return poly
@@ -151,6 +161,55 @@ def test_coefficient_types_survive_every_operation(coeffs, kind):
         assert {type(v) for v in r.terms.values()} == {kind}
     assert poly.scale(0).is_zero and (poly - poly).is_zero
     assert -poly == poly.scale(-1) and poly - other == poly + other.scale(-1)
+
+
+@pytest.mark.parametrize("kind", [Fraction, float])
+@pytest.mark.parametrize("model", [EVEN, ODD, THETA, KOSZUL])
+def test_numerators_match_the_coefficient_oracle(model, kind):
+    # integer numerators over one denominator give the same terms, in
+    # value, type and order, as arithmetic on the coefficients themselves
+    rng = np.random.default_rng(77)
+    par = model.parities
+    for _ in range(30):
+        P, Q, R = (rand_poly(model, rng, kind=kind) for _ in range(3))
+        p, q, r = P.terms, Q.terms, R.terms
+        s = F(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) if kind is Fraction else 0.75
+        bqr = graded_terms_bracket(model, q, r)
+        cases = [
+            (P + Q, graded_terms_sum(p, q)),
+            (P - Q, graded_terms_sum(p, graded_terms_scale(q, -1))),
+            (-P, graded_terms_scale(p, -1)),
+            (P.scale(s), graded_terms_scale(p, s)),
+            (P.scale(1), p),
+            (P * Q, graded_terms_product(par, p, q)),
+            (P * Q * R, graded_terms_product(par, graded_terms_product(par, p, q), r)),
+            (graded_bracket(P, Q), graded_terms_bracket(model, p, q)),
+            (graded_bracket(P, graded_bracket(Q, R)), graded_terms_bracket(model, p, bqr)),
+            (
+                graded_bracket(P * Q, R) - graded_bracket(Q, R).scale(s),
+                graded_terms_sum(
+                    graded_terms_bracket(model, graded_terms_product(par, p, q), r),
+                    graded_terms_scale(bqr, -s),
+                ),
+            ),
+        ]
+        for got, want in cases:
+            assert list(got.terms.items()) == list(want.items())
+            assert [type(v) for v in got.terms.values()] == [type(v) for v in want.values()]
+
+
+def test_merge_table_is_keyed_by_the_parities():
+    # same names, other parities: the swap of x and y is odd only in the first
+    odd = GradedPhaseModel([("x", 1), ("y", 1)], {}, 2)
+    even = GradedPhaseModel([("x", 0), ("y", 0)], {}, 2)
+    for model in (odd, even):
+        model.monomial(1, "y") * model.monomial(1, "x")
+    hits = phasespace._merge.cache_info().hits
+    for model, sign in ((odd, -1), (even, 1)):
+        assert (model.monomial(1, "y") * model.monomial(1, "x")).terms == {(0, 1): sign}
+        assert model.monomial(1, "y", "x").terms == {(0, 1): sign}
+    assert phasespace._merge.cache_info().hits > hits
+    assert isinstance(phasespace._merge.cache_info().maxsize, int)
 
 
 # -- frozen bracket values -----------------------------------------------------

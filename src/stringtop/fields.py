@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
 from stringtop.geometry import Torus
 from stringtop.grassmann import merge_sign
@@ -148,22 +149,29 @@ class FourierStack:
 # ---------------------------------------------------------------------------
 # flat connections
 
+# distinct displacements whose exponential one connection keeps; a check
+# exponentiates at most a handful per connection, so the cap only bounds
+# the memory of a connection that a caller reuses over many loops
+EXP_MEMO_CAP = 64
+
 
 class ConstantCommutingConnection:
     """A = A_1 dx^1 + A_2 dx^2 with constant commuting matrices on T^2.
 
     dA = 0 for constant coefficients and A ^ A = [A_1, A_2] dx^1 dx^2, so
     commutation is exactly flatness; it is validated at construction,
-    once, relative to the matrix scale: the matrices are never changed
-    afterwards. The single-exponential ``holonomy.transport`` relies on
-    it: any forward span of a loop's periodic lift, including one over
-    the marked point, is exp(A(x(t) - x(s))). There is one matrix per
+    once, relative to the matrix scale. The matrices are copied and made
+    read-only, so they never change afterwards. The single-exponential
+    ``holonomy.transport`` relies on it: any forward span of a loop's
+    periodic lift, including one over the marked point, is
+    exp(A(x(t) - x(s))), and ``exp`` computes that once per distinct
+    displacement and keeps it on the connection. There is one matrix per
     torus direction: ``field_obstruction`` gives A_mu the form bit of
     dx^mu.
     """
 
     def __init__(self, mats: Sequence[np.ndarray]) -> None:
-        self.mats = tuple(np.asarray(m, dtype=complex) for m in mats)
+        self.mats = tuple(np.array(m, dtype=complex) for m in mats)
         if len(self.mats) != 2:
             raise ValueError(
                 f"need two direction matrices, one per torus direction, not {len(self.mats)}"
@@ -172,18 +180,38 @@ class ConstantCommutingConnection:
         for m in self.mats:
             if m.shape != (self.n, self.n):
                 raise ValueError("connection matrices must share one square shape")
+            m.setflags(write=False)
         residual = self.flatness_residual()
         scale = max(max(float(np.max(np.abs(m))) for m in self.mats), 1.0)
         if residual > 1e-12 * scale:
             raise ValueError(
                 f"direction matrices do not commute (flatness residual {residual:.3e})"
             )
+        self._exps: dict[tuple[float, ...], np.ndarray] = {}
 
     def matrix_of(self, velocity: Sequence) -> np.ndarray:
         (v1, v2), (a1, a2) = velocity, self.mats
         # the sum starts from +0.0, so no entry is -0.0: expm's result bits
         # depend on the sign of a zero entry
         return 0.0 + float(v1) * a1 + float(v2) * a2
+
+    def exp(self, displacement: Sequence[float]) -> np.ndarray:
+        """exp(A(displacement)), read-only, memoized per displacement.
+
+        The same floats give the same ``matrix_of`` and so the same
+        exponential bits, whether the result is new or kept. A zero of
+        either sign gives the same matrix (``matrix_of`` starts from +0.0),
+        so the floats' equality is the right key. Past ``EXP_MEMO_CAP``
+        displacements, results are computed and not kept.
+        """
+        key = tuple(displacement)
+        out = self._exps.get(key)
+        if out is None:
+            out = expm(self.matrix_of(key))
+            out.setflags(write=False)
+            if len(self._exps) < EXP_MEMO_CAP:
+                self._exps[key] = out
+        return out
 
     def gauge(self, g: np.ndarray) -> "ConstantCommutingConnection":
         ginv = np.linalg.inv(g)

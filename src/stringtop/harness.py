@@ -12,6 +12,13 @@ the check's position in the table, so a selection of checks cannot change
 any numerical result. Checks run one after another, so each runtime is
 measured without contention. Reports validate against the bundled JSON
 schema and rerun byte-identically apart from the runtime fields.
+
+Importing this module builds only fixed loops. Fixtures that call the
+crossing, concatenation or phase-space layers are built by the instances
+that use them, on every call, so a defect in those layers fails the
+checks that use them rather than the import. ``lierep``'s sign tables are
+built when the package is imported: a defect there is an import error,
+which no report can hold.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .chords import ChordDiagram, DiagramRealization, evaluate_diagram, four_t_c
 from .fields import ConstantCommutingConnection, FieldConfig, FourierField
 from .geometry import PLLoop, Torus, VariationField
 from .grassmann import GradedCoefficient
-from .holonomy import gen_transport, transport, wilson
+from .holonomy import QuadratureError, gen_transport, transport, wilson
 from .lierep import LieBasis, SuperMatrix, fuse_traces
 from .phasespace import GradedPhaseModel, delta_and_nilpotency, graded_bracket
 from .strings import (
@@ -254,28 +261,15 @@ def _rand_poly(model: GradedPhaseModel, rng, parity: int):
 
 
 # fixed chord geometry: a self-crossing zigzag of class (1,0) whose first
-# and last segments meet at (1/2,1/6), and lines through that crossing
+# and last segments meet at (1/2,1/6), lines through that crossing, and
+# the zigzag split at its self-crossing into a contractible lobe and the rest
 _ZIG = PLLoop(TORUS2, [(0, 0), (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))], closure=(1, 0))
 _ZIG_S = (Fraction(2, 9), Fraction(7, 9))
 _VERT = PLLoop(TORUS2, [(Fraction(1, 2), 0)], closure=(0, 1))
 _LINE_A = PLLoop(TORUS2, [(0, 0)], closure=(1, 0))
 _LINE_B = PLLoop(TORUS2, [(Fraction(1, 3), Fraction(1, 5))], closure=(0, 1))
-# the one crossing of the two lines and their concatenation there; the
-# zigzag split at its self-crossing into a contractible lobe and the rest
-_CROSS = intersections(_LINE_A, _LINE_B)[0]
-_CAT = concatenate(_LINE_A, _LINE_B, _CROSS)
 _LOBE = PLLoop(TORUS2, [(Fraction(1, 2), Fraction(1, 6)), (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))], closure=(0, 0))
 _REST = PLLoop(TORUS2, [(Fraction(1, 2), Fraction(1, 6)), (1, 0)], closure=(1, 0))
-
-# phase models of the bracket axioms: an even Darboux pair, and a Koszul
-# model with its odd BV generator s_koszul
-_EVEN = GradedPhaseModel([("q", 0), ("p", 0)], {("q", "p"): Fraction(1)}, d=2)
-_KOSZUL = GradedPhaseModel(
-    [("x", 0), ("c", 1), ("xd", 1), ("cd", 0)],
-    {("x", "xd"): Fraction(1), ("c", "cd"): Fraction(1)},
-    d=1,
-)
-_S_KOSZUL = _KOSZUL.monomial(1, "xd", "c")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +311,9 @@ def transport_by_pieces(conn, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.
     Each piece of one segment contributes exp(A(b - a)), its end points a
     and b formed as Fractions by ``point_at``. The product runs in path
     order and never merges exponentials, so it equals ``transport``'s
-    single exponential only because the direction matrices commute.
+    single exponential only because the direction matrices commute. Each
+    factor is scipy's ``expm`` called here, not the connection's memoized
+    ``exp``, so the oracle shares no kept exponential with ``transport``.
     """
     out = np.eye(conn.n, dtype=complex)
     for _, lo, hi in _pieces(loop, Fraction(s), Fraction(t)):
@@ -377,6 +373,9 @@ def insertion_matrix_at(config: FieldConfig, pos, vel, leg_values, n_legs: int) 
 
 # relative tolerance of the integrator, and a thousandth of it absolute
 ODE_RTOL = 1e-13
+# right-hand-side evaluations one integration may take: 10x the most that
+# one transport-accuracy instance took over suite seeds 0-19 (1,748)
+ODE_MAX_RHS = 17_480
 
 
 def gen_transport_ode(conn, config: FieldConfig, loop: PLLoop, variations=()) -> SuperMatrix:
@@ -389,8 +388,13 @@ def gen_transport_ode(conn, config: FieldConfig, loop: PLLoop, variations=()) ->
     velocity is constant, and the segments are chained. Their start points
     and velocities are the floats of the exact ``Fraction`` vertices. M(t)
     is assembled from symbolic Grassmann products (``insertion_matrix_at``).
+
+    A right-hand side that diverges would keep DOP853 stepping without
+    end, so the integration raises ``QuadratureError`` past
+    ``ODE_MAX_RHS`` evaluations over the whole loop.
     """
     n_gen = config.n_theta + len(variations)
+    evaluations = 0
     k_seg = loop.num_segments
     u_mat = SuperMatrix.from_body(np.eye(config.n), n_gen)
     for i in range(k_seg):
@@ -401,6 +405,10 @@ def gen_transport_ode(conn, config: FieldConfig, loop: PLLoop, variations=()) ->
         a_vel = SuperMatrix.from_body(conn.matrix_of(vel), n_gen)
 
         def rhs(tau, y):
+            nonlocal evaluations
+            evaluations += 1
+            if evaluations > ODE_MAX_RHS:
+                raise QuadratureError(f"the integrator took more than {ODE_MAX_RHS} right-hand-side evaluations")
             pos = start + (tau - lo) * vel
             legs = _leg_values_at(variations, i, tau * k_seg - i)
             m = insertion_matrix_at(config, pos, vel, legs, len(variations))
@@ -503,8 +511,20 @@ def _jacobi(rng, k: int) -> float:
     return 0.0 if jacobi_residual(*cycles).is_zero else 1.0
 
 
+def _phase_model(k: int) -> GradedPhaseModel:
+    """The model of bracket-axioms instance k: an even Darboux pair for
+    even k, else a Koszul model, whose odd BV generator is xd c."""
+    if k % 2 == 0:
+        return GradedPhaseModel([("q", 0), ("p", 0)], {("q", "p"): Fraction(1)}, d=2)
+    return GradedPhaseModel(
+        [("x", 0), ("c", 1), ("xd", 1), ("cd", 0)],
+        {("x", "xd"): Fraction(1), ("c", "cd"): Fraction(1)},
+        d=1,
+    )
+
+
 def _bracket_axioms(rng, k: int) -> float:
-    model = (_EVEN, _KOSZUL)[k % 2]
+    model = _phase_model(k)
     hi = 2 if any(model.parities) else 1
     pp, pq, pr = (int(x) for x in rng.integers(0, hi, size=3))
     p = _rand_poly(model, rng, pp)
@@ -523,8 +543,8 @@ def _bracket_axioms(rng, k: int) -> float:
         - graded_bracket(q, graded_bracket(p, r)).scale((-1) ** ((pp + d) * (pq + d)))
     )
     holds = anti.is_zero and leib.is_zero and jac.is_zero
-    if model is _KOSZUL:
-        holds = holds and delta_and_nilpotency(_S_KOSZUL, p)[1].is_zero
+    if k % 2:
+        holds = holds and delta_and_nilpotency(model.monomial(1, "xd", "c"), p)[1].is_zero
     return 0.0 if holds else 1.0
 
 
@@ -549,12 +569,15 @@ def _chord_4t(rng, k: int) -> float:
 def _chord_ideal(rng, k: int) -> float:
     n = N_LIST[k % len(N_LIST)]
     conn = _rand_conn(rng, n)
+    # the one crossing of the two lines, and their concatenation there
+    cross = intersections(_LINE_A, _LINE_B)[0]
     two = ChordDiagram([(f"std:{n}", ("p",)), (f"std:{n}", ("q",))], [("p", "q")])
     chorded = evaluate_diagram(
-        DiagramRealization(two, [_LINE_A, _LINE_B], {"p": _CROSS.s, "q": _CROSS.s_bar}), conn
+        DiagramRealization(two, [_LINE_A, _LINE_B], {"p": cross.s, "q": cross.s_bar}), conn
     )
     merged = gln_ideal_element(two, ("p", "q"))[1][1]
-    smoothed = evaluate_diagram(DiagramRealization(merged, [_CAT], {}), conn)
+    cat = concatenate(_LINE_A, _LINE_B, cross)
+    smoothed = evaluate_diagram(DiagramRealization(merged, [cat], {}), conn)
     s_a, s_b = _ZIG_S
     one = ChordDiagram([(f"std:{n}", ("a", "b"))], [("a", "b")])
     val = evaluate_diagram(DiagramRealization(one, [_ZIG], {"a": s_a, "b": s_b}), conn)

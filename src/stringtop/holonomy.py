@@ -8,7 +8,10 @@ On a straight segment the transport is exp(A(delta x)); the direction
 matrices commute (``ConstantCommutingConnection`` validates it), so the
 ordered product of those factors telescopes to exp(A(x(t) - x(s))), with
 both points read off the loop's integer lift. It is exact up to machine
-rounding, and no step subdivision is involved.
+rounding, and no step subdivision is involved. The connection computes
+one exponential per distinct displacement and keeps it
+(``ConstantCommutingConnection.exp``): every lap of a loop, from any base
+point, has the loop's closure as its displacement, so the laps share one.
 
 Generalized transport inserts a matrix-valued Grassmann field C along the
 path, resummed into an effective connection: the transport solves
@@ -103,7 +106,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from stringtop.fields import ConstantCommutingConnection, FieldConfig, FourierStack
 from stringtop.geometry import PLLoop, VariationField, _rat
@@ -177,12 +179,19 @@ def transport(conn: ConstantCommutingConnection, loop: PLLoop, s=Fraction(0), t=
     exp(A(delta x)) holds because the direction matrices of A commute,
     which the connection's constructor validates. s == t gives the
     identity exactly, as exp of the zero matrix.
+
+    The exponential is ``conn.exp``: one per distinct displacement,
+    memoized on the connection, so every based lap of a loop (whose
+    displacement is its closure) and every repeated hop costs one lookup.
+    The result is read-only.
     """
     s = _rat(s)
     t = _rat(t)
-    if not (0 <= s <= 1 and s <= t <= s + 1):
+    # s = a/b and t = c/d with b, d > 0, compared on integers
+    a, b, c, d = s.numerator, s.denominator, t.numerator, t.denominator
+    if not (0 <= a <= b and a * d <= c * b <= (a + b) * d):
         raise ValueError("need 0 <= s <= 1 and s <= t <= s + 1")
-    return expm(conn.matrix_of(_displacement(loop, s, t)))
+    return conn.exp(_displacement(loop, s, t))
 
 
 # ---------------------------------------------------------------------------

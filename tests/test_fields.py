@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from stringtop.fields import (
+    EXP_MEMO_CAP,
     ConstantCommutingConnection,
     FieldConfig,
     FourierField,
@@ -140,6 +142,72 @@ def test_connection_contraction_and_gauge():
         transport(zero, loop, Fraction(1, 3), Fraction(6, 5)),
     ):
         assert np.array_equal(u, np.eye(2))
+
+
+def gauged_connection():
+    """diag_connection conjugated by a fixed g, so no matrix is diagonal."""
+    return diag_connection().gauge(np.array([[1.0, 0.4j], [-0.2, 1.0]]))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_connection_matrices_are_read_only_copies():
+    a1, a2 = np.diag([0.2 + 0j, -0.1]), np.diag([-0.3 + 0j, 0.15])
+    conn = ConstantCommutingConnection([a1, a2])
+    for m in conn.mats:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+    # the caller's arrays stay writable, and writing them changes no connection
+    a1[0, 0] = 7.0
+    assert conn.mats[0][0, 0] == 0.2
+
+
+def test_every_based_lap_is_one_kept_exponential_of_the_closure():
+    # U(s, s + 1) has displacement closure + x(s) - x(s), formed from
+    # integers as exactly float(closure): every lap is the same exponential
+    conn = gauged_connection()
+    loop = PLLoop(Torus(2), [(0, 0), (Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), Fraction(-1, 5))], closure=(1, 2))
+    fresh = expm(conn.matrix_of([float(c) for c in loop.closure]))
+    first = transport(conn, loop)
+    assert same_bits(first, fresh)
+    for s in (Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(1)):
+        assert transport(conn, loop, s, s + 1) is first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0
+    # a repeated span is the kept object too
+    hop = transport(conn, loop, Fraction(1, 3), Fraction(6, 5))
+    assert transport(conn, loop, Fraction(1, 3), Fraction(6, 5)) is hop
+    assert not hop.flags.writeable
+
+
+def test_connections_keep_their_own_exponentials():
+    conn = gauged_connection()
+    twin = ConstantCommutingConnection(conn.mats)
+    gauged = conn.gauge(np.array([[1.0, 0.3], [0.1, 1.0]]))
+    loop = PLLoop(Torus(2), [(0, 0), (Fraction(1, 2), Fraction(1, 3))], closure=(1, 1))
+    u, u_twin, u_gauged = (transport(c, loop) for c in (conn, twin, gauged))
+    assert same_bits(u, u_twin) and u is not u_twin
+    kept = [c._exps for c in (conn, twin, gauged)]
+    assert all(len(memo) == 1 for memo in kept)
+    ids = [id(m) for memo in kept for m in memo.values()]
+    assert len(set(ids)) == 3 and u_gauged is not u
+
+
+def test_past_the_cap_exponentials_are_computed_and_not_kept():
+    conn = gauged_connection()
+    displacements = [(k / 7, -k / 11) for k in range(EXP_MEMO_CAP + 8)]
+    for d in displacements:
+        assert same_bits(conn.exp(d), expm(conn.matrix_of(d)))
+    assert len(conn._exps) == EXP_MEMO_CAP
+    for d in displacements[EXP_MEMO_CAP:]:
+        u = conn.exp(d)
+        assert same_bits(u, expm(conn.matrix_of(d))) and not u.flags.writeable
+        assert conn.exp(d) is not u
+    # the kept ones are still served
+    assert conn.exp(displacements[0]) is conn.exp(displacements[0])
+    assert len(conn._exps) == EXP_MEMO_CAP
 
 
 # -- field configurations -------------------------------------------------------

@@ -6,12 +6,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from stringtop import harness
 from stringtop.harness import CHECK_NAMES, SuiteConfig, _retrying, _run_one, run_suite, strip_runtime
+from stringtop.lierep import SuperMatrix
 from stringtop.strings import TransversalityError
 
 
@@ -191,3 +196,52 @@ def test_a_non_finite_residual_fails_the_check_and_names_the_instance(monkeypatc
     report = run_suite(SuiteConfig(counts={"gln": 2}), ["gln"])
     report.validate()
     assert not report.passed
+
+
+def test_a_diverging_integration_stops_at_its_budget_and_fails_the_check(monkeypatch):
+    # an insertion of 1e4 times the identity makes U grow as exp(1e4 t):
+    # DOP853 would shrink its steps without end, so the budget ends it
+    evaluations = []
+
+    def diverging(config, pos, vel, leg_values, n_legs):
+        evaluations.append(1)
+        return SuperMatrix.from_body(1e4 * np.eye(config.n), config.n_theta + n_legs)
+
+    monkeypatch.setattr(harness, "insertion_matrix_at", diverging)
+    message = f"the integrator took more than {harness.ODE_MAX_RHS} right-hand-side evaluations"
+    (record,) = run_suite(SuiteConfig(), ["transport-accuracy"]).records
+    assert (record.passed, record.error, record.instances) == (False, f"QuadratureError: {message}", 0)
+    assert len(evaluations) == harness.ODE_MAX_RHS
+
+
+# importing the suite runner after the crossing layer broke, then running
+# the default suite; prints each check's verdict and error
+BROKEN_CROSSINGS = """
+import json
+from stringtop import strings
+
+def broken(loop, other):
+    raise RuntimeError("crossings broken")
+
+strings._crossings = broken
+from stringtop.harness import SuiteConfig, run_suite
+
+print(json.dumps({r.check: [r.passed, r.error] for r in run_suite(SuiteConfig()).records}))
+"""
+
+
+def test_a_broken_crossing_layer_fails_its_checks_and_not_the_import():
+    # the fixtures that call the crossing layer are built per instance, so
+    # only the checks that use crossings fail, each with the error
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", BROKEN_CROSSINGS], cwd=src, capture_output=True, text=True, timeout=300, check=True
+    )
+    verdicts = json.loads(done.stdout.splitlines()[-1])
+    failing = {"goldman", "main-theorem", "jacobi", "chord-ideal"}
+    assert list(verdicts) == list(CHECK_NAMES)
+    for name, (passed, error) in verdicts.items():
+        if name in failing:
+            assert (passed, error) == (False, "RuntimeError: crossings broken"), name
+        else:
+            assert (passed, error) == (True, None), name

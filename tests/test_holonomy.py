@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stringtop import holonomy
+from stringtop import fields, holonomy
 from stringtop.fields import (
     ConstantCommutingConnection,
     FieldConfig,
@@ -180,6 +180,24 @@ def test_transport_parameter_validation():
     for route in routes:
         with pytest.raises(TypeError, match="Fraction or an int"):
             route(0.1)
+
+
+def test_the_span_check_on_integers_accepts_what_the_fraction_predicate_does():
+    # every s and t with denominators up to 12 in [-1, 3], so s = 0 and 1,
+    # t = s and t = s + 1 are all on the grid
+    conn, loop = diag_connection(), wiggly_loop()
+    grid = sorted({F(p, q) for q in range(1, 13) for p in range(-q, 3 * q + 1)})
+    accepted = 0
+    for s in grid:
+        for t in grid:
+            if 0 <= s <= 1 and s <= t <= s + 1:
+                transport(conn, loop, s, t)
+                accepted += 1
+            else:
+                with pytest.raises(ValueError) as err:
+                    transport(conn, loop, s, t)
+                assert str(err.value) == "need 0 <= s <= 1 and s <= t <= s + 1"
+    assert accepted > 1000
 
 
 def test_walk_floats_are_the_floats_of_the_exact_vertices():
@@ -711,10 +729,11 @@ def test_block_exponential_that_needs_more_than_59_terms_raises():
 
 def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
     # every grid shares one walk table of the segments, read once; the
-    # connection steps in the slot basis, so no grid calls expm
+    # connection steps in the slot basis, so no grid calls expm, which
+    # only the connection's own exponential (``fields``) calls
     conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
     calls = collections.Counter()
-    walk, expm_, fixed = holonomy._Walk, holonomy.expm, holonomy._gen_transport_fixed
+    walk, expm_, fixed = holonomy._Walk, fields.expm, holonomy._gen_transport_fixed
 
     def counting(name, function):
         def wrapped(*args):
@@ -724,7 +743,7 @@ def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(holonomy, "_Walk", counting("walks", walk))
-    monkeypatch.setattr(holonomy, "expm", counting("expm", expm_))
+    monkeypatch.setattr(fields, "expm", counting("expm", expm_))
     monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting("grids", fixed))
     gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-10))
     assert calls["grids"] >= 4

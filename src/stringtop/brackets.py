@@ -93,10 +93,9 @@ def wilson_field_bracket(loop: PLLoop, loopbar: PLLoop, conn) -> complex:
     h = U(s, s + 1) on the loop and hb = U(s_bar, s_bar + 1) on loopbar,
     as tr(h hb) (Goldman, Invent. Math. 85, 1986). The basis-summed and
     fused-trace contractions are both computed and must agree to PATH_TOL
-    relative to the product of the Frobenius norms of h and hb. Plain
-    transports are single exponentials, so no discretization plan is
-    involved; their closed form needs the connection flat, which its
-    constructor checks.
+    relative to the product of the Frobenius norms of h and hb. The
+    holonomies are the connection's own ``transport``, so no
+    discretization plan is involved.
     """
     pts = intersections(loop, loopbar)
     basis = LieBasis(conn.n)

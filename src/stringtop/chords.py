@@ -12,7 +12,8 @@ The contraction runs as plain einsum steps compiled once per diagram shape
 from numpy's greedy path (``_contraction_steps``); the Casimir tensor is
 built on every call, so no cache holds representation data.
 Each circle closes with one plain transport over its marked point, a
-forward span of the loop's periodic lift.
+forward span of the loop's periodic lift; every plain transport is the
+connection's own ``transport``.
 Two circles joined by one arc at a crossing, summed over the crossings with
 their signs, give the observable bracket ``brackets.wilson_field_bracket``.
 """
@@ -248,8 +249,8 @@ def evaluate_diagram(realization: DiagramRealization, conn) -> complex:
     trace form; insertions follow the circles' traversal order, with a
     plain transport between consecutive endpoint parameters. The last hop
     runs from the last endpoint over the marked point to the first, the
-    span (s_last, s_first + 1) on the loop's periodic lift. Plain
-    transports are single exponentials, so no discretization plan is
+    span (s_last, s_first + 1) on the loop's periodic lift. The hops are
+    the connection's own ``transport``, so no discretization plan is
     involved.
 
     The whole value is one tensor contraction (Bar-Natan's gl(N) weight

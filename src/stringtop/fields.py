@@ -28,12 +28,13 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from stringtop.geometry import Torus
+from stringtop.geometry import PLLoop, Torus, _rat
 from stringtop.grassmann import merge_sign
 
 
@@ -155,19 +156,32 @@ class FourierStack:
 EXP_MEMO_CAP = 64
 
 
+def _displacement(loop: PLLoop, s: Fraction, t: Fraction) -> list[float]:
+    """x(t) - x(s) on the periodic lift, as floats.
+
+    A t past 1 is read one lap on, as closure + x(t - 1). x(s) and x(t)
+    are integer points over their denominators (``PLLoop.lift_point``), so
+    each coordinate is one correctly rounded quotient of integers.
+    """
+    den_s, x_s = loop.lift_point(s)
+    if t > 1:
+        den_t, x_t = loop.lift_point(t - 1)
+        x_t = [b + c * den_t for b, c in zip(x_t, loop.closure)]
+    else:
+        den_t, x_t = loop.lift_point(t)
+    return [(b * den_s - a * den_t) / (den_s * den_t) for a, b in zip(x_s, x_t)]
+
+
 class ConstantCommutingConnection:
     """A = A_1 dx^1 + A_2 dx^2 with constant commuting matrices on T^2.
 
     dA = 0 for constant coefficients and A ^ A = [A_1, A_2] dx^1 dx^2, so
     commutation is exactly flatness; it is validated at construction,
     once, relative to the matrix scale. The matrices are copied and made
-    read-only, so they never change afterwards. The single-exponential
-    ``holonomy.transport`` relies on it: any forward span of a loop's
-    periodic lift, including one over the marked point, is
-    exp(A(x(t) - x(s))), and ``exp`` computes that once per distinct
-    displacement and keeps it on the connection. There is one matrix per
-    torus direction: ``field_obstruction`` gives A_mu the form bit of
-    dx^mu.
+    read-only, so they never change afterwards. ``transport`` is where
+    the commutation is used: it makes the transport of any forward span
+    one exponential. There is one matrix per torus direction:
+    ``field_obstruction`` gives A_mu the form bit of dx^mu.
     """
 
     def __init__(self, mats: Sequence[np.ndarray]) -> None:
@@ -195,16 +209,32 @@ class ConstantCommutingConnection:
         # depend on the sign of a zero entry
         return 0.0 + float(v1) * a1 + float(v2) * a2
 
-    def exp(self, displacement: Sequence[float]) -> np.ndarray:
-        """exp(A(displacement)), read-only, memoized per displacement.
+    def transport(self, loop: PLLoop, s, t) -> np.ndarray:
+        """U(s, t) = exp(A(x(t) - x(s))): one exponential, exact up to rounding.
 
-        The same floats give the same ``matrix_of`` and so the same
-        exponential bits, whether the result is new or kept. A zero of
-        either sign gives the same matrix (``matrix_of`` starts from +0.0),
-        so the floats' equality is the right key. Past ``EXP_MEMO_CAP``
-        displacements, results are computed and not kept.
+        The span runs forward on the loop's periodic lift, 0 <= s <= 1 and
+        s <= t <= s + 1: a t past 1 crosses the marked point, U(s, 1) U(0, t - 1).
+        On a straight segment the transport is exp(A(delta x)), and the
+        direction matrices commute, so the ordered product of those factors
+        telescopes to this closed form, with both points read off the loop's
+        integer lift. No step subdivision is involved. s == t gives the
+        identity exactly, as exp of the zero matrix.
+
+        The result is read-only and kept per distinct displacement, so every
+        based lap of a loop (whose displacement is its closure) and every
+        repeated hop costs one lookup. The same floats give the same
+        ``matrix_of`` and so the same bits, whether the result is new or
+        kept; a zero of either sign gives the same matrix (``matrix_of``
+        starts from +0.0), so the floats' equality is the right key. Past
+        ``EXP_MEMO_CAP`` displacements, results are computed and not kept.
         """
-        key = tuple(displacement)
+        s = _rat(s)
+        t = _rat(t)
+        # s = a/b and t = c/d with b, d > 0, compared on integers
+        a, b, c, d = s.numerator, s.denominator, t.numerator, t.denominator
+        if not (0 <= a <= b and a * d <= c * b <= (a + b) * d):
+            raise ValueError("need 0 <= s <= 1 and s <= t <= s + 1")
+        key = tuple(_displacement(loop, s, t))
         out = self._exps.get(key)
         if out is None:
             out = expm(self.matrix_of(key))

@@ -310,10 +310,10 @@ def transport_by_pieces(conn, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.
 
     Each piece of one segment contributes exp(A(b - a)), its end points a
     and b formed as Fractions by ``point_at``. The product runs in path
-    order and never merges exponentials, so it equals ``transport``'s
-    single exponential only because the direction matrices commute. Each
-    factor is scipy's ``expm`` called here, not the connection's memoized
-    ``exp``, so the oracle shares no kept exponential with ``transport``.
+    order and never merges exponentials, so it equals the connection's
+    ``transport`` only because the direction matrices commute. Each factor
+    is scipy's ``expm`` called here, not one the connection keeps, so the
+    oracle shares no kept exponential with ``transport``.
     """
     out = np.eye(conn.n, dtype=complex)
     for _, lo, hi in _pieces(loop, Fraction(s), Fraction(t)):

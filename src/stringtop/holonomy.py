@@ -3,15 +3,9 @@
 Transports are path-ordered products along a PL loop, earliest factor
 leftmost:  U(s, u) U(u, t) = U(s, t).
 
-Plain transport of a constant commuting connection is one exponential.
-On a straight segment the transport is exp(A(delta x)); the direction
-matrices commute (``ConstantCommutingConnection`` validates it), so the
-ordered product of those factors telescopes to exp(A(x(t) - x(s))), with
-both points read off the loop's integer lift. It is exact up to machine
-rounding, and no step subdivision is involved. The connection computes
-one exponential per distinct displacement and keeps it
-(``ConstantCommutingConnection.exp``): every lap of a loop, from any base
-point, has the loop's closure as its displacement, so the laps share one.
+Plain transport is a property of the connection: ``transport`` hands the
+span to ``ConstantCommutingConnection.transport``, which states its closed
+form and keeps its exponentials.
 
 Generalized transport inserts a matrix-valued Grassmann field C along the
 path, resummed into an effective connection: the transport solves
@@ -108,7 +102,7 @@ from typing import Sequence
 import numpy as np
 
 from stringtop.fields import ConstantCommutingConnection, FieldConfig, FourierStack
-from stringtop.geometry import PLLoop, VariationField, _rat
+from stringtop.geometry import PLLoop, VariationField
 from stringtop.grassmann import GradedCoefficient, merge_sign
 from stringtop.lierep import SuperMatrix, product, regular
 
@@ -154,44 +148,10 @@ DEFAULT_PLAN = TransportPlan()
 # plain transport (exact)
 
 
-def _displacement(loop: PLLoop, s: Fraction, t: Fraction) -> list[float]:
-    """x(t) - x(s) on the periodic lift, as floats.
-
-    A t past 1 is read one lap on, as closure + x(t - 1). x(s) and x(t)
-    are integer points over their denominators (``PLLoop.lift_point``), so
-    each coordinate is one correctly rounded quotient of integers.
-    """
-    den_s, x_s = loop.lift_point(s)
-    if t > 1:
-        den_t, x_t = loop.lift_point(t - 1)
-        x_t = [b + c * den_t for b, c in zip(x_t, loop.closure)]
-    else:
-        den_t, x_t = loop.lift_point(t)
-    return [(b * den_s - a * den_t) / (den_s * den_t) for a, b in zip(x_s, x_t)]
-
-
 def transport(conn: ConstantCommutingConnection, loop: PLLoop, s=Fraction(0), t=Fraction(1)) -> np.ndarray:
-    """U(s, t) = exp(A(x(t) - x(s))): one exponential, exact up to rounding.
-
-    The span runs forward on the loop's periodic lift, 0 <= s <= 1 and
-    s <= t <= s + 1: a t past 1 crosses the marked point, U(s, 1) U(0, t - 1).
-    The closed form of the ordered product of per-segment factors
-    exp(A(delta x)) holds because the direction matrices of A commute,
-    which the connection's constructor validates. s == t gives the
-    identity exactly, as exp of the zero matrix.
-
-    The exponential is ``conn.exp``: one per distinct displacement,
-    memoized on the connection, so every based lap of a loop (whose
-    displacement is its closure) and every repeated hop costs one lookup.
-    The result is read-only.
-    """
-    s = _rat(s)
-    t = _rat(t)
-    # s = a/b and t = c/d with b, d > 0, compared on integers
-    a, b, c, d = s.numerator, s.denominator, t.numerator, t.denominator
-    if not (0 <= a <= b and a * d <= c * b <= (a + b) * d):
-        raise ValueError("need 0 <= s <= 1 and s <= t <= s + 1")
-    return conn.exp(_displacement(loop, s, t))
+    """U(s, t), the plain transport of ``conn`` over a forward span of the
+    loop's periodic lift: ``ConstantCommutingConnection.transport``."""
+    return conn.transport(loop, s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,14 @@ coefficients, a constant-pairing bracket in Darboux form, and the
 differential delta = {S; .} for a generator S solving the master
 equation {S; S} = 0.
 
-A polynomial stores one positive integer denominator ``den`` and a
-numerator per normal key. Exact coefficients are integer numerators over
-``den``; float coefficients are floats over 1. Sums, products and brackets
-accumulate plain numbers, and one normalization step (the constructor)
-drops zeros, sorts the keys and divides out gcd(den, numerators); a float
-numerator there folds ``den`` into the numerators. The ``terms`` view
-keeps the coefficient types: ``Fraction`` for exact coefficients (ints
-are converted), and floats stay floats. The model's pairing is converted
-once to numerators over one common denominator.
+A coefficient is an int or a ``Fraction``; any other type raises
+``TypeError``. A polynomial stores one positive integer denominator
+``den`` and an integer numerator per normal key. Sums, products and
+brackets accumulate integers, and one normalization step (the
+constructor) drops zeros, sorts the keys and divides out
+gcd(den, numerators). The ``terms`` view gives each coefficient as a
+``Fraction``. The model's pairing is converted once to numerators over
+one common denominator.
 
 A product merges two keys already in normal form, so only
 ``GradedPhaseModel.monomial`` normalizes a word. The merge of two keys is
@@ -41,22 +40,11 @@ class MasterEquationError(RuntimeError):
     """Raised when {S; S} != 0 for a proposed differential generator."""
 
 
-def _coerce_scalar(value):
-    """Accept exact or floating scalars; an int becomes a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (float, complex)):
-        return value
-    raise TypeError(f"unsupported coefficient type {type(value).__name__}")
-
-
-def _ratio(value):
-    """(numerator, denominator) of a coefficient: a float is itself over 1."""
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int or ``Fraction`` coefficient."""
     if isinstance(value, (int, Fraction)):
         return value.numerator, value.denominator
-    return _coerce_scalar(value), 1
+    raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
 def _swap_sign(p: int, q: int) -> int:
@@ -91,10 +79,10 @@ class GradedPhaseModel:
         self.parities = tuple(parities)
         self.d = int(d)
 
-        omega: dict[tuple[int, int], object] = {}
+        omega: dict[tuple[int, int], Fraction] = {}
         for (na, nb), value in table.items():
             i, j = self.index(na), self.index(nb)
-            value = _coerce_scalar(value)
+            value = Fraction(*_ratio(value))
             if value == 0:
                 continue
             if (parities[i] + parities[j]) % 2 != self.d % 2:
@@ -187,14 +175,10 @@ class GradedPolynomial:
 
     __slots__ = ("model", "den", "nums")
 
-    def __init__(self, model: GradedPhaseModel, den: int, nums: Mapping[tuple[int, ...], object]) -> None:
+    def __init__(self, model: GradedPhaseModel, den: int, nums: Mapping[tuple[int, ...], int]) -> None:
         self.model = model
         nums = {key: nums[key] for key in sorted(nums) if nums[key]}
-        try:
-            g = gcd(den, *nums.values())
-        except TypeError:  # a float numerator: floats over 1
-            nums = {key: value / den for key, value in nums.items()}
-            den, g = 1, 1
+        g = gcd(den, *nums.values())
         self.den = den // g
         self.nums = {key: value // g for key, value in nums.items()} if g > 1 else nums
 
@@ -202,9 +186,9 @@ class GradedPolynomial:
 
     @property
     def terms(self) -> dict:
-        """{normal key: coefficient}: a ``Fraction`` for each exact one, floats as they are."""
+        """{normal key: ``Fraction`` coefficient}."""
         den = self.den
-        return {key: Fraction(v, den) if isinstance(v, int) else v for key, v in self.nums.items()}
+        return {key: Fraction(v, den) for key, v in self.nums.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -255,7 +239,7 @@ class GradedPolynomial:
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._check_model(other)
         parities = self.model.parities
-        acc: dict[tuple[int, ...], object] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for k1, c1 in self.nums.items():
             for k2, c2 in other.nums.items():
                 sign, key = _merge(parities, k1, k2)
@@ -298,7 +282,7 @@ def graded_bracket(P: GradedPolynomial, Q: GradedPolynomial) -> GradedPolynomial
     if Q.model != model:
         raise ValueError("polynomials live on different models")
     parities = model.parities
-    acc: dict[tuple[int, ...], object] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for (i, j), w in model.omega_nums.items():
         left = [(cP * w, kP) for cP, kP in _derivative(P, i, right=True)]
         if not left:

@@ -612,7 +612,7 @@ def evaluate_diagram_enumerated(realization: DiagramRealization, conn) -> comple
 # ``phasespace`` keeps integer numerators over one denominator and merges
 # normal keys through a memoized table. These functions take and return
 # {normal key: coefficient} dicts, compute each coefficient with the
-# coefficients' own arithmetic (``Fraction`` or float, and the model's
+# coefficients' own arithmetic (``Fraction``, and the model's
 # ``omega`` values), and order each product word by counting inversions.
 
 

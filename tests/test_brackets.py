@@ -17,8 +17,10 @@ from stringtop.brackets import (
     wilson_field_bracket,
     wilson_intersection_weight,
 )
+from stringtop.chords import ChordDiagram, DiagramRealization, evaluate_diagram
 from stringtop.fields import ConstantCommutingConnection, FieldConfig, FourierField
 from stringtop.geometry import PLLoop, Torus, VariationField
+from stringtop.harness import _VERT, _ZIG, _ZIG_S, _rand_conn
 from stringtop.lierep import LieBasis
 from stringtop.strings import StringCycle
 
@@ -217,6 +219,35 @@ def test_zero_cycle_gives_zero_residual():
     zero = StringCycle()
     lhs, rhs = main_theorem_sides(zero, StringCycle.from_loop(line((1, 0))), conn)
     assert abs(lhs - rhs) == 0
+
+
+class TransportOnly:
+    """A connection seen only through its fiber size and its transport."""
+
+    __slots__ = ("n", "_conn")
+
+    def __init__(self, conn):
+        self.n = conn.n
+        self._conn = conn
+
+    def transport(self, loop, s, t):
+        return self._conn.transport(loop, s, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_brackets_and_diagrams_read_only_the_connections_transport(n):
+    conn, twin = (_rand_conn(np.random.default_rng(n), n) for _ in range(2))
+    seam = TransportOnly(twin)
+    zig, vert = StringCycle.from_loop(_ZIG), StringCycle.from_loop(_VERT)
+    one = ChordDiagram([(f"std:{n}", ("a", "b"))], [("a", "b")])
+    chord = DiagramRealization(one, [_ZIG], dict(zip("ab", _ZIG_S)))
+    for value in (
+        lambda c: wilson_field_bracket(_ZIG, _VERT, c),
+        lambda c: main_theorem_sides(zig, vert, c),
+        lambda c: evaluate_diagram(chord, c),
+    ):
+        want, got = value(conn), value(seam)
+        assert np.array_equal(got, want) and np.all(np.asarray(want) != 0)
 
 
 # -- fundamental identity ---------------------------------------------------------

@@ -196,17 +196,21 @@ def test_connections_keep_their_own_exponentials():
 
 
 def test_past_the_cap_exponentials_are_computed_and_not_kept():
+    # the spans (0, k/m) of a class-(1, 1) line have the m distinct
+    # displacements (k/m, k/m), each a correctly rounded quotient
     conn = gauged_connection()
-    displacements = [(k / 7, -k / 11) for k in range(EXP_MEMO_CAP + 8)]
-    for d in displacements:
-        assert same_bits(conn.exp(d), expm(conn.matrix_of(d)))
+    loop = PLLoop(Torus(2), [(0, 0)], closure=(1, 1))
+    m = EXP_MEMO_CAP + 8
+    for k in range(m):
+        u = conn.transport(loop, 0, Fraction(k, m))
+        assert same_bits(u, expm(conn.matrix_of((k / m, k / m))))
     assert len(conn._exps) == EXP_MEMO_CAP
-    for d in displacements[EXP_MEMO_CAP:]:
-        u = conn.exp(d)
-        assert same_bits(u, expm(conn.matrix_of(d))) and not u.flags.writeable
-        assert conn.exp(d) is not u
+    for k in range(EXP_MEMO_CAP, m):
+        u = conn.transport(loop, 0, Fraction(k, m))
+        assert same_bits(u, expm(conn.matrix_of((k / m, k / m)))) and not u.flags.writeable
+        assert conn.transport(loop, 0, Fraction(k, m)) is not u
     # the kept ones are still served
-    assert conn.exp(displacements[0]) is conn.exp(displacements[0])
+    assert conn.transport(loop, 0, 0) is conn.transport(loop, 0, 0)
     assert len(conn._exps) == EXP_MEMO_CAP
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stringtop import brackets, chords, holonomy, strings
+from stringtop import brackets, chords, fields, holonomy, strings
 from stringtop.harness import SuiteConfig, run_suite
 from stringtop.lierep import LieBasis
 
@@ -69,9 +69,9 @@ def obstruction_without_cc(monkeypatch):
 
 def displacement_from_zero(monkeypatch):
     """Plain transport reads x(s) at 0: U(s, t) becomes U(0, t)."""
-    displacement = holonomy._displacement
+    displacement = fields._displacement
     monkeypatch.setattr(
-        holonomy, "_displacement", lambda loop, s, t: displacement(loop, Fraction(0), t)
+        fields, "_displacement", lambda loop, s, t: displacement(loop, Fraction(0), t)
     )
 
 

@@ -43,7 +43,7 @@ KOSZUL = GradedPhaseModel(
 )
 
 
-def rand_poly(model, rng, parity=None, n_terms=3, kind=Fraction):
+def rand_poly(model, rng, parity=None, n_terms=3):
     n = len(model.names)
     while True:
         poly = model.zero()
@@ -53,10 +53,7 @@ def rand_poly(model, rng, parity=None, n_terms=3, kind=Fraction):
             if parity is not None:
                 if sum(model.parities[i] for i in factors) % 2 != parity:
                     continue
-            if kind is Fraction:
-                coeff = F(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
-            else:  # quarters: every float sum and product below is exact
-                coeff = int(rng.integers(-8, 9)) / 4
+            coeff = F(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
             poly = poly + model.monomial(coeff, *(model.names[i] for i in factors))
         if not poly.is_zero:
             return poly
@@ -119,8 +116,17 @@ def test_constructor_validates_and_normalizes():
     # reordering odd factors costs a sign, and equal keys are summed
     summed = THETA.monomial(1, "t2", "t1") + THETA.monomial(F(1, 2), "t1", "t2")
     assert summed.terms == {(0, 1): F(-1, 2)}
-    with pytest.raises(TypeError, match="unsupported coefficient"):
-        THETA.monomial("1", "q")
+    # coefficients are exact: an int or a Fraction, never a float or complex
+    poly = THETA.monomial(1, "q")
+    for refused in (
+        lambda: THETA.monomial("1", "q"),
+        lambda: THETA.monomial(0.5, "q"),
+        lambda: THETA.monomial(1j),
+        lambda: poly.scale(0.5),
+        lambda: GradedPhaseModel([("q", 0), ("p", 0)], {("q", "p"): 0.5}, 2),
+    ):
+        with pytest.raises(TypeError, match="unsupported coefficient"):
+            refused()
 
 
 @pytest.mark.parametrize("model", [EVEN, ODD, THETA, KOSZUL])
@@ -136,11 +142,9 @@ def test_monomials_and_products_match_the_inversion_count(model):
             assert got.terms == ({key: sign * coeff} if sign else {})
 
 
-@pytest.mark.parametrize(
-    "coeffs,kind", [((2, F(1, 3), -1), Fraction), ((0.5, 1.25, -3.0), float)]
-)
+@pytest.mark.parametrize("coeffs,kind", [((2, F(1, 3), -1), Fraction)])
 def test_coefficient_types_survive_every_operation(coeffs, kind):
-    # ints become Fractions and stay exact; floats stay floats
+    # ints become Fractions and stay exact
     a, b, c = coeffs
     mono = THETA.monomial
     poly = mono(a, "p", "t1") + mono(b, "q") + mono(c, "t2", "q", "t1")
@@ -163,7 +167,7 @@ def test_coefficient_types_survive_every_operation(coeffs, kind):
     assert -poly == poly.scale(-1) and poly - other == poly + other.scale(-1)
 
 
-@pytest.mark.parametrize("kind", [Fraction, float])
+@pytest.mark.parametrize("kind", [Fraction])
 @pytest.mark.parametrize("model", [EVEN, ODD, THETA, KOSZUL])
 def test_numerators_match_the_coefficient_oracle(model, kind):
     # integer numerators over one denominator give the same terms, in
@@ -171,9 +175,9 @@ def test_numerators_match_the_coefficient_oracle(model, kind):
     rng = np.random.default_rng(77)
     par = model.parities
     for _ in range(30):
-        P, Q, R = (rand_poly(model, rng, kind=kind) for _ in range(3))
+        P, Q, R = (rand_poly(model, rng) for _ in range(3))
         p, q, r = P.terms, Q.terms, R.terms
-        s = F(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) if kind is Fraction else 0.75
+        s = F(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
         bqr = graded_terms_bracket(model, q, r)
         cases = [
             (P + Q, graded_terms_sum(p, q)),
@@ -195,7 +199,7 @@ def test_numerators_match_the_coefficient_oracle(model, kind):
         ]
         for got, want in cases:
             assert list(got.terms.items()) == list(want.items())
-            assert [type(v) for v in got.terms.values()] == [type(v) for v in want.values()]
+            assert [type(v) for v in got.terms.values()] == [kind] * len(want)
 
 
 def test_merge_table_is_keyed_by_the_parities():

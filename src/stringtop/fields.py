@@ -157,18 +157,21 @@ EXP_MEMO_CAP = 64
 
 
 def _displacement(loop: PLLoop, s: Fraction, t: Fraction) -> list[float]:
-    """x(t) - x(s) on the periodic lift, as floats.
+    """x(t) - x(s) on the periodic lift, as floats, for a span that
+    ``ConstantCommutingConnection.transport`` has checked.
 
-    A t past 1 is read one lap on, as closure + x(t - 1). x(s) and x(t)
-    are integer points over their denominators (``PLLoop.lift_point``), so
-    each coordinate is one correctly rounded quotient of integers.
+    With t = c/d, a t past 1 (c > d) is read one lap on, as
+    closure + x((c - d)/d). x(s) and x(t) are integer points over their
+    denominators (``PLLoop.lift_at``), so each coordinate is one correctly
+    rounded quotient of integers.
     """
-    den_s, x_s = loop.lift_point(s)
-    if t > 1:
-        den_t, x_t = loop.lift_point(t - 1)
-        x_t = [b + c * den_t for b, c in zip(x_t, loop.closure)]
+    den_s, x_s = loop.lift_at(s.numerator, s.denominator)
+    c, d = t.numerator, t.denominator
+    if c > d:
+        den_t, x_t = loop.lift_at(c - d, d)
+        x_t = [b + k * den_t for b, k in zip(x_t, loop.closure)]
     else:
-        den_t, x_t = loop.lift_point(t)
+        den_t, x_t = loop.lift_at(c, d)
     return [(b * den_s - a * den_t) / (den_s * den_t) for a, b in zip(x_s, x_t)]
 
 

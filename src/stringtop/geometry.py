@@ -300,6 +300,11 @@ class PLLoop:
         tn, td = t.numerator, t.denominator
         if not 0 <= tn <= td:
             raise ValueError("parameter must lie in [0, 1]")
+        return self.lift_at(tn, td)
+
+    def lift_at(self, tn: int, td: int) -> tuple[int, tuple[int, ...]]:
+        """``lift_point`` at t = tn/td, read from integers 0 <= tn <= td,
+        td > 0, that the caller has checked."""
         den, pts = self._lift
         i, rem = divmod(tn * (len(pts) - 1), td)
         if not rem:

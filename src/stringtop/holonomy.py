@@ -56,27 +56,32 @@ regular matrices R_q, and the walk table of the loop's segments
 (``_Walk``: start, velocity, leg start values and slopes).
 
 A generalized transport always runs around the whole loop [0, 1], as the
-traces of the Wilson loops need it. The grid is walked in blocks of at
-most ``BLOCK`` step exponentials, two per step, which may span segments.
-The fields of all the slots are evaluated at the block's nodes in one
-Fourier pass (``fields.FourierStack``). A block's step exponentials are
-one Taylor series on the unit columns of all of them side by side, an
+traces of the Wilson loops need it. Each grid is walked in blocks of at
+most ``BLOCK`` step exponentials, two per step, which may span segments,
+and all the grids a plan asks for at once are walked in lockstep: one
+pass takes the r-th block of every grid (``_gen_transports``). The
+fields of all the slots are evaluated at the pass's nodes in one Fourier
+pass (``fields.FourierStack``). The pass's step exponentials are one
+Taylor series on the unit columns of all of them side by side, an
 (|S|, n, n, b) term. R_q is nonzero only in the column blocks U that are
 disjoint from the slot's mask and whose union with it is in S, and only
 those P blocks are kept, packed side by side. Each Taylor term is one
 GEMM of the packed blocks with the gathered components term[U_p], each
-weighted by the exponent's coefficient of q_p over k. The term count is
-fixed before the loop from the norm bound
+weighted by the exponent's coefficient of q_p over k. Each block's term
+count is fixed before the loop from its norm bound
 rho = max_j sum_q |coefficient| ||R_q||_inf, as the first K with
 rho^K / K! < 1e-17 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011,
 choose the degree of the action of a matrix exponential the same way).
-The block's exponentials are then multiplied pairwise into one component
-stack. The largest arrays are the regular matrices of that product's
-first pair level, BLOCK/2 (|S| n)^2 entries, and the weighted Taylor
-term, P n^2 BLOCK entries, so the working memory does not grow with the
-steps the plan takes. No dense stack of K(t) is formed while stepping.
-The running product of the blocks stays on S, and the transport becomes
-a ``SuperMatrix`` over all 2^N masks only when it is returned.
+Each block's exponentials are then multiplied pairwise into one
+component stack, in the same pairs as the block alone. A pass holds at
+most one block per grid, so at most three blocks under a tolerance plan.
+The largest arrays are the regular matrices of the product's first pair
+level, BLOCK/2 (|S| n)^2 entries per block, and the weighted Taylor term,
+P n^2 BLOCK entries per block, so the working memory does not grow with
+the steps the plan takes. No dense stack of K(t) is formed while
+stepping. The running product of each grid's blocks stays on S, and the
+transport becomes a ``SuperMatrix`` over all 2^N masks only when it is
+returned.
 
 ``insertion_derivative`` steps the same way: the insertion of a second
 field eta is the epsilon-part of the transport of C + epsilon eta, with
@@ -88,7 +93,8 @@ generalized transport applies one Richardson level in h^4, which leaves
 an error of order h^6; with a tolerance set, steps double until two
 successive extrapolated values agree, up to a hard cap per segment on
 the finest grid evaluated (then ``QuadratureError``). A level's fine grid
-is the next level's coarse grid, and each grid is evaluated once.
+is the next level's coarse grid, and each grid is evaluated once; the
+grids every plan needs are stepped in one pass.
 """
 
 from __future__ import annotations
@@ -122,7 +128,9 @@ class TransportPlan:
     Every plan applies one Richardson level: the values T_S and T_{2S} on
     grids of S and 2S steps per segment combine as (16 T_{2S} - T_S) / 15,
     valid because the fourth-order step's error is even in h. Each step
-    takes two step exponentials.
+    takes two step exponentials. The grids S and 2S, and under a tolerance
+    4S if within ``MAX_STEPS``, are stepped together in one walk of the
+    loop; each finer level steps its fine grid alone.
 
     steps: S, steps per segment on the coarse grid; the first level's
         fine grid, 2 S, must not exceed ``MAX_STEPS``.
@@ -157,7 +165,7 @@ def transport(conn: ConstantCommutingConnection, loop: PLLoop, s=Fraction(0), t=
 # ---------------------------------------------------------------------------
 # insertion matrices in the slot basis
 
-BLOCK = 256  # step exponentials per block, two per step: one GEMM per Taylor term serves them all
+BLOCK = 256  # step exponentials per block of one grid, two per step: one GEMM per Taylor term serves a pass
 
 
 def _support(config: FieldConfig, n_legs: int) -> tuple[int, ...]:
@@ -288,38 +296,51 @@ class _Slots:
         blocks = regs.reshape(q, size * n, size, n)[self.block_slot, :, self.block_mask]
         return blocks.transpose(1, 0, 2).reshape(size * n, -1), np.abs(regs).sum(axis=2).max(axis=1, initial=0.0)
 
-    def exp(self, coeffs: np.ndarray) -> np.ndarray:
-        """exp(sum_q coeffs[q, j] B_q) for every column j of a block, as
-        the (b, |S|, n, n) component stacks.
+    def exp(self, coeffs: np.ndarray, widths: Sequence[int] | None = None) -> np.ndarray:
+        """exp(sum_q coeffs[q, j] B_q) for every column j, as the
+        (b, |S|, n, n) component stacks; the columns are blocks of the
+        given widths side by side, one block if None.
 
-        The Taylor series runs on the unit columns of all the block's
-        matrices at once, side by side in one (|S|, n, n, b) term:
+        The Taylor series runs on the unit columns of all the matrices at
+        once, side by side in one (|S|, n, n, b) term:
         term_k = sum_q R_q (coeffs[q] / k) term_{k-1} is one product of the
         packed nonzero blocks of the R_q with the gathered components
         term_{k-1}[U_p], each weighted by coeffs[q_p] / k. The term count K
-        is fixed up front as the first with rho^K / K! < 1e-17,
-        rho = max_j sum_q |coeffs[q, j]| ||R_q||_inf, which bounds every
-        entry of term K; more than 59 terms raise.
+        is set per block, up front, as the first with rho^K / K! < 1e-17,
+        rho = max_j sum_q |coeffs[q, j]| ||R_q||_inf over the block's
+        columns, which bounds every entry of its term K; more than 59 terms
+        raise. The blocks run in descending K, so term k is one product on
+        the columns still live; they are reordered only when not already.
         """
         packed, norms = self.regulars
         size, n, b = len(self.support), self.n, coeffs.shape[1]
-        rho = float((np.abs(coeffs) * norms[:, None]).sum(axis=0).max(initial=0.0))
-        terms, bound = 1, rho
-        while not bound < 1e-17:
-            terms += 1
-            if terms > 59:
-                raise QuadratureError("insertion exponential failed to converge")
-            bound *= rho / terms
+        widths = [b] if widths is None else list(widths)
+        starts = np.cumsum([0, *widths[:-1]])
+        counts = []
+        for rho in np.maximum.reduceat((np.abs(coeffs) * norms[:, None]).sum(axis=0), starts).tolist():
+            terms, bound = 1, rho
+            while not bound < 1e-17:
+                terms += 1
+                if terms > 59:
+                    raise QuadratureError("insertion exponential failed to converge")
+                bound *= rho / terms
+            counts.append(terms)
+        order = sorted(range(len(widths)), key=counts.__getitem__, reverse=True)
+        cols = None
+        if order != sorted(order):
+            cols = np.concatenate([np.arange(starts[i], starts[i] + widths[i]) for i in order])
+            coeffs = coeffs[:, cols]
         term = np.zeros((size, n, n, b), dtype=complex)
         term[0] = np.eye(n)[:, :, None]
         acc = term.copy()
         weights = coeffs[self.block_slot]
-        for k in range(1, terms + 1):
-            weighted = term[self.block_mask]
-            weighted *= (weights * (1.0 / k))[:, None, None, :]
-            term = (packed @ weighted.reshape(-1, n * b)).reshape(size, n, n, b)
-            acc += term
-        return acc.transpose(3, 0, 1, 2)
+        for k in range(1, counts[order[0]] + 1):
+            live = sum(widths[i] for i in order if counts[i] >= k)
+            weighted = term[self.block_mask, ..., :live]
+            weighted *= (weights[:, :live] * (1.0 / k))[:, None, None, :]
+            term = (packed @ weighted.reshape(-1, n * live)).reshape(size, n, n, live)
+            acc[..., :live] += term
+        return (acc if cols is None else acc[..., np.argsort(cols)]).transpose(3, 0, 1, 2)
 
 
 def insertion_matrix(
@@ -411,27 +432,55 @@ class _Walk:
             yield h, pos, self.vels[p], legs
 
 
-def _gen_transport_fixed(slots: _Slots, walk: _Walk, steps: int) -> SuperMatrix:
+def _gen_transports(slots: _Slots, walk: _Walk, grids: Sequence[int]) -> list[SuperMatrix]:
+    """The transports on grids of ``grids[g]`` steps per segment, stepped in one walk.
+
+    The grids' blocks are walked in lockstep: pass r joins the r-th block
+    of every grid that has one, in one Fourier pass, one Taylor series and
+    one pairwise product, each block weighted by its own step width. Each
+    block keeps the term count (``_Slots.exp``) and the pairing tree it
+    has alone: the joined factors are paired only while every block's
+    count is even and above two, so no pair crosses blocks, and each block
+    then finishes with ``_chain``.
+    """
     support = slots.support
-    u_mat = SuperMatrix.from_body(np.eye(slots.n), slots.n_gen).components[list(support)]
-    for h, pos, vel, legs in walk.blocks(steps):
-        nodes = slots.coefficients(pos, vel, legs).reshape(len(slots.where), -1, 2)
-        exps = slots.exp(((nodes @ _CF_WEIGHTS) * h).reshape(len(nodes), -1))
-        u_mat = product(u_mat, _chain(exps, support), support)
-    return SuperMatrix(slots.n, slots.n_gen, dict(zip(support, u_mat)))
+    one = SuperMatrix.from_body(np.eye(slots.n), slots.n_gen).components[list(support)]
+    u_mats = [one] * len(grids)
+    for blocks in itertools.zip_longest(*(walk.blocks(steps) for steps in grids)):
+        live = [g for g, block in enumerate(blocks) if block is not None]
+        hs, pos, vel, legs = zip(*(blocks[g] for g in live))
+        widths = [len(p) for p in pos]
+        nodes = slots.coefficients(np.concatenate(pos), np.concatenate(vel), np.concatenate(legs, axis=1))
+        nodes = nodes.reshape(len(slots.where), -1, 2) @ _CF_WEIGHTS
+        exps = slots.exp((nodes * np.repeat(hs, [w // 2 for w in widths])[:, None]).reshape(len(nodes), -1), widths)
+        # a stack of one product is laid out, and so rounded, unlike a longer
+        # one: each block's last pair level is left to its own ``_chain``
+        while not any(w % 2 or w == 2 for w in widths):
+            exps = product(exps[0::2], exps[1::2], support)
+            widths = [w // 2 for w in widths]
+        for g, factors in zip(live, np.split(exps, np.cumsum(widths)[:-1])):
+            u_mats[g] = product(u_mats[g], _chain(factors, support), support)
+    return [SuperMatrix(slots.n, slots.n_gen, dict(zip(support, u_mat))) for u_mat in u_mats]
 
 
 def _with_richardson(evaluate, plan: TransportPlan):
-    """One Richardson level of ``evaluate(steps)``, refined under the plan's tolerance.
+    """One Richardson level of the values ``evaluate(grids)`` on grids of
+    ``grids[g]`` steps per segment, refined under the plan's tolerance.
 
-    A level evaluates its coarse grid, then its fine one. Each step count
-    is evaluated once: in tol mode a level's fine grid is the next level's
-    coarse grid.
+    The first call asks for every grid the plan needs: the level's coarse
+    and fine grids, and under a tolerance the second level's fine grid
+    too (unless it passes ``MAX_STEPS``), since a tolerance plan compares
+    two levels before it can return. Each later level asks for its fine
+    grid alone: a level's fine grid is the next level's coarse grid, so
+    each step count is evaluated once.
     """
     steps, value = plan.steps, None
-    coarse = evaluate(steps)
+    grids = (steps, 2 * steps)
+    if plan.tol is not None and 4 * steps <= MAX_STEPS:
+        grids += (4 * steps,)
+    coarse, *fines = evaluate(grids)
     while True:
-        fine = evaluate(2 * steps)
+        fine = fines.pop(0) if fines else evaluate((2 * steps,))[0]
         nxt = fine * (16.0 / 15.0) - coarse * (1.0 / 15.0)
         if plan.tol is None or (value is not None and nxt.distance(value) <= plan.tol):
             return nxt
@@ -461,7 +510,7 @@ def gen_transport(
     """
     slots = _Slots(conn, config, len(variations), _support(config, len(variations)))
     walk = _Walk(loop, variations)
-    return _with_richardson(lambda steps: _gen_transport_fixed(slots, walk, steps), plan)
+    return _with_richardson(lambda grids: _gen_transports(slots, walk, grids), plan)
 
 
 def wilson(
@@ -495,9 +544,10 @@ def insertion_derivative(
     configuration orders its generators as the n_theta thetas, then a and
     b, then the legs; a and b are adjacent, so epsilon theta_S =
     +theta_{S | a | b}, and the epsilon-part is read off the masks that
-    hold both. Each grid is one ``_gen_transport_fixed`` of the joint
-    configuration, and the Richardson levels and the tolerance act on the
-    extracted coefficient over n_theta + len(variations) generators.
+    hold both. The grids are stepped as generalized transports of the
+    joint configuration (``_gen_transports``), and the Richardson levels
+    and the tolerance act on the extracted coefficient over
+    n_theta + len(variations) generators.
     """
     if eta.n != config.n or eta.n_theta != config.n_theta:
         raise ValueError("insertion field shape differs from transport field")
@@ -513,14 +563,14 @@ def insertion_derivative(
     walk = _Walk(loop, variations)
     thetas = (1 << n_theta) - 1
 
-    def fixed(steps: int) -> GradedCoefficient:
-        trace = _gen_transport_fixed(slots, walk, steps).trace()
+    def epsilon_part(u_mat: SuperMatrix) -> GradedCoefficient:
         # theta_S theta_a theta_b w_L = epsilon theta_S w_L: drop a and b, and
         # move the legs down to follow the thetas
-        part = {m & thetas | m >> (n_theta + 2) << n_theta: v for m, v in trace.masks.items() if m & pair == pair}
+        masks = u_mat.trace().masks
+        part = {m & thetas | m >> (n_theta + 2) << n_theta: v for m, v in masks.items() if m & pair == pair}
         return GradedCoefficient(part, n_theta + n_legs)
 
-    return _with_richardson(fixed, plan)
+    return _with_richardson(lambda grids: [epsilon_part(u) for u in _gen_transports(slots, walk, grids)], plan)
 
 
 def extract_leg_coefficient(

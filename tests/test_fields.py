@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from stringtop import fields
 from stringtop.fields import (
     EXP_MEMO_CAP,
     ConstantCommutingConnection,
@@ -212,6 +213,21 @@ def test_past_the_cap_exponentials_are_computed_and_not_kept():
     # the kept ones are still served
     assert conn.transport(loop, 0, 0) is conn.transport(loop, 0, 0)
     assert len(conn._exps) == EXP_MEMO_CAP
+
+
+def test_displacements_are_the_floats_of_the_fraction_lift_points():
+    # read from the integers of s and t, a t past 1 one lap on; the oracle
+    # subtracts the Fraction points (``point_at``) and rounds once
+    verts = [(0, 0), (Fraction(2, 5), Fraction(1, 10)), (Fraction(1, 2), Fraction(3, 5))]
+    loop = PLLoop(Torus(2), verts, closure=(1, -2))
+    grid = sorted({Fraction(p, q) for q in range(1, 10) for p in range(2 * q + 1)})
+    checked = 0
+    for s in (s for s in grid if s <= 1):
+        for t in (t for t in grid if s <= t <= s + 1):
+            x_t = loop.point_at(t) if t <= 1 else [x + c for x, c in zip(loop.point_at(t - 1), loop.closure)]
+            assert fields._displacement(loop, s, t) == [float(b - a) for a, b in zip(loop.point_at(s), x_t)]
+            checked += t > 1
+    assert checked > 100
 
 
 # -- field configurations -------------------------------------------------------

@@ -105,7 +105,7 @@ def default_transport():
 
 def single_grid(evaluate, plan):
     """The plan's coarse grid alone, without the Richardson level."""
-    return evaluate(plan.steps)
+    return evaluate((plan.steps,))[0]
 
 
 @pytest.fixture
@@ -344,25 +344,27 @@ def test_tolerance_driven_refinement_and_cap(monkeypatch):
 
 def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
     # tol mode runs the levels 8,16 | 16,32 | 32,64 ...; the shared grids
-    # are computed once and the extrapolated value is unchanged
+    # are computed once and the extrapolated value is unchanged. The first
+    # call steps every grid the plan needs, 8, 16 and 32, in one walk
     conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
-    fixed = holonomy._gen_transport_fixed
+    stepped = holonomy._gen_transports
     calls = collections.Counter()
     seen = []
 
     def counting(*args):
-        calls[args[2]] += 1
+        calls.update(args[2])
         seen.append(args)
-        return fixed(*args)
+        return stepped(*args)
 
-    monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting)
+    monkeypatch.setattr(holonomy, "_gen_transports", counting)
     out = gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-10))
     top = max(calls)
     assert sorted(calls) == [8 << k for k in range(len(calls))] and len(calls) >= 4
     assert set(calls.values()) == {1}
+    assert [tuple(args[2]) for args in seen] == [(8, 16, 32), *(((8 << k),) for k in range(3, len(calls)))]
     # every grid of the transport steps on the one slot basis built for it
     assert len({id(args[0]) for args in seen}) == 1
-    coarse, fine = (fixed(*seen[0][:2], s) for s in (top // 2, top))
+    coarse, fine = (stepped(*seen[0][:2], (s,))[0] for s in (top // 2, top))
     assert out.distance(fine * (16.0 / 15.0) - coarse * (1.0 / 15.0)) == 0.0
 
 
@@ -385,17 +387,18 @@ def test_transport_plan_validation(monkeypatch):
 
 def test_no_grid_finer_than_max_steps_is_evaluated(monkeypatch):
     # one Richardson level evaluates 2 * steps, so the levels run 8, 16 and
-    # the next one (16, 32) would pass the cap of 16
+    # the next one (16, 32) would pass the cap of 16: the first call, which
+    # would take 32 along under a tolerance, asks for 8 and 16 only
     evaluated = []
 
-    def evaluate(steps):
-        evaluated.append(steps)
-        return SuperMatrix.from_body(np.eye(1) * steps, 0)
+    def evaluate(grids):
+        evaluated.append(tuple(grids))
+        return [SuperMatrix.from_body(np.eye(1) * steps, 0) for steps in grids]
 
     monkeypatch.setattr(holonomy, "MAX_STEPS", 16)
     with pytest.raises(QuadratureError, match="within 16 steps/segment"):
         holonomy._with_richardson(evaluate, TransportPlan(steps=8, tol=1e-9))
-    assert evaluated == [8, 16]
+    assert evaluated == [(8, 16)]
     with pytest.raises(ValueError, match="step counts"):
         TransportPlan(steps=16)
     assert TransportPlan(steps=8).steps == 8
@@ -437,21 +440,24 @@ def test_insertion_derivative_rejects_mismatched_shapes():
 
 def test_insertion_derivative_steps_once_per_step_count(monkeypatch):
     # the insertion is the epsilon-part of one generalized transport per
-    # grid: DEFAULT_PLAN evaluates 16 and 32 steps, both on one slot basis
+    # grid: DEFAULT_PLAN evaluates 16 and 32 steps, in one call on one slot basis
     conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
     eta = field_obstruction(cfg, conn)
-    fixed = holonomy._gen_transport_fixed
+    stepped = holonomy._gen_transports
     calls = collections.Counter()
+    batches = []
     slot_ids = set()
 
     def counting(*args):
-        calls[args[2]] += 1
+        calls.update(args[2])
+        batches.append(tuple(args[2]))
         slot_ids.add(id(args[0]))
-        return fixed(*args)
+        return stepped(*args)
 
-    monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting)
+    monkeypatch.setattr(holonomy, "_gen_transports", counting)
     insertion_derivative(conn, cfg, loop, eta, variations=[vertex_variation(loop)])
     assert calls == {16: 1, 32: 1}
+    assert batches == [(16, 32)]
     assert len(slot_ids) == 1
 
 
@@ -573,20 +579,30 @@ def test_block_boundaries_do_not_matter(one_grid, monkeypatch, block):
     assert relative(got[1], insertion_derivative_epsilon_stepwise(conn, cfg, loop, eta, STEPS, legs)) <= 1e-12
 
 
-def test_transport_memory_does_not_grow_with_the_steps(one_grid):
-    # the working set is one block of midpoints, however fine the grid
+def test_transport_memory_does_not_grow_with_the_steps(monkeypatch):
+    # the working set is one block of midpoints per grid, however fine the
+    # grids: one grid alone, and the three grids that a tolerance plan
+    # (converged at its second level) steps in its first walk
     rng = np.random.default_rng(5)
     conn, cfg, loop = random_connection(3, rng), random_config(3, rng), wiggly_loop()
     legs = [vertex_variation(loop)]
-    peaks = []
-    for steps in (128, 1024):
-        tracemalloc.start()
-        try:
-            gen_transport(conn, cfg, loop, plan=TransportPlan(steps=steps), variations=legs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) < 1.5 * min(peaks)
+
+    def peaks(tol):
+        out = []
+        for steps in (128, 1024):
+            tracemalloc.start()
+            try:
+                gen_transport(conn, cfg, loop, plan=TransportPlan(steps=steps, tol=tol), variations=legs)
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(holonomy, "_with_richardson", single_grid)
+        fixed = peaks(None)
+    for got in (fixed, peaks(1e-6)):
+        assert max(got) < 1.5 * min(got)
 
 
 # -- the Grassmann support that the stepping runs on ---------------------------
@@ -702,6 +718,19 @@ def test_block_exponential_matches_the_series_oracle(n, n_legs):
     assert checked >= 3
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_blocks_side_by_side_exponentiate_as_each_block_alone(n):
+    # blocks of small and large steps, out of term-count order, so the
+    # columns are reordered and the series stops early on the small ones
+    rng = np.random.default_rng(80 + n)
+    widths = (6, 2, 10, 4)
+    slots, coeffs = slot_block(n, 1, rng, np.repeat([1e-3, 1.5, 0.2, 1.5], widths))
+    got = slots.exp(coeffs, widths)
+    for part, alone in zip(np.split(got, np.cumsum(widths)[:-1]), np.split(coeffs, np.cumsum(widths)[:-1], axis=1)):
+        want = slots.exp(alone)
+        assert np.abs(part - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_block_exponential_of_nothing_is_the_identity():
     rng = np.random.default_rng(5)
     slots, coeffs = slot_block(3, 1, rng, np.ones(6))
@@ -733,7 +762,7 @@ def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
     # only the connection's own exponential (``fields``) calls
     conn, cfg, loop = diag_connection(), mixed_config(), wiggly_loop()
     calls = collections.Counter()
-    walk, expm_, fixed = holonomy._Walk, fields.expm, holonomy._gen_transport_fixed
+    walk, expm_, stepped = holonomy._Walk, fields.expm, holonomy._gen_transports
 
     def counting(name, function):
         def wrapped(*args):
@@ -742,13 +771,38 @@ def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
 
         return wrapped
 
+    batches = []
+
+    def grids(*args):
+        calls["grids"] += len(args[2])
+        batches.append(tuple(args[2]))
+        return stepped(*args)
+
     monkeypatch.setattr(holonomy, "_Walk", counting("walks", walk))
     monkeypatch.setattr(fields, "expm", counting("expm", expm_))
-    monkeypatch.setattr(holonomy, "_gen_transport_fixed", counting("grids", fixed))
+    monkeypatch.setattr(holonomy, "_gen_transports", grids)
     gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-10))
     assert calls["grids"] >= 4
+    assert batches[0] == (8, 16, 32)
     assert calls["walks"] == 1
     assert calls["expm"] == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("block", [holonomy.BLOCK, 14])
+def test_grids_stepped_together_match_each_grid_alone(monkeypatch, n, block):
+    # on the Wilson support and with one leg; blocks of 7 steps give the
+    # grids 5, 10 and 19 blocks, the last ones partial, walked in lockstep
+    monkeypatch.setattr(holonomy, "BLOCK", block)
+    rng = np.random.default_rng(30 + n)
+    conn, cfg, loop = random_connection(n, rng), random_config(n, rng), wiggly_loop()
+    for legs in ([], [vertex_variation(loop)]):
+        slots = holonomy._Slots(conn, cfg, len(legs), holonomy._support(cfg, len(legs)))
+        walk = holonomy._Walk(loop, legs)
+        together = holonomy._gen_transports(slots, walk, (8, 16, 32))
+        for steps, got in zip((8, 16, 32), together):
+            alone = holonomy._gen_transports(slots, walk, (steps,))[0]
+            assert relative(got, alone) <= 1e-15
 
 
 # -- against an independent integrator -----------------------------------------

@@ -31,13 +31,13 @@ def swapped_exponentials(monkeypatch):
 
 def no_richardson(monkeypatch):
     """The Richardson level dropped: the fine grid alone."""
-    monkeypatch.setattr(holonomy, "_with_richardson", lambda evaluate, plan: evaluate(2 * plan.steps))
+    monkeypatch.setattr(holonomy, "_with_richardson", lambda evaluate, plan: evaluate((2 * plan.steps,))[0])
 
 
 def truncated_exponential(monkeypatch):
     """Each step exponential cut to 1 + K h."""
 
-    def first_order(slots, coeffs):
+    def first_order(slots, coeffs, widths=None):
         out = slots.dense(coeffs)
         out[:, 0] += np.eye(slots.n)
         return out

@@ -25,7 +25,8 @@ from .holonomy import (
     extract_leg_coefficient,
     insertion_derivative,
     transport,
-    wilson,
+    wilson,  # noqa: F401  (unused here; perfbench's tracer test reads ``brackets.wilson``)
+    wilsons,
 )
 from .lierep import LieBasis
 from .strings import StringCycle, degree_zero_prefactor, intersections, string_bracket
@@ -143,9 +144,10 @@ def _check_attached(loop: PLLoop, v: VariationField) -> None:
 def _deformation_derivative(
     conn, config: FieldConfig, v: VariationField, plan: TransportPlan, eps: Fraction
 ) -> GradedCoefficient:
-    """Central difference along v with step eps."""
-    up = wilson(conn, config, v.deform(eps), plan)
-    down = wilson(conn, config, v.deform(-eps), plan)
+    """Central difference along v with step eps: the Wilson loops at +eps v
+    and -eps v share the connection and the configuration, so they are
+    stepped in one walk (``wilsons``)."""
+    up, down = wilsons(conn, config, [v.deform(eps), v.deform(-eps)], plan)
     return (up - down).scale(1.0 / (2.0 * float(eps)))
 
 
@@ -169,7 +171,8 @@ def fundamental_identity_paths(
 ) -> tuple[GradedCoefficient, GradedCoefficient]:
     """(Path 1, Path 2): deformation derivative vs obstruction insertion.
 
-    Path 1 is a central difference along v with exact rational step eps.
+    Path 1 is a central difference along v with exact rational step eps;
+    its two Wilson loops, at +eps v and -eps v, are stepped in one walk.
     Path 2 is the insertion integral of the obstruction 2-form contracted
     with v, already carrying the pairing sign, so the contract is
     Path1 == Path2.

@@ -13,16 +13,18 @@ any numerical result. Checks run one after another, so each runtime is
 measured without contention. Reports validate against the bundled JSON
 schema and rerun byte-identically apart from the runtime fields.
 
-Importing this module builds only fixed loops. Fixtures that call the
-crossing, concatenation or phase-space layers are built by the instances
-that use them, on every call, so a defect in those layers fails the
-checks that use them rather than the import. ``lierep``'s sign tables are
+Importing this module builds only the torus. The fixed loops of the chord
+checks are built on first use (``_chord_loops``), and fixtures that call
+the crossing, concatenation or phase-space layers are built by the
+instances that use them, on every call, so a defect in those layers fails
+the checks that use them rather than the import. ``lierep``'s sign tables are
 built when the package is imported: a defect there is an import error,
 which no report can hold.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -263,13 +265,22 @@ def _rand_poly(model: GradedPhaseModel, rng, parity: int):
 # fixed chord geometry: a self-crossing zigzag of class (1,0) whose first
 # and last segments meet at (1/2,1/6), lines through that crossing, and
 # the zigzag split at its self-crossing into a contractible lobe and the rest
-_ZIG = PLLoop(TORUS2, [(0, 0), (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))], closure=(1, 0))
 _ZIG_S = (Fraction(2, 9), Fraction(7, 9))
-_VERT = PLLoop(TORUS2, [(Fraction(1, 2), 0)], closure=(0, 1))
-_LINE_A = PLLoop(TORUS2, [(0, 0)], closure=(1, 0))
-_LINE_B = PLLoop(TORUS2, [(Fraction(1, 3), Fraction(1, 5))], closure=(0, 1))
-_LOBE = PLLoop(TORUS2, [(Fraction(1, 2), Fraction(1, 6)), (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))], closure=(0, 0))
-_REST = PLLoop(TORUS2, [(Fraction(1, 2), Fraction(1, 6)), (1, 0)], closure=(1, 0))
+
+
+@functools.cache
+def _chord_loops() -> dict[str, PLLoop]:
+    """The fixed loops of the chord checks by name, built on first use, so
+    that a defect in ``PLLoop`` fails the checks that use them rather than
+    the import."""
+    return {
+        "zig": PLLoop(TORUS2, [(0, 0), (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))], closure=(1, 0)),
+        "vert": PLLoop(TORUS2, [(Fraction(1, 2), 0)], closure=(0, 1)),
+        "line_a": PLLoop(TORUS2, [(0, 0)], closure=(1, 0)),
+        "line_b": PLLoop(TORUS2, [(Fraction(1, 3), Fraction(1, 5))], closure=(0, 1)),
+        "lobe": PLLoop(TORUS2, [(Fraction(1, 2), Fraction(1, 6)), (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))], closure=(0, 0)),
+        "rest": PLLoop(TORUS2, [(Fraction(1, 2), Fraction(1, 6)), (1, 0)], closure=(1, 0)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +567,12 @@ def _chord_4t(rng, k: int) -> float:
         [("p", "q"), ("x", "y")],
     )
     s_a, s_b = _ZIG_S
+    loops = _chord_loops()
     total = 0j
     for j, (sign, term) in enumerate(four_t_combination(base, "x", ("p", "q"))):
         s_x = s_a if j < 2 else s_b
         real = DiagramRealization(
-            term, [_ZIG, _VERT], {"p": s_a, "q": s_b, "x": s_x, "y": Fraction(1, 6)}
+            term, [loops["zig"], loops["vert"]], {"p": s_a, "q": s_b, "x": s_x, "y": Fraction(1, 6)}
         )
         total += sign * evaluate_diagram(real, conn)
     return abs(total)
@@ -569,20 +581,22 @@ def _chord_4t(rng, k: int) -> float:
 def _chord_ideal(rng, k: int) -> float:
     n = N_LIST[k % len(N_LIST)]
     conn = _rand_conn(rng, n)
+    loops = _chord_loops()
+    line_a, line_b = loops["line_a"], loops["line_b"]
     # the one crossing of the two lines, and their concatenation there
-    cross = intersections(_LINE_A, _LINE_B)[0]
+    cross = intersections(line_a, line_b)[0]
     two = ChordDiagram([(f"std:{n}", ("p",)), (f"std:{n}", ("q",))], [("p", "q")])
     chorded = evaluate_diagram(
-        DiagramRealization(two, [_LINE_A, _LINE_B], {"p": cross.s, "q": cross.s_bar}), conn
+        DiagramRealization(two, [line_a, line_b], {"p": cross.s, "q": cross.s_bar}), conn
     )
     merged = gln_ideal_element(two, ("p", "q"))[1][1]
-    cat = concatenate(_LINE_A, _LINE_B, cross)
+    cat = concatenate(line_a, line_b, cross)
     smoothed = evaluate_diagram(DiagramRealization(merged, [cat], {}), conn)
     s_a, s_b = _ZIG_S
     one = ChordDiagram([(f"std:{n}", ("a", "b"))], [("a", "b")])
-    val = evaluate_diagram(DiagramRealization(one, [_ZIG], {"a": s_a, "b": s_b}), conn)
+    val = evaluate_diagram(DiagramRealization(one, [loops["zig"]], {"a": s_a, "b": s_b}), conn)
     split = gln_ideal_element(one, ("a", "b"))[1][1]
-    want = evaluate_diagram(DiagramRealization(split, [_LOBE, _REST], {}), conn)
+    want = evaluate_diagram(DiagramRealization(split, [loops["lobe"], loops["rest"]], {}), conn)
     return max(abs(chorded - smoothed), abs(val - want))
 
 

@@ -57,9 +57,13 @@ regular matrices R_q, and the walk table of the loop's segments
 
 A generalized transport always runs around the whole loop [0, 1], as the
 traces of the Wilson loops need it. Each grid is walked in blocks of at
-most ``BLOCK`` step exponentials, two per step, which may span segments,
-and all the grids a plan asks for at once are walked in lockstep: one
-pass takes the r-th block of every grid (``_gen_transports``). The
+most ``BLOCK`` step exponentials, two per step, which may span segments.
+A lane is one grid of one loop, (walk, steps). Loops that share the
+connection and the configuration share one slot basis, and all the lanes
+that they and the plan ask for at once are walked in lockstep: one pass
+takes the r-th block of every lane (``_gen_transports``). So the
+Richardson grids of a loop are lanes of one walk, and so are those of
+the two deformed loops of the fundamental identity (``wilsons``). The
 fields of all the slots are evaluated at the pass's nodes in one Fourier
 pass (``fields.FourierStack``). The pass's step exponentials are one
 Taylor series on the unit columns of all of them side by side, an
@@ -74,11 +78,15 @@ rho^K / K! < 1e-17 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011,
 choose the degree of the action of a matrix exponential the same way).
 Each block's exponentials are then multiplied pairwise into one
 component stack, in the same pairs as the block alone. A pass holds at
-most one block per grid, so at most three blocks under a tolerance plan.
-The largest arrays are the regular matrices of the product's first pair
-level, BLOCK/2 (|S| n)^2 entries per block, and the weighted Taylor term,
-P n^2 BLOCK entries per block, so the working memory does not grow with
-the steps the plan takes. No dense stack of K(t) is formed while
+most one block per lane: two per loop at a fixed plan, and three under a
+tolerance. The Taylor series runs in two working arrays allocated once
+per pass, the weighted gather of the packed column blocks, P n^2 entries
+per column, and the GEMM output, |S| n^2 entries per column; every term
+fills them in place. The largest arrays are these two, P n^2 BLOCK and
+|S| n^2 BLOCK entries per block, and the regular matrices of the
+product's first pair level, BLOCK/2 (|S| n)^2 entries per block, so the
+working memory grows with the lanes of a pass but not with the steps the
+plan takes. No dense stack of K(t) is formed while
 stepping. The running product of each grid's blocks stays on S, and the
 transport becomes a ``SuperMatrix`` over all 2^N masks only when it is
 returned.
@@ -94,7 +102,8 @@ an error of order h^6; with a tolerance set, steps double until two
 successive extrapolated values agree, up to a hard cap per segment on
 the finest grid evaluated (then ``QuadratureError``). A level's fine grid
 is the next level's coarse grid, and each grid is evaluated once; the
-grids every plan needs are stepped in one pass.
+grids every plan needs, for every loop evaluated together, are stepped
+in one walk.
 """
 
 from __future__ import annotations
@@ -130,7 +139,10 @@ class TransportPlan:
     valid because the fourth-order step's error is even in h. Each step
     takes two step exponentials. The grids S and 2S, and under a tolerance
     4S if within ``MAX_STEPS``, are stepped together in one walk of the
-    loop; each finer level steps its fine grid alone.
+    loop, along with the same grids of any loop evaluated with it
+    (``wilsons``); each finer level steps, in one walk, the fine grid of
+    every loop that has not converged. A loop converges, or raises, at the
+    same level as it would alone.
 
     steps: S, steps per segment on the coarse grid; the first level's
         fine grid, 2 S, must not exceed ``MAX_STEPS``.
@@ -311,6 +323,9 @@ class _Slots:
         columns, which bounds every entry of its term K; more than 59 terms
         raise. The blocks run in descending K, so term k is one product on
         the columns still live; they are reordered only when not already.
+        The gathered term and the product are written in place into two
+        arrays allocated once per call (``np.take`` and ``np.matmul`` with
+        ``out``), whose views are rebuilt only when the live width shrinks.
         """
         packed, norms = self.regulars
         size, n, b = len(self.support), self.n, coeffs.shape[1]
@@ -330,15 +345,21 @@ class _Slots:
         if order != sorted(order):
             cols = np.concatenate([np.arange(starts[i], starts[i] + widths[i]) for i in order])
             coeffs = coeffs[:, cols]
-        term = np.zeros((size, n, n, b), dtype=complex)
+        gathered = np.empty(len(self.block_slot) * n * n * b, dtype=complex)
+        stacked = np.zeros(size * n * n * b, dtype=complex)
+        term = stacked.reshape(size, n, n, b)
         term[0] = np.eye(n)[:, :, None]
-        acc = term.copy()
+        acc, width = term.copy(), 0
         weights = coeffs[self.block_slot]
         for k in range(1, counts[order[0]] + 1):
             live = sum(widths[i] for i in order if counts[i] >= k)
-            weighted = term[self.block_mask, ..., :live]
+            if live != width:
+                term, width = term[..., :live], live
+                weighted = gathered[: gathered.size // b * live].reshape(-1, n, n, live)
+                out = stacked[: stacked.size // b * live].reshape(size * n, n * live)
+            np.take(term, self.block_mask, axis=0, out=weighted, mode="clip")
             weighted *= (weights[:, :live] * (1.0 / k))[:, None, None, :]
-            term = (packed @ weighted.reshape(-1, n * live)).reshape(size, n, n, live)
+            term = np.matmul(packed, weighted.reshape(-1, n * live), out=out).reshape(size, n, n, live)
             acc[..., :live] += term
         return (acc if cols is None else acc[..., np.argsort(cols)]).transpose(3, 0, 1, 2)
 
@@ -432,21 +453,22 @@ class _Walk:
             yield h, pos, self.vels[p], legs
 
 
-def _gen_transports(slots: _Slots, walk: _Walk, grids: Sequence[int]) -> list[SuperMatrix]:
-    """The transports on grids of ``grids[g]`` steps per segment, stepped in one walk.
+def _gen_transports(slots: _Slots, lanes: Sequence[tuple[_Walk, int]]) -> list[SuperMatrix]:
+    """The transport of each lane (walk, steps), on its grid of ``steps``
+    steps per segment of its walk's loop, all stepped in one walk.
 
-    The grids' blocks are walked in lockstep: pass r joins the r-th block
-    of every grid that has one, in one Fourier pass, one Taylor series and
-    one pairwise product, each block weighted by its own step width. Each
-    block keeps the term count (``_Slots.exp``) and the pairing tree it
-    has alone: the joined factors are paired only while every block's
-    count is even and above two, so no pair crosses blocks, and each block
-    then finishes with ``_chain``.
+    The lanes share the slot basis, so their blocks are walked in
+    lockstep: pass r joins the r-th block of every lane that has one, in
+    one Fourier pass, one Taylor series and one pairwise product, each
+    block weighted by its own step width. Each block keeps the term count
+    (``_Slots.exp``) and the pairing tree it has alone: the joined factors
+    are paired only while every block's count is even and above two, so
+    no pair crosses blocks, and each block then finishes with ``_chain``.
     """
     support = slots.support
     one = SuperMatrix.from_body(np.eye(slots.n), slots.n_gen).components[list(support)]
-    u_mats = [one] * len(grids)
-    for blocks in itertools.zip_longest(*(walk.blocks(steps) for steps in grids)):
+    u_mats = [one] * len(lanes)
+    for blocks in itertools.zip_longest(*(walk.blocks(steps) for walk, steps in lanes)):
         live = [g for g, block in enumerate(blocks) if block is not None]
         hs, pos, vel, legs = zip(*(blocks[g] for g in live))
         widths = [len(p) for p in pos]
@@ -463,34 +485,62 @@ def _gen_transports(slots: _Slots, walk: _Walk, grids: Sequence[int]) -> list[Su
     return [SuperMatrix(slots.n, slots.n_gen, dict(zip(support, u_mat))) for u_mat in u_mats]
 
 
-def _with_richardson(evaluate, plan: TransportPlan):
-    """One Richardson level of the values ``evaluate(grids)`` on grids of
-    ``grids[g]`` steps per segment, refined under the plan's tolerance.
+def _with_richardson(evaluate, plan: TransportPlan, count: int = 1) -> list:
+    """One Richardson level of each of ``count`` values, refined under the
+    plan's tolerance: ``evaluate(lanes)`` returns, for each lane (i, s),
+    value i on a grid of s steps per segment.
 
-    The first call asks for every grid the plan needs: the level's coarse
-    and fine grids, and under a tolerance the second level's fine grid
-    too (unless it passes ``MAX_STEPS``), since a tolerance plan compares
-    two levels before it can return. Each later level asks for its fine
-    grid alone: a level's fine grid is the next level's coarse grid, so
-    each step count is evaluated once.
+    The first call asks for every grid the plan needs, for every value:
+    the level's coarse and fine grids, and under a tolerance the second
+    level's fine grid too (unless it passes ``MAX_STEPS``), since a
+    tolerance plan compares two levels before it can return. Each later
+    level asks, in one call, for the fine grid of every value that has not
+    converged: a level's fine grid is the next level's coarse grid, so
+    each step count is evaluated once per value. Each value runs through
+    the levels, and stops or raises ``QuadratureError``, as it would alone.
     """
-    steps, value = plan.steps, None
-    grids = (steps, 2 * steps)
+    steps = plan.steps
+    grids = [steps, 2 * steps]
     if plan.tol is not None and 4 * steps <= MAX_STEPS:
-        grids += (4 * steps,)
-    coarse, *fines = evaluate(grids)
-    while True:
-        fine = fines.pop(0) if fines else evaluate((2 * steps,))[0]
-        nxt = fine * (16.0 / 15.0) - coarse * (1.0 / 15.0)
-        if plan.tol is None or (value is not None and nxt.distance(value) <= plan.tol):
-            return nxt
+        grids.append(4 * steps)
+    got = evaluate([(i, s) for i in range(count) for s in grids])
+    # the unconverged values, each with its grids still to be used, coarse first
+    pending = {i: got[i * len(grids) : (i + 1) * len(grids)] for i in range(count)}
+    last, out = {}, [None] * count
+    while pending:
+        if len(next(iter(pending.values()))) < 2:
+            for i, fine in zip(pending, evaluate([(i, 2 * steps) for i in pending])):
+                pending[i].append(fine)
+        for i in list(pending):
+            coarse, fine = pending[i].pop(0), pending[i][0]
+            nxt = fine * (16.0 / 15.0) - coarse * (1.0 / 15.0)
+            if plan.tol is None or (i in last and nxt.distance(last[i]) <= plan.tol):
+                out[i] = nxt
+                del pending[i]
+            last[i] = nxt
         # the next level's fine grid is twice its coarse grid of 2 * steps
-        if 4 * steps > MAX_STEPS:
+        if pending and 4 * steps > MAX_STEPS:
             raise QuadratureError(
                 f"no convergence to tol={plan.tol} within {MAX_STEPS} steps/segment"
             )
         steps *= 2
-        coarse, value = fine, nxt
+    return out
+
+
+def _transports(
+    conn: ConstantCommutingConnection,
+    config: FieldConfig,
+    loops: Sequence[PLLoop],
+    plan: TransportPlan,
+    variations: Sequence[VariationField] = (),
+) -> list[SuperMatrix]:
+    """The generalized transport around each loop, on one slot basis: each
+    Richardson level steps the grids of all the loops in one walk."""
+    slots = _Slots(conn, config, len(variations), _support(config, len(variations)))
+    walks = [_Walk(loop, variations) for loop in loops]
+    return _with_richardson(
+        lambda lanes: _gen_transports(slots, [(walks[i], steps) for i, steps in lanes]), plan, len(walks)
+    )
 
 
 def gen_transport(
@@ -508,9 +558,7 @@ def gen_transport(
     connection's body slots on the support {0}: K is constant on each
     segment, so the steps multiply to the plain transport up to rounding.
     """
-    slots = _Slots(conn, config, len(variations), _support(config, len(variations)))
-    walk = _Walk(loop, variations)
-    return _with_richardson(lambda grids: _gen_transports(slots, walk, grids), plan)
+    return _transports(conn, config, [loop], plan, variations)[0]
 
 
 def wilson(
@@ -521,6 +569,22 @@ def wilson(
 ) -> GradedCoefficient:
     """Trace of the full-loop generalized transport."""
     return gen_transport(conn, config, loop, plan).trace()
+
+
+def wilsons(
+    conn: ConstantCommutingConnection,
+    config: FieldConfig,
+    loops: Sequence[PLLoop],
+    plan: TransportPlan = DEFAULT_PLAN,
+) -> list[GradedCoefficient]:
+    """The Wilson loop of each loop, as ``wilson`` gives it.
+
+    The loops share one slot basis, and each Richardson level steps all of
+    their grids in one walk. Each loop keeps the grids, Taylor term counts
+    and pairing trees it has alone, so the values are ``wilson``'s; the
+    tests pin them bit for bit at the default plan and a tolerance plan.
+    """
+    return [u_mat.trace() for u_mat in _transports(conn, config, loops, plan)]
 
 
 def insertion_derivative(
@@ -570,7 +634,10 @@ def insertion_derivative(
         part = {m & thetas | m >> (n_theta + 2) << n_theta: v for m, v in masks.items() if m & pair == pair}
         return GradedCoefficient(part, n_theta + n_legs)
 
-    return _with_richardson(lambda grids: [epsilon_part(u) for u in _gen_transports(slots, walk, grids)], plan)
+    def evaluate(lanes):
+        return [epsilon_part(u) for u in _gen_transports(slots, [(walk, steps) for _, steps in lanes])]
+
+    return _with_richardson(evaluate, plan)[0]
 
 
 def extract_leg_coefficient(

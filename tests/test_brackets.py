@@ -20,7 +20,7 @@ from stringtop.brackets import (
 from stringtop.chords import ChordDiagram, DiagramRealization, evaluate_diagram
 from stringtop.fields import ConstantCommutingConnection, FieldConfig, FourierField
 from stringtop.geometry import PLLoop, Torus, VariationField
-from stringtop.harness import _VERT, _ZIG, _ZIG_S, _rand_conn
+from stringtop.harness import _ZIG_S, _chord_loops, _rand_conn
 from stringtop.lierep import LieBasis
 from stringtop.strings import StringCycle
 
@@ -238,11 +238,12 @@ class TransportOnly:
 def test_brackets_and_diagrams_read_only_the_connections_transport(n):
     conn, twin = (_rand_conn(np.random.default_rng(n), n) for _ in range(2))
     seam = TransportOnly(twin)
-    zig, vert = StringCycle.from_loop(_ZIG), StringCycle.from_loop(_VERT)
+    loops = _chord_loops()
+    zig, vert = StringCycle.from_loop(loops["zig"]), StringCycle.from_loop(loops["vert"])
     one = ChordDiagram([(f"std:{n}", ("a", "b"))], [("a", "b")])
-    chord = DiagramRealization(one, [_ZIG], dict(zip("ab", _ZIG_S)))
+    chord = DiagramRealization(one, [loops["zig"]], dict(zip("ab", _ZIG_S)))
     for value in (
-        lambda c: wilson_field_bracket(_ZIG, _VERT, c),
+        lambda c: wilson_field_bracket(loops["zig"], loops["vert"], c),
         lambda c: main_theorem_sides(zig, vert, c),
         lambda c: evaluate_diagram(chord, c),
     ):

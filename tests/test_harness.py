@@ -245,3 +245,36 @@ def test_a_broken_crossing_layer_fails_its_checks_and_not_the_import():
             assert (passed, error) == (False, "RuntimeError: crossings broken"), name
         else:
             assert (passed, error) == (True, None), name
+
+
+# importing the suite runner while the loop constructor is broken, then
+# running the default suite; prints each check's verdict and error
+BROKEN_LOOPS = """
+import json
+from stringtop import geometry
+
+def broken(self, *args, **kwargs):
+    raise RuntimeError("loops broken")
+
+geometry.PLLoop.__init__ = broken
+from stringtop.harness import SuiteConfig, run_suite
+
+print(json.dumps({r.check: [r.passed, r.error] for r in run_suite(SuiteConfig()).records}))
+"""
+
+
+def test_a_broken_loop_constructor_fails_checks_and_not_the_import():
+    # no loop is built at import, so the suite still returns a report: the
+    # checks that build a loop are FAIL records carrying the error, and the
+    # two that build none pass
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", BROKEN_LOOPS], cwd=src, capture_output=True, text=True, timeout=300, check=True
+    )
+    verdicts = json.loads(done.stdout.splitlines()[-1])
+    assert list(verdicts) == list(CHECK_NAMES)
+    for name, (passed, error) in verdicts.items():
+        if name in {"gln", "bracket-axioms"}:
+            assert (passed, error) == (True, None), name
+        else:
+            assert (passed, error) == (False, "RuntimeError: loops broken"), name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -23,6 +24,7 @@ from stringtop.geometry import PLLoop, Torus, VariationField
 from stringtop.grassmann import GradedCoefficient
 from stringtop.harness import gen_random_loop, gen_transport_ode, transport_by_pieces
 from stringtop.holonomy import (
+    DEFAULT_PLAN,
     QuadratureError,
     TransportPlan,
     extract_leg_coefficient,
@@ -30,6 +32,7 @@ from stringtop.holonomy import (
     insertion_derivative,
     transport,
     wilson,
+    wilsons,
 )
 from stringtop.lierep import SuperMatrix
 from stringtop.strings import TransversalityError, concatenate, intersections
@@ -103,9 +106,9 @@ def default_transport():
     return gen_transport(diag_connection(), mixed_config(), wiggly_loop())
 
 
-def single_grid(evaluate, plan):
-    """The plan's coarse grid alone, without the Richardson level."""
-    return evaluate((plan.steps,))[0]
+def single_grid(evaluate, plan, count=1):
+    """The plan's coarse grid alone for each value, without the Richardson level."""
+    return evaluate([(i, plan.steps) for i in range(count)])
 
 
 @pytest.fixture
@@ -351,20 +354,22 @@ def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
     calls = collections.Counter()
     seen = []
 
-    def counting(*args):
-        calls.update(args[2])
-        seen.append(args)
-        return stepped(*args)
+    def counting(slots, lanes):
+        calls.update(steps for _, steps in lanes)
+        seen.append((slots, lanes))
+        return stepped(slots, lanes)
 
     monkeypatch.setattr(holonomy, "_gen_transports", counting)
     out = gen_transport(conn, cfg, loop, plan=TransportPlan(steps=8, tol=1e-10))
     top = max(calls)
     assert sorted(calls) == [8 << k for k in range(len(calls))] and len(calls) >= 4
     assert set(calls.values()) == {1}
-    assert [tuple(args[2]) for args in seen] == [(8, 16, 32), *(((8 << k),) for k in range(3, len(calls)))]
-    # every grid of the transport steps on the one slot basis built for it
-    assert len({id(args[0]) for args in seen}) == 1
-    coarse, fine = (stepped(*seen[0][:2], (s,))[0] for s in (top // 2, top))
+    assert [tuple(s for _, s in lanes) for _, lanes in seen] == [(8, 16, 32), *(((8 << k),) for k in range(3, len(calls)))]
+    # every grid of the transport steps on the one slot basis and walk built for it
+    assert len({id(slots) for slots, _ in seen}) == 1
+    assert len({id(walk) for _, lanes in seen for walk, _ in lanes}) == 1
+    slots, ((walk, _), *_) = seen[0]
+    coarse, fine = (stepped(slots, [(walk, s)])[0] for s in (top // 2, top))
     assert out.distance(fine * (16.0 / 15.0) - coarse * (1.0 / 15.0)) == 0.0
 
 
@@ -391,9 +396,9 @@ def test_no_grid_finer_than_max_steps_is_evaluated(monkeypatch):
     # would take 32 along under a tolerance, asks for 8 and 16 only
     evaluated = []
 
-    def evaluate(grids):
-        evaluated.append(tuple(grids))
-        return [SuperMatrix.from_body(np.eye(1) * steps, 0) for steps in grids]
+    def evaluate(lanes):
+        evaluated.append(tuple(steps for _, steps in lanes))
+        return [SuperMatrix.from_body(np.eye(1) * steps, 0) for _, steps in lanes]
 
     monkeypatch.setattr(holonomy, "MAX_STEPS", 16)
     with pytest.raises(QuadratureError, match="within 16 steps/segment"):
@@ -448,11 +453,11 @@ def test_insertion_derivative_steps_once_per_step_count(monkeypatch):
     batches = []
     slot_ids = set()
 
-    def counting(*args):
-        calls.update(args[2])
-        batches.append(tuple(args[2]))
-        slot_ids.add(id(args[0]))
-        return stepped(*args)
+    def counting(slots, lanes):
+        calls.update(steps for _, steps in lanes)
+        batches.append(tuple(steps for _, steps in lanes))
+        slot_ids.add(id(slots))
+        return stepped(slots, lanes)
 
     monkeypatch.setattr(holonomy, "_gen_transports", counting)
     insertion_derivative(conn, cfg, loop, eta, variations=[vertex_variation(loop)])
@@ -731,6 +736,23 @@ def test_blocks_side_by_side_exponentiate_as_each_block_alone(n):
         assert np.abs(part - want).max() <= 1e-15 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rhos", [(1.5, 0.2, 1e-2, 1e-4), (1e-3, 1.5, 0.2, 1.5)], ids=["in-order", "out-of-order"])
+def test_the_working_arrays_follow_the_live_width_down(n, rhos):
+    # blocks of different term counts, so the live width shrinks partway
+    # through the series, arriving in term-count order or out of it; each
+    # block's columns equal the block alone bit for bit. BLAS rounds a last
+    # partial group of four GEMM columns its own way, so the widths are
+    # multiples of four, as every block of a grid with an even step count is
+    rng = np.random.default_rng(70 + n)
+    widths = (8, 4, 12, 16)
+    slots, coeffs = slot_block(n, 1, rng, np.repeat(rhos, widths))
+    got = slots.exp(coeffs, widths)
+    cuts = np.cumsum(widths)[:-1]
+    for part, alone in zip(np.split(got, cuts), np.split(coeffs, cuts, axis=1)):
+        assert np.array_equal(part, slots.exp(alone))
+
+
 def test_block_exponential_of_nothing_is_the_identity():
     rng = np.random.default_rng(5)
     slots, coeffs = slot_block(3, 1, rng, np.ones(6))
@@ -773,10 +795,10 @@ def test_a_tolerance_plan_sets_up_each_piece_once(monkeypatch):
 
     batches = []
 
-    def grids(*args):
-        calls["grids"] += len(args[2])
-        batches.append(tuple(args[2]))
-        return stepped(*args)
+    def grids(slots, lanes):
+        calls["grids"] += len(lanes)
+        batches.append(tuple(steps for _, steps in lanes))
+        return stepped(slots, lanes)
 
     monkeypatch.setattr(holonomy, "_Walk", counting("walks", walk))
     monkeypatch.setattr(fields, "expm", counting("expm", expm_))
@@ -799,10 +821,92 @@ def test_grids_stepped_together_match_each_grid_alone(monkeypatch, n, block):
     for legs in ([], [vertex_variation(loop)]):
         slots = holonomy._Slots(conn, cfg, len(legs), holonomy._support(cfg, len(legs)))
         walk = holonomy._Walk(loop, legs)
-        together = holonomy._gen_transports(slots, walk, (8, 16, 32))
+        together = holonomy._gen_transports(slots, [(walk, steps) for steps in (8, 16, 32)])
         for steps, got in zip((8, 16, 32), together):
-            alone = holonomy._gen_transports(slots, walk, (steps,))[0]
+            alone = holonomy._gen_transports(slots, [(walk, steps)])[0]
             assert relative(got, alone) <= 1e-15
+
+
+def wound_loop():
+    """The wiggly loop's vertices closed around the torus (3, 2) times: a
+    tolerance plan refines it further than the wiggly loop."""
+    return PLLoop(TORUS, [(0, 0), (F(2, 5), F(1, 10)), (F(1, 2), F(3, 5)), (F(1, 10), F(4, 5))], closure=(3, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("plan", [DEFAULT_PLAN, TransportPlan(steps=8, tol=1e-6)], ids=["default", "tolerance"])
+def test_loops_stepped_as_lanes_match_each_loop_alone(monkeypatch, n, plan):
+    # under the tolerance plan the two loops stop at different doubling
+    # levels; together they step the same grids and give the same values
+    rng = np.random.default_rng(20 + n)
+    conn, cfg, loops = random_connection(n, rng), random_config(n, rng), [wiggly_loop(), wound_loop()]
+    stepped, seen = holonomy._gen_transports, []
+
+    def counting(slots, lanes):
+        seen.append(lanes)
+        return stepped(slots, lanes)
+
+    def grids():
+        # the step counts that each walk was stepped at, walks in order of appearance
+        out = {}
+        for walk, steps in itertools.chain.from_iterable(seen):
+            out.setdefault(id(walk), []).append(steps)
+        seen.clear()
+        return list(out.values())
+
+    monkeypatch.setattr(holonomy, "_gen_transports", counting)
+    alone = [wilson(conn, cfg, loop, plan) for loop in loops]
+    alone_grids = grids()
+    together = wilsons(conn, cfg, loops, plan)
+    assert grids() == alone_grids
+    if plan.tol is None:
+        assert alone_grids == [[16, 32], [16, 32]]
+    else:
+        assert len(alone_grids[1]) > len(alone_grids[0]) >= 3
+    for got, want in zip(together, alone):
+        assert (got.n_gen, got.masks) == (want.n_gen, want.masks)
+
+
+def test_lanes_share_one_slot_basis_and_one_exponential_per_pass(monkeypatch):
+    # blocks of 7 steps: each loop's fine grid, 4 x 32 steps, takes 19 passes
+    monkeypatch.setattr(holonomy, "BLOCK", 14)
+    rng = np.random.default_rng(23)
+    conn, cfg = random_connection(3, rng), random_config(3, rng)
+    base, calls = holonomy._Slots, collections.Counter()
+
+    class Counted(base):
+        def __init__(self, *args):
+            calls["slots"] += 1
+            super().__init__(*args)
+
+        @functools.cached_property
+        def regulars(self):
+            calls["regulars"] += 1
+            return base.regulars.func(self)
+
+        def exp(self, coeffs, widths=None):
+            calls["exp"] += 1
+            return base.exp(self, coeffs, widths)
+
+    monkeypatch.setattr(holonomy, "_Slots", Counted)
+    wilsons(conn, cfg, [wiggly_loop(), wound_loop()])
+    assert calls == {"slots": 1, "regulars": 1, "exp": math.ceil(4 * 32 / 7)}
+    assert wilsons(conn, cfg, []) == []
+
+
+def test_a_lane_that_hits_the_step_cap_raises_as_it_does_alone(monkeypatch):
+    # with the cap at 64 steps per segment the wiggly loop converges and the
+    # wound one does not
+    monkeypatch.setattr(holonomy, "MAX_STEPS", 64)
+    rng = np.random.default_rng(22)
+    conn, cfg, plan = random_connection(2, rng), random_config(2, rng), TransportPlan(steps=8, tol=1e-6)
+    wilson(conn, cfg, wiggly_loop(), plan)
+    with pytest.raises(QuadratureError) as alone:
+        wilson(conn, cfg, wound_loop(), plan)
+    for loops in ([wiggly_loop(), wound_loop()], [wound_loop(), wiggly_loop()]):
+        with pytest.raises(QuadratureError) as together:
+            wilsons(conn, cfg, loops, plan)
+        assert str(together.value) == str(alone.value) == "no convergence to tol=1e-06 within 64 steps/segment"
 
 
 # -- against an independent integrator -----------------------------------------

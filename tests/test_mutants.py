@@ -31,7 +31,9 @@ def swapped_exponentials(monkeypatch):
 
 def no_richardson(monkeypatch):
     """The Richardson level dropped: the fine grid alone."""
-    monkeypatch.setattr(holonomy, "_with_richardson", lambda evaluate, plan: evaluate((2 * plan.steps,))[0])
+    monkeypatch.setattr(
+        holonomy, "_with_richardson", lambda evaluate, plan, count=1: evaluate([(i, 2 * plan.steps) for i in range(count)])
+    )
 
 
 def truncated_exponential(monkeypatch):

@@ -581,8 +581,9 @@ def wilsons(
 
     The loops share one slot basis, and each Richardson level steps all of
     their grids in one walk. Each loop keeps the grids, Taylor term counts
-    and pairing trees it has alone, so the values are ``wilson``'s; the
-    tests pin them bit for bit at the default plan and a tolerance plan.
+    and pairing trees it has alone, so the values are ``wilson``'s up to
+    how the joined GEMMs round their columns (bit for bit with the BLAS
+    that ``BENCH_34.json`` records).
     """
     return [u_mat.trace() for u_mat in _transports(conn, config, loops, plan)]
 

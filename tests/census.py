@@ -1,6 +1,6 @@
 """Mutation census of the default suite: which one-site errors its checks see.
 
-    python tests/census.py --out CENSUS.json [--root CHECKOUT] [--timeout 90]
+    python tests/census.py --out CENSUS.json [--root CHECKOUT]
 
 Not a test: pytest does not collect this file, and a full census takes
 several minutes. The method:
@@ -17,7 +17,7 @@ several minutes. The method:
 - Each mutant is the module's syntax tree with one site changed, written
   back with ``ast.unparse`` into a copy of the checkout's ``src/``. It runs
   ``run_suite(SuiteConfig(seed=0))`` in a fresh process with one BLAS
-  thread and a timeout of 90 s.
+  thread and a timeout of ``TIMEOUT``, 90 s.
 
 A mutant is ``killed`` when the report holds a FAIL record, ``crash`` when
 the import or ``run_suite`` raises, ``hang`` when it times out, and
@@ -41,6 +41,7 @@ from pathlib import Path
 
 MODULES = ("brackets", "chords", "fields", "geometry", "grassmann", "holonomy", "lierep", "phasespace", "strings")
 PER_MODULE = 15
+TIMEOUT = 90  # seconds per mutant
 OUTCOMES = ("killed", "crash", "hang", "survived")
 
 _SWAPS = {
@@ -146,12 +147,12 @@ def mutant_source(source: str, site: tuple) -> str:
     return ast.unparse(tree)
 
 
-def run_mutant(copy: Path, timeout: float) -> tuple[str, object]:
+def run_mutant(copy: Path) -> tuple[str, object]:
     env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
     env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
     try:
         done = subprocess.run(
-            [sys.executable, "-c", RUNNER], cwd=copy, env=env, capture_output=True, text=True, timeout=timeout
+            [sys.executable, "-c", RUNNER], cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT
         )
     except subprocess.TimeoutExpired:
         return "hang", None
@@ -162,13 +163,13 @@ def run_mutant(copy: Path, timeout: float) -> tuple[str, object]:
     return ("killed", failed) if failed else ("survived", None)
 
 
-def census(root: Path, timeout: float) -> dict:
+def census(root: Path) -> dict:
     src = root / "src"
     lines = executed_lines(src)
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src"
         shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        if run_mutant(copy, timeout)[0] != "survived":
+        if run_mutant(copy)[0] != "survived":
             raise SystemExit("error: the unmutated suite does not pass in a fresh process")
         mutants, counts = [], {}
         for name in MODULES:
@@ -180,7 +181,7 @@ def census(root: Path, timeout: float) -> dict:
             for site in drawn:
                 path.write_text(mutant_source(source, site))
                 try:
-                    outcome, detail = run_mutant(copy, timeout)
+                    outcome, detail = run_mutant(copy)
                 finally:
                     path.write_text(source)
                 tally[outcome] += 1
@@ -196,9 +197,8 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1], help="checkout to mutate")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--timeout", type=float, default=90.0, help="seconds per mutant")
     args = parser.parse_args(argv)
-    result = census(args.root.resolve(), args.timeout)
+    result = census(args.root.resolve())
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(json.dumps(result["totals"]))
 

@@ -20,7 +20,9 @@ concatenations and the transformations do, and ``canonical`` stores its
 rotated lift with the constant-segment check alone. The
 ``Fraction`` vertices are a view formed on demand. ``canonical``,
 ``normal_form`` and the string bracket's stored terms share one least
-rotation (``_least_lift``) over an integer lift.
+rotation (``_least_lift``) over an integer lift; the bracket, which knows
+where the least rotation of a spliced lift starts, passes that row and
+skips the scan.
 
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
@@ -90,7 +92,9 @@ def least_rotation(seq: Sequence) -> int:
     return min(starts, key=lambda i: seq[i:] + seq[:i], default=0)
 
 
-def _least_lift(den: int, pts: tuple, closure: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _least_lift(
+    den: int, pts: tuple, closure: tuple[int, ...], start: tuple | None = None
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(den, rows): the integer lift of the normal form of the lift (den, pts).
 
     pts are the K + 1 lift vertices P_0..P_K of a loop with closure
@@ -119,9 +123,17 @@ def _least_lift(den: int, pts: tuple, closure: tuple[int, ...]) -> tuple[int, tu
     cyclic token sequence (``least_rotation``) is a least candidate, and
     rotations that tie give equal candidates. ``PLLoop.canonical`` and
     ``strings.string_bracket`` both store their normal forms through here.
+
+    A caller that knows the least token may pass start = (r, (x, y)): row
+    r holds the one least token, whose point is (x, y) = P_r mod den. The
+    token scan is then skipped, unless P_r does not reduce to (x, y), an
+    O(1) check: the claim is then stale, and the scan runs as without a
+    start.
     """
-    tokens = [(x % den, y % den, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:])]
-    r = least_rotation(tokens)
+    r = None if start is None else start[0]
+    if r is None or (pts[r][0] % den, pts[r][1] % den) != start[1]:
+        tokens = [(x % den, y % den, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:])]
+        r = least_rotation(tokens)
     # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^2
     x, y = pts[r]
     sx, sy = x - x % den, y - y % den
@@ -325,7 +337,9 @@ class PLLoop:
         return self.canonical().vertices, self.closure
 
     @classmethod
-    def _canonical_of(cls, space: Torus, closure: tuple[int, ...], den: int, pts: tuple) -> "PLLoop":
+    def _canonical_of(
+        cls, space: Torus, closure: tuple[int, ...], den: int, pts: tuple, start: tuple | None = None
+    ) -> "PLLoop":
         """The normal-form loop of the lift (den, pts) with closure ``closure``.
 
         The caller vouches for the lift: gcd(den, coordinates) = 1 and
@@ -333,11 +347,13 @@ class PLLoop:
         through ``_store`` alone, without the gcd and closure passes of
         ``_from_lift``: rotating the rows and translating them by den times a
         lattice vector keeps both facts, so those passes would prove nothing
-        new. ``_store`` still rejects constant segments. Every call runs one
-        least rotation.
+        new. ``_store`` still rejects constant segments. ``start``, the row
+        of the least token when the caller knows it, is passed on to
+        ``_least_lift``, which then skips its token scan; without it the
+        scan runs.
         """
         loop = cls.__new__(cls)
-        loop._store(space, closure, *_least_lift(den, pts, closure))
+        loop._store(space, closure, *_least_lift(den, pts, closure, start))
         return loop
 
     def canonical(self) -> "PLLoop":

@@ -178,6 +178,7 @@ def transport(conn: ConstantCommutingConnection, loop: PLLoop, s=Fraction(0), t=
 # insertion matrices in the slot basis
 
 BLOCK = 256  # step exponentials per block of one grid, two per step: one GEMM per Taylor term serves a pass
+PAIR_LEVELS = (BLOCK - 1).bit_length()  # pair levels that multiply BLOCK factors down to one
 
 
 def _support(config: FieldConfig, n_legs: int) -> tuple[int, ...]:
@@ -392,13 +393,20 @@ def insertion_matrix(
 
 
 def _chain(factors: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
-    """Ordered product factors[0] .. factors[-1] of a stack of component
-    stacks on the support, multiplied pairwise."""
-    while len(factors) > 1:
+    """Ordered product factors[0] .. factors[-1] of a stack of at most
+    ``BLOCK`` component stacks on the support, multiplied pairwise.
+
+    Each pair level halves the stack, rounding up, so at most
+    ``PAIR_LEVELS`` levels leave one factor; a stack that is longer after
+    one more raises ``RuntimeError`` instead of looping on.
+    """
+    for _ in range(PAIR_LEVELS + 1):
+        if len(factors) == 1:
+            return factors[0]
         even = len(factors) // 2 * 2
         paired = product(factors[0:even:2], factors[1:even:2], support)
         factors = np.concatenate([paired, factors[even:]])
-    return factors[0]
+    raise RuntimeError(f"{len(factors)} factors left after {PAIR_LEVELS + 1} pair levels")
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +472,8 @@ def _gen_transports(slots: _Slots, lanes: Sequence[tuple[_Walk, int]]) -> list[S
     (``_Slots.exp``) and the pairing tree it has alone: the joined factors
     are paired only while every block's count is even and above two, so
     no pair crosses blocks, and each block then finishes with ``_chain``.
+    A block holds at most ``BLOCK`` factors, so both pairings stop within
+    ``PAIR_LEVELS`` levels.
     """
     support = slots.support
     one = SuperMatrix.from_body(np.eye(slots.n), slots.n_gen).components[list(support)]
@@ -477,7 +487,9 @@ def _gen_transports(slots: _Slots, lanes: Sequence[tuple[_Walk, int]]) -> list[S
         exps = slots.exp((nodes * np.repeat(hs, [w // 2 for w in widths])[:, None]).reshape(len(nodes), -1), widths)
         # a stack of one product is laid out, and so rounded, unlike a longer
         # one: each block's last pair level is left to its own ``_chain``
-        while not any(w % 2 or w == 2 for w in widths):
+        for _ in range(PAIR_LEVELS):
+            if any(w % 2 or w == 2 for w in widths):
+                break
             exps = product(exps[0::2], exps[1::2], support)
             widths = [w // 2 for w in widths]
         for g, factors in zip(live, np.split(exps, np.cumsum(widths)[:-1])):

@@ -14,7 +14,11 @@ The bracket uses both directly, so a bracket output stays on integers
 from its crossing to its stored term: ``string_bracket`` splices each
 crossing that ``_crossings`` yields and stores the least rotation of the
 rows (``PLLoop._canonical_of``), with no ``Fraction``, no
-``IntersectionPoint`` and no second ``PLLoop``. The public
+``IntersectionPoint`` and no second ``PLLoop``. Mod the unit, a splice's
+vertices are the crossing point, twice, and each vertex of the two loops
+once, so that rotation starts at the crossing point or at the least
+vertex of one loop, found once per loop (``_rotation_start``); the lift
+is scanned for its least token only on a tie. The public
 ``intersections`` and ``concatenate`` wrap the same two routines:
 ``intersections`` records each crossing as its two parameters
 (``Fraction``), its sign and its deck offset, sorted, and ``concatenate``
@@ -315,6 +319,49 @@ def jacobi_eta(parity_a: int, parity_c: int) -> int:
     return -1 if ((parity_a + 2) * (parity_c + 2)) % 2 else 1
 
 
+def _least_vertex(loop: PLLoop) -> tuple:
+    """(den, K, point, v): the least vertex of the lift (den, P_0..P_K) mod den.
+
+    point is the least P_v mod den over the K vertices, and v its index, or
+    None when two vertices reduce to that point.
+    """
+    den, pts = loop.integer_lift()
+    points = [(x % den, y % den) for x, y in pts[:-1]]
+    least = min(points)
+    return den, len(points), least, points.index(least) if points.count(least) == 1 else None
+
+
+def _rotation_start(unit: int, rows: tuple, i: int, j: int, den: int, x: int, y: int, first: tuple, second: tuple):
+    """(r, point): the row of the one least token of a splice, or None on a tie.
+
+    rows are ``_splice``'s rows at the crossing (x, y) / den in segments i
+    and j, and first and second are the ``_least_vertex`` of the two loops.
+    Mod unit, the K1 + K2 + 2 vertices of the rows are the crossing point,
+    at rows 0 and K1 + 1, vertex v of the first loop once, at row
+    1 + (v - i - 1) mod K1, and vertex w of the second once, at row
+    K1 + 2 + (w - j - 1) mod K2, each scaled by unit over its loop's
+    denominator. So the least token (``geometry._least_lift``) sits at the
+    least of the crossing point and the two scaled least vertices, when one
+    of them is strictly least. The crossing point's two copies are ordered
+    by their outgoing edges, which differ, since the crossing is
+    transversal. A tie, between these points or inside a loop, gives None,
+    and the caller scans.
+    """
+    (den1, k1, (ax, ay), v), (den2, k2, (bx, by), w) = first, second
+    s1, s2 = unit // den1, unit // den2
+    p = x * unit // den % unit, y * unit // den % unit
+    a, b = (ax * s1, ay * s1), (bx * s2, by * s2)
+    if p < a and p < b:
+        (x0, y0), (x1, y1) = rows[0], rows[1]
+        (x2, y2), (x3, y3) = rows[k1 + 1], rows[k1 + 2]
+        return (0 if (x1 - x0, y1 - y0) < (x3 - x2, y3 - y2) else k1 + 1), p
+    if a < p and a < b and v is not None:
+        return 1 + (v - i - 1) % k1, a
+    if b < p and b < a and w is not None:
+        return k1 + 2 + (w - j - 1) % k2, b
+    return None
+
+
 def _bracket_terms(a: StringCycle, abar: StringCycle):
     """The raw (coefficient, normal-form loop) terms of {a; abar}, one per crossing.
 
@@ -322,14 +369,20 @@ def _bracket_terms(a: StringCycle, abar: StringCycle):
     ``PLLoop._canonical_of`` on integers: ``_splice`` returns a lift over
     its least denominator whose closure is the sum of the two closures, so
     the loop is stored from its least rotation without a validating build.
+    That rotation starts at the row ``_rotation_start`` finds from the
+    crossing and the least vertex of each loop, taken once per loop; the
+    token scan runs only on the terms where it finds a tie.
     """
     pref = degree_zero_prefactor(0, 0)
+    lows = [_least_vertex(gammabar) for _, gammabar in abar.terms]
     for m, gamma in a.terms:
-        for mbar, gammabar in abar.terms:
+        low = _least_vertex(gamma)
+        for (mbar, gammabar), lowbar in zip(abar.terms, lows):
             closure = tuple(map(operator.add, gamma.closure, gammabar.closure))
             for i, j, _, _, _, sign, (ox, oy), den, x, y in _crossings(gamma, gammabar):
-                lift = _splice(gamma, gammabar, i, j, den, x, y, ox, oy)
-                yield pref * m * mbar * sign, PLLoop._canonical_of(gamma.space, closure, *lift)
+                unit, rows = _splice(gamma, gammabar, i, j, den, x, y, ox, oy)
+                start = _rotation_start(unit, rows, i, j, den, x, y, low, lowbar)
+                yield pref * m * mbar * sign, PLLoop._canonical_of(gamma.space, closure, unit, rows, start)
 
 
 def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:

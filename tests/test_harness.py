@@ -278,3 +278,35 @@ def test_a_broken_loop_constructor_fails_checks_and_not_the_import():
             assert (passed, error) == (True, None), name
         else:
             assert (passed, error) == (False, "RuntimeError: loops broken"), name
+
+
+# the gauge check with a pairwise product that returns as many factors as it
+# was given, so no pair level shortens a stack; prints the check's verdict
+UNSHORTENED_PRODUCT = """
+import json
+import numpy as np
+from stringtop import holonomy
+
+product = holonomy.product
+
+def unshortened(a, b, support):
+    out = product(a, b, support)
+    return np.concatenate([out, out]) if out.ndim == 4 else out
+
+holonomy.product = unshortened
+from stringtop.harness import SuiteConfig, run_suite
+
+print(json.dumps([[r.passed, r.error] for r in run_suite(SuiteConfig(), ["gauge"]).records]))
+"""
+
+
+def test_a_product_that_never_shortens_fails_the_check_and_does_not_hang():
+    # each block holds at most BLOCK factors, so its pairings are bounded by
+    # PAIR_LEVELS levels; a stack still longer after one more raises
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", UNSHORTENED_PRODUCT], cwd=src, capture_output=True, text=True, timeout=120, check=True
+    )
+    ((passed, error),) = json.loads(done.stdout.splitlines()[-1])
+    assert not passed
+    assert error.startswith("RuntimeError: ") and error.endswith(" factors left after 9 pair levels")

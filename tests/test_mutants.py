@@ -129,6 +129,24 @@ def paired_crossings_dropped(monkeypatch):
     monkeypatch.setattr(strings, "_crossings", dropped)
 
 
+def rotation_start_off_by_one(monkeypatch):
+    """Each bracket term's least rotation starts one row past its least token.
+
+    The claimed point is the shifted row's own, so the start passes the
+    point check of ``geometry._least_lift`` and only the normal forms show it.
+    """
+    rotation_start = strings._rotation_start
+
+    def shifted(unit, rows, *crossing):
+        start = rotation_start(unit, rows, *crossing)
+        if start is None:
+            return None
+        r = (start[0] + 1) % (len(rows) - 1)
+        return r, (rows[r][0] % unit, rows[r][1] % unit)
+
+    monkeypatch.setattr(strings, "_rotation_start", shifted)
+
+
 MUTANTS = {
     "swapped-exponentials": (swapped_exponentials, {"fundamental", "transport-accuracy"}),
     # the fourth-order step alone is far inside fundamental's 2e-6, which
@@ -146,6 +164,8 @@ MUTANTS = {
     # pair fuses the same trace and only the chain-level Jacobi sees these
     "first-crossing": (first_crossing, {"jacobi"}),
     "paired-crossings-dropped": (paired_crossings_dropped, {"jacobi"}),
+    # a wrong rotation moves no class, so only the chain-level Jacobi sees it
+    "rotation-start-off-by-one": (rotation_start_off_by_one, {"jacobi"}),
 }
 
 

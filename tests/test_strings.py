@@ -393,10 +393,12 @@ def forbid(monkeypatch, owner, name):
 
 
 def test_each_bracket_term_builds_one_loop(monkeypatch):
-    """One least rotation and one stored ``PLLoop`` per term, straight from the integers.
+    """One normal form (``_least_lift``) and one stored ``PLLoop`` per term, straight from the integers.
 
     The bracket builds no ``IntersectionPoint``, no ``Fraction``, no
-    ``lift_point`` and no validated ``_from_lift`` build.
+    ``lift_point`` and no validated ``_from_lift`` build. Whether a term's
+    least rotation scans its tokens is pinned by the rotation-start tests
+    below.
     """
     rng = np.random.default_rng(14)
     a = StringCycle([(2, wiggly_rep(rng, (1, 2))), (-1, wiggly_rep(rng, (0, 1)))])
@@ -418,6 +420,103 @@ def test_each_bracket_term_builds_one_loop(monkeypatch):
     assert StringCycle(bracket.terms) == bracket
     for _, loop in bracket.terms:
         assert PLLoop._from_lift(TORUS, *least_lift(*loop.integer_lift(), loop.closure)).integer_lift() == loop.integer_lift()
+
+
+def bracket_starts(monkeypatch, a, b):
+    """[unit, rows, start, scanned] per term of {a; b}: the splice, the row
+    its least rotation starts at (``_rotation_start``) and whether the
+    token scan (``least_rotation``) ran for it."""
+    events = []
+    start, rotation = strings._rotation_start, geometry.least_rotation
+
+    def recorded(unit, rows, *crossing):
+        events.append([unit, rows, start(unit, rows, *crossing), False])
+        return events[-1][2]
+
+    def scan(tokens):
+        events[-1][3] = True
+        return rotation(tokens)
+
+    monkeypatch.setattr(strings, "_rotation_start", recorded)
+    monkeypatch.setattr(geometry, "least_rotation", scan)
+    try:
+        string_bracket(a, b)
+    finally:
+        monkeypatch.undo()
+    return events
+
+
+def assert_starts_match_the_scan(events):
+    """Each start gives the scan's normal form, and the scan ran exactly
+    where ``_rotation_start`` refused."""
+    for unit, rows, start, scanned in events:
+        closure = tuple((q - p) // unit for p, q in zip(rows[0], rows[-1]))
+        assert geometry._least_lift(unit, rows, closure, start) == geometry._least_lift(unit, rows, closure)
+        assert scanned == (start is None)
+
+
+def test_rotation_starts_match_the_scan_on_random_and_nested_brackets(monkeypatch):
+    """Every term of random brackets {a; b} and nested ones {{a; b}; c}."""
+    rng = np.random.default_rng(35)
+    events = []
+    while len(events) < 400:
+        a, b, c = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(3))
+        try:
+            events += bracket_starts(monkeypatch, a, b)
+            events += bracket_starts(monkeypatch, string_bracket(a, b), c)
+        except TransversalityError:
+            continue
+    assert_starts_match_the_scan(events)
+    refused = sum(start is None for _, _, start, _ in events)
+    assert 0 < refused < len(events) // 4
+
+
+@pytest.mark.parametrize(
+    "first, second, row",
+    [
+        # the crossing point (1/4, 1/2) is least; its two copies, rows 0
+        # and K1 + 1, are ordered by their outgoing edges: (0, 1) < (1, 0)
+        # picks the second loop's, (-1, 0) < (0, 1) the first loop's
+        (([(F(1, 2), F(1, 2))], (1, 0)), ([(F(1, 4), F(3, 4))], (0, 1)), 2),
+        (([(F(1, 2), F(1, 2))], (-1, 0)), ([(F(1, 4), F(3, 4))], (0, 1)), 0),
+        # vertex (0, 1/2) of the first loop is least; the crossing is in
+        # segment 1, so that vertex is row 1 + (0 - 2) mod 3 = 2
+        (([(0, F(1, 2)), (F(1, 3), F(5, 8)), (F(2, 3), F(1, 2))], (1, 0)), ([(F(1, 2), F(3, 4))], (0, 1)), 2),
+        # the same loop second: row K1 + 2 + (0 - 2) mod 3 = 4
+        (([(F(1, 2), F(3, 4))], (0, 1)), ([(0, F(1, 2)), (F(1, 3), F(5, 8)), (F(2, 3), F(1, 2))], (1, 0)), 4),
+    ],
+)
+def test_rotation_start_of_each_branch(monkeypatch, first, second, row):
+    a, b = (StringCycle.from_loop(PLLoop(TORUS, *loop)) for loop in (first, second))
+    events = bracket_starts(monkeypatch, a, b)
+    assert [start[0] for _, _, start, _ in events] == [row]
+    assert_starts_match_the_scan(events)
+
+
+def test_a_tied_least_vertex_takes_the_scan(monkeypatch):
+    """An inner-bracket loop passes its crossing point twice: when that point
+    is its least vertex, and so the least point of an outer splice, two
+    rows hold it and the scan decides."""
+    line, column = PLLoop(TORUS, [(F(1, 2), F(1, 2))], (1, 0)), PLLoop(TORUS, [(F(1, 4), F(3, 4))], (0, 1))
+    inner = string_bracket(StringCycle.from_loop(line), StringCycle.from_loop(column))
+    ((_, loop),) = inner.terms
+    den, pts = loop.integer_lift()
+    assert [(x % den, y % den) for x, y in pts[:-1]].count((den // 4, den // 2)) == 2
+    assert strings._least_vertex(loop) == (den, 4, (den // 4, den // 2), None)
+    # the diagonal y = x + 5/8 meets the inner loop at (1/4, 7/8) and (7/8, 1/2), both above (1/4, 1/2)
+    events = bracket_starts(monkeypatch, inner, StringCycle.from_loop(PLLoop(TORUS, [(F(3, 4), F(3, 8))], (1, 1))))
+    assert len(events) == 2
+    assert [start for _, _, start, _ in events] == [None, None]
+    assert_starts_match_the_scan(events)
+
+
+def test_a_stale_rotation_start_takes_the_scan():
+    """A start whose row does not reduce to the claimed point is not trusted."""
+    loop = PLLoop(TORUS, [(0, F(1, 2)), (F(1, 3), F(5, 8)), (F(2, 3), F(1, 2))], (1, 0))
+    den, pts = loop.rotate_marked(1).integer_lift()
+    scan = geometry._least_lift(den, pts, loop.closure)
+    assert geometry._least_lift(den, pts, loop.closure, (2, (0, den // 2))) == scan
+    assert geometry._least_lift(den, pts, loop.closure, (1, (0, den // 2))) == scan
 
 
 def test_each_splice_is_over_the_least_denominator(monkeypatch):

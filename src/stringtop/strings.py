@@ -29,6 +29,17 @@ Non-transversal contact (overlapping segments, crossings at vertices or
 marked points) raises ``TransversalityError`` instead of being perturbed
 away silently.
 
+``jacobi_residual`` does not search its outer brackets {{x;y};z} again.
+Mod the lattice, an inner term's segments are those of x and y, with the
+two crossing segments split at the crossing point, so its crossings with
+z are those of x and y with z, moved to its segment indices
+(``_inherited``). Each moved record is tested by ``_crossings``' own
+crossing test (``_contact``) on the term's segments, so the records
+are exactly those ``_crossings`` yields. ``_crossings`` is the oracle
+they are tested against, and it runs instead whenever a term cannot
+inherit: the scan decided its rotation, a parent pair raises, or a
+candidate is degenerate, such as z through the crossing point.
+
 The degree-0 bracket of two cycles on a surface sums, over transversal
 intersection points p of their representatives, the loop concatenated at
 p weighted by the orientation sign of the crossing frame. An independent
@@ -69,13 +80,13 @@ class IntersectionPoint:
     offset: tuple[int, ...]
 
 
-def _segments(loop: PLLoop, scale: int) -> list[tuple[int, ...]]:
-    """Per segment of the integer lift times ``scale``: start, edge, closed box."""
+def _segments(loop: PLLoop, scale: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per segment of the integer lift times ``scale``: (start and edge, closed box)."""
     out = []
     _, pts = loop.integer_lift()
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         x0, y0, x1, y1 = x0 * scale, y0 * scale, x1 * scale, y1 * scale
-        out.append((x0, y0, x1 - x0, y1 - y0, min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)))
+        out.append(((x0, y0, x1 - x0, y1 - y0), (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))))
     return out
 
 
@@ -101,37 +112,52 @@ def _crossings(loop: PLLoop, other: PLLoop):
     den1, den2 = loop.integer_lift()[0], other.integer_lift()[0]
     unit = math.lcm(den1, den2)
     others = _segments(other, unit // den2)
-    for i, (px, py, dpx, dpy, axlo, axhi, aylo, ayhi) in enumerate(_segments(loop, unit // den1)):
-        for j, (qx, qy, dqx, dqy, bxlo, bxhi, bylo, byhi) in enumerate(others):
+    for i, (a, (axlo, axhi, aylo, ayhi)) in enumerate(_segments(loop, unit // den1)):
+        for j, (b, (bxlo, bxhi, bylo, byhi)) in enumerate(others):
             l1lo, l1hi = -((bxhi - axlo) // unit), (axhi - bxlo) // unit
             l2lo, l2hi = -((byhi - aylo) // unit), (ayhi - bylo) // unit
             if l1lo > l1hi or l2lo > l2hi:
                 continue
-            cross = dpx * dqy - dpy * dqx
-            den = abs(cross)
             for l1 in range(l1lo, l1hi + 1):
                 for l2 in range(l2lo, l2hi + 1):
-                    # the translate q + lam u against p + t dp, with t = tn/den, r = rn/den
-                    ex, ey = qx + l1 * unit - px, qy + l2 * unit - py
-                    if cross == 0:
-                        if ex * dpy - ey * dpx != 0:
-                            continue  # parallel and apart
-                        # collinear: do [a, b] and [0, e] overlap on an axis the first segment spans?
-                        a, b, e = (ex, ex + dqx, dpx) if dpx != 0 else (ey, ey + dqy, dpy)
-                        if min(a, b) <= max(0, e) and max(a, b) >= min(0, e):
-                            raise TransversalityError(f"collinear overlap between segments ({i}, {j})")
-                        continue
-                    tn, rn = ex * dqy - ey * dqx, ex * dpy - ey * dpx
-                    if cross < 0:
-                        tn, rn = -tn, -rn
-                    if tn < 0 or tn > den or rn < 0 or rn > den:
-                        continue
-                    if tn in (0, den) or rn in (0, den):
-                        raise TransversalityError(
-                            f"segments ({i}, {j}) cross at a vertex or marked point"
-                        )
-                    sign = 1 if cross > 0 else -1
-                    yield i, j, tn, rn, den, sign, (l1, l2), den * unit, px * den + tn * dpx, py * den + tn * dpy
+                    found = _contact(i, a, j, b, l1, l2, unit)
+                    if found is not None:
+                        yield found
+
+
+def _contact(i: int, a: tuple, j: int, b: tuple, l1: int, l2: int, unit: int):
+    """The crossing record of segment i with the (l1, l2) translate of segment j, or None.
+
+    a and b are the start and edge of each segment over one unit, as
+    ``_segments`` gives them; the record is the one ``_crossings`` yields
+    for them. Segments that do not touch give None, and a degenerate
+    contact raises ``TransversalityError``. This is the one crossing test:
+    ``_crossings`` runs it on every translate its boxes let through, and
+    ``_inherited`` on each record it moves from a parent.
+    """
+    px, py, dpx, dpy = a
+    qx, qy, dqx, dqy = b
+    cross = dpx * dqy - dpy * dqx
+    # the translate q + lam u against p + t dp, with t = tn/den, r = rn/den
+    ex, ey = qx + l1 * unit - px, qy + l2 * unit - py
+    if cross == 0:
+        if ex * dpy - ey * dpx != 0:
+            return None  # parallel and apart
+        # collinear: do [lo, hi] and [0, e] overlap on an axis the first segment spans?
+        lo, hi, e = (ex, ex + dqx, dpx) if dpx != 0 else (ey, ey + dqy, dpy)
+        if min(lo, hi) <= max(0, e) and max(lo, hi) >= min(0, e):
+            raise TransversalityError(f"collinear overlap between segments ({i}, {j})")
+        return None
+    den = abs(cross)
+    tn, rn = ex * dqy - ey * dqx, ex * dpy - ey * dpx
+    if cross < 0:
+        tn, rn = -tn, -rn
+    if tn < 0 or tn > den or rn < 0 or rn > den:
+        return None
+    if tn in (0, den) or rn in (0, den):
+        raise TransversalityError(f"segments ({i}, {j}) cross at a vertex or marked point")
+    sign = 1 if cross > 0 else -1
+    return i, j, tn, rn, den, sign, (l1, l2), den * unit, px * den + tn * dpx, py * den + tn * dpy
 
 
 def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
@@ -362,7 +388,7 @@ def _rotation_start(unit: int, rows: tuple, i: int, j: int, den: int, x: int, y:
     return None
 
 
-def _bracket_terms(a: StringCycle, abar: StringCycle):
+def _bracket_terms(a: StringCycle, abar: StringCycle, crossings=None, origins: dict | None = None):
     """The raw (coefficient, normal-form loop) terms of {a; abar}, one per crossing.
 
     Each crossing goes from ``_crossings`` to ``_splice`` to
@@ -372,17 +398,112 @@ def _bracket_terms(a: StringCycle, abar: StringCycle):
     That rotation starts at the row ``_rotation_start`` finds from the
     crossing and the least vertex of each loop, taken once per loop; the
     token scan runs only on the terms where it finds a tie.
+
+    ``crossings(gamma, gammabar)``, when given, stands in for
+    ``_crossings`` and must give the same records. ``origins``, when given,
+    maps each term's loop to where it was spliced: (gamma, gammabar, i, j,
+    ox, oy, r, sx, sy), with r the row its least rotation starts at and
+    (sx, sy) the lattice vector that rotation subtracts. A term whose
+    rotation the scan decides gets no entry.
     """
     pref = degree_zero_prefactor(0, 0)
+    if crossings is None:
+        crossings = _crossings
     lows = [_least_vertex(gammabar) for _, gammabar in abar.terms]
     for m, gamma in a.terms:
         low = _least_vertex(gamma)
         for (mbar, gammabar), lowbar in zip(abar.terms, lows):
             closure = tuple(map(operator.add, gamma.closure, gammabar.closure))
-            for i, j, _, _, _, sign, (ox, oy), den, x, y in _crossings(gamma, gammabar):
+            for i, j, _, _, _, sign, (ox, oy), den, x, y in crossings(gamma, gammabar):
                 unit, rows = _splice(gamma, gammabar, i, j, den, x, y, ox, oy)
                 start = _rotation_start(unit, rows, i, j, den, x, y, low, lowbar)
-                yield pref * m * mbar * sign, PLLoop._canonical_of(gamma.space, closure, unit, rows, start)
+                loop = PLLoop._canonical_of(gamma.space, closure, unit, rows, start)
+                if origins is not None and start is not None:
+                    r = start[0]
+                    px, py = rows[r]
+                    # the start ``_least_lift`` takes, not a stale one it scans past
+                    if (px % unit, py % unit) == start[1]:
+                        origins[loop] = gamma, gammabar, i, j, ox, oy, r, px // unit, py // unit
+                yield pref * m * mbar * sign, loop
+
+
+def _inherited(origins: dict, pair, loop: PLLoop, other: PLLoop):
+    """The records of ``_crossings(loop, other)`` for an inner-bracket term, from its parents' records.
+
+    ``origins[loop]`` says where the term was spliced (``_bracket_terms``),
+    and ``pair(gamma, other)`` gives the records of a parent with
+    ``other``. Mod the lattice, the term's segments are its parents', with
+    segment i of gamma and segment j of gammabar each split at the
+    crossing point p, in ``_splice``'s row order, then rotated to start at
+    row r:
+
+    - segment q of gamma is splice row (q - i) mod K1, shifted by the first
+      closure when q < i; segment i gives both halves, rows 0 and K1;
+    - segment q of gammabar is row K1 + 1 + (q - j) mod K2, shifted by the
+      crossing's offset plus the first closure, and by the second closure
+      too when q < j; segment j gives rows K1 + 1 and K1 + 1 + K2;
+    - row m is the term's segment m - r, shifted by -(sx, sy), or, when
+      m < r, segment m - r + K1 + K2 + 2, shifted by the closure too.
+
+    So a parent record (q, j', lam) gives the candidate (k, j', lam plus
+    the shift) on each piece k of segment q. The candidates are tested in
+    ``_crossings``' (i, j, lam) order by its own test, ``_contact``, on the
+    term's segments, so the records come out as ``_crossings`` yields them:
+    every contact of the term with ``other`` lies on a parent's record. A
+    contact at p, where ``other`` meets both halves, is degenerate.
+
+    ``_crossings`` stays the reference: it runs instead when the term has
+    no origin, when a parent pair raises, and when a candidate is
+    degenerate, so what raises, and after which records, is its own.
+    """
+    origin = origins.get(loop)
+    if origin is None:
+        return _crossings(loop, other)
+    gamma, gammabar, i, j, ox, oy, r, sx, sy = origin
+    try:
+        first, second = pair(gamma, other), pair(gammabar, other)
+    except TransversalityError:
+        return _crossings(loop, other)
+    k1, k2 = gamma.num_segments, gammabar.num_segments
+    (ax, ay), (bx, by) = gamma.closure, gammabar.closure
+    size, wx, wy = k1 + k2 + 2, ax + bx - sx, ay + by - sy
+    candidates = []
+    # per parent: its records, its first splice row, its split segment and
+    # length, and its lattice shift before and after its own wrap
+    for records, base, split, k, tx, ty, cx, cy in (
+        (first, 0, i, k1, 0, 0, ax, ay),
+        (second, k1 + 1, j, k2, ox + ax, oy + ay, ox + ax + bx, oy + ay + by),
+    ):
+        for q, jz, _, _, _, _, (l1, l2), _, _, _ in records:
+            if q > split:
+                pieces = ((base + q - split, tx, ty),)
+            elif q < split:
+                pieces = ((base + q - split + k, cx, cy),)
+            else:
+                pieces = ((base, tx, ty), (base + k, cx, cy))
+            for m, dx, dy in pieces:
+                if m >= r:
+                    candidates.append((m - r, jz, l1 + dx - sx, l2 + dy - sy))
+                else:
+                    candidates.append((m - r + size, jz, l1 + dx + wx, l2 + dy + wy))
+    candidates.sort()
+    (den1, pts), (den2, pts2) = loop.integer_lift(), other.integer_lift()
+    unit = math.lcm(den1, den2)
+    s1, s2 = unit // den1, unit // den2
+    out = []
+    try:
+        for k, jz, l1, l2 in candidates:
+            # the two segments' starts and edges over the unit, as ``_segments`` scales them
+            (x0, y0), (x1, y1) = pts[k], pts[k + 1]
+            (u0, v0), (u1, v1) = pts2[jz], pts2[jz + 1]
+            a = x0 * s1, y0 * s1, (x1 - x0) * s1, (y1 - y0) * s1
+            b = u0 * s2, v0 * s2, (u1 - u0) * s2, (v1 - v0) * s2
+            found = _contact(k, a, jz, b, l1, l2, unit)
+            if found is not None:
+                out.append(found)
+    except TransversalityError:
+        return _crossings(loop, other)
+    return out
 
 
 def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:
@@ -398,18 +519,39 @@ def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:
 def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCycle:
     """Signed cyclic sum eta(x,z) {{x;y};z}, formed on chains.
 
-    The inner brackets {x;y} are ``string_bracket`` cycles; the raw terms of
-    the three outer brackets are gathered and combined once, which gives
-    the cycle that summing the three outer cycles gives.
+    The inner brackets {x;y} are combined cycles; the raw terms of the
+    three outer brackets are gathered and combined once, which gives the
+    cycle that summing the three outer cycles gives.
+
+    The crossing records of each pair of input loops are enumerated once
+    per call, on first use. An inner term's crossings with z are inherited
+    from the records of its two parents with z (``_inherited``), not
+    searched for again; ``_crossings`` is the oracle they must equal
+    record for record (``tests/test_strings.py``), and it runs instead for
+    a term without an origin, a parent pair that raises and a degenerate
+    candidate, so the records, and what raises, are those of the plain
+    bracket.
 
     Its class reduction is zero (Goldman). The suite checks the stronger
     statement that the chain itself is zero, which held on every
     non-degenerate random triple tested (``tests/test_strings.py``).
     """
     eta = jacobi_eta(0, 0)
+    found = {}
+
+    def pair(gamma: PLLoop, gammabar: PLLoop) -> list:
+        """The crossing records of two input loops; a pair that raises is not kept."""
+        key = gamma, gammabar
+        if key not in found:
+            found[key] = list(_crossings(gamma, gammabar))
+        return found[key]
+
     terms = []
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        terms += ((eta * k, loop) for k, loop in _bracket_terms(string_bracket(x, y), z))
+        origins = {}
+        inner = StringCycle._of(_bracket_terms(x, y, pair, origins))
+        inherit = functools.partial(_inherited, origins, pair)
+        terms += ((eta * k, loop) for k, loop in _bracket_terms(inner, z, inherit))
     return StringCycle._of(terms)
 
 

@@ -517,12 +517,14 @@ def canonical_rotations(loop: PLLoop) -> PLLoop:
     return PLLoop(loop.space, verts, closure)
 
 
-def bracket_terms_fraction(a, abar):
+def bracket_terms_fraction(a, abar, crossings=None, origins=None):
     """Oracle: ``strings._bracket_terms`` through the three ``Fraction`` oracles above.
 
     One (sign times coefficients, normal-form loop) term per crossing of
     ``intersections_fraction``, spliced by ``concatenate_fraction`` and
-    normalized by ``canonical_rotations``.
+    normalized by ``canonical_rotations``. It finds every crossing itself,
+    so it ignores ``crossings`` and records no ``origins``: under it,
+    ``jacobi_residual`` inherits nothing.
     """
     for m, gamma in a.terms:
         for mbar, gammabar in abar.terms:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stringtop import fields, holonomy
+from stringtop import fields, holonomy, lierep
 from stringtop.fields import (
     ConstantCommutingConnection,
     FieldConfig,
@@ -582,6 +582,27 @@ def test_block_boundaries_do_not_matter(one_grid, monkeypatch, block):
         assert relative(new, old) <= 1e-13
     assert relative(got[0], gen_transport_stepwise(conn, cfg, loop, STEPS, legs)) <= 1e-12
     assert relative(got[1], insertion_derivative_epsilon_stepwise(conn, cfg, loop, eta, STEPS, legs)) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [holonomy.BLOCK, holonomy.BLOCK - 1, 127])
+def test_a_full_block_chains_to_the_left_to_right_product(count):
+    """``_chain`` on the longest stacks a block hands it, against one product at a time.
+
+    The pair levels of ``_gen_transports`` halve every suite block to two
+    or four factors first, so only stacks like these need all
+    ``PAIR_LEVELS`` of ``_chain``'s levels: ``BLOCK`` needs every one, and
+    ``BLOCK - 1`` and 127 carry an odd factor down. The two orders round
+    differently, so they agree to 1e-13 relative (about 2e-15 measured).
+    """
+    rng = np.random.default_rng(count)
+    support, n = (0, 3, 28, 31), 2
+    factors = 0.05 * rng.standard_normal((count, len(support), n, n))
+    factors[:, 0] += np.eye(n)
+    want = factors[0]
+    for factor in factors[1:]:
+        want = lierep.product(want, factor, support)
+    got = holonomy._chain(factors, support)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_transport_memory_does_not_grow_with_the_steps(monkeypatch):

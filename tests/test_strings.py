@@ -615,6 +615,114 @@ def test_the_bracket_splices_what_the_records_splice():
     assert compared >= 20 and degenerate >= 5 and fed_back >= 10
 
 
+# -- inherited crossings ----------------------------------------------------------
+
+
+def compare_inherited(monkeypatch, x, y, z, counts):
+    """``_inherited`` against ``_crossings`` on every term of {x; y} with every term of z.
+
+    Both give the same records in the same order, or raise the same text.
+    counts tallies the pairs by route: "inherited" (``_crossings`` never
+    ran on the term), "degenerate" and "no origin" (it ran as the fallback).
+    A degenerate {x; y} compares nothing.
+    """
+    search = strings._crossings
+    pair = lambda gamma, other: list(search(gamma, other))
+    origins = {}
+    try:
+        inner = StringCycle._of(strings._bracket_terms(x, y, pair, origins))
+    except TransversalityError:
+        return
+    searched = []
+    monkeypatch.setattr(strings, "_crossings", lambda loop, other: searched.append(loop) or search(loop, other))
+    try:
+        for _, loop in inner.terms:
+            for _, other in z.terms:
+                want = crossings_or_error(lambda *p: list(search(*p)), loop, other)
+                del searched[:]
+                got = crossings_or_error(lambda *p: list(strings._inherited(origins, pair, *p)), loop, other)
+                assert got == want
+                route = "degenerate" if isinstance(want, str) else "inherited" if loop in origins else "no origin"
+                assert any(s is loop for s in searched) == (route != "inherited")
+                counts[route] += 1
+    finally:
+        monkeypatch.undo()
+
+
+def test_inherited_records_are_the_searched_ones(monkeypatch):
+    """Random four-vertex triples, drawn as ``nested`` draws them, and coarse
+    grid triples, which are often degenerate."""
+    rng = np.random.default_rng(36)
+    counts = dict.fromkeys(("inherited", "degenerate", "no origin"), 0)
+    for _ in range(40):
+        a, b, c = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(3))
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            compare_inherited(monkeypatch, x, y, z, counts)
+    assert counts["inherited"] > 250
+    drawn = 0
+    while drawn < 100:
+        den = int(rng.choice([2, 4, 24]))
+        loops = [grid_loop(rng, den, tuple(int(c) for c in rng.integers(-2, 3, 2))) for _ in range(3)]
+        if any(loop is None for loop in loops):
+            continue
+        drawn += 1
+        compare_inherited(monkeypatch, *(StringCycle.from_loop(loop) for loop in loops), counts)
+    assert counts["inherited"] > 500 and counts["degenerate"] > 100
+
+
+def test_a_triple_point_takes_the_search(monkeypatch):
+    """z through the crossing point of x and y: each parent pair is transversal, the term's pair is not."""
+    x, y, z = (
+        StringCycle.from_loop(PLLoop(TORUS, [base], cls))
+        for base, cls in (((0, F(1, 2)), (1, 0)), ((F(1, 4), 0), (0, 1)), ((0, F(1, 4)), (1, 1)))
+    )
+    # all three meet at (1/4, 1/2) and nowhere else
+    for (_, gamma), (_, other) in itertools.combinations([x.terms[0], y.terms[0], z.terms[0]], 2):
+        assert [p.sign for p in intersections(gamma, other)] in ([1], [-1])
+    counts = dict.fromkeys(("inherited", "degenerate", "no origin"), 0)
+    compare_inherited(monkeypatch, x, y, z, counts)
+    assert counts == {"inherited": 0, "degenerate": 1, "no origin": 0}
+    with pytest.raises(TransversalityError, match="vertex or marked point") as searched:
+        list(strings._bracket_terms(string_bracket(x, y), z))
+    with pytest.raises(TransversalityError) as got:
+        jacobi_residual(x, y, z)
+    assert str(got.value) == str(searched.value)
+
+
+def test_a_term_whose_rotation_the_scan_decides_takes_the_search(monkeypatch):
+    """The first loop's two vertices coincide mod 1 and are least, so
+    ``_rotation_start`` gives no start and the terms no origin."""
+    x = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 16), F(1, 16)), (F(17, 16), F(17, 16))], (2, 3)))
+    y = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 2), F(1, 4))], (0, 1)))
+    z = StringCycle.from_loop(PLLoop(TORUS, [(0, F(3, 8))], (1, 0)))
+    counts = dict.fromkeys(("inherited", "degenerate", "no origin"), 0)
+    compare_inherited(monkeypatch, x, y, z, counts)
+    assert counts == {"inherited": 0, "degenerate": 0, "no origin": 2}
+
+
+def test_jacobi_searches_each_pair_of_input_loops_once(monkeypatch):
+    """The six ordered pairs of input loops are each searched at most once,
+    and only they: the inner brackets and the parents of the outer terms
+    share them, and no inner term is searched."""
+    rng = np.random.default_rng(37)
+    search = strings._crossings
+    searched = []
+    monkeypatch.setattr(strings, "_crossings", lambda loop, other: searched.append((loop, other)) or search(loop, other))
+    full = 0
+    for _ in range(20):
+        a, b, c = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(3))
+        del searched[:]
+        try:
+            jacobi_residual(a, b, c)
+        except TransversalityError:
+            continue
+        loops = [cycle.terms[0][1] for cycle in (a, b, c)]
+        pairs = {(gamma, other) for gamma in loops for other in loops if gamma is not other}
+        assert len(searched) == len(set(searched)) and set(searched) <= pairs
+        full += len(searched) == 6
+    assert full >= 10
+
+
 # -- the bracket --------------------------------------------------------------------
 
 

@@ -200,7 +200,8 @@ class ConstantCommutingConnection:
             m.setflags(write=False)
         residual = self.flatness_residual()
         scale = max(max(float(np.max(np.abs(m))) for m in self.mats), 1.0)
-        if residual > 1e-12 * scale:
+        # written so that a NaN residual or scale, from a NaN or inf entry, fails
+        if not residual <= 1e-12 * scale:
             raise ValueError(
                 f"direction matrices do not commute (flatness residual {residual:.3e})"
             )

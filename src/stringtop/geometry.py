@@ -20,9 +20,9 @@ concatenations and the transformations do, and ``canonical`` stores its
 rotated lift with the constant-segment check alone. The
 ``Fraction`` vertices are a view formed on demand. ``canonical``,
 ``normal_form`` and the string bracket's stored terms share one least
-rotation (``_least_lift``) over an integer lift; the bracket, which knows
-where the least rotation of a spliced lift starts, passes that row and
-skips the scan.
+rotation (``_least_lift``) over an integer lift. The bracket finds the
+row that rotation starts at from the crossing, and passes it on; the
+token scan (``_least_token``) runs only on a tie.
 
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
@@ -92,8 +92,13 @@ def least_rotation(seq: Sequence) -> int:
     return min(starts, key=lambda i: seq[i:] + seq[:i], default=0)
 
 
+def _least_token(den: int, pts: tuple) -> int:
+    """The row at which the normal form of the lift (den, pts) starts: ``_least_lift``'s token scan."""
+    return least_rotation([(x % den, y % den, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:])])
+
+
 def _least_lift(
-    den: int, pts: tuple, closure: tuple[int, ...], start: tuple | None = None
+    den: int, pts: tuple, closure: tuple[int, ...], start: int | None = None
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(den, rows): the integer lift of the normal form of the lift (den, pts).
 
@@ -124,16 +129,11 @@ def _least_lift(
     rotations that tie give equal candidates. ``PLLoop.canonical`` and
     ``strings.string_bracket`` both store their normal forms through here.
 
-    A caller that knows the least token may pass start = (r, (x, y)): row
-    r holds the one least token, whose point is (x, y) = P_r mod den. The
-    token scan is then skipped, unless P_r does not reduce to (x, y), an
-    O(1) check: the claim is then stale, and the scan runs as without a
-    start.
+    The scan is ``_least_token``. A caller that knows the row at which
+    the least rotation starts passes it as ``start``, and the scan is
+    skipped: the rows are rotated to start there, whatever they hold.
     """
-    r = None if start is None else start[0]
-    if r is None or (pts[r][0] % den, pts[r][1] % den) != start[1]:
-        tokens = [(x % den, y % den, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:])]
-        r = least_rotation(tokens)
+    r = _least_token(den, pts) if start is None else start
     # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^2
     x, y = pts[r]
     sx, sy = x - x % den, y - y % den
@@ -338,7 +338,7 @@ class PLLoop:
 
     @classmethod
     def _canonical_of(
-        cls, space: Torus, closure: tuple[int, ...], den: int, pts: tuple, start: tuple | None = None
+        cls, space: Torus, closure: tuple[int, ...], den: int, pts: tuple, start: int | None = None
     ) -> "PLLoop":
         """The normal-form loop of the lift (den, pts) with closure ``closure``.
 
@@ -348,9 +348,8 @@ class PLLoop:
         ``_from_lift``: rotating the rows and translating them by den times a
         lattice vector keeps both facts, so those passes would prove nothing
         new. ``_store`` still rejects constant segments. ``start``, the row
-        of the least token when the caller knows it, is passed on to
-        ``_least_lift``, which then skips its token scan; without it the
-        scan runs.
+        the least rotation starts at when the caller knows it, is passed on
+        to ``_least_lift``, which then skips its token scan.
         """
         loop = cls.__new__(cls)
         loop._store(space, closure, *_least_lift(den, pts, closure, start))

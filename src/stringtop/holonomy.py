@@ -155,6 +155,8 @@ class TransportPlan:
     tol: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.steps, int) or isinstance(self.steps, bool):
+            raise TypeError(f"steps must be an int, not {type(self.steps).__name__}")
         if self.steps < 1 or 2 * self.steps > MAX_STEPS:
             raise ValueError(f"bad step counts: steps must lie in 1..{MAX_STEPS // 2}")
         if self.tol is not None and not self.tol > 0:
@@ -470,8 +472,8 @@ def _gen_transports(slots: _Slots, lanes: Sequence[tuple[_Walk, int]]) -> list[S
     one Fourier pass, one Taylor series and one pairwise product, each
     block weighted by its own step width. Each block keeps the term count
     (``_Slots.exp``) and the pairing tree it has alone: the joined factors
-    are paired only while every block's count is even and above two, so
-    no pair crosses blocks, and each block then finishes with ``_chain``.
+    are paired only while every block's count is even, so no pair crosses
+    blocks, and each block then finishes with ``_chain``.
     A block holds at most ``BLOCK`` factors, so both pairings stop within
     ``PAIR_LEVELS`` levels.
     """
@@ -485,10 +487,8 @@ def _gen_transports(slots: _Slots, lanes: Sequence[tuple[_Walk, int]]) -> list[S
         nodes = slots.coefficients(np.concatenate(pos), np.concatenate(vel), np.concatenate(legs, axis=1))
         nodes = nodes.reshape(len(slots.where), -1, 2) @ _CF_WEIGHTS
         exps = slots.exp((nodes * np.repeat(hs, [w // 2 for w in widths])[:, None]).reshape(len(nodes), -1), widths)
-        # a stack of one product is laid out, and so rounded, unlike a longer
-        # one: each block's last pair level is left to its own ``_chain``
         for _ in range(PAIR_LEVELS):
-            if any(w % 2 or w == 2 for w in widths):
+            if any(w % 2 for w in widths):
                 break
             exps = product(exps[0::2], exps[1::2], support)
             widths = [w // 2 for w in widths]
@@ -594,8 +594,8 @@ def wilsons(
     The loops share one slot basis, and each Richardson level steps all of
     their grids in one walk. Each loop keeps the grids, Taylor term counts
     and pairing trees it has alone, so the values are ``wilson``'s up to
-    how the joined GEMMs round their columns (bit for bit with the BLAS
-    that ``BENCH_34.json`` records).
+    how the joined GEMMs round their columns, which can depend on what
+    shares a GEMM (about 1e-16 relative).
     """
     return [u_mat.trace() for u_mat in _transports(conn, config, loops, plan)]
 

@@ -30,15 +30,14 @@ marked points) raises ``TransversalityError`` instead of being perturbed
 away silently.
 
 ``jacobi_residual`` does not search its outer brackets {{x;y};z} again.
-Mod the lattice, an inner term's segments are those of x and y, with the
-two crossing segments split at the crossing point, so its crossings with
-z are those of x and y with z, moved to its segment indices
-(``_inherited``). Each moved record is tested by ``_crossings``' own
-crossing test (``_contact``) on the term's segments, so the records
-are exactly those ``_crossings`` yields. ``_crossings`` is the oracle
-they are tested against, and it runs instead whenever a term cannot
-inherit: the scan decided its rotation, a parent pair raises, or a
-candidate is degenerate, such as z through the crossing point.
+Each inner term records where it was spliced. Mod the lattice, its
+segments are those of x and y, split at the crossing point, so its
+crossings with z are those of x and y with z, moved to its segment
+indices (``_inherited``) and tested by ``_crossings``' own test
+(``_contact``) in its order: the records, and a degenerate contact such
+as z through the crossing point, are exactly ``_crossings``'. That
+oracle runs on a term only when a parent pair raises, so that its error
+names the term.
 
 The degree-0 bracket of two cycles on a surface sums, over transversal
 intersection points p of their representatives, the loop concatenated at
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from stringtop.geometry import PLLoop
+from stringtop.geometry import PLLoop, _least_token
 
 
 class TransversalityError(ValueError):
@@ -358,7 +357,7 @@ def _least_vertex(loop: PLLoop) -> tuple:
 
 
 def _rotation_start(unit: int, rows: tuple, i: int, j: int, den: int, x: int, y: int, first: tuple, second: tuple):
-    """(r, point): the row of the one least token of a splice, or None on a tie.
+    """The row at which the least rotation of a splice starts.
 
     rows are ``_splice``'s rows at the crossing (x, y) / den in segments i
     and j, and first and second are the ``_least_vertex`` of the two loops.
@@ -370,8 +369,8 @@ def _rotation_start(unit: int, rows: tuple, i: int, j: int, den: int, x: int, y:
     least of the crossing point and the two scaled least vertices, when one
     of them is strictly least. The crossing point's two copies are ordered
     by their outgoing edges, which differ, since the crossing is
-    transversal. A tie, between these points or inside a loop, gives None,
-    and the caller scans.
+    transversal. On a tie, between these points or inside a loop, the
+    token scan (``geometry._least_token``) gives the row.
     """
     (den1, k1, (ax, ay), v), (den2, k2, (bx, by), w) = first, second
     s1, s2 = unit // den1, unit // den2
@@ -380,12 +379,12 @@ def _rotation_start(unit: int, rows: tuple, i: int, j: int, den: int, x: int, y:
     if p < a and p < b:
         (x0, y0), (x1, y1) = rows[0], rows[1]
         (x2, y2), (x3, y3) = rows[k1 + 1], rows[k1 + 2]
-        return (0 if (x1 - x0, y1 - y0) < (x3 - x2, y3 - y2) else k1 + 1), p
+        return 0 if (x1 - x0, y1 - y0) < (x3 - x2, y3 - y2) else k1 + 1
     if a < p and a < b and v is not None:
-        return 1 + (v - i - 1) % k1, a
+        return 1 + (v - i - 1) % k1
     if b < p and b < a and w is not None:
-        return k1 + 2 + (w - j - 1) % k2, b
-    return None
+        return k1 + 2 + (w - j - 1) % k2
+    return _least_token(unit, rows)
 
 
 def _bracket_terms(a: StringCycle, abar: StringCycle, crossings=None, origins: dict | None = None):
@@ -401,10 +400,9 @@ def _bracket_terms(a: StringCycle, abar: StringCycle, crossings=None, origins: d
 
     ``crossings(gamma, gammabar)``, when given, stands in for
     ``_crossings`` and must give the same records. ``origins``, when given,
-    maps each term's loop to where it was spliced: (gamma, gammabar, i, j,
+    maps every term's loop to where it was spliced: (gamma, gammabar, i, j,
     ox, oy, r, sx, sy), with r the row its least rotation starts at and
-    (sx, sy) the lattice vector that rotation subtracts. A term whose
-    rotation the scan decides gets no entry.
+    (sx, sy) the lattice vector that rotation subtracts.
     """
     pref = degree_zero_prefactor(0, 0)
     if crossings is None:
@@ -416,14 +414,11 @@ def _bracket_terms(a: StringCycle, abar: StringCycle, crossings=None, origins: d
             closure = tuple(map(operator.add, gamma.closure, gammabar.closure))
             for i, j, _, _, _, sign, (ox, oy), den, x, y in crossings(gamma, gammabar):
                 unit, rows = _splice(gamma, gammabar, i, j, den, x, y, ox, oy)
-                start = _rotation_start(unit, rows, i, j, den, x, y, low, lowbar)
-                loop = PLLoop._canonical_of(gamma.space, closure, unit, rows, start)
-                if origins is not None and start is not None:
-                    r = start[0]
+                r = _rotation_start(unit, rows, i, j, den, x, y, low, lowbar)
+                loop = PLLoop._canonical_of(gamma.space, closure, unit, rows, r)
+                if origins is not None:
                     px, py = rows[r]
-                    # the start ``_least_lift`` takes, not a stale one it scans past
-                    if (px % unit, py % unit) == start[1]:
-                        origins[loop] = gamma, gammabar, i, j, ox, oy, r, px // unit, py // unit
+                    origins[loop] = gamma, gammabar, i, j, ox, oy, r, px // unit, py // unit
                 yield pref * m * mbar * sign, loop
 
 
@@ -449,17 +444,13 @@ def _inherited(origins: dict, pair, loop: PLLoop, other: PLLoop):
     the shift) on each piece k of segment q. The candidates are tested in
     ``_crossings``' (i, j, lam) order by its own test, ``_contact``, on the
     term's segments, so the records come out as ``_crossings`` yields them:
-    every contact of the term with ``other`` lies on a parent's record. A
-    contact at p, where ``other`` meets both halves, is degenerate.
-
-    ``_crossings`` stays the reference: it runs instead when the term has
-    no origin, when a parent pair raises, and when a candidate is
-    degenerate, so what raises, and after which records, is its own.
+    every contact of the term with ``other`` lies on a parent's record.
+    A degenerate one either makes a parent pair raise, and the term is
+    searched by ``_crossings`` so that the error names its segments, or
+    lies at p, on a candidate of every half, where ``_contact`` raises
+    as ``_crossings`` would.
     """
-    origin = origins.get(loop)
-    if origin is None:
-        return _crossings(loop, other)
-    gamma, gammabar, i, j, ox, oy, r, sx, sy = origin
+    gamma, gammabar, i, j, ox, oy, r, sx, sy = origins[loop]
     try:
         first, second = pair(gamma, other), pair(gammabar, other)
     except TransversalityError:
@@ -491,18 +482,15 @@ def _inherited(origins: dict, pair, loop: PLLoop, other: PLLoop):
     unit = math.lcm(den1, den2)
     s1, s2 = unit // den1, unit // den2
     out = []
-    try:
-        for k, jz, l1, l2 in candidates:
-            # the two segments' starts and edges over the unit, as ``_segments`` scales them
-            (x0, y0), (x1, y1) = pts[k], pts[k + 1]
-            (u0, v0), (u1, v1) = pts2[jz], pts2[jz + 1]
-            a = x0 * s1, y0 * s1, (x1 - x0) * s1, (y1 - y0) * s1
-            b = u0 * s2, v0 * s2, (u1 - u0) * s2, (v1 - v0) * s2
-            found = _contact(k, a, jz, b, l1, l2, unit)
-            if found is not None:
-                out.append(found)
-    except TransversalityError:
-        return _crossings(loop, other)
+    for k, jz, l1, l2 in candidates:
+        # the two segments' starts and edges over the unit, as ``_segments`` scales them
+        (x0, y0), (x1, y1) = pts[k], pts[k + 1]
+        (u0, v0), (u1, v1) = pts2[jz], pts2[jz + 1]
+        a = x0 * s1, y0 * s1, (x1 - x0) * s1, (y1 - y0) * s1
+        b = u0 * s2, v0 * s2, (u1 - u0) * s2, (v1 - v0) * s2
+        found = _contact(k, a, jz, b, l1, l2, unit)
+        if found is not None:
+            out.append(found)
     return out
 
 
@@ -524,13 +512,11 @@ def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCyc
     cycle that summing the three outer cycles gives.
 
     The crossing records of each pair of input loops are enumerated once
-    per call, on first use. An inner term's crossings with z are inherited
-    from the records of its two parents with z (``_inherited``), not
-    searched for again; ``_crossings`` is the oracle they must equal
-    record for record (``tests/test_strings.py``), and it runs instead for
-    a term without an origin, a parent pair that raises and a degenerate
-    candidate, so the records, and what raises, are those of the plain
-    bracket.
+    per call, on first use. Every inner term's crossings with z are
+    inherited from the records of its two parents with z (``_inherited``).
+    ``_crossings`` is the oracle they must equal record for record and
+    error for error (``tests/test_strings.py``); it runs on a term only
+    when a parent pair raises, so what raises is the plain bracket's.
 
     Its class reduction is zero (Goldman). The suite checks the stronger
     statement that the chain itself is zero, which held on every

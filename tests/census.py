@@ -20,9 +20,15 @@ several minutes. The method:
   thread and a timeout of ``TIMEOUT``, 90 s.
 
 A mutant is ``killed`` when the report holds a FAIL record, ``crash`` when
-the import or ``run_suite`` raises, ``hang`` when it times out, and
-``survived`` when all the checks pass. The output holds the counts per
-module and every mutant with its outcome.
+the import or ``run_suite`` raises, and ``hang`` when it times out. When
+all the checks pass, it is ``accounting`` if the report's draw accounting
+moved, and ``survived`` if not. The draw accounting is what
+``tests/test_harness.py::test_the_default_suite_keeps_its_draw_accounting``
+hashes: the report without its run times and residuals, so its counts,
+retries by cause, statements and verdicts. The suite retries a draw that
+raises ``TransversalityError``, so an error that only moves retries shows
+there and in no verdict. The output holds the counts per module and
+every mutant with its outcome.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from pathlib import Path
 MODULES = ("brackets", "chords", "fields", "geometry", "grassmann", "holonomy", "lierep", "phasespace", "strings")
 PER_MODULE = 15
 TIMEOUT = 90  # seconds per mutant
-OUTCOMES = ("killed", "crash", "hang", "survived")
+OUTCOMES = ("killed", "crash", "hang", "accounting", "survived")
 
 _SWAPS = {
     ast.Add: ast.Sub,
@@ -59,12 +65,18 @@ _SWAPS = {
     ast.Or: ast.And,
 }
 
-# run the default suite and print each check's verdict and error
+# run the default suite and print each check's verdict and error, then the
+# report as test_the_default_suite_keeps_its_draw_accounting hashes it
 RUNNER = """
 import json
-from stringtop.harness import SuiteConfig, run_suite
+from stringtop.harness import SuiteConfig, run_suite, strip_runtime
 
-print(json.dumps({r.check: [r.passed, r.error] for r in run_suite(SuiteConfig(seed=0)).records}))
+report = run_suite(SuiteConfig(seed=0))
+accounting = strip_runtime(report.to_json_obj())
+for record in accounting["checks"]:
+    del record["max_residual"]
+print(json.dumps({r.check: [r.passed, r.error] for r in report.records}))
+print(json.dumps(accounting, sort_keys=True))
 """
 
 
@@ -148,6 +160,8 @@ def mutant_source(source: str, site: tuple) -> str:
 
 
 def run_mutant(copy: Path) -> tuple[str, object]:
+    """(outcome, detail) of the suite on the checkout ``copy``: ``passed``,
+    with the draw accounting, when every check passes."""
     env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
     env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
     try:
@@ -158,9 +172,9 @@ def run_mutant(copy: Path) -> tuple[str, object]:
         return "hang", None
     if done.returncode:
         return "crash", (done.stderr.strip().splitlines() or ["?"])[-1]
-    verdicts = json.loads(done.stdout.splitlines()[-1])
-    failed = sorted(name for name, (passed, _) in verdicts.items() if not passed)
-    return ("killed", failed) if failed else ("survived", None)
+    *_, verdicts, accounting = done.stdout.splitlines()
+    failed = sorted(name for name, (passed, _) in json.loads(verdicts).items() if not passed)
+    return ("killed", failed) if failed else ("passed", json.loads(accounting))
 
 
 def census(root: Path) -> dict:
@@ -169,7 +183,8 @@ def census(root: Path) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src"
         shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        if run_mutant(copy)[0] != "survived":
+        outcome, unmutated = run_mutant(copy)
+        if outcome != "passed":
             raise SystemExit("error: the unmutated suite does not pass in a fresh process")
         mutants, counts = [], {}
         for name in MODULES:
@@ -184,6 +199,11 @@ def census(root: Path) -> dict:
                     outcome, detail = run_mutant(copy)
                 finally:
                     path.write_text(source)
+                if outcome == "passed":
+                    outcome = "survived" if detail == unmutated else "accounting"
+                    # the checks whose draw accounting moved
+                    pairs = zip(detail["checks"], unmutated["checks"])
+                    detail = [new["check"] for new, old in pairs if new != old] or None
                 tally[outcome] += 1
                 line = source.splitlines()[site[0] - 1].strip()
                 mutants.append({"module": name, "site": list(site), "line": line, "outcome": outcome, "detail": detail})

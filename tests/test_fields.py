@@ -111,6 +111,10 @@ def test_connection_requires_commuting_directions():
     a2 = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="do not commute"):
         ConstantCommutingConnection([a1, a2])
+    # a NaN or an infinite entry gives a NaN commutator, which is not flat
+    for mats in ([[[np.nan]], [[0.0]]], [np.full((2, 2), np.inf), np.eye(2)]):
+        with pytest.raises(ValueError, match="do not commute"), np.errstate(invalid="ignore"):
+            ConstantCommutingConnection(mats)
 
 
 def test_connection_takes_one_matrix_per_torus_direction():

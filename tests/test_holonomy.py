@@ -376,6 +376,10 @@ def test_richardson_levels_evaluate_each_step_count_once(monkeypatch):
 def test_transport_plan_validation(monkeypatch):
     with pytest.raises(ValueError, match="step counts"):
         TransportPlan(steps=0)
+    # a float would fail only at the first transport, and a bool is no count
+    for steps in (8.0, 8.5, True):
+        with pytest.raises(TypeError, match="steps must be an int"):
+            TransportPlan(steps=steps)
     # the first level's fine grid, 2 * steps, may not pass the cap
     assert TransportPlan(steps=holonomy.MAX_STEPS // 2).steps == 8192
     with pytest.raises(ValueError, match="step counts"):

@@ -130,19 +130,21 @@ def paired_crossings_dropped(monkeypatch):
 
 
 def rotation_start_off_by_one(monkeypatch):
-    """Each bracket term's least rotation starts one row past its least token.
+    """Each bracket term whose least token ``_rotation_start`` finds from the
+    crossing starts one row past it; on a tie the token scan's row stands.
 
-    The claimed point is the shifted row's own, so the start passes the
-    point check of ``geometry._least_lift`` and only the normal forms show it.
+    Shifting every row alike would be an equivalent mutant: the rotation
+    one past the least token is a normal form too, and Jacobi's terms all
+    come from the bracket. Terms rotated by the two rules no longer agree.
     """
-    rotation_start = strings._rotation_start
+    rotation_start, least_token = strings._rotation_start, strings._least_token
+    scanned = []
+    monkeypatch.setattr(strings, "_least_token", lambda den, pts: scanned.append(1) or least_token(den, pts))
 
     def shifted(unit, rows, *crossing):
-        start = rotation_start(unit, rows, *crossing)
-        if start is None:
-            return None
-        r = (start[0] + 1) % (len(rows) - 1)
-        return r, (rows[r][0] % unit, rows[r][1] % unit)
+        del scanned[:]
+        r = rotation_start(unit, rows, *crossing)
+        return r if scanned else (r + 1) % (len(rows) - 1)
 
     monkeypatch.setattr(strings, "_rotation_start", shifted)
 

@@ -430,7 +430,8 @@ def bracket_starts(monkeypatch, a, b):
     start, rotation = strings._rotation_start, geometry.least_rotation
 
     def recorded(unit, rows, *crossing):
-        events.append([unit, rows, start(unit, rows, *crossing), False])
+        events.append([unit, rows, None, False])
+        events[-1][2] = start(unit, rows, *crossing)
         return events[-1][2]
 
     def scan(tokens):
@@ -447,12 +448,17 @@ def bracket_starts(monkeypatch, a, b):
 
 
 def assert_starts_match_the_scan(events):
-    """Each start gives the scan's normal form, and the scan ran exactly
-    where ``_rotation_start`` refused."""
+    """Each start gives the scan's normal form, and the scan ran exactly on
+    the ties: the least point mod the unit is held by more rows than the
+    crossing point's two copies, or by two rows other than the crossing
+    point's."""
     for unit, rows, start, scanned in events:
         closure = tuple((q - p) // unit for p, q in zip(rows[0], rows[-1]))
         assert geometry._least_lift(unit, rows, closure, start) == geometry._least_lift(unit, rows, closure)
-        assert scanned == (start is None)
+        points = [(x % unit, y % unit) for x, y in rows[:-1]]
+        least = min(points)
+        held = points.count(least)
+        assert scanned == (held > 2 or (held == 2 and points[0] != least))
 
 
 def test_rotation_starts_match_the_scan_on_random_and_nested_brackets(monkeypatch):
@@ -467,8 +473,8 @@ def test_rotation_starts_match_the_scan_on_random_and_nested_brackets(monkeypatc
         except TransversalityError:
             continue
     assert_starts_match_the_scan(events)
-    refused = sum(start is None for _, _, start, _ in events)
-    assert 0 < refused < len(events) // 4
+    scanned = sum(scan for *_, scan in events)
+    assert 0 < scanned < len(events) // 4
 
 
 @pytest.mark.parametrize(
@@ -489,7 +495,7 @@ def test_rotation_starts_match_the_scan_on_random_and_nested_brackets(monkeypatc
 def test_rotation_start_of_each_branch(monkeypatch, first, second, row):
     a, b = (StringCycle.from_loop(PLLoop(TORUS, *loop)) for loop in (first, second))
     events = bracket_starts(monkeypatch, a, b)
-    assert [start[0] for _, _, start, _ in events] == [row]
+    assert [start for _, _, start, _ in events] == [row]
     assert_starts_match_the_scan(events)
 
 
@@ -506,17 +512,8 @@ def test_a_tied_least_vertex_takes_the_scan(monkeypatch):
     # the diagonal y = x + 5/8 meets the inner loop at (1/4, 7/8) and (7/8, 1/2), both above (1/4, 1/2)
     events = bracket_starts(monkeypatch, inner, StringCycle.from_loop(PLLoop(TORUS, [(F(3, 4), F(3, 8))], (1, 1))))
     assert len(events) == 2
-    assert [start for _, _, start, _ in events] == [None, None]
+    assert [scan for *_, scan in events] == [True, True]
     assert_starts_match_the_scan(events)
-
-
-def test_a_stale_rotation_start_takes_the_scan():
-    """A start whose row does not reduce to the claimed point is not trusted."""
-    loop = PLLoop(TORUS, [(0, F(1, 2)), (F(1, 3), F(5, 8)), (F(2, 3), F(1, 2))], (1, 0))
-    den, pts = loop.rotate_marked(1).integer_lift()
-    scan = geometry._least_lift(den, pts, loop.closure)
-    assert geometry._least_lift(den, pts, loop.closure, (2, (0, den // 2))) == scan
-    assert geometry._least_lift(den, pts, loop.closure, (1, (0, den // 2))) == scan
 
 
 def test_each_splice_is_over_the_least_denominator(monkeypatch):
@@ -621,10 +618,12 @@ def test_the_bracket_splices_what_the_records_splice():
 def compare_inherited(monkeypatch, x, y, z, counts):
     """``_inherited`` against ``_crossings`` on every term of {x; y} with every term of z.
 
-    Both give the same records in the same order, or raise the same text.
-    counts tallies the pairs by route: "inherited" (``_crossings`` never
-    ran on the term), "degenerate" and "no origin" (it ran as the fallback).
-    A degenerate {x; y} compares nothing.
+    Every term has an origin. Both routes give the same records in the same
+    order, or raise the same text, and ``_crossings`` runs on the term
+    exactly when one of its parent pairs raises. counts tallies the pairs
+    by what the search gives, "inherited" records or a "degenerate"
+    contact, and counts as "searched" those where ``_crossings`` ran on the
+    term. A degenerate {x; y} compares nothing.
     """
     search = strings._crossings
     pair = lambda gamma, other: list(search(gamma, other))
@@ -637,14 +636,16 @@ def compare_inherited(monkeypatch, x, y, z, counts):
     monkeypatch.setattr(strings, "_crossings", lambda loop, other: searched.append(loop) or search(loop, other))
     try:
         for _, loop in inner.terms:
+            parents = origins[loop][:2]
             for _, other in z.terms:
                 want = crossings_or_error(lambda *p: list(search(*p)), loop, other)
+                raised = any(isinstance(crossings_or_error(pair, gamma, other), str) for gamma in parents)
                 del searched[:]
                 got = crossings_or_error(lambda *p: list(strings._inherited(origins, pair, *p)), loop, other)
                 assert got == want
-                route = "degenerate" if isinstance(want, str) else "inherited" if loop in origins else "no origin"
-                assert any(s is loop for s in searched) == (route != "inherited")
-                counts[route] += 1
+                assert any(s is loop for s in searched) == raised
+                counts["degenerate" if isinstance(want, str) else "inherited"] += 1
+                counts["searched"] += raised
     finally:
         monkeypatch.undo()
 
@@ -653,7 +654,7 @@ def test_inherited_records_are_the_searched_ones(monkeypatch):
     """Random four-vertex triples, drawn as ``nested`` draws them, and coarse
     grid triples, which are often degenerate."""
     rng = np.random.default_rng(36)
-    counts = dict.fromkeys(("inherited", "degenerate", "no origin"), 0)
+    counts = dict.fromkeys(("inherited", "degenerate", "searched"), 0)
     for _ in range(40):
         a, b, c = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(3))
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
@@ -668,10 +669,14 @@ def test_inherited_records_are_the_searched_ones(monkeypatch):
         drawn += 1
         compare_inherited(monkeypatch, *(StringCycle.from_loop(loop) for loop in loops), counts)
     assert counts["inherited"] > 500 and counts["degenerate"] > 100
+    # some degenerate pairs are the crossing point's, which raise without a search
+    assert 0 < counts["searched"] < counts["degenerate"]
 
 
 def test_a_triple_point_takes_the_search(monkeypatch):
-    """z through the crossing point of x and y: each parent pair is transversal, the term's pair is not."""
+    """z through the crossing point of x and y: each parent pair is transversal,
+    the term's pair is not, and the inherited route raises the search's text
+    without searching."""
     x, y, z = (
         StringCycle.from_loop(PLLoop(TORUS, [base], cls))
         for base, cls in (((0, F(1, 2)), (1, 0)), ((F(1, 4), 0), (0, 1)), ((0, F(1, 4)), (1, 1)))
@@ -679,9 +684,9 @@ def test_a_triple_point_takes_the_search(monkeypatch):
     # all three meet at (1/4, 1/2) and nowhere else
     for (_, gamma), (_, other) in itertools.combinations([x.terms[0], y.terms[0], z.terms[0]], 2):
         assert [p.sign for p in intersections(gamma, other)] in ([1], [-1])
-    counts = dict.fromkeys(("inherited", "degenerate", "no origin"), 0)
+    counts = dict.fromkeys(("inherited", "degenerate", "searched"), 0)
     compare_inherited(monkeypatch, x, y, z, counts)
-    assert counts == {"inherited": 0, "degenerate": 1, "no origin": 0}
+    assert counts == {"inherited": 0, "degenerate": 1, "searched": 0}
     with pytest.raises(TransversalityError, match="vertex or marked point") as searched:
         list(strings._bracket_terms(string_bracket(x, y), z))
     with pytest.raises(TransversalityError) as got:
@@ -689,15 +694,17 @@ def test_a_triple_point_takes_the_search(monkeypatch):
     assert str(got.value) == str(searched.value)
 
 
-def test_a_term_whose_rotation_the_scan_decides_takes_the_search(monkeypatch):
-    """The first loop's two vertices coincide mod 1 and are least, so
-    ``_rotation_start`` gives no start and the terms no origin."""
+def test_a_term_whose_rotation_the_scan_decides_inherits(monkeypatch):
+    """The first loop's two vertices coincide mod 1 and are least, so the
+    token scan gives each term's rotation row, and the terms inherit from
+    that row as from any other."""
     x = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 16), F(1, 16)), (F(17, 16), F(17, 16))], (2, 3)))
     y = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 2), F(1, 4))], (0, 1)))
     z = StringCycle.from_loop(PLLoop(TORUS, [(0, F(3, 8))], (1, 0)))
-    counts = dict.fromkeys(("inherited", "degenerate", "no origin"), 0)
+    assert [scan for *_, scan in bracket_starts(monkeypatch, x, y)] == [True, True]
+    counts = dict.fromkeys(("inherited", "degenerate", "searched"), 0)
     compare_inherited(monkeypatch, x, y, z, counts)
-    assert counts == {"inherited": 0, "degenerate": 0, "no origin": 2}
+    assert counts == {"inherited": 2, "degenerate": 0, "searched": 0}
 
 
 def test_jacobi_searches_each_pair_of_input_loops_once(monkeypatch):

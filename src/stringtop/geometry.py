@@ -18,11 +18,12 @@ integers. The constructor turns rational vertices into that lift;
 ``PLLoop._from_lift`` builds a loop from the integers directly, as
 concatenations and the transformations do, and ``canonical`` stores its
 rotated lift with the constant-segment check alone. The
-``Fraction`` vertices are a view formed on demand. ``canonical``,
-``normal_form`` and the string bracket's stored terms share one least
-rotation (``_least_lift``) over an integer lift. The bracket finds the
-row that rotation starts at from the crossing, and passes it on; the
-token scan (``_least_token``) runs only on a tie.
+``Fraction`` vertices are a view formed on demand. ``canonical`` and
+``normal_form`` take one least rotation (``_least_lift``) of an integer
+lift, found by a token scan (``_least_token``). The string bracket
+splices its terms straight into that normal form, from a start it finds
+at the crossing, and stores them through ``PLLoop._normal``; it calls
+``_least_lift``, through ``PLLoop._canonical_of``, only on a tie.
 
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
@@ -97,9 +98,7 @@ def _least_token(den: int, pts: tuple) -> int:
     return least_rotation([(x % den, y % den, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:])])
 
 
-def _least_lift(
-    den: int, pts: tuple, closure: tuple[int, ...], start: int | None = None
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _least_lift(den: int, pts: tuple, closure: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(den, rows): the integer lift of the normal form of the lift (den, pts).
 
     pts are the K + 1 lift vertices P_0..P_K of a loop with closure
@@ -126,14 +125,12 @@ def _least_lift(
 
     Scaling by den > 0 keeps every order, so the least rotation of the
     cyclic token sequence (``least_rotation``) is a least candidate, and
-    rotations that tie give equal candidates. ``PLLoop.canonical`` and
-    ``strings.string_bracket`` both store their normal forms through here.
-
-    The scan is ``_least_token``. A caller that knows the row at which
-    the least rotation starts passes it as ``start``, and the scan is
-    skipped: the rows are rotated to start there, whatever they hold.
+    rotations that tie give equal candidates. The scan is ``_least_token``.
+    ``PLLoop.canonical`` stores its normal form through here, and so does
+    the string bracket on the terms whose start it cannot tell from the
+    crossing (``strings._splice`` builds the others' rows directly).
     """
-    r = _least_token(den, pts) if start is None else start
+    r = _least_token(den, pts)
     # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^2
     x, y = pts[r]
     sx, sy = x - x % den, y - y % den
@@ -337,23 +334,31 @@ class PLLoop:
         return self.canonical().vertices, self.closure
 
     @classmethod
-    def _canonical_of(
-        cls, space: Torus, closure: tuple[int, ...], den: int, pts: tuple, start: int | None = None
-    ) -> "PLLoop":
+    def _normal(cls, space: Torus, closure: tuple[int, ...], den: int, pts: tuple) -> "PLLoop":
+        """The loop of the lift (den, pts), which the caller vouches is a normal form.
+
+        That is, pts are the rows ``_least_lift`` gives for the loop, so
+        gcd(den, coordinates) = 1 and pts[-1] = pts[0] + den closure. The
+        lift is stored through ``_store`` alone, which still rejects
+        constant segments; the string bracket stores its terms here.
+        """
+        loop = cls.__new__(cls)
+        loop._store(space, closure, den, pts)
+        return loop
+
+    @classmethod
+    def _canonical_of(cls, space: Torus, closure: tuple[int, ...], den: int, pts: tuple) -> "PLLoop":
         """The normal-form loop of the lift (den, pts) with closure ``closure``.
 
         The caller vouches for the lift: gcd(den, coordinates) = 1 and
         pts[-1] = pts[0] + den closure. The loop is stored from ``_least_lift``
-        through ``_store`` alone, without the gcd and closure passes of
+        through ``_normal``, without the gcd and closure passes of
         ``_from_lift``: rotating the rows and translating them by den times a
         lattice vector keeps both facts, so those passes would prove nothing
-        new. ``_store`` still rejects constant segments. ``start``, the row
-        the least rotation starts at when the caller knows it, is passed on
-        to ``_least_lift``, which then skips its token scan.
+        new. ``canonical`` comes here, and so does a bracket term on a tie,
+        whose least rotation only the token scan can find.
         """
-        loop = cls.__new__(cls)
-        loop._store(space, closure, *_least_lift(den, pts, closure, start))
-        return loop
+        return cls._normal(space, closure, *_least_lift(den, pts, closure))
 
     def canonical(self) -> "PLLoop":
         """The loop whose vertices are the normal form, built on the integers.

@@ -493,7 +493,8 @@ def _goldman(rng, k: int) -> float:
     br = string_bracket(StringCycle.from_loop(l1), StringCycle.from_loop(l2))
     n_cross, total = goldman_torus(c1, c2)
     expect = {total: n_cross} if n_cross else {}
-    return 0.0 if br.class_reduction() == expect else 1.0
+    # the stored terms must be normal forms: re-normalizing them changes nothing
+    return 0.0 if br.class_reduction() == expect and StringCycle(br.terms) == br else 1.0
 
 
 def _rand_line(rng, cls) -> PLLoop:

@@ -12,13 +12,16 @@ integer rows over the least common denominator.
 
 The bracket uses both directly, so a bracket output stays on integers
 from its crossing to its stored term: ``string_bracket`` splices each
-crossing that ``_crossings`` yields and stores the least rotation of the
-rows (``PLLoop._canonical_of``), with no ``Fraction``, no
-``IntersectionPoint`` and no second ``PLLoop``. Mod the unit, a splice's
-vertices are the crossing point, twice, and each vertex of the two loops
-once, so that rotation starts at the crossing point or at the least
-vertex of one loop, found once per loop (``_rotation_start``); the lift
-is scanned for its least token only on a tie. The public
+crossing that ``_crossings`` yields straight into the least rotation of
+its rows, its normal form, and stores that (``PLLoop._normal``), with no
+``Fraction``, no ``IntersectionPoint`` and no second ``PLLoop``. Mod the
+unit, a splice's vertices are the crossing point, twice, and each vertex
+of the two loops once, and the bracket's loops are normal forms, whose
+vertex 0 is their least; so that rotation starts at the crossing point
+or at vertex 0 of one loop (``_rotation_start``), and ``_splice`` reads
+its rows off the two lifts in that order, in one pass. On a tie the
+rows stay plain, and ``PLLoop._canonical_of`` scans them for their least
+token. The public
 ``intersections`` and ``concatenate`` wrap the same two routines:
 ``intersections`` records each crossing as its two parameters
 (``Fraction``), its sign and its deck offset, sorted, and ``concatenate``
@@ -179,8 +182,10 @@ def intersections(loop: PLLoop, other: PLLoop) -> list[IntersectionPoint]:
     return found
 
 
-def _splice(loop: PLLoop, other: PLLoop, i: int, j: int, den: int, x0: int, y0: int, ox: int, oy: int):
-    """(unit, rows): the integer lift that runs around ``loop`` from a crossing, then around ``other``.
+def _splice(
+    loop: PLLoop, other: PLLoop, i: int, j: int, den: int, x0: int, y0: int, ox: int, oy: int, lows: tuple = ()
+):
+    """(unit, rows, start): the integer lift that runs around ``loop`` from a crossing, then around ``other``.
 
     The crossing is the point (x0, y0) / den, inside segment i of the first
     lift and inside segment j of the (ox, oy) translate of the second. The
@@ -190,26 +195,58 @@ def _splice(loop: PLLoop, other: PLLoop, i: int, j: int, den: int, x0: int, y0: 
     coordinates' denominators: gcd(unit, coordinates) = 1. The second lift
     is translated so the two circuits join, so the last row is the first
     plus unit times the sum of the two closures.
+
+    Plain, the rows start at the crossing point, and start is None. Given
+    ``lows``, the ``_least_vertex`` of both loops, ``_rotation_start`` may
+    find the start (r, sx, sy) of the rows' least rotation; then the rows
+    are the ones ``geometry._least_lift`` gives for the plain rows, built
+    in the same single pass. Mod the lattice, that rotation runs around one
+    loop, X, from the crossing point or from X's vertex 0, then around the
+    other, Y, so its rows are read off the two lifts in that order, with Y
+    translated to meet X at the point. On a tie the rows stay plain and
+    start is None.
     """
     (den1, pts1), (den2, pts2) = loop.integer_lift(), other.integer_lift()
-    (m1, n1), (m2, n2) = loop.closure, other.closure
     unit = math.lcm(den1, den2, den // math.gcd(den, x0, y0))
-    s1, s2 = unit // den1, unit // den2
     x0, y0 = x0 * unit // den, y0 * unit // den
-    # lift vertices i + 1 .. i + K1 of the first loop lead to p + closure (w);
-    # the second lift is translated there, by tau = unit (offset + closure of
-    # the first), and past its own wrap by tau plus unit times its closure (v)
-    wx, wy = unit * m1, unit * n1
-    tx, ty = unit * ox + wx, unit * oy + wy
-    vx, vy = tx + unit * m2, ty + unit * n2
-    rows = [(x0, y0)]
-    rows += [(x * s1, y * s1) for x, y in pts1[i + 1 :]]
-    rows += [(x * s1 + wx, y * s1 + wy) for x, y in pts1[1 : i + 1]]
-    rows.append((x0 + wx, y0 + wy))
-    rows += [(x * s2 + tx, y * s2 + ty) for x, y in pts2[j + 1 :]]
-    rows += [(x * s2 + vx, y * s2 + vy) for x, y in pts2[1 : j + 1]]
-    rows.append((x0 + wx + unit * m2, y0 + wy + unit * n2))
-    return unit, tuple(rows)
+    start = _rotation_start(loop, other, i, j, unit, x0, y0, ox, oy, lows) if lows else None
+    r = 0 if start is None else start[0]
+    k1 = len(pts1) - 1
+    # X's lift stays put; (px, py) is the point on it, and Y's lift is moved by tau
+    if r == 0 or r == k1 - i:
+        (px, py), (tx, ty) = (x0, y0), (unit * ox, unit * oy)
+        lead, trail = (pts1, unit // den1, i, loop.closure), (pts2, unit // den2, j, other.closure)
+    else:
+        (px, py), (tx, ty) = (x0 - unit * ox, y0 - unit * oy), (-unit * ox, -unit * oy)
+        lead, trail = (pts2, unit // den2, j, other.closure), (pts1, unit // den1, i, loop.closure)
+    (pts, s, a, (mx, nx)), (qts, t, b, (my, ny)) = lead, trail
+    wx, wy, zx, zy = unit * mx, unit * nx, unit * my, unit * ny
+    if r and r != k1 + 1:
+        # from X's vertex 0, which lies in [0, unit)^2: X up to the point, Y
+        # around from the point, then the rest of X, past Y's closure
+        vx, vy = tx + zx, ty + zy
+        rows = [(x * s, y * s) for x, y in pts[: a + 1]]
+        rows.append((px, py))
+        rows += [(x * t + tx, y * t + ty) for x, y in qts[b + 1 :]]
+        rows += [(x * t + vx, y * t + vy) for x, y in qts[1 : b + 1]]
+        rows.append((px + zx, py + zy))
+        rows += [(x * s + zx, y * s + zy) for x, y in pts[a + 1 :]]
+        return unit, tuple(rows), start
+    # from the point, moved into [0, unit)^2 for the normal form: X around
+    # from the point, past its own closure, then Y around from the point
+    ux, uy = (0, 0) if start is None else (px - px % unit, py - py % unit)
+    px, py = px - ux, py - uy
+    ex, ey = wx - ux, wy - uy
+    tx, ty = tx + ex, ty + ey
+    vx, vy = tx + zx, ty + zy
+    rows = [(px, py)]
+    rows += [(x * s - ux, y * s - uy) for x, y in pts[a + 1 :]]
+    rows += [(x * s + ex, y * s + ey) for x, y in pts[1 : a + 1]]
+    rows.append((px + wx, py + wy))
+    rows += [(x * t + tx, y * t + ty) for x, y in qts[b + 1 :]]
+    rows += [(x * t + vx, y * t + vy) for x, y in qts[1 : b + 1]]
+    rows.append((px + wx + zx, py + wy + zy))
+    return unit, tuple(rows), start
 
 
 def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
@@ -218,9 +255,10 @@ def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
     The marked point of the result is p = x0 / den = ``loop.lift_point(p.s)``,
     which must equal ``other.lift_point(p.s_bar)`` plus the offset, or the
     record is stale. Segment i = floor(s K) holds s, the last one s = 1.
-    The rows are those of ``_splice``, which the bracket stores directly;
-    here they are built into a validated ``PLLoop._from_lift``, whose gcd
-    and closure passes find them reduced and closing up.
+    The rows are ``_splice``'s plain rows, which start at p (the bracket
+    asks it for the normal form's instead); here they are built into a
+    validated ``PLLoop._from_lift``, whose gcd and closure passes find them
+    reduced and closing up.
     """
     den, (x0, y0) = loop.lift_point(p.s)
     dbar, (xb, yb) = other.lift_point(p.s_bar)
@@ -230,11 +268,21 @@ def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
     k1, k2 = loop.num_segments, other.num_segments
     i = min(p.s.numerator * k1 // p.s.denominator, k1 - 1)
     j = min(p.s_bar.numerator * k2 // p.s_bar.denominator, k2 - 1)
-    return PLLoop._from_lift(loop.space, *_splice(loop, other, i, j, den, x0, y0, ox, oy))
+    unit, rows, _ = _splice(loop, other, i, j, den, x0, y0, ox, oy)
+    return PLLoop._from_lift(loop.space, unit, rows)
 
 
 # ---------------------------------------------------------------------------
 # formal cycles
+
+
+def _integer(value, what: str) -> int:
+    """value, which must be an int and not a bool: the check of every
+    integer the public constructors take, so that 2.7 or 1/2 raises
+    ``TypeError`` instead of being truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
+    return value
 
 
 def _combine(terms) -> tuple[tuple[int, PLLoop], ...]:
@@ -280,7 +328,8 @@ class StringCycle:
     only the constructor normalizes, and equality and hashing work on the
     stored keys. A sum or a multiple is built as a new cycle from the
     terms, ``StringCycle(a.terms + b.terms)``. The cycle has no space of
-    its own: it lives where its loops do.
+    its own: it lives where its loops do. A coefficient is an int; any
+    other type, bool included, raises ``TypeError``.
     """
 
     __slots__ = ("terms",)
@@ -288,7 +337,7 @@ class StringCycle:
     def __init__(self, terms: Iterable[tuple[int, PLLoop]] = ()) -> None:
         canonical = []
         for coeff, loop in terms:
-            canonical.append((coeff, loop.canonical()))
+            canonical.append((_integer(coeff, "a coefficient"), loop.canonical()))
         self.terms = _combine(canonical)
 
     @classmethod
@@ -345,64 +394,86 @@ def jacobi_eta(parity_a: int, parity_c: int) -> int:
 
 
 def _least_vertex(loop: PLLoop) -> tuple:
-    """(den, K, point, v): the least vertex of the lift (den, P_0..P_K) mod den.
+    """(den, K, point, first): the least vertex of the lift (den, P_0..P_K) mod den.
 
-    point is the least P_v mod den over the K vertices, and v its index, or
-    None when two vertices reduce to that point.
+    point is the least P_v mod den over the K vertices, and first says
+    whether P_0 is that point and the only vertex that reduces to it. A
+    normal form starts at its least token, in [0, den)^2, so for a stored
+    loop first fails only on a tie.
     """
     den, pts = loop.integer_lift()
     points = [(x % den, y % den) for x, y in pts[:-1]]
     least = min(points)
-    return den, len(points), least, points.index(least) if points.count(least) == 1 else None
+    return den, len(points), least, pts[0] == least and points.count(least) == 1
 
 
-def _rotation_start(unit: int, rows: tuple, i: int, j: int, den: int, x: int, y: int, first: tuple, second: tuple):
-    """The row at which the least rotation of a splice starts.
+def _rotation_start(loop: PLLoop, other: PLLoop, i: int, j: int, unit: int, x: int, y: int, ox: int, oy: int, lows):
+    """(r, sx, sy): where the least rotation of a splice starts, or None on a tie.
 
-    rows are ``_splice``'s rows at the crossing (x, y) / den in segments i
-    and j, and first and second are the ``_least_vertex`` of the two loops.
-    Mod unit, the K1 + K2 + 2 vertices of the rows are the crossing point,
-    at rows 0 and K1 + 1, vertex v of the first loop once, at row
-    1 + (v - i - 1) mod K1, and vertex w of the second once, at row
-    K1 + 2 + (w - j - 1) mod K2, each scaled by unit over its loop's
-    denominator. So the least token (``geometry._least_lift``) sits at the
-    least of the crossing point and the two scaled least vertices, when one
-    of them is strictly least. The crossing point's two copies are ordered
-    by their outgoing edges, which differ, since the crossing is
-    transversal. On a tie, between these points or inside a loop, the
-    token scan (``geometry._least_token``) gives the row.
+    The splice is ``_splice``'s, at the crossing (x, y) / unit in segments
+    i and j, with the second loop translated by (ox, oy); lows are the
+    ``_least_vertex`` of the two loops. r is the row of the plain rows that
+    the least rotation starts at, and (sx, sy) the floor of that row over
+    unit, the lattice vector the rotation subtracts. Both come from the
+    loops' vertices, without the rows. Mod unit, the vertices of the plain
+    rows are the crossing point, at rows 0 and K1 + 1, and each vertex of
+    the two loops once, scaled by unit over its loop's denominator. So the
+    least token (``geometry._least_lift``) sits at the least of the
+    crossing point and the two loops' least vertices, when one of them is
+    strictly least:
+
+    - the crossing point's two copies are ordered by their outgoing
+      edges, which differ, since the crossing is transversal; row K1 + 1
+      is row 0 plus unit times the first closure C1;
+    - the first loop's vertex 0, when it is its least vertex, is row
+      K1 - i, which holds P_K1 s1 = P_0 s1 + unit C1;
+    - the second loop's vertex 0 is row K1 + 1 + K2 - j, which holds
+      Q_K2 s2 + unit (offset + C1) = Q_0 s2 + unit (offset + C1 + C2).
+
+    Otherwise, on a tie between these points or inside a loop, only the
+    token scan (``geometry._least_token``) can tell the row, and None is
+    returned; so is it when a loop's least vertex is not its vertex 0,
+    which no normal form has.
     """
-    (den1, k1, (ax, ay), v), (den2, k2, (bx, by), w) = first, second
+    (den1, k1, (ax, ay), first), (den2, k2, (bx, by), second) = lows
     s1, s2 = unit // den1, unit // den2
-    p = x * unit // den % unit, y * unit // den % unit
+    p = x % unit, y % unit
     a, b = (ax * s1, ay * s1), (bx * s2, by * s2)
+    m1, n1 = loop.closure
     if p < a and p < b:
-        (x0, y0), (x1, y1) = rows[0], rows[1]
-        (x2, y2), (x3, y3) = rows[k1 + 1], rows[k1 + 2]
-        return 0 if (x1 - x0, y1 - y0) < (x3 - x2, y3 - y2) else k1 + 1
-    if a < p and a < b and v is not None:
-        return 1 + (v - i - 1) % k1
-    if b < p and b < a and w is not None:
-        return k1 + 2 + (w - j - 1) % k2
-    return _least_token(unit, rows)
+        (x1, y1), (x2, y2) = loop.integer_lift()[1][i + 1], other.integer_lift()[1][j + 1]
+        sx, sy = x // unit, y // unit
+        # rows 1 and K1 + 2 less rows 0 and K1 + 1: the two outgoing edges
+        if (x1 * s1 - x, y1 * s1 - y) < (x2 * s2 + unit * ox - x, y2 * s2 + unit * oy - y):
+            return 0, sx, sy
+        return k1 + 1, sx + m1, sy + n1
+    if a < p and a < b and first:
+        return k1 - i, m1, n1
+    if b < p and b < a and second:
+        m2, n2 = other.closure
+        return k1 + 1 + k2 - j, ox + m1 + m2, oy + n1 + n2
+    return None
 
 
 def _bracket_terms(a: StringCycle, abar: StringCycle, crossings=None, origins: dict | None = None):
     """The raw (coefficient, normal-form loop) terms of {a; abar}, one per crossing.
 
-    Each crossing goes from ``_crossings`` to ``_splice`` to
-    ``PLLoop._canonical_of`` on integers: ``_splice`` returns a lift over
-    its least denominator whose closure is the sum of the two closures, so
-    the loop is stored from its least rotation without a validating build.
-    That rotation starts at the row ``_rotation_start`` finds from the
-    crossing and the least vertex of each loop, taken once per loop; the
-    token scan runs only on the terms where it finds a tie.
+    Each crossing goes from ``_crossings`` to ``_splice`` on integers, and
+    ``_splice`` returns the term's normal-form rows in one pass: a lift over
+    its least denominator whose closure is the sum of the two closures,
+    rotated to the start ``_rotation_start`` finds from the crossing and
+    the least vertex of each loop (``_least_vertex``, taken once per loop).
+    The loop is stored from those rows as they are (``PLLoop._normal``),
+    without a validating build or a second pass over them. On a tie (about
+    6% of terms) the rows come back plain, and ``PLLoop._canonical_of``
+    finds their least rotation by the token scan.
 
     ``crossings(gamma, gammabar)``, when given, stands in for
     ``_crossings`` and must give the same records. ``origins``, when given,
     maps every term's loop to where it was spliced: (gamma, gammabar, i, j,
     ox, oy, r, sx, sy), with r the row its least rotation starts at and
-    (sx, sy) the lattice vector that rotation subtracts.
+    (sx, sy) the lattice vector that rotation subtracts; on a tie the token
+    scan is run once more for them.
     """
     pref = degree_zero_prefactor(0, 0)
     if crossings is None:
@@ -413,12 +484,16 @@ def _bracket_terms(a: StringCycle, abar: StringCycle, crossings=None, origins: d
         for (mbar, gammabar), lowbar in zip(abar.terms, lows):
             closure = tuple(map(operator.add, gamma.closure, gammabar.closure))
             for i, j, _, _, _, sign, (ox, oy), den, x, y in crossings(gamma, gammabar):
-                unit, rows = _splice(gamma, gammabar, i, j, den, x, y, ox, oy)
-                r = _rotation_start(unit, rows, i, j, den, x, y, low, lowbar)
-                loop = PLLoop._canonical_of(gamma.space, closure, unit, rows, r)
+                unit, rows, start = _splice(gamma, gammabar, i, j, den, x, y, ox, oy, (low, lowbar))
+                if start is not None:
+                    loop = PLLoop._normal(gamma.space, closure, unit, rows)
+                else:
+                    loop = PLLoop._canonical_of(gamma.space, closure, unit, rows)
+                    if origins is not None:
+                        r = _least_token(unit, rows)
+                        start = r, rows[r][0] // unit, rows[r][1] // unit
                 if origins is not None:
-                    px, py = rows[r]
-                    origins[loop] = gamma, gammabar, i, j, ox, oy, r, px // unit, py // unit
+                    origins[loop] = gamma, gammabar, i, j, ox, oy, *start
                 yield pref * m * mbar * sign, loop
 
 
@@ -429,8 +504,8 @@ def _inherited(origins: dict, pair, loop: PLLoop, other: PLLoop):
     and ``pair(gamma, other)`` gives the records of a parent with
     ``other``. Mod the lattice, the term's segments are its parents', with
     segment i of gamma and segment j of gammabar each split at the
-    crossing point p, in ``_splice``'s row order, then rotated to start at
-    row r:
+    crossing point p, in the order of ``_splice``'s plain rows, then
+    rotated to start at row r:
 
     - segment q of gamma is splice row (q - i) mod K1, shifted by the first
       closure when q < i; segment i gives both halves, rows 0 and K1;
@@ -556,12 +631,14 @@ def goldman_torus(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, tuple[int,
     range of a coordinate is then the integers m <= lam < M whose bounds
     m, M come from the classes alone.
 
+    The class entries are ints; any other type, bool included, raises
+    ``TypeError``.
+
     This is an oracle: it shares nothing with the bracket machinery and no
     bracket computation calls it; checks compare ``string_bracket`` class
     reductions against it, so it must stay independent of ``intersections``.
     """
-    c1 = (int(c1[0]), int(c1[1]))
-    c2 = (int(c2[0]), int(c2[1]))
+    c1, c2 = (tuple(_integer(c, "a class entry") for c in cls) for cls in (c1, c2))
     total = (c1[0] + c2[0], c1[1] + c2[1])
     den = c1[0] * c2[1] - c1[1] * c2[0]
     if den == 0:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stringtop import brackets, chords, fields, holonomy, strings
+from stringtop import brackets, chords, fields, geometry, holonomy, strings
 from stringtop.harness import SuiteConfig, run_suite
 from stringtop.lierep import LieBasis
 
@@ -103,9 +103,9 @@ def first_crossing(monkeypatch):
     """The bracket splices at the pair's first crossing, whatever the crossing."""
     splice = strings._splice
 
-    def first(loop, other, *crossing):
+    def first(loop, other, *crossing_and_lows):
         i, j, _, _, _, _, (ox, oy), den, x, y = in_parameter_order(strings._crossings(loop, other))[0]
-        return splice(loop, other, i, j, den, x, y, ox, oy)
+        return splice(loop, other, i, j, den, x, y, ox, oy, *crossing_and_lows[7:])
 
     monkeypatch.setattr(strings, "_splice", first)
 
@@ -129,24 +129,59 @@ def paired_crossings_dropped(monkeypatch):
     monkeypatch.setattr(strings, "_crossings", dropped)
 
 
-def rotation_start_off_by_one(monkeypatch):
-    """Each bracket term whose least token ``_rotation_start`` finds from the
-    crossing starts one row past it; on a tie the token scan's row stands.
+def one_row_past(unit, rows, start):
+    """(unit, rows, start) of a normal-form splice rotated to start one row
+    later and moved back into [0, unit)^2: a consistent start and rows, so
+    ``strings._inherited`` reads the term as it reads any other."""
+    (r, sx, sy), k = start, len(rows) - 1
+    (x0, y0), (xk, yk) = rows[0], rows[-1]
+    cx, cy = xk - x0, yk - y0
+    fx, fy = rows[1][0] // unit, rows[1][1] // unit
+    ux, uy = unit * fx, unit * fy
+    moved = [(x - ux, y - uy) for x, y in rows[1:-1]] + [(x + cx - ux, y + cy - uy) for x, y in rows[:2]]
+    sx, sy = sx + fx, sy + fy
+    if r + 1 == k:
+        # past the last row is row 0, one closure back
+        sx, sy = sx - cx // unit, sy - cy // unit
+    return unit, tuple(moved), ((r + 1) % k, sx, sy)
 
-    Shifting every row alike would be an equivalent mutant: the rotation
+
+def rotation_start_off_by_one(monkeypatch):
+    """Each bracket term whose start ``strings._rotation_start`` finds from
+    the crossing starts one row past it; on a tie the token scan's row stands.
+
+    Shifting every row alike would be another mutant (below): the rotation
     one past the least token is a normal form too, and Jacobi's terms all
     come from the bracket. Terms rotated by the two rules no longer agree.
     """
-    rotation_start, least_token = strings._rotation_start, strings._least_token
-    scanned = []
-    monkeypatch.setattr(strings, "_least_token", lambda den, pts: scanned.append(1) or least_token(den, pts))
+    splice = strings._splice
 
-    def shifted(unit, rows, *crossing):
-        del scanned[:]
-        r = rotation_start(unit, rows, *crossing)
-        return r if scanned else (r + 1) % (len(rows) - 1)
+    def shifted(*crossing):
+        unit, rows, start = splice(*crossing)
+        return (unit, rows, start) if start is None else one_row_past(unit, rows, start)
 
-    monkeypatch.setattr(strings, "_rotation_start", shifted)
+    monkeypatch.setattr(strings, "_splice", shifted)
+
+
+def rotation_start_shifted(monkeypatch):
+    """Every bracket term, ties included, starts one row past its least rotation.
+
+    Its terms are all rotated by one rule, so Jacobi's chains still cancel
+    and no class moves; only a check that re-normalizes the stored terms
+    sees it.
+    """
+    splice = strings._splice
+
+    def shifted(*crossing):
+        unit, rows, start = splice(*crossing)
+        if start is None:
+            r = strings._least_token(unit, rows)
+            closure = tuple((q - p) // unit for p, q in zip(rows[0], rows[-1]))
+            start = r, rows[r][0] // unit, rows[r][1] // unit
+            unit, rows = geometry._least_lift(unit, rows, closure)
+        return one_row_past(unit, rows, start)
+
+    monkeypatch.setattr(strings, "_splice", shifted)
 
 
 MUTANTS = {
@@ -166,8 +201,10 @@ MUTANTS = {
     # pair fuses the same trace and only the chain-level Jacobi sees these
     "first-crossing": (first_crossing, {"jacobi"}),
     "paired-crossings-dropped": (paired_crossings_dropped, {"jacobi"}),
-    # a wrong rotation moves no class, so only the chain-level Jacobi sees it
-    "rotation-start-off-by-one": (rotation_start_off_by_one, {"jacobi"}),
+    # a wrong rotation moves no class: the chain-level Jacobi sees two rules
+    # mixed, and goldman, which re-normalizes its bracket's terms, sees any
+    "rotation-start-off-by-one": (rotation_start_off_by_one, {"goldman", "jacobi"}),
+    "rotation-start-shifted": (rotation_start_shifted, {"goldman"}),
 }
 
 

@@ -369,6 +369,23 @@ def test_cycles_combine_rotated_duplicates():
     assert StringCycle(cycle.terms + ((-2, loop.rotate_marked(1)),)).is_zero
 
 
+@pytest.mark.parametrize("coeff", [F(1, 2), F(2), 2.7, 2.0, True, np.int64(2), "2"])
+def test_a_cycle_takes_int_coefficients_only(coeff):
+    """1/2 became the zero cycle and 2.7 became 2; now anything but an int raises."""
+    loop = torus_line((1, 0))
+    with pytest.raises(TypeError, match="coefficient must be an int"):
+        StringCycle([(coeff, loop)])
+    assert StringCycle([(2, loop)]).terms[0][0] == 2
+
+
+@pytest.mark.parametrize("entry", [F(3, 2), 1.5, 1.0, True, np.int64(1)])
+def test_the_goldman_oracle_takes_int_classes_only(entry):
+    """(1.5, 0) was counted as the class (1, 0); now anything but an int raises."""
+    for c1, c2 in (((entry, 0), (0, 1)), ((0, 1), (1, entry))):
+        with pytest.raises(TypeError, match="class entry must be an int"):
+            goldman_torus(c1, c2)
+
+
 def test_only_the_constructor_normalizes(monkeypatch):
     rng = np.random.default_rng(12)
     a = StringCycle([(2, wiggly_rep(rng, (1, 2))), (-1, wiggly_rep(rng, (0, 1)))])
@@ -393,28 +410,36 @@ def forbid(monkeypatch, owner, name):
 
 
 def test_each_bracket_term_builds_one_loop(monkeypatch):
-    """One normal form (``_least_lift``) and one stored ``PLLoop`` per term, straight from the integers.
+    """One stored ``PLLoop`` per term, straight from the integers, and a normal form (``_least_lift``) only on a tie.
 
     The bracket builds no ``IntersectionPoint``, no ``Fraction``, no
-    ``lift_point`` and no validated ``_from_lift`` build. Whether a term's
-    least rotation scans its tokens is pinned by the rotation-start tests
-    below.
+    ``lift_point`` and no validated ``_from_lift`` build. ``_splice`` gives
+    every other term's normal-form rows itself; which terms tie is pinned
+    by the rotation-start tests below.
     """
     rng = np.random.default_rng(14)
     a = StringCycle([(2, wiggly_rep(rng, (1, 2))), (-1, wiggly_rep(rng, (0, 1)))])
     b = StringCycle([(1, wiggly_rep(rng, (2, -1))), (3, wiggly_rep(rng, (1, 1)))])
     crossings = sum(len(intersections(x, y)) for _, x in a.terms for _, y in b.terms)
     assert crossings > 5
-    stores, rotations = [], []
-    store, least_lift = PLLoop._store, geometry._least_lift
+    stores, rotations, ties = [], [], []
+    store, least_lift, rotation_start = PLLoop._store, geometry._least_lift, strings._rotation_start
+
+    def start(*crossing):
+        found = rotation_start(*crossing)
+        ties.append(found is None)
+        return found
+
     monkeypatch.setattr(PLLoop, "_store", lambda self, *args: stores.append(1) or store(self, *args))
     monkeypatch.setattr(geometry, "_least_lift", lambda *lift: rotations.append(1) or least_lift(*lift))
+    monkeypatch.setattr(strings, "_rotation_start", start)
     for name in ("IntersectionPoint", "Fraction", "intersections", "concatenate"):
         forbid(monkeypatch, strings, name)
     forbid(monkeypatch, PLLoop, "lift_point")
     forbid(monkeypatch, PLLoop, "_from_lift")
     bracket = string_bracket(a, b)
-    assert len(stores) == len(rotations) == crossings
+    assert len(stores) == len(ties) == crossings
+    assert len(rotations) == sum(ties) < crossings
     monkeypatch.undo()
     # re-wrapping canonical terms gives the same cycle, and each term the lift a validated build gives
     assert StringCycle(bracket.terms) == bracket
@@ -423,22 +448,23 @@ def test_each_bracket_term_builds_one_loop(monkeypatch):
 
 
 def bracket_starts(monkeypatch, a, b):
-    """[unit, rows, start, scanned] per term of {a; b}: the splice, the row
-    its least rotation starts at (``_rotation_start``) and whether the
-    token scan (``least_rotation``) ran for it."""
+    """[unit, plain, start, rows, scanned] per term of {a; b}: the plain
+    rows of its splice, the start ``_rotation_start`` found, the rows
+    ``_splice`` gave with it, and whether the token scan
+    (``least_rotation``) ran for the term."""
     events = []
-    start, rotation = strings._rotation_start, geometry.least_rotation
+    splice, rotation = strings._splice, geometry.least_rotation
 
-    def recorded(unit, rows, *crossing):
-        events.append([unit, rows, None, False])
-        events[-1][2] = start(unit, rows, *crossing)
-        return events[-1][2]
+    def recorded(*crossing):
+        unit, rows, start = splice(*crossing)
+        events.append([unit, splice(*crossing[:9])[1], start, rows, False])
+        return unit, rows, start
 
     def scan(tokens):
-        events[-1][3] = True
+        events[-1][4] = True
         return rotation(tokens)
 
-    monkeypatch.setattr(strings, "_rotation_start", recorded)
+    monkeypatch.setattr(strings, "_splice", recorded)
     monkeypatch.setattr(geometry, "least_rotation", scan)
     try:
         string_bracket(a, b)
@@ -447,18 +473,30 @@ def bracket_starts(monkeypatch, a, b):
     return events
 
 
+def assert_splice_is_the_scans(unit, plain, start, rows):
+    """With a start, the splice's rows are the normal form the token scan
+    gives for its plain rows, and the start is the scan's row and the floor
+    of that row; without one, the rows are the plain rows."""
+    if start is None:
+        assert rows == plain
+        return
+    closure = tuple((q - p) // unit for p, q in zip(plain[0], plain[-1]))
+    r = geometry._least_token(unit, plain)
+    assert (unit, rows) == geometry._least_lift(unit, plain, closure)
+    assert start == (r, plain[r][0] // unit, plain[r][1] // unit)
+
+
 def assert_starts_match_the_scan(events):
-    """Each start gives the scan's normal form, and the scan ran exactly on
+    """Each splice is the scan's normal form, and the scan ran exactly on
     the ties: the least point mod the unit is held by more rows than the
     crossing point's two copies, or by two rows other than the crossing
     point's."""
-    for unit, rows, start, scanned in events:
-        closure = tuple((q - p) // unit for p, q in zip(rows[0], rows[-1]))
-        assert geometry._least_lift(unit, rows, closure, start) == geometry._least_lift(unit, rows, closure)
-        points = [(x % unit, y % unit) for x, y in rows[:-1]]
+    for unit, plain, start, rows, scanned in events:
+        assert_splice_is_the_scans(unit, plain, start, rows)
+        points = [(x % unit, y % unit) for x, y in plain[:-1]]
         least = min(points)
         held = points.count(least)
-        assert scanned == (held > 2 or (held == 2 and points[0] != least))
+        assert scanned == (start is None) == (held > 2 or (held == 2 and points[0] != least))
 
 
 def test_rotation_starts_match_the_scan_on_random_and_nested_brackets(monkeypatch):
@@ -475,6 +513,13 @@ def test_rotation_starts_match_the_scan_on_random_and_nested_brackets(monkeypatc
     assert_starts_match_the_scan(events)
     scanned = sum(scan for *_, scan in events)
     assert 0 < scanned < len(events) // 4
+    # the one-pass route starts at row 0, at the crossing point's other copy, and at a loop's vertex 0
+    kinds = set()
+    for unit, plain, start, _, _ in events:
+        if start is not None:
+            (x, y), (x0, y0) = plain[start[0]], plain[0]
+            kinds.add("row 0" if start[0] == 0 else "vertex" if (x - x0) % unit or (y - y0) % unit else "copy")
+    assert kinds == {"row 0", "copy", "vertex"}
 
 
 @pytest.mark.parametrize(
@@ -486,17 +531,72 @@ def test_rotation_starts_match_the_scan_on_random_and_nested_brackets(monkeypatc
         (([(F(1, 2), F(1, 2))], (1, 0)), ([(F(1, 4), F(3, 4))], (0, 1)), 2),
         (([(F(1, 2), F(1, 2))], (-1, 0)), ([(F(1, 4), F(3, 4))], (0, 1)), 0),
         # vertex (0, 1/2) of the first loop is least; the crossing is in
-        # segment 1, so that vertex is row 1 + (0 - 2) mod 3 = 2
+        # segment i = 1, so that vertex is row K1 - i = 2
         (([(0, F(1, 2)), (F(1, 3), F(5, 8)), (F(2, 3), F(1, 2))], (1, 0)), ([(F(1, 2), F(3, 4))], (0, 1)), 2),
-        # the same loop second: row K1 + 2 + (0 - 2) mod 3 = 4
+        # the same loop second: row K1 + 1 + K2 - j = 4
         (([(F(1, 2), F(3, 4))], (0, 1)), ([(0, F(1, 2)), (F(1, 3), F(5, 8)), (F(2, 3), F(1, 2))], (1, 0)), 4),
     ],
 )
 def test_rotation_start_of_each_branch(monkeypatch, first, second, row):
     a, b = (StringCycle.from_loop(PLLoop(TORUS, *loop)) for loop in (first, second))
     events = bracket_starts(monkeypatch, a, b)
-    assert [start for _, _, start, _ in events] == [row]
+    assert [start[0] for _, _, start, _, _ in events] == [row]
     assert_starts_match_the_scan(events)
+
+
+STEP = [(0, F(1, 2)), (F(1, 3), F(5, 8)), (F(2, 3), F(1, 2))]
+
+
+def column(x):
+    return [(x, F(3, 4))], (0, 1)
+
+
+@pytest.mark.parametrize(
+    "first, second, rows",
+    [
+        # the crossing point's copy at row 0, then at row K1 + 1
+        (([(F(1, 2), F(1, 2))], (-1, 0)), column(F(1, 4)), [0]),
+        (([(F(1, 2), F(1, 2))], (1, 0)), column(F(1, 4)), [2]),
+        # two diagonals: at their second crossing, (1/4, 3/4) mod 1, the two
+        # outgoing edges (1/4, 1/4) and (1/4, -1/4) share their x step, so
+        # the y step orders the copies; the first crossing starts at a vertex 0
+        (([(F(1, 2), 0)], (1, 1)), ([(F(1, 2), F(1, 2))], (1, -1)), [1, 2]),
+        (([(F(1, 2), F(1, 2))], (1, -1)), ([(F(1, 2), 0)], (1, 1)), [0, 3]),
+        # STEP's vertex 0, (0, 1/2), is least; the column meets segment
+        # i = 0, 1 or 2 of it, so the rotation starts at row K1 - i
+        ((STEP, (1, 0)), column(F(1, 6)), [3]),
+        ((STEP, (1, 0)), column(F(1, 2)), [2]),
+        ((STEP, (1, 0)), column(F(5, 6)), [1]),
+        # STEP second, met in segment j: row K1 + 1 + K2 - j
+        (column(F(1, 6)), (STEP, (1, 0)), [5]),
+        (column(F(5, 6)), (STEP, (1, 0)), [3]),
+        # STEP from its vertex 1: the least vertex is v = 2, past the
+        # crossing (i = 0) or before it (i = 2); and STEP moved by (1, 0),
+        # whose least vertex is vertex 0, outside [0, 1)^2. No normal form
+        # starts so, and the scan takes these
+        ((STEP[1:] + [(1, F(1, 2))], (1, 0)), column(F(1, 2)), [None]),
+        ((STEP[1:] + [(1, F(1, 2))], (1, 0)), column(F(1, 6)), [None]),
+        (column(F(1, 2)), (STEP[1:] + [(1, F(1, 2))], (1, 0)), [None]),
+        (column(F(1, 6)), (STEP[1:] + [(1, F(1, 2))], (1, 0)), [None]),
+        (([(x + 1, y) for x, y in STEP], (1, 0)), column(F(1, 2)), [None]),
+        # a tie: vertices 0 and 2 of the first loop are both (0, 1/2) mod 1
+        (([(0, F(1, 2)), (F(1, 2), F(3, 4)), (1, F(1, 2)), (F(3, 2), F(1, 4))], (2, 0)), column(F(1, 4)), [None, None]),
+    ],
+)
+def test_each_branch_of_the_one_pass_splice_is_the_scans(first, second, rows):
+    """``_splice`` on loops as given, not normalized: each start it takes
+    gives the rows ``_least_lift`` gives for its plain rows."""
+    gamma, gammabar = (PLLoop(TORUS, *loop) for loop in (first, second))
+    lows = strings._least_vertex(gamma), strings._least_vertex(gammabar)
+    starts = []
+    for i, j, _, _, _, _, (ox, oy), den, x, y in strings._crossings(gamma, gammabar):
+        unit, plain, start = strings._splice(gamma, gammabar, i, j, den, x, y, ox, oy)
+        assert start is None
+        got, spliced, start = strings._splice(gamma, gammabar, i, j, den, x, y, ox, oy, lows)
+        assert got == unit
+        assert_splice_is_the_scans(unit, plain, start, spliced)
+        starts.append(start and start[0])
+    assert starts == rows
 
 
 def test_a_tied_least_vertex_takes_the_scan(monkeypatch):
@@ -508,7 +608,7 @@ def test_a_tied_least_vertex_takes_the_scan(monkeypatch):
     ((_, loop),) = inner.terms
     den, pts = loop.integer_lift()
     assert [(x % den, y % den) for x, y in pts[:-1]].count((den // 4, den // 2)) == 2
-    assert strings._least_vertex(loop) == (den, 4, (den // 4, den // 2), None)
+    assert strings._least_vertex(loop) == (den, 4, (den // 4, den // 2), False)
     # the diagonal y = x + 5/8 meets the inner loop at (1/4, 7/8) and (7/8, 1/2), both above (1/4, 1/2)
     events = bracket_starts(monkeypatch, inner, StringCycle.from_loop(PLLoop(TORUS, [(F(3, 4), F(3, 8))], (1, 1))))
     assert len(events) == 2
@@ -525,17 +625,17 @@ def test_each_splice_is_over_the_least_denominator(monkeypatch):
     """
     rng = np.random.default_rng(15)
     stored, built = [], []
-    canonical_of, from_lift = PLLoop._canonical_of.__func__, PLLoop._from_lift.__func__
+    store, from_lift = PLLoop._store, PLLoop._from_lift.__func__
 
-    def keep(cls, *args):
-        stored.append(canonical_of(cls, *args))
-        return stored[-1]
+    def keep(self, *args):
+        store(self, *args)
+        stored.append(self)
 
     def record(cls, space, den, pts):
         built.append(math.gcd(den, *(c for row in pts for c in row)))
         return from_lift(cls, space, den, pts)
 
-    monkeypatch.setattr(PLLoop, "_canonical_of", classmethod(keep))
+    monkeypatch.setattr(PLLoop, "_store", keep)
     monkeypatch.setattr(PLLoop, "_from_lift", classmethod(record))
     splices = 0
     for _ in range(50):

@@ -21,9 +21,10 @@ rotated lift with the constant-segment check alone. The
 ``Fraction`` vertices are a view formed on demand. ``canonical`` and
 ``normal_form`` take one least rotation (``_least_lift``) of an integer
 lift, found by a token scan (``_least_token``). The string bracket
-splices its terms straight into that normal form, from a start it finds
-at the crossing, and stores them through ``PLLoop._normal``; it calls
-``_least_lift``, through ``PLLoop._canonical_of``, only on a tie.
+splices its terms straight into that normal form, as integer rows, from
+a start it finds at the crossing, and calls ``_least_lift`` only on a
+tie; ``strings.StringCycle`` stores a loop through ``PLLoop._normal`` only
+for a term its sum keeps.
 
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
@@ -126,9 +127,10 @@ def _least_lift(den: int, pts: tuple, closure: tuple[int, ...]) -> tuple[int, tu
     Scaling by den > 0 keeps every order, so the least rotation of the
     cyclic token sequence (``least_rotation``) is a least candidate, and
     rotations that tie give equal candidates. The scan is ``_least_token``.
-    ``PLLoop.canonical`` stores its normal form through here, and so does
-    the string bracket on the terms whose start it cannot tell from the
-    crossing (``strings._splice`` builds the others' rows directly).
+    ``PLLoop.canonical`` and the ``strings.StringCycle`` constructor take
+    their normal forms here, and so does the string bracket on the terms
+    whose start it cannot tell from the crossing (``strings._splice``
+    builds the others' rows directly).
     """
     r = _least_token(den, pts)
     # rows r..K-1, then rows 0..r past the wrap, translated into [0, den)^2
@@ -340,7 +342,8 @@ class PLLoop:
         That is, pts are the rows ``_least_lift`` gives for the loop, so
         gcd(den, coordinates) = 1 and pts[-1] = pts[0] + den closure. The
         lift is stored through ``_store`` alone, which still rejects
-        constant segments; the string bracket stores its terms here.
+        constant segments. ``_canonical_of`` stores here, and so does
+        ``strings._combine``, for each term of a cycle sum that survives.
         """
         loop = cls.__new__(cls)
         loop._store(space, closure, den, pts)
@@ -355,8 +358,7 @@ class PLLoop:
         through ``_normal``, without the gcd and closure passes of
         ``_from_lift``: rotating the rows and translating them by den times a
         lattice vector keeps both facts, so those passes would prove nothing
-        new. ``canonical`` comes here, and so does a bracket term on a tie,
-        whose least rotation only the token scan can find.
+        new. ``canonical`` comes here.
         """
         return cls._normal(space, closure, *_least_lift(den, pts, closure))
 
@@ -365,7 +367,8 @@ class PLLoop:
 
         A stored lift is reduced and closes up, so ``_canonical_of`` may skip
         the validating passes. ``StringCycle`` keeps its stored loops
-        canonical, so it calls this only on loops it is given.
+        canonical, but it takes the normal forms of the loops it is given as
+        ``_least_lift`` rows, and builds a loop only for a term it keeps.
         """
         return PLLoop._canonical_of(self.space, self.closure, *self._lift)
 

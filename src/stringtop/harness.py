@@ -50,10 +50,10 @@ from .phasespace import GradedPhaseModel, delta_and_nilpotency, graded_bracket
 from .strings import (
     StringCycle,
     TransversalityError,
+    _jacobi_sums,
     concatenate,
     goldman_torus,
     intersections,
-    jacobi_residual,
     string_bracket,
 )
 
@@ -520,7 +520,15 @@ def _jacobi(rng, k: int) -> float:
     cycles = [
         StringCycle.from_loop(gen_random_loop(rng, _rand_class(rng))) for _ in range(3)
     ]
-    return 0.0 if jacobi_residual(*cycles).is_zero else 1.0
+    residual, totals = _jacobi_sums(*cycles)
+    # each summand {{x;y};z} must keep its class total (x.y)((x+y).z): a zero
+    # residual whose outer brackets lost their crossings is not Jacobi's
+    x, y, z = (cycle.terms[0][1].closure for cycle in cycles)
+    want = []
+    for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+        count, total = goldman_torus(p, q)
+        want.append(count * goldman_torus(total, r)[0])
+    return 0.0 if residual.is_zero and totals == want else 1.0
 
 
 def _phase_model(k: int) -> GradedPhaseModel:

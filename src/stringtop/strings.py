@@ -13,17 +13,20 @@ integer rows over the least common denominator.
 The bracket uses both directly, so a bracket output stays on integers
 from its crossing to its stored term: ``string_bracket`` splices each
 crossing that ``_crossings`` yields straight into the least rotation of
-its rows, its normal form, and stores that (``PLLoop._normal``), with no
-``Fraction``, no ``IntersectionPoint`` and no second ``PLLoop``. Mod the
-unit, a splice's vertices are the crossing point, twice, and each vertex
-of the two loops once, and the bracket's loops are normal forms, whose
-vertex 0 is their least; so that rotation starts at the crossing point
-or at vertex 0 of one loop (``_rotation_start``), and ``_splice`` reads
-its rows off the two lifts in that order, in one pass. On a tie the
-rows stay plain, and ``PLLoop._canonical_of`` scans them for their least
-token. The public
-``intersections`` and ``concatenate`` wrap the same two routines:
-``intersections`` records each crossing as its two parameters
+its rows, its normal form, with no ``Fraction`` and no
+``IntersectionPoint``. Mod the unit, a splice's vertices are the
+crossing point, twice, and each vertex of the two loops once, and the
+bracket's loops are normal forms, whose vertex 0 is their least; so that
+rotation starts at the crossing point or at vertex 0 of one loop
+(``_rotation_start``), and ``_splice`` reads its rows off the two lifts
+in that order, in one pass. On a tie the rows come back plain, and
+``geometry._least_lift`` scans them for their least token. A term stays
+those integer rows until the sum keeps it: ``_combine`` sums the terms
+by their rows and stores a ``PLLoop`` (``PLLoop._normal``) only for a
+coefficient that survives, so a chain that cancels builds no loop.
+
+The public ``intersections`` and ``concatenate`` wrap the same two
+routines: ``intersections`` records each crossing as its two parameters
 (``Fraction``), its sign and its deck offset, sorted, and ``concatenate``
 reads such a record off both integer lifts (``PLLoop.lift_point``), checks
 it and builds the splice into a validated ``PLLoop._from_lift``. Formal
@@ -33,14 +36,16 @@ marked points) raises ``TransversalityError`` instead of being perturbed
 away silently.
 
 ``jacobi_residual`` does not search its outer brackets {{x;y};z} again.
-Each inner term records where it was spliced. Mod the lattice, its
-segments are those of x and y, split at the crossing point, so its
-crossings with z are those of x and y with z, moved to its segment
-indices (``_inherited``) and tested by ``_crossings``' own test
-(``_contact``) in its order: the records, and a degenerate contact such
-as z through the crossing point, are exactly ``_crossings``'. That
-oracle runs on a term only when a parent pair raises, so that its error
-names the term.
+Each inner term records where it was spliced, and its least vertex when
+the splice found its start. Mod the lattice, its segments are those of x
+and y, split at the crossing point, so its crossings with z are those of
+x and y with z, moved to its segment indices (``_inherited``) and tested
+by ``_crossings``' own test (``_contact``) in its order: the records, and
+a degenerate contact such as z through the crossing point, are exactly
+``_crossings``'. That oracle runs on a term only when a parent pair
+raises, so that its error names the term. The outer terms of all three
+summands are summed in one combine, and on a chain that cancels none of
+them becomes a loop.
 
 The degree-0 bracket of two cycles on a surface sums, over transversal
 intersection points p of their representatives, the loop concatenated at
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from stringtop.geometry import PLLoop, _least_token
+from stringtop.geometry import PLLoop, Torus, _least_lift, _least_token
 
 
 class TransversalityError(ValueError):
@@ -285,22 +290,30 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _combine(terms) -> tuple[tuple[int, PLLoop], ...]:
-    """Sum the coefficients of normal-form loops per loop; drop zeros; sort.
+# the one space: ``Torus`` takes d = 2 only, so every loop lives on it
+_TORUS = Torus(2)
 
-    A loop is keyed by its integer lift, which fixes its vertices and
-    closure. The terms are sorted by their lift rows scaled to one common
-    denominator (``_by_rows``). The first K rows are the vertices and the
-    last is the first plus the closure times that denominator, so this is
-    the order of (vertices, closure) unless one loop's vertices begin
-    another's.
+
+def _combine(terms) -> tuple[tuple[int, PLLoop], ...]:
+    """Sum (coefficient, closure, den, rows) terms per normal form; drop zeros; sort.
+
+    Each term is a loop's normal form as integers, ``geometry._least_lift``'s
+    (den, rows) with the loop's closure, and (den, rows) is the integer
+    lift of the loop it stands for, which fixes its vertices and closure:
+    the terms are summed keyed by it. Only a term whose coefficient
+    survives becomes a ``PLLoop``, stored as it is (``PLLoop._normal``), so
+    terms that cancel build no loop. The kept terms are sorted by their
+    rows scaled to one common denominator (``_by_rows``). The first K rows
+    are the vertices and the last is the first plus the closure times that
+    denominator, so this is the order of (vertices, closure) unless one
+    loop's vertices begin another's.
     """
     combined: dict[tuple, list] = {}
-    for coeff, loop in terms:
-        entry = combined.setdefault(loop.integer_lift(), [0, loop])
-        entry[0] += int(coeff)
+    for coeff, closure, den, rows in terms:
+        entry = combined.setdefault((den, rows), [0, closure])
+        entry[0] += coeff
     kept = sorted((item for item in combined.items() if item[1][0] != 0), key=lambda item: _by_rows(item[0]))
-    return tuple((coeff, loop) for _, (coeff, loop) in kept)
+    return tuple((coeff, PLLoop._normal(_TORUS, closure, *lift)) for lift, (coeff, closure) in kept)
 
 
 @functools.cmp_to_key
@@ -327,22 +340,23 @@ class StringCycle:
     A stored loop is its own normal form, so its integer lift is its key:
     only the constructor normalizes, and equality and hashing work on the
     stored keys. A sum or a multiple is built as a new cycle from the
-    terms, ``StringCycle(a.terms + b.terms)``. The cycle has no space of
-    its own: it lives where its loops do. A coefficient is an int; any
-    other type, bool included, raises ``TypeError``.
+    terms, ``StringCycle(a.terms + b.terms)``. Its loops live on the one
+    torus. A coefficient is an int; any other type, bool included, raises
+    ``TypeError``.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[int, PLLoop]] = ()) -> None:
-        canonical = []
+        normal = []
         for coeff, loop in terms:
-            canonical.append((_integer(coeff, "a coefficient"), loop.canonical()))
-        self.terms = _combine(canonical)
+            lift = _least_lift(*loop.integer_lift(), loop.closure)
+            normal.append((_integer(coeff, "a coefficient"), loop.closure, *lift))
+        self.terms = _combine(normal)
 
     @classmethod
     def _of(cls, terms) -> "StringCycle":
-        """Cycle of terms whose loops are already normal forms."""
+        """Cycle of (coefficient, closure, den, rows) terms that are normal forms already (``_combine``)."""
         cycle = cls.__new__(cls)
         cycle.terms = _combine(terms)
         return cycle
@@ -456,55 +470,73 @@ def _rotation_start(loop: PLLoop, other: PLLoop, i: int, j: int, unit: int, x: i
 
 
 def _bracket_terms(a: StringCycle, abar: StringCycle, crossings=None, origins: dict | None = None):
-    """The raw (coefficient, normal-form loop) terms of {a; abar}, one per crossing.
+    """The raw (coefficient, closure, unit, rows) terms of {a; abar}, one per crossing.
 
     Each crossing goes from ``_crossings`` to ``_splice`` on integers, and
     ``_splice`` returns the term's normal-form rows in one pass: a lift over
     its least denominator whose closure is the sum of the two closures,
     rotated to the start ``_rotation_start`` finds from the crossing and
     the least vertex of each loop (``_least_vertex``, taken once per loop).
-    The loop is stored from those rows as they are (``PLLoop._normal``),
-    without a validating build or a second pass over them. On a tie (about
-    6% of terms) the rows come back plain, and ``PLLoop._canonical_of``
-    finds their least rotation by the token scan.
+    On a tie (about 6% of terms) the rows come back plain, and
+    ``geometry._least_lift`` finds their least rotation by the token scan.
+    No loop is built here: (unit, rows) is the integer lift of the term's
+    loop, the key ``_combine`` sums by, and the combine builds a loop only
+    for a coefficient that survives.
 
     ``crossings(gamma, gammabar)``, when given, stands in for
     ``_crossings`` and must give the same records. ``origins``, when given,
-    maps every term's loop to where it was spliced: (gamma, gammabar, i, j,
-    ox, oy, r, sx, sy), with r the row its least rotation starts at and
-    (sx, sy) the lattice vector that rotation subtracts; on a tie the token
-    scan is run once more for them.
+    maps a spliced term's (unit, rows) to where it was spliced: (gamma,
+    gammabar, i, j, ox, oy, r, sx, sy, least), with r the row its least
+    rotation starts at, (sx, sy) the lattice vector that rotation
+    subtracts, and least the term's ``_least_vertex``, read off the splice,
+    or None on a tie, where the token scan is run once more for the start.
+    On a repeated key the first origin stands. A loop of ``a`` that
+    ``origins`` holds is such a term: its crossings are inherited from its
+    parents' records (``_inherited``), its least vertex is read off its
+    origin unless that is None, and the terms it makes are not recorded.
+    Every other loop of ``a`` is searched by ``crossings``, and the terms
+    it makes are recorded.
     """
     pref = degree_zero_prefactor(0, 0)
     if crossings is None:
         crossings = _crossings
     lows = [_least_vertex(gammabar) for _, gammabar in abar.terms]
     for m, gamma in a.terms:
-        low = _least_vertex(gamma)
+        origin = None if origins is None else origins.get(gamma.integer_lift())
+        low = _least_vertex(gamma) if origin is None or origin[-1] is None else origin[-1]
+        record = origins is not None and origin is None
+        k1 = gamma.num_segments
         for (mbar, gammabar), lowbar in zip(abar.terms, lows):
             closure = tuple(map(operator.add, gamma.closure, gammabar.closure))
-            for i, j, _, _, _, sign, (ox, oy), den, x, y in crossings(gamma, gammabar):
-                unit, rows, start = _splice(gamma, gammabar, i, j, den, x, y, ox, oy, (low, lowbar))
-                if start is not None:
-                    loop = PLLoop._normal(gamma.space, closure, unit, rows)
-                else:
-                    loop = PLLoop._canonical_of(gamma.space, closure, unit, rows)
-                    if origins is not None:
-                        r = _least_token(unit, rows)
-                        start = r, rows[r][0] // unit, rows[r][1] // unit
-                if origins is not None:
-                    origins[loop] = gamma, gammabar, i, j, ox, oy, *start
-                yield pref * m * mbar * sign, loop
+            both = low, lowbar
+            if origin is None:
+                records = crossings(gamma, gammabar)
+            else:
+                records = _inherited(origins, crossings, gamma, gammabar)
+            for i, j, _, _, _, sign, (ox, oy), den, x, y in records:
+                unit, rows, start = _splice(gamma, gammabar, i, j, den, x, y, ox, oy, both)
+                if start is None:
+                    plain = rows
+                    unit, rows = _least_lift(unit, plain, closure)
+                if record:
+                    if start is None:
+                        r = _least_token(unit, plain)
+                        start, least = (r, plain[r][0] // unit, plain[r][1] // unit), None
+                    else:
+                        # row 0 is least; a loop's vertex 0 holds it alone, the crossing point twice
+                        least = unit, len(rows) - 1, rows[0], start[0] not in (0, k1 + 1)
+                    origins.setdefault((unit, rows), (gamma, gammabar, i, j, ox, oy, *start, least))
+                yield pref * m * mbar * sign, closure, unit, rows
 
 
 def _inherited(origins: dict, pair, loop: PLLoop, other: PLLoop):
     """The records of ``_crossings(loop, other)`` for an inner-bracket term, from its parents' records.
 
-    ``origins[loop]`` says where the term was spliced (``_bracket_terms``),
-    and ``pair(gamma, other)`` gives the records of a parent with
-    ``other``. Mod the lattice, the term's segments are its parents', with
-    segment i of gamma and segment j of gammabar each split at the
-    crossing point p, in the order of ``_splice``'s plain rows, then
+    ``origins[loop.integer_lift()]`` says where the term was spliced
+    (``_bracket_terms``), and ``pair(gamma, other)`` gives the records of a
+    parent with ``other``. Mod the lattice, the term's segments are its
+    parents', with segment i of gamma and segment j of gammabar each split
+    at the crossing point p, in the order of ``_splice``'s plain rows, then
     rotated to start at row r:
 
     - segment q of gamma is splice row (q - i) mod K1, shifted by the first
@@ -525,7 +557,7 @@ def _inherited(origins: dict, pair, loop: PLLoop, other: PLLoop):
     lies at p, on a candidate of every half, where ``_contact`` raises
     as ``_crossings`` would.
     """
-    gamma, gammabar, i, j, ox, oy, r, sx, sy = origins[loop]
+    gamma, gammabar, i, j, ox, oy, r, sx, sy, _ = origins[loop.integer_lift()]
     try:
         first, second = pair(gamma, other), pair(gammabar, other)
     except TransversalityError:
@@ -572,30 +604,20 @@ def _inherited(origins: dict, pair, loop: PLLoop, other: PLLoop):
 def string_bracket(a: StringCycle, abar: StringCycle) -> StringCycle:
     """Degree-0 bracket: signed concatenations over all crossings, bilinear.
 
-    Each term is one crossing spliced and stored in normal form on the
-    integers (``_bracket_terms``); no ``IntersectionPoint``, ``Fraction``
-    or second ``PLLoop`` is built. The terms are combined once.
+    Each term is one crossing spliced into its normal form on the integers
+    (``_bracket_terms``); no ``IntersectionPoint`` or ``Fraction`` is
+    built. The terms are combined once, and each kept term is stored as
+    one ``PLLoop``.
     """
     return StringCycle._of(_bracket_terms(a, abar))
 
 
-def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCycle:
-    """Signed cyclic sum eta(x,z) {{x;y};z}, formed on chains.
-
-    The inner brackets {x;y} are combined cycles; the raw terms of the
-    three outer brackets are gathered and combined once, which gives the
-    cycle that summing the three outer cycles gives.
-
-    The crossing records of each pair of input loops are enumerated once
-    per call, on first use. Every inner term's crossings with z are
-    inherited from the records of its two parents with z (``_inherited``).
-    ``_crossings`` is the oracle they must equal record for record and
-    error for error (``tests/test_strings.py``); it runs on a term only
-    when a parent pair raises, so what raises is the plain bracket's.
-
-    Its class reduction is zero (Goldman). The suite checks the stronger
-    statement that the chain itself is zero, which held on every
-    non-degenerate random triple tested (``tests/test_strings.py``).
+def _jacobi_sums(a: StringCycle, b: StringCycle, c: StringCycle) -> tuple[StringCycle, list[int]]:
+    """(residual, totals): ``jacobi_residual``, and the coefficient sum of
+    each summand {{x;y};z}, before eta, in the order (a, b, c), (b, c, a),
+    (c, a, b). On single loops every term of {{x;y};z} has closure x+y+z,
+    so its total is Goldman's (x.y)((x+y).z), which outer brackets that
+    lost their crossings would miss.
     """
     eta = jacobi_eta(0, 0)
     found = {}
@@ -607,13 +629,40 @@ def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCyc
             found[key] = list(_crossings(gamma, gammabar))
         return found[key]
 
-    terms = []
+    terms, totals = [], []
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         origins = {}
         inner = StringCycle._of(_bracket_terms(x, y, pair, origins))
-        inherit = functools.partial(_inherited, origins, pair)
-        terms += ((eta * k, loop) for k, loop in _bracket_terms(inner, z, inherit))
-    return StringCycle._of(terms)
+        total = 0
+        for k, closure, unit, rows in _bracket_terms(inner, z, pair, origins):
+            total += k
+            terms.append((eta * k, closure, unit, rows))
+        totals.append(total)
+    return StringCycle._of(terms), totals
+
+
+def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCycle:
+    """Signed cyclic sum eta(x,z) {{x;y};z}, formed on chains.
+
+    The inner brackets {x;y} are combined cycles; the raw terms of the
+    three outer brackets are gathered as integer rows and combined once,
+    which gives the cycle that summing the three outer cycles gives, and
+    builds a loop only for a term the sum keeps.
+
+    The crossing records of each pair of input loops are enumerated once
+    per call, on first use. Every inner term's crossings with z are
+    inherited from the records of its two parents with z (``_inherited``),
+    and its least vertex is read off its splice unless that tied.
+    ``_crossings`` is the oracle they must equal record for record and
+    error for error (``tests/test_strings.py``); it runs on a term only
+    when a parent pair raises, so what raises is the plain bracket's.
+
+    Its class reduction is zero (Goldman). The suite checks the stronger
+    statement that the chain itself is zero, which held on every
+    non-degenerate random triple tested (``tests/test_strings.py``), and
+    that each summand's coefficient total is Goldman's (``_jacobi_sums``).
+    """
+    return _jacobi_sums(a, b, c)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from scipy.linalg import expm
 from stringtop.brackets import fundamental_identity_paths
 from stringtop.chords import DiagramRealization, parse_rep
 from stringtop.fields import ConstantCommutingConnection, FieldConfig, FieldTerm, FourierField
-from stringtop.geometry import PLLoop, VariationField
+from stringtop.geometry import PLLoop, Torus, VariationField
 from stringtop.grassmann import GradedCoefficient
 from stringtop.harness import _leg_values_at, insertion_matrix_at
 from stringtop.holonomy import transport
@@ -517,19 +517,26 @@ def canonical_rotations(loop: PLLoop) -> PLLoop:
     return PLLoop(loop.space, verts, closure)
 
 
+def least_lift_rotations(den: int, pts: tuple, closure: tuple[int, ...]) -> tuple:
+    """Oracle: ``geometry._least_lift`` of a reduced lift, through ``canonical_rotations``."""
+    return canonical_rotations(PLLoop._from_lift(Torus(2), den, pts)).integer_lift()
+
+
 def bracket_terms_fraction(a, abar, crossings=None, origins=None):
     """Oracle: ``strings._bracket_terms`` through the three ``Fraction`` oracles above.
 
-    One (sign times coefficients, normal-form loop) term per crossing of
-    ``intersections_fraction``, spliced by ``concatenate_fraction`` and
-    normalized by ``canonical_rotations``. It finds every crossing itself,
-    so it ignores ``crossings`` and records no ``origins``: under it,
-    ``jacobi_residual`` inherits nothing.
+    One (sign times coefficients, closure, den, rows) term per crossing of
+    ``intersections_fraction``: the crossing is spliced by
+    ``concatenate_fraction``, normalized by ``canonical_rotations``, and
+    read back as its closure and integer lift. It finds every crossing
+    itself, so it ignores ``crossings`` and records no ``origins``: under
+    it, ``jacobi_residual`` inherits nothing.
     """
     for m, gamma in a.terms:
         for mbar, gammabar in abar.terms:
             for p in intersections_fraction(gamma, gammabar):
-                yield m * mbar * p.sign, canonical_rotations(concatenate_fraction(gamma, gammabar, p))
+                loop = canonical_rotations(concatenate_fraction(gamma, gammabar, p))
+                yield m * mbar * p.sign, loop.closure, *loop.integer_lift()
 
 
 def goldman_torus_fraction(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, tuple[int, int]]:

@@ -166,9 +166,10 @@ def rotation_start_off_by_one(monkeypatch):
 def rotation_start_shifted(monkeypatch):
     """Every bracket term, ties included, starts one row past its least rotation.
 
-    Its terms are all rotated by one rule, so Jacobi's chains still cancel
-    and no class moves; only a check that re-normalizes the stored terms
-    sees it.
+    Its terms are all rotated by one rule and no class moves, so a check
+    that re-normalizes the stored terms sees it. So does Jacobi: its outer
+    brackets read each inner term's least vertex off the splice, as row 0,
+    which holds only for a normal form, and start their terms from it.
     """
     splice = strings._splice
 
@@ -182,6 +183,15 @@ def rotation_start_shifted(monkeypatch):
         return one_row_past(unit, rows, start)
 
     monkeypatch.setattr(strings, "_splice", shifted)
+
+
+def inherited_records_dropped(monkeypatch):
+    """Every inner term of Jacobi loses its crossings with the third loop.
+
+    The outer brackets are then empty, so the residual is the zero chain;
+    only their class totals, which Goldman's count predicts, see the loss.
+    """
+    monkeypatch.setattr(strings, "_inherited", lambda origins, pair, loop, other: [])
 
 
 MUTANTS = {
@@ -202,9 +212,12 @@ MUTANTS = {
     "first-crossing": (first_crossing, {"jacobi"}),
     "paired-crossings-dropped": (paired_crossings_dropped, {"jacobi"}),
     # a wrong rotation moves no class: the chain-level Jacobi sees two rules
-    # mixed, and goldman, which re-normalizes its bracket's terms, sees any
+    # mixed, or a least vertex read off a term that is not a normal form, and
+    # goldman, which re-normalizes its bracket's terms, sees any
     "rotation-start-off-by-one": (rotation_start_off_by_one, {"goldman", "jacobi"}),
-    "rotation-start-shifted": (rotation_start_shifted, {"goldman"}),
+    "rotation-start-shifted": (rotation_start_shifted, {"goldman", "jacobi"}),
+    # the zero chain satisfies Jacobi: the summands' class totals must be Goldman's
+    "inherited-records-dropped": (inherited_records_dropped, {"jacobi"}),
 }
 
 

@@ -13,12 +13,13 @@ import pytest
 
 from oracles import (
     bracket_terms_fraction,
-    canonical_rotations,
     concatenate_fraction,
     goldman_torus_fraction,
     intersections_fraction,
+    least_lift_rotations,
     normal_form_rotations,
 )
+from test_mutants import first_crossing
 from stringtop import geometry, strings
 from stringtop.geometry import PLLoop, Torus
 from stringtop.harness import gen_random_loop
@@ -393,7 +394,8 @@ def test_only_the_constructor_normalizes(monkeypatch):
     total, swapped = StringCycle(a.terms + b.terms), StringCycle(b.terms + a.terms)
     calls = []
     normal_form, least_lift = PLLoop.normal_form, geometry._least_lift
-    monkeypatch.setattr(geometry, "_least_lift", lambda *lift: calls.append(1) or least_lift(*lift))
+    for owner in (geometry, strings):
+        monkeypatch.setattr(owner, "_least_lift", lambda *lift: calls.append(1) or least_lift(*lift))
     assert (a == b, a == a, total == swapped) == (False, True, True)
     assert hash(total) == hash(swapped)
     assert calls == []
@@ -410,7 +412,7 @@ def forbid(monkeypatch, owner, name):
 
 
 def test_each_bracket_term_builds_one_loop(monkeypatch):
-    """One stored ``PLLoop`` per term, straight from the integers, and a normal form (``_least_lift``) only on a tie.
+    """One stored ``PLLoop`` per kept term, straight from the integers, and a normal form (``_least_lift``) only on a tie.
 
     The bracket builds no ``IntersectionPoint``, no ``Fraction``, no
     ``lift_point`` and no validated ``_from_lift`` build. ``_splice`` gives
@@ -423,7 +425,7 @@ def test_each_bracket_term_builds_one_loop(monkeypatch):
     crossings = sum(len(intersections(x, y)) for _, x in a.terms for _, y in b.terms)
     assert crossings > 5
     stores, rotations, ties = [], [], []
-    store, least_lift, rotation_start = PLLoop._store, geometry._least_lift, strings._rotation_start
+    store, least_lift, rotation_start = PLLoop._store, strings._least_lift, strings._rotation_start
 
     def start(*crossing):
         found = rotation_start(*crossing)
@@ -431,14 +433,14 @@ def test_each_bracket_term_builds_one_loop(monkeypatch):
         return found
 
     monkeypatch.setattr(PLLoop, "_store", lambda self, *args: stores.append(1) or store(self, *args))
-    monkeypatch.setattr(geometry, "_least_lift", lambda *lift: rotations.append(1) or least_lift(*lift))
+    monkeypatch.setattr(strings, "_least_lift", lambda *lift: rotations.append(1) or least_lift(*lift))
     monkeypatch.setattr(strings, "_rotation_start", start)
     for name in ("IntersectionPoint", "Fraction", "intersections", "concatenate"):
         forbid(monkeypatch, strings, name)
     forbid(monkeypatch, PLLoop, "lift_point")
     forbid(monkeypatch, PLLoop, "_from_lift")
     bracket = string_bracket(a, b)
-    assert len(stores) == len(ties) == crossings
+    assert len(stores) == len(bracket.terms) and len(ties) == crossings
     assert len(rotations) == sum(ties) < crossings
     monkeypatch.undo()
     # re-wrapping canonical terms gives the same cycle, and each term the lift a validated build gives
@@ -616,8 +618,29 @@ def test_a_tied_least_vertex_takes_the_scan(monkeypatch):
     assert_starts_match_the_scan(events)
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # the two loops' vertices coincide
+        (([(F(1, 4), F(1, 2))], (1, 0)), ([(F(1, 4), F(1, 2))], (0, 1))),
+        # the second loop's vertex lies mid-segment of the first
+        (([(0, F(1, 2)), (F(1, 2), F(1, 2))], (1, 0)), ([(F(1, 4), F(1, 2)), (F(1, 4), 1)], (0, 1))),
+        # the second loop's vertex is a lattice translate of the first's
+        (([(F(1, 4), F(1, 2))], (1, 0)), ([(F(5, 4), F(-1, 2))], (0, 1))),
+    ],
+)
+def test_a_loop_through_the_other_loops_vertex_raises(first, second):
+    """``_rotation_start``'s comparisons of the crossing point and the two
+    least vertices tie only when one of them meets a vertex of the other
+    loop mod the lattice; that contact raises before any splice, so strict
+    and non-strict comparisons agree on every splice the bracket makes."""
+    a, b = (StringCycle.from_loop(PLLoop(TORUS, *loop)) for loop in (first, second))
+    with pytest.raises(TransversalityError, match="cross at a vertex or marked point"):
+        string_bracket(a, b)
+
+
 def test_each_splice_is_over_the_least_denominator(monkeypatch):
-    """Every stored bracket term is reduced and closes up by the sum of the two closures.
+    """Every raw bracket term is reduced and closes up by the sum of the two closures.
 
     So the gcd and closure passes of ``_from_lift``, which the bracket
     skips, would change nothing. ``concatenate`` still runs them, on rows
@@ -625,17 +648,18 @@ def test_each_splice_is_over_the_least_denominator(monkeypatch):
     """
     rng = np.random.default_rng(15)
     stored, built = [], []
-    store, from_lift = PLLoop._store, PLLoop._from_lift.__func__
+    bracket_terms, from_lift = strings._bracket_terms, PLLoop._from_lift.__func__
 
-    def keep(self, *args):
-        store(self, *args)
-        stored.append(self)
+    def keep(*args):
+        for term in bracket_terms(*args):
+            stored.append(term)
+            yield term
 
     def record(cls, space, den, pts):
         built.append(math.gcd(den, *(c for row in pts for c in row)))
         return from_lift(cls, space, den, pts)
 
-    monkeypatch.setattr(PLLoop, "_store", keep)
+    monkeypatch.setattr(strings, "_bracket_terms", keep)
     monkeypatch.setattr(PLLoop, "_from_lift", classmethod(record))
     splices = 0
     for _ in range(50):
@@ -648,10 +672,9 @@ def test_each_splice_is_over_the_least_denominator(monkeypatch):
         except TransversalityError:
             continue
         closure = tuple(c + d for c, d in zip(x.closure, y.closure))
-        for loop in stored:
-            den, rows = loop.integer_lift()
+        for _, term_closure, den, rows in stored:
             assert math.gcd(den, *(c for row in rows for c in row)) == 1
-            assert loop.closure == closure
+            assert term_closure == closure
             assert tuple(b - a for a, b in zip(rows[0], rows[-1])) == tuple(den * c for c in closure)
         assert len(stored) == len(pts)
         splices += len(stored)
@@ -690,8 +713,7 @@ def test_the_bracket_splices_what_the_records_splice():
             assert str(got.value) == str(err)
             return None
         got = list(strings._bracket_terms(a, b))
-        key = lambda terms: sorted((c, loop.integer_lift(), loop.closure) for c, loop in terms)
-        assert key(got) == key(want)
+        assert sorted(got) == sorted((c, loop.closure, *loop.integer_lift()) for c, loop in want)
         assert string_bracket(a, b) == StringCycle(want)
         return StringCycle._of(got[:2])
 
@@ -736,7 +758,7 @@ def compare_inherited(monkeypatch, x, y, z, counts):
     monkeypatch.setattr(strings, "_crossings", lambda loop, other: searched.append(loop) or search(loop, other))
     try:
         for _, loop in inner.terms:
-            parents = origins[loop][:2]
+            parents = origins[loop.integer_lift()][:2]
             for _, other in z.terms:
                 want = crossings_or_error(lambda *p: list(search(*p)), loop, other)
                 raised = any(isinstance(crossings_or_error(pair, gamma, other), str) for gamma in parents)
@@ -830,6 +852,59 @@ def test_jacobi_searches_each_pair_of_input_loops_once(monkeypatch):
     assert full >= 10
 
 
+def test_each_least_vertex_read_off_a_splice_is_the_scans():
+    """An inner term whose start the splice found records its ``_least_vertex``:
+    row 0 of its rows, held by no other vertex when the start is a loop's
+    vertex 0 and by the crossing point's other copy when it is that point.
+    A tie records None, and the outer bracket scans the stored loop."""
+    rng = np.random.default_rng(391)
+    read = dict.fromkeys((True, False), 0)
+    for _ in range(40):
+        cycles = [StringCycle.from_loop(gen_random_loop(rng)) for _ in range(3)]
+        for x, y in itertools.combinations(cycles, 2):
+            origins = {}
+            try:
+                inner = StringCycle._of(strings._bracket_terms(x, y, None, origins))
+            except TransversalityError:
+                continue
+            for _, loop in inner.terms:
+                least = origins[loop.integer_lift()][-1]
+                assert least == strings._least_vertex(loop)
+                read[least[3]] += 1
+    assert read[True] > 100 and read[False] > 20, read
+    # a tie: both vertices of x are (1/16, 1/16) mod 1
+    x = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 16), F(1, 16)), (F(17, 16), F(17, 16))], (2, 3)))
+    y = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 2), F(1, 4))], (0, 1)))
+    origins = {}
+    inner = StringCycle._of(strings._bracket_terms(x, y, None, origins))
+    assert len(inner.terms) == 2 and all(origins[loop.integer_lift()][-1] is None for _, loop in inner.terms)
+
+
+def test_a_cancelling_jacobi_builds_loops_for_its_inner_brackets_only(monkeypatch):
+    """The outer terms of a Jacobi chain that cancels stay integer rows: the
+    only loops stored are the kept terms of the three inner brackets."""
+    rng = np.random.default_rng(392)
+    store = PLLoop._store
+    stores = []
+    checked = outer = 0
+    for _ in range(20):
+        a, b, c = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(3))
+        try:
+            inners = [(string_bracket(x, y), z) for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+            raw = sum(len(list(strings._bracket_terms(xy, z))) for xy, z in inners)
+            with monkeypatch.context() as patch:
+                patch.setattr(PLLoop, "_store", lambda self, *args: stores.append(1) or store(self, *args))
+                del stores[:]
+                residual = jacobi_residual(a, b, c)
+        except TransversalityError:
+            continue
+        assert residual.is_zero
+        assert len(stores) == sum(len(xy.terms) for xy, _ in inners)
+        checked += 1
+        outer += raw
+    assert checked >= 15 and outer > 500
+
+
 # -- the bracket --------------------------------------------------------------------
 
 
@@ -902,6 +977,50 @@ def test_jacobi_residual_is_zero_on_chains():
     assert drawn > 80 and zero == drawn
 
 
+def unsigned_crossings(monkeypatch):
+    """Every crossing weighted +1, in ``_crossings`` and ``_inherited`` alike,
+    since both test through ``_contact``: Jacobi's chain no longer cancels."""
+    contact = strings._contact
+
+    def unsigned(*segments):
+        found = contact(*segments)
+        return found if found is None else (*found[:5], 1, *found[6:])
+
+    monkeypatch.setattr(strings, "_contact", unsigned)
+
+
+@pytest.mark.parametrize("variant", ["unsigned-crossings", "first-crossing"])
+def test_an_uncancelled_jacobi_chain_is_its_outer_brackets_summed(monkeypatch, variant):
+    """The one combine of the raw outer terms is the sum of the outer cycles, term for term.
+
+    Unsigned, the outer brackets are the public ``string_bracket(string_bracket(x, y), z)``.
+    Under ``first-crossing`` every term is spliced at its pair's first
+    crossing, not at the record its origin keeps, so its inherited
+    crossings are not a fresh search's; there each outer bracket is formed
+    as Jacobi forms it, from the recorded origins, and combined on its own.
+    """
+    (unsigned_crossings if variant == "unsigned-crossings" else first_crossing)(monkeypatch)
+    rng = np.random.default_rng(393)
+    checked = 0
+    for _ in range(20):
+        a, b, c = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(3))
+        try:
+            got = jacobi_residual(a, b, c)
+            summed = []
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                if variant == "unsigned-crossings":
+                    summed += string_bracket(string_bracket(x, y), z).terms
+                else:
+                    origins = {}
+                    inner = StringCycle._of(strings._bracket_terms(x, y, None, origins))
+                    summed += StringCycle._of(strings._bracket_terms(inner, z, None, origins)).terms
+        except TransversalityError:
+            continue
+        assert chain_terms(got) == chain_terms(StringCycle(summed))
+        checked += not got.is_zero
+    assert checked >= 10, checked
+
+
 def test_jacobi_residual_reduces_to_zero():
     rng = np.random.default_rng(77)
     cycles = [
@@ -946,7 +1065,7 @@ def test_chain_level_terms_match_the_fraction_oracles(seed, monkeypatch):
     assert [loop.num_segments for _, loop in StringCycle([(1, short), (1, long)]).terms] == [2, 1]
     # the bracket's terms through the Fraction oracles, and the input loops normalized by rotations
     monkeypatch.setattr(strings, "_bracket_terms", bracket_terms_fraction)
-    monkeypatch.setattr(PLLoop, "canonical", canonical_rotations)
+    monkeypatch.setattr(strings, "_least_lift", least_lift_rotations)
     assert chains() == production
     assert sum(len(terms[1]) for terms in production if isinstance(terms, list)) > 30
 

@@ -16,15 +16,15 @@ K + 1 lift vertices as integer tuples over one common denominator, and
 ``lift_point`` and ``edge`` read points and segment edges off it in
 integers. The constructor turns rational vertices into that lift;
 ``PLLoop._from_lift`` builds a loop from the integers directly, as
-concatenations and the transformations do, and ``canonical`` stores its
-rotated lift with the constant-segment check alone. The
-``Fraction`` vertices are a view formed on demand. ``canonical`` and
-``normal_form`` take one least rotation (``_least_lift``) of an integer
-lift, found by a token scan (``_least_token``). The string bracket
-splices its terms straight into that normal form, as integer rows, from
-a start it finds at the crossing, and calls ``_least_lift`` only on a
-tie; ``strings.StringCycle`` stores a loop through ``PLLoop._normal`` only
-for a term its sum keeps.
+concatenations and the transformations do. The ``Fraction`` vertices
+are a view formed on demand. ``canonical`` and ``normal_form`` take one
+least rotation (``_least_lift``) of an integer lift, found by a token
+scan (``_least_token``), and ``canonical`` stores it through
+``PLLoop._normal``, with the constant-segment check alone. The string
+bracket splices its terms straight into that normal form, as integer
+rows, from a start it finds at the crossing and at each loop's vertex 0,
+and calls ``_least_lift`` only on a tie; ``strings.StringCycle`` stores
+a loop through ``PLLoop._normal`` only for a term its sum keeps.
 
 Loop deformations are carried by ``VariationField``: a displacement vector
 per vertex, interpolated affinely along segments. Deforming by a rational
@@ -68,6 +68,16 @@ def _rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational: pass a Fraction or an int")
+
+
+def _integer(value, what: str) -> int:
+    """value, which must be an int and not a bool: the one check of the
+    integers the public constructors take (cycle coefficients, class
+    entries, step counts, seeds), so that 2.7, 1/2 or True raises
+    ``TypeError`` instead of being truncated or read as 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
+    return value
 
 
 Point = tuple[Fraction, ...]
@@ -342,35 +352,25 @@ class PLLoop:
         That is, pts are the rows ``_least_lift`` gives for the loop, so
         gcd(den, coordinates) = 1 and pts[-1] = pts[0] + den closure. The
         lift is stored through ``_store`` alone, which still rejects
-        constant segments. ``_canonical_of`` stores here, and so does
+        constant segments. ``canonical`` stores here, and so does
         ``strings._combine``, for each term of a cycle sum that survives.
         """
         loop = cls.__new__(cls)
         loop._store(space, closure, den, pts)
         return loop
 
-    @classmethod
-    def _canonical_of(cls, space: Torus, closure: tuple[int, ...], den: int, pts: tuple) -> "PLLoop":
-        """The normal-form loop of the lift (den, pts) with closure ``closure``.
-
-        The caller vouches for the lift: gcd(den, coordinates) = 1 and
-        pts[-1] = pts[0] + den closure. The loop is stored from ``_least_lift``
-        through ``_normal``, without the gcd and closure passes of
-        ``_from_lift``: rotating the rows and translating them by den times a
-        lattice vector keeps both facts, so those passes would prove nothing
-        new. ``canonical`` comes here.
-        """
-        return cls._normal(space, closure, *_least_lift(den, pts, closure))
-
     def canonical(self) -> "PLLoop":
         """The loop whose vertices are the normal form, built on the integers.
 
-        A stored lift is reduced and closes up, so ``_canonical_of`` may skip
-        the validating passes. ``StringCycle`` keeps its stored loops
-        canonical, but it takes the normal forms of the loops it is given as
-        ``_least_lift`` rows, and builds a loop only for a term it keeps.
+        A stored lift is reduced and closes up, and rotating its rows and
+        translating them by den times a lattice vector keeps both facts, so
+        the rows of ``_least_lift`` are stored through ``_normal``, without
+        the gcd and closure passes of ``_from_lift``: they would prove
+        nothing new. ``StringCycle`` keeps its stored loops canonical, but it
+        takes the normal forms of the loops it is given as ``_least_lift``
+        rows, and builds a loop only for a term it keeps.
         """
-        return PLLoop._canonical_of(self.space, self.closure, *self._lift)
+        return PLLoop._normal(self.space, self.closure, *_least_lift(*self._lift, self.closure))
 
     def __repr__(self) -> str:
         return (

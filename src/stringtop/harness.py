@@ -42,7 +42,7 @@ from . import __version__
 from .brackets import fundamental_identity_check, main_theorem_sides
 from .chords import ChordDiagram, DiagramRealization, evaluate_diagram, four_t_combination, gln_ideal_element
 from .fields import ConstantCommutingConnection, FieldConfig, FourierField
-from .geometry import PLLoop, Torus, VariationField
+from .geometry import PLLoop, Torus, VariationField, _integer
 from .grassmann import GradedCoefficient
 from .holonomy import QuadratureError, gen_transport, transport, wilson
 from .lierep import LieBasis, SuperMatrix, fuse_traces
@@ -74,25 +74,19 @@ class RetryCapError(RuntimeError):
 # configuration and report types
 
 
-def _require_int(value, name: str) -> None:
-    """Reject what is not an int, bool included: the report echoes it as a JSON integer."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 0
     counts: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        _require_int(self.seed, "seed")
+        _integer(self.seed, "seed")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         for name, cnt in self.counts.items():
             if name not in CHECK_NAMES:
                 raise ValueError(f"unknown check {name!r} in counts")
-            _require_int(cnt, f"count for {name!r}")
+            _integer(cnt, f"count for {name!r}")
             if cnt < 1:
                 raise ValueError(f"count for {name!r} must be at least 1")
 

@@ -117,7 +117,7 @@ from typing import Sequence
 import numpy as np
 
 from stringtop.fields import ConstantCommutingConnection, FieldConfig, FourierStack
-from stringtop.geometry import PLLoop, VariationField
+from stringtop.geometry import PLLoop, VariationField, _integer
 from stringtop.grassmann import GradedCoefficient, merge_sign
 from stringtop.lierep import SuperMatrix, product, regular
 
@@ -155,8 +155,7 @@ class TransportPlan:
     tol: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool):
-            raise TypeError(f"steps must be an int, not {type(self.steps).__name__}")
+        _integer(self.steps, "steps")
         if self.steps < 1 or 2 * self.steps > MAX_STEPS:
             raise ValueError(f"bad step counts: steps must lie in 1..{MAX_STEPS // 2}")
         if self.tol is not None and not self.tol > 0:

@@ -18,7 +18,8 @@ its rows, its normal form, with no ``Fraction`` and no
 crossing point, twice, and each vertex of the two loops once, and the
 bracket's loops are normal forms, whose vertex 0 is their least; so that
 rotation starts at the crossing point or at vertex 0 of one loop
-(``_rotation_start``), and ``_splice`` reads its rows off the two lifts
+(``_rotation_start``), which needs of each loop only whether its vertex
+0 is alone (``_alone``), and ``_splice`` reads its rows off the two lifts
 in that order, in one pass. On a tie the rows come back plain, and
 ``geometry._least_lift`` scans them for their least token. A term stays
 those integer rows until the sum keeps it: ``_combine`` sums the terms
@@ -36,16 +37,17 @@ marked points) raises ``TransversalityError`` instead of being perturbed
 away silently.
 
 ``jacobi_residual`` does not search its outer brackets {{x;y};z} again.
-Each inner term records where it was spliced, and its least vertex when
-the splice found its start. Mod the lattice, its segments are those of x
+Each inner term whose start the splice found records where it was
+spliced, and its ``_alone``. Mod the lattice, its segments are those of x
 and y, split at the crossing point, so its crossings with z are those of
 x and y with z, moved to its segment indices (``_inherited``) and tested
 by ``_crossings``' own test (``_contact``) in its order: the records, and
 a degenerate contact such as z through the crossing point, are exactly
-``_crossings``'. That oracle runs on a term only when a parent pair
-raises, so that its error names the term. The outer terms of all three
-summands are summed in one combine, and on a chain that cancels none of
-them becomes a loop.
+``_crossings``'. That oracle runs on such a term only when a parent pair
+raises, so that its error names the term. A tied term records nothing,
+and its crossings are searched as an input loop's are. The outer terms
+of all three summands are summed in one combine, and on a chain that
+cancels none of them becomes a loop.
 
 The degree-0 bracket of two cycles on a surface sums, over transversal
 intersection points p of their representatives, the loop concatenated at
@@ -64,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from stringtop.geometry import PLLoop, Torus, _least_lift, _least_token
+from stringtop.geometry import PLLoop, Torus, _integer, _least_lift
 
 
 class TransversalityError(ValueError):
@@ -202,14 +204,14 @@ def _splice(
     plus unit times the sum of the two closures.
 
     Plain, the rows start at the crossing point, and start is None. Given
-    ``lows``, the ``_least_vertex`` of both loops, ``_rotation_start`` may
-    find the start (r, sx, sy) of the rows' least rotation; then the rows
-    are the ones ``geometry._least_lift`` gives for the plain rows, built
-    in the same single pass. Mod the lattice, that rotation runs around one
-    loop, X, from the crossing point or from X's vertex 0, then around the
-    other, Y, so its rows are read off the two lifts in that order, with Y
-    translated to meet X at the point. On a tie the rows stay plain and
-    start is None.
+    ``lows``, the ``_alone`` of both loops, which must be normal forms,
+    ``_rotation_start`` may find the start (r, sx, sy) of the rows' least
+    rotation; then the rows are the ones ``geometry._least_lift`` gives for
+    the plain rows, built in the same single pass. Mod the lattice, that
+    rotation runs around one loop, X, from the crossing point or from X's
+    vertex 0, then around the other, Y, so its rows are read off the two
+    lifts in that order, with Y translated to meet X at the point. On a tie
+    the rows stay plain and start is None.
     """
     (den1, pts1), (den2, pts2) = loop.integer_lift(), other.integer_lift()
     unit = math.lcm(den1, den2, den // math.gcd(den, x0, y0))
@@ -279,15 +281,6 @@ def concatenate(loop: PLLoop, other: PLLoop, p: IntersectionPoint) -> PLLoop:
 
 # ---------------------------------------------------------------------------
 # formal cycles
-
-
-def _integer(value, what: str) -> int:
-    """value, which must be an int and not a bool: the check of every
-    integer the public constructors take, so that 2.7 or 1/2 raises
-    ``TypeError`` instead of being truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
-    return value
 
 
 # the one space: ``Torus`` takes d = 2 only, so every loop lives on it
@@ -407,55 +400,54 @@ def jacobi_eta(parity_a: int, parity_c: int) -> int:
     return -1 if ((parity_a + 2) * (parity_c + 2)) % 2 else 1
 
 
-def _least_vertex(loop: PLLoop) -> tuple:
-    """(den, K, point, first): the least vertex of the lift (den, P_0..P_K) mod den.
+def _alone(loop: PLLoop) -> bool:
+    """Whether no other vertex of the loop's lift (den, P_0..P_K) reduces to P_0 mod den.
 
-    point is the least P_v mod den over the K vertices, and first says
-    whether P_0 is that point and the only vertex that reduces to it. A
-    normal form starts at its least token, in [0, den)^2, so for a stored
-    loop first fails only on a tie.
+    A stored loop is a normal form, so P_0 is its least vertex mod den, in
+    [0, den)^2, and this fails only on a tie.
     """
     den, pts = loop.integer_lift()
-    points = [(x % den, y % den) for x, y in pts[:-1]]
-    least = min(points)
-    return den, len(points), least, pts[0] == least and points.count(least) == 1
+    return [(x % den, y % den) for x, y in pts[:-1]].count(pts[0]) == 1
 
 
 def _rotation_start(loop: PLLoop, other: PLLoop, i: int, j: int, unit: int, x: int, y: int, ox: int, oy: int, lows):
     """(r, sx, sy): where the least rotation of a splice starts, or None on a tie.
 
     The splice is ``_splice``'s, at the crossing (x, y) / unit in segments
-    i and j, with the second loop translated by (ox, oy); lows are the
-    ``_least_vertex`` of the two loops. r is the row of the plain rows that
-    the least rotation starts at, and (sx, sy) the floor of that row over
-    unit, the lattice vector the rotation subtracts. Both come from the
-    loops' vertices, without the rows. Mod unit, the vertices of the plain
-    rows are the crossing point, at rows 0 and K1 + 1, and each vertex of
-    the two loops once, scaled by unit over its loop's denominator. So the
-    least token (``geometry._least_lift``) sits at the least of the
-    crossing point and the two loops' least vertices, when one of them is
-    strictly least:
+    i and j, with the second loop translated by (ox, oy). Both loops are
+    normal forms, so each one's vertex 0 is its least vertex mod its
+    denominator, in [0, den)^2; lows say whether it is alone there
+    (``_alone``). r is the row of the plain rows that the least rotation
+    starts at, and (sx, sy) the floor of that row over unit, the lattice
+    vector the rotation subtracts. Both come from the loops' vertices,
+    without the rows. Mod unit, the vertices of the plain rows are the
+    crossing point, at rows 0 and K1 + 1, and each vertex of the two loops
+    once, scaled by unit over its loop's denominator. So the least token
+    (``geometry._least_lift``) sits at the least of the crossing point and
+    the two loops' vertices 0, when one of them is strictly least:
 
     - the crossing point's two copies are ordered by their outgoing
       edges, which differ, since the crossing is transversal; row K1 + 1
       is row 0 plus unit times the first closure C1;
-    - the first loop's vertex 0, when it is its least vertex, is row
-      K1 - i, which holds P_K1 s1 = P_0 s1 + unit C1;
+    - the first loop's vertex 0, when it is alone, is row K1 - i, which
+      holds P_K1 s1 = P_0 s1 + unit C1;
     - the second loop's vertex 0 is row K1 + 1 + K2 - j, which holds
       Q_K2 s2 + unit (offset + C1) = Q_0 s2 + unit (offset + C1 + C2).
 
     Otherwise, on a tie between these points or inside a loop, only the
     token scan (``geometry._least_token``) can tell the row, and None is
-    returned; so is it when a loop's least vertex is not its vertex 0,
-    which no normal form has.
+    returned.
     """
-    (den1, k1, (ax, ay), first), (den2, k2, (bx, by), second) = lows
+    first, second = lows
+    (den1, pts1), (den2, pts2) = loop.integer_lift(), other.integer_lift()
     s1, s2 = unit // den1, unit // den2
+    k1 = len(pts1) - 1
     p = x % unit, y % unit
+    (ax, ay), (bx, by) = pts1[0], pts2[0]
     a, b = (ax * s1, ay * s1), (bx * s2, by * s2)
     m1, n1 = loop.closure
     if p < a and p < b:
-        (x1, y1), (x2, y2) = loop.integer_lift()[1][i + 1], other.integer_lift()[1][j + 1]
+        (x1, y1), (x2, y2) = pts1[i + 1], pts2[j + 1]
         sx, sy = x // unit, y // unit
         # rows 1 and K1 + 2 less rows 0 and K1 + 1: the two outgoing edges
         if (x1 * s1 - x, y1 * s1 - y) < (x2 * s2 + unit * ox - x, y2 * s2 + unit * oy - y):
@@ -465,7 +457,7 @@ def _rotation_start(loop: PLLoop, other: PLLoop, i: int, j: int, unit: int, x: i
         return k1 - i, m1, n1
     if b < p and b < a and second:
         m2, n2 = other.closure
-        return k1 + 1 + k2 - j, ox + m1 + m2, oy + n1 + n2
+        return k1 + len(pts2) - j, ox + m1 + m2, oy + n1 + n2
     return None
 
 
@@ -476,56 +468,50 @@ def _bracket_terms(a: StringCycle, abar: StringCycle, crossings=None, origins: d
     ``_splice`` returns the term's normal-form rows in one pass: a lift over
     its least denominator whose closure is the sum of the two closures,
     rotated to the start ``_rotation_start`` finds from the crossing and
-    the least vertex of each loop (``_least_vertex``, taken once per loop).
-    On a tie (about 6% of terms) the rows come back plain, and
-    ``geometry._least_lift`` finds their least rotation by the token scan.
-    No loop is built here: (unit, rows) is the integer lift of the term's
-    loop, the key ``_combine`` sums by, and the combine builds a loop only
-    for a coefficient that survives.
+    each loop's vertex 0, the least since the loops are normal forms, and
+    whether it is alone (``_alone``, taken once per loop). On a tie (about
+    6% of terms) the rows come back plain, and ``geometry._least_lift``
+    finds their least rotation by the token scan. No loop is built here:
+    (unit, rows) is the integer lift of the term's loop, the key
+    ``_combine`` sums by, and the combine builds a loop only for a
+    coefficient that survives.
 
     ``crossings(gamma, gammabar)``, when given, stands in for
     ``_crossings`` and must give the same records. ``origins``, when given,
-    maps a spliced term's (unit, rows) to where it was spliced: (gamma,
-    gammabar, i, j, ox, oy, r, sx, sy, least), with r the row its least
-    rotation starts at, (sx, sy) the lattice vector that rotation
-    subtracts, and least the term's ``_least_vertex``, read off the splice,
-    or None on a tie, where the token scan is run once more for the start.
-    On a repeated key the first origin stands. A loop of ``a`` that
-    ``origins`` holds is such a term: its crossings are inherited from its
-    parents' records (``_inherited``), its least vertex is read off its
-    origin unless that is None, and the terms it makes are not recorded.
-    Every other loop of ``a`` is searched by ``crossings``, and the terms
-    it makes are recorded.
+    maps the (unit, rows) of a spliced term whose start the splice found to
+    where it was spliced: (gamma, gammabar, i, j, ox, oy, r, sx, sy, alone),
+    with r the row its least rotation starts at, (sx, sy) the lattice
+    vector that rotation subtracts, and alone the term's ``_alone``, read
+    off the splice. On a repeated key the first origin stands. A loop of
+    ``a`` that ``origins`` holds is such a term: its crossings are
+    inherited from its parents' records (``_inherited``), its ``_alone`` is
+    read off its origin, and the terms it makes are not recorded. Every
+    other loop of ``a``, a tied term included, is searched by
+    ``crossings``, and the terms it makes are recorded.
     """
     pref = degree_zero_prefactor(0, 0)
     if crossings is None:
         crossings = _crossings
-    lows = [_least_vertex(gammabar) for _, gammabar in abar.terms]
+    lows = [_alone(gammabar) for _, gammabar in abar.terms]
     for m, gamma in a.terms:
         origin = None if origins is None else origins.get(gamma.integer_lift())
-        low = _least_vertex(gamma) if origin is None or origin[-1] is None else origin[-1]
+        low = _alone(gamma) if origin is None else origin[-1]
         record = origins is not None and origin is None
         k1 = gamma.num_segments
         for (mbar, gammabar), lowbar in zip(abar.terms, lows):
             closure = tuple(map(operator.add, gamma.closure, gammabar.closure))
-            both = low, lowbar
             if origin is None:
                 records = crossings(gamma, gammabar)
             else:
                 records = _inherited(origins, crossings, gamma, gammabar)
             for i, j, _, _, _, sign, (ox, oy), den, x, y in records:
-                unit, rows, start = _splice(gamma, gammabar, i, j, den, x, y, ox, oy, both)
+                unit, rows, start = _splice(gamma, gammabar, i, j, den, x, y, ox, oy, (low, lowbar))
                 if start is None:
-                    plain = rows
-                    unit, rows = _least_lift(unit, plain, closure)
-                if record:
-                    if start is None:
-                        r = _least_token(unit, plain)
-                        start, least = (r, plain[r][0] // unit, plain[r][1] // unit), None
-                    else:
-                        # row 0 is least; a loop's vertex 0 holds it alone, the crossing point twice
-                        least = unit, len(rows) - 1, rows[0], start[0] not in (0, k1 + 1)
-                    origins.setdefault((unit, rows), (gamma, gammabar, i, j, ox, oy, *start, least))
+                    unit, rows = _least_lift(unit, rows, closure)
+                elif record:
+                    # row 0 is least; a loop's vertex 0 holds it alone, the crossing point twice
+                    alone = start[0] not in (0, k1 + 1)
+                    origins.setdefault((unit, rows), (gamma, gammabar, i, j, ox, oy, *start, alone))
                 yield pref * m * mbar * sign, closure, unit, rows
 
 
@@ -617,13 +603,15 @@ def _jacobi_sums(a: StringCycle, b: StringCycle, c: StringCycle) -> tuple[String
     each summand {{x;y};z}, before eta, in the order (a, b, c), (b, c, a),
     (c, a, b). On single loops every term of {{x;y};z} has closure x+y+z,
     so its total is Goldman's (x.y)((x+y).z), which outer brackets that
-    lost their crossings would miss.
+    lost their crossings would miss. Each summand's two brackets share one
+    ``origins`` (``_bracket_terms``): every inner term whose start the
+    splice found inherits its crossings with z, and a tied one is searched.
     """
     eta = jacobi_eta(0, 0)
     found = {}
 
     def pair(gamma: PLLoop, gammabar: PLLoop) -> list:
-        """The crossing records of two input loops; a pair that raises is not kept."""
+        """The crossing records of two loops, searched once; a pair that raises is not kept."""
         key = gamma, gammabar
         if key not in found:
             found[key] = list(_crossings(gamma, gammabar))
@@ -650,12 +638,13 @@ def jacobi_residual(a: StringCycle, b: StringCycle, c: StringCycle) -> StringCyc
     builds a loop only for a term the sum keeps.
 
     The crossing records of each pair of input loops are enumerated once
-    per call, on first use. Every inner term's crossings with z are
-    inherited from the records of its two parents with z (``_inherited``),
-    and its least vertex is read off its splice unless that tied.
+    per call, on first use. Every inner term whose start the splice found
+    inherits its crossings with z from the records of its two parents with
+    z (``_inherited``), and its ``_alone`` is read off its splice.
     ``_crossings`` is the oracle they must equal record for record and
-    error for error (``tests/test_strings.py``); it runs on a term only
-    when a parent pair raises, so what raises is the plain bracket's.
+    error for error (``tests/test_strings.py``); it runs on such a term
+    only when a parent pair raises, so what raises is the plain bracket's.
+    A tied inner term is searched with z as an input loop is.
 
     Its class reduction is zero (Goldman). The suite checks the stronger
     statement that the chain itself is zero, which held on every

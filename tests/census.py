@@ -1,6 +1,6 @@
 """Mutation census of the default suite: which one-site errors its checks see.
 
-    python tests/census.py --out CENSUS.json [--root CHECKOUT]
+    python tests/census.py --out CENSUS.json [--root CHECKOUT] [--function MODULE.NAME ...]
 
 Not a test: pytest does not collect this file, and a full census takes
 several minutes. The method:
@@ -14,6 +14,10 @@ several minutes. The method:
   executed lines come from one traced run of the suite, after the import.
 - The sites of each module are listed in source order, and 15 of them are
   drawn with a fresh ``random.Random(0)`` per module.
+- With ``--function MODULE.NAME`` (repeatable; a method is
+  ``MODULE.Class.method``, and ``harness`` may be named too), every site
+  on the executed lines of each named function runs, in place of the
+  module sample, and the counts are kept per function.
 - Each mutant is the module's syntax tree with one site changed, written
   back with ``ast.unparse`` into a copy of the checkout's ``src/``. It runs
   ``run_suite(SuiteConfig(seed=0))`` in a fresh process with one BLAS
@@ -80,13 +84,13 @@ print(json.dumps(accounting, sort_keys=True))
 """
 
 
-def executed_lines(src: Path) -> dict[str, set[int]]:
+def executed_lines(src: Path, modules=MODULES) -> dict[str, set[int]]:
     """The lines of each module that the default suite executes, by module name."""
     sys.path.insert(0, str(src))
     from stringtop.harness import SuiteConfig, run_suite
 
-    files = {str((src / "stringtop" / f"{name}.py").resolve()): name for name in MODULES}
-    lines = {name: set() for name in MODULES}
+    files = {str((src / "stringtop" / f"{name}.py").resolve()): name for name in modules}
+    lines = {name: set() for name in modules}
 
     def local(frame, event, arg):
         if event == "line":
@@ -104,6 +108,17 @@ def executed_lines(src: Path) -> dict[str, set[int]]:
     if not report.passed:
         raise SystemExit("error: the unmutated suite does not pass")
     return lines
+
+
+def function_lines(tree: ast.Module, qualname: str) -> set[int]:
+    """The lines of the function ``qualname`` (``Class.method`` for a method)."""
+    node = tree
+    for part in qualname.split("."):
+        found = [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part]
+        if not found:
+            raise SystemExit(f"error: no function {qualname}")
+        node = found[0]
+    return set(range(node.lineno, node.end_lineno + 1))
 
 
 def sites(tree: ast.Module, lines: set[int]) -> list[tuple]:
@@ -177,21 +192,32 @@ def run_mutant(copy: Path) -> tuple[str, object]:
     return ("killed", failed) if failed else ("passed", json.loads(accounting))
 
 
-def census(root: Path) -> dict:
+def census(root: Path, functions=()) -> dict:
+    """The census of the checkout ``root``: the module sample, or every
+    site of the named ``MODULE.NAME`` functions."""
     src = root / "src"
-    lines = executed_lines(src)
+    targets = [name.split(".", 1) for name in functions]
+    lines = executed_lines(src, sorted({module for module, _ in targets}) if targets else MODULES)
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src"
         shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
         outcome, unmutated = run_mutant(copy)
         if outcome != "passed":
             raise SystemExit("error: the unmutated suite does not pass in a fresh process")
+        # (counts key, module, found sites, drawn sites)
+        groups = []
+        for module, qualname in targets:
+            tree = ast.parse((copy / "stringtop" / f"{module}.py").read_text())
+            found = sites(tree, lines[module] & function_lines(tree, qualname))
+            groups.append((f"{module}.{qualname}", module, found, found))
+        for name in MODULES if not targets else ():
+            found = sites(ast.parse((copy / "stringtop" / f"{name}.py").read_text()), lines[name])
+            drawn = sorted(random.Random(0).sample(found, min(PER_MODULE, len(found))))
+            groups.append((name, name, found, drawn))
         mutants, counts = [], {}
-        for name in MODULES:
+        for key, name, found, drawn in groups:
             path = copy / "stringtop" / f"{name}.py"
             source = path.read_text()
-            found = sites(ast.parse(source), lines[name])
-            drawn = sorted(random.Random(0).sample(found, min(PER_MODULE, len(found))))
             tally = Counter()
             for site in drawn:
                 path.write_text(mutant_source(source, site))
@@ -206,9 +232,10 @@ def census(root: Path) -> dict:
                     detail = [new["check"] for new, old in pairs if new != old] or None
                 tally[outcome] += 1
                 line = source.splitlines()[site[0] - 1].strip()
-                mutants.append({"module": name, "site": list(site), "line": line, "outcome": outcome, "detail": detail})
-                print(name, site[:2], site[4], outcome, detail, file=sys.stderr, flush=True)
-            counts[name] = {"sites": len(found), "mutants": len(drawn), **{o: tally[o] for o in OUTCOMES}}
+                mutant = {"module": name, "site": list(site), "line": line, "outcome": outcome, "detail": detail}
+                mutants.append({"function": key, **mutant} if targets else mutant)
+                print(key, site[:2], site[4], outcome, detail, file=sys.stderr, flush=True)
+            counts[key] = {"sites": len(found), "mutants": len(drawn), **{o: tally[o] for o in OUTCOMES}}
     totals = {o: sum(c[o] for c in counts.values()) for o in ("mutants", *OUTCOMES)}
     return {"counts": counts, "totals": totals, "mutants": mutants}
 
@@ -217,8 +244,11 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1], help="checkout to mutate")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument(
+        "--function", action="append", default=[], help="MODULE.NAME: run every site of this function (repeatable)"
+    )
     args = parser.parse_args(argv)
-    result = census(args.root.resolve())
+    result = census(args.root.resolve(), args.function)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(json.dumps(result["totals"]))
 

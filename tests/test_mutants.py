@@ -176,7 +176,7 @@ def rotation_start_shifted(monkeypatch):
     def shifted(*crossing):
         unit, rows, start = splice(*crossing)
         if start is None:
-            r = strings._least_token(unit, rows)
+            r = geometry._least_token(unit, rows)
             closure = tuple((q - p) // unit for p, q in zip(rows[0], rows[-1]))
             start = r, rows[r][0] // unit, rows[r][1] // unit
             unit, rows = geometry._least_lift(unit, rows, closure)

@@ -572,24 +572,17 @@ def column(x):
         # STEP second, met in segment j: row K1 + 1 + K2 - j
         (column(F(1, 6)), (STEP, (1, 0)), [5]),
         (column(F(5, 6)), (STEP, (1, 0)), [3]),
-        # STEP from its vertex 1: the least vertex is v = 2, past the
-        # crossing (i = 0) or before it (i = 2); and STEP moved by (1, 0),
-        # whose least vertex is vertex 0, outside [0, 1)^2. No normal form
-        # starts so, and the scan takes these
-        ((STEP[1:] + [(1, F(1, 2))], (1, 0)), column(F(1, 2)), [None]),
-        ((STEP[1:] + [(1, F(1, 2))], (1, 0)), column(F(1, 6)), [None]),
-        (column(F(1, 2)), (STEP[1:] + [(1, F(1, 2))], (1, 0)), [None]),
-        (column(F(1, 6)), (STEP[1:] + [(1, F(1, 2))], (1, 0)), [None]),
-        (([(x + 1, y) for x, y in STEP], (1, 0)), column(F(1, 2)), [None]),
         # a tie: vertices 0 and 2 of the first loop are both (0, 1/2) mod 1
-        (([(0, F(1, 2)), (F(1, 2), F(3, 4)), (1, F(1, 2)), (F(3, 2), F(1, 4))], (2, 0)), column(F(1, 4)), [None, None]),
+        (([(0, F(1, 2)), (F(1, 2), F(1, 4)), (1, F(1, 2)), (F(3, 2), F(3, 4))], (2, 0)), column(F(1, 4)), [None, None]),
     ],
 )
 def test_each_branch_of_the_one_pass_splice_is_the_scans(first, second, rows):
-    """``_splice`` on loops as given, not normalized: each start it takes
-    gives the rows ``_least_lift`` gives for its plain rows."""
+    """``_splice`` on normal-form loops, as the bracket hands them over:
+    each start it takes gives the rows ``_least_lift`` gives for its plain
+    rows."""
     gamma, gammabar = (PLLoop(TORUS, *loop) for loop in (first, second))
-    lows = strings._least_vertex(gamma), strings._least_vertex(gammabar)
+    assert all(loop.canonical().integer_lift() == loop.integer_lift() for loop in (gamma, gammabar))
+    lows = strings._alone(gamma), strings._alone(gammabar)
     starts = []
     for i, j, _, _, _, _, (ox, oy), den, x, y in strings._crossings(gamma, gammabar):
         unit, plain, start = strings._splice(gamma, gammabar, i, j, den, x, y, ox, oy)
@@ -601,6 +594,36 @@ def test_each_branch_of_the_one_pass_splice_is_the_scans(first, second, rows):
     assert starts == rows
 
 
+def test_the_bracket_splices_normal_forms_only(monkeypatch):
+    """Every loop that ``_bracket_terms`` hands to ``_splice`` is its own
+    normal form, so its vertex 0 is its least vertex, in [0, den)^2: the
+    premise of ``_alone`` and ``_rotation_start``. The brackets are random
+    {a; b}, nested {{a; b}; c}, and Jacobi's, whose outer brackets take
+    their inner terms' starts from the splice."""
+    rng = np.random.default_rng(40)
+    splice = strings._splice
+    handed = {}
+
+    def recorded(loop, other, *crossing):
+        handed.update({id(loop): loop, id(other): other})
+        return splice(loop, other, *crossing)
+
+    monkeypatch.setattr(strings, "_splice", recorded)
+    drawn = 0
+    while drawn < 20:
+        a, b, c = (StringCycle.from_loop(gen_random_loop(rng)) for _ in range(3))
+        try:
+            string_bracket(string_bracket(a, b), c)
+            jacobi_residual(a, b, c)
+        except TransversalityError:
+            continue
+        drawn += 1
+    monkeypatch.undo()
+    assert len(handed) > 200 and any(loop.num_segments > 4 for loop in handed.values())
+    for loop in handed.values():
+        assert loop.canonical().integer_lift() == loop.integer_lift()
+
+
 def test_a_tied_least_vertex_takes_the_scan(monkeypatch):
     """An inner-bracket loop passes its crossing point twice: when that point
     is its least vertex, and so the least point of an outer splice, two
@@ -610,7 +633,7 @@ def test_a_tied_least_vertex_takes_the_scan(monkeypatch):
     ((_, loop),) = inner.terms
     den, pts = loop.integer_lift()
     assert [(x % den, y % den) for x, y in pts[:-1]].count((den // 4, den // 2)) == 2
-    assert strings._least_vertex(loop) == (den, 4, (den // 4, den // 2), False)
+    assert strings._alone(loop) is False
     # the diagonal y = x + 5/8 meets the inner loop at (1/4, 7/8) and (7/8, 1/2), both above (1/4, 1/2)
     events = bracket_starts(monkeypatch, inner, StringCycle.from_loop(PLLoop(TORUS, [(F(3, 4), F(3, 8))], (1, 1))))
     assert len(events) == 2
@@ -740,7 +763,8 @@ def test_the_bracket_splices_what_the_records_splice():
 def compare_inherited(monkeypatch, x, y, z, counts):
     """``_inherited`` against ``_crossings`` on every term of {x; y} with every term of z.
 
-    Every term has an origin. Both routes give the same records in the same
+    A term without an origin, whose start the splice did not find, inherits
+    nothing and is skipped. Both routes give the same records in the same
     order, or raise the same text, and ``_crossings`` runs on the term
     exactly when one of its parent pairs raises. counts tallies the pairs
     by what the search gives, "inherited" records or a "degenerate"
@@ -758,7 +782,10 @@ def compare_inherited(monkeypatch, x, y, z, counts):
     monkeypatch.setattr(strings, "_crossings", lambda loop, other: searched.append(loop) or search(loop, other))
     try:
         for _, loop in inner.terms:
-            parents = origins[loop.integer_lift()][:2]
+            origin = origins.get(loop.integer_lift())
+            if origin is None:
+                continue
+            parents = origin[:2]
             for _, other in z.terms:
                 want = crossings_or_error(lambda *p: list(search(*p)), loop, other)
                 raised = any(isinstance(crossings_or_error(pair, gamma, other), str) for gamma in parents)
@@ -818,21 +845,31 @@ def test_a_triple_point_takes_the_search(monkeypatch):
 
 def test_a_term_whose_rotation_the_scan_decides_inherits(monkeypatch):
     """The first loop's two vertices coincide mod 1 and are least, so the
-    token scan gives each term's rotation row, and the terms inherit from
-    that row as from any other."""
+    token scan gives each term's rotation row. Neither term records an
+    origin, and the outer bracket searches each one with z, as it searches
+    an input loop: its records are ``_crossings``'."""
     x = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 16), F(1, 16)), (F(17, 16), F(17, 16))], (2, 3)))
     y = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 2), F(1, 4))], (0, 1)))
     z = StringCycle.from_loop(PLLoop(TORUS, [(0, F(3, 8))], (1, 0)))
     assert [scan for *_, scan in bracket_starts(monkeypatch, x, y)] == [True, True]
     counts = dict.fromkeys(("inherited", "degenerate", "searched"), 0)
     compare_inherited(monkeypatch, x, y, z, counts)
-    assert counts == {"inherited": 2, "degenerate": 0, "searched": 0}
+    assert counts == {"inherited": 0, "degenerate": 0, "searched": 0}
+    origins = {}
+    inner = StringCycle._of(strings._bracket_terms(x, y, None, origins))
+    assert len(inner.terms) == 2 and origins == {}
+    searched = []
+    pair = lambda loop, other: searched.append(loop) or list(strings._crossings(loop, other))
+    got = list(strings._bracket_terms(inner, z, pair, origins))
+    assert [id(loop) for loop in searched] == [id(loop) for _, loop in inner.terms]
+    assert got and got == list(strings._bracket_terms(inner, z))
 
 
 def test_jacobi_searches_each_pair_of_input_loops_once(monkeypatch):
     """The six ordered pairs of input loops are each searched at most once,
     and only they: the inner brackets and the parents of the outer terms
-    share them, and no inner term is searched."""
+    share them, and no inner term whose start the splice found is searched.
+    None of these draws has a tied inner term, which would be."""
     rng = np.random.default_rng(37)
     search = strings._crossings
     searched = []
@@ -853,10 +890,10 @@ def test_jacobi_searches_each_pair_of_input_loops_once(monkeypatch):
 
 
 def test_each_least_vertex_read_off_a_splice_is_the_scans():
-    """An inner term whose start the splice found records its ``_least_vertex``:
-    row 0 of its rows, held by no other vertex when the start is a loop's
-    vertex 0 and by the crossing point's other copy when it is that point.
-    A tie records None, and the outer bracket scans the stored loop."""
+    """An inner term whose start the splice found records its ``_alone``:
+    row 0 of its rows is held by no other vertex when the start is a loop's
+    vertex 0, and by the crossing point's other copy when it is that point.
+    A tie records no origin."""
     rng = np.random.default_rng(391)
     read = dict.fromkeys((True, False), 0)
     for _ in range(40):
@@ -868,16 +905,16 @@ def test_each_least_vertex_read_off_a_splice_is_the_scans():
             except TransversalityError:
                 continue
             for _, loop in inner.terms:
-                least = origins[loop.integer_lift()][-1]
-                assert least == strings._least_vertex(loop)
-                read[least[3]] += 1
+                alone = origins[loop.integer_lift()][-1]
+                assert alone == strings._alone(loop)
+                read[alone] += 1
     assert read[True] > 100 and read[False] > 20, read
     # a tie: both vertices of x are (1/16, 1/16) mod 1
     x = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 16), F(1, 16)), (F(17, 16), F(17, 16))], (2, 3)))
     y = StringCycle.from_loop(PLLoop(TORUS, [(F(1, 2), F(1, 4))], (0, 1)))
     origins = {}
     inner = StringCycle._of(strings._bracket_terms(x, y, None, origins))
-    assert len(inner.terms) == 2 and all(origins[loop.integer_lift()][-1] is None for _, loop in inner.terms)
+    assert len(inner.terms) == 2 and origins == {}
 
 
 def test_a_cancelling_jacobi_builds_loops_for_its_inner_brackets_only(monkeypatch):

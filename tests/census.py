@@ -84,7 +84,7 @@ print(json.dumps(accounting, sort_keys=True))
 """
 
 
-def executed_lines(src: Path, modules=MODULES) -> dict[str, set[int]]:
+def executed_lines(src: Path, modules) -> dict[str, set[int]]:
     """The lines of each module that the default suite executes, by module name."""
     sys.path.insert(0, str(src))
     from stringtop.harness import SuiteConfig, run_suite

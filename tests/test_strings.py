@@ -547,6 +547,7 @@ def test_rotation_start_of_each_branch(monkeypatch, first, second, row):
 
 
 STEP = [(0, F(1, 2)), (F(1, 3), F(5, 8)), (F(2, 3), F(1, 2))]
+TIED = [(F(1, 2), F(1, 4)), (F(3, 4), 0), (F(3, 2), F(1, 4)), (F(7, 4), F(1, 2))]
 
 
 def column(x):
@@ -572,6 +573,16 @@ def column(x):
         # STEP second, met in segment j: row K1 + 1 + K2 - j
         (column(F(1, 6)), (STEP, (1, 0)), [5]),
         (column(F(5, 6)), (STEP, (1, 0)), [3]),
+        (column(F(1, 2)), (STEP, (1, 0)), [4]),
+        # TIED ties its vertices 0 and 2, (1/2, 1/4) mod 1, yet one point is
+        # strictly least: the line's vertex 0, (0, 3/8), at row K1 - i ...
+        (([(0, F(3, 8))], (1, 0)), (TIED, (2, 0)), [1, 1]),
+        # ... or the crossing point, at (1/4, 1/3) and (1/4, 1/6), whose
+        # copies are ordered by the column's outgoing edge (0, 1)
+        ((TIED, (2, 0)), column(F(1, 4)), [5, 5]),
+        (column(F(1, 4)), (TIED, (2, 0)), [0, 0]),
+        # a tie on the second loop: vertices 0 and 2 are both (0, 1/2) mod 1
+        (column(F(1, 4)), ([(0, F(1, 2)), (F(1, 2), F(1, 4)), (1, F(1, 2)), (F(3, 2), F(3, 4))], (2, 0)), [None, None]),
         # a tie: vertices 0 and 2 of the first loop are both (0, 1/2) mod 1
         (([(0, F(1, 2)), (F(1, 2), F(1, 4)), (1, F(1, 2)), (F(3, 2), F(3, 4))], (2, 0)), column(F(1, 4)), [None, None]),
     ],
